@@ -94,7 +94,7 @@ def ablate_broadcast_dedupe() -> List[List]:
         total = 0
         for step in plan.steps:
             if isinstance(step, SharedStore):
-                total = sum(len(a) for a in step.accesses)
+                total = sum(len(a) for a in step.accesses.to_tuples())
         return total
 
     full = store_count(True)

@@ -48,12 +48,23 @@ TABLE6_KERNELS = [
 
 
 def suite(name: str = "table6") -> List[CompileRequest]:
-    """A named request suite: ``table6`` (default) or ``fig9``."""
+    """A named request suite: ``table6`` (default), ``fig9`` or ``fig9-all``.
+
+    ``fig9`` is each Figure 9 kernel's first case in linear mode;
+    ``fig9-all`` is every case in both linear and legacy mode (458
+    compiles), long enough for a cold sweep to time reliably.
+    """
     if name == "table6":
         return suite_requests(kernels=TABLE6_KERNELS)
     if name == "fig9":
         return suite_requests()
-    raise ValueError(f"unknown suite {name!r} (expected table6 or fig9)")
+    if name == "fig9-all":
+        return suite_requests(
+            modes=("linear", "legacy"), first_case_only=False
+        )
+    raise ValueError(
+        f"unknown suite {name!r} (expected table6, fig9 or fig9-all)"
+    )
 
 
 def _simulate_conversions(
@@ -141,28 +152,54 @@ def _compile_suite_serial(requests: Sequence[CompileRequest]) -> None:
         request.build_and_compile()
 
 
-def _timed_runs(
-    requests: Sequence[CompileRequest],
-    warm_repeats: int,
-    cold_repeats: int = 2,
-) -> Tuple[float, float]:
-    """(best cold seconds, median warm seconds) of serial suite sweeps.
+def _cold_compile_s(request: CompileRequest) -> float:
+    """Seconds of one compile from cleared caches."""
+    _cache.clear()
+    start = time.perf_counter()
+    request.build_and_compile()
+    return time.perf_counter() - start
 
-    Cold takes the best of ``cold_repeats`` fully-cleared runs so the
-    <3% overhead gate compares compiler work, not scheduler noise.
+
+def _cold_pass(
+    requests: Sequence[CompileRequest], repeats: int
+) -> Tuple[float, float]:
+    """(disabled, enabled) cold seconds of ``requests``.
+
+    Every request compiles ``repeats`` times each way from cleared
+    caches, with and without a recorder installed, in alternating
+    order, and each side keeps its best time per request.  The two
+    sides of a request run milliseconds apart, so a drift in machine
+    speed reaches both alike, and the best-of keeps a burst of noise
+    out of either; whole-suite sweeps, one per side, left a noisy
+    host's drift in the ratio.
     """
-    colds = []
-    for _ in range(max(1, cold_repeats)):
-        _cache.clear()
-        start = time.perf_counter()
-        _compile_suite_serial(requests)
-        colds.append(time.perf_counter() - start)
+    off = on = 0.0
+    for i, request in enumerate(requests):
+        offs: List[float] = []
+        ons: List[float] = []
+        for j in range(repeats):
+            order = (False, True) if (i + j) % 2 == 0 else (True, False)
+            for enabled in order:
+                if enabled:
+                    with obs.capture():
+                        ons.append(_cold_compile_s(request))
+                else:
+                    offs.append(_cold_compile_s(request))
+        off += min(offs)
+        on += min(ons)
+    return off, on
+
+
+def _warm_sweeps(
+    requests: Sequence[CompileRequest], repeats: int
+) -> float:
+    """Median seconds of ``repeats`` serial sweeps over warm caches."""
     warms = []
-    for _ in range(warm_repeats):
+    for _ in range(repeats):
         start = time.perf_counter()
         _compile_suite_serial(requests)
         warms.append(time.perf_counter() - start)
-    return min(colds), statistics.median(warms)
+    return statistics.median(warms)
 
 
 def run_overhead(
@@ -179,6 +216,10 @@ def run_overhead(
     figure the <3% gate applies to; warm numbers (cache-hit compiles,
     microseconds each) are reported for honesty but not gated, since
     a handful of span records is a visible fraction of almost zero.
+
+    The cold times come from :func:`_cold_pass` with
+    ``cold_repeats`` compiles per request and side.  The reported
+    capture holds one cold suite sweep and the enabled warm sweeps.
     """
     requests = (
         suite(suite_name)
@@ -186,9 +227,15 @@ def run_overhead(
         else suite_requests(kernels=kernels)
     )
     assert not obs.is_enabled(), "run_overhead must start disabled"
-    cold_off, warm_off = _timed_runs(requests, warm_repeats, cold_repeats)
+    cold_repeats = max(1, cold_repeats)
+    cold_off, cold_on = _cold_pass(requests, cold_repeats)
+    _cache.clear()
+    _compile_suite_serial(requests)
+    warm_off = _warm_sweeps(requests, warm_repeats)
     with obs.capture() as recorder:
-        cold_on, warm_on = _timed_runs(requests, warm_repeats, cold_repeats)
+        _cache.clear()
+        _compile_suite_serial(requests)
+        warm_on = _warm_sweeps(requests, warm_repeats)
         _cache.publish_obs_gauges()
     events = obs.jsonl_events(recorder)
     export_bytes = sum(
@@ -199,6 +246,7 @@ def run_overhead(
     return {
         "suite": suite_name,
         "requests": len(requests),
+        "cold_repeats": cold_repeats,
         "warm_repeats": warm_repeats,
         "cold_disabled_s": round(cold_off, 4),
         "cold_enabled_s": round(cold_on, 4),

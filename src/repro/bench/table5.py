@@ -64,7 +64,7 @@ def linear_case_passes(
     bv = rng.uniform(-2, 2, size=(k, n))
     # compile() takes ownership of the graph; execute its output so
     # the inserted convert_layout ops (data no-ops) are covered too.
-    result = execute_graph(compiled.graph, [av, bv])
+    result = execute_graph(compiled.graph, [av, bv], spec=GH200)
     expected, _ = emulated_matmul(av, bv, a_dtype, b_dtype)
     return bool(
         np.allclose(result.stores[0], expected, rtol=1e-6, atol=1e-6)

@@ -181,6 +181,8 @@ class BoundedCache:
         self._misses = 0
         self._evictions = 0
         self._generation = 0
+        self._obs_hits = _obs.series_key("cache.hits", cache=name)
+        self._obs_misses = _obs.series_key("cache.misses", cache=name)
         if register:
             _REGISTRY.append(self)
 
@@ -201,10 +203,9 @@ class BoundedCache:
         # Observability mirror, outside the lock: one ``None`` check
         # when disabled, a labeled counter bump when recording.
         if _obs.is_enabled():
-            if value is _MISSING:
-                _obs.count("cache.misses", 1, cache=self.name)
-            else:
-                _obs.count("cache.hits", 1, cache=self.name)
+            _obs.count_series(
+                self._obs_misses if value is _MISSING else self._obs_hits
+            )
         return default if value is _MISSING else value
 
     def put(self, key: Hashable, value: Any) -> Any:

@@ -18,10 +18,13 @@ from __future__ import annotations
 import enum
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro import cache as _cache
 from repro.core.dims import LANE, REGISTER, WARP
 from repro.core.errors import LayoutError
 from repro.core.layout import LinearLayout
+from repro.codegen.access import SharedAccesses
 from repro.codegen.plan import (
     Barrier,
     ConversionPlan,
@@ -80,33 +83,58 @@ def _register_permutation(
 
 
 def _group_contiguous(
-    pairs: List[Tuple[int, int]], max_vec: int
-) -> List[Tuple[int, Tuple[int, ...]]]:
-    """Group (offset, reg) pairs into aligned power-of-two vectors.
+    offsets: np.ndarray, max_vec: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Group each row's offsets into aligned power-of-two vectors.
 
-    Pairs are consumed in *register* order so every lane of the warp
-    groups the same registers into the same instruction — instructions
-    then align with the affine cosets the swizzle algorithm reasons
-    about (Lemma 9.4 counts conflicts per coset; mixing cosets in one
-    instruction would reintroduce conflicts the analysis excluded).
-    Within a run the offsets must be contiguous and aligned.
+    Row ``t`` lists one thread's (offset, reg) pairs by their offsets,
+    in the order they are consumed: *register* order, so every lane
+    of the warp groups the same registers into the same instruction —
+    instructions then align with the affine cosets the swizzle
+    algorithm reasons about (Lemma 9.4 counts conflicts per coset;
+    mixing cosets in one instruction would reintroduce conflicts the
+    analysis excluded).  Within a vector the offsets must be
+    contiguous and the first one aligned.
+
+    Greedily from the front, each vector is the widest of
+    ``max_vec, max_vec >> 1, ...`` that fits the contiguous run
+    starting there and divides its base offset.  Returns ``(start,
+    width)``, each ``(threads, max_accesses)``: the pair index where
+    access ``k`` starts and its element count (0 past a thread's
+    last access).
     """
-    out: List[Tuple[int, Tuple[int, ...]]] = []
-    i = 0
-    while i < len(pairs):
-        run = 1
-        while (
-            i + run < len(pairs)
-            and pairs[i + run][0] == pairs[i][0] + run
-        ):
-            run += 1
-        vec = max_vec
-        base = pairs[i][0]
-        while vec > 1 and (run < vec or base % vec != 0):
-            vec >>= 1
-        out.append((base, tuple(reg for _, reg in pairs[i: i + vec])))
-        i += vec
-    return out
+    threads, n = offsets.shape
+    cols = np.arange(n)
+    # Run length from every position: the distance to the end of its
+    # contiguous run, found by a reverse running minimum.
+    breaks = np.ones((threads, n), dtype=bool)
+    breaks[:, :-1] = offsets[:, 1:] != offsets[:, :-1] + 1
+    run_end = np.minimum.accumulate(
+        np.where(breaks, cols, n)[:, ::-1], axis=1
+    )[:, ::-1]
+    run = run_end - cols + 1
+    vec = np.ones((threads, n), dtype=np.int64)
+    undecided = np.ones((threads, n), dtype=bool)
+    width = max_vec
+    while width > 1:
+        fits = undecided & (run >= width) & (offsets % width == 0)
+        vec[fits] = width
+        undecided &= ~fits
+        width >>= 1
+    # Walk every thread's pointer forward in the same step.
+    rows = np.arange(threads)
+    ptr = np.zeros(threads, dtype=np.int64)
+    starts, widths = [], []
+    while True:
+        live = ptr < n
+        if not live.any():
+            break
+        here = np.minimum(ptr, n - 1)
+        step = np.where(live, vec[rows, here], 0)
+        starts.append(here)
+        widths.append(step)
+        ptr = ptr + step
+    return np.stack(starts, axis=1), np.stack(widths, axis=1)
 
 
 def _vec_bit_positions(
@@ -125,20 +153,21 @@ def _vec_bit_positions(
 
 def _shared_accesses(
     layout: LinearLayout,
-    view: DistributedView,
-    offset_of_flat,
+    offsets: np.ndarray,
     num_warps: int,
     warp_size: int,
     max_vec_elems: int,
     dedupe_broadcast: bool,
     vec_basis: Optional[Sequence[int]] = None,
     sort_by_offset: bool = False,
-) -> Tuple[Tuple[Tuple[int, Tuple[int, ...]], ...], ...]:
+) -> SharedAccesses:
     """Per-CTA-thread vectorized access lists for a layout.
 
-    ``offset_of_flat`` maps a flattened logical position to a shared
-    element offset.  With ``dedupe_broadcast`` (linear mode), replicas
-    — hardware indices whose free bits are non-zero — are skipped,
+    ``offsets[p]`` is the shared element offset of flattened logical
+    position ``p``.  Positions come from the layout's whole-range F2
+    table (:meth:`LinearLayout.flat_table`), so nothing here runs per
+    element.  With ``dedupe_broadcast`` (linear mode), replicas —
+    hardware indices whose free bits are non-zero — are skipped,
     which is the Table 4 instruction saving.
 
     When ``vec_basis`` is given (the optimal-swizzle path), registers
@@ -147,45 +176,63 @@ def _shared_accesses(
     swizzle analysis assumes.
     """
     free = layout.free_variable_masks()
-    free_reg = free.get(REGISTER, 0)
-    free_lane = free.get(LANE, 0)
-    free_warp = free.get(WARP, 0)
     regs = layout.in_dim_size(REGISTER)
-    reg_order = list(range(regs))
+    lanes = layout.in_dim_size(LANE)
+    reg_order = np.arange(regs, dtype=np.int64)
     if vec_basis:
         positions = _vec_bit_positions(layout, vec_basis)
         if positions is not None:
             n_bits = layout.in_dim_size_log2(REGISTER)
             others = [i for i in range(n_bits) if i not in positions]
-            bit_order = positions + others  # vec bits run fastest
-            reg_order = []
-            for counter in range(regs):
-                r = 0
-                for j, bit in enumerate(bit_order):
-                    if (counter >> j) & 1:
-                        r |= 1 << bit
-                reg_order.append(r)
-    accesses = []
-    for w in range(num_warps):
-        for l in range(warp_size):
-            if l >= layout.in_dim_size(LANE) or w >= layout.in_dim_size(WARP):
-                accesses.append(())
-                continue
-            if dedupe_broadcast and ((l & free_lane) or (w & free_warp)):
-                accesses.append(())
-                continue
-            pairs = []
-            for r in reg_order:
-                if dedupe_broadcast and (r & free_reg):
-                    continue
-                p = view.flat_of({REGISTER: r, LANE: l, WARP: w})
-                pairs.append((offset_of_flat(p), r))
-            if sort_by_offset:
-                # Legacy staging groups by raw memory contiguity; the
-                # optimal path keeps register (coset) order instead.
-                pairs.sort()
-            accesses.append(tuple(_group_contiguous(pairs, max_vec_elems)))
-    return tuple(accesses)
+            counter = reg_order
+            reg_order = np.zeros(regs, dtype=np.int64)
+            # Vec bits run fastest.
+            for j, bit in enumerate(positions + others):
+                reg_order |= ((counter >> j) & 1) << bit
+    warp_ids = np.arange(min(num_warps, layout.in_dim_size(WARP)))
+    lane_ids = np.arange(min(warp_size, lanes))
+    if dedupe_broadcast:
+        warp_ids = warp_ids[(warp_ids & free.get(WARP, 0)) == 0]
+        lane_ids = lane_ids[(lane_ids & free.get(LANE, 0)) == 0]
+        reg_order = reg_order[(reg_order & free.get(REGISTER, 0)) == 0]
+    # Threads the layout spans (lanes/warps past it access nothing).
+    tid = (warp_ids[:, None] * warp_size + lane_ids).ravel()
+    slot = (warp_ids[:, None] * lanes + lane_ids).ravel()
+    flats = layout.flat_table((REGISTER, LANE, WARP))
+    offs = offsets[flats[slot[:, None] * regs + reg_order]]
+    reg = np.broadcast_to(reg_order, offs.shape)
+    if sort_by_offset:
+        # Legacy staging groups by raw memory contiguity; the
+        # optimal path keeps register (coset) order instead.
+        order = np.argsort(offs * regs + reg, axis=1, kind="stable")
+        offs = np.take_along_axis(offs, order, axis=1)
+        reg = np.take_along_axis(reg, order, axis=1)
+    start, width = _group_contiguous(offs, max_vec_elems)
+    rows = np.arange(len(tid))[:, None]
+    elem = np.arange(int(width.max(initial=0)))
+    at = np.minimum(start[:, :, None] + elem, offs.shape[1] - 1)
+    threads = num_warps * warp_size
+    base = np.zeros((threads, start.shape[1]), dtype=np.int64)
+    lens = np.zeros_like(base)
+    vec_regs = np.full(base.shape + elem.shape, -1, dtype=np.int64)
+    base[tid] = np.where(width > 0, offs[rows, start], 0)
+    lens[tid] = width
+    vec_regs[tid] = np.where(
+        elem < width[:, :, None], reg[rows[:, :, None], at], -1
+    )
+    return SharedAccesses(base, lens, vec_regs)
+
+
+def _swizzled_offsets(memory_layout: LinearLayout) -> np.ndarray:
+    """Element offset of every flat position under a staging layout.
+
+    The table of ``memory_layout.invert()`` (Section 5.4), whose
+    inputs are the logical dims flattened row-major — the order of
+    ``memory_layout.unflatten_out``.
+    """
+    return memory_layout.invert().flat_table(
+        list(reversed(memory_layout.out_dims))
+    )
 
 
 def plan_conversion(
@@ -298,7 +345,9 @@ def _plan_conversion_uncached(
     # Shared-memory path.
     elem_bytes = max(1, elem_bits // 8)
     num_warps = max(src.in_dim_size(WARP), dst.in_dim_size(WARP))
-    sv, dv = DistributedView(src), DistributedView(dst)
+    # Both endpoints must be distributed layouts (Definition 4.10).
+    DistributedView(src)
+    dv = DistributedView(dst)
     d = src.total_out_bits()
     notes = [note] if note else []
 
@@ -307,7 +356,7 @@ def _plan_conversion_uncached(
             memory_layout, src, dst, elem_bits
         )
         steps, extra_notes = _shared_steps_for_swizzle(
-            fixed, src, dst, sv, dv, elem_bits, spec,
+            fixed, src, dst, elem_bits, spec,
             num_warps, dedupe_broadcast,
         )
         return ConversionPlan(
@@ -336,7 +385,7 @@ def _plan_conversion_uncached(
         best = None
         for swplan in candidates:
             steps, extra_notes = _shared_steps_for_swizzle(
-                swplan, src, dst, sv, dv, elem_bits, spec,
+                swplan, src, dst, elem_bits, spec,
                 num_warps, dedupe_broadcast,
             )
             candidate = ConversionPlan(
@@ -355,9 +404,7 @@ def _plan_conversion_uncached(
         # Ablation baseline: raw row-major staging, no swizzle, no
         # padding.  Strided access patterns conflict maximally here —
         # this is what the optimal-swizzling algorithm is up against.
-        def offset_of_flat(p: int) -> int:
-            return p
-
+        offsets = np.arange(1 << d, dtype=np.int64)
         max_vec = max(1, spec.max_vector_bits // elem_bits)
         shared_bytes = (1 << d) * elem_bytes
         notes.append("unswizzled staging (ablation)")
@@ -371,9 +418,8 @@ def _plan_conversion_uncached(
         # elements (the legacy heuristic applied to the flattened
         # tensor).
         row_elems = spec.bank_row_bytes // elem_bytes
-
-        def offset_of_flat(p: int) -> int:
-            return p + (p // row_elems) * pad_elems
+        flat = np.arange(1 << d, dtype=np.int64)
+        offsets = flat + (flat // row_elems) * pad_elems
 
         # Each side vectorizes by whatever contiguity survives the
         # padding; the grouping below discovers it per lane.
@@ -385,11 +431,11 @@ def _plan_conversion_uncached(
         raise ValueError(f"unknown swizzle_mode {swizzle_mode!r}")
 
     stores = _shared_accesses(
-        src, sv, offset_of_flat, num_warps, spec.warp_size,
+        src, offsets, num_warps, spec.warp_size,
         max_vec, dedupe_broadcast, sort_by_offset=True,
     )
     loads = _shared_accesses(
-        dst, dv, offset_of_flat, num_warps, spec.warp_size,
+        dst, offsets, num_warps, spec.warp_size,
         max_vec, dedupe_broadcast=False, sort_by_offset=True,
     )
     steps = [
@@ -460,8 +506,6 @@ def _shared_steps_for_swizzle(
     swplan,
     src: LinearLayout,
     dst: LinearLayout,
-    sv: DistributedView,
-    dv: DistributedView,
     elem_bits: int,
     spec: GpuSpec,
     num_warps: int,
@@ -472,18 +516,13 @@ def _shared_steps_for_swizzle(
     from repro.hardware.instructions import ldmatrix_tile
 
     elem_bytes = max(1, elem_bits // 8)
-    store_map = swplan.memory_layout.invert()
-
-    def offset_of_flat(p: int) -> int:
-        coords = swplan.memory_layout.unflatten_out(p)
-        return store_map.apply(coords)["offset"]
-
+    offsets = _swizzled_offsets(swplan.memory_layout)
     stores = _shared_accesses(
-        src, sv, offset_of_flat, num_warps, spec.warp_size,
+        src, offsets, num_warps, spec.warp_size,
         swplan.vec_elems, dedupe_broadcast, vec_basis=swplan.vec_basis,
     )
     loads = _shared_accesses(
-        dst, dv, offset_of_flat, num_warps, spec.warp_size,
+        dst, offsets, num_warps, spec.warp_size,
         swplan.vec_elems, dedupe_broadcast=False,
         vec_basis=swplan.vec_basis,
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
+from repro.codegen.access import SharedAccesses
 from repro.core.layout import LinearLayout
 from repro.obs import core as _obs
 
@@ -78,15 +79,16 @@ class ShuffleRound:
 
 @dataclass(frozen=True)
 class SharedStore:
-    """Per-lane vectorized stores to shared memory.
+    """Per-thread vectorized stores to shared memory.
 
-    ``accesses[lane]`` is a list of ``(base_offset, regs)`` pairs: the
-    lane stores the values of ``regs`` contiguously starting at element
-    offset ``base_offset``.  All lanes issue in lockstep, so entry
-    ``k`` across lanes forms one warp instruction.
+    Thread ``t``'s access ``k`` stores registers ``accesses.regs[t,
+    k]`` contiguously from element offset ``accesses.base[t, k]`` (see
+    :class:`~repro.codegen.access.SharedAccesses`).  All lanes issue
+    in lockstep, so entry ``k`` across a warp's lanes forms one warp
+    instruction.
     """
 
-    accesses: Tuple[Tuple[Tuple[int, Tuple[int, ...]], ...], ...]
+    accesses: SharedAccesses
     elem_bytes: int
     use_stmatrix: bool = False
 
@@ -102,9 +104,9 @@ class SharedStore:
 
 @dataclass(frozen=True)
 class SharedLoad:
-    """Per-lane vectorized loads from shared memory (same encoding)."""
+    """Per-thread vectorized loads from shared memory (same encoding)."""
 
-    accesses: Tuple[Tuple[Tuple[int, Tuple[int, ...]], ...], ...]
+    accesses: SharedAccesses
     elem_bytes: int
     use_ldmatrix: bool = False
 
@@ -132,16 +134,11 @@ class Barrier:
 
 def _describe_shared(label: str, step, matrix_note: str) -> str:
     """Shared-memory step summary: lanes, per-lane accesses, widths."""
-    lanes = len(step.accesses)
-    per_lane = max((len(a) for a in step.accesses), default=0)
-    widest = max(
-        (len(regs) for lane in step.accesses for _, regs in lane),
-        default=0,
-    )
-    vec_bits = widest * step.elem_bytes * 8
+    acc = step.accesses
+    vec_bits = acc.widest * step.elem_bytes * 8
     note = f", {matrix_note}" if matrix_note else ""
     return (
-        f"{label}: {lanes} lanes x {per_lane} accesses, "
+        f"{label}: {acc.num_threads} lanes x {acc.max_accesses} accesses, "
         f"vec {vec_bits}b{note}"
     )
 

@@ -24,6 +24,8 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from repro import cache as _cache
 from repro.core.errors import (
     DimensionError,
@@ -416,6 +418,31 @@ class LinearLayout:
         return self._flatten_out_coords(
             tuple(self.apply(inputs).values()), order
         )
+
+    def flat_table(self, in_order: Sequence[str]) -> np.ndarray:
+        """:meth:`apply_flat` of every input at once, as int64.
+
+        Entry ``i`` is the row-major flattened output of the input
+        whose flattened index is ``i``, with ``in_order`` listing the
+        input dims to enumerate, fastest-first.  As in :meth:`apply`,
+        dims it leaves out are held at 0, and dims the layout lacks
+        have size 1.
+
+        Linearity gives ``f(i ^ 2^k) = f(i) ^ f(2^k)`` for ``i < 2^k``,
+        so the table is built by XOR-doubling the basis images: O(N)
+        array work, no per-element Python.
+        """
+        images = [
+            self._flatten_out_coords(img)
+            for dim in in_order
+            for img in self._bases.get(dim, ())
+        ]
+        table = np.zeros(1 << len(images), dtype=np.int64)
+        size = 1
+        for img in images:
+            np.bitwise_xor(table[:size], img, out=table[size: 2 * size])
+            size *= 2
+        return table
 
     def _flat_order(self, order: Optional[Sequence[str]]) -> List[str]:
         """Out dims fastest-first; default row-major (last dim fastest)."""

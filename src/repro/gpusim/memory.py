@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Dict, Sequence, Tuple
 
+import numpy as np
+
 from repro.hardware.spec import GpuSpec
 
 
@@ -55,34 +57,91 @@ class SharedMemory:
         """Wavefronts for one warp-wide access.
 
         ``accesses`` is a list of ``(element_offset, num_elements)``
-        per participating lane.  The access is split into 128-byte
-        transactions; each transaction costs the maximum number of
-        distinct 4-byte words per bank.
+        per participating lane; see :func:`bank_wavefronts`.  Loads and
+        stores cost the same.
         """
+        del is_store
         if not accesses:
             return 0
-        spec = self.spec
-        row = spec.bank_row_bytes
-        # Split each lane's byte range into per-transaction chunks.
-        per_lane_bytes = max(
-            n * self.elem_bytes for _, n in accesses
+        offsets, counts = zip(*accesses)
+        return int(
+            bank_wavefronts(
+                self.spec,
+                self.elem_bytes,
+                np.zeros(len(offsets), dtype=np.int64),
+                np.asarray(offsets, dtype=np.int64),
+                np.asarray(counts, dtype=np.int64),
+                1,
+            )[0]
         )
-        txns = max(1, (per_lane_bytes + row - 1) // row) if per_lane_bytes > row else 1
-        # When one lane's vector exceeds a transaction, hardware splits
-        # it; each sub-transaction sweeps distinct words, which the
-        # per-bank distinct-word count below captures if we process the
-        # whole range at once — so we just count distinct words/bank.
-        del txns
-        total = 0
-        words_by_bank: Dict[int, set] = {}
-        for offset, count in accesses:
-            start = offset * self.elem_bytes
-            end = start + count * self.elem_bytes
-            word0 = start // spec.bank_bytes
-            word1 = (end + spec.bank_bytes - 1) // spec.bank_bytes
-            for word in range(word0, word1):
-                bank = word % spec.num_banks
-                words_by_bank.setdefault(bank, set()).add(word)
-        del is_store
-        total = max(len(words) for words in words_by_bank.values())
-        return total
+
+
+def bank_wavefronts(
+    spec: GpuSpec,
+    elem_bytes: int,
+    group: np.ndarray,
+    offset: np.ndarray,
+    count: np.ndarray,
+    num_groups: int,
+) -> np.ndarray:
+    """Wavefronts of many warp-wide accesses at once.
+
+    Request ``i`` moves ``count[i]`` elements from element offset
+    ``offset[i]`` and belongs to warp access ``group[i]``.  Each
+    access costs the largest number of distinct 4-byte words any one
+    bank must serve: a vector wider than a 128-byte transaction sweeps
+    distinct words, and same-word broadcast is free, which is how real
+    hardware behaves and what Lemma 9.4 predicts.  Returns one count
+    per group, 0 for a group without requests.
+    """
+    banks = spec.num_banks
+    out = np.zeros(num_groups, dtype=np.int64)
+    if not len(offset):
+        return out
+    start = offset * elem_bytes
+    word0 = start // spec.bank_bytes
+    word1 = (
+        start + count * elem_bytes + spec.bank_bytes - 1
+    ) // spec.bank_bytes
+    spans = word1 - word0
+    req = np.repeat(np.arange(len(spans)), spans)
+    first = np.cumsum(spans) - spans
+    words = word0[req] + np.arange(len(req)) - first[req]
+    stride = int(words.max()) + 1
+    keys = np.unique(group[req] * stride + words)
+    owner = keys // stride
+    bank = (keys - owner * stride) % banks
+    per_bank = np.bincount(
+        owner * banks + bank, minlength=num_groups * banks
+    )
+    return per_bank.reshape(num_groups, banks).max(axis=1)
+
+
+def access_wavefronts(
+    accesses, spec: GpuSpec, elem_bytes: int, num_warps: int
+) -> np.ndarray:
+    """Per-warp wavefronts of every access slot of a shared step.
+
+    ``accesses`` is a :class:`~repro.codegen.access.SharedAccesses`;
+    entry ``[w, k]`` of the ``(num_warps, max_accesses)`` result is
+    the cost of warp ``w``'s lockstep instruction ``k`` (0 when none of
+    its lanes has that access).  Threads are numbered ``warp *
+    spec.warp_size + lane``.
+    """
+    slots = accesses.max_accesses
+    ws = spec.warp_size
+    width = accesses.width[: num_warps * ws]
+    tid, k = np.nonzero(width)
+    return bank_wavefronts(
+        spec,
+        elem_bytes,
+        (tid // ws) * slots + k,
+        accesses.base[tid, k],
+        width[tid, k],
+        num_warps * slots,
+    ).reshape(num_warps, slots)
+
+
+def matrix_instructions(accesses, elem_bytes: int) -> int:
+    """ld/stmatrix instructions moving a step: 16 bytes per lane each."""
+    return max(1, (accesses.max_elements() * elem_bytes + 15) // 16)

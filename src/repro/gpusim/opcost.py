@@ -27,9 +27,9 @@ from repro.codegen.plan import ConversionPlan
 from repro.codegen.vectorize import legacy_vector_width_bits, vector_width_bits
 from repro.core.dims import LANE, REGISTER, WARP
 from repro.core.layout import LinearLayout
-from repro.gpusim.memory import SharedMemory
+from repro.gpusim.memory import access_wavefronts, matrix_instructions
 from repro.gpusim.trace import Trace
-from repro.hardware.cost import CostModel
+from repro.hardware.cost import cost_model
 from repro.hardware.instructions import Instruction, InstructionKind
 from repro.hardware.spec import GpuSpec
 from repro.program.ir import Opcode, WarpProgram
@@ -92,48 +92,28 @@ def policy_for_mode(mode: str) -> CostPolicy:
 # ----------------------------------------------------------------------
 def _price_shared_instr(instr, trace: Trace, spec: GpuSpec, kind) -> None:
     """Price one STS/LDS on warp 0's addresses (all warps congruent)."""
-    memory = SharedMemory(spec, instr.elem_bytes)
-    ws = spec.warp_size
-    lane_lists = instr.accesses[:ws]  # warp 0
-    max_accesses = max((len(a) for a in instr.accesses), default=0)
-    if max_accesses == 0:
+    acc = instr.accesses
+    slots = acc.max_accesses
+    if slots == 0:
         return
     if kind == InstructionKind.SHARED_STORE and instr.use_stmatrix:
-        _price_matrix(instr, trace, InstructionKind.STMATRIX)
+        matrix = InstructionKind.STMATRIX
+    elif kind == InstructionKind.SHARED_LOAD and instr.use_ldmatrix:
+        matrix = InstructionKind.LDMATRIX
+    else:
+        matrix = None
+    if matrix is not None:
+        insts = matrix_instructions(acc, instr.elem_bytes)
+        trace.emit(matrix, vector_bits=128, count=insts, wavefronts=1)
         return
-    if kind == InstructionKind.SHARED_LOAD and instr.use_ldmatrix:
-        _price_matrix(instr, trace, InstructionKind.LDMATRIX)
-        return
-    total_wavefronts = 0
-    vector_bits = 32
-    for k in range(max_accesses):
-        requests = []
-        for lane_accesses in lane_lists:
-            if k < len(lane_accesses):
-                base, regs = lane_accesses[k]
-                requests.append((base, len(regs)))
-                vector_bits = max(
-                    vector_bits, len(regs) * instr.elem_bytes * 8
-                )
-        if requests:
-            total_wavefronts += memory.wavefronts(
-                requests, kind == InstructionKind.SHARED_STORE
-            )
+    wavefronts = int(access_wavefronts(acc, spec, instr.elem_bytes, 1).sum())
+    widest = int(acc.width[: spec.warp_size].max(initial=0))
     trace.emit(
         kind,
-        vector_bits=vector_bits,
-        count=max_accesses,
-        wavefronts=max(1, total_wavefronts // max_accesses),
+        vector_bits=max(32, widest * instr.elem_bytes * 8),
+        count=slots,
+        wavefronts=max(1, wavefronts // slots),
     )
-
-
-def _price_matrix(instr, trace: Trace, kind: InstructionKind) -> None:
-    bytes_per_lane = 0
-    for lane_accesses in instr.accesses:
-        total = sum(len(regs) for _, regs in lane_accesses)
-        bytes_per_lane = max(bytes_per_lane, total * instr.elem_bytes)
-    insts = max(1, (bytes_per_lane + 15) // 16)
-    trace.emit(kind, vector_bits=128, count=insts, wavefronts=1)
 
 
 def price_program(program: WarpProgram, spec: GpuSpec) -> Trace:
@@ -207,7 +187,7 @@ class OpCostModel:
     def __init__(self, spec: GpuSpec, policy: CostPolicy):
         self.spec = spec
         self.policy = policy
-        self.instruction_model = CostModel(spec)
+        self.instruction_model = cost_model(spec)
 
     @property
     def mode(self) -> str:
@@ -440,7 +420,7 @@ def kernel_cycles(instructions: Iterable[Instruction], spec: GpuSpec) -> float:
     The one-call form of the pricing authority for consumers that
     hold a finished trace (the autotuner, report generators).
     """
-    return CostModel(spec).total_cycles(instructions)
+    return cost_model(spec).total_cycles(instructions)
 
 
 def op_cost_model(spec: GpuSpec, mode: str) -> OpCostModel:

@@ -15,9 +15,10 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.core.dims import WARP
+from repro.core.dims import LANE, WARP
 from repro.core.errors import LayoutError
 from repro.engine.ir import Graph, OpKind, Value
+from repro.hardware.spec import GpuSpec, RTX4090
 from repro.mxfp.emulate import emulated_matmul
 from repro.mxfp.quantize import quantize_to
 
@@ -58,14 +59,18 @@ def _layout_shape(layout) -> tuple:
     )
 
 
-def _simulate_conversion(op, arr: np.ndarray, result, machines: Dict):
-    """Run one CONVERT_LAYOUT node on the simulated machine.
+def _simulate_conversion(
+    op, arr: np.ndarray, result, machines: Dict, spec: GpuSpec
+):
+    """Run one CONVERT_LAYOUT node on ``spec``'s simulated machine.
 
-    Distributes the tensor over the source layout's register file,
-    executes the lowered warp program, and checks every element landed
-    at its destination slot.  Returns False (caller passes the value
-    through) when the layouts do not cover the tensor or the pair has
-    no plan — partial-tile graph nodes keep their NumPy semantics.
+    Plans for ``spec``, distributes the tensor over the source
+    layout's register file, executes the lowered warp program, and
+    checks every element landed at its destination slot.  Returns
+    False (caller passes the value through) when the layouts do not
+    cover the tensor, their lane count is not ``spec``'s warp size, or
+    the pair has no plan — partial-tile graph nodes keep their NumPy
+    semantics.
     """
     from repro.codegen.conversion import plan_conversion
     from repro.gpusim.machine import Machine
@@ -83,9 +88,16 @@ def _simulate_conversion(op, arr: np.ndarray, result, machines: Dict):
         or _layout_shape(dst_l) != tuple(arr.shape)
     ):
         return False
+    if (
+        src_l.in_dim_size(LANE) != spec.warp_size
+        or dst_l.in_dim_size(LANE) != spec.warp_size
+    ):
+        # Layouts compiled for another platform: planning them for
+        # ``spec`` would size the machine for the wrong warp.
+        return False
     try:
         plan = plan_conversion(
-            src_l, dst_l, elem_bits=op.inputs[0].dtype.bits
+            src_l, dst_l, elem_bits=op.inputs[0].dtype.bits, spec=spec
         )
     except LayoutError:
         return False
@@ -94,7 +106,7 @@ def _simulate_conversion(op, arr: np.ndarray, result, machines: Dict):
     )
     machine = machines.get(num_warps)
     if machine is None:
-        machine = Machine(num_warps=num_warps)
+        machine = Machine(spec, num_warps=num_warps)
         machines[num_warps] = machine
     flat = arr.ravel()
     registers = distributed_data(
@@ -114,6 +126,7 @@ def execute_graph(
     inputs: Sequence[np.ndarray],
     quantize_inputs: bool = True,
     simulate_conversions: bool = True,
+    spec: GpuSpec = RTX4090,
 ) -> ExecutionResult:
     """Run a graph; ``inputs`` feed the LOAD ops in program order.
 
@@ -121,8 +134,9 @@ def execute_graph(
     declared dtype first, as loading from a low-precision buffer
     would.  With ``simulate_conversions`` (the default), layout
     conversions whose layouts cover the tensor execute on the
-    simulated machine and their traces land in
-    :attr:`ExecutionResult.conversion_traces`.
+    simulated machine of ``spec`` — the platform the graph was
+    compiled for, whose warp size its layouts assume — and their
+    traces land in :attr:`ExecutionResult.conversion_traces`.
     """
     result = ExecutionResult()
     env: Dict[int, np.ndarray] = {}
@@ -153,7 +167,7 @@ def execute_graph(
             if simulate_conversions:
                 # Values are preserved by construction; the simulated
                 # run verifies the routing and records the trace.
-                _simulate_conversion(op, arr, result, machines)
+                _simulate_conversion(op, arr, result, machines, spec)
             env[op.output.vid] = arr
         elif kind == OpKind.LOCAL_STORE or kind == OpKind.LOCAL_LOAD:
             env[op.output.vid] = get(op.inputs[0])

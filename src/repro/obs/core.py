@@ -29,9 +29,9 @@ import itertools
 import os
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import LabelKey, MetricsRegistry, label_key
 
 __all__ = [
     "Recorder",
@@ -361,6 +361,18 @@ def count(name: str, value: float = 1, **labels: Any) -> None:
     rec = _recorder
     if rec is not None:
         rec.metrics.count(name, value, **labels)
+
+
+def count_series(key: Tuple[str, LabelKey], value: float = 1) -> None:
+    """:func:`count` for a prebuilt key (see :func:`series_key`)."""
+    rec = _recorder
+    if rec is not None:
+        rec.metrics.count_series(key, value)
+
+
+def series_key(name: str, **labels: Any) -> Tuple[str, LabelKey]:
+    """The registry key of one labeled series, for :func:`count_series`."""
+    return (name, label_key(labels))
 
 
 def gauge(name: str, value: float, **labels: Any) -> None:

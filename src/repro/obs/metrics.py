@@ -88,7 +88,16 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     def count(self, name: str, value: float = 1, **labels: Any) -> None:
         """Add ``value`` to a counter series."""
-        key = (name, label_key(labels))
+        self.count_series((name, label_key(labels)), value)
+
+    def count_series(
+        self, key: Tuple[str, LabelKey], value: float = 1
+    ) -> None:
+        """:meth:`count` for a prebuilt ``(name, label_key(labels))``.
+
+        Hot callers build the key once and skip the per-call label
+        sort.
+        """
         with self._lock:
             self._counters[key] = self._counters.get(key, 0) + value
 

@@ -24,7 +24,12 @@ import numpy as np
 
 from repro.core.dims import LANE, REGISTER, WARP
 from repro.codegen.views import DistributedView
-from repro.gpusim.memory import SharedMemory
+from repro.gpusim.memory import (
+    SharedMemory,
+    access_wavefronts,
+    bank_wavefronts,
+    matrix_instructions,
+)
 from repro.gpusim.registers import RegisterFile
 from repro.gpusim.trace import Trace
 from repro.hardware.instructions import InstructionKind
@@ -46,50 +51,24 @@ def shared_accounting(
     static, so this is a pure function of the instruction, the
     platform, and the executing CTA's warp count.
     """
-    accesses = instr.accesses
-    max_accesses = max((len(a) for a in accesses), default=0)
-    if max_accesses == 0:
+    acc = instr.accesses
+    slots = acc.max_accesses
+    if slots == 0:
         return None
     matrix = instr.use_stmatrix if is_store else instr.use_ldmatrix
     if matrix:
-        bytes_per_lane = 0
-        for lane_accesses in accesses:
-            total = sum(len(regs) for _, regs in lane_accesses)
-            bytes_per_lane = max(
-                bytes_per_lane, total * instr.elem_bytes
-            )
-        return ("matrix", max(1, (bytes_per_lane + 15) // 16))
-    memory = SharedMemory(spec, instr.elem_bytes)
-    ws = spec.warp_size
-    total_wavefronts = 0
-    vector_bits = 0
-    for k in range(max_accesses):
-        worst = 0
-        for w in range(num_warps):
-            requests = []
-            for lane in range(ws):
-                tid = w * ws + lane
-                if tid >= len(accesses):
-                    continue
-                lane_accesses = accesses[tid]
-                if k < len(lane_accesses):
-                    base, regs = lane_accesses[k]
-                    requests.append((base, len(regs)))
-            if not requests:
-                continue
-            worst = max(
-                worst, memory.wavefronts(requests, is_store=is_store)
-            )
-            vector_bits = max(
-                vector_bits,
-                max(n for _, n in requests) * instr.elem_bytes * 8,
-            )
-        total_wavefronts += worst
+        return ("matrix", matrix_instructions(acc, instr.elem_bytes))
+    # The simulator charges the worst warp per access slot.
+    worst = access_wavefronts(acc, spec, instr.elem_bytes, num_warps)
+    total_wavefronts = int(worst.max(axis=0, initial=0).sum())
+    widest = int(
+        acc.width[: num_warps * spec.warp_size].max(initial=0)
+    )
     return (
         "vec",
-        vector_bits,
-        max_accesses,
-        max(1, total_wavefronts // max_accesses),
+        widest * instr.elem_bytes * 8,
+        slots,
+        max(1, total_wavefronts // slots),
     )
 
 
@@ -160,15 +139,18 @@ def gather_lds_wavefronts(
     offsets; the metric is the historical one — per register slot the
     worst warp, averaged over slots.
     """
-    memory = SharedMemory(spec, elem_bytes)
-    total = 0
-    for r in range(regs):
-        worst = 1
-        for w in range(warps):
-            requests = [(int(offsets[w][l][r]), 1) for l in range(lanes)]
-            worst = max(worst, memory.wavefronts(requests, False))
-        total += worst
-    return max(1, total // max(1, regs))
+    table = np.asarray(offsets, dtype=np.int64)[:warps, :lanes, :regs]
+    group = np.arange(regs) * warps + np.arange(warps)[:, None, None]
+    per_slot = bank_wavefronts(
+        spec,
+        elem_bytes,
+        np.broadcast_to(group, table.shape).ravel(),
+        table.ravel(),
+        np.ones(table.size, dtype=np.int64),
+        regs * warps,
+    ).reshape(regs, warps)
+    worst = np.maximum(per_slot.max(axis=1, initial=0), 1)
+    return max(1, int(worst.sum()) // max(1, regs))
 
 
 # ----------------------------------------------------------------------
@@ -280,32 +262,32 @@ class ScalarInterpreter:
                 ):
                     dst.write(w, lane, d_reg, src.read(w, s_lane, s_reg))
 
-    def _requests(self, instr, warp: int, k: int) -> List[Tuple]:
+    def _requests(self, accesses, warp: int, k: int) -> List[Tuple]:
         ws = self.spec.warp_size
         out = []
         for lane in range(ws):
             tid = warp * ws + lane
-            if tid >= len(instr.accesses):
+            if tid >= len(accesses):
                 continue
-            lane_accesses = instr.accesses[tid]
+            lane_accesses = accesses[tid]
             if k < len(lane_accesses):
                 base, regs = lane_accesses[k]
                 out.append((lane, base, regs))
         return out
 
     def _sts(self, instr, src: RegisterFile, memory: SharedMemory) -> None:
-        max_accesses = max((len(a) for a in instr.accesses), default=0)
-        for k in range(max_accesses):
+        accesses = instr.accesses.to_tuples()
+        for k in range(instr.accesses.max_accesses):
             for w in range(self.num_warps):
-                for lane, base, regs in self._requests(instr, w, k):
+                for lane, base, regs in self._requests(accesses, w, k):
                     for j, reg in enumerate(regs):
                         memory.write(base + j, src.read(w, lane, reg))
 
     def _lds(self, instr, dst: RegisterFile, memory: SharedMemory) -> None:
-        max_accesses = max((len(a) for a in instr.accesses), default=0)
-        for k in range(max_accesses):
+        accesses = instr.accesses.to_tuples()
+        for k in range(instr.accesses.max_accesses):
             for w in range(self.num_warps):
-                for lane, base, regs in self._requests(instr, w, k):
+                for lane, base, regs in self._requests(accesses, w, k):
                     for j, reg in enumerate(regs):
                         dst.write(w, lane, reg, memory.read(base + j))
 
@@ -616,31 +598,9 @@ def _compile_shfl(instr):
 
 def _compile_shared(instr, warp_size: int, num_warps: int):
     """Flat (warp, lane, reg, offset) indices in machine write order."""
-    w_idx: List[int] = []
-    l_idx: List[int] = []
-    r_idx: List[int] = []
-    off: List[int] = []
-    accesses = instr.accesses
-    max_accesses = max((len(a) for a in accesses), default=0)
-    for k in range(max_accesses):
-        for w in range(num_warps):
-            for lane in range(warp_size):
-                tid = w * warp_size + lane
-                if tid >= len(accesses):
-                    continue
-                lane_accesses = accesses[tid]
-                if k < len(lane_accesses):
-                    base, regs = lane_accesses[k]
-                    for j, reg in enumerate(regs):
-                        w_idx.append(w)
-                        l_idx.append(lane)
-                        r_idx.append(reg)
-                        off.append(base + j)
-    return (
-        np.asarray(w_idx, dtype=np.intp),
-        np.asarray(l_idx, dtype=np.intp),
-        np.asarray(r_idx, dtype=np.intp),
-        np.asarray(off, dtype=np.intp),
+    return tuple(
+        a.astype(np.intp)
+        for a in instr.accesses.elements(warp_size, num_warps)
     )
 
 
@@ -654,9 +614,7 @@ def _alloc_memory(
         size = 1
         for instr in program.instrs:
             if instr.opcode in (Opcode.STS, Opcode.LDS):
-                for lane_accesses in instr.accesses:
-                    for base, regs in lane_accesses:
-                        size = max(size, base + len(regs))
+                size = max(size, instr.accesses.extent())
             elif instr.opcode in (
                 Opcode.GATHER_STS,
                 Opcode.GATHER_LDS,
@@ -671,21 +629,11 @@ def _slot_flats(program: WarpProgram, layout, key) -> np.ndarray:
     cached = program.scratch.get(key)
     if cached is not None:
         return cached
-    view = DistributedView(layout)
-    warps = layout.in_dim_size(WARP)
-    lanes = layout.in_dim_size(LANE)
-    regs = layout.in_dim_size(REGISTER)
-    w_mesh, l_mesh, r_mesh = np.meshgrid(
-        np.arange(warps, dtype=np.int64),
-        np.arange(lanes, dtype=np.int64),
-        np.arange(regs, dtype=np.int64),
-        indexing="ij",
+    flats = layout.flat_table((REGISTER, LANE, WARP)).reshape(
+        layout.in_dim_size(WARP),
+        layout.in_dim_size(LANE),
+        layout.in_dim_size(REGISTER),
     )
-    flats = np.zeros((warps, lanes, regs), dtype=np.int64)
-    for dim, values in ((REGISTER, r_mesh), (LANE, l_mesh), (WARP, w_mesh)):
-        for bit, col in enumerate(view.columns.get(dim, [])):
-            if col:
-                flats ^= ((values >> bit) & 1) * col
     program.scratch[key] = flats
     return flats
 

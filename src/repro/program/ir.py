@@ -29,17 +29,13 @@ import enum
 from dataclasses import dataclass, field, fields
 from typing import Dict, Iterator, Optional, Tuple
 
+from repro.codegen.access import SharedAccesses
 from repro.core.layout import LinearLayout
 
 #: Conventional register-space names.
 R_IN = "in"
 R_OUT = "out"
 R_IDX = "idx"
-
-#: Per-lane access lists: ``accesses[tid]`` is a tuple of
-#: ``(base_offset, regs)`` pairs — the thread moves the registers in
-#: ``regs`` contiguously starting at element offset ``base_offset``.
-AccessList = Tuple[Tuple[Tuple[int, Tuple[int, ...]], ...], ...]
 
 
 class Opcode(enum.Enum):
@@ -143,11 +139,13 @@ class MovR:
 class Sts:
     """Per-lane vectorized stores to shared memory (``st.shared``).
 
-    ``accesses[tid]`` carries the bank-relevant element addresses;
-    entry ``k`` across lanes forms one lockstep warp instruction.
+    ``accesses`` (:class:`~repro.codegen.access.SharedAccesses`)
+    carries each thread's bank-relevant element addresses and
+    registers; entry ``k`` across lanes forms one lockstep warp
+    instruction.
     """
 
-    accesses: AccessList
+    accesses: SharedAccesses
     elem_bytes: int
     use_stmatrix: bool = False
     src: str = R_IN
@@ -170,7 +168,7 @@ class Sts:
 class Lds:
     """Per-lane vectorized loads from shared memory (``ld.shared``)."""
 
-    accesses: AccessList
+    accesses: SharedAccesses
     elem_bytes: int
     use_ldmatrix: bool = False
     dst: str = R_OUT
@@ -396,9 +394,7 @@ class WarpProgram:
                     instr.src if op == Opcode.STS else instr.dst
                 )
                 if touched == space:
-                    for lane_accesses in instr.accesses:
-                        for _, regs in lane_accesses:
-                            hi = max(hi, max(regs, default=-1))
+                    hi = max(hi, instr.accesses.max_reg())
         self.scratch[key] = hi + 1
         return hi + 1
 
@@ -420,21 +416,15 @@ class WarpProgram:
 
 
 def _describe_shared(mnemonic: str, instr, matrix: bool) -> str:
-    lanes = len(instr.accesses)
-    per_lane = max((len(a) for a in instr.accesses), default=0)
-    widest = max(
-        (len(regs) for lane in instr.accesses for _, regs in lane),
-        default=0,
-    )
+    acc = instr.accesses
     note = ", matrix" if matrix else ""
     return (
-        f"{mnemonic}: {lanes} threads x {per_lane} accesses, "
-        f"vec {widest * instr.elem_bytes * 8}b{note}"
+        f"{mnemonic}: {acc.num_threads} threads x {acc.max_accesses} "
+        f"accesses, vec {acc.widest * instr.elem_bytes * 8}b{note}"
     )
 
 
 __all__ = [
-    "AccessList",
     "Bar",
     "GatherLds",
     "GatherShfl",

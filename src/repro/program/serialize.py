@@ -1,10 +1,12 @@
 """JSON round-tripping of warp programs.
 
 Programs carry nothing but plain operands (ints, strings, nested
-tuples) plus the occasional :class:`LinearLayout`, so serialization is
-a mechanical field walk: tuples become lists, layouts become their
-``to_dict`` form tagged with ``"__layout__"``, and the opcode names
-the instruction class on the way back in.  ``scratch`` (backend
+tuples) plus the occasional :class:`LinearLayout` or shared access
+table, so serialization is a mechanical field walk: tuples become
+lists, layouts become their ``to_dict`` form tagged with
+``"__layout__"``, access tables their nested ``(base, regs)`` lists
+tagged with ``"__accesses__"``, and the opcode names the instruction
+class on the way back in.  ``scratch`` (backend
 memoization) is deliberately not serialized — it is derived state.
 """
 
@@ -13,6 +15,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List
 
+from repro.codegen.access import SharedAccesses
 from repro.core.layout import LinearLayout
 from repro.program.ir import (
     Opcode,
@@ -25,6 +28,8 @@ from repro.program.ir import (
 def _encode_value(value):
     if isinstance(value, LinearLayout):
         return {"__layout__": value.to_dict()}
+    if isinstance(value, SharedAccesses):
+        return {"__accesses__": _encode_value(value.to_tuples())}
     if isinstance(value, tuple):
         return [_encode_value(v) for v in value]
     return value
@@ -33,6 +38,8 @@ def _encode_value(value):
 def _decode_value(value):
     if isinstance(value, dict) and "__layout__" in value:
         return LinearLayout.from_dict(value["__layout__"])
+    if isinstance(value, dict) and "__accesses__" in value:
+        return SharedAccesses.from_tuples(_decode_value(value["__accesses__"]))
     if isinstance(value, list):
         return tuple(_decode_value(v) for v in value)
     return value

@@ -276,20 +276,45 @@ class CompileService:
     def _lookup_or_compile(
         self, request: CompileRequest, key: str, rec: RequestStats
     ) -> CompiledKernel:
-        if self._results is not None:
-            hit = self._results.get(key, None)
-            if hit is not None:
-                rec.result_cached = True
-                return hit
-        if self.dedup:
-            with _obs.span("serve:singleflight", key=key) as sp:
-                compiled, shared = self._flight.do(
-                    key, lambda: self._compile_timed(request, rec)
-                )
-                sp.set("shared", shared)
-            rec.shared = shared
-        else:
-            compiled = self._compile_timed(request, rec)
+        hit = self._cached(key, rec)
+        if hit is not None:
+            return hit
+        if not self.dedup:
+            return self._lead(request, key, rec)
+        with _obs.span("serve:singleflight", key=key) as sp:
+            compiled, shared = self._flight.do(
+                key, lambda: self._lead(request, key, rec)
+            )
+            sp.set("shared", shared)
+        rec.shared = shared
+        return compiled
+
+    def _cached(
+        self, key: str, rec: RequestStats
+    ) -> Optional[CompiledKernel]:
+        """The result cache's entry for ``key``, if any, noted on ``rec``."""
+        if self._results is None:
+            return None
+        hit = self._results.get(key, None)
+        if hit is not None:
+            rec.result_cached = True
+        return hit
+
+    def _lead(
+        self, request: CompileRequest, key: str, rec: RequestStats
+    ) -> CompiledKernel:
+        """A single-flight leader's work: compile at most once per key.
+
+        The result reaches the result cache inside the flight, before
+        single-flight forgets the key, and a new leader re-checks the
+        cache first.  A request that missed the cache while an earlier
+        flight was finishing then finds that flight's result instead
+        of compiling the key again.
+        """
+        hit = self._cached(key, rec)
+        if hit is not None:
+            return hit
+        compiled = self._compile_timed(request, rec)
         if self._results is not None:
             compiled = self._results.put(key, compiled)
         return compiled

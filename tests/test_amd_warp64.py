@@ -64,3 +64,55 @@ class TestBankModelOn64Lanes:
         # 32-bank model serves two words per bank.
         requests = [(lane, 1) for lane in range(64)]
         assert mem.wavefronts(requests, False) == 2
+
+
+class TestGraphExecutionOn64Lanes:
+    def test_execute_graph_simulates_mi250_conversions(self):
+        """Graph execution plans and simulates on the MI250 machine.
+
+        The executor used to plan every conversion for a 32-lane GPU
+        and size its machine the same way, so 64-lane layouts asked
+        for gigabyte register files.
+        """
+        import numpy as np
+
+        from repro.engine import LayoutEngine
+        from repro.interp import execute_graph
+        from repro.kernels.models import build_template_attention
+
+        rng = np.random.default_rng(11)
+        inputs = [rng.standard_normal((64, 64)) for _ in range(4)]
+        reference = execute_graph(
+            build_template_attention(64, 64, 1).graph, inputs
+        ).stores[0]
+        compiled = LayoutEngine(MI250, "linear").compile(
+            build_template_attention(64, 64, 1).graph
+        )
+        result = execute_graph(compiled.graph, inputs, spec=MI250)
+        assert result.conversion_traces
+        assert all(t.spec is MI250 for t in result.conversion_traces)
+        assert np.allclose(result.stores[0], reference)
+
+    def test_execute_graph_without_spec_passes_mi250_conversions(self):
+        """A 64-lane graph run with the default 32-lane spec is not simulated.
+
+        Its conversions pass their values through instead of being
+        planned for the wrong warp size.
+        """
+        import numpy as np
+
+        from repro.engine import LayoutEngine
+        from repro.interp import execute_graph
+        from repro.kernels.models import build_template_attention
+
+        rng = np.random.default_rng(11)
+        inputs = [rng.standard_normal((64, 64)) for _ in range(4)]
+        reference = execute_graph(
+            build_template_attention(64, 64, 1).graph, inputs
+        ).stores[0]
+        compiled = LayoutEngine(MI250, "linear").compile(
+            build_template_attention(64, 64, 1).graph
+        )
+        result = execute_graph(compiled.graph, inputs)
+        assert result.conversion_traces == []
+        assert np.allclose(result.stores[0], reference)

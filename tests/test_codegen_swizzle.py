@@ -27,7 +27,7 @@ from repro.f2.subspace import is_independent
 def measured_wavefronts(step, spec, elem_bytes):
     """Worst-case per-instruction wavefronts of warp 0's accesses."""
     memory = SharedMemory(spec, elem_bytes)
-    lanes = step.accesses[: spec.warp_size]
+    lanes = step.accesses.to_tuples()[: spec.warp_size]
     worst = 0
     max_accesses = max((len(a) for a in lanes), default=0)
     for k in range(max_accesses):

@@ -195,6 +195,16 @@ class TestMetrics:
         (row,) = reg.snapshot()["counters"]
         assert row["labels"] == {"a": "1", "b": "2"}
 
+    def test_prebuilt_series_key_feeds_the_same_series(self):
+        key = obs_core.series_key("cache.hits", cache="plans")
+        with obs.capture() as rec:
+            obs.count("cache.hits", 2, cache="plans")
+            obs_core.count_series(key)
+            obs_core.count_series(key, 3)
+        assert rec.metrics.counter_value("cache.hits", cache="plans") == 6
+        obs_core.count_series(key)  # disabled: a no-op
+        assert rec.metrics.counter_value("cache.hits", cache="plans") == 6
+
     def test_gauge_last_write_wins(self):
         reg = obs.MetricsRegistry()
         reg.gauge("size", 10, cache="plans")

@@ -126,6 +126,54 @@ class TestStress:
         first = results[0].summary()
         assert all(r.summary() == first for r in results)
 
+    def test_no_recompile_between_flight_end_and_cache_fill(self):
+        """One compile per key when a request slips past a finishing flight.
+
+        Forced interleaving: request B misses the result cache while
+        A's flight is compiling, and reaches single-flight only after
+        A's flight has ended and forgotten the key.  B must find A's
+        result rather than lead a second compile.
+        """
+        cache.clear()
+        req = CompileRequest("vector_add", "n4096")
+        b_waiting = threading.Event()
+        a_finished = threading.Event()
+        order_lock = threading.Lock()
+        arrivals: list = []
+        compiled_keys: list = []
+        with CompileService(workers=2, name="race") as service:
+            real_do = service._flight.do
+            real_compile = service._compile_timed
+
+            def do(key, fn):
+                with order_lock:
+                    first = not arrivals
+                    arrivals.append(key)
+                if first:
+                    try:
+                        return real_do(key, fn)
+                    finally:
+                        a_finished.set()
+                b_waiting.set()
+                assert a_finished.wait(10)
+                return real_do(key, fn)
+
+            def compile_timed(request, rec):
+                compiled_keys.append(request.canonical_key())
+                # Hold A's flight open until B has missed the cache.
+                b_waiting.wait(10)
+                return real_compile(request, rec)
+
+            service._flight.do = do
+            service._compile_timed = compile_timed
+            futures = [service.submit(req) for _ in range(2)]
+            a, b = [f.result(timeout=30) for f in futures]
+            report = service.report()
+        assert len(arrivals) == 2
+        assert compiled_keys == [req.canonical_key()]
+        assert report.compiles == 1
+        assert a is b
+
     def test_concurrent_distinct_requests_all_succeed(self):
         """No cross-talk between distinct keys compiled concurrently."""
         cache.clear()

@@ -1,0 +1,353 @@
+"""Differential tests of the array-native shared-access builder.
+
+:func:`repro.codegen.conversion._shared_accesses` builds every
+thread's vectorized shared-memory accesses from whole-range F2 tables.
+Its tuple view must equal the per-element reference
+(:mod:`tests.shared_access_reference`) on random distributed layouts:
+warp 32 and warp 64 (MI250), 1-8 warps, broadcast (zero) columns on
+every hardware dim, broadcast dedupe on and off, with and without the
+Vec-bits-fastest register order, and under every staging mode — the
+optimal swizzle, a pinned memory layout, legacy padding and raw rows.
+The array wavefront count is checked against the per-request
+reference the same way.
+"""
+
+from __future__ import annotations
+
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro import cache
+from repro.codegen import conversion
+from repro.codegen.access import SharedAccesses
+from repro.codegen.conversion import (
+    _shared_accesses,
+    _swizzled_offsets,
+    plan_conversion,
+)
+from repro.codegen.views import DistributedView
+from repro.codegen.swizzle import (
+    memory_layout_from_bases,
+    optimal_swizzled_layout,
+)
+from repro.core import LANE, LinearLayout, REGISTER, WARP
+from repro.hardware import GH200, MI250, RTX4090
+from repro.gpusim.memory import bank_wavefronts
+from tests.shared_access_reference import (
+    padded_offset_of_flat,
+    shared_accesses as reference_accesses,
+    swizzled_offset_of_flat,
+    wavefronts as reference_wavefronts,
+)
+
+
+def _coords(flat, shape):
+    """Row-major coordinates of a flat position (last dim fastest)."""
+    out = []
+    for size in reversed(list(shape.values())):
+        out.append(flat % size)
+        flat //= size
+    return tuple(reversed(out))
+
+
+@st.composite
+def geometries(draw, specs=(RTX4090, GH200, MI250)):
+    """(spec, warp bits, total bits d, shape) of a conversion."""
+    spec = draw(st.sampled_from(specs))
+    lane_bits = spec.warp_size.bit_length() - 1
+    warp_bits = draw(st.integers(0, 3))
+    d = draw(st.integers(lane_bits + warp_bits - 2, lane_bits + warp_bits + 3))
+    rows = draw(st.integers(0, d))
+    shape = {"dim0": 1 << rows, "dim1": 1 << (d - rows)}
+    return spec, warp_bits, d, shape
+
+
+@st.composite
+def distributed_layouts(draw, lane_bits, warp_bits, d, shape):
+    """A random Definition 4.10 layout, broadcast columns included."""
+    zero_lanes = draw(st.integers(0, min(2, lane_bits)))
+    zero_warps = draw(st.integers(0, warp_bits))
+    zero_regs = draw(st.integers(0, 1))
+    lane_nz = lane_bits - zero_lanes
+    warp_nz = warp_bits - zero_warps
+    if lane_nz + warp_nz > d:
+        lane_nz = min(lane_nz, d)
+        warp_nz = d - lane_nz
+    reg_nz = d - lane_nz - warp_nz
+    units = draw(st.permutations([1 << i for i in range(d)]))
+    columns = {
+        REGISTER: list(units[:reg_nz]) + [0] * zero_regs,
+        LANE: list(units[reg_nz: reg_nz + lane_nz])
+        + [0] * (lane_bits - lane_nz),
+        WARP: list(units[reg_nz + lane_nz:])
+        + [0] * (warp_bits - warp_nz),
+    }
+    bases = {}
+    for dim, cols in columns.items():
+        order = draw(st.permutations(cols))
+        bases[dim] = [_coords(c, shape) for c in order]
+    return LinearLayout(bases, dict(shape))
+
+
+@st.composite
+def memory_layouts(draw, d, shape):
+    """A random invertible offset -> logical staging layout."""
+    units = draw(st.permutations([1 << i for i in range(d)]))
+    bases = []
+    for i, unit in enumerate(units):
+        mix = draw(st.lists(st.sampled_from(units[:i]), max_size=2)) if i else []
+        for m in mix:
+            unit ^= m
+        bases.append(unit)
+    return memory_layout_from_bases(bases, shape)
+
+
+@st.composite
+def conversion_cases(draw):
+    spec, warp_bits, d, shape = draw(geometries())
+    lane_bits = spec.warp_size.bit_length() - 1
+    src = draw(distributed_layouts(lane_bits, warp_bits, d, shape))
+    dst = draw(distributed_layouts(lane_bits, warp_bits, d, shape))
+    return spec, src, dst, d, shape
+
+
+@settings(max_examples=80)
+@given(case=conversion_cases(), data=st.data())
+def test_builder_matches_reference(case, data):
+    """Every option combination, on one table-driven offset map."""
+    spec, src, _, d, shape = case
+    layout = src
+    staging = data.draw(st.sampled_from(["identity", "padded", "pinned"]))
+    if staging == "identity":
+        offsets = np.arange(1 << d, dtype=np.int64)
+    elif staging == "padded":
+        row = data.draw(st.sampled_from([8, 16, 32, 64]))
+        pad = data.draw(st.sampled_from([1, 2, 4, 8]))
+        flat = np.arange(1 << d, dtype=np.int64)
+        offsets = flat + (flat // row) * pad
+    else:
+        offsets = _swizzled_offsets(data.draw(memory_layouts(d, shape)))
+    reg_images = [x for x in layout.basis_images_flat(REGISTER) if x]
+    vec_basis = data.draw(
+        st.one_of(
+            st.none(),
+            st.lists(st.sampled_from(reg_images), unique=True, max_size=3)
+            if reg_images
+            else st.none(),
+            # A basis outside the register span: no reordering.
+            st.just([layout.basis_images_flat(LANE)[0] or 1]),
+        )
+    )
+    kwargs = dict(
+        num_warps=max(1, layout.in_dim_size(WARP))
+        * data.draw(st.sampled_from([1, 2])),
+        warp_size=spec.warp_size,
+        max_vec_elems=data.draw(st.sampled_from([1, 2, 4, 8, 16, 3, 6])),
+        dedupe_broadcast=data.draw(st.booleans()),
+        vec_basis=vec_basis,
+        sort_by_offset=data.draw(st.booleans()),
+    )
+    got = _shared_accesses(layout, offsets, **kwargs)
+    expected = reference_accesses(layout, lambda p: int(offsets[p]), **kwargs)
+    assert got.to_tuples() == expected
+    assert got == SharedAccesses.from_tuples(expected)
+
+
+@settings(max_examples=40)
+@given(
+    geometry=geometries(),
+    data=st.data(),
+)
+def test_swizzled_offsets_match_inverse_layout(geometry, data):
+    """The offset table is ``memory_layout.invert()`` element by element."""
+    _, _, d, shape = geometry
+    memory = data.draw(memory_layouts(d, shape))
+    table = _swizzled_offsets(memory)
+    reference = swizzled_offset_of_flat(memory)
+    assert table.tolist() == [reference(p) for p in range(1 << d)]
+
+
+@settings(max_examples=40)
+@given(
+    case=conversion_cases(),
+    mode=st.sampled_from(["optimal", "pinned", "padded", "none"]),
+    dedupe=st.booleans(),
+    elem_bits=st.sampled_from([8, 16, 32]),
+    data=st.data(),
+)
+def test_planner_accesses_match_reference(
+    case, mode, dedupe, elem_bits, data
+):
+    """Through ``plan_conversion``: the builder on the planner's exact inputs.
+
+    Every ``_shared_accesses`` call the planner makes is checked
+    against the reference on the same arguments, and the planner's
+    offset tables against the per-position staging maps.
+    """
+    spec, src, dst, d, shape = case
+    calls = []
+    real = conversion._shared_accesses
+
+    def checked(layout, offsets, *args, **kwargs):
+        got = real(layout, offsets, *args, **kwargs)
+        expected = reference_accesses(
+            layout, lambda p: int(offsets[p]), *args, **kwargs
+        )
+        assert got.to_tuples() == expected
+        calls.append(offsets)
+        return got
+
+    memory = None
+    if mode == "pinned":
+        memory = data.draw(memory_layouts(d, shape))
+    # Caching off: a repeated key must still reach the builder.
+    with pytest.MonkeyPatch.context() as mp, cache.disabled():
+        mp.setattr(conversion, "_shared_accesses", checked)
+        plan = plan_conversion(
+            src,
+            dst,
+            elem_bits,
+            spec=spec,
+            allow_shuffle=False,
+            swizzle_mode="optimal" if mode == "pinned" else mode,
+            dedupe_broadcast=dedupe,
+            memory_layout=memory,
+        )
+    if plan.kind != "shared":
+        return
+    assert calls
+    elem_bytes = elem_bits // 8
+    if mode == "none":
+        staging = [lambda p: p]
+    elif mode == "padded":
+        staging = [
+            padded_offset_of_flat(
+                spec.bank_row_bytes // elem_bytes, max(1, 128 // elem_bits)
+            )
+        ]
+    elif mode == "pinned":
+        staging = [swizzled_offset_of_flat(memory)]
+    else:
+        candidates = [
+            optimal_swizzled_layout(
+                plan.src, plan.dst, elem_bits,
+                bank_row_bytes=spec.bank_row_bytes,
+                max_vector_bits=spec.max_vector_bits,
+            ),
+            conversion._try_matrix_staging(
+                plan.src, plan.dst, DistributedView(plan.dst), elem_bits, spec
+            ),
+        ]
+        staging = [
+            swizzled_offset_of_flat(c.memory_layout)
+            for c in candidates
+            if c is not None
+        ]
+    expected = [[f(p) for p in range(1 << d)] for f in staging]
+    for offsets in calls:
+        assert offsets.tolist() in expected
+
+
+@settings(max_examples=60)
+@given(
+    spec=st.sampled_from([RTX4090, MI250]),
+    elem_bytes=st.sampled_from([1, 2, 4, 8]),
+    groups=st.lists(
+        st.lists(
+            st.tuples(st.integers(0, 4096), st.integers(1, 16)), max_size=64
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_bank_wavefronts_match_reference(spec, elem_bytes, groups):
+    """Many warp accesses priced at once == one at a time."""
+    group = [g for g, reqs in enumerate(groups) for _ in reqs]
+    requests = [r for reqs in groups for r in reqs]
+    got = bank_wavefronts(
+        spec,
+        elem_bytes,
+        np.array(group, dtype=np.int64),
+        np.array([o for o, _ in requests], dtype=np.int64),
+        np.array([n for _, n in requests], dtype=np.int64),
+        len(groups),
+    )
+    assert got.tolist() == [
+        reference_wavefronts(spec, elem_bytes, reqs) for reqs in groups
+    ]
+
+
+@settings(max_examples=60)
+@given(
+    bases=st.dictionaries(
+        st.sampled_from([REGISTER, LANE, WARP, "block"]),
+        st.lists(st.tuples(st.integers(0, 7), st.integers(0, 15)), max_size=4),
+        max_size=4,
+    ),
+    data=st.data(),
+)
+def test_flat_table_equals_apply_flat(bases, data):
+    layout = LinearLayout(bases, {"x": 8, "y": 16}, require_surjective=False)
+    dims = layout.in_dims
+    order = data.draw(st.permutations(dims))
+    table = layout.flat_table(order)
+    assert table.dtype == np.int64
+    assert len(table) == layout.total_in_size()
+    for index, value in enumerate(table.tolist()):
+        inputs = {}
+        for dim in order:
+            bits = layout.in_dim_size_log2(dim)
+            inputs[dim] = index & ((1 << bits) - 1)
+            index >>= bits
+        assert value == layout.apply_flat(inputs)
+
+
+def test_flat_table_holds_unlisted_dims_at_zero():
+    layout = LinearLayout(
+        {REGISTER: [(1, 0)], "block": [(2, 0)], LANE: [(0, 1)]},
+        {"x": 4, "y": 2},
+    )
+    table = layout.flat_table((REGISTER, LANE, WARP))
+    assert table.tolist() == [
+        layout.apply_flat({REGISTER: r, LANE: lane})
+        for lane in range(2)
+        for r in range(2)
+    ]
+
+
+class TestSharedAccessesValue:
+    TUPLES = (
+        ((0, (0, 1)), (8, (2,))),
+        (),
+        ((4, (3,)),),
+    )
+
+    def test_round_trip_and_shape(self):
+        acc = SharedAccesses.from_tuples(self.TUPLES)
+        assert acc.to_tuples() == self.TUPLES
+        assert (acc.num_threads, acc.max_accesses, acc.widest) == (3, 2, 2)
+        assert acc.max_elements() == 3
+        assert acc.extent() == 9
+        assert acc.max_reg() == 3
+
+    def test_value_semantics(self):
+        a = SharedAccesses.from_tuples(self.TUPLES)
+        b = SharedAccesses.from_tuples(self.TUPLES)
+        c = SharedAccesses.from_tuples(self.TUPLES[:2])
+        assert a == b and hash(a) == hash(b)
+        assert a != c
+        assert pickle.loads(pickle.dumps(a)) == a
+        with pytest.raises(ValueError):
+            a.base[0, 0] = 1
+
+    def test_elements_in_issue_order(self):
+        acc = SharedAccesses.from_tuples(self.TUPLES)
+        warp, lane, reg, off = acc.elements(warp_size=2, num_warps=2)
+        assert list(zip(warp, lane, reg, off)) == [
+            (0, 0, 0, 0), (0, 0, 1, 1), (1, 0, 3, 4), (0, 0, 2, 8),
+        ]
+        warp, _, _, _ = acc.elements(warp_size=2, num_warps=1)
+        assert len(warp) == 3

@@ -49,7 +49,7 @@ def total_wavefronts(plan, spec, elem_bytes):
     for step in plan.steps:
         if not isinstance(step, (SharedStore, SharedLoad)):
             continue
-        lanes = step.accesses[: spec.warp_size]
+        lanes = step.accesses.to_tuples()[: spec.warp_size]
         max_accesses = max((len(a) for a in lanes), default=0)
         for k in range(max_accesses):
             requests = [
@@ -103,7 +103,7 @@ def test_claimed_conflict_freedom_is_real(seed):
             step, "use_stmatrix", False
         ):
             continue
-        lanes = step.accesses[:32]
+        lanes = step.accesses.to_tuples()[:32]
         max_accesses = max((len(a) for a in lanes), default=0)
         for k in range(max_accesses):
             requests = [
