@@ -34,7 +34,7 @@ from repro.codegen.plan import (
 )
 from repro.codegen.shuffles import ShufflePlanError, plan_warp_shuffle
 from repro.codegen.swizzle import SwizzlePlan, optimal_swizzled_layout
-from repro.codegen.views import DistributedView
+from repro.codegen.views import DistributedView, slot_table
 from repro.hardware.spec import GpuSpec, RTX4090
 
 
@@ -165,10 +165,10 @@ def _shared_accesses(
 
     ``offsets[p]`` is the shared element offset of flattened logical
     position ``p``.  Positions come from the layout's whole-range F2
-    table (:meth:`LinearLayout.flat_table`), so nothing here runs per
-    element.  With ``dedupe_broadcast`` (linear mode), replicas —
-    hardware indices whose free bits are non-zero — are skipped,
-    which is the Table 4 instruction saving.
+    slot table (:func:`~repro.codegen.views.slot_table`), so nothing
+    here runs per element.  With ``dedupe_broadcast`` (linear mode),
+    replicas — hardware indices whose free bits are non-zero — are
+    skipped, which is the Table 4 instruction saving.
 
     When ``vec_basis`` is given (the optimal-swizzle path), registers
     are enumerated so the Vec-subspace register bits run fastest —
@@ -198,7 +198,7 @@ def _shared_accesses(
     # Threads the layout spans (lanes/warps past it access nothing).
     tid = (warp_ids[:, None] * warp_size + lane_ids).ravel()
     slot = (warp_ids[:, None] * lanes + lane_ids).ravel()
-    flats = layout.flat_table((REGISTER, LANE, WARP))
+    flats = slot_table(layout).ravel()
     offs = offsets[flats[slot[:, None] * regs + reg_order]]
     reg = np.broadcast_to(reg_order, offs.shape)
     if sort_by_offset:

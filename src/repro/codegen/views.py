@@ -6,16 +6,45 @@ hardware indices and flattened logical positions is pure bit routing.
 :class:`DistributedView` precomputes that routing in both directions —
 the ``A^{-1}(p)_Reg`` / ``A^{-1}(p)_Thr`` lookups the shuffle and
 gather planners of Sections 5.4-5.5 perform per element.
+:func:`slot_table` is the forward direction over every hardware index
+at once, the one table the planner, the program interpreter and the
+register fill/check read.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.dims import LANE, REGISTER, WARP
 from repro.core.errors import LayoutError
 from repro.core.layout import LinearLayout
 from repro.core.properties import is_distributed_layout
+
+
+def _require_distributed(layout: LinearLayout) -> None:
+    if not is_distributed_layout(layout):
+        raise LayoutError(
+            "DistributedView requires a distributed layout "
+            "(Definition 4.10)"
+        )
+
+
+def slot_table(layout: LinearLayout) -> np.ndarray:
+    """Flat logical position of every (warp, lane, reg) slot.
+
+    ``table[w, l, r]`` equals ``DistributedView(layout).flat_of(...)``
+    of that hardware index, as int64 of shape ``(warps, lanes, regs)``:
+    :meth:`LinearLayout.flat_table` with registers fastest.  Raises
+    :class:`LayoutError` for a non-distributed layout, as the view does.
+    """
+    _require_distributed(layout)
+    return layout.flat_table((REGISTER, LANE, WARP)).reshape(
+        layout.in_dim_size(WARP),
+        layout.in_dim_size(LANE),
+        layout.in_dim_size(REGISTER),
+    )
 
 
 class DistributedView:
@@ -27,11 +56,7 @@ class DistributedView:
     """
 
     def __init__(self, layout: LinearLayout):
-        if not is_distributed_layout(layout):
-            raise LayoutError(
-                "DistributedView requires a distributed layout "
-                "(Definition 4.10)"
-            )
+        _require_distributed(layout)
         self.layout = layout
         self.dims = [d for d in (REGISTER, LANE, WARP) if layout.has_in_dim(d)]
         # columns[dim][bit] = flat image (a power of two or zero).

@@ -18,11 +18,7 @@ from repro.gpusim.opcost import (
     price_plan,
     price_program,
 )
-from repro.gpusim.registers import (
-    RegisterFile,
-    distributed_data,
-    expected_data,
-)
+from repro.gpusim.registers import RegisterFile, distributed_data
 from repro.gpusim.trace import Trace
 from repro.gpusim.machine import Machine
 
@@ -34,7 +30,6 @@ __all__ = [
     "SharedMemory",
     "Trace",
     "distributed_data",
-    "expected_data",
     "kernel_cycles",
     "op_cost_model",
     "policy_for_mode",

@@ -6,6 +6,11 @@ vectorized program interpreter can borrow or wrap the storage without
 a per-slot conversion loop.  The dict-style API (``read``/``write``/
 ``has``/``as_dict``) is unchanged; storing ``None`` as a value is
 indistinguishable from leaving the slot unwritten.
+
+:func:`distributed_data` and :func:`assert_matches_layout` fill and
+check a whole file from the layout's slot table
+(:func:`repro.codegen.views.slot_table`) with array gathers and one
+elementwise comparison; ``value_of`` runs once per logical position.
 """
 
 from __future__ import annotations
@@ -14,9 +19,8 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.dims import LANE, REGISTER, WARP
 from repro.core.layout import LinearLayout
-from repro.codegen.views import DistributedView
+from repro.codegen.views import slot_table
 
 Slot = Tuple[int, int, int]  # (warp, lane, reg)
 
@@ -118,6 +122,27 @@ class RegisterFile:
         return rf
 
 
+def _slot_values(
+    table: np.ndarray, value_of: Optional[Callable[[int], object]]
+) -> np.ndarray:
+    """``value_of`` of every slot's flat position, as an object array.
+
+    A distributed layout is surjective (Definition 4.10), so its slot
+    table holds every position up to its maximum: ``value_of`` runs
+    once per position, in ascending order, on a plain ``int``, and the
+    results are gathered through the table.  The default stores the
+    positions themselves as ``int``.
+    """
+    size = int(table.max()) + 1
+    if value_of is None:
+        values = np.arange(size).astype(object)
+    else:
+        values = np.fromiter(
+            (value_of(p) for p in range(size)), dtype=object, count=size
+        )
+    return values[table]
+
+
 def distributed_data(
     layout: LinearLayout,
     num_warps: int,
@@ -129,31 +154,18 @@ def distributed_data(
 
     ``value_of`` maps the flattened logical position to a value
     (default: the position itself), so conversion correctness checks
-    reduce to comparing integers.
+    reduce to comparing integers.  The file spans at least the
+    layout's warps and lanes, and exactly its registers.
     """
-    view = DistributedView(layout)
-    rf = RegisterFile(num_warps, warp_size)
-    regs = layout.in_dim_size(REGISTER)
-    lanes = layout.in_dim_size(LANE)
-    warps = layout.in_dim_size(WARP)
-    if value_of is None:
-        value_of = lambda p: p  # noqa: E731
-    for w in range(warps):
-        for l in range(lanes):
-            for r in range(regs):
-                p = view.flat_of({REGISTER: r, LANE: l, WARP: w})
-                rf.write(w, l, r, value_of(p))
-    return rf
-
-
-def expected_data(
-    layout: LinearLayout,
-    num_warps: int,
-    warp_size: int,
-    value_of: Optional[Callable[[int], object]] = None,
-) -> RegisterFile:
-    """Alias of :func:`distributed_data` for readability in checks."""
-    return distributed_data(layout, num_warps, warp_size, value_of)
+    table = slot_table(layout)
+    warps, lanes, regs = table.shape
+    arr = np.full(
+        (max(num_warps, warps), max(warp_size, lanes), regs),
+        None,
+        dtype=object,
+    )
+    arr[:warps, :lanes] = _slot_values(table, value_of)
+    return RegisterFile.from_dense(arr, num_warps, warp_size)
 
 
 def assert_matches_layout(
@@ -161,21 +173,21 @@ def assert_matches_layout(
     layout: LinearLayout,
     value_of: Optional[Callable[[int], object]] = None,
 ) -> None:
-    """Raise AssertionError when any slot disagrees with the layout."""
-    view = DistributedView(layout)
-    regs = layout.in_dim_size(REGISTER)
-    lanes = layout.in_dim_size(LANE)
-    warps = layout.in_dim_size(WARP)
-    if value_of is None:
-        value_of = lambda p: p  # noqa: E731
-    for w in range(warps):
-        for l in range(lanes):
-            for r in range(regs):
-                p = view.flat_of({REGISTER: r, LANE: l, WARP: w})
-                got = rf.read(w, l, r)
-                want = value_of(p)
-                if got != want:
-                    raise AssertionError(
-                        f"slot (w={w}, l={l}, r={r}) holds {got!r}, "
-                        f"expected element {want!r} (flat {p})"
-                    )
+    """Raise AssertionError when any slot disagrees with the layout.
+
+    Every slot is compared; the first bad one in ``(w, l, r)`` order
+    is reported, as :meth:`RegisterFile.read`'s ``KeyError`` when it
+    was never written.
+    """
+    table = slot_table(layout)
+    got = rf.dense(*table.shape)
+    want = _slot_values(table, value_of)
+    bad = (got == None) | (got != want)  # noqa: E711 — elementwise
+    if not bad.any():
+        return
+    w, l, r = (int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+    value = rf.read(w, l, r)
+    raise AssertionError(
+        f"slot (w={w}, l={l}, r={r}) holds {value!r}, "
+        f"expected element {want[w, l, r]!r} (flat {int(table[w, l, r])})"
+    )

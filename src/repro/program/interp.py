@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.dims import LANE, REGISTER, WARP
-from repro.codegen.views import DistributedView
+from repro.codegen.views import DistributedView, slot_table
 from repro.gpusim.memory import (
     SharedMemory,
     access_wavefronts,
@@ -625,15 +625,11 @@ def _alloc_memory(
 
 
 def _slot_flats(program: WarpProgram, layout, key) -> np.ndarray:
-    """``flat_of`` of every (warp, lane, reg) slot, vectorized."""
+    """:func:`slot_table` of a layout, memoized in the program."""
     cached = program.scratch.get(key)
     if cached is not None:
         return cached
-    flats = layout.flat_table((REGISTER, LANE, WARP)).reshape(
-        layout.in_dim_size(WARP),
-        layout.in_dim_size(LANE),
-        layout.in_dim_size(REGISTER),
-    )
+    flats = slot_table(layout)
     program.scratch[key] = flats
     return flats
 
