@@ -57,14 +57,19 @@ contract; ``tests/test_cache_concurrency.py`` stresses it):
 
 Observability
 -------------
-When :mod:`repro.obs` is recording (``REPRO_OBS=1``), every lookup
-additionally bumps the labeled counters ``cache.hits{cache=<name>}``
-/ ``cache.misses{...}`` and evictions bump
+When :mod:`repro.obs` is recording (``REPRO_OBS=1``), a capture's
+labeled counters ``cache.hits{cache=<name>}`` / ``cache.misses{...}``
+hold the lookups made while it was installed, and evictions bump
 ``cache.evictions{...}``, so a capture attributes cache traffic per
 cache while :func:`counters` keeps attributing it per thread/pass —
-same events, two views.  :func:`publish_obs_gauges` exports the
-:func:`stats` snapshot as gauges at capture time.  Disabled, the
-mirror is a single ``None`` check per lookup.
+same events, two views.  The lookup counters are batched: every cache
+keeps lifetime hit/miss totals (two integer bumps under the lock it
+already holds), and the recorder folds in their growth when it is
+uninstalled and before export (see
+:func:`repro.obs.core.add_counter_source`), so a lookup costs the
+same whether or not a capture is recording.
+:func:`publish_obs_gauges` exports the :func:`stats` snapshot as
+gauges at capture time.
 
 Off-switch
 ----------
@@ -78,6 +83,7 @@ from __future__ import annotations
 
 import os
 import threading
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, Iterator, List
@@ -181,8 +187,12 @@ class BoundedCache:
         self._misses = 0
         self._evictions = 0
         self._generation = 0
+        # Lifetime lookups, never reset: the obs mirror's running totals.
+        self._lookup_hits = 0
+        self._lookup_misses = 0
         self._obs_hits = _obs.series_key("cache.hits", cache=name)
         self._obs_misses = _obs.series_key("cache.misses", cache=name)
+        _OBS_MIRRORED.add(self)
         if register:
             _REGISTRY.append(self)
 
@@ -195,17 +205,13 @@ class BoundedCache:
             value = self._data.pop(key, _MISSING)
             if value is _MISSING:
                 self._misses += 1
+                self._lookup_misses += 1
                 _LOCAL.misses += 1
             else:
                 self._data[key] = value  # re-insert: most recently used
                 self._hits += 1
+                self._lookup_hits += 1
                 _LOCAL.hits += 1
-        # Observability mirror, outside the lock: one ``None`` check
-        # when disabled, a labeled counter bump when recording.
-        if _obs.is_enabled():
-            _obs.count_series(
-                self._obs_misses if value is _MISSING else self._obs_hits
-            )
         return default if value is _MISSING else value
 
     def put(self, key: Hashable, value: Any) -> Any:
@@ -286,6 +292,8 @@ class BoundedCache:
 # Global cache instances
 # ----------------------------------------------------------------------
 _REGISTRY: List[BoundedCache] = []
+#: Every live cache, registered or not, for the obs lookup mirror.
+_OBS_MIRRORED: "weakref.WeakSet[BoundedCache]" = weakref.WeakSet()
 
 #: Interning registry: canonical layout key -> representative object.
 layouts = BoundedCache("layouts", maxsize=8192)
@@ -295,6 +303,21 @@ derivations = BoundedCache("derivations", maxsize=16384)
 plans = BoundedCache("plans", maxsize=2048)
 #: LayoutEngine anchors and priced conversions.
 engine = BoundedCache("engine", maxsize=4096)
+
+
+def _obs_lookup_totals() -> Dict[Any, int]:
+    """Every live cache's lifetime hits and misses, by obs series."""
+    totals: Dict[Any, int] = {}
+    for cache in list(_OBS_MIRRORED):
+        for key, n in (
+            (cache._obs_hits, cache._lookup_hits),
+            (cache._obs_misses, cache._lookup_misses),
+        ):
+            totals[key] = totals.get(key, 0) + n
+    return totals
+
+
+_obs.add_counter_source(_obs_lookup_totals)
 
 
 def _env_enabled() -> bool:

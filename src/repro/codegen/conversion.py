@@ -34,7 +34,7 @@ from repro.codegen.plan import (
 )
 from repro.codegen.shuffles import ShufflePlanError, plan_warp_shuffle
 from repro.codegen.swizzle import SwizzlePlan, optimal_swizzled_layout
-from repro.codegen.views import DistributedView, slot_table
+from repro.codegen.views import DistributedView, owner_table, slot_table
 from repro.hardware.spec import GpuSpec, RTX4090
 
 
@@ -73,13 +73,13 @@ def classify_conversion(
 def _register_permutation(
     src: LinearLayout, dst: LinearLayout
 ) -> RegisterPermute:
-    """The table ``dst_reg <- src_reg``, uniform across lanes/warps."""
-    sv, dv = DistributedView(src), DistributedView(dst)
-    table = []
-    for r in range(dst.in_dim_size(REGISTER)):
-        p = dv.flat_of({REGISTER: r})
-        table.append(sv.reg_of(p))
-    return RegisterPermute(tuple(table))
+    """The table ``dst_reg <- src_reg``, uniform across lanes/warps.
+
+    Lane 0 of warp 0's slot table row gives each destination
+    register's position; the source owner table gives its register.
+    """
+    flats = slot_table(dst)[0, 0]
+    return RegisterPermute(tuple(owner_table(src)[flats, 0].tolist()))
 
 
 def _group_contiguous(

@@ -5,33 +5,43 @@ register subspace ``V`` shared by source and destination, pair up the
 differing thread bits into ``G`` (so each affine coset crosses every
 source lane and every destination lane exactly once), extend to a
 basis with ``R``, and emit one shuffle round per coset representative
-``R(i)`` — exactly the Figure 4 procedure.
+``R(i)`` — exactly the Figure 4 procedure.  Every round is built at
+once, by gathering the coset positions through the layouts' owner
+tables (:func:`repro.codegen.views.owner_table`).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from repro import cache as _cache
 from repro.core.dims import LANE, REGISTER, WARP
 from repro.core.layout import LinearLayout
-from repro.codegen.plan import ShuffleRound
-from repro.codegen.views import DistributedView
-from repro.f2.bitvec import iter_set_bits
+from repro.codegen.plan import RegisterPermute, ShuffleRound
+from repro.codegen.views import DistributedView, owner_table
+from repro.f2.bitvec import span_table
 
 
 class ShufflePlanError(ValueError):
     """The pair of layouts is outside the warp-shuffle fast path."""
 
 
-def _span_elements(basis: List[int]) -> List[int]:
-    out = []
-    for mask in range(1 << len(basis)):
-        v = 0
-        for idx in iter_set_bits(mask):
-            v ^= basis[idx]
-        out.append(v)
-    return out
+def _first_repeat(values: np.ndarray) -> np.ndarray:
+    """Per row, the first column repeating an earlier value of its row.
+
+    Rows without a repeat get the row length.
+    """
+    order = np.argsort(values, axis=1, kind="stable")
+    ranked = np.take_along_axis(values, order, axis=1)
+    repeat = np.zeros(values.shape, dtype=bool)
+    np.put_along_axis(
+        repeat, order[:, 1:], ranked[:, 1:] == ranked[:, :-1], axis=1
+    )
+    return np.where(
+        repeat.any(axis=1), repeat.argmax(axis=1), values.shape[1]
+    )
 
 
 def _extend(
@@ -86,36 +96,6 @@ def shuffle_preconditions(
     return True, ""
 
 
-def _dedupe_registers(layout: LinearLayout) -> Tuple[
-    LinearLayout, List[int]
-]:
-    """Strip free register bits; returns (quotient layout, keep bits).
-
-    ``keep`` lists the register-bit indices whose images are genuinely
-    distinct — the quotient register index is formed from those bits.
-    """
-    free = layout.free_variable_masks().get(REGISTER, 0)
-    n_bits = layout.in_dim_size_log2(REGISTER)
-    keep = [i for i in range(n_bits) if not (free >> i) & 1]
-    if len(keep) == n_bits:
-        return layout, keep
-    bases = layout.bases
-    bases[REGISTER] = [bases[REGISTER][i] for i in keep]
-    quotient = LinearLayout(
-        bases, layout.out_dim_sizes(), require_surjective=False
-    )
-    return quotient, keep
-
-
-def _real_reg(keep: List[int], quotient: int) -> int:
-    """Map a quotient register index back to a canonical real index."""
-    real = 0
-    for j, bit in enumerate(keep):
-        if (quotient >> j) & 1:
-            real |= 1 << bit
-    return real
-
-
 def plan_warp_shuffle(
     src_layout: LinearLayout,
     dst_layout: LinearLayout,
@@ -164,19 +144,23 @@ def _plan_warp_shuffle(
     elem_bits: int,
     shuffle_bits: int,
 ) -> List[object]:
-    from repro.codegen.plan import RegisterPermute
+    """Every round of the construction at once, from owner tables.
 
-    full_src, full_dst = src_layout, dst_layout
-    pre_ok, why = shuffle_preconditions(
-        DistributedView(full_src), DistributedView(full_dst)
-    )
-    if not pre_ok:
-        raise ShufflePlanError(why)
-    src_layout, keep_src = _dedupe_registers(src_layout)
-    dst_layout, keep_dst = _dedupe_registers(dst_layout)
+    Round ``r`` moves the coset ``span(R)[r] ^ span(I u G)``, each
+    element carrying its ``^ span(V)`` register vector.  Lanes and
+    registers are gathered from the layouts' :func:`owner_table`;
+    the canonical owner has its broadcast register bits at zero, so
+    the registers come out already mapped from the deduplicated
+    quotient back to real indices.
+    """
     src = DistributedView(src_layout)
     dst = DistributedView(dst_layout)
+    pre_ok, why = shuffle_preconditions(src, dst)
+    if not pre_ok:
+        raise ShufflePlanError(why)
 
+    # Free (broadcast) register bits have zero images; the planner
+    # works on the quotient spanned by the others.
     a_reg = src.images(REGISTER, include_zeros=False)
     b_reg = dst.images(REGISTER, include_zeros=False)
     a_thr = src.images(LANE, include_zeros=False)
@@ -205,57 +189,58 @@ def _plan_warp_shuffle(
     r_basis = _extend(warp_rank, v_basis + i_set + g_set, candidates)
 
     vec = 1 << len(v_basis)
-    v_span = _span_elements(v_basis)
-    ig_span = _span_elements(i_set + g_set)
     num_lanes = 1 << len(a_thr)
     insts = max(1, (vec * elem_bits + shuffle_bits - 1) // shuffle_bits)
 
-    rounds: List[ShuffleRound] = []
-    for rnd in range(1 << len(r_basis)):
-        base = 0
-        for idx in iter_set_bits(rnd):
-            base ^= r_basis[idx]
-        src_lane_of = [-1] * num_lanes
-        send_regs: List[Tuple[int, ...]] = [()] * num_lanes
-        recv_regs: List[Tuple[int, ...]] = [()] * num_lanes
-        for s in ig_span:
-            p0 = base ^ s
-            s_lane = src.lane_of(p0)
-            d_lane = dst.lane_of(p0)
-            s_regs = tuple(
-                _real_reg(keep_src, src.reg_of(p0 ^ v)) for v in v_span
-            )
-            d_regs = tuple(
-                _real_reg(keep_dst, dst.reg_of(p0 ^ v)) for v in v_span
-            )
-            if src_lane_of[d_lane] != -1:
-                raise ShufflePlanError(
-                    "coset visits a destination lane twice"
-                )
-            if send_regs[s_lane]:
-                raise ShufflePlanError("coset visits a source lane twice")
-            src_lane_of[d_lane] = s_lane
-            send_regs[s_lane] = s_regs
-            recv_regs[d_lane] = d_regs
-        if -1 in src_lane_of:
-            raise ShufflePlanError("coset misses a lane")
-        rounds.append(
-            ShuffleRound(
-                src_lane=tuple(src_lane_of),
-                send_regs=tuple(send_regs),
-                recv_regs=tuple(recv_regs),
-                insts_per_round=insts,
-            )
+    # heads[r, s]: coset element s of round r; pos adds the V vector.
+    heads = span_table(r_basis)[:, None] ^ span_table(i_set + g_set)[None, :]
+    pos = heads[:, :, None] ^ span_table(v_basis)
+    src_owner = owner_table(src_layout)
+    dst_owner = owner_table(dst_layout)
+    s_lane = src_owner[heads, 1]
+    d_lane = dst_owner[heads, 1]
+
+    # The first failing round raises; within it, the first element to
+    # revisit a lane, the destination checked before the source.
+    per_round = heads.shape[1]
+    d_first = _first_repeat(d_lane)
+    s_first = _first_repeat(s_lane)
+    bad = (d_first < per_round) | (s_first < per_round)
+    if per_round < num_lanes:  # every round misses a lane
+        bad[:] = True
+    if bad.any():
+        r = int(bad.argmax())
+        if d_first[r] < per_round and d_first[r] <= s_first[r]:
+            raise ShufflePlanError("coset visits a destination lane twice")
+        if s_first[r] < per_round:
+            raise ShufflePlanError("coset visits a source lane twice")
+        raise ShufflePlanError("coset misses a lane")
+
+    # No lane repeats and one element per lane: scatter by lane.
+    rows = np.arange(heads.shape[0])[:, None]
+    src_lane = np.empty((heads.shape[0], num_lanes), dtype=np.int64)
+    send_regs = np.empty((heads.shape[0], num_lanes, vec), dtype=np.int64)
+    recv_regs = np.empty_like(send_regs)
+    src_lane[rows, d_lane] = s_lane
+    send_regs[rows, s_lane] = src_owner[pos, 0]
+    recv_regs[rows, d_lane] = dst_owner[pos, 0]
+    steps: List[object] = [
+        ShuffleRound(
+            src_lane=tuple(lanes),
+            send_regs=tuple(map(tuple, send)),
+            recv_regs=tuple(map(tuple, recv)),
+            insts_per_round=insts,
         )
-    steps: List[object] = list(rounds)
-    n_dst_bits = full_dst.in_dim_size_log2(REGISTER)
-    if len(keep_dst) < n_dst_bits:
+        for lanes, send, recv in zip(
+            src_lane.tolist(), send_regs.tolist(), recv_regs.tolist()
+        )
+    ]
+    n_dst_bits = dst_layout.in_dim_size_log2(REGISTER)
+    free_mask = sum(
+        1 << i for i, img in enumerate(dst.images(REGISTER)) if not img
+    )
+    if free_mask:
         # Fan the canonical values out to every broadcast replica.
-        free_mask = sum(
-            1 << i for i in range(n_dst_bits) if i not in keep_dst
-        )
-        table = tuple(
-            r & ~free_mask for r in range(1 << n_dst_bits)
-        )
+        table = tuple(r & ~free_mask for r in range(1 << n_dst_bits))
         steps.append(RegisterPermute(table))
     return steps

@@ -3,12 +3,13 @@
 Definition 4.10 guarantees that a distributed layout's matrix is a
 permutation matrix interleaved with zero columns, so mapping between
 hardware indices and flattened logical positions is pure bit routing.
-:class:`DistributedView` precomputes that routing in both directions —
-the ``A^{-1}(p)_Reg`` / ``A^{-1}(p)_Thr`` lookups the shuffle and
-gather planners of Sections 5.4-5.5 perform per element.
-:func:`slot_table` is the forward direction over every hardware index
-at once, the one table the planner, the program interpreter and the
-register fill/check read.
+:class:`DistributedView` precomputes that routing in both directions
+for one index at a time.  :func:`slot_table` is the forward direction
+over every hardware index at once, the one table the planner, the
+program interpreter and the register fill/check read;
+:func:`owner_table` is its dual, the ``A^{-1}(p)_Reg`` /
+``A^{-1}(p)_Thr`` lookups of the Section 5.4 shuffle planner over
+every logical position at once.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from repro.core.dims import LANE, REGISTER, WARP
 from repro.core.errors import LayoutError
 from repro.core.layout import LinearLayout
 from repro.core.properties import is_distributed_layout
+from repro.f2.bitvec import span_table
 
 
 def _require_distributed(layout: LinearLayout) -> None:
@@ -45,6 +47,28 @@ def slot_table(layout: LinearLayout) -> np.ndarray:
         layout.in_dim_size(LANE),
         layout.in_dim_size(REGISTER),
     )
+
+
+def owner_table(layout: LinearLayout) -> np.ndarray:
+    """Canonical (reg, lane, warp) owner of every flat logical position.
+
+    ``table[p]`` equals ``DistributedView(layout).owner_of(p)`` as the
+    int64 row ``(reg, lane, warp)``, for every ``p`` below
+    ``2 ** total_out_bits``; the table has shape ``(positions, 3)``.
+    It is the dual of :func:`slot_table`: Definition 4.10 routes each
+    flat bit to one hardware bit, so the owner map is linear over F_2
+    and is the :func:`~repro.f2.bitvec.span_table` of those unit
+    images, with broadcast (zero-column) bits left at 0.  Raises
+    :class:`LayoutError` for a non-distributed layout, as the view
+    does.
+    """
+    _require_distributed(layout)
+    images = np.zeros((layout.total_out_bits(), 3), dtype=np.int64)
+    for k, dim in enumerate((REGISTER, LANE, WARP)):
+        for i, col in enumerate(layout.basis_images_flat(dim)):
+            if col:
+                images[col.bit_length() - 1, k] = 1 << i
+    return span_table(images)
 
 
 class DistributedView:
@@ -103,18 +127,6 @@ class DistributedView:
             indices[d] |= 1 << i
             flat ^= low
         return indices
-
-    def reg_of(self, flat: int) -> int:
-        """Canonical register index owning a flattened position."""
-        return self.owner_of(flat).get(REGISTER, 0)
-
-    def lane_of(self, flat: int) -> int:
-        """Canonical lane index owning a flattened position."""
-        return self.owner_of(flat).get(LANE, 0)
-
-    def warp_of(self, flat: int) -> int:
-        """Canonical warp index owning a flattened position."""
-        return self.owner_of(flat).get(WARP, 0)
 
     def images(self, dim: str, include_zeros: bool = True) -> List[int]:
         """The paper's ``L_Reg`` / ``L_Thr`` / ``L_Wrp`` column sets."""

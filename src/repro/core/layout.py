@@ -32,7 +32,7 @@ from repro.core.errors import (
     LayoutError,
     NonInvertibleLayoutError,
 )
-from repro.f2.bitvec import log2_int
+from repro.f2.bitvec import log2_int, span_table
 from repro.f2.matrix import F2Matrix
 from repro.f2.solve import (
     InconsistentSystemError,
@@ -428,21 +428,16 @@ class LinearLayout:
         dims it leaves out are held at 0, and dims the layout lacks
         have size 1.
 
-        Linearity gives ``f(i ^ 2^k) = f(i) ^ f(2^k)`` for ``i < 2^k``,
-        so the table is built by XOR-doubling the basis images: O(N)
-        array work, no per-element Python.
+        The table is the :func:`~repro.f2.bitvec.span_table` of the
+        flattened basis images: O(N) array work, no per-element Python.
         """
-        images = [
-            self._flatten_out_coords(img)
-            for dim in in_order
-            for img in self._bases.get(dim, ())
-        ]
-        table = np.zeros(1 << len(images), dtype=np.int64)
-        size = 1
-        for img in images:
-            np.bitwise_xor(table[:size], img, out=table[size: 2 * size])
-            size *= 2
-        return table
+        return span_table(
+            [
+                self._flatten_out_coords(img)
+                for dim in in_order
+                for img in self._bases.get(dim, ())
+            ]
+        )
 
     def _flat_order(self, order: Optional[Sequence[str]]) -> List[str]:
         """Out dims fastest-first; default row-major (last dim fastest)."""

@@ -102,8 +102,13 @@ class Graph:
         return sum(1 for op in self.ops if op.kind == kind)
 
     def users_of(self, value: Value) -> List[Op]:
-        """Ops consuming ``value`` as an input."""
-        return [op for op in self.ops if value in op.inputs]
+        """Ops consuming ``value`` as an input.
+
+        Compared by identity: values are SSA objects, and the
+        dataclass ``__eq__`` would compare them field by field.
+        """
+        key = id(value)
+        return [op for op in self.ops if key in map(id, op.inputs)]
 
     def __repr__(self) -> str:
         return "\n".join(repr(op) for op in self.ops)

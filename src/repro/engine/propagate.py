@@ -9,8 +9,9 @@ engine models by forcing a conversion to blocked first.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Any, FrozenSet, Optional, Sequence, Tuple
 
+from repro import cache as _cache
 from repro.core.layout import LinearLayout
 from repro.core.reshape import (
     broadcast_layout,
@@ -25,33 +26,71 @@ from repro.layouts.blocked import BlockedLayout
 from repro.layouts.sliced import SlicedLayout, slice_linear_layout
 
 
+#: The op attributes each shape transfer reads (its memo key).
+_TRANSFER_ATTRS = {
+    OpKind.TRANS: ("perm",),
+    OpKind.RESHAPE: ("shape",),
+    OpKind.EXPAND_DIMS: ("axis",),
+    OpKind.BROADCAST: ("shape",),
+    OpKind.REDUCE: ("axis",),
+    OpKind.JOIN: (),
+    OpKind.SPLIT: (),
+}
+
+
+def _hashable(value: Any) -> Any:
+    return tuple(value) if isinstance(value, list) else value
+
+
 def forward_layout(op: Op, in_layout: LinearLayout) -> LinearLayout:
-    """The output linear layout making ``op`` a register no-op."""
+    """The output linear layout making ``op`` a register no-op.
+
+    Shape transfers are memoized in the ``derivations`` cache, keyed
+    on exactly what they read: the op kind, its attributes in
+    :data:`_TRANSFER_ATTRS`, the input shape for ``BROADCAST``, and
+    the input layout's canonical key.
+    """
     kind = op.kind
+    if kind in (OpKind.ELEMENTWISE, OpKind.GATHER, OpKind.CONVERT_LAYOUT):
+        return in_layout
+    if kind not in _TRANSFER_ATTRS:
+        raise ValueError(f"no forward transfer for {kind}")
+    attrs = tuple(_hashable(op.attrs[name]) for name in _TRANSFER_ATTRS[kind])
+    in_shape = tuple(op.inputs[0].shape) if kind == OpKind.BROADCAST else None
+    key = (
+        "forward_layout", kind.value, attrs, in_shape, in_layout.canonical_key()
+    )
+    return _cache.cached(
+        _cache.derivations,
+        key,
+        lambda: _forward_transfer(kind, attrs, in_shape, in_layout),
+    )
+
+
+def _forward_transfer(
+    kind: OpKind,
+    attrs: Tuple[Any, ...],
+    in_shape: Optional[Tuple[int, ...]],
+    in_layout: LinearLayout,
+) -> LinearLayout:
+    """The uncached transfer of :func:`forward_layout`."""
     if kind == OpKind.TRANS:
-        return transpose_layout(in_layout, op.attrs["perm"])
+        return transpose_layout(in_layout, attrs[0])
     if kind == OpKind.RESHAPE:
-        return reshape_layout(in_layout, op.attrs["shape"])
+        return reshape_layout(in_layout, attrs[0])
     if kind == OpKind.EXPAND_DIMS:
-        return expand_dims_layout(in_layout, op.attrs["axis"])
+        return expand_dims_layout(in_layout, attrs[0])
     if kind == OpKind.BROADCAST:
-        out_shape = op.attrs["shape"]
         layout = in_layout
-        for axis, (old, new) in enumerate(
-            zip(op.inputs[0].shape, out_shape)
-        ):
+        for axis, (old, new) in enumerate(zip(in_shape, attrs[0])):
             if old == 1 and new > 1:
                 layout = broadcast_layout(layout, axis, new)
         return layout
     if kind == OpKind.REDUCE:
-        return slice_linear_layout(in_layout, op.attrs["axis"])
+        return slice_linear_layout(in_layout, attrs[0])
     if kind == OpKind.JOIN:
         return join_linear(in_layout)
-    if kind == OpKind.SPLIT:
-        return split_linear(in_layout)
-    if kind in (OpKind.ELEMENTWISE, OpKind.GATHER, OpKind.CONVERT_LAYOUT):
-        return in_layout
-    raise ValueError(f"no forward transfer for {kind}")
+    return split_linear(in_layout)
 
 
 def collapse_dims_to_one(
@@ -65,9 +104,19 @@ def collapse_dims_to_one(
     broadcast copy will replicate — the backward transfer function of
     ``tt.broadcast`` (Theorem 9.3), which Triton's rematerialization
     uses to move conversions onto the smaller pre-broadcast tensor.
+    Memoized in the ``derivations`` cache on the layout's canonical
+    key and the set of axes.
     """
+    axis_set = frozenset(axes)
+    return _cache.cached(
+        _cache.derivations,
+        ("collapse_dims_to_one", layout.canonical_key(), axis_set),
+        lambda: _collapse_dims(layout, axis_set),
+    )
+
+
+def _collapse_dims(layout: LinearLayout, axis_set: FrozenSet[int]) -> LinearLayout:
     names = list(layout.out_dims)
-    axis_set = set(axes)
     bases = {}
     for d in layout.in_dims:
         bases[d] = [

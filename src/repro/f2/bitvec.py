@@ -8,7 +8,9 @@ significant bit is coordinate 0, matching the paper's convention that
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import Iterator, List, Sequence
+
+import numpy as np
 
 
 def popcount(x: int) -> int:
@@ -75,3 +77,21 @@ def lowest_set_bit(x: int) -> int:
 def highest_set_bit(x: int) -> int:
     """Index of the most significant set bit; -1 for zero."""
     return x.bit_length() - 1
+
+
+def span_table(images: Sequence) -> np.ndarray:
+    """Every XOR combination of ``images``, as int64.
+
+    Entry ``m`` is the XOR of ``images[i]`` over the set bits ``i`` of
+    ``m``; rows of a 2-D ``images`` combine elementwise, giving a
+    ``(2 ** len(images), row)`` table.  Linearity gives ``f(m ^ 2^k) =
+    f(m) ^ images[k]`` for ``m < 2^k``, so the table is built by
+    XOR-doubling: O(N) array work, no per-element Python.
+    """
+    images = np.asarray(images, dtype=np.int64)
+    table = np.zeros((1 << len(images),) + images.shape[1:], dtype=np.int64)
+    size = 1
+    for img in images:
+        np.bitwise_xor(table[:size], img, out=table[size: 2 * size])
+        size *= 2
+    return table

@@ -29,13 +29,14 @@ import itertools
 import os
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import LabelKey, MetricsRegistry, label_key
 
 __all__ = [
     "Recorder",
     "Span",
+    "add_counter_source",
     "capture",
     "count",
     "current_recorder",
@@ -49,6 +50,26 @@ __all__ = [
 
 #: Monotonic span/trace id source (``next`` is atomic under the GIL).
 _IDS = itertools.count(1)
+
+#: Running counter totals kept outside any recorder, each a callable
+#: returning ``{series key: total so far}`` (the caches' lookup
+#: counts).  The installed recorder folds in what they grew by, in
+#: one batch per sync instead of one counter bump per event.
+_SOURCES: List[Callable[[], Dict[Tuple[str, LabelKey], float]]] = []
+
+
+def add_counter_source(
+    source: Callable[[], Dict[Tuple[str, LabelKey], float]]
+) -> None:
+    """Register running totals mirrored into every capture's counters."""
+    _SOURCES.append(source)
+
+
+def _source_totals() -> Dict[Tuple[str, LabelKey], float]:
+    totals: Dict[Tuple[str, LabelKey], float] = {}
+    for source in _SOURCES:
+        totals.update(source())
+    return totals
 
 
 class Span:
@@ -168,6 +189,8 @@ class Recorder:
         self.origin = time.perf_counter()
         #: Wall-clock epoch of the origin (for human-readable export).
         self.epoch = time.time()
+        #: Counter-source totals at install or at the last sync.
+        self._source_base: Dict[Tuple[str, LabelKey], float] = {}
 
     def now_us(self) -> float:
         """Microseconds since this recorder's origin."""
@@ -180,6 +203,24 @@ class Recorder:
                 self.dropped_spans += 1
                 return
             self._spans.append(span)
+
+    def sync_sources(self) -> None:
+        """Add what the counter sources counted since the last sync.
+
+        Runs when the recorder is uninstalled and before export; it
+        does nothing unless this recorder is the installed one, so a
+        capture counts exactly the events of its own block.
+        """
+        if _recorder is not self:
+            return
+        now = _source_totals()
+        with self._lock:
+            base, self._source_base = self._source_base, now
+        for key, total in now.items():
+            # A total shrinks only when a source's object is collected.
+            grown = total - base.get(key, 0)
+            if grown > 0:
+                self.metrics.count_series(key, grown)
 
     def spans(self) -> List[Span]:
         """A snapshot of the finished spans, in completion order."""
@@ -211,19 +252,32 @@ def current_recorder() -> Optional[Recorder]:
     return _recorder
 
 
+def _install(recorder: Optional[Recorder]) -> Optional[Recorder]:
+    """Make ``recorder`` the installed one; returns the previous.
+
+    The outgoing recorder syncs its counter sources first, and the
+    incoming one starts counting from the sources' current totals.
+    """
+    global _recorder
+    previous = _recorder
+    if previous is not None:
+        previous.sync_sources()
+    if recorder is not None:
+        recorder._source_base = _source_totals()
+    _recorder = recorder
+    return previous
+
+
 def enable(max_spans: int = 200_000) -> Recorder:
     """Install (and return) a fresh process-wide recorder."""
-    global _recorder
-    _recorder = Recorder(max_spans=max_spans)
-    return _recorder
+    recorder = Recorder(max_spans=max_spans)
+    _install(recorder)
+    return recorder
 
 
 def disable() -> Optional[Recorder]:
     """Uninstall the recorder; returns it so callers can export."""
-    global _recorder
-    previous = _recorder
-    _recorder = None
-    return previous
+    return _install(None)
 
 
 class capture:
@@ -241,15 +295,12 @@ class capture:
         self._previous: Optional[Recorder] = None
 
     def __enter__(self) -> Recorder:
-        global _recorder
-        self._previous = _recorder
         self.recorder = Recorder(max_spans=self.max_spans)
-        _recorder = self.recorder
+        self._previous = _install(self.recorder)
         return self.recorder
 
     def __exit__(self, *_exc) -> None:
-        global _recorder
-        _recorder = self._previous
+        _install(self._previous)
 
 
 # ----------------------------------------------------------------------

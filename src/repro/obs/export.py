@@ -51,6 +51,7 @@ def _category(name: str) -> str:
 # ----------------------------------------------------------------------
 def jsonl_events(recorder: Recorder) -> List[Dict[str, Any]]:
     """Every event record of a capture, spans first, then metrics."""
+    recorder.sync_sources()
     events: List[Dict[str, Any]] = [
         span.to_dict() for span in recorder.spans()
     ]

@@ -15,6 +15,7 @@ from repro.f2.bitvec import (
     highest_set_bit,
     iter_set_bits,
     lowest_set_bit,
+    span_table,
 )
 
 
@@ -99,3 +100,25 @@ class TestBitScans:
         assert bits[0] == lowest_set_bit(x)
         assert bits[-1] == highest_set_bit(x)
         assert len(bits) == popcount(x)
+
+
+class TestSpanTable:
+    @given(st.lists(st.integers(0, 2 ** 40), max_size=8))
+    @settings(max_examples=50)
+    def test_entry_is_xor_of_selected_images(self, images):
+        table = span_table(images)
+        assert table.dtype.name == "int64"
+        assert len(table) == 1 << len(images)
+        for m, got in enumerate(table.tolist()):
+            want = 0
+            for i in iter_set_bits(m):
+                want ^= images[i]
+            assert got == want
+
+    def test_rows_combine_elementwise(self):
+        table = span_table([[1, 0, 4], [0, 2, 4]])
+        assert table.tolist() == [[0, 0, 0], [1, 0, 4], [0, 2, 4], [1, 2, 0]]
+
+    def test_empty_basis_spans_zero(self):
+        assert span_table([]).tolist() == [0]
+

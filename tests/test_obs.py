@@ -395,6 +395,46 @@ class TestInstrumentation:
         )
         assert misses >= 1 and hits >= 1
 
+    def test_cache_counters_count_exactly_the_capture_block(self, tmp_path):
+        """Batched mirror: lookups before, after or inside a nested
+        capture stay out of the outer capture's counters."""
+        c = cache.BoundedCache("t_obs_block", maxsize=8, register=False)
+        c.put("a", 1)
+        c.get("a"), c.get("before")
+        with obs.capture() as rec:
+            c.get("a"), c.get("a"), c.get("b")
+            with obs.capture() as inner:
+                c.get("c")
+            c.get("a")
+        c.get("a"), c.get("after")
+        obs.write_jsonl(rec, str(tmp_path / "cap.jsonl"))
+
+        def counts(r):
+            return tuple(
+                r.metrics.counter_value(name, cache="t_obs_block")
+                for name in ("cache.hits", "cache.misses")
+            )
+
+        assert counts(rec) == (3, 1)
+        assert counts(inner) == (0, 1)
+
+    def test_enabled_recorder_exports_pending_cache_counts(self):
+        from repro.obs.export import jsonl_events
+
+        c = cache.BoundedCache("t_obs_live", maxsize=8, register=False)
+        rec = obs_core.enable()
+        c.get("x"), c.get("x")
+        (metrics,) = [e for e in jsonl_events(rec) if e["type"] == "metrics"]
+        assert {
+            "name": "cache.misses",
+            "labels": {"cache": "t_obs_live"},
+            "value": 2,
+        } in metrics["counters"]
+        c.get("y")
+        obs_core.disable()
+        c.get("z")
+        assert rec.metrics.counter_value("cache.misses", cache="t_obs_live") == 3
+
     def test_simulator_spans_and_metrics(self):
         rng = random.Random(7)
         shape = {"dim0": 16, "dim1": 32}

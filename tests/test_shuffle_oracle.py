@@ -1,0 +1,198 @@
+"""Differential tests of the array-native warp-shuffle planner.
+
+:func:`repro.codegen.shuffles.plan_warp_shuffle` builds every round of
+the Section 5.4 construction at once from the layouts' owner tables
+(:func:`repro.codegen.views.owner_table`).  It must agree with the
+per-element reference (:mod:`tests.shuffle_reference`) on random
+distributed pairs with equal warp images: warp 32 and warp 64
+(MI250), 1-8 warps, register broadcast on either side, every element
+width against 32- and 64-bit shuffles.  Both return the same steps,
+the fan-out :class:`RegisterPermute` included, or raise the same
+:class:`ShufflePlanError` message.
+
+A valid pair never has a coset revisit a lane: the lane maps are
+linear and injective on ``span(I u G)``.  The revisit checks are
+exercised by folding one lane bit away in both planners' lane
+lookups, which makes every coset revisit lanes on both sides.
+"""
+
+from __future__ import annotations
+
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from repro import cache
+from repro.codegen import conversion, shuffles
+from repro.codegen.shuffles import ShufflePlanError, plan_warp_shuffle
+from repro.codegen.views import DistributedView, owner_table
+from repro.core import LANE, LinearLayout, REGISTER, WARP
+from tests import shuffle_reference as reference
+from tests.test_shared_access_oracle import _coords, conversion_cases
+
+
+def _layout(shape, regs, lanes, warps):
+    return LinearLayout(
+        {
+            REGISTER: [_coords(c, shape) for c in regs],
+            LANE: [_coords(c, shape) for c in lanes],
+            WARP: [_coords(c, shape) for c in warps],
+        },
+        dict(shape),
+    )
+
+
+@st.composite
+def shuffle_pairs(draw):
+    """Distributed (src, dst) with equal warp images, no lane broadcast."""
+    lane_bits = draw(st.sampled_from([5, 6]))
+    warp_bits = draw(st.integers(0, 3))
+    zero_warps = draw(st.integers(0, warp_bits))
+    reg_bits = draw(st.integers(0, 3))
+    warp_nz = warp_bits - zero_warps
+    d = lane_bits + warp_nz + reg_bits
+    rows = draw(st.integers(0, d))
+    shape = {"dim0": 1 << rows, "dim1": 1 << (d - rows)}
+    units = draw(st.permutations([1 << i for i in range(d)]))
+    warps = draw(st.permutations(list(units[:warp_nz]) + [0] * zero_warps))
+    rest = list(units[warp_nz:])
+
+    def side():
+        order = draw(st.permutations(rest))
+        zero_regs = draw(st.integers(0, 2))
+        regs = draw(st.permutations(list(order[lane_bits:]) + [0] * zero_regs))
+        lanes = draw(st.permutations(order[:lane_bits]))
+        return _layout(shape, regs, lanes, warps)
+
+    return side(), side()
+
+
+@st.composite
+def widths(draw):
+    return (
+        draw(st.sampled_from([8, 16, 32, 64])),
+        draw(st.sampled_from([32, 64])),
+    )
+
+
+def _outcome(plan, *args):
+    try:
+        return "ok", list(plan(*args))
+    except ShufflePlanError as exc:
+        return "err", str(exc)
+
+
+@settings(max_examples=120, deadline=None)
+@given(pair=shuffle_pairs(), bits=widths())
+def test_plan_matches_reference(pair, bits):
+    src, dst = pair
+    want = _outcome(reference.plan_warp_shuffle, src, dst, *bits)
+    with cache.disabled():
+        assert _outcome(plan_warp_shuffle, src, dst, *bits) == want
+    # Memoized: the cached steps and rejections are the same.
+    assert _outcome(plan_warp_shuffle, src, dst, *bits) == want
+    assert _outcome(plan_warp_shuffle, src, dst, *bits) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=conversion_cases(), bits=widths())
+def test_rejections_match_reference(case, bits):
+    """Arbitrary pairs: warp movement, lane broadcast, rank mismatch."""
+    _, src, dst, _, _ = case
+    with cache.disabled():
+        assert _outcome(plan_warp_shuffle, src, dst, *bits) == _outcome(
+            reference.plan_warp_shuffle, src, dst, *bits
+        )
+
+
+def _fold_lane_bit(bit):
+    """Patches clearing lane bit ``bit`` in both planners' lookups."""
+    lane_of = reference._lane_of
+
+    def folded_lane_of(view, flat):
+        return lane_of(view, flat) & ~(1 << bit)
+
+    def folded_owner_table(layout):
+        table = owner_table(layout)
+        table[:, 1] &= ~(1 << bit)
+        return table
+
+    return (
+        mock.patch.object(reference, "_lane_of", folded_lane_of),
+        mock.patch.object(shuffles, "owner_table", folded_owner_table),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=shuffle_pairs(), bits=widths(), data=st.data())
+def test_lane_revisits_match_reference(pair, bits, data):
+    """Same first failing round, destination checked before source."""
+    src, dst = pair
+    bit = data.draw(st.integers(0, src.in_dim_size_log2(LANE) - 1))
+    patch_reference, patch_table = _fold_lane_bit(bit)
+    with patch_reference:
+        want = _outcome(reference.plan_warp_shuffle, src, dst, *bits)
+    with patch_table:
+        got = _outcome(shuffles._plan_warp_shuffle, src, dst, *bits)
+    assert got == want
+    assert want[0] == "err" and "lane twice" in want[1]
+
+
+def test_lane_revisits_cover_both_sides():
+    """Folding hits the destination check and the source check."""
+    src = _layout({"dim0": 8}, [1], [2, 4], [])
+    dst = _layout({"dim0": 8}, [4], [1, 2], [])
+    seen = set()
+    for bit in (0, 1):
+        patch_reference, patch_table = _fold_lane_bit(bit)
+        with patch_reference:
+            want = _outcome(reference.plan_warp_shuffle, src, dst, 32, 32)
+        with patch_table:
+            got = _outcome(shuffles._plan_warp_shuffle, src, dst, 32, 32)
+        assert got == want
+        seen.add(want[1])
+    assert seen == {
+        "coset visits a destination lane twice",
+        "coset visits a source lane twice",
+    }
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=conversion_cases())
+def test_owner_table_matches_owner_of(case):
+    _, layout, _, _, _ = case
+    view = DistributedView(layout)
+    table = owner_table(layout)
+    assert table.shape == (1 << layout.total_out_bits(), 3)
+    want = [
+        [view.owner_of(p).get(dim, 0) for dim in (REGISTER, LANE, WARP)]
+        for p in range(len(table))
+    ]
+    assert table.tolist() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=conversion_cases(), data=st.data())
+def test_register_permutation_matches_reference(case, data):
+    _, src, dst, _, _ = case
+    # Same lanes and warps, registers permuted: the planner's
+    # register-permutation case; arbitrary pairs read the same tables.
+    regs = src.bases[REGISTER]
+    order = data.draw(st.permutations(range(len(regs))))
+    bases = src.bases
+    bases[REGISTER] = [regs[i] for i in order]
+    permuted = LinearLayout(bases, src.out_dim_sizes())
+    for a, b in ((src, permuted), (src, dst)):
+        assert conversion._register_permutation(a, b) == (
+            reference.register_permutation(a, b)
+        )
+
+
+def test_owner_table_is_int64_rows():
+    layout = _layout({"dim0": 4, "dim1": 8}, [1, 0, 8], [2, 16], [4])
+    table = owner_table(layout)
+    assert table.dtype == np.int64
+    # Position 8 is register bit 2 (the broadcast bit 1 stays 0).
+    assert table[8].tolist() == [4, 0, 0]
+    assert table[4 | 16].tolist() == [0, 2, 1]
