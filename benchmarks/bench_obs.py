@@ -25,10 +25,9 @@ handful of span records is a visible fraction of almost nothing.
 import json
 import os
 import sys
-import time
 from pathlib import Path
 
-from conftest import run_once
+from conftest import append_record, run_once, utc_timestamp
 from repro.bench.obsbench import (
     run_noop_latency,
     run_overhead,
@@ -66,21 +65,13 @@ def record(overhead: dict, noop: dict) -> dict:
     """The BENCH_obs.json entry for one run."""
     return {
         "bench": "obs",
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "timestamp": utc_timestamp(),
         "cpu_count": os.cpu_count(),
         "max_cold_overhead": MAX_COLD_OVERHEAD,
         "max_noop_ns": MAX_NOOP_NS,
         "overhead": overhead,
         "noop": noop,
     }
-
-
-def append_record(entry: dict) -> None:
-    history = []
-    if BENCH_FILE.exists():
-        history = json.loads(BENCH_FILE.read_text())
-    history.append(entry)
-    BENCH_FILE.write_text(json.dumps(history, indent=2) + "\n")
 
 
 def check(entry: dict) -> int:
@@ -129,7 +120,7 @@ if __name__ == "__main__":
         print(json.dumps(overhead, indent=2))
         print(json.dumps(noop, indent=2))
     if "--no-record" not in sys.argv:
-        append_record(entry)
+        append_record(BENCH_FILE, entry)
         print(
             f"appended cold {overhead['cold_overhead']:+.2%} / "
             f"noop {noop['ns_per_hook_pair']}ns to {BENCH_FILE}"

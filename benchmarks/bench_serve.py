@@ -9,25 +9,22 @@ Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_serve.py [--json] [--check]
 
-``--check`` exits non-zero when the equivalence golden mismatches,
-when dedup fails to eliminate duplicate work, or — on hosts with at
-least 4 CPUs, where scaling is physically possible — when the process
-backend falls short of 2x throughput at 4 workers vs 1.
+``--check`` exits non-zero when the equivalence golden mismatches or
+when dedup fails to eliminate duplicate work.  Throughput scaling is
+recorded but not gated: thread workers share one GIL.
 """
 
 import json
 import os
 import sys
-import time
 from pathlib import Path
 
-from conftest import run_once
+from conftest import append_record, run_once, utc_timestamp
 from repro.bench.servebench import (
     run_dedup,
     run_equivalence,
     run_throughput,
     suite_requests,
-    throughput_speedups,
 )
 
 HERE = Path(__file__).resolve().parent
@@ -46,30 +43,18 @@ def test_serve_equivalence_and_dedup(benchmark):
 
 def record(table, dedup, equiv) -> dict:
     """The BENCH_serve.json entry for one run."""
-    speedups = throughput_speedups(table)
     return {
         "bench": "serve",
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "timestamp": utc_timestamp(),
         "cpu_count": os.cpu_count(),
         "suite_requests": len(suite_requests()),
-        "speedup_thread": speedups.get("thread"),
-        "speedup_process": speedups.get("process"),
-        "workers_at_speedup": speedups.get("process_workers"),
-        "target_speedup_at_4_workers": 2.0,
+        "speedup_thread": table.column("speedup_vs_1")[-1],
         "dedup": dedup,
         "equivalence": {
             k: v for k, v in equiv.items() if k != "first_mismatches"
         },
         "table": table.to_dict(),
     }
-
-
-def append_record(entry: dict) -> None:
-    history = []
-    if BENCH_FILE.exists():
-        history = json.loads(BENCH_FILE.read_text())
-    history.append(entry)
-    BENCH_FILE.write_text(json.dumps(history, indent=2) + "\n")
 
 
 def check(entry: dict) -> int:
@@ -81,19 +66,6 @@ def check(entry: dict) -> int:
         )
     if entry["dedup"]["duplicate_work_eliminated"] < 0.5:
         failures.append("single-flight/result cache failed to dedup")
-    cpus = entry["cpu_count"] or 1
-    if cpus >= 4 and (entry["speedup_process"] or 0.0) < 2.0:
-        failures.append(
-            f"process backend {entry['speedup_process']}x at "
-            f"{entry['workers_at_speedup']} workers on {cpus} CPUs "
-            "(need >= 2x)"
-        )
-    elif cpus < 4:
-        print(
-            f"note: {cpus} CPU(s) — the 2x-at-4-workers scaling gate "
-            "needs >= 4 cores and was skipped; dedup and equivalence "
-            "gates still apply"
-        )
     for failure in failures:
         print(f"FAIL: {failure}")
     return 1 if failures else 0
@@ -111,10 +83,7 @@ if __name__ == "__main__":
         print(f"dedup: {json.dumps(dedup)}")
         print(f"equivalence: {json.dumps({k: v for k, v in equiv.items() if k != 'first_mismatches'})}")
     if "--no-record" not in sys.argv:
-        append_record(entry)
-        print(
-            f"appended thread {entry['speedup_thread']}x / "
-            f"process {entry['speedup_process']}x to {BENCH_FILE}"
-        )
+        append_record(BENCH_FILE, entry)
+        print(f"appended thread {entry['speedup_thread']}x to {BENCH_FILE}")
     if "--check" in sys.argv:
         sys.exit(check(entry))

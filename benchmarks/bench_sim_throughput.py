@@ -7,12 +7,9 @@ record instead of the table; ``--no-record`` skips the append).
 
 import json
 import sys
-import time
 from pathlib import Path
 
-import pytest
-
-from conftest import run_once
+from conftest import append_record, run_once, utc_timestamp
 from repro.bench.simthroughput import aggregate_speedup, run_sim_throughput
 
 BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_sim.json"
@@ -36,21 +33,13 @@ def record(table) -> dict:
     vector_s = sum(table.column("vector_ms")) * iters / 1e3
     return {
         "bench": "sim_throughput",
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "timestamp": utc_timestamp(),
         "cases": len(table.rows),
         "scalar_plans_per_s": round(runs / scalar_s, 2),
         "vector_plans_per_s": round(runs / vector_s, 2),
         "speedup": round(aggregate_speedup(table), 2),
         "table": table.to_dict(),
     }
-
-
-def append_record(entry: dict) -> None:
-    history = []
-    if BENCH_FILE.exists():
-        history = json.loads(BENCH_FILE.read_text())
-    history.append(entry)
-    BENCH_FILE.write_text(json.dumps(history, indent=2) + "\n")
 
 
 if __name__ == "__main__":
@@ -61,7 +50,7 @@ if __name__ == "__main__":
     else:
         print(result.format())
     if "--no-record" not in sys.argv:
-        append_record(entry)
+        append_record(BENCH_FILE, entry)
         print(f"appended speedup {entry['speedup']}x to {BENCH_FILE}")
     if entry["speedup"] < 3.0:
         sys.exit("FAIL: vectorized interpreter below 3x scalar throughput")

@@ -1,5 +1,8 @@
 """Shared helpers for the benchmark entry points."""
 
+import json
+import time
+
 import pytest
 
 
@@ -12,3 +15,15 @@ def run_once(benchmark, fn, **kwargs):
     return benchmark.pedantic(
         fn, kwargs=kwargs, rounds=1, iterations=1, warmup_rounds=0
     )
+
+
+def utc_timestamp() -> str:
+    """The current UTC time as a record's ``timestamp`` field."""
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+
+
+def append_record(path, entry: dict) -> None:
+    """Append one entry to the JSON history list at ``path``."""
+    history = json.loads(path.read_text()) if path.exists() else []
+    history.append(entry)
+    path.write_text(json.dumps(history, indent=2) + "\n")

@@ -16,7 +16,7 @@ from typing import Callable, List, Tuple
 
 from repro import cache
 from repro.bench.harness import Table
-from repro.engine.engine import CompiledKernel, LayoutEngine
+from repro.engine import CompiledKernel, compile as compile_graph
 from repro.hardware.spec import GpuSpec, RTX4090
 from repro.kernels.models import (
     build_flex_attention,
@@ -35,19 +35,12 @@ WORKLOADS: Tuple[Tuple[str, Callable], ...] = (
 )
 
 
-def _compile_fresh(
-    build: Callable, spec: GpuSpec, mode: str
-) -> CompiledKernel:
-    """Compile a freshly built graph (compile() takes graph ownership)."""
-    engine = LayoutEngine(spec=spec, mode=mode)
-    return engine.compile(build().graph)
-
-
 def _time_compile(
     build: Callable, spec: GpuSpec, mode: str
 ) -> Tuple[float, CompiledKernel]:
+    """Seconds to compile a freshly built graph (the compile owns it)."""
     start = time.perf_counter()
-    kernel = _compile_fresh(build, spec, mode)
+    kernel = compile_graph(build().graph, spec=spec, mode=mode)
     return time.perf_counter() - start, kernel
 
 

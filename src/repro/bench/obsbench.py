@@ -147,7 +147,7 @@ def capture_suite(
 # ----------------------------------------------------------------------
 # Overhead measurement
 # ----------------------------------------------------------------------
-def _compile_suite_serial(requests: Sequence[CompileRequest]) -> None:
+def _compile_serially(requests: Sequence[CompileRequest]) -> None:
     for request in requests:
         request.build_and_compile()
 
@@ -197,7 +197,7 @@ def _warm_sweeps(
     warms = []
     for _ in range(repeats):
         start = time.perf_counter()
-        _compile_suite_serial(requests)
+        _compile_serially(requests)
         warms.append(time.perf_counter() - start)
     return statistics.median(warms)
 
@@ -230,11 +230,11 @@ def run_overhead(
     cold_repeats = max(1, cold_repeats)
     cold_off, cold_on = _cold_pass(requests, cold_repeats)
     _cache.clear()
-    _compile_suite_serial(requests)
+    _compile_serially(requests)
     warm_off = _warm_sweeps(requests, warm_repeats)
     with obs.capture() as recorder:
         _cache.clear()
-        _compile_suite_serial(requests)
+        _compile_serially(requests)
         warm_on = _warm_sweeps(requests, warm_repeats)
         _cache.publish_obs_gauges()
     events = obs.jsonl_events(recorder)

@@ -4,14 +4,11 @@ Drives :class:`repro.serve.CompileService` over the cold Figure 9
 kernel suite (every kernel's first case on every platform it
 supports) and reports:
 
-* **Throughput scaling** — requests/second at 1, 2, 4 workers for the
-  thread and process backends, each run cold
-  (:func:`repro.cache.clear` first).  Thread workers share the
-  process-wide caches but serialize on the GIL for this pure-Python
-  compiler; process workers fork and scale with physical cores.  The
-  recorded entry carries ``cpu_count`` because the achievable scaling
-  is bounded by it — on a 1-core host *no* backend can beat serial,
-  and the numbers say so honestly.
+* **Throughput scaling** — requests/second at 1, 2, 4 thread
+  workers, each run cold (:func:`repro.cache.clear` first).  Workers
+  share the process-wide caches and serialize on the GIL for this
+  pure-Python compiler, so cold throughput tracks serial; the
+  recorded entry carries ``cpu_count`` alongside.
 * **Duplicate-traffic dedup** — the same suite requested ``dup``
   times over: single-flight plus the result cache serve the
   duplicates without recompiling, which is the serving win that does
@@ -28,7 +25,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro import cache as _cache
 from repro.bench.harness import Table
@@ -40,7 +37,6 @@ __all__ = [
     "run_equivalence",
     "run_throughput",
     "suite_requests",
-    "throughput_speedups",
 ]
 
 
@@ -69,64 +65,42 @@ def suite_requests(
 
 
 def _run_batch(
-    requests: Sequence[CompileRequest],
-    workers: int,
-    backend: str,
-) -> Tuple[float, object]:
-    """(wall seconds, service report) of one cold batch compile."""
+    requests: Sequence[CompileRequest], workers: int
+) -> float:
+    """Wall seconds of one cold batch compile."""
     _cache.clear()
     start = time.perf_counter()
-    with CompileService(
-        workers=workers, backend=backend, name=f"bench-{backend}"
-    ) as service:
+    with CompileService(workers=workers, name="bench-thread") as service:
         service.compile_batch(requests)
-        report = service.report()
-    return time.perf_counter() - start, report
+    return time.perf_counter() - start
 
 
 def run_throughput(
     worker_counts: Sequence[int] = (1, 2, 4),
-    backends: Sequence[str] = ("thread", "process"),
     requests: Optional[Sequence[CompileRequest]] = None,
 ) -> Table:
-    """Cold-suite throughput per (backend, worker count)."""
+    """Cold-suite throughput per worker count."""
     if requests is None:
         requests = suite_requests()
     table = Table(
         title="Batch-compile throughput vs workers (cold fig9 suite)",
         headers=[
-            "backend", "workers", "requests", "wall_s",
-            "req_per_s", "speedup_vs_1",
+            "workers", "requests", "wall_s", "req_per_s", "speedup_vs_1",
         ],
     )
-    for backend in backends:
-        base_rps: Optional[float] = None
-        for workers in worker_counts:
-            wall, _report = _run_batch(requests, workers, backend)
-            rps = len(requests) / wall
-            if workers == min(worker_counts):
-                base_rps = rps
-            table.add_row(
-                backend, workers, len(requests), round(wall, 3),
-                round(rps, 2),
-                round(rps / base_rps, 3) if base_rps else 0.0,
-            )
+    base_rps: Optional[float] = None
+    for workers in worker_counts:
+        wall = _run_batch(requests, workers)
+        rps = len(requests) / wall
+        base_rps = base_rps or rps
+        table.add_row(
+            workers, len(requests), round(wall, 3), round(rps, 2),
+            round(rps / base_rps, 3),
+        )
     table.notes.append(
-        f"cpu_count={os.cpu_count()}; scaling is bounded by physical "
-        "cores (thread backend additionally by the GIL)"
+        f"cpu_count={os.cpu_count()}; thread workers share one GIL"
     )
     return table
-
-
-def throughput_speedups(table: Table) -> Dict[str, float]:
-    """Max-worker speedup vs 1 worker, per backend."""
-    out: Dict[str, float] = {}
-    for row in table.rows:
-        backend, workers, _, _, _, speedup = row
-        # Rows are in ascending worker order; the last one wins.
-        out[backend] = speedup
-        out[f"{backend}_workers"] = workers
-    return out
 
 
 def run_dedup(
@@ -170,9 +144,9 @@ def run_equivalence(
 ) -> Dict[str, object]:
     """Service output vs the serial pipeline-equivalence golden.
 
-    Every golden record is recompiled through a cold thread-backend
-    service; cycles and op counts must match the serially produced
-    golden field-for-field.
+    Every golden record is recompiled through a cold service; cycles
+    and op counts must match the serially produced golden
+    field-for-field.
     """
     with open(golden_path) as fh:
         golden = json.load(fh)["records"]

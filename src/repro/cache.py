@@ -67,7 +67,10 @@ keeps lifetime hit/miss totals (two integer bumps under the lock it
 already holds), and the recorder folds in their growth when it is
 uninstalled and before export (see
 :func:`repro.obs.core.add_counter_source`), so a lookup costs the
-same whether or not a capture is recording.
+same whether or not a capture is recording.  The same totals are the
+only per-cache lookup count: :meth:`BoundedCache.stats` reports their
+growth since the last :meth:`BoundedCache.clear`, so a capture that
+spans a clear still counts every lookup.
 :func:`publish_obs_gauges` exports the :func:`stats` snapshot as
 gauges at capture time.
 
@@ -183,13 +186,13 @@ class BoundedCache:
         # Re-entrant: an evicted value's __del__ (or a logging hook)
         # observing the cache must not deadlock against its own lock.
         self._lock = threading.RLock()
+        # Lifetime lookups, never reset: the obs mirror reads them as
+        # they are, stats() relative to the totals at the last clear().
         self._hits = 0
         self._misses = 0
+        self._at_clear = (0, 0)
         self._evictions = 0
         self._generation = 0
-        # Lifetime lookups, never reset: the obs mirror's running totals.
-        self._lookup_hits = 0
-        self._lookup_misses = 0
         self._obs_hits = _obs.series_key("cache.hits", cache=name)
         self._obs_misses = _obs.series_key("cache.misses", cache=name)
         _OBS_MIRRORED.add(self)
@@ -205,12 +208,10 @@ class BoundedCache:
             value = self._data.pop(key, _MISSING)
             if value is _MISSING:
                 self._misses += 1
-                self._lookup_misses += 1
                 _LOCAL.misses += 1
             else:
                 self._data[key] = value  # re-insert: most recently used
                 self._hits += 1
-                self._lookup_hits += 1
                 _LOCAL.hits += 1
         return default if value is _MISSING else value
 
@@ -266,8 +267,7 @@ class BoundedCache:
         with self._lock:
             self._generation += 1
             self._data.clear()
-            self._hits = 0
-            self._misses = 0
+            self._at_clear = (self._hits, self._misses)
             self._evictions = 0
 
     def stats(self) -> CacheStats:
@@ -278,10 +278,13 @@ class BoundedCache:
         may tear across fields by one count, which monitoring
         tolerates.
         """
+        # The baseline is read first, so a racing clear() cannot make
+        # a count negative.
+        base_hits, base_misses = self._at_clear
         return CacheStats(
             name=self.name,
-            hits=self._hits,
-            misses=self._misses,
+            hits=self._hits - base_hits,
+            misses=self._misses - base_misses,
             evictions=self._evictions,
             size=len(self._data),
             maxsize=self.maxsize,
@@ -310,8 +313,8 @@ def _obs_lookup_totals() -> Dict[Any, int]:
     totals: Dict[Any, int] = {}
     for cache in list(_OBS_MIRRORED):
         for key, n in (
-            (cache._obs_hits, cache._lookup_hits),
-            (cache._obs_misses, cache._lookup_misses),
+            (cache._obs_hits, cache._hits),
+            (cache._obs_misses, cache._misses),
         ):
             totals[key] = totals.get(key, 0) + n
     return totals

@@ -92,14 +92,12 @@ class CompiledKernel:
         return [diag.to_dict() for diag in self.diagnostics]
 
     def summary(self) -> Dict[str, object]:
-        """A picklable, bit-comparable digest of the compilation.
+        """A bit-comparable digest of the compilation.
 
         Everything two compilations must agree on to be considered
         identical: success, simulated cycles, the Table 6 op counts,
-        and every conversion's serialized warp program.  This is what
-        the process backend of :class:`repro.serve.CompileService`
-        ships across the process boundary, and what the stress tests
-        compare against serial compilation.
+        and every conversion's serialized warp program.  The stress
+        tests compare it against serial compilation.
         """
         from repro.program.serialize import program_to_dict
 

@@ -1,16 +1,12 @@
 """Concurrent compilation serving (see ``docs/SERVING.md``).
 
 ``CompileService`` batches and deduplicates compilation requests over
-a worker pool; ``SingleFlight`` is the in-flight dedup primitive;
+a thread pool; ``SingleFlight`` is the in-flight dedup primitive;
 ``RequestStats``/``ServiceReport`` are the observability layer.
 Results are bit-identical to serial :func:`repro.engine.compile`.
 """
 
-from repro.serve.service import (
-    CompileRequest,
-    CompileService,
-    compile_suite,
-)
+from repro.serve.service import CompileRequest, CompileService
 from repro.serve.singleflight import SingleFlight
 from repro.serve.stats import RequestStats, ServiceReport
 
@@ -20,5 +16,4 @@ __all__ = [
     "RequestStats",
     "ServiceReport",
     "SingleFlight",
-    "compile_suite",
 ]

@@ -14,24 +14,17 @@ number of requests:
    leader runs the pipeline.
 3. **Layout/plan caches** — distinct kernels that share layouts and
    conversions still split the F2 planning work through
-   :mod:`repro.cache`, which this PR made safe under the pool.
+   :mod:`repro.cache`, which is safe under the pool.
 
 Results are bit-identical to serial :func:`repro.engine.compile`
 (``tests/test_serve_stress.py`` proves it against cycles, op counts,
-and serialized warp programs).  Two backends:
-
-``thread``
-    Workers are threads sharing the process-wide caches.  Returns
-    full :class:`~repro.engine.engine.CompiledKernel` objects.  On a
-    free-threaded or I/O-bound deployment this scales with cores; on
-    a GIL-bound CPython it degrades gracefully to serial throughput
-    while still providing single-flight collapsing of duplicate
-    traffic.
-``process``
-    Workers are forked processes (true parallelism on multicore
-    hosts).  Requests must be registry-addressed (picklable), and
-    results come back as :meth:`CompiledKernel.summary` digests
-    rather than live objects.
+and serialized warp programs).  Workers are threads sharing the
+process-wide caches, and every result is a live
+:class:`~repro.engine.engine.CompiledKernel`.  On a GIL-bound CPython
+a pure-Python compile does not parallelize, so cold throughput tracks
+serial; what the pool buys is single-flight collapsing of duplicate
+traffic.  There is no process pool: fork and pickling cost more than
+the compiles it would parallelize (measurements in the doc below).
 
 See ``docs/SERVING.md`` for the full contract.
 """
@@ -40,9 +33,9 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from repro import cache as _cache
 from repro.engine import compile as _engine_compile
@@ -53,7 +46,10 @@ from repro.obs import core as _obs
 from repro.serve.singleflight import SingleFlight
 from repro.serve.stats import RequestStats, ServiceReport
 
-__all__ = ["CompileRequest", "CompileService", "compile_suite"]
+__all__ = ["CompileRequest", "CompileService"]
+
+#: Completed-result memo capacity of every service.
+RESULT_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -63,8 +59,7 @@ class CompileRequest:
     Registry-addressed (name + case name) rather than carrying a
     graph: the engine takes ownership of the graph it compiles and
     rewires it in place, so every request must rebuild a fresh graph
-    from the model's builder — and names keep the request picklable
-    for the process backend.
+    from the model's builder.
     """
 
     kernel: str
@@ -120,23 +115,8 @@ class CompileRequest:
         )
 
 
-def _process_worker(payload) -> Dict[str, object]:
-    """Process-backend entry point: compile and return a digest.
-
-    Module-level so it pickles; reconstructs the request in the child
-    and returns ``CompiledKernel.summary()`` plus the child-side
-    compile time.
-    """
-    request = CompileRequest(*payload)
-    start = time.perf_counter()
-    compiled = request.build_and_compile()
-    summary = compiled.summary()
-    summary["compile_ms"] = (time.perf_counter() - start) * 1e3
-    return summary
-
-
 class CompileService:
-    """A batch/concurrent compilation service over a worker pool.
+    """A batch/concurrent compilation service over a thread pool.
 
     Parameters
     ----------
@@ -144,64 +124,35 @@ class CompileService:
         Pool size.  ``1`` is the serial baseline with identical
         semantics.
     backend:
-        ``"thread"`` (default; returns :class:`CompiledKernel`) or
-        ``"process"`` (returns :meth:`CompiledKernel.summary` dicts;
-        true multicore parallelism).
-    dedup:
-        Enable single-flight sharing of concurrent equal-keyed
-        requests.
-    result_cache:
-        Completed-result memo capacity (0 disables; every request
-        then recompiles unless an equal request is concurrently in
-        flight).
+        Must be ``"thread"``; any other value raises
+        :class:`ValueError`.
+    name:
+        A label for the worker threads and the report.
     """
 
     def __init__(
         self,
         workers: int = 4,
         backend: str = "thread",
-        dedup: bool = True,
-        result_cache: int = 1024,
         name: str = "compile-service",
     ):
         if workers <= 0:
             raise ValueError(f"workers must be positive, got {workers}")
-        if backend not in ("thread", "process"):
-            raise ValueError(
-                f"backend must be thread or process: {backend!r}"
-            )
+        if backend != "thread":
+            raise ValueError(f"backend must be thread: {backend!r}")
         self.name = name
         self.workers = workers
-        self.backend = backend
-        self.dedup = dedup
         self._flight = SingleFlight()
-        self._results: Optional[_cache.BoundedCache] = (
-            _cache.BoundedCache(
-                f"{name}:results", maxsize=result_cache, register=False
-            )
-            if result_cache
-            else None
+        self._results = _cache.BoundedCache(
+            f"{name}:results", maxsize=RESULT_CACHE_SIZE, register=False
         )
         self._lock = threading.Lock()
         self._records: List[RequestStats] = []
         self._first_submit: Optional[float] = None
         self._last_done: Optional[float] = None
-        self._process_futures: Dict[str, Future] = {}
-        if backend == "thread":
-            self._executor = ThreadPoolExecutor(
-                max_workers=workers,
-                thread_name_prefix=f"{name}-worker",
-            )
-        else:
-            import multiprocessing as mp
-
-            methods = mp.get_all_start_methods()
-            ctx = mp.get_context(
-                "fork" if "fork" in methods else "spawn"
-            )
-            self._executor = ProcessPoolExecutor(
-                max_workers=workers, mp_context=ctx
-            )
+        self._executor = ThreadPoolExecutor(
+            max_workers=workers, thread_name_prefix=f"{name}-worker"
+        )
 
     # ------------------------------------------------------------------
     # Submission
@@ -209,11 +160,9 @@ class CompileService:
     def submit(
         self, request: Union[CompileRequest, Sequence]
     ) -> Future:
-        """Enqueue one request; the future resolves to its result.
-
-        Thread backend futures resolve to :class:`CompiledKernel`;
-        process backend futures resolve to summary dicts.  Invalid
-        requests raise here, at submission.
+        """Enqueue one request; the future resolves to its
+        :class:`CompiledKernel`.  Invalid requests raise here, at
+        submission.
         """
         if not isinstance(request, CompileRequest):
             request = CompileRequest(*request)
@@ -222,19 +171,17 @@ class CompileService:
         with self._lock:
             if self._first_submit is None:
                 self._first_submit = submitted
-        if self.backend == "process":
-            return self._submit_process(request, submitted)
         return self._executor.submit(self._serve, request, submitted)
 
     def compile_batch(
         self, requests: Sequence[Union[CompileRequest, Sequence]]
-    ) -> List:
+    ) -> List[CompiledKernel]:
         """Compile many requests, results in request order."""
         futures = [self.submit(r) for r in requests]
         return [f.result() for f in futures]
 
     # ------------------------------------------------------------------
-    # Thread backend
+    # Serving
     # ------------------------------------------------------------------
     def _serve(
         self, request: CompileRequest, submitted: float
@@ -279,8 +226,6 @@ class CompileService:
         hit = self._cached(key, rec)
         if hit is not None:
             return hit
-        if not self.dedup:
-            return self._lead(request, key, rec)
         with _obs.span("serve:singleflight", key=key) as sp:
             compiled, shared = self._flight.do(
                 key, lambda: self._lead(request, key, rec)
@@ -293,8 +238,6 @@ class CompileService:
         self, key: str, rec: RequestStats
     ) -> Optional[CompiledKernel]:
         """The result cache's entry for ``key``, if any, noted on ``rec``."""
-        if self._results is None:
-            return None
         hit = self._results.get(key, None)
         if hit is not None:
             rec.result_cached = True
@@ -314,10 +257,7 @@ class CompileService:
         hit = self._cached(key, rec)
         if hit is not None:
             return hit
-        compiled = self._compile_timed(request, rec)
-        if self._results is not None:
-            compiled = self._results.put(key, compiled)
-        return compiled
+        return self._results.put(key, self._compile_timed(request, rec))
 
     def _compile_timed(
         self, request: CompileRequest, rec: RequestStats
@@ -330,80 +270,6 @@ class CompileService:
         rec.cache_hits = delta["hits"]
         rec.cache_misses = delta["misses"]
         return compiled
-
-    # ------------------------------------------------------------------
-    # Process backend
-    # ------------------------------------------------------------------
-    def _submit_process(
-        self, request: CompileRequest, submitted: float
-    ) -> Future:
-        key = request.canonical_key()
-        case = request.resolved_case()
-        rec = RequestStats(
-            key=key,
-            kernel=request.kernel,
-            case=case.name,
-            platform=request.platform,
-            mode=request.mode,
-        )
-        with self._lock:
-            hit = (
-                self._results.get(key, None)
-                if self._results is not None
-                else None
-            )
-            shared_future = (
-                self._process_futures.get(key) if self.dedup else None
-            )
-        if hit is not None:
-            rec.result_cached = True
-            done: Future = Future()
-            done.set_result(hit)
-            self._finish_process_record(rec, submitted)
-            return done
-        if shared_future is not None:
-            rec.shared = True
-            self._finish_process_record(rec, submitted)
-            return shared_future
-        payload = (
-            request.kernel,
-            request.case,
-            request.platform,
-            request.mode,
-            request.num_warps,
-        )
-        future = self._executor.submit(_process_worker, payload)
-        with self._lock:
-            if self.dedup:
-                self._process_futures[key] = future
-        future.add_done_callback(
-            lambda f: self._process_done(key, rec, submitted, f)
-        )
-        return future
-
-    def _process_done(
-        self, key: str, rec: RequestStats, submitted: float, future: Future
-    ) -> None:
-        error = future.exception()
-        if error is not None:
-            rec.ok = False
-            rec.error = f"{type(error).__name__}: {error}"
-        else:
-            summary = future.result()
-            rec.ok = bool(summary.get("ok", True))
-            rec.error = summary.get("error")
-            rec.compile_ms = float(summary.get("compile_ms", 0.0))
-            if self._results is not None:
-                self._results.put(key, summary)
-        with self._lock:
-            self._process_futures.pop(key, None)
-        self._finish_process_record(rec, submitted)
-
-    def _finish_process_record(
-        self, rec: RequestStats, submitted: float
-    ) -> None:
-        rec.total_ms = (time.perf_counter() - submitted) * 1e3
-        self._record(rec)
 
     # ------------------------------------------------------------------
     # Reporting / lifecycle
@@ -421,10 +287,7 @@ class CompileService:
                 outcome = "shared"
             else:
                 outcome = "compiled"
-            _obs.count(
-                "serve.requests", 1,
-                outcome=outcome, mode=rec.mode, backend=self.backend,
-            )
+            _obs.count("serve.requests", 1, outcome=outcome, mode=rec.mode)
             _obs.observe("serve.queue_wait_ms", rec.queue_wait_ms)
             if outcome == "compiled":
                 _obs.observe("serve.compile_ms", rec.compile_ms)
@@ -443,7 +306,6 @@ class CompileService:
         return ServiceReport(
             service=self.name,
             workers=self.workers,
-            backend=self.backend,
             requests=records,
             wall_ms=wall_ms,
         )
@@ -458,17 +320,3 @@ class CompileService:
     def __exit__(self, *_exc) -> None:
         self.close()
 
-
-def compile_suite(
-    requests: Sequence[Union[CompileRequest, Sequence]],
-    workers: int = 4,
-    backend: str = "thread",
-    **service_kwargs,
-):
-    """One-shot batch compile: ``(results, report)`` for a suite."""
-    with CompileService(
-        workers=workers, backend=backend, **service_kwargs
-    ) as service:
-        results = service.compile_batch(requests)
-        report = service.report()
-    return results, report

@@ -84,7 +84,6 @@ class ServiceReport:
 
     service: str
     workers: int
-    backend: str
     requests: List[RequestStats] = field(default_factory=list)
     #: Wall time covered by the report (first submit to last result).
     wall_ms: float = 0.0
@@ -137,7 +136,6 @@ class ServiceReport:
         return {
             "service": self.service,
             "workers": self.workers,
-            "backend": self.backend,
             "wall_ms": round(self.wall_ms, 3),
             "requests": self.total_requests,
             "compiles": self.compiles,
@@ -169,7 +167,7 @@ class ServiceReport:
     def describe(self) -> str:
         """A one-line operator summary."""
         return (
-            f"{self.service}[{self.backend} x{self.workers}]: "
+            f"{self.service}[{self.workers} workers]: "
             f"{self.total_requests} requests -> {self.compiles} compiles "
             f"({self.dedup_shared} single-flight, "
             f"{self.result_cache_hits} result-cache, "

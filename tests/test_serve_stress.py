@@ -114,9 +114,7 @@ class TestStress:
             CompileRequest, "build_and_compile", slow_compile
         )
         req = CompileRequest("softmax", "r64c64")
-        with CompileService(
-            workers=4, result_cache=0, name="sf"
-        ) as service:
+        with CompileService(workers=4, name="sf") as service:
             futures = [service.submit(req) for _ in range(8)]
             results = [f.result() for f in futures]
             report = service.report()
@@ -236,17 +234,12 @@ class TestServiceSemantics:
         assert set(doc["cache"]) >= {"layouts", "plans", "engine"}
         assert report.describe()
 
-    def test_process_backend_matches_serial(self, serial_reference):
-        """Forked workers return the same bit-comparable digests."""
-        reqs = [SUITE[0], SUITE[2], SUITE[0]]
-        with CompileService(
-            workers=2, backend="process", name="proc"
-        ) as service:
-            out = service.compile_batch(reqs)
-        for req, summary in zip(reqs, out):
-            got = dict(summary)
-            got.pop("compile_ms")
-            assert got == serial_reference[req.canonical_key()]
+    def test_only_the_thread_backend_is_accepted(self):
+        for backend in ("process", "fork"):
+            with pytest.raises(ValueError, match="backend"):
+                CompileService(workers=1, backend=backend)
+        with CompileService(workers=1, backend="thread") as service:
+            assert service.compile_batch([SUITE[2]])[0].ok
 
 
 class TestSingleFlight:
