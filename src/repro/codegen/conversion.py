@@ -96,45 +96,73 @@ def _group_contiguous(
     analysis excluded).  Within a vector the offsets must be
     contiguous and the first one aligned.
 
-    Greedily from the front, each vector is the widest of
-    ``max_vec, max_vec >> 1, ...`` that fits the contiguous run
-    starting there and divides its base offset.  Returns ``(start,
-    width)``, each ``(threads, max_accesses)``: the pair index where
-    access ``k`` starts and its element count (0 past a thread's
-    last access).
+    The vectors are those of a greedy pass from the front: each is
+    the widest of ``max_vec, max_vec >> 1, ...`` that fits the
+    contiguous run starting there and divides its base offset.  No
+    vector crosses a run, so from a run's start that greedy pass is
+    the canonical dyadic decomposition of the run's offset interval
+    ``[low, high]``, in blocks of at most ``max_vec``: the vector
+    holding a position is the largest aligned block that holds it and
+    lies inside its run.  The ``2^k`` block holding offset ``x`` lies
+    inside iff ``x >> k`` differs from both ``(low - 1) >> k`` and
+    ``(high + 1) >> k``, i.e. iff ``2^k`` is at most both XORs — so
+    each position's width is a table lookup, and a position starts a
+    vector iff its offset is aligned to that width.  There is no walk:
+    when every row is already ``max_vec``-aligned contiguous blocks the
+    grouping is the uniform grid, when all rows start vectors at the
+    same positions (threads in lockstep) row 0's starts serve all, and
+    otherwise the starts are ranked per row.
+
+    ``max_vec`` must be a power of two (every caller's vector width
+    in elements is); anything else raises ``ValueError``.  Returns
+    ``(start, width)``, each ``(threads, max_accesses)``: the pair
+    index where access ``k`` starts and its element count (0, with
+    start ``n - 1``, past a thread's last access).
     """
+    if max_vec < 1 or max_vec & (max_vec - 1):
+        raise ValueError(f"max_vec must be a power of two, got {max_vec}")
     threads, n = offsets.shape
-    cols = np.arange(n)
-    # Run length from every position: the distance to the end of its
-    # contiguous run, found by a reverse running minimum.
-    breaks = np.ones((threads, n), dtype=bool)
-    breaks[:, :-1] = offsets[:, 1:] != offsets[:, :-1] + 1
-    run_end = np.minimum.accumulate(
-        np.where(breaks, cols, n)[:, ::-1], axis=1
-    )[:, ::-1]
-    run = run_end - cols + 1
-    vec = np.ones((threads, n), dtype=np.int64)
-    undecided = np.ones((threads, n), dtype=bool)
-    width = max_vec
-    while width > 1:
-        fits = undecided & (run >= width) & (offsets % width == 0)
-        vec[fits] = width
-        undecided &= ~fits
-        width >>= 1
-    # Walk every thread's pointer forward in the same step.
-    rows = np.arange(threads)
-    ptr = np.zeros(threads, dtype=np.int64)
-    starts, widths = [], []
-    while True:
-        live = ptr < n
-        if not live.any():
-            break
-        here = np.minimum(ptr, n - 1)
-        step = np.where(live, vec[rows, here], 0)
-        starts.append(here)
-        widths.append(step)
-        ptr = ptr + step
-    return np.stack(starts, axis=1), np.stack(widths, axis=1)
+    if n % max_vec == 0:
+        blocks = offsets.reshape(threads, n // max_vec, max_vec)
+        lead = blocks[:, :, :1]
+        if (lead % max_vec == 0).all() and (
+            blocks == lead + np.arange(max_vec)
+        ).all():
+            start = np.arange(0, n, max_vec)
+            return (
+                np.tile(start, (threads, 1)),
+                np.full((threads, len(start)), max_vec, dtype=np.int64),
+            )
+    # Runs over the flattened rows; a row's first position opens one.
+    flat = offsets.ravel()
+    opens = np.empty(flat.size, dtype=bool)
+    opens[0] = True
+    np.not_equal(flat[1:], flat[:-1] + 1, out=opens[1:])
+    opens[::n] = True
+    first = np.flatnonzero(opens)
+    last = np.append(first[1:], flat.size) - 1
+    run = np.cumsum(opens) - 1
+    # Unsigned, so a sign change (low == 0) never limits the width.
+    below = ((flat[first] - 1)[run] ^ flat).view(np.uint64)
+    above = ((flat[last] + 1)[run] ^ flat).view(np.uint64)
+    reach = np.minimum(np.minimum(below, above), np.uint64(max_vec))
+    floor_pow2 = np.array(
+        [1 << max(0, i.bit_length() - 1) for i in range(max_vec + 1)]
+    )
+    vec = floor_pow2[reach.astype(np.intp)].reshape(threads, n)
+    leads = (offsets & (vec - 1)) == 0
+    if (leads == leads[:1]).all():
+        col = np.flatnonzero(leads[0])
+        return np.tile(col, (threads, 1)), vec[:, col]
+    row, col = np.nonzero(leads)
+    counts = leads.sum(axis=1)
+    rank = np.arange(len(row)) - (np.cumsum(counts) - counts)[row]
+    shape = (threads, int(counts.max()))
+    start = np.full(shape, n - 1, dtype=np.int64)
+    width = np.zeros(shape, dtype=np.int64)
+    start[row, rank] = col
+    width[row, rank] = vec[row, col]
+    return start, width
 
 
 def _vec_bit_positions(
@@ -203,23 +231,39 @@ def _shared_accesses(
     reg = np.broadcast_to(reg_order, offs.shape)
     if sort_by_offset:
         # Legacy staging groups by raw memory contiguity; the
-        # optimal path keeps register (coset) order instead.
-        order = np.argsort(offs * regs + reg, axis=1, kind="stable")
-        offs = np.take_along_axis(offs, order, axis=1)
-        reg = np.take_along_axis(reg, order, axis=1)
+        # optimal path keeps register (coset) order instead.  Registers
+        # are distinct within a row, so one sort of (offset, reg) keys
+        # packed into an int64 orders both.
+        bits = layout.in_dim_size_log2(REGISTER)
+        keys = np.sort((offs << bits) | reg, axis=1)
+        offs, reg = keys >> bits, keys & (regs - 1)
     start, width = _group_contiguous(offs, max_vec_elems)
-    rows = np.arange(len(tid))[:, None]
-    elem = np.arange(int(width.max(initial=0)))
-    at = np.minimum(start[:, :, None] + elem, offs.shape[1] - 1)
+    n = offs.shape[1]
+    vec = int(width.max(initial=0))
+    if start.shape[1] * vec == n and (width == vec).all():
+        # The uniform grid: access k is pairs [k * vec, (k + 1) * vec).
+        row_base = offs[:, ::vec]
+        row_regs = reg.reshape(start.shape + (vec,))
+    else:
+        elem = np.arange(vec)
+        at = np.minimum(start[:, :, None] + elem, n - 1)
+        row_base = np.where(
+            width > 0, np.take_along_axis(offs, start, axis=1), 0
+        )
+        row_regs = np.where(
+            elem < width[:, :, None],
+            np.take_along_axis(
+                reg, at.reshape(len(tid), -1), axis=1
+            ).reshape(at.shape),
+            -1,
+        )
     threads = num_warps * warp_size
     base = np.zeros((threads, start.shape[1]), dtype=np.int64)
     lens = np.zeros_like(base)
-    vec_regs = np.full(base.shape + elem.shape, -1, dtype=np.int64)
-    base[tid] = np.where(width > 0, offs[rows, start], 0)
+    vec_regs = np.full(base.shape + (vec,), -1, dtype=np.int64)
+    base[tid] = row_base
     lens[tid] = width
-    vec_regs[tid] = np.where(
-        elem < width[:, :, None], reg[rows[:, :, None], at], -1
-    )
+    vec_regs[tid] = row_regs
     return SharedAccesses(base, lens, vec_regs)
 
 
@@ -382,24 +426,24 @@ def _plan_conversion_uncached(
                 max_vector_bits=spec.max_vector_bits,
             )
         )
-        best = None
+        plans = []
         for swplan in candidates:
             steps, extra_notes = _shared_steps_for_swizzle(
                 swplan, src, dst, elem_bits, spec,
                 num_warps, dedupe_broadcast,
             )
-            candidate = ConversionPlan(
+            plans.append(ConversionPlan(
                 kind="shared",
                 src=src,
                 dst=dst,
                 steps=steps,
                 shared_bytes=(1 << d) * elem_bytes,
                 notes=notes + extra_notes,
-            )
-            cost = _plan_cost(candidate, spec)
-            if best is None or cost < best[0]:
-                best = (cost, candidate)
-        return best[1]
+            ))
+        # Price only when there is a choice; the first cheapest wins.
+        if len(plans) == 1:
+            return plans[0]
+        return min(plans, key=lambda plan: _plan_cost(plan, spec))
     elif swizzle_mode == "none":
         # Ablation baseline: raw row-major staging, no swizzle, no
         # padding.  Strided access patterns conflict maximally here —
@@ -634,14 +678,3 @@ def _try_matrix_staging(
         return plan
     return None
 
-
-def _legacy_store_contiguity(view: DistributedView) -> int:
-    """Contiguous registers (flat) the legacy padded store can vectorize."""
-    cols = view.images(REGISTER)
-    run = 0
-    for i, c in enumerate(cols):
-        if c == (1 << i):
-            run += 1
-        else:
-            break
-    return 1 << run

@@ -360,7 +360,9 @@ class LinearLayout:
         reverse of the declared out-dim order, i.e. row-major ("j is
         the fastest moving dimension", Section 4.1).
         """
-        return self._flatten_out_coords(self._bases[in_dim][bit], order)
+        if order is not None:
+            return self._flatten_out_coords(self._bases[in_dim][bit], order)
+        return self._flat_images()[in_dim][bit]
 
     def basis_images_flat(
         self, in_dim: str, order: Optional[Sequence[str]] = None
@@ -374,10 +376,22 @@ class LinearLayout:
         """
         if in_dim not in self._bases:
             return []
+        if order is None:
+            return list(self._flat_images()[in_dim])
         return [
             self._flatten_out_coords(img, order)
             for img in self._bases[in_dim]
         ]
+
+    def _flat_images(self) -> Dict[str, Tuple[int, ...]]:
+        """Every in-dim's basis images flattened row-major, computed once."""
+        return self._memoized(
+            "flat_images",
+            lambda: {
+                dim: tuple(self._flatten_out_coords(img) for img in images)
+                for dim, images in self._bases.items()
+            },
+        )
 
     # ------------------------------------------------------------------
     # Application
@@ -431,12 +445,9 @@ class LinearLayout:
         The table is the :func:`~repro.f2.bitvec.span_table` of the
         flattened basis images: O(N) array work, no per-element Python.
         """
+        flat = self._flat_images()
         return span_table(
-            [
-                self._flatten_out_coords(img)
-                for dim in in_order
-                for img in self._bases.get(dim, ())
-            ]
+            [img for dim in in_order for img in flat.get(dim, ())]
         )
 
     def _flat_order(self, order: Optional[Sequence[str]]) -> List[str]:

@@ -93,6 +93,10 @@ def bank_wavefronts(
     distinct words, and same-word broadcast is free, which is how real
     hardware behaves and what Lemma 9.4 predicts.  Returns one count
     per group, 0 for a group without requests.
+
+    Every request expands to the words it sweeps, keyed by ``(group,
+    word)``; sorting the keys and keeping each first occurrence leaves
+    the distinct words, which one ``bincount`` tallies per bank.
     """
     banks = spec.num_banks
     out = np.zeros(num_groups, dtype=np.int64)
@@ -108,7 +112,8 @@ def bank_wavefronts(
     first = np.cumsum(spans) - spans
     words = word0[req] + np.arange(len(req)) - first[req]
     stride = int(words.max()) + 1
-    keys = np.unique(group[req] * stride + words)
+    keys = np.sort(group[req] * stride + words)
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     owner = keys // stride
     bank = (keys - owner * stride) % banks
     per_bank = np.bincount(

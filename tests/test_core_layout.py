@@ -6,6 +6,7 @@ Includes the paper's running example: Layout A of Figure 1 / Table 1.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import cache
 from repro.core import (
     DimensionError,
     LANE,
@@ -313,3 +314,55 @@ def test_layout_a_linearity(r, l, w):
     xy = {k: x[k] ^ y[k] for k in x}
     fxy = a.apply(xy)
     assert fxy == {k: fx[k] ^ fy[k] for k in fx}
+
+
+@st.composite
+def random_layouts(draw):
+    """Any (not necessarily surjective) layout over 1-3 out dims."""
+    out_logs = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    out_dims = {f"dim{i}": 1 << log for i, log in enumerate(out_logs)}
+    image = st.tuples(*[st.integers(0, size - 1) for size in out_dims.values()])
+    in_dims = draw(
+        st.lists(
+            st.sampled_from([REGISTER, LANE, WARP, "block"]),
+            unique=True,
+            max_size=4,
+        )
+    )
+    bases = {dim: draw(st.lists(image, max_size=3)) for dim in in_dims}
+    return LinearLayout(bases, out_dims, require_surjective=False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(layout=random_layouts(), caching=st.booleans(), data=st.data())
+def test_flat_basis_images_match_per_image_flattening(layout, caching, data):
+    """Memoized flat images == flattening each image, on and off cache."""
+    order = data.draw(st.permutations(layout.out_dims))
+    in_order = data.draw(st.permutations(layout.in_dims))
+    previous = cache.set_enabled(caching)
+    try:
+        for _ in range(2):  # the second pass reads the memo
+            for dim in (*layout.in_dims, "absent"):
+                images = layout.bases.get(dim, [])
+                for at in (None, order):
+                    expected = [
+                        layout._flatten_out_coords(img, at) for img in images
+                    ]
+                    got = layout.basis_images_flat(dim, at)
+                    assert got == expected
+                    got.append(-1)  # the caller owns the returned list
+                    assert layout.basis_images_flat(dim, at) == expected
+                    assert [
+                        layout.basis_image_flat(dim, bit, at)
+                        for bit in range(len(images))
+                    ] == expected
+            table = layout.flat_table(in_order).tolist()
+            for index, value in enumerate(table):
+                inputs = {}
+                for dim in in_order:
+                    bits = layout.in_dim_size_log2(dim)
+                    inputs[dim] = index & ((1 << bits) - 1)
+                    index >>= bits
+                assert value == layout.apply_flat(inputs)
+    finally:
+        cache.set_enabled(previous)

@@ -8,8 +8,9 @@ warp 32 and warp 64 (MI250), 1-8 warps, broadcast (zero) columns on
 every hardware dim, broadcast dedupe on and off, with and without the
 Vec-bits-fastest register order, and under every staging mode — the
 optimal swizzle, a pinned memory layout, legacy padding and raw rows.
-The array wavefront count is checked against the per-request
-reference the same way.
+The closed-form vector grouping is also checked directly, on arbitrary
+offset rows, and the array wavefront count against the per-request
+reference.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from repro import cache
 from repro.codegen import conversion
 from repro.codegen.access import SharedAccesses
 from repro.codegen.conversion import (
+    _group_contiguous,
     _shared_accesses,
     _swizzled_offsets,
     plan_conversion,
@@ -37,6 +39,7 @@ from repro.core import LANE, LinearLayout, REGISTER, WARP
 from repro.hardware import GH200, MI250, RTX4090
 from repro.gpusim.memory import bank_wavefronts
 from tests.shared_access_reference import (
+    group_contiguous as reference_group_contiguous,
     padded_offset_of_flat,
     shared_accesses as reference_accesses,
     swizzled_offset_of_flat,
@@ -150,6 +153,12 @@ def test_builder_matches_reference(case, data):
         vec_basis=vec_basis,
         sort_by_offset=data.draw(st.booleans()),
     )
+    max_vec = kwargs["max_vec_elems"]
+    if max_vec & (max_vec - 1):
+        # Grouping contract: vector widths are powers of two.
+        with pytest.raises(ValueError):
+            _shared_accesses(layout, offsets, **kwargs)
+        return
     got = _shared_accesses(layout, offsets, **kwargs)
     expected = reference_accesses(layout, lambda p: int(offsets[p]), **kwargs)
     assert got.to_tuples() == expected
@@ -249,6 +258,95 @@ def test_planner_accesses_match_reference(
     expected = [[f(p) for p in range(1 << d)] for f in staging]
     for offsets in calls:
         assert offsets.tolist() in expected
+
+
+@st.composite
+def offset_rows(draw, n):
+    """One row of ``n`` offsets: runs at any start, repeats, jumps."""
+    row = []
+    while len(row) < n:
+        if row and draw(st.booleans()):
+            # A repeated offset, as legacy staging leaves replicas.
+            row.extend([row[-1]] * draw(st.integers(1, 3)))
+        else:
+            start = draw(st.integers(-(1 << 40), 1 << 40))
+            if draw(st.booleans()):
+                start = start & -64  # aligned, so wide vectors fit
+            row.extend(range(start, start + draw(st.integers(1, 80))))
+    return row[:n]
+
+
+@settings(max_examples=300)
+@given(
+    max_vec=st.sampled_from([1, 2, 4, 8, 16, 32]),
+    n=st.integers(1, 96),
+    threads=st.integers(1, 5),
+    data=st.data(),
+)
+def test_group_contiguous_matches_reference(max_vec, n, threads, data):
+    """Closed-form grouping == the greedy walk, row by row."""
+    shape = data.draw(
+        st.sampled_from(["blocks", "lockstep", "chained", "free"])
+    )
+    if shape == "blocks":
+        # Whole aligned blocks only: the uniform-grid fast path.
+        n = max_vec * (1 + n // max_vec)
+        blocks = st.lists(
+            st.integers(-(1 << 20), 1 << 20),
+            min_size=n // max_vec, max_size=n // max_vec,
+        )
+        rows = [
+            [b * max_vec + i for b in data.draw(blocks) for i in range(max_vec)]
+            for _ in range(threads)
+        ]
+    elif shape == "lockstep":
+        # One row shifted by aligned amounts: every row starts its
+        # vectors at the same positions.
+        row = data.draw(offset_rows(n))
+        shifts = data.draw(
+            st.lists(
+                st.integers(-(1 << 20), 1 << 20),
+                min_size=threads, max_size=threads,
+            )
+        )
+        rows = [[x + 64 * shift for x in row] for shift in shifts]
+    elif shape == "chained":
+        # Each row continues the previous one: runs must still end
+        # with their row.
+        chain = data.draw(offset_rows(n * threads))
+        rows = [chain[t * n: (t + 1) * n] for t in range(threads)]
+    else:
+        rows = [data.draw(offset_rows(n)) for _ in range(threads)]
+    offsets = np.array(rows, dtype=np.int64)
+    start, width = _group_contiguous(offsets, max_vec)
+    expected = [
+        reference_group_contiguous(list(zip(row, range(n))), max_vec)
+        for row in rows
+    ]
+    assert start.shape == width.shape
+    assert start.shape[1] == max(len(groups) for groups in expected)
+    for t, groups in enumerate(expected):
+        k = len(groups)
+        got = [
+            (rows[t][s], tuple(range(s, s + w)))
+            for s, w in zip(start[t, :k].tolist(), width[t, :k].tolist())
+        ]
+        assert got == groups
+        assert (width[t, k:] == 0).all() and (start[t, k:] == n - 1).all()
+
+
+@pytest.mark.parametrize("max_vec", [1, 2, 4, 8, 16, 32])
+def test_group_contiguous_single_column(max_vec):
+    start, width = _group_contiguous(
+        np.array([[5], [0], [-3], [64]], dtype=np.int64), max_vec
+    )
+    assert start.tolist() == [[0]] * 4 and width.tolist() == [[1]] * 4
+
+
+@pytest.mark.parametrize("max_vec", [0, 3, 6, 12, -4])
+def test_group_contiguous_rejects_non_power_of_two(max_vec):
+    with pytest.raises(ValueError):
+        _group_contiguous(np.arange(8, dtype=np.int64)[None], max_vec)
 
 
 @settings(max_examples=60)
