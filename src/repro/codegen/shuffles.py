@@ -12,7 +12,7 @@ tables (:func:`repro.codegen.views.owner_table`).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from repro.core.layout import LinearLayout
 from repro.codegen.plan import RegisterPermute, ShuffleRound
 from repro.codegen.views import DistributedView, owner_table
 from repro.f2.bitvec import span_table
+from repro.f2.solve import XorBasis
 
 
 class ShufflePlanError(ValueError):
@@ -48,27 +49,16 @@ def _extend(
     rank_target: int, partial: List[int], candidates: List[int]
 ) -> List[int]:
     """Extend ``partial`` to rank ``rank_target`` using ``candidates``."""
-    by_lead: Dict[int, int] = {}
-
-    def add(v: int) -> bool:
-        while v:
-            lead = v.bit_length() - 1
-            if lead not in by_lead:
-                by_lead[lead] = v
-                return True
-            v ^= by_lead[lead]
-        return False
-
-    for v in partial:
-        if not add(v):
-            raise ShufflePlanError("V/I/G vectors are not independent")
+    basis = XorBasis()
+    if not all(basis.add(v) for v in partial):
+        raise ShufflePlanError("V/I/G vectors are not independent")
     added = []
     for v in candidates:
-        if len(by_lead) >= rank_target:
+        if len(basis) >= rank_target:
             break
-        if add(v):
+        if basis.add(v):
             added.append(v)
-    if len(by_lead) < rank_target:
+    if len(basis) < rank_target:
         raise ShufflePlanError("could not extend shuffle basis")
     return added
 

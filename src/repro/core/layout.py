@@ -1,15 +1,19 @@
 """The :class:`LinearLayout` type — Definition 4.1 of the paper.
 
-A linear layout is a linear map between labeled vector spaces over F2.
-Following Triton upstream, the map is stored as *bases*: for every
-input dimension (e.g. ``register``, ``lane``, ``warp``) we keep one
-basis vector per input bit, and each basis vector records the image of
-that bit in every output dimension.  Applying the layout XORs together
-the images of the set input bits — the binary matrix-vector product of
-Section 4.1.
+A linear layout is a linear map between labeled vector spaces over F2:
+a binary matrix (Section 4.1).  It is stored as that matrix's columns.
+For every input dimension (e.g. ``register``, ``lane``, ``warp``) we
+keep one column per input bit: the image of that bit, an integer whose
+bits are the output coordinates flattened row-major (the last output
+dim holds the least significant bits).  Applying the layout XORs
+together the columns of the set input bits — the binary matrix-vector
+product of Section 4.1.  Per-output-dim coordinates (:attr:`bases`,
+:meth:`apply`, :meth:`to_dict`) are derived from the columns on demand.
 
 Sizes of all dimensions are powers of two; the *log2* of each size is
-the number of bits of the corresponding labeled subspace.
+the number of bits of the corresponding labeled subspace.  Rank,
+inverses and kernels run on the columns through
+:class:`~repro.f2.solve.XorBasis`.
 """
 
 from __future__ import annotations
@@ -33,15 +37,10 @@ from repro.core.errors import (
     NonInvertibleLayoutError,
 )
 from repro.f2.bitvec import log2_int, span_table
-from repro.f2.matrix import F2Matrix
-from repro.f2.solve import (
-    InconsistentSystemError,
-    inverse as f2_inverse,
-    rank as f2_rank,
-    solve_matrix,
-)
+from repro.f2.solve import XorBasis, rank
 
 Bases = Dict[str, List[Tuple[int, ...]]]
+Columns = Dict[str, Tuple[int, ...]]
 
 
 class CanonicalKey:
@@ -73,6 +72,35 @@ class CanonicalKey:
         return f"CanonicalKey({self.key!r})"
 
 
+def _row_major_shifts(sizes: Mapping[str, int]) -> Dict[str, int]:
+    """Bit offset of each dim in the row-major packing (last dim lowest)."""
+    shifts: Dict[str, int] = {}
+    shift = 0
+    for name in reversed(list(sizes)):
+        shifts[name] = shift
+        shift += log2_int(sizes[name])
+    return {name: shifts[name] for name in sizes}
+
+
+def _moves(
+    fields: Mapping[str, Tuple[int, int]], dst_shifts: Mapping[str, int]
+) -> List[Tuple[int, int, int]]:
+    """``(src_shift, mask, dst_shift)`` for every dim kept in ``dst_shifts``."""
+    return [
+        (shift, mask, dst_shifts[name])
+        for name, (shift, mask) in fields.items()
+        if name in dst_shifts
+    ]
+
+
+def _move(v: int, moves: Sequence[Tuple[int, int, int]]) -> int:
+    """Repack one column: each coordinate field to its new offset."""
+    out = 0
+    for shift, mask, dst in moves:
+        out |= ((v >> shift) & mask) << dst
+    return out
+
+
 class LinearLayout:
     """A linear map between labeled F2 vector spaces.
 
@@ -86,8 +114,8 @@ class LinearLayout:
     out_dims:
         ``{out_dim: size}`` with every size a power of two.  Order is
         significant: it fixes the order of coordinates in basis images
-        and the flattening order (first dim is the *fastest* moving,
-        i.e. holds the least significant bits when flattened).
+        and the flattening order (first dim is the *slowest* moving,
+        i.e. holds the most significant bits when flattened).
     require_surjective:
         When True (the default) the constructor asserts the layout is
         surjective onto the full output space, which Definition 4.10
@@ -95,9 +123,11 @@ class LinearLayout:
     """
 
     __slots__ = (
-        "_bases",
+        "_flat",
         "_in_dims",
         "_out_dims",
+        "_fields",
+        "_out_bits",
         "_surjective",
         "_key",
         "_hash",
@@ -110,15 +140,16 @@ class LinearLayout:
         out_dims: Mapping[str, int],
         require_surjective: bool = True,
     ):
-        self._out_dims: Dict[str, int] = {}
+        outs: Dict[str, int] = {}
         for name, size in out_dims.items():
             log2_int(size)  # validates power of two
-            self._out_dims[name] = size
-        n_out = len(self._out_dims)
-        out_logs = [log2_int(s) for s in self._out_dims.values()]
-        clean: Bases = {}
+            outs[name] = size
+        n_out = len(outs)
+        shifts = _row_major_shifts(outs)
+        fields = [(shifts[name], outs[name]) for name in outs]
+        flat: Columns = {}
         for in_dim, vecs in bases.items():
-            images: List[Tuple[int, ...]] = []
+            columns: List[int] = []
             for vec in vecs:
                 tup = tuple(int(x) for x in vec)
                 if len(tup) != n_out:
@@ -126,27 +157,45 @@ class LinearLayout:
                         f"basis image {tup} of {in_dim!r} has "
                         f"{len(tup)} coords, expected {n_out}"
                     )
-                for coord, log in zip(tup, out_logs):
-                    if not 0 <= coord < (1 << log):
+                v = 0
+                for coord, (shift, size) in zip(tup, fields):
+                    if not 0 <= coord < size:
                         raise DimensionError(
                             f"coordinate {coord} of {in_dim!r} exceeds "
-                            f"output size 2**{log}"
+                            f"output size 2**{log2_int(size)}"
                         )
-                images.append(tup)
-            clean[in_dim] = images
-        self._bases = clean
+                    v |= coord << shift
+                columns.append(v)
+            flat[in_dim] = tuple(columns)
+        self._init(flat, outs, require_surjective)
+
+    @classmethod
+    def _from_flat(cls, flat: Columns, out_dims: Dict[str, int]) -> "LinearLayout":
+        """Build from row-major flat columns already known to fit."""
+        layout = cls.__new__(cls)
+        layout._init(flat, out_dims, require_surjective=False)
+        return layout
+
+    def _init(
+        self, flat: Columns, out_dims: Dict[str, int], require_surjective: bool
+    ) -> None:
+        self._flat = flat
+        self._out_dims = out_dims
         self._in_dims: Dict[str, int] = {
-            d: 1 << len(v) for d, v in clean.items()
+            d: 1 << len(v) for d, v in flat.items()
         }
-        self._key = CanonicalKey(
-            (
-                tuple((d, tuple(v)) for d, v in clean.items()),
-                tuple(self._out_dims.items()),
-            )
-        )
+        shifts = _row_major_shifts(out_dims)
+        self._fields: Dict[str, Tuple[int, int]] = {
+            name: (shifts[name], size - 1) for name, size in out_dims.items()
+        }
+        self._out_bits = sum(log2_int(s) for s in out_dims.values())
+        self._key = CanonicalKey((tuple(flat.items()), tuple(out_dims.items())))
         self._hash = hash(self._key)
         self._memo: Dict[object, object] = {}
-        self._surjective = self._compute_surjective()
+        self._surjective = (
+            rank([v for columns in flat.values() for v in columns])
+            == self._out_bits
+        )
         if require_surjective and not self._surjective:
             raise LayoutError(
                 "layout is not surjective onto its codomain; pass "
@@ -200,45 +249,6 @@ class LinearLayout:
             require_surjective=False,
         )
 
-    @staticmethod
-    def from_matrix(
-        matrix: F2Matrix,
-        in_dims: Mapping[str, int],
-        out_dims: Mapping[str, int],
-        require_surjective: bool = True,
-    ) -> "LinearLayout":
-        """Build from an explicit F2 matrix.
-
-        Column ``j`` of the matrix is the image of the ``j``-th input
-        bit, where input bits are the concatenation of the in-dims in
-        order (first dim in the low columns) and output bits the
-        concatenation of out-dims (first dim in the low rows).
-        """
-        in_logs = {d: log2_int(s) for d, s in in_dims.items()}
-        out_logs = [(d, log2_int(s)) for d, s in out_dims.items()]
-        total_in = sum(in_logs.values())
-        total_out = sum(log for _, log in out_logs)
-        if matrix.shape != (total_out, total_in):
-            raise DimensionError(
-                f"matrix shape {matrix.shape} does not match dims "
-                f"({total_out}, {total_in})"
-            )
-        bases: Bases = {}
-        col = 0
-        for in_dim, bits in in_logs.items():
-            images = []
-            for _ in range(bits):
-                packed = matrix.column(col)
-                col += 1
-                coords = []
-                shift = 0
-                for _, log in out_logs:
-                    coords.append((packed >> shift) & ((1 << log) - 1))
-                    shift += log
-                images.append(tuple(coords))
-            bases[in_dim] = images
-        return LinearLayout(bases, dict(out_dims), require_surjective)
-
     # ------------------------------------------------------------------
     # Interning and memoization
     # ------------------------------------------------------------------
@@ -246,10 +256,11 @@ class LinearLayout:
         """A hashable key identifying the layout structurally.
 
         Two layouts are ``==`` iff their canonical keys are equal: the
-        key lists the basis images per input dim (in declaration
-        order) and the output dims with their sizes (in order).  It is
-        the interning key of :meth:`intern` and the cache key every
-        memoized derivation hangs off.
+        key lists the flat columns per input dim (in declaration
+        order) and the output dims with their sizes (in order), so it
+        identifies the same map over the same dims in the same order.
+        It is the interning key of :meth:`intern` and the cache key
+        every memoized derivation hangs off.
         """
         return self._key
 
@@ -283,7 +294,14 @@ class LinearLayout:
     @property
     def bases(self) -> Bases:
         """The basis images, ``{in_dim: [tuple per input bit]}``."""
-        return {d: list(v) for d, v in self._bases.items()}
+        view = self._memoized(
+            "bases",
+            lambda: {
+                d: [self._coords(v) for v in columns]
+                for d, columns in self._flat.items()
+            },
+        )
+        return {d: list(v) for d, v in view.items()}
 
     @property
     def in_dims(self) -> List[str]:
@@ -333,11 +351,11 @@ class LinearLayout:
 
     def total_in_bits(self) -> int:
         """Total input bits across all dims."""
-        return sum(len(v) for v in self._bases.values())
+        return sum(len(v) for v in self._flat.values())
 
     def total_out_bits(self) -> int:
         """Total output bits across all dims."""
-        return sum(log2_int(s) for s in self._out_dims.values())
+        return self._out_bits
 
     def total_in_size(self) -> int:
         """Number of distinct inputs (2^total_in_bits)."""
@@ -345,11 +363,15 @@ class LinearLayout:
 
     def total_out_size(self) -> int:
         """Number of logical elements (2^total_out_bits)."""
-        return 1 << self.total_out_bits()
+        return 1 << self._out_bits
+
+    def _coords(self, flat: int) -> Tuple[int, ...]:
+        """Per-out-dim coordinates of a row-major flat output."""
+        return tuple((flat >> shift) & mask for shift, mask in self._fields.values())
 
     def basis_image(self, in_dim: str, bit: int) -> Tuple[int, ...]:
         """The image of basis bit ``bit`` of ``in_dim``."""
-        return self._bases[in_dim][bit]
+        return self._coords(self._flat[in_dim][bit])
 
     def basis_image_flat(
         self, in_dim: str, bit: int, order: Optional[Sequence[str]] = None
@@ -360,9 +382,8 @@ class LinearLayout:
         reverse of the declared out-dim order, i.e. row-major ("j is
         the fastest moving dimension", Section 4.1).
         """
-        if order is not None:
-            return self._flatten_out_coords(self._bases[in_dim][bit], order)
-        return self._flat_images()[in_dim][bit]
+        v = self._flat[in_dim][bit]
+        return v if order is None else _move(v, self._reorder(order))
 
     def basis_images_flat(
         self, in_dim: str, order: Optional[Sequence[str]] = None
@@ -374,36 +395,19 @@ class LinearLayout:
         acting on each resource, viewed in the flattened logical
         tensor F2^d.
         """
-        if in_dim not in self._bases:
-            return []
+        columns = self._flat.get(in_dim, ())
         if order is None:
-            return list(self._flat_images()[in_dim])
-        return [
-            self._flatten_out_coords(img, order)
-            for img in self._bases[in_dim]
-        ]
-
-    def _flat_images(self) -> Dict[str, Tuple[int, ...]]:
-        """Every in-dim's basis images flattened row-major, computed once."""
-        return self._memoized(
-            "flat_images",
-            lambda: {
-                dim: tuple(self._flatten_out_coords(img) for img in images)
-                for dim, images in self._bases.items()
-            },
-        )
+            return list(columns)
+        moves = self._reorder(order)
+        return [_move(v, moves) for v in columns]
 
     # ------------------------------------------------------------------
     # Application
     # ------------------------------------------------------------------
-    def apply(self, inputs: Mapping[str, int]) -> Dict[str, int]:
-        """Apply the map to per-dim input coordinates.
-
-        Missing input dims default to 0.  Returns per-out-dim
-        coordinates.
-        """
-        acc = [0] * len(self._out_dims)
-        for in_dim, images in self._bases.items():
+    def _apply_flat(self, inputs: Mapping[str, int]) -> int:
+        """The row-major flat output of per-dim input coordinates."""
+        out = 0
+        for in_dim, columns in self._flat.items():
             value = inputs.get(in_dim, 0)
             if not 0 <= value < self._in_dims[in_dim]:
                 raise DimensionError(
@@ -413,15 +417,21 @@ class LinearLayout:
             bit = 0
             while value:
                 if value & 1:
-                    img = images[bit]
-                    for k in range(len(acc)):
-                        acc[k] ^= img[k]
+                    out ^= columns[bit]
                 value >>= 1
                 bit += 1
-        extraneous = set(inputs) - set(self._bases)
+        extraneous = set(inputs) - set(self._flat)
         if extraneous:
             raise DimensionError(f"unknown input dims: {sorted(extraneous)}")
-        return dict(zip(self._out_dims, acc))
+        return out
+
+    def apply(self, inputs: Mapping[str, int]) -> Dict[str, int]:
+        """Apply the map to per-dim input coordinates.
+
+        Missing input dims default to 0.  Returns per-out-dim
+        coordinates.
+        """
+        return dict(zip(self._out_dims, self._coords(self._apply_flat(inputs))))
 
     def apply_flat(
         self,
@@ -429,9 +439,8 @@ class LinearLayout:
         order: Optional[Sequence[str]] = None,
     ) -> int:
         """Apply and flatten the output (row-major by default)."""
-        return self._flatten_out_coords(
-            tuple(self.apply(inputs).values()), order
-        )
+        flat = self._apply_flat(inputs)
+        return flat if order is None else _move(flat, self._reorder(order))
 
     def flat_table(self, in_order: Sequence[str]) -> np.ndarray:
         """:meth:`apply_flat` of every input at once, as int64.
@@ -443,11 +452,10 @@ class LinearLayout:
         have size 1.
 
         The table is the :func:`~repro.f2.bitvec.span_table` of the
-        flattened basis images: O(N) array work, no per-element Python.
+        flat columns: O(N) array work, no per-element Python.
         """
-        flat = self._flat_images()
         return span_table(
-            [img for dim in in_order for img in flat.get(dim, ())]
+            [v for dim in in_order for v in self._flat.get(dim, ())]
         )
 
     def _flat_order(self, order: Optional[Sequence[str]]) -> List[str]:
@@ -458,18 +466,13 @@ class LinearLayout:
             raise DimensionError(f"bad flatten order {list(order)}")
         return list(order)
 
-    def _flatten_out_coords(
-        self,
-        coords: Sequence[int],
-        order: Optional[Sequence[str]] = None,
-    ) -> int:
-        by_name = dict(zip(self._out_dims, coords))
-        out = 0
-        shift = 0
-        for name in self._flat_order(order):
-            out |= by_name[name] << shift
-            shift += log2_int(self._out_dims[name])
-        return out
+    def _reorder(self, order: Sequence[str]) -> List[Tuple[int, int, int]]:
+        """Moves from the row-major packing to ``order`` (fastest-first)."""
+        slowest_first = reversed(self._flat_order(order))
+        return _moves(
+            self._fields,
+            _row_major_shifts({name: self._out_dims[name] for name in slowest_first}),
+        )
 
     def unflatten_out(
         self, flat: int, order: Optional[Sequence[str]] = None
@@ -483,104 +486,25 @@ class LinearLayout:
         return {name: coords[name] for name in self._out_dims}
 
     # ------------------------------------------------------------------
-    # Matrix view
-    # ------------------------------------------------------------------
-    def to_matrix(
-        self,
-        in_dim_order: Optional[Sequence[str]] = None,
-        out_dim_order: Optional[Sequence[str]] = None,
-    ) -> F2Matrix:
-        """The matrix of the map, columns = input bits, rows = output bits.
-
-        Input bits are concatenated in ``in_dim_order`` (default: the
-        layout's own order, first dim in the low columns); output bits
-        likewise in ``out_dim_order``.
-        """
-        if in_dim_order is None and out_dim_order is None:
-            # The default view is the one every F2 derivation uses;
-            # F2Matrix is immutable, so sharing the instance is safe.
-            return self._memoized(
-                "to_matrix",
-                lambda: self._build_matrix(
-                    list(self._in_dims), list(self._out_dims)
-                ),
-            )
-        ins = list(in_dim_order) if in_dim_order else list(self._in_dims)
-        outs = list(out_dim_order) if out_dim_order else list(self._out_dims)
-        if set(ins) != set(self._in_dims):
-            raise DimensionError(f"in_dim_order {ins} != {self.in_dims}")
-        if set(outs) != set(self._out_dims):
-            raise DimensionError(f"out_dim_order {outs} != {self.out_dims}")
-        return self._build_matrix(ins, outs)
-
-    def _build_matrix(
-        self, ins: Sequence[str], outs: Sequence[str]
-    ) -> F2Matrix:
-        out_shift = {}
-        shift = 0
-        for name in outs:
-            out_shift[name] = shift
-            shift += self.out_dim_size_log2(name)
-        total_out = shift
-        columns: List[int] = []
-        for in_dim in ins:
-            for img in self._bases[in_dim]:
-                packed = 0
-                for name, coord in zip(self._out_dims, img):
-                    packed |= coord << out_shift[name]
-                columns.append(packed)
-        return F2Matrix(total_out, columns)
-
-    # ------------------------------------------------------------------
     # Predicates
     # ------------------------------------------------------------------
-    def _rank(self) -> int:
-        """Rank of the layout matrix, memoized globally by key.
-
-        Gaussian elimination is the construction-time hot spot (every
-        layout computes surjectivity); the global key means repeated
-        construction of *equal* layouts pays for it once.
-        """
-        return _cache.cached(
-            _cache.derivations,
-            ("rank", self._key),
-            lambda: f2_rank(self.to_matrix()),
-        )
-
-    def _compute_surjective(self) -> bool:
-        if self.total_out_bits() == 0:
-            return True
-        return self._rank() == self.total_out_bits()
-
     def is_surjective(self) -> bool:
         """True iff the image is the whole output space."""
         return self._surjective
 
     def is_injective(self) -> bool:
         """True iff no two inputs map to the same output."""
-        return self._rank() == self.total_in_bits()
+        columns = [v for vs in self._flat.values() for v in vs]
+        return rank(columns) == len(columns)
 
     def is_invertible(self) -> bool:
         """True iff the map is a bijection."""
-        return (
-            self._surjective
-            and self.total_in_bits() == self.total_out_bits()
-        )
+        return self._surjective and self.total_in_bits() == self._out_bits
 
     def is_trivially_injective_in(self, in_dim: str) -> bool:
         """True iff the bases of ``in_dim`` alone are independent."""
-        vecs = self.basis_images_flat(in_dim)
-        seen: Dict[int, int] = {}
-        for v in vecs:
-            while v:
-                lead = v.bit_length() - 1
-                if lead not in seen:
-                    seen[lead] = v
-                    break
-                v ^= seen[lead]
-            if v == 0:
-                return False
-        return True
+        basis = XorBasis()
+        return all(basis.add(v) for v in self._flat.get(in_dim, ()))
 
     # ------------------------------------------------------------------
     # Operator algebra (Definitions 4.2-4.5)
@@ -599,40 +523,24 @@ class LinearLayout:
         out_dims: Dict[str, int] = dict(self._out_dims)
         for name, size in other._out_dims.items():
             out_dims[name] = out_dims.get(name, 1) * size
-        out_names = list(out_dims)
-
-        def lift(layout: "LinearLayout", shift_mine: bool) -> Bases:
-            shifts = {}
-            for name in layout._out_dims:
-                shifts[name] = (
-                    self.out_dim_size_log2(name)
-                    if shift_mine and name in self._out_dims
-                    else 0
-                )
-            lifted: Bases = {}
-            for in_dim, images in layout._bases.items():
-                new_images = []
-                for img in images:
-                    coords = dict(zip(layout._out_dims, img))
-                    new_images.append(
-                        tuple(
-                            coords.get(n, 0) << shifts.get(n, 0)
-                            for n in out_names
-                        )
-                    )
-                lifted[in_dim] = new_images
-            return lifted
-
-        a = lift(self, shift_mine=False)
-        b = lift(other, shift_mine=True)
-        bases: Bases = {}
-        for in_dim in list(a) + [d for d in b if d not in a]:
-            bases[in_dim] = a.get(in_dim, []) + b.get(in_dim, [])
-        return LinearLayout(
-            bases,
-            out_dims,
-            require_surjective=False,
+        shifts = _row_major_shifts(out_dims)
+        mine = _moves(self._fields, shifts)
+        theirs = _moves(
+            other._fields,
+            {
+                name: shifts[name] + log2_int(self._out_dims.get(name, 1))
+                for name in other._out_dims
+            },
         )
+        flat: Columns = {}
+        for in_dim in list(self._flat) + [
+            d for d in other._flat if d not in self._flat
+        ]:
+            flat[in_dim] = tuple(
+                [_move(v, mine) for v in self._flat.get(in_dim, ())]
+                + [_move(v, theirs) for v in other._flat.get(in_dim, ())]
+            )
+        return LinearLayout._from_flat(flat, out_dims)
 
     def compose(self, inner: "LinearLayout") -> "LinearLayout":
         """``self ∘ inner``: apply ``inner`` first (Definition 4.2).
@@ -651,61 +559,72 @@ class LinearLayout:
                     f"size mismatch on {name!r}: "
                     f"{inner.out_dim_size(name)} vs {self.in_dim_size(name)}"
                 )
-        bases: Bases = {}
-        for in_dim, images in inner._bases.items():
-            new_images = []
-            for img in images:
-                mids = dict(zip(inner._out_dims, img))
-                outs = self.apply(mids)
-                new_images.append(tuple(outs.values()))
-            bases[in_dim] = new_images
-        return LinearLayout(
-            bases, dict(self._out_dims), require_surjective=False
-        )
+        fields = inner._fields.items()
+        flat = {
+            in_dim: tuple(
+                self._apply_flat(
+                    {name: (v >> shift) & mask for name, (shift, mask) in fields}
+                )
+                for v in columns
+            )
+            for in_dim, columns in inner._flat.items()
+        }
+        return LinearLayout._from_flat(flat, dict(self._out_dims))
+
+    def _preimages(
+        self, targets: Mapping[str, Sequence[int]]
+    ) -> "LinearLayout":
+        """The layout ``X`` with ``self ∘ X`` sending each target column
+        to itself, every free variable zero.
+
+        ``targets`` are flat columns in ``self``'s output packing, per
+        new input dim; the result's output dims are ``self``'s input
+        dims.  ``self``'s columns are eliminated in declaration order,
+        each labeled with its bit in the result's row-major packing,
+        so a solve yields the result's flat column directly.
+        """
+        shifts = _row_major_shifts(self._in_dims)
+        columns: List[int] = []
+        labels: List[int] = []
+        for in_dim, images in self._flat.items():
+            columns.extend(images)
+            labels.extend(1 << (shifts[in_dim] + k) for k in range(len(images)))
+        basis = XorBasis(columns, labels)
+        flat = {d: tuple(basis.solve(v) for v in vs) for d, vs in targets.items()}
+        return LinearLayout._from_flat(flat, dict(self._in_dims))
 
     def invert(self) -> "LinearLayout":
         """The two-sided inverse of a bijective layout.
 
-        The result maps the old output dims to the old input dims.
+        The result maps the old output dims to the old input dims.  A
+        bijection has no free variables, so its right inverse is it.
         """
         if not self.is_invertible():
             raise NonInvertibleLayoutError(
                 "layout is not invertible (need bijectivity)"
             )
-
-        def compute() -> "LinearLayout":
-            inv = f2_inverse(self.to_matrix())
-            return LinearLayout.from_matrix(
-                inv, dict(self._out_dims), dict(self._in_dims)
-            )
-
-        return self._memoized("invert", compute)
+        return self.right_inverse()
 
     def right_inverse(self) -> "LinearLayout":
         """A right inverse of a surjective layout (Definition 4.5).
 
         Free variables are zeroed, giving the minimal-Hamming-weight
-        representative that promotes broadcasting (Section 5.4).
+        representative that promotes broadcasting (Section 5.4).  Every
+        output bit is in the image, so each unit column has a preimage.
         """
         if not self._surjective:
             raise NonInvertibleLayoutError(
                 "right inverse requires surjectivity"
             )
-
-        def compute() -> "LinearLayout":
-            matrix = self.to_matrix()
-            try:
-                rinv = solve_matrix(matrix, F2Matrix.identity(matrix.rows))
-            except InconsistentSystemError as exc:  # pragma: no cover
-                raise NonInvertibleLayoutError(str(exc)) from exc
-            return LinearLayout.from_matrix(
-                rinv,
-                dict(self._out_dims),
-                dict(self._in_dims),
-                require_surjective=False,
-            )
-
-        return self._memoized("right_inverse", compute)
+        return self._memoized(
+            "right_inverse",
+            lambda: self._preimages(
+                {
+                    name: [1 << (shift + k) for k in range(mask.bit_length())]
+                    for name, (shift, mask) in self._fields.items()
+                }
+            ),
+        )
 
     def invert_and_compose(self, other: "LinearLayout") -> "LinearLayout":
         """``other^{-1} ∘ self`` — the conversion map of Section 5.4.
@@ -727,16 +646,17 @@ class LinearLayout:
             )
 
         def compute() -> "LinearLayout":
-            # Solve other @ X = self column-wise over F2.
-            a = self.to_matrix()
-            b = other.to_matrix()
-            x = solve_matrix(b, a)
-            return LinearLayout.from_matrix(
-                x,
-                dict(self._in_dims),
-                dict(other._in_dims),
-                require_surjective=False,
+            # Solve other @ X = self column-wise over F2, with self's
+            # columns in other's packing.
+            moves = _moves(
+                self._fields,
+                {name: shift for name, (shift, _) in other._fields.items()},
             )
+            targets = {
+                d: [_move(v, moves) for v in columns]
+                for d, columns in self._flat.items()
+            }
+            return other._preimages(targets)
 
         return _cache.cached(
             _cache.derivations,
@@ -762,29 +682,21 @@ class LinearLayout:
         for d in out_dims:
             if d not in self._out_dims:
                 raise DimensionError(f"no output dim {d!r}")
-        keep = [i for i, name in enumerate(self._out_dims) if name in out_dims]
-        bases: Bases = {}
-        for d in in_dims:
-            bases[d] = [
-                tuple(img[i] for i in keep) for img in self._bases[d]
-            ]
         new_outs = {
             name: size
             for name, size in self._out_dims.items()
             if name in out_dims
         }
-        return LinearLayout(bases, new_outs, require_surjective=False)
+        moves = _moves(self._fields, _row_major_shifts(new_outs))
+        flat = {d: tuple(_move(v, moves) for v in self._flat[d]) for d in in_dims}
+        return LinearLayout._from_flat(flat, new_outs)
 
     def rename_in_dim(self, old: str, new: str) -> "LinearLayout":
         """Rename one input dim (pure relabeling)."""
-        if old not in self._bases:
+        if old not in self._flat:
             raise DimensionError(f"no input dim {old!r}")
-        bases = {
-            (new if d == old else d): list(v) for d, v in self._bases.items()
-        }
-        return LinearLayout(
-            bases, dict(self._out_dims), require_surjective=False
-        )
+        flat = {(new if d == old else d): v for d, v in self._flat.items()}
+        return LinearLayout._from_flat(flat, dict(self._out_dims))
 
     def rename_out_dim(self, old: str, new: str) -> "LinearLayout":
         """Rename one output dim (pure relabeling)."""
@@ -793,16 +705,14 @@ class LinearLayout:
         outs = {
             (new if d == old else d): s for d, s in self._out_dims.items()
         }
-        return LinearLayout(self._bases, outs, require_surjective=False)
+        return LinearLayout._from_flat(dict(self._flat), outs)
 
     def transpose_ins(self, order: Sequence[str]) -> "LinearLayout":
         """Reorder the input dims (a relabeling, not a new map)."""
         if sorted(order) != sorted(self._in_dims):
             raise DimensionError(f"bad in-dim order {order}")
-        bases = {d: list(self._bases[d]) for d in order}
-        return LinearLayout(
-            bases, dict(self._out_dims), require_surjective=False
-        )
+        flat = {d: self._flat[d] for d in order}
+        return LinearLayout._from_flat(flat, dict(self._out_dims))
 
     def transpose_outs(self, order: Sequence[str]) -> "LinearLayout":
         """Reorder the output dims.
@@ -812,29 +722,21 @@ class LinearLayout:
         """
         if sorted(order) != sorted(self._out_dims):
             raise DimensionError(f"bad out-dim order {order}")
-        positions = {name: i for i, name in enumerate(self._out_dims)}
-        perm = [positions[name] for name in order]
-        bases: Bases = {
-            d: [tuple(img[p] for p in perm) for img in images]
-            for d, images in self._bases.items()
-        }
         outs = {name: self._out_dims[name] for name in order}
-        return LinearLayout(bases, outs, require_surjective=False)
+        moves = _moves(self._fields, _row_major_shifts(outs))
+        flat = {
+            d: tuple(_move(v, moves) for v in columns)
+            for d, columns in self._flat.items()
+        }
+        return LinearLayout._from_flat(flat, outs)
 
     def resize_in_dim(self, dim: str, new_size: int) -> "LinearLayout":
         """Grow (with zero/broadcast bases) or shrink an input dim."""
         bits = log2_int(new_size)
-        images = list(self._bases.get(dim, []))
-        zero = tuple(0 for _ in self._out_dims)
-        if bits >= len(images):
-            images = images + [zero] * (bits - len(images))
-        else:
-            images = images[:bits]
-        bases = {d: list(v) for d, v in self._bases.items()}
-        bases[dim] = images
-        return LinearLayout(
-            bases, dict(self._out_dims), require_surjective=False
-        )
+        images = self._flat.get(dim, ())
+        flat = dict(self._flat)
+        flat[dim] = (images + (0,) * bits)[:bits]
+        return LinearLayout._from_flat(flat, dict(self._out_dims))
 
     def concat_ins(self, other: "LinearLayout") -> "LinearLayout":
         """Concatenate input dims of two layouts with equal codomains."""
@@ -842,12 +744,9 @@ class LinearLayout:
             raise DimensionError("concat_ins requires equal codomains")
         if set(self._in_dims) & set(other._in_dims):
             raise DimensionError("concat_ins requires disjoint input dims")
-        bases = {d: list(v) for d, v in self._bases.items()}
-        for d, v in other._bases.items():
-            bases[d] = list(v)
-        return LinearLayout(
-            bases, dict(self._out_dims), require_surjective=False
-        )
+        flat = dict(self._flat)
+        flat.update(other._flat)
+        return LinearLayout._from_flat(flat, dict(self._out_dims))
 
     # ------------------------------------------------------------------
     # Free variables / broadcasting
@@ -866,44 +765,19 @@ class LinearLayout:
         )
 
     def _free_variable_masks(self) -> Dict[str, int]:
-        masks: Dict[str, int] = {}
-        seen: Dict[int, int] = {}
-
-        def in_span(v: int) -> bool:
-            while v:
-                lead = v.bit_length() - 1
-                if lead not in seen:
-                    return False
-                v ^= seen[lead]
-            return True
-
-        def insert(v: int) -> None:
-            while v:
-                lead = v.bit_length() - 1
-                if lead not in seen:
-                    seen[lead] = v
-                    return
-                v ^= seen[lead]
-
-        for in_dim in self._bases:
-            mask = 0
-            for bit, flat in enumerate(self.basis_images_flat(in_dim)):
-                if flat == 0 or in_span(flat):
-                    mask |= 1 << bit
-                else:
-                    insert(flat)
-            masks[in_dim] = mask
-        return masks
+        basis = XorBasis()
+        return {
+            in_dim: sum(
+                1 << bit for bit, v in enumerate(columns) if not basis.add(v)
+            )
+            for in_dim, columns in self._flat.items()
+        }
 
     def zero_basis_masks(self) -> Dict[str, int]:
         """Per input dim, a bitmask of bits whose image is exactly zero."""
         return {
-            d: sum(
-                1 << i
-                for i, img in enumerate(images)
-                if all(c == 0 for c in img)
-            )
-            for d, images in self._bases.items()
+            d: sum(1 << i for i, v in enumerate(columns) if v == 0)
+            for d, columns in self._flat.items()
         }
 
     # ------------------------------------------------------------------
@@ -928,15 +802,14 @@ class LinearLayout:
             return False
         if dict(self._out_dims) != dict(other._out_dims):
             return False
-        for d, images in self._bases.items():
-            theirs = other._bases[d]
-            names_mine = list(self._out_dims)
-            for img_mine, img_theirs in zip(images, theirs):
-                mine = dict(zip(names_mine, img_mine))
-                them = dict(zip(other._out_dims, img_theirs))
-                if mine != them:
-                    return False
-        return True
+        moves = _moves(
+            other._fields,
+            {name: shift for name, (shift, _) in self._fields.items()},
+        )
+        return all(
+            columns == tuple(_move(v, moves) for v in other._flat[d])
+            for d, columns in self._flat.items()
+        )
 
     def __hash__(self) -> int:
         # Precomputed from the canonical key, so hashing is as cheap
@@ -958,7 +831,7 @@ class LinearLayout:
         return {
             "bases": {
                 d: [list(img) for img in images]
-                for d, images in self._bases.items()
+                for d, images in self.bases.items()
             },
             "out_dims": dict(self._out_dims),
         }
@@ -977,7 +850,7 @@ class LinearLayout:
 
     def __repr__(self) -> str:
         parts = []
-        for d, images in self._bases.items():
+        for d, images in self.bases.items():
             imgs = ", ".join(str(tuple(img)) for img in images)
             parts.append(f"{d}=[{imgs}]")
         outs = ", ".join(f"{d}:{s}" for d, s in self._out_dims.items())

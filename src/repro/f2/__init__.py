@@ -6,74 +6,39 @@ layout in :mod:`repro.core` is ultimately a matrix over
 is phrased in terms of the subspace operations implemented here.
 
 Vectors are plain Python integers interpreted as bit-vectors (bit ``i``
-is coordinate ``i``), matrices are column-major tuples of such integers
-(:class:`F2Matrix`).  Addition is XOR, multiplication is AND, so a
-matrix-vector product is the XOR of the columns selected by the set bits
-of the input vector.
+is coordinate ``i``); a matrix is a sequence of such integers, its
+columns.  Addition is XOR, multiplication is AND, so a matrix-vector
+product is the XOR of the columns selected by the set bits of the
+input vector.  One elimination, :class:`XorBasis`, answers every
+question asked of a matrix: rank, kernel, and solutions with the free
+variables zero.
 """
 
 from repro.f2.bitvec import (
-    bit_length,
-    bits_of,
-    dot,
     is_power_of_two,
+    iter_set_bits,
     log2_int,
-    parity,
     popcount,
+    span_table,
 )
-from repro.f2.matrix import F2Matrix
 from repro.f2.solve import (
     InconsistentSystemError,
-    column_echelon,
-    image_basis,
-    inverse,
-    is_injective,
-    is_surjective,
+    XorBasis,
     kernel_basis,
-    min_weight_solution,
-    pivot_columns,
     rank,
-    right_inverse,
-    row_echelon,
-    solve,
-    solve_matrix,
 )
-from repro.f2.subspace import (
-    Subspace,
-    complement_basis,
-    extend_to_basis,
-    intersect,
-    is_independent,
-    reduce_to_basis,
-)
+from repro.f2.subspace import Subspace, reduce_to_basis
 
 __all__ = [
-    "F2Matrix",
     "InconsistentSystemError",
     "Subspace",
-    "bit_length",
-    "bits_of",
-    "column_echelon",
-    "complement_basis",
-    "dot",
-    "extend_to_basis",
-    "image_basis",
-    "intersect",
-    "inverse",
-    "is_independent",
-    "is_injective",
+    "XorBasis",
     "is_power_of_two",
-    "is_surjective",
+    "iter_set_bits",
     "kernel_basis",
     "log2_int",
-    "min_weight_solution",
-    "pivot_columns",
-    "parity",
     "popcount",
     "rank",
     "reduce_to_basis",
-    "right_inverse",
-    "row_echelon",
-    "solve",
-    "solve_matrix",
+    "span_table",
 ]

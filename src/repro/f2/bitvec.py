@@ -8,7 +8,7 @@ significant bit is coordinate 0, matching the paper's convention that
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -18,28 +18,6 @@ def popcount(x: int) -> int:
     if x < 0:
         raise ValueError(f"bit-vectors must be non-negative, got {x}")
     return bin(x).count("1")
-
-
-def parity(x: int) -> int:
-    """Parity of the set bits: the sum of coordinates in F2."""
-    return popcount(x) & 1
-
-
-def dot(a: int, b: int) -> int:
-    """Inner product of two F2 vectors: parity of the AND."""
-    return parity(a & b)
-
-
-def bits_of(x: int, width: int) -> List[int]:
-    """Expand ``x`` into a list of ``width`` bits, LSB first."""
-    if x >= (1 << width):
-        raise ValueError(f"value {x} does not fit in {width} bits")
-    return [(x >> i) & 1 for i in range(width)]
-
-
-def bit_length(x: int) -> int:
-    """Number of bits needed to represent ``x`` (0 needs 0 bits)."""
-    return x.bit_length()
 
 
 def iter_set_bits(x: int) -> Iterator[int]:
@@ -64,18 +42,6 @@ def log2_int(x: int) -> int:
     """
     if not is_power_of_two(x):
         raise ValueError(f"expected a power of two, got {x}")
-    return x.bit_length() - 1
-
-
-def lowest_set_bit(x: int) -> int:
-    """Index of the least significant set bit; -1 for zero."""
-    if x == 0:
-        return -1
-    return (x & -x).bit_length() - 1
-
-
-def highest_set_bit(x: int) -> int:
-    """Index of the most significant set bit; -1 for zero."""
     return x.bit_length() - 1
 
 

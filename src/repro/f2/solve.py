@@ -1,231 +1,117 @@
-"""Gaussian elimination and linear-system solving over F2.
+"""Gaussian elimination over F2: one XOR basis, one pass per column.
 
-These routines back the layout operators of Section 4: the right
-inverse (Definition 4.5) is a least-squares solve with slack variables
-pinned to zero — the paper's recipe for promoting broadcasting during
-layout conversion (Section 5.4, item 2) — and the kernel basis exposes
-the "zero columns" that identify broadcast replication (Section 5.1).
+A matrix is a sequence of column bit-vectors.  :class:`XorBasis`
+eliminates the columns in order, keeping one reduced vector per leading
+bit and recording, for each, which input columns XOR into it.  That one
+pass yields the rank, the kernel (every column that reduces to zero,
+with its combination) and solutions with every free variable zero.
+
+These back the layout operators of Section 4: the right inverse
+(Definition 4.5) is a solve with the slack variables pinned to zero,
+the paper's recipe for promoting broadcasting during layout conversion
+(Section 5.4, item 2), and the kernel exposes the "zero columns" that
+identify broadcast replication (Section 5.1).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
-
-from repro.f2.bitvec import iter_set_bits
-from repro.f2.matrix import F2Matrix
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 class InconsistentSystemError(ValueError):
     """Raised when ``Mx = b`` has no solution over F2."""
 
 
-def _rows_of(matrix: F2Matrix) -> List[int]:
-    return [matrix.row(i) for i in range(matrix.rows)]
+class XorBasis:
+    """A basis of the span of the columns added so far.
 
-
-def row_echelon(matrix: F2Matrix) -> Tuple[F2Matrix, List[int], F2Matrix]:
-    """Reduced row echelon form.
-
-    Returns ``(R, pivots, T)`` where ``R = T @ matrix`` is in reduced
-    row echelon form, ``pivots`` lists the pivot column of each nonzero
-    row of ``R`` (ascending), and ``T`` is the invertible row-operation
-    transform.
+    Each basis vector is keyed by its leading bit and carries a
+    *provenance*: the XOR of the labels of the added columns that sum
+    to it.  A column is kept iff it is independent of the columns added
+    before it, so the kept columns are the leftmost-independent pivots
+    that row echelon form would choose.  Reducing ``b`` to zero against
+    the basis therefore XORs the provenances into the solution of
+    ``Mx = b`` supported on those pivots: every free variable is zero.
     """
-    nrows, ncols = matrix.rows, matrix.cols
-    rows = _rows_of(matrix)
-    # Augment each row with the corresponding row of the identity to
-    # track the transform: low ncols bits = row of M, high bits = row
-    # of T.
-    aug = [rows[i] | (1 << (ncols + i)) for i in range(nrows)]
-    pivots: List[int] = []
-    pivot_row = 0
-    for col in range(ncols):
-        # Find a row at or below pivot_row with this column set.
-        sel = None
-        for r in range(pivot_row, nrows):
-            if (aug[r] >> col) & 1:
-                sel = r
-                break
-        if sel is None:
-            continue
-        aug[pivot_row], aug[sel] = aug[sel], aug[pivot_row]
-        for r in range(nrows):
-            if r != pivot_row and (aug[r] >> col) & 1:
-                aug[r] ^= aug[pivot_row]
-        pivots.append(col)
-        pivot_row += 1
-        if pivot_row == nrows:
-            break
-    col_mask = (1 << ncols) - 1
-    reduced_rows = [a & col_mask for a in aug]
-    transform_rows = [a >> ncols for a in aug]
-    reduced = F2Matrix.from_rows(
-        [[(r >> j) & 1 for j in range(ncols)] for r in reduced_rows]
-    )
-    transform = F2Matrix.from_rows(
-        [[(r >> j) & 1 for j in range(nrows)] for r in transform_rows]
-    )
-    return reduced, pivots, transform
 
+    __slots__ = ("_vecs", "_labels")
 
-def column_echelon(matrix: F2Matrix) -> Tuple[F2Matrix, List[int]]:
-    """Column echelon form: ``(C, pivots)`` with ``C`` column-reduced.
+    def __init__(
+        self,
+        columns: Iterable[int] = (),
+        labels: Optional[Sequence[int]] = None,
+    ):
+        self._vecs: Dict[int, int] = {}
+        self._labels: Dict[int, int] = {}
+        for j, v in enumerate(columns):
+            self.add(v, 1 << j if labels is None else labels[j])
 
-    ``pivots`` holds the pivot *row* of each nonzero column.
-    """
-    reduced_t, pivots, _ = row_echelon(matrix.transpose())
-    return reduced_t.transpose(), pivots
+    def reduce(self, v: int) -> Tuple[int, int]:
+        """``(residue, provenance)``: ``v`` minus what the basis spans.
 
-
-def rank(matrix: F2Matrix) -> int:
-    """The rank of the matrix over F2."""
-    _, pivots, _ = row_echelon(matrix)
-    return len(pivots)
-
-
-def image_basis(matrix: F2Matrix) -> List[int]:
-    """A basis (as bit-vectors of length ``rows``) of the column space."""
-    _, pivots, _ = row_echelon(matrix)
-    return [matrix.column(j) for j in pivots]
-
-
-def kernel_basis(matrix: F2Matrix) -> List[int]:
-    """A basis of the null space ``{v : Mv = 0}``.
-
-    Vectors are bitmasks of length ``cols``.  For a distributed layout,
-    nonzero kernel vectors identify hardware indices holding duplicated
-    data (broadcasting, Section 5.1).
-    """
-    reduced, pivots, _ = row_echelon(matrix)
-    pivot_set = set(pivots)
-    free_cols = [j for j in range(matrix.cols) if j not in pivot_set]
-    basis: List[int] = []
-    for free in free_cols:
-        v = 1 << free
-        # Back-substitute: each pivot row determines the pivot column's
-        # value from the free columns.
-        for row_idx, pivot_col in enumerate(pivots):
-            if reduced.entry(row_idx, free):
-                v |= 1 << pivot_col
-        basis.append(v)
-    return basis
-
-
-def solve(matrix: F2Matrix, b: int) -> int:
-    """One solution of ``Mx = b`` with all free variables set to zero.
-
-    Raises :class:`InconsistentSystemError` if no solution exists.
-    Setting the slack variables to zero yields the minimal-Hamming-
-    weight representative the paper uses to promote broadcasting
-    (Section 5.4).
-    """
-    reduced, pivots, transform = row_echelon(matrix)
-    tb = transform.matvec(b)
-    x = 0
-    for row_idx, pivot_col in enumerate(pivots):
-        if (tb >> row_idx) & 1:
-            x |= 1 << pivot_col
-    # Rows beyond the pivot rows must be zero for consistency.
-    if tb >> len(pivots):
-        raise InconsistentSystemError(
-            f"Mx = b has no solution for b = {b:#x}"
-        )
-    return x
-
-
-def solve_matrix(matrix: F2Matrix, rhs: F2Matrix) -> F2Matrix:
-    """Solve ``M X = B`` column-wise with free variables zeroed."""
-    if matrix.rows != rhs.rows:
-        raise ValueError(f"shape mismatch: {matrix.shape} X = {rhs.shape}")
-    reduced, pivots, transform = row_echelon(matrix)
-    del reduced
-    cols: List[int] = []
-    for j in range(rhs.cols):
-        tb = transform.matvec(rhs.column(j))
-        if tb >> len(pivots):
-            raise InconsistentSystemError(
-                f"M X = B has no solution at column {j}"
-            )
-        x = 0
-        for row_idx, pivot_col in enumerate(pivots):
-            if (tb >> row_idx) & 1:
-                x |= 1 << pivot_col
-        cols.append(x)
-    return F2Matrix(matrix.cols, cols)
-
-
-def right_inverse(matrix: F2Matrix) -> F2Matrix:
-    """The least-squares right inverse of a surjective matrix.
-
-    Computes the ``cols x rows`` matrix ``X`` with ``M @ X = I`` and
-    all slack variables zero (Definition 4.5).  Raises
-    :class:`InconsistentSystemError` if ``M`` is not surjective.
-    """
-    return solve_matrix(matrix, F2Matrix.identity(matrix.rows))
-
-
-def inverse(matrix: F2Matrix) -> F2Matrix:
-    """The two-sided inverse of a square invertible matrix."""
-    if matrix.rows != matrix.cols:
-        raise ValueError(f"matrix is not square: {matrix.shape}")
-    inv = right_inverse(matrix)
-    if not (inv @ matrix).is_identity():
-        raise InconsistentSystemError("matrix is singular")
-    return inv
-
-
-def is_surjective(matrix: F2Matrix) -> bool:
-    """True iff the column space is all of F2^rows."""
-    return rank(matrix) == matrix.rows
-
-
-def is_injective(matrix: F2Matrix) -> bool:
-    """True iff the kernel is trivial."""
-    return rank(matrix) == matrix.cols
-
-
-def min_weight_solution(matrix: F2Matrix, b: int) -> Optional[int]:
-    """A minimum-Hamming-weight solution of ``Mx = b``.
-
-    Exhausts the coset ``x0 + ker(M)`` when the kernel is small
-    (<= 2^16 elements); otherwise falls back to the free-variables-zero
-    solution.  Returns ``None`` when the system is inconsistent.
-    """
-    try:
-        x0 = solve(matrix, b)
-    except InconsistentSystemError:
-        return None
-    kernel = kernel_basis(matrix)
-    if len(kernel) > 16:
-        return x0
-    best = x0
-    best_weight = bin(x0).count("1")
-    for mask in range(1, 1 << len(kernel)):
-        candidate = x0
-        for idx in iter_set_bits(mask):
-            candidate ^= kernel[idx]
-        weight = bin(candidate).count("1")
-        if weight < best_weight:
-            best, best_weight = candidate, weight
-    return best
-
-
-def pivot_columns(matrix: F2Matrix) -> List[int]:
-    """Indices of a maximal independent set of columns (greedy).
-
-    Uses the classical XOR-basis keyed by leading bit, so earlier
-    columns are preferred — matching how the swizzling algorithm picks
-    basis vectors "following a chosen order" (Section 5.4).
-    """
-    basis: dict = {}
-    out: List[int] = []
-    for j in range(matrix.cols):
-        v = matrix.column(j)
+        The residue is 0 iff ``v`` is in the span; then ``v`` is the
+        XOR of the columns whose labels make up the provenance.
+        """
+        vecs = self._vecs
+        labels = self._labels
+        combo = 0
         while v:
             lead = v.bit_length() - 1
-            if lead not in basis:
-                basis[lead] = v
-                out.append(j)
+            w = vecs.get(lead)
+            if w is None:
                 break
-            v ^= basis[lead]
-    return out
+            v ^= w
+            combo ^= labels[lead]
+        return v, combo
+
+    def add(self, v: int, label: int = 0) -> bool:
+        """Add column ``v`` tagged ``label``; True iff it enlarged the span."""
+        residue, combo = self.reduce(v)
+        if not residue:
+            return False
+        lead = residue.bit_length() - 1
+        self._vecs[lead] = residue
+        self._labels[lead] = combo ^ label
+        return True
+
+    def solve(self, b: int) -> int:
+        """The label combination of the columns that XOR to ``b``.
+
+        Raises :class:`InconsistentSystemError` if ``b`` is outside the
+        span.
+        """
+        residue, combo = self.reduce(b)
+        if residue:
+            raise InconsistentSystemError(
+                f"Mx = b has no solution for b = {b:#x}"
+            )
+        return combo
+
+    def vectors(self) -> List[int]:
+        """The reduced basis vectors, sorted by leading bit."""
+        return [self._vecs[k] for k in sorted(self._vecs)]
+
+    def __len__(self) -> int:
+        return len(self._vecs)
+
+
+def rank(columns: Sequence[int]) -> int:
+    """The rank of the matrix with these columns."""
+    return len(XorBasis(columns))
+
+
+def kernel_basis(columns: Sequence[int]) -> List[int]:
+    """A basis of the null space ``{x : Mx = 0}``.
+
+    One vector per column ``j`` that depends on the columns before it:
+    bit ``j`` plus the pivot columns that sum to column ``j``.  For a
+    distributed layout, nonzero kernel vectors identify hardware
+    indices holding duplicated data (broadcasting, Section 5.1).
+    """
+    basis = XorBasis()
+    kernel: List[int] = []
+    for j, v in enumerate(columns):
+        if not basis.add(v, 1 << j):
+            kernel.append((1 << j) ^ basis.reduce(v)[1])
+    return kernel
+

@@ -1,55 +1,19 @@
-"""Subspace algebra over F2: span, intersection, complement, extension.
+"""Subspace algebra over F2: span, intersection, complement.
 
 These are the set-theoretic tools of Sections 5.4 and the Appendix:
-the warp-shuffle planner intersects register sets, the optimal
+the warp-shuffle planner extends register sets to a basis, the optimal
 swizzling algorithm finds the largest subspace with trivial
 intersection against a union of subspaces (Lemma 9.5), and both need
-basis extension / complement construction.
+complement construction.  Every operation runs on
+:class:`~repro.f2.solve.XorBasis`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 from repro.f2.bitvec import iter_set_bits
-from repro.f2.matrix import F2Matrix
-from repro.f2.solve import kernel_basis
-
-
-class _XorBasis:
-    """Mutable reduced basis keyed by leading bit."""
-
-    def __init__(self, vectors: Iterable[int] = ()):
-        self._by_lead: dict = {}
-        for v in vectors:
-            self.add(v)
-
-    def reduce(self, v: int) -> int:
-        """Reduce ``v`` against the basis; 0 means v is in the span."""
-        while v:
-            lead = v.bit_length() - 1
-            if lead not in self._by_lead:
-                return v
-            v ^= self._by_lead[lead]
-        return 0
-
-    def add(self, v: int) -> bool:
-        """Insert ``v``; returns True if it enlarged the span."""
-        v = self.reduce(v)
-        if v == 0:
-            return False
-        self._by_lead[v.bit_length() - 1] = v
-        return True
-
-    def contains(self, v: int) -> bool:
-        return self.reduce(v) == 0
-
-    def vectors(self) -> List[int]:
-        """The reduced basis vectors, sorted by leading bit."""
-        return [self._by_lead[k] for k in sorted(self._by_lead)]
-
-    def __len__(self) -> int:
-        return len(self._by_lead)
+from repro.f2.solve import XorBasis, kernel_basis
 
 
 def reduce_to_basis(vectors: Sequence[int]) -> List[int]:
@@ -60,18 +24,8 @@ def reduce_to_basis(vectors: Sequence[int]) -> List[int]:
     that care about which generators survive — e.g. picking shuffle
     bases in input order — get stable results.
     """
-    basis = _XorBasis()
-    kept: List[int] = []
-    for v in vectors:
-        if basis.add(v):
-            kept.append(v)
-    return kept
-
-
-def is_independent(vectors: Sequence[int]) -> bool:
-    """True iff the vectors are linearly independent (none zero)."""
-    basis = _XorBasis()
-    return all(basis.add(v) for v in vectors)
+    basis = XorBasis()
+    return [v for v in vectors if basis.add(v)]
 
 
 class Subspace:
@@ -81,27 +35,12 @@ class Subspace:
 
     def __init__(self, dim: int, generators: Iterable[int] = ()):
         self._dim = dim
-        xb = _XorBasis()
+        xb = XorBasis()
         for v in generators:
             if v >= (1 << dim):
                 raise ValueError(f"vector {v:#x} not in F2^{dim}")
             xb.add(v)
         self._basis = tuple(xb.vectors())
-
-    @staticmethod
-    def full(dim: int) -> "Subspace":
-        """The whole ambient space F2^dim."""
-        return Subspace(dim, (1 << i for i in range(dim)))
-
-    @staticmethod
-    def trivial(dim: int) -> "Subspace":
-        """The zero subspace of F2^dim."""
-        return Subspace(dim)
-
-    @property
-    def dim(self) -> int:
-        """Dimension of the ambient space."""
-        return self._dim
 
     @property
     def rank(self) -> int:
@@ -113,32 +52,6 @@ class Subspace:
         """The reduced basis vectors of the subspace."""
         return self._basis
 
-    def contains(self, v: int) -> bool:
-        """Membership test: is ``v`` in the subspace?"""
-        return _XorBasis(self._basis).contains(v)
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        """True iff ``other`` is contained in this subspace."""
-        return all(self.contains(v) for v in other._basis)
-
-    def enumerate(self) -> List[int]:
-        """All 2^rank elements of the subspace (rank must be small)."""
-        if self.rank > 20:
-            raise ValueError(f"subspace too large to enumerate: 2^{self.rank}")
-        out = []
-        basis = self._basis
-        for mask in range(1 << len(basis)):
-            v = 0
-            for idx in iter_set_bits(mask):
-                v ^= basis[idx]
-            out.append(v)
-        return out
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        """The subspace spanned by both (their sum)."""
-        self._check_ambient(other)
-        return Subspace(self._dim, self._basis + other._basis)
-
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection via the kernel of the stacked generator matrix.
 
@@ -147,11 +60,8 @@ class Subspace:
         the U-part of each kernel vector spans the intersection.
         """
         self._check_ambient(other)
-        if not self._basis or not other._basis:
-            return Subspace.trivial(self._dim)
-        combined = F2Matrix(self._dim, list(self._basis) + list(other._basis))
         gens = []
-        for k in kernel_basis(combined):
+        for k in kernel_basis(self._basis + other._basis):
             v = 0
             for idx in iter_set_bits(k):
                 if idx < len(self._basis):
@@ -161,11 +71,8 @@ class Subspace:
 
     def complement(self) -> "Subspace":
         """A complement: C with self + C = F2^dim and trivial overlap."""
-        xb = _XorBasis(self._basis)
-        gens = []
-        for i in range(self._dim):
-            if xb.add(1 << i):
-                gens.append(1 << i)
+        xb = XorBasis(self._basis)
+        gens = [1 << i for i in range(self._dim) if xb.add(1 << i)]
         return Subspace(self._dim, gens)
 
     def trivial_intersection(self, other: "Subspace") -> bool:
@@ -186,47 +93,6 @@ class Subspace:
     def __hash__(self) -> int:
         return hash((self._dim, self._basis))
 
-    def __len__(self) -> int:
-        return 1 << self.rank
-
     def __repr__(self) -> str:
         vecs = ", ".join(f"{v:#x}" for v in self._basis)
         return f"Subspace(dim={self._dim}, basis=[{vecs}])"
-
-
-def intersect(dim: int, a: Sequence[int], b: Sequence[int]) -> List[int]:
-    """Basis of span(a) ∩ span(b) inside F2^dim."""
-    return list(Subspace(dim, a).intersect(Subspace(dim, b)).basis)
-
-
-def extend_to_basis(
-    dim: int,
-    partial: Sequence[int],
-    candidates: Optional[Sequence[int]] = None,
-) -> List[int]:
-    """Extend an independent set to a basis of F2^dim.
-
-    New vectors are drawn from ``candidates`` (default: the canonical
-    unit vectors), in order.  This is the "extension R" step of the
-    warp-shuffle algorithm and the SBank completion of the swizzling
-    algorithm (Section 5.4).
-    """
-    xb = _XorBasis()
-    for v in partial:
-        if not xb.add(v):
-            raise ValueError(f"partial set is dependent at {v:#x}")
-    added: List[int] = []
-    pool = candidates if candidates is not None else [1 << i for i in range(dim)]
-    for v in pool:
-        if len(xb) == dim:
-            break
-        if xb.add(v):
-            added.append(v)
-    if len(xb) != dim:
-        raise ValueError("candidates do not complete the basis")
-    return added
-
-
-def complement_basis(dim: int, vectors: Sequence[int]) -> List[int]:
-    """Basis of a complement of span(vectors) in F2^dim."""
-    return extend_to_basis(dim, reduce_to_basis(vectors))

@@ -21,7 +21,7 @@ from repro.gpusim.memory import SharedMemory
 from repro.hardware import GH200, RTX4090
 from repro.layouts import BlockedLayout, NvidiaMmaLayout
 from repro.core.reshape import transpose_layout
-from repro.f2.subspace import is_independent
+from repro.f2.subspace import reduce_to_basis
 
 
 def measured_wavefronts(step, spec, elem_bytes):
@@ -50,7 +50,7 @@ class TestStructure:
             + list(plan.bank_basis) + list(plan.seg_basis)
         )
         assert len(basis) == src.total_out_bits()
-        assert is_independent(basis)
+        assert len(reduce_to_basis(basis)) == len(basis)
         assert plan.memory_layout.is_invertible()
 
     def test_vec_from_shared_registers(self):

@@ -17,7 +17,6 @@ from repro.core import (
     WARP,
     make_identity,
 )
-from repro.f2 import F2Matrix
 
 
 def layout_a():
@@ -148,26 +147,6 @@ class TestApplication:
         for flat in (0, 1, 100, 255):
             coords = a.unflatten_out(flat)
             assert coords["dim0"] * 16 + coords["dim1"] == flat
-
-
-class TestMatrixRoundTrip:
-    def test_to_from_matrix(self):
-        a = layout_a()
-        m = a.to_matrix()
-        rebuilt = LinearLayout.from_matrix(
-            m, a.in_dim_sizes(), a.out_dim_sizes()
-        )
-        assert rebuilt == a
-
-    def test_matrix_shape(self):
-        a = layout_a()
-        assert a.to_matrix().shape == (8, 8)
-
-    def test_from_matrix_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            LinearLayout.from_matrix(
-                F2Matrix.identity(3), {REGISTER: 4}, {"dim0": 4}
-            )
 
 
 class TestOperators:
@@ -317,8 +296,8 @@ def test_layout_a_linearity(r, l, w):
 
 
 @st.composite
-def random_layouts(draw):
-    """Any (not necessarily surjective) layout over 1-3 out dims."""
+def layout_specs(draw):
+    """``(bases, out_dims)`` of any layout over 1-3 out dims."""
     out_logs = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
     out_dims = {f"dim{i}": 1 << log for i, log in enumerate(out_logs)}
     image = st.tuples(*[st.integers(0, size - 1) for size in out_dims.values()])
@@ -330,13 +309,20 @@ def random_layouts(draw):
         )
     )
     bases = {dim: draw(st.lists(image, max_size=3)) for dim in in_dims}
-    return LinearLayout(bases, out_dims, require_surjective=False)
+    return bases, out_dims
+
+
+def random_layouts():
+    """Any (not necessarily surjective) layout over 1-3 out dims."""
+    return layout_specs().map(
+        lambda spec: LinearLayout(*spec, require_surjective=False)
+    )
 
 
 @settings(max_examples=80, deadline=None)
 @given(layout=random_layouts(), caching=st.booleans(), data=st.data())
 def test_flat_basis_images_match_per_image_flattening(layout, caching, data):
-    """Memoized flat images == flattening each image, on and off cache."""
+    """Flat columns == apply_flat of each unit input, on and off cache."""
     order = data.draw(st.permutations(layout.out_dims))
     in_order = data.draw(st.permutations(layout.in_dims))
     previous = cache.set_enabled(caching)
@@ -346,7 +332,8 @@ def test_flat_basis_images_match_per_image_flattening(layout, caching, data):
                 images = layout.bases.get(dim, [])
                 for at in (None, order):
                     expected = [
-                        layout._flatten_out_coords(img, at) for img in images
+                        layout.apply_flat({dim: 1 << bit}, at)
+                        for bit in range(len(images))
                     ]
                     got = layout.basis_images_flat(dim, at)
                     assert got == expected

@@ -3,66 +3,18 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.f2 import (
-    bits_of,
-    dot,
-    is_power_of_two,
-    log2_int,
-    parity,
-    popcount,
-)
-from repro.f2.bitvec import (
-    highest_set_bit,
-    iter_set_bits,
-    lowest_set_bit,
-    span_table,
-)
+from repro.f2 import is_power_of_two, log2_int, popcount
+from repro.f2.bitvec import iter_set_bits, span_table
 
 
 class TestPopcountParity:
     def test_basics(self):
         assert popcount(0) == 0
         assert popcount(0b1011) == 3
-        assert parity(0b1011) == 1
-        assert parity(0b11) == 0
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             popcount(-1)
-
-    @given(st.integers(0, 2 ** 64))
-    @settings(max_examples=100)
-    def test_parity_is_popcount_mod_2(self, x):
-        assert parity(x) == popcount(x) % 2
-
-
-class TestDot:
-    def test_orthogonal(self):
-        assert dot(0b01, 0b10) == 0
-
-    def test_overlap(self):
-        assert dot(0b11, 0b01) == 1
-        assert dot(0b11, 0b11) == 0  # two overlaps cancel mod 2
-
-    @given(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255))
-    @settings(max_examples=100)
-    def test_bilinear(self, a, b, c):
-        assert dot(a ^ b, c) == dot(a, c) ^ dot(b, c)
-
-
-class TestBitsOf:
-    def test_lsb_first(self):
-        assert bits_of(0b0110, 4) == [0, 1, 1, 0]
-
-    def test_width_check(self):
-        with pytest.raises(ValueError):
-            bits_of(16, 4)
-
-    @given(st.integers(0, 255))
-    @settings(max_examples=50)
-    def test_round_trip(self, x):
-        bits = bits_of(x, 8)
-        assert sum(b << i for i, b in enumerate(bits)) == x
 
 
 class TestPowersOfTwo:
@@ -87,18 +39,11 @@ class TestBitScans:
         assert list(iter_set_bits(0b10110)) == [1, 2, 4]
         assert list(iter_set_bits(0)) == []
 
-    def test_lowest_highest(self):
-        assert lowest_set_bit(0b1100) == 2
-        assert highest_set_bit(0b1100) == 3
-        assert lowest_set_bit(0) == -1
-        assert highest_set_bit(0) == -1
-
     @given(st.integers(1, 2 ** 32))
     @settings(max_examples=50)
     def test_scan_consistency(self, x):
         bits = list(iter_set_bits(x))
-        assert bits[0] == lowest_set_bit(x)
-        assert bits[-1] == highest_set_bit(x)
+        assert sum(1 << b for b in bits) == x
         assert len(bits) == popcount(x)
 
 

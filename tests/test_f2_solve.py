@@ -1,217 +1,142 @@
-"""Unit and property tests for F2 solving (repro.f2.solve)."""
+"""Unit and property tests for F2 elimination (repro.f2.solve).
 
+Matrices are column lists.  The oracles are brute force: ranks come
+from counting the distinct entries of the span table, pivots from
+where the rank of a column prefix grows.  No matrix class is involved.
+"""
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.f2 import (
-    F2Matrix,
-    InconsistentSystemError,
-    image_basis,
-    inverse,
-    is_injective,
-    is_surjective,
-    kernel_basis,
-    min_weight_solution,
-    pivot_columns,
-    rank,
-    right_inverse,
-    row_echelon,
-    solve,
-    solve_matrix,
-)
+from repro.f2 import InconsistentSystemError, XorBasis, kernel_basis, rank
+from repro.f2.bitvec import iter_set_bits, span_table
 
 
-def random_matrix(draw, max_dim=6):
-    rows = draw(st.integers(1, max_dim))
-    cols = draw(st.integers(1, max_dim))
-    columns = draw(
-        st.lists(
-            st.integers(0, (1 << rows) - 1), min_size=cols, max_size=cols
-        )
-    )
-    return F2Matrix(rows, columns)
+@st.composite
+def matrices(draw, max_rows=10, max_cols=12):
+    """``(rows, columns)`` with zero and repeated columns mixed in."""
+    rows = draw(st.integers(1, max_rows))
+    columns = []
+    for _ in range(draw(st.integers(0, max_cols))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "zero", "repeat"]))
+        if kind == "zero":
+            columns.append(0)
+        elif kind == "repeat" and columns:
+            columns.append(draw(st.sampled_from(columns)))
+        else:
+            columns.append(draw(st.integers(0, (1 << rows) - 1)))
+    return rows, columns
 
 
-matrices = st.builds(
-    lambda rows, cols_seed: F2Matrix(
-        rows, [c % (1 << rows) for c in cols_seed]
-    ),
-    st.integers(1, 6),
-    st.lists(st.integers(0, 255), min_size=1, max_size=6),
-)
+def matvec(columns, x):
+    out = 0
+    for j in iter_set_bits(x):
+        out ^= columns[j]
+    return out
 
 
-class TestRowEchelon:
-    def test_identity_unchanged(self):
-        m = F2Matrix.identity(4)
-        reduced, pivots, transform = row_echelon(m)
-        assert reduced == m
-        assert pivots == [0, 1, 2, 3]
-        assert transform.is_identity()
+def brute_rank(columns):
+    return len(np.unique(span_table(columns))).bit_length() - 1
 
-    @given(matrices)
-    @settings(max_examples=150)
-    def test_transform_reproduces_reduction(self, m):
-        reduced, pivots, transform = row_echelon(m)
-        assert transform @ m == reduced
-        assert len(pivots) == rank(m)
 
-    @given(matrices)
-    @settings(max_examples=100)
-    def test_pivot_columns_are_unit_in_reduced(self, m):
-        reduced, pivots, _ = row_echelon(m)
-        for row_idx, col in enumerate(pivots):
-            assert reduced.column(col) == (1 << row_idx)
+def brute_pivots(columns):
+    """Column ``j`` is a pivot iff it raises the rank of ``0..j``."""
+    return {
+        j for j in range(len(columns))
+        if brute_rank(columns[: j + 1]) > brute_rank(columns[:j])
+    }
+
+
+def transpose(rows, columns):
+    return [
+        sum(((c >> i) & 1) << j for j, c in enumerate(columns))
+        for i in range(rows)
+    ]
 
 
 class TestRank:
     def test_zero_matrix(self):
-        assert rank(F2Matrix.zeros(3, 3)) == 0
+        assert rank([0, 0, 0]) == 0
 
     def test_full_rank(self):
-        assert rank(F2Matrix.identity(5)) == 5
+        assert rank([1 << i for i in range(5)]) == 5
 
-    @given(matrices)
+    @given(matrices())
+    @settings(max_examples=150)
+    def test_rank_is_log2_of_span_size(self, m):
+        _, columns = m
+        assert rank(columns) == brute_rank(columns)
+
+    @given(matrices())
     @settings(max_examples=100)
     def test_rank_bounded(self, m):
-        r = rank(m)
-        assert 0 <= r <= min(m.rows, m.cols)
+        rows, columns = m
+        assert 0 <= rank(columns) <= min(rows, len(columns))
 
-    @given(matrices)
+    @given(matrices())
     @settings(max_examples=100)
     def test_rank_transpose_invariant(self, m):
-        assert rank(m) == rank(m.transpose())
+        rows, columns = m
+        assert rank(columns) == rank(transpose(rows, columns))
 
 
 class TestKernel:
-    @given(matrices)
+    @given(matrices())
     @settings(max_examples=150)
     def test_kernel_vectors_annihilate(self, m):
-        for v in kernel_basis(m):
-            assert m.matvec(v) == 0
+        _, columns = m
+        kernel = kernel_basis(columns)
+        for v in kernel:
             assert v != 0
+            assert matvec(columns, v) == 0
+        assert brute_rank(kernel) == len(kernel)
 
-    @given(matrices)
+    @given(matrices())
     @settings(max_examples=100)
     def test_rank_nullity(self, m):
-        assert rank(m) + len(kernel_basis(m)) == m.cols
+        _, columns = m
+        assert rank(columns) + len(kernel_basis(columns)) == len(columns)
 
-    def test_image_basis_spans_columns(self):
-        m = F2Matrix(3, [0b001, 0b001, 0b010])
-        basis = image_basis(m)
-        assert len(basis) == 2
+    def test_repeated_column(self):
+        assert kernel_basis([0b01, 0b01, 0b10]) == [0b011]
 
 
 class TestSolve:
     def test_simple_system(self):
-        m = F2Matrix.from_rows([[1, 1], [0, 1]])
-        x = solve(m, 0b11)
-        assert m.matvec(x) == 0b11
+        columns = [0b01, 0b11]
+        x = XorBasis(columns).solve(0b10)
+        assert matvec(columns, x) == 0b10
 
     def test_inconsistent_raises(self):
-        m = F2Matrix(2, [0b01])  # image is span{e0}
         with pytest.raises(InconsistentSystemError):
-            solve(m, 0b10)
+            XorBasis([0b01]).solve(0b10)  # image is span{e0}
 
-    @given(matrices, st.integers(0, 255))
+    @given(matrices(), st.integers(0, 2 ** 12 - 1))
     @settings(max_examples=150)
     def test_solution_validity(self, m, seed):
-        b = m.matvec(seed % (1 << m.cols))  # guaranteed consistent
-        x = solve(m, b)
-        assert m.matvec(x) == b
+        _, columns = m
+        b = matvec(columns, seed % (1 << len(columns)))
+        x = XorBasis(columns).solve(b)
+        assert matvec(columns, x) == b
+        assert set(iter_set_bits(x)) <= brute_pivots(columns)
 
-    @given(matrices, st.integers(0, 255))
-    @settings(max_examples=100)
-    def test_min_weight_no_worse_than_default(self, m, seed):
-        b = m.matvec(seed % (1 << m.cols))
-        x0 = solve(m, b)
-        xm = min_weight_solution(m, b)
-        assert xm is not None
-        assert m.matvec(xm) == b
-        assert bin(xm).count("1") <= bin(x0).count("1")
-
-    def test_min_weight_inconsistent_returns_none(self):
-        m = F2Matrix(2, [0b01])
-        assert min_weight_solution(m, 0b10) is None
-
-    def test_solve_matrix(self):
-        m = F2Matrix.from_rows([[1, 0, 1], [0, 1, 1]])
-        rhs = F2Matrix.identity(2)
-        x = solve_matrix(m, rhs)
-        assert m @ x == rhs
-
-
-class TestInverse:
-    def test_identity(self):
-        assert inverse(F2Matrix.identity(3)).is_identity()
-
-    def test_swizzle_like_matrix(self):
-        # Upper triangular with ones: its own inverse pattern exists.
-        m = F2Matrix.from_rows([[1, 1], [0, 1]])
-        inv = inverse(m)
-        assert (m @ inv).is_identity()
-        assert (inv @ m).is_identity()
-
-    def test_singular_raises(self):
-        with pytest.raises((InconsistentSystemError, ValueError)):
-            inverse(F2Matrix(2, [0b01, 0b01]))
-
-    def test_non_square_raises(self):
-        with pytest.raises(ValueError):
-            inverse(F2Matrix.zeros(2, 3))
-
-    @given(st.integers(1, 6), st.randoms())
-    @settings(max_examples=50)
-    def test_random_invertible(self, n, rng):
-        # Build a random invertible matrix as a product of elementary
-        # operations applied to the identity.
-        cols = [1 << i for i in range(n)]
-        for _ in range(3 * n):
-            i = rng.randrange(n)
-            j = rng.randrange(n)
-            if i != j:
-                cols[i] ^= cols[j]
-        m = F2Matrix(n, cols)
-        inv = inverse(m)
-        assert (m @ inv).is_identity()
-        assert (inv @ m).is_identity()
-
-
-class TestRightInverse:
-    def test_wide_surjective(self):
-        m = F2Matrix.from_rows([[1, 0, 1], [0, 1, 1]])
-        rinv = right_inverse(m)
-        assert (m @ rinv).is_identity()
-
-    def test_not_surjective_raises(self):
-        m = F2Matrix(2, [0b01, 0b01])
+    @given(matrices(), st.integers(0, 2 ** 10 - 1))
+    @settings(max_examples=150)
+    def test_outside_the_span_raises(self, m, b):
+        rows, columns = m
+        b %= 1 << rows
+        if b in set(span_table(columns).tolist()):
+            return
         with pytest.raises(InconsistentSystemError):
-            right_inverse(m)
+            XorBasis(columns).solve(b)
 
-    @given(matrices)
+    @given(matrices(), st.data())
     @settings(max_examples=100)
-    def test_right_inverse_when_surjective(self, m):
-        if is_surjective(m):
-            rinv = right_inverse(m)
-            assert (m @ rinv).is_identity()
-
-
-class TestPredicates:
-    def test_surjective_injective(self):
-        tall = F2Matrix.from_rows([[1, 0], [0, 1], [1, 1]])
-        assert is_injective(tall)
-        assert not is_surjective(tall)
-        wide = tall.transpose()
-        assert is_surjective(wide)
-        assert not is_injective(wide)
-
-    def test_pivot_columns_independent(self):
-        m = F2Matrix(3, [0b001, 0b001, 0b011, 0b100])
-        cols = pivot_columns(m)
-        assert cols == [0, 2, 3]
-        assert rank(m.select_columns(cols)) == len(cols)
-
-    @given(matrices)
-    @settings(max_examples=100)
-    def test_pivot_columns_match_rank(self, m):
-        assert len(pivot_columns(m)) == rank(m)
+    def test_labels_relabel_the_solution(self, m, data):
+        _, columns = m
+        labels = data.draw(st.permutations(range(len(columns))))
+        b = matvec(columns, data.draw(st.integers(0, (1 << len(columns)) - 1)))
+        plain = XorBasis(columns).solve(b)
+        relabeled = XorBasis(columns, [1 << p for p in labels]).solve(b)
+        assert relabeled == sum(1 << labels[j] for j in iter_set_bits(plain))

@@ -3,16 +3,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.f2 import (
-    Subspace,
-    complement_basis,
-    extend_to_basis,
-    intersect,
-    is_independent,
-    reduce_to_basis,
-)
+from repro.f2 import Subspace, reduce_to_basis
+from repro.f2.bitvec import span_table
 
 vectors = st.lists(st.integers(0, 255), min_size=0, max_size=6)
+
+
+def contains(subspace, v, dim=8):
+    return Subspace(dim, list(subspace.basis) + [v]).rank == subspace.rank
 
 
 class TestReduceToBasis:
@@ -29,7 +27,8 @@ class TestReduceToBasis:
     @given(vectors)
     @settings(max_examples=100)
     def test_result_independent(self, vs):
-        assert is_independent(reduce_to_basis(vs))
+        basis = reduce_to_basis(vs)
+        assert len(reduce_to_basis(basis)) == len(basis)
 
     @given(vectors)
     @settings(max_examples=100)
@@ -41,45 +40,24 @@ class TestReduceToBasis:
 
 
 class TestSubspace:
-    def test_contains(self):
-        s = Subspace(4, [0b0011, 0b0101])
-        assert s.contains(0b0110)
-        assert s.contains(0)
-        assert not s.contains(0b1000)
-
-    def test_enumerate(self):
-        s = Subspace(3, [0b011, 0b101])
-        elems = sorted(s.enumerate())
-        assert elems == [0b000, 0b011, 0b101, 0b110]
-
-    def test_enumerate_too_large(self):
-        s = Subspace.full(24)
-        with pytest.raises(ValueError):
-            s.enumerate()
-
-    def test_full_and_trivial(self):
-        assert Subspace.full(5).rank == 5
-        assert Subspace.trivial(5).rank == 0
-        assert len(Subspace.full(3)) == 8
+    def test_rank(self):
+        assert Subspace(5, [1 << i for i in range(5)]).rank == 5
+        assert Subspace(5).rank == 0
+        assert Subspace(4, [0b0011, 0b0101, 0b0110]).rank == 2
 
     def test_vector_out_of_ambient(self):
         with pytest.raises(ValueError):
             Subspace(2, [4])
 
-    def test_ambient_mismatch(self):
-        with pytest.raises(ValueError):
-            Subspace(2, [1]).sum(Subspace(3, [1]))
-
-    def test_sum(self):
-        a = Subspace(4, [0b0001])
-        b = Subspace(4, [0b0010])
-        assert a.sum(b).rank == 2
-
     def test_paper_figure4_span(self):
         """The span(G) computation from Figure 4's worked example."""
-        g = Subspace(3, [0b110, 0b011])
-        elems = sorted(g.enumerate())
+        elems = sorted(span_table([0b110, 0b011]).tolist())
         assert elems == [0b000, 0b011, 0b101, 0b110]
+        assert Subspace(3, [0b110, 0b011]).rank == 2
+
+    def test_ambient_mismatch(self):
+        with pytest.raises(ValueError):
+            Subspace(2, [1]).intersect(Subspace(3, [1]))
 
 
 class TestIntersection:
@@ -93,39 +71,31 @@ class TestIntersection:
         a = Subspace(4, [0b0001, 0b0010])
         b = Subspace(4, [0b0010, 0b0100])
         inter = a.intersect(b)
-        assert inter.rank == 1
-        assert inter.contains(0b0010)
+        assert inter.basis == (0b0010,)
 
     def test_nontrivial_combination(self):
         # span{0011, 0100} and span{0111, 1000} share 0111 = 0011^0100.
         a = Subspace(4, [0b0011, 0b0100])
         b = Subspace(4, [0b0111, 0b1000])
         inter = a.intersect(b)
-        assert inter.rank == 1
-        assert inter.contains(0b0111)
+        assert inter.basis == (0b0111,)
 
     @given(vectors, vectors)
     @settings(max_examples=100)
     def test_intersection_contained_in_both(self, va, vb):
         a = Subspace(8, va)
         b = Subspace(8, vb)
-        inter = a.intersect(b)
-        for v in inter.basis:
-            assert a.contains(v)
-            assert b.contains(v)
+        for v in a.intersect(b).basis:
+            assert contains(a, v)
+            assert contains(b, v)
 
     @given(vectors, vectors)
     @settings(max_examples=100)
     def test_dimension_formula(self, va, vb):
         a = Subspace(8, va)
         b = Subspace(8, vb)
-        assert (
-            a.sum(b).rank + a.intersect(b).rank == a.rank + b.rank
-        )
-
-    def test_intersect_helper(self):
-        basis = intersect(4, [0b0001, 0b0010], [0b0010, 0b1000])
-        assert basis == [0b0010]
+        total = Subspace(8, va + vb)
+        assert total.rank + a.intersect(b).rank == a.rank + b.rank
 
 
 class TestComplementExtend:
@@ -134,27 +104,9 @@ class TestComplementExtend:
     def test_complement_properties(self, vs):
         s = Subspace(8, vs)
         c = s.complement()
-        assert s.sum(c).rank == 8
+        assert Subspace(8, list(s.basis) + list(c.basis)).rank == 8
         assert s.intersect(c).rank == 0
 
-    def test_extend_to_basis(self):
-        added = extend_to_basis(3, [0b011])
-        assert is_independent([0b011] + added)
-        assert len(added) == 2
-
-    def test_extend_rejects_dependent_partial(self):
-        with pytest.raises(ValueError):
-            extend_to_basis(3, [0b011, 0b011])
-
-    def test_extend_with_candidates(self):
-        added = extend_to_basis(2, [0b01], candidates=[0b01, 0b11])
-        assert added == [0b11]
-
-    def test_extend_candidates_insufficient(self):
-        with pytest.raises(ValueError):
-            extend_to_basis(3, [0b001], candidates=[0b001])
-
-    def test_complement_basis_helper(self):
-        comp = complement_basis(4, [0b0011, 0b0101])
-        assert len(comp) == 2
-        assert is_independent([0b0011, 0b0101] + comp)
+    def test_complement_uses_unit_vectors(self):
+        comp = Subspace(4, [0b0011, 0b0101]).complement()
+        assert comp.basis == (0b0001, 0b1000)
