@@ -28,6 +28,7 @@ from repro.layouts import (
     MmaOperandLayout,
     NvidiaMmaLayout,
 )
+from repro.program.ir import Opcode
 
 
 def _cycles(src, dst, bits, **kwargs) -> float:
@@ -79,8 +80,6 @@ def ablate_broadcast_dedupe() -> List[List]:
     A source whose warps replicate the data 4x issues 4x the stores
     unless the zero-column analysis skips the replicas (Section 5.1).
     """
-    from repro.codegen.plan import SharedStore
-
     src = BlockedLayout((2, 8), (8, 4), (1, 1), (1, 0)).to_linear(
         (16, 32)
     )
@@ -91,11 +90,12 @@ def ablate_broadcast_dedupe() -> List[List]:
         plan = plan_conversion(
             src, dst, 16, spec=GH200, dedupe_broadcast=dedupe
         )
-        total = 0
-        for step in plan.steps:
-            if isinstance(step, SharedStore):
-                total = sum(len(a) for a in step.accesses.to_tuples())
-        return total
+        return sum(
+            len(a)
+            for instr in plan.program
+            if instr.opcode == Opcode.STS
+            for a in instr.accesses.to_tuples()
+        )
 
     full = store_count(True)
     no_dedupe = store_count(False)

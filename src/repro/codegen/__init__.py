@@ -3,8 +3,8 @@
 Given source/destination distributed layouts and a platform spec,
 these modules decide *how* to move data — no-op, register permutation,
 warp shuffles, or shared memory with an optimal swizzle — and emit an
-executable :class:`~repro.codegen.plan.ConversionPlan` plus the
-instruction stream the cost model prices.
+executable :class:`~repro.codegen.plan.ConversionPlan` whose warp
+program the simulator executes and the cost model prices.
 """
 
 from repro.codegen.bank_conflicts import (
@@ -25,14 +25,7 @@ from repro.codegen.division import (
     permute_registers_for_tile,
 )
 from repro.codegen.gather import GatherPlan, plan_gather
-from repro.codegen.plan import (
-    Barrier,
-    ConversionPlan,
-    RegisterPermute,
-    SharedLoad,
-    SharedStore,
-    ShuffleRound,
-)
+from repro.codegen.plan import ConversionPlan
 from repro.codegen.shuffles import ShufflePlanError, plan_warp_shuffle
 from repro.codegen.swizzle import optimal_swizzled_layout
 from repro.codegen.vectorize import (
@@ -42,16 +35,11 @@ from repro.codegen.vectorize import (
 from repro.codegen.views import DistributedView
 
 __all__ = [
-    "Barrier",
     "ConversionKind",
     "ConversionPlan",
     "DistributedView",
     "GatherPlan",
-    "RegisterPermute",
-    "SharedLoad",
-    "SharedStore",
     "ShufflePlanError",
-    "ShuffleRound",
     "access_wavefronts",
     "classify_conversion",
     "conversion_wavefronts",

@@ -25,15 +25,13 @@ from repro.core.dims import LANE, REGISTER, WARP
 from repro.core.errors import LayoutError
 from repro.core.layout import LinearLayout
 from repro.codegen.access import SharedAccesses
-from repro.codegen.plan import (
-    Barrier,
-    ConversionPlan,
-    RegisterPermute,
-    SharedLoad,
-    SharedStore,
-)
+from repro.codegen.plan import ConversionPlan
 from repro.codegen.shuffles import ShufflePlanError, plan_warp_shuffle
-from repro.codegen.swizzle import SwizzlePlan, optimal_swizzled_layout
+from repro.codegen.swizzle import (
+    SwizzlePlan,
+    offset_bit_budget,
+    optimal_swizzled_layout,
+)
 from repro.codegen.views import DistributedView, owner_table, slot_table
 from repro.hardware.spec import GpuSpec, RTX4090
 
@@ -70,16 +68,20 @@ def classify_conversion(
     return ConversionKind.SHARED
 
 
-def _register_permutation(
-    src: LinearLayout, dst: LinearLayout
-) -> RegisterPermute:
-    """The table ``dst_reg <- src_reg``, uniform across lanes/warps.
+def _register_permutation(src: LinearLayout, dst: LinearLayout):
+    """The move ``out[r] <- in[dst_to_src[r]]``, uniform across lanes/warps.
 
     Lane 0 of warp 0's slot table row gives each destination
     register's position; the source owner table gives its register.
     """
+    from repro.program.ir import MovR
+
     flats = slot_table(dst)[0, 0]
-    return RegisterPermute(tuple(owner_table(src)[flats, 0].tolist()))
+    return MovR(
+        dst_to_src=tuple(owner_table(src)[flats, 0].tolist()),
+        lanes=dst.in_dim_size(LANE),
+        warps=dst.in_dim_size(WARP),
+    )
 
 
 def _group_contiguous(
@@ -307,7 +309,7 @@ def plan_conversion(
     Plans are memoized in :data:`repro.cache.plans` keyed on the
     canonical layout keys, the hardware spec, and every planner
     option; callers must treat the returned plan as immutable (its
-    steps already are).  ``repro.cache.clear()`` invalidates;
+    instructions already are).  ``repro.cache.clear()`` invalidates;
     ``REPRO_CACHE=0`` bypasses.
     """
     key = (
@@ -351,6 +353,9 @@ def _plan_conversion_uncached(
     memory_layout: Optional[LinearLayout],
 ) -> ConversionPlan:
     from repro.layouts.cta import same_block_component, strip_block
+    # Deferred, like every repro.program import in codegen: the
+    # program package imports gpusim, which imports this module.
+    from repro.program.ir import R_IN, WarpProgram
 
     if not same_block_component(src, dst):
         raise LayoutError(
@@ -363,22 +368,21 @@ def _plan_conversion_uncached(
     dst = strip_block(dst)
     kind = classify_conversion(src, dst)
     if kind == ConversionKind.NOOP:
-        return ConversionPlan(kind="noop", src=src, dst=dst)
-    if kind == ConversionKind.REGISTER:
         return ConversionPlan(
-            kind="register",
-            src=src,
-            dst=dst,
-            steps=[_register_permutation(src, dst)],
+            "noop", src, dst, WarpProgram((), result=R_IN, label="noop")
         )
+    if kind == ConversionKind.REGISTER:
+        program = WarpProgram(
+            (_register_permutation(src, dst),), label="register"
+        )
+        return ConversionPlan("register", src, dst, program)
     if kind == ConversionKind.SHUFFLE and allow_shuffle:
         try:
             rounds = plan_warp_shuffle(
                 src, dst, elem_bits, shuffle_bits=spec.shuffle_bytes * 8
             )
-            return ConversionPlan(
-                kind="shuffle", src=src, dst=dst, steps=list(rounds)
-            )
+            program = WarpProgram(tuple(rounds), label="shuffle")
+            return ConversionPlan("shuffle", src, dst, program)
         except ShufflePlanError as exc:
             note = f"shuffle fallback: {exc}"
         else:  # pragma: no cover
@@ -397,9 +401,9 @@ def _plan_conversion_uncached(
 
     if memory_layout is not None:
         fixed = _plan_from_memory_layout(
-            memory_layout, src, dst, elem_bits
+            memory_layout, src, dst, elem_bits, spec
         )
-        steps, extra_notes = _shared_steps_for_swizzle(
+        program, extra_notes = _swizzled_program(
             fixed, src, dst, elem_bits, spec,
             num_warps, dedupe_broadcast,
         )
@@ -407,7 +411,7 @@ def _plan_conversion_uncached(
             kind="shared",
             src=src,
             dst=dst,
-            steps=steps,
+            program=program,
             shared_bytes=(1 << d) * elem_bytes,
             notes=notes + ["fixed staging layout"] + extra_notes,
         )
@@ -428,7 +432,7 @@ def _plan_conversion_uncached(
         )
         plans = []
         for swplan in candidates:
-            steps, extra_notes = _shared_steps_for_swizzle(
+            program, extra_notes = _swizzled_program(
                 swplan, src, dst, elem_bits, spec,
                 num_warps, dedupe_broadcast,
             )
@@ -436,7 +440,7 @@ def _plan_conversion_uncached(
                 kind="shared",
                 src=src,
                 dst=dst,
-                steps=steps,
+                program=program,
                 shared_bytes=(1 << d) * elem_bytes,
                 notes=notes + extra_notes,
             ))
@@ -482,18 +486,33 @@ def _plan_conversion_uncached(
         dst, offsets, num_warps, spec.warp_size,
         max_vec, dedupe_broadcast=False, sort_by_offset=True,
     )
-    steps = [
-        SharedStore(accesses=stores, elem_bytes=elem_bytes),
-        Barrier(),
-        SharedLoad(accesses=loads, elem_bytes=elem_bytes),
-    ]
     return ConversionPlan(
         kind="shared",
         src=src,
         dst=dst,
-        steps=steps,
+        program=_shared_program(stores, loads, elem_bytes),
         shared_bytes=shared_bytes,
         notes=notes,
+    )
+
+
+def _shared_program(
+    stores: SharedAccesses,
+    loads: SharedAccesses,
+    elem_bytes: int,
+    use_stmatrix: bool = False,
+    use_ldmatrix: bool = False,
+):
+    """Stage through shared memory: store ``in``, barrier, load ``out``."""
+    from repro.program.ir import Bar, Lds, Sts, WarpProgram
+
+    return WarpProgram(
+        (
+            Sts(stores, elem_bytes, use_stmatrix=use_stmatrix),
+            Bar(),
+            Lds(loads, elem_bytes, use_ldmatrix=use_ldmatrix),
+        ),
+        label="shared",
     )
 
 
@@ -502,15 +521,16 @@ def _plan_from_memory_layout(
     src: LinearLayout,
     dst: LinearLayout,
     elem_bits: int,
-):
+    spec: GpuSpec,
+) -> SwizzlePlan:
     """Wrap a pinned staging layout as a SwizzlePlan.
 
     The Vec subspace is whatever prefix of the layout's low offset
-    bits both register files can vectorize over; segments are the high
-    bits (for the conflict lemma's bookkeeping).
+    bits both register files can vectorize over; the bits above it
+    split into sub-word, bank and segment bits as in
+    :func:`~repro.codegen.swizzle.optimal_swizzled_layout` (for the
+    conflict lemma's bookkeeping).
     """
-    from repro.codegen.swizzle import SwizzlePlan
-
     flat_bases = [
         memory_layout.basis_image_flat("offset", i)
         for i in range(memory_layout.in_dim_size_log2("offset"))
@@ -526,14 +546,18 @@ def _plan_from_memory_layout(
         else:
             break
     v = len(vec)
-    elem_bytes = max(1, elem_bits // 8)
-    b_bits = max(0, 7 - (max(4, (1 << v) * elem_bytes) - 1).bit_length() + 1)
-    b_bits = min(b_bits, len(flat_bases) - v)
+    n_sub, b_bits, _ = offset_bit_budget(
+        (1 << v) * max(1, elem_bits // 8),
+        len(flat_bases) - v,
+        spec.bank_row_bytes,
+    )
+    bank = v + n_sub
     return SwizzlePlan(
         memory_layout=memory_layout,
         vec_basis=tuple(vec),
-        bank_basis=tuple(flat_bases[v: v + b_bits]),
-        seg_basis=tuple(flat_bases[v + b_bits:]),
+        subword_basis=tuple(flat_bases[v:bank]),
+        bank_basis=tuple(flat_bases[bank: bank + b_bits]),
+        seg_basis=tuple(flat_bases[bank + b_bits:]),
         elem_bits=elem_bits,
         conflict_free=False,
     )
@@ -546,7 +570,7 @@ def _plan_cost(plan: ConversionPlan, spec: GpuSpec) -> float:
     return price_plan(plan, spec).cycles()
 
 
-def _shared_steps_for_swizzle(
+def _swizzled_program(
     swplan,
     src: LinearLayout,
     dst: LinearLayout,
@@ -555,7 +579,7 @@ def _shared_steps_for_swizzle(
     num_warps: int,
     dedupe_broadcast: bool,
 ):
-    """Build store/barrier/load steps for one candidate staging layout."""
+    """The store/barrier/load program for one candidate staging layout."""
     from repro.codegen.division import ldmatrix_applicable
     from repro.hardware.instructions import ldmatrix_tile
 
@@ -590,20 +614,10 @@ def _shared_steps_for_swizzle(
             f"matrix insts: ldmatrix={use_ldmatrix}, "
             f"stmatrix={use_stmatrix}"
         )
-    steps = [
-        SharedStore(
-            accesses=stores,
-            elem_bytes=elem_bytes,
-            use_stmatrix=use_stmatrix,
-        ),
-        Barrier(),
-        SharedLoad(
-            accesses=loads,
-            elem_bytes=elem_bytes,
-            use_ldmatrix=use_ldmatrix,
-        ),
-    ]
-    return steps, extra_notes
+    program = _shared_program(
+        stores, loads, elem_bytes, use_stmatrix, use_ldmatrix
+    )
+    return program, extra_notes
 
 
 def _try_matrix_staging(
@@ -622,7 +636,7 @@ def _try_matrix_staging(
     falls back to the unconstrained swizzle.
     """
     from repro.codegen.division import ldmatrix_applicable
-    from repro.codegen.swizzle import SwizzlePlan, memory_layout_from_bases
+    from repro.codegen.swizzle import memory_layout_from_bases
     from repro.f2.subspace import Subspace
     from repro.hardware.instructions import ldmatrix_tile
 
@@ -651,13 +665,14 @@ def _try_matrix_staging(
         x for x in src.basis_images_flat(LANE) if x
     )
     rest.sort(key=lambda p: (p in a_thr, p))
-    vec_bytes = (1 << k) * elem_bytes
-    b_bits = max(0, 7 - (vec_bytes - 1).bit_length())  # log2(128/vec_bytes)
+    _, b_bits, _ = offset_bit_budget(
+        (1 << k) * elem_bytes, d - k, spec.bank_row_bytes
+    )
     offset_bases = head + rest
     layout = memory_layout_from_bases(offset_bases, dst.out_dim_sizes())
     if not layout.is_invertible():
         return None
-    seg_basis = tuple(offset_bases[k + b_bits:]) if k + b_bits <= d else ()
+    seg_basis = tuple(offset_bases[k + b_bits:])
     plan = SwizzlePlan(
         memory_layout=layout,
         vec_basis=tuple(offset_bases[:k]),

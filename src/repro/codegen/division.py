@@ -16,7 +16,6 @@ from repro import cache as _cache
 from repro.core.dims import REGISTER
 from repro.core.layout import LinearLayout
 from repro.core.ops import divide_left
-from repro.codegen.plan import RegisterPermute
 
 
 def register_offset_map(
@@ -40,19 +39,18 @@ def match_instruction_tile(
 
 def permute_registers_for_tile(
     reg_off: LinearLayout, tile: LinearLayout
-) -> Optional[Tuple[LinearLayout, RegisterPermute]]:
+) -> Optional[Tuple[LinearLayout, Tuple[int, ...]]]:
     """Generalized vectorization (Section 5.3).
 
     Search for a register permutation ``P`` such that the permuted map
     is left-divisible by ``tile``; returns the permuted map and the
-    permutation step, or ``None``.  The search is greedy: for each low
-    register bit the tile requires, find a register basis with exactly
-    the required image; the remaining registers keep their relative
-    order.
+    permutation's ``dst_to_src`` register table, or ``None``.  The
+    search is greedy: for each low register bit the tile requires,
+    find a register basis with exactly the required image; the
+    remaining registers keep their relative order.
     """
     if match_instruction_tile(reg_off, tile):
-        identity = tuple(range(reg_off.in_dim_size(REGISTER)))
-        return reg_off, RegisterPermute(identity)
+        return reg_off, tuple(range(reg_off.in_dim_size(REGISTER)))
     if not tile.has_in_dim(REGISTER):
         return None
     k = tile.in_dim_size_log2(REGISTER)
@@ -90,7 +88,6 @@ def permute_registers_for_tile(
     # Bit reordering corresponds to the register permutation
     # new_reg = permute(old_reg) where each old bit i moves to the new
     # position holding it.
-    pos_of_old = {old: new for new, old in enumerate(new_order)}
     size = 1 << n
     dst_to_src = []
     for new_reg in range(size):
@@ -99,8 +96,7 @@ def permute_registers_for_tile(
             if (new_reg >> new_bit) & 1:
                 old_reg |= 1 << new_order[new_bit]
         dst_to_src.append(old_reg)
-    del pos_of_old
-    return permuted, RegisterPermute(tuple(dst_to_src))
+    return permuted, tuple(dst_to_src)
 
 
 def ldmatrix_applicable(

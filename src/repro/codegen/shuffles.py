@@ -7,7 +7,8 @@ source lane and every destination lane exactly once), extend to a
 basis with ``R``, and emit one shuffle round per coset representative
 ``R(i)`` — exactly the Figure 4 procedure.  Every round is built at
 once, by gathering the coset positions through the layouts' owner
-tables (:func:`repro.codegen.views.owner_table`).
+tables (:func:`repro.codegen.views.owner_table`), and emitted as
+warp-program instructions (:mod:`repro.program.ir`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 from repro import cache as _cache
 from repro.core.dims import LANE, REGISTER, WARP
 from repro.core.layout import LinearLayout
-from repro.codegen.plan import RegisterPermute, ShuffleRound
 from repro.codegen.views import DistributedView, owner_table
 from repro.f2.bitvec import span_table
 from repro.f2.solve import XorBasis
@@ -94,13 +94,14 @@ def plan_warp_shuffle(
 ) -> List[object]:
     """Build the shuffle plan converting ``src`` to ``dst``.
 
-    Returns a list of :class:`ShuffleRound` steps, optionally followed
-    by a :class:`RegisterPermute` that fans received values out to the
-    destination's broadcast register replicas.  Raises
+    Returns a list of :class:`~repro.program.ir.Shfl` rounds reading
+    ``in`` and writing ``out``, optionally followed by one ``out -> out``
+    :class:`~repro.program.ir.MovR` that fans received values out to
+    the destination's broadcast register replicas.  Raises
     :class:`ShufflePlanError` when the preconditions of Section 5.4 do
     not hold; the caller then falls back to the shared memory path.
 
-    Both outcomes — the step list and the planner rejection — are
+    Both outcomes — the instructions and the planner rejection — are
     memoized on the canonical layout keys, so a hot conversion pays
     the coset enumeration once.
     """
@@ -143,6 +144,8 @@ def _plan_warp_shuffle(
     the registers come out already mapped from the deduplicated
     quotient back to real indices.
     """
+    from repro.program.ir import MovR, R_OUT, Shfl
+
     src = DistributedView(src_layout)
     dst = DistributedView(dst_layout)
     pre_ok, why = shuffle_preconditions(src, dst)
@@ -214,12 +217,14 @@ def _plan_warp_shuffle(
     src_lane[rows, d_lane] = s_lane
     send_regs[rows, s_lane] = src_owner[pos, 0]
     recv_regs[rows, d_lane] = dst_owner[pos, 0]
-    steps: List[object] = [
-        ShuffleRound(
+    warps = src_layout.in_dim_size(WARP)
+    instrs: List[object] = [
+        Shfl(
             src_lane=tuple(lanes),
             send_regs=tuple(map(tuple, send)),
             recv_regs=tuple(map(tuple, recv)),
-            insts_per_round=insts,
+            warps=warps,
+            insts=insts,
         )
         for lanes, send, recv in zip(
             src_lane.tolist(), send_regs.tolist(), recv_regs.tolist()
@@ -232,5 +237,13 @@ def _plan_warp_shuffle(
     if free_mask:
         # Fan the canonical values out to every broadcast replica.
         table = tuple(r & ~free_mask for r in range(1 << n_dst_bits))
-        steps.append(RegisterPermute(table))
-    return steps
+        instrs.append(
+            MovR(
+                dst_to_src=table,
+                lanes=dst_layout.in_dim_size(LANE),
+                warps=dst_layout.in_dim_size(WARP),
+                src=R_OUT,
+                dst=R_OUT,
+            )
+        )
+    return instrs

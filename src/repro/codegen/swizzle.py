@@ -61,6 +61,30 @@ class SwizzlePlan:
         return self.vec_elems * self.elem_bits
 
 
+def offset_bit_budget(
+    vec_bytes: int, free_bits: int, bank_row_bytes: int
+) -> Tuple[int, int, int]:
+    """Split the offset bits above Vec into ``(sub-word, bank, seg)``.
+
+    Sub-word bits: when the vectorized element is narrower than a
+    4-byte bank word, the offset bits below word granularity do not
+    select a bank.  Bank bits: vectorized words needed to sweep one
+    bank row.  Segment bits take what is left of the ``free_bits``
+    offset bits above Vec; when too few remain, bank bits shrink.
+    """
+    n_sub = 0
+    while (vec_bytes << n_sub) < 4:
+        n_sub += 1
+    b_bits = max(
+        0, log2_int(bank_row_bytes) - log2_int(max(4, vec_bytes))
+    )
+    s_bits = free_bits - n_sub - b_bits
+    if s_bits < 0:
+        b_bits = max(0, free_bits - n_sub)
+        s_bits = 0
+    return n_sub, b_bits, s_bits
+
+
 def _flat_to_coords(
     flat: int, out_sizes: Dict[str, int]
 ) -> Tuple[int, ...]:
@@ -176,26 +200,14 @@ def _optimal_swizzled_layout(
         vec = list(shared_regs[:v_max])
     v = len(vec)
 
-    # Sub-word bits: when the vectorized element is narrower than a
-    # 4-byte bank word, the offset bits below word granularity do not
-    # select a bank.  Filling them with H-pairs lets threads of *both*
-    # layouts share words (free broadcast/merge) instead of
+    # Sub-word bits: filling them with H-pairs (below) lets threads
+    # of *both* layouts share words (free broadcast/merge) instead of
     # conflicting — the generalization of the algorithm to Lemma
     # 9.4's "not enough vectorization" case.
     vec_bytes = (1 << v) * elem_bytes
-    n_sub = 0
-    while (vec_bytes << n_sub) < 4:
-        n_sub += 1
-
-    # Bank bits: vectorized elements needed to sweep all banks.
-    b_bits = max(
-        0,
-        log2_int(bank_row_bytes) - log2_int(max(4, vec_bytes)),
+    n_sub, b_bits, s_bits = offset_bit_budget(
+        vec_bytes, d - v, bank_row_bytes
     )
-    s_bits = d - v - n_sub - b_bits
-    if s_bits < 0:
-        b_bits = max(0, d - v - n_sub)
-        s_bits = 0
 
     # 2. Thread bases relevant to bank selection.  Vectors beyond the
     # 128-byte transaction split do not influence conflicts.

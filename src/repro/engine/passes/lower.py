@@ -42,12 +42,10 @@ class LowerToPlans(Pass):
                     src.layout, op.output.layout, src.dtype
                 )
                 ctx.conversions.append(plan)
-                ctx.programs.append(plan.program())
+                ctx.programs.append(plan.program)
                 trace.instructions.extend(instructions)
                 diag.bump("conversions_lowered")
-                diag.bump(
-                    "program_instructions", len(plan.program())
-                )
+                diag.bump("program_instructions", len(plan.program))
                 if _obs.is_enabled():
                     _obs.count(
                         "engine.conversions", 1,

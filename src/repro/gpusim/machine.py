@@ -112,13 +112,13 @@ class Machine:
         )
 
     # ------------------------------------------------------------------
-    # Plan-level conveniences (lower, then interpret)
+    # Plan-level conveniences (interpret the plan's program)
     # ------------------------------------------------------------------
     def run_conversion(
         self, plan: ConversionPlan, src: RegisterFile
     ) -> Tuple[RegisterFile, Trace]:
         """Execute a conversion plan; returns (dst registers, trace)."""
-        program = plan.program()
+        program = plan.program
         if not program.instrs:
             return src.copy(), Trace(self.spec)
         files, trace = self.run_program(program, {R_IN: src})

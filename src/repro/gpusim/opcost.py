@@ -167,10 +167,10 @@ def price_program(program: WarpProgram, spec: GpuSpec) -> Trace:
 def price_plan(plan: ConversionPlan, spec: GpuSpec) -> Trace:
     """The instruction trace of a conversion plan, without data.
 
-    Lowers the plan to its warp program (cached on the plan) and
-    prices the stream — the one pricing path, shared with execution.
+    Prices the plan's warp program — the one pricing path, shared
+    with execution.
     """
-    return price_program(plan.program(), spec)
+    return price_program(plan.program, spec)
 
 
 class OpCostModel:
@@ -274,7 +274,7 @@ class OpCostModel:
 
         def make() -> Tuple[ConversionPlan, Tuple[Instruction, ...], float]:
             plan = self.plan(src, dst, dtype)
-            priced = price_program(plan.program(), self.spec)
+            priced = price_program(plan.program, self.spec)
             return plan, tuple(priced.instructions), priced.cycles()
 
         return _cache.cached(

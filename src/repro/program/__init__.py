@@ -1,8 +1,8 @@
 """The unified warp-program IR (execution = pricing = tracing).
 
 One instruction stream for everything the backend does with a lowered
-layout operation: the planners produce it (:mod:`repro.program.lower`),
-the peephole optimizer rewrites it (:mod:`repro.program.optimize`),
+layout operation: the planners produce it (:mod:`repro.codegen`, plus
+the gather and register-permute builders of :mod:`repro.program.lower`),
 two interpreters execute it (:mod:`repro.program.interp` — a NumPy
 vectorized default and a scalar differential-testing oracle), the cost
 model prices it (:func:`repro.gpusim.opcost.price_program`), and JSON
@@ -32,13 +32,11 @@ from repro.program.interp import (
     make_interpreter,
 )
 from repro.program.lower import (
-    broadcast_replication_program,
     lower_gather_shared,
     lower_gather_shuffle,
     lower_plan,
     lower_register_permute,
 )
-from repro.program.optimize import optimize_program
 from repro.program.serialize import (
     program_from_dict,
     program_from_json,
@@ -62,7 +60,6 @@ __all__ = [
     "Sts",
     "VectorInterpreter",
     "WarpProgram",
-    "broadcast_replication_program",
     "instr_class",
     "instr_fields",
     "lower_gather_shared",
@@ -70,7 +67,6 @@ __all__ = [
     "lower_plan",
     "lower_register_permute",
     "make_interpreter",
-    "optimize_program",
     "program_from_dict",
     "program_from_json",
     "program_to_dict",

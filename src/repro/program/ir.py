@@ -11,15 +11,14 @@ Every backend concern consumes the same stream:
 - pricing — :func:`repro.gpusim.opcost.price_program` turns the
   stream into priced :class:`~repro.hardware.instructions.Instruction`
   records, so simulated cycles and static op counts cannot diverge;
-- optimization — :mod:`repro.program.optimize` peepholes the stream;
 - serialization — :mod:`repro.program.serialize` round-trips it
   through JSON.
 
 Register operands name *register spaces* (whole per-thread register
 files): ``"in"`` holds the source distributed tensor, ``"out"`` the
 destination, ``"idx"`` gather indices.  Individual registers are
-indices into a space, exactly as the plans' routing tables already
-encode them.  Shared-memory operands are element offsets — the
+indices into a space, as the instructions' routing tables encode
+them.  Shared-memory operands are element offsets — the
 bank-relevant addresses the cost model measures wavefronts on.
 """
 
@@ -78,11 +77,6 @@ class Shfl:
     def writes(self) -> Optional[str]:
         return self.dst
 
-    #: Shuffle rounds accumulate into an existing file (each round
-    #: fills different lanes/registers), so the write does not kill
-    #: prior contents.
-    kills = False
-
     def describe(self) -> str:
         crossing = sum(
             1 for lane, src in enumerate(self.src_lane) if lane != src
@@ -112,18 +106,16 @@ class MovR:
 
     opcode = Opcode.MOVR
 
+    def __post_init__(self):
+        for r in self.dst_to_src:
+            if r < 0:
+                raise ValueError(f"negative source register {r}")
+
     def reads(self) -> Tuple[str, ...]:
         return (self.src,)
 
     def writes(self) -> Optional[str]:
         return self.dst
-
-    #: A register move materializes a fresh destination file.
-    kills = True
-
-    def is_identity(self) -> bool:
-        """True iff every destination register keeps its own value."""
-        return all(d == s for d, s in enumerate(self.dst_to_src))
 
     def describe(self) -> str:
         moved = sum(
@@ -158,8 +150,6 @@ class Sts:
     def writes(self) -> Optional[str]:
         return None
 
-    kills = False
-
     def describe(self) -> str:
         return _describe_shared("sts", self, self.use_stmatrix)
 
@@ -181,9 +171,6 @@ class Lds:
     def writes(self) -> Optional[str]:
         return self.dst
 
-    #: The load materializes the destination file from shared memory.
-    kills = True
-
     def describe(self) -> str:
         return _describe_shared("lds", self, self.use_ldmatrix)
 
@@ -199,8 +186,6 @@ class Bar:
 
     def writes(self) -> Optional[str]:
         return None
-
-    kills = False
 
     def describe(self) -> str:
         return "bar"
@@ -231,8 +216,6 @@ class GatherShfl:
     def writes(self) -> Optional[str]:
         return self.dst
 
-    kills = True
-
     def describe(self) -> str:
         return (
             f"gather_shfl {self.src}[{self.index}]->{self.dst}: "
@@ -260,8 +243,6 @@ class GatherSts:
     def writes(self) -> Optional[str]:
         return None
 
-    kills = False
-
     def describe(self) -> str:
         return f"gather_sts {self.src}: {self.layout.total_out_bits()}b"
 
@@ -288,8 +269,6 @@ class GatherLds:
 
     def writes(self) -> Optional[str]:
         return self.dst
-
-    kills = True
 
     def describe(self) -> str:
         return f"gather_lds [{self.index}]->{self.dst}: axis={self.axis}"

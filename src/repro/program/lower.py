@@ -1,123 +1,38 @@
-"""Lowering: conversion/gather plans -> warp programs.
+"""Lowering: gather plans and register permutes -> warp programs.
 
-The planners (:mod:`repro.codegen`) decide *what* moves; this module
-rewrites their step lists into the one instruction stream every
-backend consumes.  Lowering is semantics-preserving by construction —
-each plan step maps onto exactly one instruction carrying the same
-routing tables — and the default peephole pass only touches free
-register moves, so priced traces are identical with or without it.
+Conversion plans carry their own program (the planners of
+:mod:`repro.codegen` emit instructions directly); this module builds
+the programs of the other producers — the two gather flavors and the
+standalone register permute.
 """
 
 from __future__ import annotations
 
-from repro.core.dims import LANE, REGISTER, WARP
+from repro.core.dims import LANE, WARP
 from repro.core.layout import LinearLayout
 from repro.program.ir import (
     Bar,
     GatherLds,
     GatherShfl,
     GatherSts,
-    Lds,
     MovR,
     R_IN,
     R_OUT,
-    Shfl,
-    Sts,
     WarpProgram,
 )
 
 
-def lower_plan(plan, optimize: bool = True) -> WarpProgram:
-    """Lower a :class:`~repro.codegen.plan.ConversionPlan`.
+def lower_plan(plan) -> WarpProgram:
+    """A fresh program with a conversion plan's instructions.
 
-    The mapping mirrors the plan executor's semantics: shuffle rounds
-    always read the *original* source file (all rounds consume
-    pre-conversion values), a register permute after shuffle rounds
-    fans received values out within the destination file, and a
-    standalone permute is the intra-thread conversion path.
+    The copy has empty :attr:`~repro.program.ir.WarpProgram.scratch`,
+    so a caller that runs it pays every interpreter preparation cold,
+    as if the plan had never executed.
     """
-    from repro.codegen.plan import (
-        Barrier,
-        RegisterPermute,
-        SharedLoad,
-        SharedStore,
-        ShuffleRound,
+    program = plan.program
+    return WarpProgram(
+        program.instrs, result=program.result, label=program.label
     )
-
-    if plan.kind == "noop":
-        return WarpProgram((), result=R_IN, label="noop")
-
-    src_warps = plan.src.in_dim_size(WARP)
-    dst_lanes = plan.dst.in_dim_size(LANE)
-    dst_warps = plan.dst.in_dim_size(WARP)
-    instrs = []
-    shuffled = False
-    cur = R_IN
-    for step in plan.steps:
-        if isinstance(step, RegisterPermute):
-            if shuffled:
-                instrs.append(
-                    MovR(
-                        dst_to_src=step.dst_to_src,
-                        lanes=dst_lanes,
-                        warps=dst_warps,
-                        src=R_OUT,
-                        dst=R_OUT,
-                    )
-                )
-            else:
-                instrs.append(
-                    MovR(
-                        dst_to_src=step.dst_to_src,
-                        lanes=dst_lanes,
-                        warps=dst_warps,
-                        src=cur,
-                        dst=R_OUT,
-                    )
-                )
-                cur = R_OUT
-        elif isinstance(step, ShuffleRound):
-            shuffled = True
-            instrs.append(
-                Shfl(
-                    src_lane=step.src_lane,
-                    send_regs=step.send_regs,
-                    recv_regs=step.recv_regs,
-                    warps=src_warps,
-                    insts=step.insts_per_round,
-                    src=R_IN,
-                    dst=R_OUT,
-                )
-            )
-        elif isinstance(step, SharedStore):
-            instrs.append(
-                Sts(
-                    accesses=step.accesses,
-                    elem_bytes=step.elem_bytes,
-                    use_stmatrix=step.use_stmatrix,
-                    src=cur,
-                )
-            )
-        elif isinstance(step, Barrier):
-            instrs.append(Bar())
-        elif isinstance(step, SharedLoad):
-            instrs.append(
-                Lds(
-                    accesses=step.accesses,
-                    elem_bytes=step.elem_bytes,
-                    use_ldmatrix=step.use_ldmatrix,
-                    dst=R_OUT,
-                )
-            )
-        else:
-            raise TypeError(f"unknown plan step {step!r}")
-    result = cur if plan.kind == "register" else R_OUT
-    program = WarpProgram(tuple(instrs), result=result, label=plan.kind)
-    if optimize:
-        from repro.program.optimize import optimize_program
-
-        program = optimize_program(program)
-    return program
 
 
 def lower_gather_shuffle(layout: LinearLayout, axis: int) -> WarpProgram:
@@ -160,8 +75,7 @@ def lower_register_permute(
     """A standalone register permute over a layout's lane/warp extent.
 
     The lowering used by producers whose whole plan is intra-thread
-    data movement (broadcast replication, the mxfp operand
-    pre-shuffle).
+    data movement (the mxfp operand pre-shuffle).
     """
     return WarpProgram(
         (
@@ -177,23 +91,7 @@ def lower_register_permute(
     )
 
 
-def broadcast_replication_program(layout: LinearLayout) -> WarpProgram:
-    """Fan canonical register values out to every broadcast replica.
-
-    For a layout with free (zero-column) register bits, destination
-    register ``r`` takes the value of its canonical owner ``r`` with
-    the free bits cleared — the select/broadcast fan-out the shuffle
-    planner appends after its rounds (Section 5.1's zero-column
-    detection, as an instruction).
-    """
-    free = layout.free_variable_masks().get(REGISTER, 0)
-    regs = layout.in_dim_size(REGISTER)
-    table = tuple(r & ~free for r in range(regs))
-    return lower_register_permute(table, layout, src=R_IN, dst=R_OUT)
-
-
 __all__ = [
-    "broadcast_replication_program",
     "lower_gather_shared",
     "lower_gather_shuffle",
     "lower_plan",

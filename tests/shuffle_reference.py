@@ -4,24 +4,25 @@
 the V / I / E / F / G / R construction at once from the layouts'
 owner tables (:func:`repro.codegen.views.owner_table`).  This module
 keeps the original construction, one ``DistributedView`` lookup per
-coset element and register, as the differential-testing oracle.  Only
-tests import it.
+coset element and register, as the differential-testing oracle,
+emitting the same :class:`~repro.program.ir.Shfl` rounds and fan-out
+:class:`~repro.program.ir.MovR`.  Only tests import it.
 """
 
 from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro.codegen.plan import RegisterPermute, ShuffleRound
 from repro.codegen.shuffles import (
     ShufflePlanError,
     _extend,
     shuffle_preconditions,
 )
 from repro.codegen.views import DistributedView
-from repro.core.dims import LANE, REGISTER
+from repro.core.dims import LANE, REGISTER, WARP
 from repro.core.layout import LinearLayout
 from repro.f2.bitvec import iter_set_bits
+from repro.program.ir import MovR, R_OUT, Shfl
 
 
 def _span_elements(basis: List[int]) -> List[int]:
@@ -118,7 +119,7 @@ def plan_warp_shuffle(
     num_lanes = 1 << len(a_thr)
     insts = max(1, (vec * elem_bits + shuffle_bits - 1) // shuffle_bits)
 
-    rounds: List[ShuffleRound] = []
+    rounds: List[Shfl] = []
     for rnd in range(1 << len(r_basis)):
         base = 0
         for idx in iter_set_bits(rnd):
@@ -148,14 +149,15 @@ def plan_warp_shuffle(
         if -1 in src_lane_of:
             raise ShufflePlanError("coset misses a lane")
         rounds.append(
-            ShuffleRound(
+            Shfl(
                 src_lane=tuple(src_lane_of),
                 send_regs=tuple(send_regs),
                 recv_regs=tuple(recv_regs),
-                insts_per_round=insts,
+                warps=full_src.in_dim_size(WARP),
+                insts=insts,
             )
         )
-    steps: List[object] = list(rounds)
+    instrs: List[object] = list(rounds)
     n_dst_bits = full_dst.in_dim_size_log2(REGISTER)
     if len(keep_dst) < n_dst_bits:
         free_mask = sum(
@@ -164,17 +166,27 @@ def plan_warp_shuffle(
         table = tuple(
             r & ~free_mask for r in range(1 << n_dst_bits)
         )
-        steps.append(RegisterPermute(table))
-    return steps
+        instrs.append(
+            MovR(
+                dst_to_src=table,
+                lanes=full_dst.in_dim_size(LANE),
+                warps=full_dst.in_dim_size(WARP),
+                src=R_OUT,
+                dst=R_OUT,
+            )
+        )
+    return instrs
 
 
-def register_permutation(
-    src: LinearLayout, dst: LinearLayout
-) -> RegisterPermute:
-    """The table ``dst_reg <- src_reg``, one lookup per register."""
+def register_permutation(src: LinearLayout, dst: LinearLayout) -> MovR:
+    """The move ``out[r] <- in[table[r]]``, one lookup per register."""
     sv, dv = DistributedView(src), DistributedView(dst)
     table = []
     for r in range(dst.in_dim_size(REGISTER)):
         p = dv.flat_of({REGISTER: r})
         table.append(_reg_of(sv, p))
-    return RegisterPermute(tuple(table))
+    return MovR(
+        dst_to_src=tuple(table),
+        lanes=dst.in_dim_size(LANE),
+        warps=dst.in_dim_size(WARP),
+    )

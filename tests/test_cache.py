@@ -259,7 +259,7 @@ def test_plan_conversion_identical_with_and_without_cache(seed):
         cold = plan_conversion(src, dst, elem_bits=16, spec=spec)
     assert cold is not warm
     assert cold.kind == warm.kind
-    assert cold.steps == warm.steps
+    assert cold.program == warm.program
     assert cold == warm
 
 

@@ -9,7 +9,6 @@ from repro.codegen.division import (
     permute_registers_for_tile,
     register_offset_map,
 )
-from repro.codegen.plan import RegisterPermute, SharedLoad
 from repro.core import LANE, LinearLayout, OFFSET, REGISTER
 from repro.gpusim import Machine, distributed_data
 from repro.gpusim.registers import assert_matches_layout
@@ -22,6 +21,7 @@ from repro.layouts import (
     SwizzledSharedLayout,
     shared_layout_for_mma,
 )
+from repro.program import Opcode
 
 
 class TestRegisterOffsetMap:
@@ -51,9 +51,8 @@ class TestGeneralizedVectorization:
         assert result is not None
         permuted, perm = result
         assert match_instruction_tile(permuted, tile)
-        assert isinstance(perm, RegisterPermute)
         # The permutation swaps the two register bits.
-        assert perm.dst_to_src == (0, 2, 1, 3)
+        assert perm == (0, 2, 1, 3)
 
     def test_identity_when_already_divisible(self):
         layout = LinearLayout(
@@ -62,7 +61,7 @@ class TestGeneralizedVectorization:
         )
         tile = vector_shared_tile(32, 16)
         permuted, perm = permute_registers_for_tile(layout, tile)
-        assert perm.dst_to_src == tuple(range(4))
+        assert perm == tuple(range(4))
         assert permuted == layout
 
     def test_impossible_permutation(self):
@@ -110,5 +109,5 @@ class TestFixedStaging:
             self.src, self.dst, 16, spec=GH200,
             memory_layout=self.mem,
         )
-        loads = [s for s in plan.steps if isinstance(s, SharedLoad)]
+        loads = [i for i in plan.program if i.opcode == Opcode.LDS]
         assert loads and loads[0].use_ldmatrix

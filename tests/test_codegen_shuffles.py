@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.codegen.plan import ShuffleRound
 from repro.codegen.shuffles import (
     ShufflePlanError,
     plan_warp_shuffle,
@@ -79,8 +78,8 @@ class TestVectorization:
         src, dst = figure4_layouts()
         rounds_32 = plan_warp_shuffle(src, dst, elem_bits=32)
         rounds_64 = plan_warp_shuffle(src, dst, elem_bits=64)
-        assert rounds_32[0].insts_per_round == 1
-        assert rounds_64[0].insts_per_round == 2
+        assert rounds_32[0].insts == 1
+        assert rounds_64[0].insts == 2
 
 
 class TestPreconditions:

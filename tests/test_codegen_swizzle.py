@@ -13,21 +13,30 @@ from repro.codegen.bank_conflicts import (
     access_wavefronts,
     conversion_wavefronts,
 )
-from repro.codegen.conversion import plan_conversion
-from repro.codegen.plan import SharedLoad, SharedStore
+from repro.codegen.conversion import (
+    _plan_from_memory_layout,
+    plan_conversion,
+)
 from repro.codegen.swizzle import optimal_swizzled_layout
 from repro.core import LANE, REGISTER
 from repro.gpusim.memory import SharedMemory
+from repro.gpusim.opcost import price_plan
 from repro.hardware import GH200, RTX4090
-from repro.layouts import BlockedLayout, NvidiaMmaLayout
+from repro.hardware.instructions import InstructionKind
+from repro.layouts import (
+    BlockedLayout,
+    NvidiaMmaLayout,
+    shared_layout_for_mma,
+)
 from repro.core.reshape import transpose_layout
 from repro.f2.subspace import reduce_to_basis
+from repro.program import Opcode
 
 
-def measured_wavefronts(step, spec, elem_bytes):
+def measured_wavefronts(instr, spec, elem_bytes):
     """Worst-case per-instruction wavefronts of warp 0's accesses."""
     memory = SharedMemory(spec, elem_bytes)
-    lanes = step.accesses.to_tuples()[: spec.warp_size]
+    lanes = instr.accesses.to_tuples()[: spec.warp_size]
     worst = 0
     max_accesses = max((len(a) for a in lanes), default=0)
     for k in range(max_accesses):
@@ -121,12 +130,12 @@ class TestLemmaAgreement:
             pytest.skip("pair does not take the shared path")
         swizzle = optimal_swizzled_layout(src, dst, bits)
         analytic = conversion_wavefronts(swizzle, src, dst)
-        for step in plan.steps:
-            if isinstance(step, SharedStore) and not step.use_stmatrix:
-                measured = measured_wavefronts(step, GH200, bits // 8)
+        for instr in plan.program:
+            if instr.opcode == Opcode.STS and not instr.use_stmatrix:
+                measured = measured_wavefronts(instr, GH200, bits // 8)
                 assert measured <= analytic["write"] * 2
-            if isinstance(step, SharedLoad) and not step.use_ldmatrix:
-                measured = measured_wavefronts(step, GH200, bits // 8)
+            if instr.opcode == Opcode.LDS and not instr.use_ldmatrix:
+                measured = measured_wavefronts(instr, GH200, bits // 8)
                 assert measured <= analytic["read"] * 2
 
     def test_conflict_free_claim_holds(self):
@@ -141,9 +150,49 @@ class TestLemmaAgreement:
             pytest.skip("not claimed conflict free")
         plan = plan_conversion(src, dst, 16, spec=RTX4090)
         n = max(1, swizzle.vec_elems * 2 // 4)
-        for step in plan.steps:
-            if isinstance(step, SharedStore) and not step.use_stmatrix:
-                assert measured_wavefronts(step, RTX4090, 2) <= n
+        for instr in plan.program:
+            if instr.opcode == Opcode.STS and not instr.use_stmatrix:
+                assert measured_wavefronts(instr, RTX4090, 2) <= n
+
+
+class TestPinnedStagingLemma:
+    """Lemma 9.4 on a staging layout the caller pins.
+
+    The sub-word/bank/segment split of a pinned layout must match the
+    optimal algorithm's, so the analytic wavefronts equal what the
+    pricer measures on the plan's own vector stores and loads.
+    """
+
+    SRC = BlockedLayout((1, 8), (8, 4), (2, 2), (1, 0))
+    DSTS = [
+        NvidiaMmaLayout((2, 2)),
+        BlockedLayout((2, 1), (4, 8), (2, 2), (0, 1)),
+    ]
+
+    @pytest.mark.parametrize("spec", [RTX4090, GH200], ids=lambda s: s.name)
+    @pytest.mark.parametrize("bits", [8, 16])
+    @pytest.mark.parametrize("shape", [(32, 64), (64, 64), (128, 64)])
+    @pytest.mark.parametrize("dst_desc", DSTS, ids=["mma", "blocked"])
+    def test_analytic_equals_priced(self, spec, bits, shape, dst_desc):
+        src = self.SRC.to_linear(shape)
+        dst = dst_desc.to_linear(shape)
+        memory = shared_layout_for_mma(bits, shape).to_linear(shape)
+        plan = plan_conversion(
+            src, dst, bits, spec=spec, memory_layout=memory
+        )
+        assert plan.kind == "shared"
+        swizzle = _plan_from_memory_layout(memory, src, dst, bits, spec)
+        analytic = {
+            InstructionKind.SHARED_STORE: access_wavefronts(swizzle, src),
+            InstructionKind.SHARED_LOAD: access_wavefronts(swizzle, dst),
+        }
+        priced = [
+            (i.kind, i.wavefronts)
+            for i in price_plan(plan, spec).instructions
+            if i.kind in analytic
+        ]
+        assert priced
+        assert priced == [(kind, analytic[kind]) for kind, _ in priced]
 
 
 class TestOptimalBeatsPadding:

@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-from repro.codegen.plan import RegisterPermute
 from repro.core import (
     LANE,
     LinearLayout,
@@ -18,6 +17,7 @@ from repro.core import (
     out_dim_names,
 )
 from repro.core.errors import DimensionError
+from repro.program import MovR
 
 
 class TestDimUtilities:
@@ -95,7 +95,7 @@ class TestLayoutPlumbing:
 class TestPlanValidation:
     def test_register_permute_rejects_negative(self):
         with pytest.raises(ValueError):
-            RegisterPermute((0, -1))
+            MovR((0, -1), lanes=32, warps=4)
 
 
 class TestMatrixInstructionPricing:

@@ -543,7 +543,7 @@ class TestBitEquivalence:
             )
             converted, trace = machine.run_conversion(plan, registers)
             return (
-                plan.program().instrs,
+                plan.program.instrs,
                 converted.as_dict(),
                 trace.cycles(),
             )

@@ -1,19 +1,20 @@
-"""The unified warp-program IR: lowering, interpreters, optimizer.
+"""The unified warp-program IR: planner output, interpreters, lowering.
 
 The heavyweight property: random src/dst layout pairs executed
 through the vectorized interpreter match the scalar oracle AND direct
 ``LinearLayout`` evaluation bit-for-bit — register files *and*
-traces — and peephole-optimized programs match unoptimized ones.
+traces.  Every plan kind emits one fixed program shape.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.codegen import plan_conversion
 from repro.codegen.gather import plan_gather
 from repro.codegen.views import DistributedView
-from repro.core import LANE, REGISTER, WARP
+from repro.core import LANE, LinearLayout, REGISTER, WARP
 from repro.gpusim import (
     Machine,
     RegisterFile,
@@ -21,15 +22,13 @@ from repro.gpusim import (
     price_program,
 )
 from repro.gpusim.registers import assert_matches_layout
-from repro.hardware import GH200, RTX4090
+from repro.hardware import GH200, MI250, RTX4090
 from repro.layouts import BlockedLayout, NvidiaMmaLayout
 from repro.program import (
-    MovR,
+    Opcode,
     R_IN,
     R_OUT,
-    WarpProgram,
     lower_plan,
-    optimize_program,
     program_from_json,
     program_to_json,
 )
@@ -37,6 +36,8 @@ from repro.program import (
 from tests.test_random_layout_conversions import (
     random_distributed_layout,
 )
+from tests.test_shared_access_oracle import conversion_cases
+from tests.test_shuffle_oracle import shuffle_pairs
 
 
 def both_machines(spec=RTX4090, num_warps=4):
@@ -85,37 +86,13 @@ class TestInterpreterEquivalence:
         assert trace_s.instructions == trace_v.instructions
         assert_matches_layout(out_v, dst)
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_optimized_matches_unoptimized(self, seed):
-        rng = random.Random(500 + seed)
-        shape = {"dim0": 16, "dim1": 32}
-        src = random_distributed_layout(rng, 9, shape=shape)
-        dst = random_distributed_layout(rng, 9, shape=shape)
-        plan = plan_conversion(src, dst, elem_bits=16, spec=RTX4090)
-        raw = lower_plan(plan, optimize=False)
-        opt = optimize_program(raw)
-        machine = Machine(RTX4090, 4)
-        registers = distributed_data(src, 4, 32)
-        files_r, trace_r = machine.run_program(raw, {R_IN: registers})
-        files_o, trace_o = machine.run_program(opt, {R_IN: registers})
-        if raw.instrs:
-            assert_matches_layout(files_r[raw.result], dst)
-            assert_matches_layout(files_o[opt.result], dst)
-        # The optimizer only touches free register moves: identical
-        # priced traces, statically and dynamically.
-        assert trace_r.instructions == trace_o.instructions
-        assert (
-            price_program(raw, RTX4090).instructions
-            == price_program(opt, RTX4090).instructions
-        )
-
     def test_pricing_agrees_with_execution_counts(self):
         src = BlockedLayout((1, 4), (8, 4), (2, 2), (1, 0)).to_linear(
             (32, 64)
         )
         dst = NvidiaMmaLayout((2, 2)).to_linear((32, 64))
         plan = plan_conversion(src, dst, 16, spec=RTX4090)
-        program = plan.program()
+        program = plan.program
         priced = price_program(program, RTX4090)
         _, executed = Machine(RTX4090, 4).run_conversion(
             plan, distributed_data(src, 4, 32)
@@ -170,74 +147,13 @@ class TestGatherBackends:
         assert program.instrs[0].shuffle_count == gplan.total_shuffles
 
 
-class TestOptimizerRewrites:
-    def test_identity_move_dropped(self):
-        program = WarpProgram(
-            (
-                MovR((0, 1), 32, 4, src=R_IN, dst=R_OUT),
-                MovR((0, 1), 32, 4, src=R_OUT, dst=R_OUT),
-            )
-        )
-        opt = optimize_program(program)
-        assert len(opt) == 1
-        assert opt.instrs[0].src == R_IN
-
-    def test_adjacent_moves_fuse(self):
-        program = WarpProgram(
-            (
-                MovR((1, 0, 3, 2), 32, 4, src=R_IN, dst=R_OUT),
-                MovR((2, 3, 0, 1), 32, 4, src=R_OUT, dst=R_OUT),
-            )
-        )
-        opt = optimize_program(program)
-        assert len(opt) == 1
-        fused = opt.instrs[0]
-        assert fused.src == R_IN and fused.dst == R_OUT
-        # Composition: out2[r] = out1[t2[r]] = in[t1[t2[r]]].
-        assert fused.dst_to_src == (3, 2, 1, 0)
-
-    def test_fusion_can_cancel_to_identity(self):
-        table = (1, 0, 3, 2)
-        program = WarpProgram(
-            (
-                MovR(table, 32, 4, src=R_IN, dst="tmp"),
-                MovR(table, 32, 4, src="tmp", dst="tmp"),
-                MovR((0, 1, 2, 3), 32, 4, src="tmp", dst=R_OUT),
-            )
-        )
-        opt = optimize_program(program)
-        # The two applications of an involution cancel; what remains
-        # is one copy from "in" to the result space.
-        assert len(opt) == 1
-        assert opt.instrs[0].is_identity()
-        assert opt.instrs[0].src == R_IN
-        assert opt.instrs[0].dst == R_OUT
-
-    def test_dead_move_eliminated(self):
-        program = WarpProgram(
-            (
-                MovR((1, 0), 32, 4, src=R_IN, dst="scratch"),
-                MovR((0, 1), 32, 4, src=R_IN, dst=R_OUT),
-            )
-        )
-        opt = optimize_program(program)
-        assert all(i.dst != "scratch" for i in opt.instrs)
-
-    def test_result_space_never_eliminated(self):
-        program = WarpProgram(
-            (MovR((1, 0), 32, 4, src=R_IN, dst=R_OUT),),
-            result=R_OUT,
-        )
-        assert len(optimize_program(program)) == 1
-
-
 class TestProgramStructure:
     def test_noop_plan_is_empty_program(self):
         layout = BlockedLayout((1, 1), (8, 4), (2, 2), (1, 0)).to_linear(
             (16, 8)
         )
         plan = plan_conversion(layout, layout, elem_bits=32)
-        program = plan.program()
+        program = plan.program
         assert len(program) == 0
         assert program.result == R_IN
 
@@ -246,7 +162,7 @@ class TestProgramStructure:
             (32, 64)
         )
         dst = NvidiaMmaLayout((2, 2)).to_linear((32, 64))
-        program = plan_conversion(src, dst, 16).program()
+        program = plan_conversion(src, dst, 16).program
         assert R_IN in program.spaces()
         assert program.num_regs(R_IN) >= 1
         assert program.num_regs("nonexistent") == 0
@@ -257,7 +173,7 @@ class TestProgramStructure:
         src = random_distributed_layout(rng, 9, shape=shape)
         dst = random_distributed_layout(rng, 9, shape=shape)
         plan = plan_conversion(src, dst, elem_bits=16)
-        program = plan.program()
+        program = plan.program
         rebuilt = program_from_json(program_to_json(program))
         assert rebuilt.instrs == program.instrs
         assert rebuilt.result == program.result
@@ -270,6 +186,85 @@ class TestProgramStructure:
             trace.instructions
             == machine.run_program(program, {R_IN: registers})[1].instructions
         )
+
+
+SPECS = (RTX4090, GH200, MI250)
+
+
+@st.composite
+def plan_cases(draw):
+    """(spec, src, dst) on the three platforms, reaching every plan kind."""
+    spec, src, dst, _, _ = draw(conversion_cases())
+    pick = draw(st.sampled_from(["random", "same", "registers", "shuffle"]))
+    if pick == "same":
+        dst = src
+    elif pick == "registers":
+        regs = src.bases[REGISTER]
+        order = draw(st.permutations(range(len(regs))))
+        bases = src.bases
+        bases[REGISTER] = [regs[i] for i in order]
+        dst = LinearLayout(bases, src.out_dim_sizes())
+    elif pick == "shuffle":
+        src, dst = draw(shuffle_pairs())
+        warp_size = src.in_dim_size(LANE)
+        spec = draw(
+            st.sampled_from([s for s in SPECS if s.warp_size == warp_size])
+        )
+    return spec, src, dst
+
+
+def _wiring(program):
+    return [(i.opcode, i.reads(), i.writes()) for i in program]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=plan_cases(),
+    mode=st.sampled_from(["optimal", "padded", "none"]),
+    bits=st.sampled_from([8, 16, 32]),
+)
+def test_program_shape_per_plan_kind(case, mode, bits):
+    """Each plan kind emits one program shape with fixed operands."""
+    spec, src, dst = case
+    plan = plan_conversion(src, dst, bits, spec=spec, swizzle_mode=mode)
+    program = plan.program
+    assert program.label == plan.kind
+    wiring = _wiring(program)
+    if plan.kind == "noop":
+        assert wiring == [] and program.result == R_IN
+        return
+    assert program.result == R_OUT
+    if plan.kind == "register":
+        assert wiring == [(Opcode.MOVR, (R_IN,), R_OUT)]
+    elif plan.kind == "shuffle":
+        fan_out = [(Opcode.MOVR, (R_OUT,), R_OUT)]
+        rounds = wiring[:-1] if wiring[-1:] == fan_out else wiring
+        assert rounds
+        assert set(rounds) == {(Opcode.SHFL, (R_IN,), R_OUT)}
+    else:
+        assert plan.kind == "shared"
+        assert wiring == [
+            (Opcode.STS, (R_IN,), None),
+            (Opcode.BAR, (), None),
+            (Opcode.LDS, (), R_OUT),
+        ]
+
+
+class TestLowerPlan:
+    def test_fresh_copy_with_cold_scratch(self):
+        src = BlockedLayout((1, 4), (8, 4), (2, 2), (1, 0)).to_linear(
+            (32, 64)
+        )
+        dst = NvidiaMmaLayout((2, 2)).to_linear((32, 64))
+        plan = plan_conversion(src, dst, 16, spec=RTX4090)
+        Machine(RTX4090, 4).run_conversion(
+            plan, distributed_data(src, 4, 32)
+        )
+        assert plan.program.scratch
+        program = lower_plan(plan)
+        assert program is not plan.program
+        assert program == plan.program
+        assert program.scratch == {}
 
 
 class TestPreshuffleProgram:

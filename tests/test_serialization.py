@@ -72,10 +72,10 @@ def _conversion_programs():
         (32, 64)
     )
     dst = NvidiaMmaLayout((2, 2)).to_linear((32, 64))
-    shared = plan_conversion(src, dst, 16).program()
+    shared = plan_conversion(src, dst, 16).program
     register = plan_conversion(
         src, src, elem_bits=16, dedupe_broadcast=False
-    ).program()
+    ).program
     gather_layout = BlockedLayout(
         (1, 2), (4, 8), (4, 1), (1, 0)
     ).to_linear((16, 16))

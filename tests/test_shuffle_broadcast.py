@@ -11,11 +11,11 @@ import random
 import pytest
 
 from repro.codegen import ConversionKind, classify_conversion, plan_conversion
-from repro.codegen.plan import RegisterPermute, ShuffleRound
 from repro.core import LANE, LinearLayout, REGISTER, WARP
 from repro.gpusim import Machine, distributed_data
 from repro.gpusim.registers import assert_matches_layout
 from repro.hardware import RTX4090
+from repro.program import Opcode
 
 
 def layout_with_free_reg(reg_images, lane_images, warp_images, size):
@@ -46,14 +46,13 @@ class TestBroadcastShuffles:
     def test_plan_has_replication_step(self):
         plan = plan_conversion(self.src, self.dst, 16, spec=RTX4090)
         assert plan.kind == "shuffle"
-        assert isinstance(plan.steps[-1], RegisterPermute)
-        assert all(
-            isinstance(s, ShuffleRound) for s in plan.steps[:-1]
-        )
+        *rounds, fan_out = plan.program.instrs
+        assert fan_out.opcode == Opcode.MOVR
+        assert all(i.opcode == Opcode.SHFL for i in rounds)
 
     def test_replication_table_clears_free_bits(self):
         plan = plan_conversion(self.src, self.dst, 16, spec=RTX4090)
-        table = plan.steps[-1].dst_to_src
+        table = plan.program.instrs[-1].dst_to_src
         # dst free bit is bit 0: registers 1 and 3 copy 0 and 2.
         assert table == (0, 0, 2, 2)
 

@@ -6,9 +6,9 @@ the Section 5.4 construction at once from the layouts' owner tables
 per-element reference (:mod:`tests.shuffle_reference`) on random
 distributed pairs with equal warp images: warp 32 and warp 64
 (MI250), 1-8 warps, register broadcast on either side, every element
-width against 32- and 64-bit shuffles.  Both return the same steps,
-the fan-out :class:`RegisterPermute` included, or raise the same
-:class:`ShufflePlanError` message.
+width against 32- and 64-bit shuffles.  Both return the same
+instructions, the fan-out :class:`~repro.program.ir.MovR` included,
+or raise the same :class:`ShufflePlanError` message.
 
 A valid pair never has a coset revisit a lane: the lane maps are
 linear and injective on ``span(I u G)``.  The revisit checks are
@@ -90,7 +90,7 @@ def test_plan_matches_reference(pair, bits):
     want = _outcome(reference.plan_warp_shuffle, src, dst, *bits)
     with cache.disabled():
         assert _outcome(plan_warp_shuffle, src, dst, *bits) == want
-    # Memoized: the cached steps and rejections are the same.
+    # Memoized: the cached instructions and rejections are the same.
     assert _outcome(plan_warp_shuffle, src, dst, *bits) == want
     assert _outcome(plan_warp_shuffle, src, dst, *bits) == want
 

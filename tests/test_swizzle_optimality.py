@@ -11,11 +11,13 @@ import random
 import pytest
 
 from repro.codegen.conversion import plan_conversion
-from repro.codegen.plan import SharedLoad, SharedStore
 from repro.core import LANE, LinearLayout, REGISTER, WARP
 from repro.gpusim.memory import SharedMemory
 from repro.gpusim.opcost import price_plan
 from repro.hardware import GH200
+from repro.program import Opcode
+
+SHARED = (Opcode.STS, Opcode.LDS)
 
 
 def random_layout(rng, bits=10, shape=None):
@@ -46,10 +48,10 @@ def random_layout(rng, bits=10, shape=None):
 def total_wavefronts(plan, spec, elem_bytes):
     memory = SharedMemory(spec, elem_bytes)
     total = 0
-    for step in plan.steps:
-        if not isinstance(step, (SharedStore, SharedLoad)):
+    for instr in plan.program:
+        if instr.opcode not in SHARED:
             continue
-        lanes = step.accesses.to_tuples()[: spec.warp_size]
+        lanes = instr.accesses.to_tuples()[: spec.warp_size]
         max_accesses = max((len(a) for a in lanes), default=0)
         for k in range(max_accesses):
             requests = [
@@ -96,14 +98,14 @@ def test_claimed_conflict_freedom_is_real(seed):
     )
     n = max(1, swizzle.vec_elems * 2 // 4)
     memory = SharedMemory(GH200, 2)
-    for step in plan.steps:
-        if not isinstance(step, (SharedStore, SharedLoad)):
+    for instr in plan.program:
+        if instr.opcode not in SHARED:
             continue
-        if getattr(step, "use_ldmatrix", False) or getattr(
-            step, "use_stmatrix", False
+        if getattr(instr, "use_ldmatrix", False) or getattr(
+            instr, "use_stmatrix", False
         ):
             continue
-        lanes = step.accesses.to_tuples()[:32]
+        lanes = instr.accesses.to_tuples()[:32]
         max_accesses = max((len(a) for a in lanes), default=0)
         for k in range(max_accesses):
             requests = [
