@@ -21,7 +21,7 @@ from typing import List
 
 from repro.bench.harness import Table
 from repro.codegen.conversion import plan_conversion
-from repro.gpusim.opcost import price_plan
+from repro.gpusim.opcost import price_program
 from repro.hardware.spec import GH200
 from repro.layouts import (
     BlockedLayout,
@@ -33,7 +33,7 @@ from repro.program.ir import Opcode
 
 def _cycles(src, dst, bits, **kwargs) -> float:
     plan = plan_conversion(src, dst, bits, spec=GH200, **kwargs)
-    return price_plan(plan, GH200).cycles()
+    return price_program(plan.program, GH200).cycles()
 
 
 def ablate_swizzling() -> List[List]:
@@ -125,17 +125,17 @@ def ablate_matrix_instructions() -> List[List]:
         (64, 64)
     )
     mem = shared_layout_for_mma(16, (64, 64)).to_linear((64, 64))
-    with_matrix = price_plan(
-        plan_conversion(src, dst, 16, spec=GH200, memory_layout=mem),
+    with_matrix = price_program(
+        plan_conversion(src, dst, 16, spec=GH200, memory_layout=mem).program,
         GH200,
     ).cycles()
     no_matrix_spec = replace(
         GH200, has_ldmatrix=False, has_stmatrix=False
     )
-    without = price_plan(
+    without = price_program(
         plan_conversion(
             src, dst, 16, spec=no_matrix_spec, memory_layout=mem
-        ),
+        ).program,
         no_matrix_spec,
     ).cycles()
     return [

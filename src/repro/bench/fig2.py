@@ -16,7 +16,7 @@ from repro.bench.harness import Table
 from repro.codegen.conversion import plan_conversion
 from repro.codegen.vectorize import legacy_default_blocked
 from repro.core.reshape import transpose_layout
-from repro.gpusim.opcost import price_plan
+from repro.gpusim.opcost import price_program
 from repro.hardware.spec import GH200, GpuSpec
 from repro.mxfp.types import F8E5M2
 
@@ -51,7 +51,7 @@ def transpose_conversion_cycles(
             allow_shuffle=False, swizzle_mode="padded",
             dedupe_broadcast=False,
         )
-    return price_plan(plan, spec).cycles()
+    return price_program(plan.program, spec).cycles()
 
 
 def run_fig2(

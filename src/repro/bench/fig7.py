@@ -13,7 +13,7 @@ from typing import List, Tuple
 
 from repro.bench.harness import Table
 from repro.codegen.conversion import plan_conversion
-from repro.gpusim.opcost import price_plan
+from repro.gpusim.opcost import price_program
 from repro.hardware.spec import GH200, GpuSpec
 from repro.layouts.blocked import BlockedLayout
 from repro.mxfp.types import F16, F32, F8E5M2, DType
@@ -54,8 +54,8 @@ def conversion_speedup(
         swizzle_mode="padded", dedupe_broadcast=False,
     )
     wrap = _global_traffic_cycles(size, dtype, spec)
-    lin_cycles = price_plan(linear, spec).cycles() + wrap
-    leg_cycles = price_plan(legacy, spec).cycles() + wrap
+    lin_cycles = price_program(linear.program, spec).cycles() + wrap
+    leg_cycles = price_program(legacy.program, spec).cycles() + wrap
     return leg_cycles, lin_cycles, leg_cycles / lin_cycles
 
 

@@ -12,12 +12,12 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.bench.harness import Table
-from repro.codegen.gather import plan_gather
-from repro.core.dims import REGISTER
 from repro.core.layout import LinearLayout
+from repro.gpusim.opcost import price_program
 from repro.hardware.spec import GH200, GpuSpec
 from repro.layouts.blocked import BlockedLayout
 from repro.mxfp.types import F16, F32, DType
+from repro.program.lower import lower_gather_shared, lower_gather_shuffle
 
 
 def gather_layout(rows: int, axis_size: int) -> LinearLayout:
@@ -40,18 +40,20 @@ def gather_layout(rows: int, axis_size: int) -> LinearLayout:
 def gather_cycles(
     rows: int, axis_size: int, dtype: DType, spec: GpuSpec
 ) -> Tuple[float, float]:
-    """(shared cycles, shuffle cycles) for one gather case."""
+    """(shared cycles, shuffle cycles) for one gather case.
+
+    The prices of the two gather programs.  The shared one is priced
+    as the standalone microbenchmark runs it: the gathered loads are
+    address-dependent and pay full latency, with the ~2-way bank
+    conflicts of the random access pattern.
+    """
     layout = gather_layout(rows, axis_size)
-    plan = plan_gather(layout, axis=1)
-    shuffle_cycles = plan.total_shuffles * spec.shuffle_cycles
-    regs = layout.in_dim_size(REGISTER)
-    # Staging stores are independent (pipelined); the gathered loads
-    # are address-dependent and pay full latency with ~2-way conflicts
-    # from the random access pattern.
-    store = regs * (spec.issue_cycles + 2)
-    load = regs * (spec.issue_cycles + spec.smem_access_cycles * 2)
-    shared_cycles = store + spec.barrier_cycles + load
-    return shared_cycles, shuffle_cycles
+    shared = lower_gather_shared(layout, axis=1)
+    shuffle = lower_gather_shuffle(layout, axis=1)
+    return (
+        price_program(shared, spec, gather_wavefronts=(2,)).cycles(),
+        price_program(shuffle, spec).cycles(),
+    )
 
 
 def run_fig8(

@@ -9,8 +9,8 @@ lockstep warp instruction.
 :class:`SharedAccesses` holds those lists for a whole CTA as three
 arrays.  It is the one format the planner builds
 (:mod:`repro.codegen.conversion`), the plan and program steps carry,
-the static pricer and the simulator's bank accounting read
-(:mod:`repro.gpusim.memory`), and the vectorized interpreter compiles
+the one instruction pricer reads (through :mod:`repro.gpusim.memory`),
+and the vectorized interpreter compiles
 into index arrays.  :meth:`SharedAccesses.to_tuples` gives the nested
 ``(base, regs)`` tuple view for the scalar oracle and serialization.
 """

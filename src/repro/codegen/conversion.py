@@ -565,9 +565,9 @@ def _plan_from_memory_layout(
 
 def _plan_cost(plan: ConversionPlan, spec: GpuSpec) -> float:
     """Price a candidate plan (deferred import: gpusim uses codegen)."""
-    from repro.gpusim.opcost import price_plan
+    from repro.gpusim.opcost import price_program
 
-    return price_plan(plan, spec).cycles()
+    return price_program(plan.program, spec).cycles()
 
 
 def _swizzled_program(

@@ -16,7 +16,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.builder import KernelBuilder
 from repro.engine.engine import CompiledKernel, LayoutEngine
-from repro.gpusim.opcost import kernel_cycles
 from repro.hardware.spec import GpuSpec, RTX4090
 
 
@@ -122,10 +121,9 @@ def autotune(
         if resource_violation(compiled, spec) is not None:
             trials.append((config, None))
             continue
-        # Price through the same authority the lowering pass charges
-        # with (repro.gpusim.opcost) — the tuner can never rank
-        # configurations under a different model than the compiler.
-        cycles = kernel_cycles(compiled.trace.instructions, spec)
+        # The compiled trace was priced by the lowering pass, so the
+        # tuner ranks configurations under the compiler's own model.
+        cycles = compiled.cycles()
         trials.append((config, cycles))
         if cycles < best_cycles:
             best, best_cycles = config, cycles

@@ -44,6 +44,7 @@ from repro.engine.pipeline import (
     CompilationContext,
     PassDiagnostics,
     PassManager,
+    check_num_warps,
 )
 from repro.gpusim.trace import Trace
 from repro.hardware.instructions import InstructionKind
@@ -145,7 +146,7 @@ class LayoutEngine:
             raise ValueError(f"mode must be linear or legacy: {mode!r}")
         self.spec = spec
         self.mode = mode
-        self.num_warps = num_warps
+        self.num_warps = check_num_warps(num_warps)
         self.legacy = LegacyLayoutSystem()
 
     def compile(

@@ -38,6 +38,23 @@ from repro.hardware.spec import GpuSpec, RTX4090
 from repro.layouts.legacy import LegacyLayoutSystem
 
 
+def check_num_warps(num_warps: int) -> int:
+    """``num_warps`` if it is a positive power-of-two ``int``.
+
+    Raises :class:`ValueError` otherwise, ``bool`` included.  Any other
+    count fails deep inside compilation (``0`` divides by zero) or
+    silently builds anchors for another warp count.
+    """
+    if (
+        not isinstance(num_warps, int)
+        or isinstance(num_warps, bool)
+        or num_warps < 1
+        or num_warps & (num_warps - 1)
+    ):
+        raise ValueError(f"num_warps must be a positive power of two: {num_warps!r}")
+    return num_warps
+
+
 @dataclass
 class PassDiagnostics:
     """What one pass did: timing, counters, cache behaviour, notes.
@@ -130,6 +147,7 @@ class CompilationContext:
         """A context wired with the mode's cost model."""
         if mode not in ("linear", "legacy"):
             raise ValueError(f"mode must be linear or legacy: {mode!r}")
+        check_num_warps(num_warps)
         return cls(
             graph=graph,
             spec=spec,
@@ -271,5 +289,6 @@ __all__ = [
     "Pass",
     "PassDiagnostics",
     "PassManager",
+    "check_num_warps",
     "standard_passes",
 ]

@@ -12,10 +12,8 @@ from repro.gpusim.memory import SharedMemory
 from repro.gpusim.opcost import (
     CostPolicy,
     OpCostModel,
-    kernel_cycles,
     op_cost_model,
     policy_for_mode,
-    price_plan,
     price_program,
 )
 from repro.gpusim.registers import RegisterFile, distributed_data
@@ -30,9 +28,7 @@ __all__ = [
     "SharedMemory",
     "Trace",
     "distributed_data",
-    "kernel_cycles",
     "op_cost_model",
     "policy_for_mode",
-    "price_plan",
     "price_program",
 ]

@@ -1,13 +1,14 @@
-"""The simulated machine: a generic warp-program interpreter.
+"""The simulated machine: runs warp programs and prices the runs.
 
 Every plan executes by lowering to the unified instruction IR
 (:mod:`repro.program`) and running the stream through one dispatch
-loop — there are no per-step-class execution methods left here.
-Execution is still real data movement: values travel through register
-files, shuffle networks and banked shared memory, so a plan that
-routes a single element wrong fails the correctness checks in tests,
-and every instruction emits records into a :class:`Trace` for the
-cost model.
+loop.  Execution is real data movement: values travel through
+register files, shuffle networks and banked shared memory, so a plan
+that routes a single element wrong fails the correctness checks in
+tests.  The interpreters only move data; :meth:`Machine.run_program`
+then prices the run with :func:`repro.gpusim.opcost.price_program`,
+the same pricer static op counts use, at the machine's warp count and
+with the gather-load wavefronts the interpreter measured.
 
 Two interpreter backends implement the loop: a NumPy-vectorized one
 (default — whole-warp gather/scatter per instruction) and a scalar
@@ -24,6 +25,7 @@ from typing import Dict, Optional, Tuple
 from repro import cache as _cache
 from repro.codegen.plan import ConversionPlan
 from repro.core.layout import LinearLayout
+from repro.gpusim.opcost import price_program
 from repro.gpusim.registers import RegisterFile
 from repro.gpusim.trace import Trace
 from repro.hardware.instructions import InstructionKind
@@ -65,7 +67,7 @@ class Machine:
         program: WarpProgram,
         inputs: Dict[str, RegisterFile],
     ) -> Tuple[Dict[str, RegisterFile], Trace]:
-        """Interpret an instruction stream; returns (spaces, trace).
+        """Run an instruction stream; returns (spaces, priced trace).
 
         When :mod:`repro.obs` is recording, the execution is wrapped
         in a ``sim:run_program`` span and the resulting trace's
@@ -74,16 +76,39 @@ class Machine:
         and backend; the simulation itself is identical either way.
         """
         if not _obs.is_enabled():
-            return self._interp.run(program, inputs)
+            return self._execute(program, inputs)
         with _obs.span(
             "sim:run_program",
             backend=self.backend,
             platform=self.spec.name,
             instructions=len(program.instrs),
         ) as sp:
-            files, trace = self._interp.run(program, inputs)
+            files, trace = self._execute(program, inputs)
             self._publish_trace_metrics(trace, sp)
         return files, trace
+
+    def _execute(
+        self, program: WarpProgram, inputs: Dict[str, RegisterFile]
+    ) -> Tuple[Dict[str, RegisterFile], Trace]:
+        """Move the data, then price the run.
+
+        Without a gather load the price depends only on the program,
+        the platform and the warp count, so its records are memoized
+        in the program's scratch.
+        """
+        files, gather_wavefronts = self._interp.run(program, inputs)
+        if gather_wavefronts:
+            return files, price_program(
+                program, self.spec, self.num_warps, gather_wavefronts
+            )
+        key = ("price", self.spec, self.num_warps)
+        records = program.scratch.get(key)
+        if records is None:
+            records = tuple(
+                price_program(program, self.spec, self.num_warps).instructions
+            )
+            program.scratch[key] = records
+        return files, Trace(self.spec, list(records))
 
     _SHARED_KINDS = (
         InstructionKind.SHARED_LOAD,

@@ -5,8 +5,15 @@ records; this module is the layer above it — the single authority that
 decides *which* instructions an IR operation turns into (loads, dots,
 reductions, scans, gathers, staged conversions) and what they cost.
 Both the lowering pass (:mod:`repro.engine.passes.lower`) and the
-autotuner (:mod:`repro.engine.autotune`) consume this interface, so
-there is exactly one place where op pricing lives.
+rematerialization pass consume this interface, so there is exactly
+one place where op pricing lives.
+
+:func:`price_program` is the one instruction pricer: the only code
+that turns warp-program instructions into :class:`Trace` records.
+Conversions and gathers are priced through their warp programs, and
+the simulated machine prices its executed runs with the same function
+(passing its warp count and the gather wavefronts it measured), so
+static op counts and simulated traces come from one source.
 
 Mode differences (legacy vs linear) are declarative: a frozen
 :class:`CostPolicy` captures every knob the two engine modes disagree
@@ -18,11 +25,11 @@ branches scattered through the pricing code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro import cache as _cache
 from repro.codegen.conversion import plan_conversion
-from repro.codegen.gather import can_gather_with_shuffles, plan_gather
+from repro.codegen.gather import can_gather_with_shuffles
 from repro.codegen.plan import ConversionPlan
 from repro.codegen.vectorize import legacy_vector_width_bits, vector_width_bits
 from repro.core.dims import LANE, REGISTER, WARP
@@ -33,6 +40,7 @@ from repro.hardware.cost import cost_model
 from repro.hardware.instructions import Instruction, InstructionKind
 from repro.hardware.spec import GpuSpec
 from repro.program.ir import Opcode, WarpProgram
+from repro.program.lower import lower_gather_shared, lower_gather_shuffle
 from repro.layouts.blocked import BlockedLayout
 from repro.layouts.mfma import AmdMfmaLayout
 from repro.layouts.wgmma import WgmmaLayout
@@ -88,89 +96,84 @@ def policy_for_mode(mode: str) -> CostPolicy:
 
 
 # ----------------------------------------------------------------------
-# Static pricing of warp programs (the fast no-data path)
+# The one instruction pricer
 # ----------------------------------------------------------------------
-def _price_shared_instr(instr, trace: Trace, spec: GpuSpec, kind) -> None:
-    """Price one STS/LDS on warp 0's addresses (all warps congruent)."""
-    acc = instr.accesses
-    slots = acc.max_accesses
-    if slots == 0:
-        return
-    if kind == InstructionKind.SHARED_STORE and instr.use_stmatrix:
-        matrix = InstructionKind.STMATRIX
-    elif kind == InstructionKind.SHARED_LOAD and instr.use_ldmatrix:
-        matrix = InstructionKind.LDMATRIX
-    else:
-        matrix = None
-    if matrix is not None:
-        insts = matrix_instructions(acc, instr.elem_bytes)
-        trace.emit(matrix, vector_bits=128, count=insts, wavefronts=1)
-        return
-    wavefronts = int(access_wavefronts(acc, spec, instr.elem_bytes, 1).sum())
-    widest = int(acc.width[: spec.warp_size].max(initial=0))
-    trace.emit(
-        kind,
-        vector_bits=max(32, widest * instr.elem_bytes * 8),
-        count=slots,
-        wavefronts=max(1, wavefronts // slots),
-    )
+#: (plain kind, matrix kind) of the two static shared-memory opcodes.
+_SHARED_KINDS = {
+    Opcode.STS: (InstructionKind.SHARED_STORE, InstructionKind.STMATRIX),
+    Opcode.LDS: (InstructionKind.SHARED_LOAD, InstructionKind.LDMATRIX),
+}
 
 
-def price_program(program: WarpProgram, spec: GpuSpec) -> Trace:
-    """The instruction trace of a warp program, computed without data.
+def price_program(
+    program: WarpProgram,
+    spec: GpuSpec,
+    warps: int = 1,
+    gather_wavefronts: Optional[Sequence[int]] = None,
+) -> Trace:
+    """The priced instruction trace of a warp program.
 
-    Register moves are free; shared accesses are priced on their
-    static addresses.  Gather loads have data-dependent addresses, so
-    their wavefronts here use the pipelined-kernel assumption the op
-    pricing makes (see :meth:`OpCostModel.price_gather`); the
-    interpreter measures the real addresses at execution time.
+    The only code that turns warp-program instructions into
+    :class:`Trace` records: static op pricing and the simulator's
+    executed runs both come through here.  Register moves are free.
+    An STS/LDS costs, per access slot, its worst warp among the first
+    ``warps`` (their addresses are static); its width is the widest
+    access those warps make.  Static pricing looks at warp 0 alone,
+    which equals the worst warp on every conversion measured.
+
+    Gather loads have data-dependent addresses.  Without
+    ``gather_wavefronts`` they are priced as the in-kernel pipelined
+    load: the indices are loaded well before the gather, so only the
+    ~2-way random bank conflicts remain.  With the interpreter's
+    measured wavefronts (one per ``GATHER_LDS``, in program order)
+    they are priced as the standalone load, address-dependent.
     """
     trace = Trace(spec)
+    measured = iter(gather_wavefronts or ())
     for instr in program.instrs:
         op = instr.opcode
         if op == Opcode.MOVR:
             continue  # register renaming is free
         if op == Opcode.SHFL:
             trace.emit(InstructionKind.SHUFFLE, count=instr.insts)
-        elif op == Opcode.STS:
-            _price_shared_instr(
-                instr, trace, spec, InstructionKind.SHARED_STORE
-            )
-        elif op == Opcode.LDS:
-            _price_shared_instr(
-                instr, trace, spec, InstructionKind.SHARED_LOAD
+        elif op in _SHARED_KINDS:
+            kind, matrix = _SHARED_KINDS[op]
+            acc = instr.accesses
+            slots = acc.max_accesses
+            if slots == 0:
+                continue
+            if instr.use_stmatrix if op == Opcode.STS else instr.use_ldmatrix:
+                insts = matrix_instructions(acc, instr.elem_bytes)
+                trace.emit(matrix, vector_bits=128, count=insts)
+                continue
+            worst = access_wavefronts(acc, spec, instr.elem_bytes, warps)
+            wavefronts = int(worst.max(axis=0, initial=0).sum())
+            widest = int(acc.width[: warps * spec.warp_size].max(initial=0))
+            trace.emit(
+                kind,
+                vector_bits=widest * instr.elem_bytes * 8,
+                count=slots,
+                wavefronts=max(1, wavefronts // slots),
             )
         elif op == Opcode.BAR:
             trace.emit(InstructionKind.BARRIER)
         elif op == Opcode.GATHER_SHFL:
-            trace.emit(
-                InstructionKind.SHUFFLE, count=instr.shuffle_count
-            )
+            trace.emit(InstructionKind.SHUFFLE, count=instr.shuffle_count)
         elif op == Opcode.GATHER_STS:
             trace.emit(
                 InstructionKind.SHARED_STORE,
-                vector_bits=32,
                 count=instr.layout.in_dim_size(REGISTER),
             )
         elif op == Opcode.GATHER_LDS:
             trace.emit(
                 InstructionKind.SHARED_LOAD,
-                vector_bits=32,
                 count=instr.layout.in_dim_size(REGISTER),
-                wavefronts=2,
+                wavefronts=2 if gather_wavefronts is None else next(measured),
+                dependent=gather_wavefronts is not None,
             )
         else:  # pragma: no cover
             raise TypeError(f"unknown instruction {instr!r}")
     return trace
-
-
-def price_plan(plan: ConversionPlan, spec: GpuSpec) -> Trace:
-    """The instruction trace of a conversion plan, without data.
-
-    Prices the plan's warp program — the one pricing path, shared
-    with execution.
-    """
-    return price_program(plan.program, spec)
 
 
 class OpCostModel:
@@ -195,7 +198,7 @@ class OpCostModel:
         return self.policy.mode
 
     # ------------------------------------------------------------------
-    # Trace-level pricing (shared with the autotuner)
+    # Trace-level pricing (read by the cost-summary pass)
     # ------------------------------------------------------------------
     def trace_cycles(self, trace: Trace) -> float:
         """Total cycles of an instruction trace."""
@@ -214,21 +217,23 @@ class OpCostModel:
             return legacy_vector_width_bits(desc, shape, bits, self.spec.max_vector_bits)
         return vector_width_bits(layout, bits, self.spec.max_vector_bits)
 
+    def global_access(self, layout, desc, shape, dtype, kind: InstructionKind) -> Instruction:
+        """The instruction record of a global load/store of ``layout``."""
+        vec = self.vector_bits(layout, desc, shape, dtype.bits)
+        count = max(1, layout.in_dim_size(REGISTER) * dtype.bits // vec)
+        return Instruction(kind, vector_bits=vec, count=count)
+
     def price_global(self, value, trace: Trace, kind: InstructionKind) -> None:
         """Emit the global load/store instructions of one value."""
-        vec = self.vector_bits(value.layout, value.descriptor, value.shape, value.dtype.bits)
-        regs = value.layout.in_dim_size(REGISTER)
-        count = max(1, regs * value.dtype.bits // vec)
-        trace.emit(kind, vector_bits=vec, count=count)
+        trace.instructions.append(
+            self.global_access(value.layout, value.descriptor, value.shape, value.dtype, kind)
+        )
 
     def global_cycles(self, layout, desc, shape, dtype) -> float:
         """Cycles of a global access without emitting it (memoized)."""
 
         def compute() -> float:
-            vec = self.vector_bits(layout, desc, shape, dtype.bits)
-            regs = layout.in_dim_size(REGISTER)
-            count = max(1, regs * dtype.bits // vec)
-            inst = Instruction(InstructionKind.GLOBAL_LOAD, vector_bits=vec, count=count)
+            inst = self.global_access(layout, desc, shape, dtype, InstructionKind.GLOBAL_LOAD)
             return self.instruction_model.instruction_cycles(inst)
 
         return _cache.cached(
@@ -382,45 +387,22 @@ class OpCostModel:
             trace.emit(InstructionKind.ALU, count=max(1, regs))
 
     def price_gather(self, op, trace: Trace) -> None:
-        """Shuffle-based gather when profitable, else a shared round trip."""
-        src = op.inputs[0]
+        """The cheaper of the shuffle and shared gather programs.
+
+        The shuffle program is a candidate when the policy allows it
+        and the gather axis stays within a warp; past the Figure 8
+        crossover its rounds outgrow the shared round trip.  A tie
+        goes to the shuffles.
+        """
+        layout = op.inputs[0].layout
         axis = op.attrs["axis"]
-        layout = src.layout
-        regs = layout.in_dim_size(REGISTER)
+        shared = price_program(lower_gather_shared(layout, axis), self.spec)
+        best = shared
         if self.policy.gather_via_shuffles and can_gather_with_shuffles(layout, axis):
-            plan = plan_gather(layout, axis)
-            shuffle_cycles = plan.total_shuffles * self.spec.shuffle_cycles
-            shared_cycles = (
-                regs * (self.spec.issue_cycles + 2)
-                + self.spec.barrier_cycles
-                + regs * (self.spec.issue_cycles + 4)
-            )
-            # Past the Figure 8 crossover the rounds outgrow the
-            # shared round trip; the compiler keeps the cheaper path.
-            if shuffle_cycles <= shared_cycles:
-                trace.emit(InstructionKind.SHUFFLE, count=plan.total_shuffles)
-                return
-        trace.emit(InstructionKind.SHARED_STORE, vector_bits=32, count=regs)
-        trace.emit(InstructionKind.BARRIER)
-        # Inside a full kernel the indices are loaded well before the
-        # gather, so the addresses are ready and the loads pipeline
-        # (unlike the standalone microbenchmark of Figure 8); only the
-        # ~2-way random bank conflicts remain.
-        trace.emit(
-            InstructionKind.SHARED_LOAD,
-            vector_bits=32,
-            count=regs,
-            wavefronts=2,
-        )
-
-
-def kernel_cycles(instructions: Iterable[Instruction], spec: GpuSpec) -> float:
-    """Total cycles of an instruction stream on ``spec``.
-
-    The one-call form of the pricing authority for consumers that
-    hold a finished trace (the autotuner, report generators).
-    """
-    return cost_model(spec).total_cycles(instructions)
+            shuffle = price_program(lower_gather_shuffle(layout, axis), self.spec)
+            if shuffle.cycles() <= shared.cycles():
+                best = shuffle
+        trace.instructions.extend(best.instructions)
 
 
 def op_cost_model(spec: GpuSpec, mode: str) -> OpCostModel:
@@ -433,9 +415,7 @@ __all__ = [
     "LEGACY_POLICY",
     "LINEAR_POLICY",
     "OpCostModel",
-    "kernel_cycles",
     "op_cost_model",
     "policy_for_mode",
-    "price_plan",
     "price_program",
 ]

@@ -1,19 +1,19 @@
 """Warp-program interpreters: one scalar oracle, one vectorized.
 
 Both interpreters execute the same instruction stream with the same
-observable semantics — real data movement through register files and
-banked shared memory, plus an instruction :class:`Trace` for the cost
-model.  The scalar interpreter is a direct port of the historical
-per-lane execution loops and serves as the differential-testing
-oracle; the vectorized interpreter compiles each instruction's
-routing tables into NumPy index arrays once (cached on the program)
-and then moves whole warps per instruction.
+observable semantics: real data movement through register files and
+banked shared memory.  They only move data; pricing is
+:func:`repro.gpusim.opcost.price_program`'s job.  The one cost input
+an interpreter alone can supply is the bank behaviour of gather
+loads, whose addresses depend on the index values: ``run`` returns
+the measured wavefronts of each ``GATHER_LDS`` (through the shared
+:func:`gather_lds_wavefronts`) next to the register spaces.
 
-Bank-conflict accounting is *static* for conversion instructions (the
-addresses live in the instruction), so both backends share one
-accounting function and their traces are identical by construction.
-Gather loads have data-dependent addresses; their wavefronts are
-measured on the actual offsets, again through shared code.
+The scalar interpreter is a direct port of the historical per-lane
+execution loops and serves as the differential-testing oracle; the
+vectorized interpreter compiles each instruction's routing tables
+into NumPy index arrays once (cached on the program) and then moves
+whole warps per instruction.
 """
 
 from __future__ import annotations
@@ -24,92 +24,10 @@ import numpy as np
 
 from repro.core.dims import LANE, REGISTER, WARP
 from repro.codegen.views import DistributedView, slot_table
-from repro.gpusim.memory import (
-    SharedMemory,
-    access_wavefronts,
-    bank_wavefronts,
-    matrix_instructions,
-)
+from repro.gpusim.memory import SharedMemory, bank_wavefronts
 from repro.gpusim.registers import RegisterFile
-from repro.gpusim.trace import Trace
-from repro.hardware.instructions import InstructionKind
 from repro.hardware.spec import GpuSpec
 from repro.program.ir import Opcode, WarpProgram
-
-
-# ----------------------------------------------------------------------
-# Shared static accounting (identical across backends by construction)
-# ----------------------------------------------------------------------
-def shared_accounting(
-    instr, spec: GpuSpec, num_warps: int, is_store: bool
-) -> Optional[Tuple]:
-    """Bank accounting of one STS/LDS instruction.
-
-    Returns ``("matrix", insts)`` for ld/stmatrix lowering, or
-    ``("vec", vector_bits, count, wavefronts)`` for plain accesses,
-    or ``None`` when the instruction touches nothing.  Addresses are
-    static, so this is a pure function of the instruction, the
-    platform, and the executing CTA's warp count.
-    """
-    acc = instr.accesses
-    slots = acc.max_accesses
-    if slots == 0:
-        return None
-    matrix = instr.use_stmatrix if is_store else instr.use_ldmatrix
-    if matrix:
-        return ("matrix", matrix_instructions(acc, instr.elem_bytes))
-    # The simulator charges the worst warp per access slot.
-    worst = access_wavefronts(acc, spec, instr.elem_bytes, num_warps)
-    total_wavefronts = int(worst.max(axis=0, initial=0).sum())
-    widest = int(
-        acc.width[: num_warps * spec.warp_size].max(initial=0)
-    )
-    return (
-        "vec",
-        widest * instr.elem_bytes * 8,
-        slots,
-        max(1, total_wavefronts // slots),
-    )
-
-
-def emit_shared(
-    instr,
-    trace: Trace,
-    spec: GpuSpec,
-    num_warps: int,
-    is_store: bool,
-    cache: Optional[Dict] = None,
-    key: Optional[Tuple] = None,
-) -> None:
-    """Emit the priced record(s) of one STS/LDS instruction."""
-    acct = None
-    if cache is not None and key in cache:
-        acct = cache[key]
-    else:
-        acct = shared_accounting(instr, spec, num_warps, is_store)
-        if cache is not None:
-            cache[key] = acct
-    if acct is None:
-        return
-    if acct[0] == "matrix":
-        kind = (
-            InstructionKind.STMATRIX
-            if is_store
-            else InstructionKind.LDMATRIX
-        )
-        trace.emit(kind, vector_bits=128, count=acct[1], wavefronts=1)
-    else:
-        kind = (
-            InstructionKind.SHARED_STORE
-            if is_store
-            else InstructionKind.SHARED_LOAD
-        )
-        trace.emit(
-            kind,
-            vector_bits=acct[1],
-            count=acct[2],
-            wavefronts=acct[3],
-        )
 
 
 # ----------------------------------------------------------------------
@@ -173,14 +91,14 @@ class ScalarInterpreter:
 
     def run(
         self, program: WarpProgram, inputs: Dict[str, RegisterFile]
-    ) -> Tuple[Dict[str, RegisterFile], Trace]:
-        """Execute; returns (register spaces, trace)."""
-        trace = Trace(self.spec)
+    ) -> Tuple[Dict[str, RegisterFile], Tuple[int, ...]]:
+        """Execute; returns (register spaces, gather-load wavefronts)."""
+        gather_wavefronts: List[int] = []
         files: Dict[str, RegisterFile] = dict(inputs)
         anchor = next(iter(inputs.values()))
         dims = (anchor.num_warps, anchor.warp_size)
         memory: Optional[SharedMemory] = None
-        for i, instr in enumerate(program.instrs):
+        for instr in program.instrs:
             op = instr.opcode
             if op == Opcode.MOVR:
                 files[instr.dst] = self._movr(instr, files[instr.src], dims)
@@ -188,62 +106,33 @@ class ScalarInterpreter:
                 if instr.dst not in files:
                     files[instr.dst] = RegisterFile(*dims)
                 self._shfl(instr, files[instr.src], files[instr.dst])
-                trace.emit(InstructionKind.SHUFFLE, count=instr.insts)
             elif op == Opcode.STS:
                 memory = SharedMemory(self.spec, instr.elem_bytes)
                 self._sts(instr, files[instr.src], memory)
-                emit_shared(
-                    instr, trace, self.spec, self.num_warps, True,
-                    program.scratch,
-                    ("acct", self.spec.name, self.num_warps, i),
-                )
-            elif op == Opcode.BAR:
-                trace.emit(InstructionKind.BARRIER)
             elif op == Opcode.LDS:
                 if memory is None:
                     raise RuntimeError("LDS before any STS")
                 out = RegisterFile(*dims)
                 self._lds(instr, out, memory)
                 files[instr.dst] = out
-                emit_shared(
-                    instr, trace, self.spec, self.num_warps, False,
-                    program.scratch,
-                    ("acct", self.spec.name, self.num_warps, i),
-                )
             elif op == Opcode.GATHER_SHFL:
                 files[instr.dst] = self._gather_shfl(
                     instr, files[instr.src], files[instr.index], dims
                 )
-                trace.emit(
-                    InstructionKind.SHUFFLE, count=instr.shuffle_count
-                )
             elif op == Opcode.GATHER_STS:
                 memory = SharedMemory(self.spec, instr.elem_bytes)
                 self._gather_sts(instr, files[instr.src], memory)
-                trace.emit(
-                    InstructionKind.SHARED_STORE,
-                    vector_bits=32,
-                    count=instr.layout.in_dim_size(REGISTER),
-                    wavefronts=1,
-                )
             elif op == Opcode.GATHER_LDS:
                 if memory is None:
                     raise RuntimeError("GATHER_LDS before any store")
                 out = RegisterFile(*dims)
-                wavefronts = self._gather_lds(
-                    instr, out, files[instr.index], memory
+                gather_wavefronts.append(
+                    self._gather_lds(instr, out, files[instr.index], memory)
                 )
                 files[instr.dst] = out
-                trace.emit(
-                    InstructionKind.SHARED_LOAD,
-                    vector_bits=32,
-                    count=instr.layout.in_dim_size(REGISTER),
-                    wavefronts=wavefronts,
-                    dependent=True,
-                )
-            else:  # pragma: no cover
+            elif op != Opcode.BAR:  # pragma: no cover
                 raise TypeError(f"unknown instruction {instr!r}")
-        return files, trace
+        return files, tuple(gather_wavefronts)
 
     # -- conversion instructions ---------------------------------------
     def _movr(self, instr, src: RegisterFile, dims) -> RegisterFile:
@@ -383,9 +272,9 @@ class VectorInterpreter:
 
     def run(
         self, program: WarpProgram, inputs: Dict[str, RegisterFile]
-    ) -> Tuple[Dict[str, RegisterFile], Trace]:
-        """Execute; returns (register spaces, trace)."""
-        trace = Trace(self.spec)
+    ) -> Tuple[Dict[str, RegisterFile], Tuple[int, ...]]:
+        """Execute; returns (register spaces, gather-load wavefronts)."""
+        gather_wavefronts: List[int] = []
         anchor = next(iter(inputs.values()))
         ws = anchor.warp_size
         nw = max(
@@ -433,7 +322,6 @@ class VectorInterpreter:
                     arrays[instr.dst] = out
                 w = min(instr.warps, nw)
                 out[:w, dl, dr] = arrays[instr.src][:w, sl, sr]
-                trace.emit(InstructionKind.SHUFFLE, count=instr.insts)
             elif op == Opcode.STS:
                 plan = program.scratch.get(key)
                 if plan is None:
@@ -444,13 +332,6 @@ class VectorInterpreter:
                 memory = _alloc_memory(program, ws, self.num_warps)
                 if len(off):
                     memory[off] = arrays[instr.src][w_idx, l_idx, r_idx]
-                emit_shared(
-                    instr, trace, self.spec, self.num_warps, True,
-                    program.scratch,
-                    ("acct", self.spec.name, self.num_warps, i),
-                )
-            elif op == Opcode.BAR:
-                trace.emit(InstructionKind.BARRIER)
             elif op == Opcode.LDS:
                 if memory is None:
                     raise RuntimeError("LDS before any STS")
@@ -467,17 +348,9 @@ class VectorInterpreter:
                 if len(off):
                     out[w_idx, l_idx, r_idx] = memory[off]
                 arrays[instr.dst] = out
-                emit_shared(
-                    instr, trace, self.spec, self.num_warps, False,
-                    program.scratch,
-                    ("acct", self.spec.name, self.num_warps, i),
-                )
             elif op == Opcode.GATHER_SHFL:
                 arrays[instr.dst] = self._gather_shfl(
                     program, instr, key, arrays, nw, ws
-                )
-                trace.emit(
-                    InstructionKind.SHUFFLE, count=instr.shuffle_count
                 )
             elif op == Opcode.GATHER_STS:
                 layout = instr.layout
@@ -492,12 +365,6 @@ class VectorInterpreter:
                 memory[here.ravel()] = arrays[instr.src][
                     :warps, :lanes, :regs
                 ].ravel()
-                trace.emit(
-                    InstructionKind.SHARED_STORE,
-                    vector_bits=32,
-                    count=regs,
-                    wavefronts=1,
-                )
             elif op == Opcode.GATHER_LDS:
                 if memory is None:
                     raise RuntimeError("GATHER_LDS before any store")
@@ -511,17 +378,12 @@ class VectorInterpreter:
                 out = np.full((nw, ws, regs), None, dtype=object)
                 out[:warps, :lanes, :regs] = memory[src_flat]
                 arrays[instr.dst] = out
-                trace.emit(
-                    InstructionKind.SHARED_LOAD,
-                    vector_bits=32,
-                    count=regs,
-                    wavefronts=gather_lds_wavefronts(
-                        self.spec, mem_bytes, src_flat,
-                        warps, lanes, regs,
-                    ),
-                    dependent=True,
+                gather_wavefronts.append(
+                    gather_lds_wavefronts(
+                        self.spec, mem_bytes, src_flat, warps, lanes, regs
+                    )
                 )
-            else:  # pragma: no cover
+            elif op != Opcode.BAR:  # pragma: no cover
                 raise TypeError(f"unknown instruction {instr!r}")
         files = {}
         for name, arr in arrays.items():
@@ -533,7 +395,7 @@ class VectorInterpreter:
                 # Untouched inputs pass through without an array
                 # round-trip.
                 files[name] = inputs[name]
-        return files, trace
+        return files, tuple(gather_wavefronts)
 
     # -- gather helpers ------------------------------------------------
     def _gather_offsets(
@@ -651,8 +513,6 @@ def make_interpreter(
 __all__ = [
     "ScalarInterpreter",
     "VectorInterpreter",
-    "emit_shared",
     "gather_lds_wavefronts",
     "make_interpreter",
-    "shared_accounting",
 ]

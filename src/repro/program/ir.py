@@ -309,16 +309,16 @@ class WarpProgram:
     human-readable provenance tag (the plan kind, the gather flavor).
 
     The program object doubles as the memoization site for derived
-    execution artifacts (vectorized index plans, static bank
-    accounting) — see :attr:`scratch`; those never affect equality or
+    execution artifacts (vectorized index plans, the machine's priced
+    records) — see :attr:`scratch`; those never affect equality or
     serialization.
     """
 
     instrs: Tuple[Instr, ...]
     result: str = R_OUT
     label: str = ""
-    #: Backend scratch: compiled index plans and cached static
-    #: accounting, keyed by the consumer.  Not part of program
+    #: Backend scratch: compiled index plans and cached priced
+    #: records, keyed by the consumer.  Not part of program
     #: identity.
     scratch: Dict[object, object] = field(
         default_factory=dict, repr=False, compare=False

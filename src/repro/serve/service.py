@@ -40,6 +40,7 @@ from typing import List, Optional, Sequence, Union
 from repro import cache as _cache
 from repro.engine import compile as _engine_compile
 from repro.engine.engine import CompiledKernel
+from repro.engine.pipeline import check_num_warps
 from repro.hardware.spec import PLATFORMS
 from repro.kernels import KERNELS
 from repro.obs import core as _obs
@@ -99,6 +100,7 @@ class CompileRequest:
             raise ValueError(
                 f"mode must be linear or legacy: {self.mode!r}"
             )
+        check_num_warps(self.num_warps)
         self.resolved_case()  # raises on an unknown case name
         return self
 

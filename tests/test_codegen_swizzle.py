@@ -20,7 +20,7 @@ from repro.codegen.conversion import (
 from repro.codegen.swizzle import optimal_swizzled_layout
 from repro.core import LANE, REGISTER
 from repro.gpusim.memory import SharedMemory
-from repro.gpusim.opcost import price_plan
+from repro.gpusim.opcost import price_program
 from repro.hardware import GH200, RTX4090
 from repro.hardware.instructions import InstructionKind
 from repro.layouts import (
@@ -188,7 +188,7 @@ class TestPinnedStagingLemma:
         }
         priced = [
             (i.kind, i.wavefronts)
-            for i in price_plan(plan, spec).instructions
+            for i in price_program(plan.program, spec).instructions
             if i.kind in analytic
         ]
         assert priced
@@ -200,7 +200,7 @@ class TestOptimalBeatsPadding:
     def test_transpose_staging(self, size):
         """Figure 2's claim at the plan level: on large tiles, the
         optimal staging never costs more cycles than padding."""
-        from repro.gpusim.opcost import price_plan
+        from repro.gpusim.opcost import price_program
 
         src = transpose_layout(
             BlockedLayout((1, 8), (4, 8), (2, 2), (1, 0)).to_linear(
@@ -217,6 +217,6 @@ class TestOptimalBeatsPadding:
             allow_shuffle=False, dedupe_broadcast=False,
         )
         assert (
-            price_plan(optimal, GH200).cycles()
-            <= price_plan(padded, GH200).cycles()
+            price_program(optimal.program, GH200).cycles()
+            <= price_program(padded.program, GH200).cycles()
         )

@@ -143,6 +143,17 @@ class TestFailureModes:
         )
         assert not ck.ok
 
+    @pytest.mark.parametrize("num_warps", [0, 3, -4, True, 4.0])
+    def test_bad_num_warps_rejected(self, num_warps):
+        from repro.engine import CompilationContext, KernelBuilder
+
+        with pytest.raises(ValueError, match="num_warps"):
+            LayoutEngine(RTX4090, "linear", num_warps=num_warps)
+        with pytest.raises(ValueError, match="num_warps"):
+            CompilationContext.create(
+                KernelBuilder().graph, RTX4090, num_warps=num_warps
+            )
+
 
 class TestCosts:
     def test_linear_never_slower_on_suite(self):

@@ -12,7 +12,7 @@ from repro.gpusim import (
     Trace,
     distributed_data,
 )
-from repro.gpusim.opcost import price_plan
+from repro.gpusim.opcost import price_program
 from repro.gpusim.registers import assert_matches_layout
 from repro.hardware import GH200, MI250, RTX4090
 from repro.hardware.instructions import InstructionKind
@@ -137,8 +137,8 @@ class TestPricingAgreement:
         "spec", [RTX4090, GH200, MI250], ids=lambda s: s.name
     )
     def test_price_matches_machine(self, spec):
-        """price_plan must produce the same cycle count as executing
-        the plan with data on the machine."""
+        """Static pricing emits exactly the records of executing the
+        plan with data on the machine."""
         if spec is MI250:
             src = BlockedLayout((1, 2), (8, 8), (2, 2), (1, 0)).to_linear(
                 (32, 64)
@@ -152,11 +152,12 @@ class TestPricingAgreement:
             )
             dst = NvidiaMmaLayout((2, 2)).to_linear((32, 64))
         plan = plan_conversion(src, dst, 16, spec=spec)
-        priced = price_plan(plan, spec).cycles()
+        priced = price_program(plan.program, spec)
         machine = Machine(spec, num_warps=4)
         registers = distributed_data(src, 4, spec.warp_size)
         _, trace = machine.run_conversion(plan, registers)
-        assert priced == pytest.approx(trace.cycles(), rel=0.25)
+        assert priced.instructions == trace.instructions
+        assert priced.cycles() == trace.cycles()
 
 
 class TestGatherExecution:

@@ -102,7 +102,7 @@ class TestMatrixInstructionPricing:
     def test_price_matches_machine_for_ldmatrix_plan(self):
         from repro.codegen.conversion import plan_conversion
         from repro.gpusim import Machine, distributed_data
-        from repro.gpusim.opcost import price_plan
+        from repro.gpusim.opcost import price_program
         from repro.hardware import GH200
         from repro.layouts import (
             BlockedLayout, MmaOperandLayout, NvidiaMmaLayout,
@@ -119,7 +119,7 @@ class TestMatrixInstructionPricing:
         plan = plan_conversion(
             src, dst, 16, spec=GH200, memory_layout=mem
         )
-        priced = price_plan(plan, GH200).cycles()
+        priced = price_program(plan.program, GH200).cycles()
         _, trace = Machine(GH200, 4).run_conversion(
             plan, distributed_data(src, 4, 32)
         )

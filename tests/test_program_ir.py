@@ -250,6 +250,62 @@ def test_program_shape_per_plan_kind(case, mode, bits):
         ]
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    case=plan_cases(),
+    mode=st.sampled_from(["optimal", "padded", "none"]),
+    bits=st.sampled_from([8, 16, 32]),
+)
+def test_static_price_matches_executed_trace(case, mode, bits):
+    """Warp 0's static price is the worst-warp price of a real run.
+
+    ``price_program`` at its default of one warp emits exactly the
+    records the machine emits after running the plan with data on
+    every warp, on both backends: no width floor, no worse warp.
+    """
+    spec, src, dst = case
+    plan = plan_conversion(src, dst, bits, spec=spec, swizzle_mode=mode)
+    priced = price_program(plan.program, spec).instructions
+    warps = max(src.in_dim_size(WARP), dst.in_dim_size(WARP))
+    registers = distributed_data(src, warps, spec.warp_size)
+    for machine in both_machines(spec, warps):
+        _, trace = machine.run_conversion(plan, registers)
+        assert trace.instructions == priced
+
+
+@pytest.mark.parametrize("mode", ["linear", "legacy"])
+@pytest.mark.parametrize("spec", [RTX4090, GH200], ids=lambda s: s.name)
+def test_price_gather_emits_cheaper_program(spec, mode):
+    """Across the Figure 8 sweep the op pricer bills the cheaper gather
+    program (a tie goes to the shuffles); legacy mode always stages."""
+    from types import SimpleNamespace
+
+    from repro.bench.fig8 import gather_layout
+    from repro.gpusim import Trace, op_cost_model
+    from repro.program.lower import (
+        lower_gather_shared,
+        lower_gather_shuffle,
+    )
+
+    cost = op_cost_model(spec, mode)
+    billed = set()
+    for axis_size in (2, 4, 8, 16, 32, 64, 128):
+        layout = gather_layout(512, axis_size)
+        shared = price_program(lower_gather_shared(layout, 1), spec)
+        shuffle = price_program(lower_gather_shuffle(layout, 1), spec)
+        cheaper = shuffle if shuffle.cycles() <= shared.cycles() else shared
+        expected = cheaper if mode == "linear" else shared
+        trace = Trace(spec)
+        op = SimpleNamespace(
+            inputs=[SimpleNamespace(layout=layout)], attrs={"axis": 1}
+        )
+        cost.price_gather(op, trace)
+        assert trace.instructions == expected.instructions
+        billed.add(expected is shuffle)
+    # Both sides of the crossover are exercised in linear mode.
+    assert billed == ({False, True} if mode == "linear" else {False})
+
+
 class TestLowerPlan:
     def test_fresh_copy_with_cold_scratch(self):
         src = BlockedLayout((1, 4), (8, 4), (2, 2), (1, 0)).to_linear(

@@ -204,6 +204,12 @@ class TestServiceSemantics:
             with pytest.raises(ValueError):
                 service.submit(CompileRequest("gemm", mode="quantum"))
 
+    @pytest.mark.parametrize("num_warps", [0, 3, -4, True, 4.0])
+    def test_bad_num_warps_raise_at_submit(self, num_warps):
+        with CompileService(workers=1) as service:
+            with pytest.raises(ValueError, match="num_warps"):
+                service.submit(CompileRequest("gemm", num_warps=num_warps))
+
     def test_result_cache_serves_repeat_batches(self):
         cache.clear()
         with CompileService(workers=2, name="repeat") as service:

@@ -66,15 +66,15 @@ class TestBroadcastShuffles:
         assert "st.shared" not in trace.histogram()
 
     def test_cheaper_than_shared(self):
-        from repro.gpusim.opcost import price_plan
+        from repro.gpusim.opcost import price_program
 
         shuffle = plan_conversion(self.src, self.dst, 16, spec=RTX4090)
         shared = plan_conversion(
             self.src, self.dst, 16, spec=RTX4090, allow_shuffle=False
         )
         assert (
-            price_plan(shuffle, RTX4090).cycles()
-            < price_plan(shared, RTX4090).cycles()
+            price_program(shuffle.program, RTX4090).cycles()
+            < price_program(shared.program, RTX4090).cycles()
         )
 
     def test_lane_broadcast_still_falls_back(self):

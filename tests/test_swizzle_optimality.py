@@ -13,7 +13,7 @@ import pytest
 from repro.codegen.conversion import plan_conversion
 from repro.core import LANE, LinearLayout, REGISTER, WARP
 from repro.gpusim.memory import SharedMemory
-from repro.gpusim.opcost import price_plan
+from repro.gpusim.opcost import price_program
 from repro.hardware import GH200
 from repro.program import Opcode
 
@@ -74,9 +74,9 @@ def test_optimal_never_loses_on_cycles(seed):
     padded = plan_conversion(src, dst, 16, swizzle_mode="padded",
                              **kwargs)
     raw = plan_conversion(src, dst, 16, swizzle_mode="none", **kwargs)
-    opt_cycles = price_plan(optimal, GH200).cycles()
-    assert opt_cycles <= price_plan(padded, GH200).cycles() * 1.01
-    assert opt_cycles <= price_plan(raw, GH200).cycles() * 1.01
+    opt_cycles = price_program(optimal.program, GH200).cycles()
+    assert opt_cycles <= price_program(padded.program, GH200).cycles() * 1.01
+    assert opt_cycles <= price_program(raw.program, GH200).cycles() * 1.01
 
 
 @pytest.mark.parametrize("seed", range(10))
