@@ -796,6 +796,8 @@ class LinearLayout:
         Used by the engine to turn conversions between "equivalent"
         layouts into no-ops (the welford case of Section 6.2).
         """
+        if self is other:
+            return True  # interned layouts compared with themselves
         if not isinstance(other, LinearLayout):
             return False
         if dict(self._in_dims) != dict(other._in_dims):

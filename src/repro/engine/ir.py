@@ -105,10 +105,27 @@ class Graph:
         """Ops consuming ``value`` as an input.
 
         Compared by identity: values are SSA objects, and the
-        dataclass ``__eq__`` would compare them field by field.
+        dataclass ``__eq__`` would compare them field by field.  One
+        scan of every op: passes that ask about many values use
+        :meth:`users_map`, and this stays as its oracle.
         """
         key = id(value)
         return [op for op in self.ops if key in map(id, op.inputs)]
+
+    def users_map(self) -> Dict[int, List[Op]]:
+        """``users_of`` of every value at once, keyed by ``id(value)``.
+
+        Built in one sweep over the ops; values without users are
+        absent.  An op using a value twice appears once, as in
+        :meth:`users_of`.
+        """
+        users: Dict[int, List[Op]] = {}
+        for op in self.ops:
+            for value in op.inputs:
+                ops = users.setdefault(id(value), [])
+                if not ops or ops[-1] is not op:
+                    ops.append(op)
+        return users
 
     def __repr__(self) -> str:
         return "\n".join(repr(op) for op in self.ops)

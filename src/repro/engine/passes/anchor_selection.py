@@ -9,14 +9,16 @@ and operand selection) and the :class:`AnchorSelection` pass that
 stamps load anchors onto the graph and publishes an
 :class:`AnchorCatalog` for the forward-propagation pass to query.
 
-All catalog constructions are memoized in :mod:`repro.cache` under
-``("anchors", ...)`` keys — anchor choice depends only on the engine
-configuration and op shapes, never on the surrounding graph.
+The catalog's anchors are memoized in :mod:`repro.cache` under
+``("anchors", ...)`` keys, one entry per blocked anchor and one per
+dot (parent, accumulator and both operands) — anchor choice depends
+only on the engine configuration and op shapes, never on the
+surrounding graph.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro import cache as _cache
 from repro.codegen.vectorize import legacy_default_blocked
@@ -93,48 +95,17 @@ class AnchorCatalog:
     # ------------------------------------------------------------------
     def mma_parent(self, m: int, n: int):
         """The accumulator layout for a dot of output shape (m, n)."""
-
-        def make():
-            flavor = self.spec.mma_flavor
-            if flavor == "mfma":
-                wm, wn = balanced_warps(self.num_warps, m, n, 32, 32)
-                return AmdMfmaLayout((wm, wn))
-            if flavor == "wgmma" and m >= 64 and self.num_warps % 4 == 0:
-                wm = 4
-                wn = max(1, self.num_warps // 4)
-                instr_n = min(max(8, n), 256)
-                return WgmmaLayout((wm, wn), instr_n=instr_n)
-            wm, wn = balanced_warps(self.num_warps, m, n, 16, 8)
-            return NvidiaMmaLayout((wm, wn))
-
-        return _cache.cached(
-            _cache.engine,
-            (
-                "anchors",
-                "mma_parent",
-                self.spec.mma_flavor,
-                self.num_warps,
-                m,
-                n,
-            ),
-            make,
-        )
-
-    def dot_accumulator(self, m: int, n: int) -> LinearLayout:
-        """The linear layout of a dot's accumulator."""
-        parent = self.mma_parent(m, n)
-        return _cache.cached(
-            _cache.engine,
-            (
-                "anchors",
-                "dot_acc",
-                self.spec.mma_flavor,
-                self.num_warps,
-                m,
-                n,
-            ),
-            lambda: parent.to_linear((m, n)).intern(),
-        )
+        flavor = self.spec.mma_flavor
+        if flavor == "mfma":
+            wm, wn = balanced_warps(self.num_warps, m, n, 32, 32)
+            return AmdMfmaLayout((wm, wn))
+        if flavor == "wgmma" and m >= 64 and self.num_warps % 4 == 0:
+            wm = 4
+            wn = max(1, self.num_warps // 4)
+            instr_n = min(max(8, n), 256)
+            return WgmmaLayout((wm, wn), instr_n=instr_n)
+        wm, wn = balanced_warps(self.num_warps, m, n, 16, 8)
+        return NvidiaMmaLayout((wm, wn))
 
     def operand_descriptor(self, parent, op_idx: int, dtype: DType):
         """The fragment descriptor of one dot operand, or None when
@@ -150,30 +121,38 @@ class AnchorCatalog:
             return None
         return MmaOperandLayout(parent, op_idx, kwidth)
 
-    def dot_operand(
-        self, parent, m: int, n: int, idx: int, operand: Value
-    ) -> Tuple[Optional[object], Optional[LinearLayout]]:
-        """(descriptor, layout) of one dot operand; (None, None) when
-        the operand is consumed straight from shared memory."""
+    def dot_anchors(self, a: Value, b: Value) -> Tuple[object, LinearLayout, tuple]:
+        """Every anchor of a dot ``a @ b``, from one cache entry.
 
-        def make():
-            desc = self.operand_descriptor(parent, idx, operand.dtype)
+        Returns ``(parent, accumulator layout, operands)``: the MMA
+        parent descriptor, the accumulator's linear layout, and one
+        ``(descriptor, layout)`` pair per operand, ``(None, None)``
+        when the operand is consumed straight from shared memory.
+        """
+        m, n = a.shape[0], b.shape[1]
+
+        def operand(parent, idx: int, value: Value):
+            desc = self.operand_descriptor(parent, idx, value.dtype)
             if desc is None:
                 return None, None
-            return desc, desc.to_linear(operand.shape).intern()
+            return desc, desc.to_linear(value.shape).intern()
+
+        def make():
+            parent = self.mma_parent(m, n)
+            accumulator = parent.to_linear((m, n)).intern()
+            return parent, accumulator, (operand(parent, 0, a), operand(parent, 1, b))
 
         return _cache.cached(
             _cache.engine,
             (
                 "anchors",
-                "dot_operand",
+                "dot",
                 self.spec.mma_flavor,
                 self.num_warps,
-                m,
-                n,
-                idx,
-                operand.dtype.name,
-                tuple(operand.shape),
+                tuple(a.shape),
+                a.dtype.name,
+                tuple(b.shape),
+                b.dtype.name,
             ),
             make,
         )

@@ -1,11 +1,11 @@
 """Cost summary: price the finished trace and record the bill.
 
 The final pipeline stage.  It adds no instructions — pricing of
-individual ops happened during lowering — but totals the trace under
-the platform's :class:`~repro.hardware.cost.CostModel` and records
-the per-kind cycle breakdown in its diagnostics, giving every
-compilation a built-in profile ("80% of cycles are shared_load")
-without re-running anything.
+individual ops happened during lowering — but bills the trace under
+the platform's :class:`~repro.hardware.cost.CostModel` in one pass,
+recording the total and the per-kind cycle breakdown in its
+diagnostics: every compilation gets a built-in profile ("80% of
+cycles are shared_load") without re-running anything.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ class CostSummary(Pass):
                 "cost-summary requires a lowered trace; run LowerToPlans "
                 "(or a pass that sets ctx.trace) first"
             )
-        ctx.cycles = ctx.cost.trace_cycles(ctx.trace)
+        ctx.cycles, by_kind = ctx.cost.instruction_model.bill(ctx.trace.instructions)
         diag.bump("cycles", ctx.cycles)
         diag.bump("instructions", len(ctx.trace.instructions))
         diag.bump("conversions", len(ctx.conversions))
-        for kind, cycles in sorted(ctx.cost.trace_breakdown(ctx.trace).items()):
+        for kind, cycles in sorted(by_kind.items()):
             diag.bump(f"cycles[{kind}]", cycles)
 
 

@@ -16,7 +16,7 @@ taken ownership of its input graph).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, List, Optional
 
 from repro.engine.ir import Graph, Op, OpKind, Value
 from repro.engine.pipeline import CompilationContext, Pass, PassDiagnostics
@@ -126,6 +126,9 @@ class ForwardPropagation(Pass):
 
     def run(self, ctx: CompilationContext, diag: PassDiagnostics) -> None:
         graph = ctx.graph
+        # Users of a value follow its producer, so the input graph's
+        # users of an op's output are unchanged when the op is reached.
+        users = graph.users_map()
         out = Graph()
         out.values = graph.values
 
@@ -191,7 +194,7 @@ class ForwardPropagation(Pass):
                 # *small* input tensor instead (forward half of the
                 # remat story; both compilers do this).
                 value = op.inputs[0]
-                target = self._consumer_layout(graph, op)
+                target = self._consumer_layout(users, op)
                 if target is not None:
                     axes = [
                         i
@@ -237,17 +240,12 @@ class ForwardPropagation(Pass):
         convert_to,
         diag: PassDiagnostics,
     ) -> None:
-        a, b = op.inputs
-        m, k = a.shape
-        _, n = b.shape
-        del k
-        parent = ctx.anchors.mma_parent(m, n)
-        op.output.layout = ctx.anchors.dot_accumulator(m, n)
+        parent, accumulator, operands = ctx.anchors.dot_anchors(*op.inputs)
+        op.output.layout = accumulator
         op.output.descriptor = parent
         diag.bump("dot_anchors_assigned")
         new_inputs = []
-        for idx, operand in enumerate((a, b)):
-            desc, layout = ctx.anchors.dot_operand(parent, m, n, idx, operand)
+        for operand, (desc, layout) in zip(op.inputs, operands):
             if desc is None:
                 # Operand consumed from shared memory: stage it.
                 staged = out.new_value(operand.shape, operand.dtype)
@@ -262,14 +260,15 @@ class ForwardPropagation(Pass):
         out.add(op)
 
     @staticmethod
-    def _consumer_layout(graph: Graph, op: Op) -> Optional[LinearLayout]:
+    def _consumer_layout(users: Dict[int, List[Op]], op: Op) -> Optional[LinearLayout]:
         """The layout a broadcast's consumer already fixed for peers.
 
-        Scans users of the broadcast result for an operand of the same
-        shape whose layout is known (typically the tensor the
-        broadcast value is combined with).
+        Scans users of the broadcast result (``users`` is the input
+        graph's :meth:`~repro.engine.ir.Graph.users_map`) for an
+        operand of the same shape whose layout is known (typically
+        the tensor the broadcast value is combined with).
         """
-        for user in graph.users_of(op.output):
+        for user in users.get(id(op.output), ()):
             for other in user.inputs:
                 if other is op.output:
                     continue

@@ -17,9 +17,9 @@ that line).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.engine.ir import Graph, Op, OpKind
+from repro.engine.ir import Op, OpKind
 from repro.engine.pipeline import CompilationContext, Pass, PassDiagnostics
 
 
@@ -41,12 +41,13 @@ class BackwardRematerialization(Pass):
         while changed:
             changed = False
             diag.bump("rounds")
+            users = graph.users_map()
             for convert in list(graph.ops):
                 if convert.kind != OpKind.CONVERT_LAYOUT:
                     continue
                 if convert.output is None or convert.output.layout is None:
                     continue
-                chain = self._remat_chain(graph, convert)
+                chain = self._remat_chain(users, convert)
                 if chain is None:
                     continue
                 load, middles = chain
@@ -79,21 +80,26 @@ class BackwardRematerialization(Pass):
                 for mid in middles:
                     mid.output.layout = dst_layout
                     mid.output.descriptor = dst_desc
-                replaced = convert.output
-                for op in graph.ops:
-                    op.inputs = [convert.inputs[0] if v is replaced else v for v in op.inputs]
+                # The conversion was its source's only user (checked
+                # by the chain walk): the source takes over its users.
+                source, replaced = convert.inputs[0], convert.output
+                consumers = users.pop(id(replaced), [])
+                for op in consumers:
+                    op.inputs = [source if v is replaced else v for v in op.inputs]
+                users[id(source)] = consumers
                 graph.ops.remove(convert)
                 diag.bump("conversions_eliminated")
                 changed = True
 
     @staticmethod
-    def _remat_chain(graph: Graph, convert: Op) -> Optional[Tuple[Op, List[Op]]]:
+    def _remat_chain(users: Dict[int, List[Op]], convert: Op) -> Optional[Tuple[Op, List[Op]]]:
         """(load, intermediate elementwise ops) feeding a conversion,
-        or None when the chain is not rematerializable."""
+        or None when the chain is not rematerializable.  ``users`` is
+        the graph's :meth:`~repro.engine.ir.Graph.users_map`."""
         middles: List[Op] = []
         current = convert.inputs[0]
         while True:
-            if len(graph.users_of(current)) != 1:
+            if len(users.get(id(current), ())) != 1:
                 return None
             producer = current.producer
             if producer is None:

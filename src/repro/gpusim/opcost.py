@@ -25,7 +25,7 @@ branches scattered through the pricing code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro import cache as _cache
 from repro.codegen.conversion import plan_conversion
@@ -196,17 +196,6 @@ class OpCostModel:
     def mode(self) -> str:
         """The engine mode this model prices for."""
         return self.policy.mode
-
-    # ------------------------------------------------------------------
-    # Trace-level pricing (read by the cost-summary pass)
-    # ------------------------------------------------------------------
-    def trace_cycles(self, trace: Trace) -> float:
-        """Total cycles of an instruction trace."""
-        return self.instruction_model.total_cycles(trace.instructions)
-
-    def trace_breakdown(self, trace: Trace) -> Dict[str, float]:
-        """Cycles attributed to each instruction kind."""
-        return self.instruction_model.breakdown(trace.instructions)
 
     # ------------------------------------------------------------------
     # Global memory

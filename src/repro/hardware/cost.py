@@ -12,10 +12,27 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Tuple
 
 from repro.hardware.instructions import Instruction, InstructionKind
 from repro.hardware.spec import GpuSpec
+
+
+#: Instruction kind (by value) -> how its cycles are priced: a
+#: memory class, or the :class:`GpuSpec` field of a fixed price.
+_PRICING_CLASS: Dict[str, str] = {
+    InstructionKind.SHARED_LOAD.value: "shared",
+    InstructionKind.SHARED_STORE.value: "shared",
+    InstructionKind.LDMATRIX.value: "shared",
+    InstructionKind.STMATRIX.value: "shared",
+    InstructionKind.GLOBAL_LOAD.value: "global",
+    InstructionKind.GLOBAL_STORE.value: "global",
+    InstructionKind.MMA.value: "mma",
+    InstructionKind.SHUFFLE.value: "shuffle_cycles",
+    InstructionKind.BARRIER.value: "barrier_cycles",
+    InstructionKind.BYTE_PERM.value: "alu_cycles",
+    InstructionKind.ALU.value: "alu_cycles",
+}
 
 
 @dataclass
@@ -24,16 +41,11 @@ class CostModel:
 
     spec: GpuSpec
 
-    def instruction_cycles(self, inst: Instruction) -> float:
+    def instruction_cycles(self, inst: Instruction) -> int:
         """Cycles attributed to one :class:`Instruction` record."""
         spec = self.spec
-        kind = inst.kind
-        if kind in (
-            InstructionKind.SHARED_LOAD,
-            InstructionKind.SHARED_STORE,
-            InstructionKind.LDMATRIX,
-            InstructionKind.STMATRIX,
-        ):
+        pricing = _PRICING_CLASS[inst.kind._value_]
+        if pricing == "shared":
             if inst.dependent:
                 # Address depends on a just-produced value: pay the
                 # full access latency per wavefront, unpipelined.
@@ -45,25 +57,19 @@ class CostModel:
                 # Independent accesses pipeline: issue plus the bank
                 # service time of each wavefront.
                 per = spec.issue_cycles + 2 * inst.wavefronts
-        elif kind in (InstructionKind.GLOBAL_LOAD, InstructionKind.GLOBAL_STORE):
-            lanes_bytes = self.spec.warp_size * inst.vector_bits // 8
+        elif pricing == "global":
+            lanes_bytes = spec.warp_size * inst.vector_bits // 8
             transactions = max(1, lanes_bytes // 128)
             per = spec.issue_cycles + spec.gmem_transaction_cycles * transactions
-        elif kind == InstructionKind.SHUFFLE:
-            per = spec.shuffle_cycles
-        elif kind == InstructionKind.BARRIER:
-            per = spec.barrier_cycles
-        elif kind == InstructionKind.MMA:
+        elif pricing == "mma":
             # ``wavefronts`` scales for wide tiles (wgmma/mfma) so the
             # per-MAC throughput stays comparable across flavors.
             per = 16 * inst.wavefronts
-        elif kind == InstructionKind.BYTE_PERM:
-            per = spec.alu_cycles
         else:
-            per = spec.alu_cycles
+            per = getattr(spec, pricing)
         return per * inst.count
 
-    def total_cycles(self, instructions: Iterable[Instruction]) -> float:
+    def total_cycles(self, instructions: Iterable[Instruction]) -> int:
         """Sum of instruction cycles over a stream."""
         return sum(self.instruction_cycles(i) for i in instructions)
 
@@ -76,20 +82,25 @@ class CostModel:
             out[inst.kind.value] = out.get(inst.kind.value, 0) + inst.count
         return out
 
-    def breakdown(
+    def bill(
         self, instructions: Iterable[Instruction]
-    ) -> Dict[str, float]:
-        """Cycles attributed to each instruction kind.
+    ) -> Tuple[int, Dict[str, float]]:
+        """Total cycles and cycles per instruction kind, in one pass.
 
         The observability face of the model: per-kind totals feed the
         pipeline's cost-summary diagnostics, so a regression shows up
         as "shared_load cycles doubled" rather than a bare number.
+        Cycles are ints, so the total is exact; the per-kind values
+        are floats, summed in stream order.
         """
-        out: Dict[str, float] = {}
+        total = 0
+        by_kind: Dict[str, float] = {}
         for inst in instructions:
             cycles = self.instruction_cycles(inst)
-            out[inst.kind.value] = out.get(inst.kind.value, 0.0) + cycles
-        return out
+            total += cycles
+            kind = inst.kind._value_
+            by_kind[kind] = by_kind.get(kind, 0.0) + cycles
+        return total, by_kind
 
 
 # ----------------------------------------------------------------------

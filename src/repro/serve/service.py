@@ -7,8 +7,9 @@ work proportional to the number of *distinct* kernels rather than the
 number of requests:
 
 1. **Result cache** — a completed compilation is memoized by its
-   canonical request key, so repeat traffic is served without
-   touching the compiler at all.
+   canonical request key, so repeat traffic is answered at
+   submission, on the caller's thread, without queueing behind
+   compiles or touching the compiler at all.
 2. **Single-flight** — concurrent requests for the same key share one
    in-flight compile (:mod:`repro.serve.singleflight`); only the
    leader runs the pipeline.
@@ -173,7 +174,14 @@ class CompileService:
         with self._lock:
             if self._first_submit is None:
                 self._first_submit = submitted
-        return self._executor.submit(self._serve, request, submitted)
+        hit = self._results.get(request.canonical_key(), None)
+        if hit is None:
+            return self._executor.submit(self._serve, request, submitted)
+        # A cached result is answered on the caller's thread: it never
+        # queues behind compiles.
+        future: Future = Future()
+        future.set_result(self._serve(request, submitted, hit))
+        return future
 
     def compile_batch(
         self, requests: Sequence[Union[CompileRequest, Sequence]]
@@ -186,9 +194,14 @@ class CompileService:
     # Serving
     # ------------------------------------------------------------------
     def _serve(
-        self, request: CompileRequest, submitted: float
+        self,
+        request: CompileRequest,
+        submitted: float,
+        hit: Optional[CompiledKernel] = None,
     ) -> CompiledKernel:
-        started = time.perf_counter()
+        """Serve one request; ``hit`` is its result-cache entry when
+        the caller found one at submission (no queue wait)."""
+        started = submitted if hit is not None else time.perf_counter()
         key = request.canonical_key()
         case = request.resolved_case()
         rec = RequestStats(
@@ -198,6 +211,7 @@ class CompileService:
             platform=request.platform,
             mode=request.mode,
             queue_wait_ms=(started - submitted) * 1e3,
+            result_cached=hit is not None,
         )
         with _obs.span(
             "serve:request",
@@ -207,7 +221,11 @@ class CompileService:
             mode=request.mode,
         ) as sp:
             try:
-                compiled = self._lookup_or_compile(request, key, rec)
+                compiled = (
+                    hit
+                    if hit is not None
+                    else self._lookup_or_compile(request, key, rec)
+                )
                 rec.ok = compiled.ok
                 rec.error = compiled.error
                 return compiled
@@ -225,9 +243,6 @@ class CompileService:
     def _lookup_or_compile(
         self, request: CompileRequest, key: str, rec: RequestStats
     ) -> CompiledKernel:
-        hit = self._cached(key, rec)
-        if hit is not None:
-            return hit
         with _obs.span("serve:singleflight", key=key) as sp:
             compiled, shared = self._flight.do(
                 key, lambda: self._lead(request, key, rec)
@@ -236,15 +251,6 @@ class CompileService:
         rec.shared = shared
         return compiled
 
-    def _cached(
-        self, key: str, rec: RequestStats
-    ) -> Optional[CompiledKernel]:
-        """The result cache's entry for ``key``, if any, noted on ``rec``."""
-        hit = self._results.get(key, None)
-        if hit is not None:
-            rec.result_cached = True
-        return hit
-
     def _lead(
         self, request: CompileRequest, key: str, rec: RequestStats
     ) -> CompiledKernel:
@@ -252,12 +258,13 @@ class CompileService:
 
         The result reaches the result cache inside the flight, before
         single-flight forgets the key, and a new leader re-checks the
-        cache first.  A request that missed the cache while an earlier
-        flight was finishing then finds that flight's result instead
-        of compiling the key again.
+        cache first.  A request that missed the cache at submission
+        (or while an earlier flight was finishing) then finds that
+        flight's result instead of compiling the key again.
         """
-        hit = self._cached(key, rec)
+        hit = self._results.get(key, None)
         if hit is not None:
+            rec.result_cached = True
             return hit
         return self._results.put(key, self._compile_timed(request, rec))
 

@@ -262,3 +262,102 @@ class TestAnchorSelection:
         assert loads and all(
             op.output.layout is not None for op in loads
         )
+
+
+#: Every fig9 compile: each kernel case on each of its platforms, in
+#: both modes (458 compiles).
+FIG9_SUITE = [
+    (model, case, platform, mode)
+    for _name, model in sorted(KERNELS.items())
+    for case in model.cases
+    for platform in model.platforms
+    for mode in ("linear", "legacy")
+]
+
+
+def _compile_fig9(model, case, platform, mode):
+    kb = model.build(**case.kwargs())
+    return compile_graph(kb.graph, spec=PLATFORMS[platform], mode=mode)
+
+
+def _assert_users_map_exact(graph, users):
+    """``users`` is ``graph.users_of`` of every value, in op order."""
+    for value in graph.values:
+        assert [id(op) for op in users.get(id(value), ())] == [
+            id(op) for op in graph.users_of(value)
+        ], f"users of {value!r}"
+
+
+class TestWarmPathOracles:
+    """The warm-path fast paths against their slow oracles."""
+
+    def test_users_map_matches_users_of_before_and_after_remat(self, monkeypatch):
+        """Every users map a pass builds — and every remat round's map
+        after its in-place rewrites — equals ``Graph.users_of``."""
+        from repro.engine.ir import Graph
+
+        real = Graph.users_map
+        handed_out = []  # [graph, users map] of the current compile
+
+        def spy(graph):
+            # The previous remat round's map, updated as it rewrote
+            # chains, must describe the graph this round starts from.
+            if handed_out and handed_out[-1][0] is graph:
+                _assert_users_map_exact(graph, handed_out[-1][1])
+            users = real(graph)
+            _assert_users_map_exact(graph, users)
+            handed_out.append([graph, users])
+            return users
+
+        monkeypatch.setattr(Graph, "users_map", spy)
+        eliminated = 0
+        for model, case, platform, mode in FIG9_SUITE:
+            handed_out.clear()
+            compiled = _compile_fig9(model, case, platform, mode)
+            assert compiled.ok
+            remat = next(d for d in compiled.diagnostics if d.name == "backward-remat")
+            eliminated += remat.counters.get("conversions_eliminated", 0)
+            # Forward propagation's map, then one per remat round.
+            assert len(handed_out) == 1 + remat.counters["rounds"]
+            graph, users = handed_out[-1]
+            assert graph is compiled.graph
+            _assert_users_map_exact(graph, users)
+        assert eliminated > 0  # the rewrite path was exercised
+
+    def test_bill_matches_total_and_per_instruction_sums(self):
+        """One pricing loop: the total is ``total_cycles`` (an exact
+        int) and each kind is the in-order float sum of its records."""
+        from repro.hardware.cost import cost_model
+
+        for model, case, platform, mode in FIG9_SUITE:
+            compiled = _compile_fig9(model, case, platform, mode)
+            model_ = cost_model(PLATFORMS[platform])
+            instructions = compiled.trace.instructions
+            total, by_kind = model_.bill(instructions)
+            assert type(total) is int
+            assert total == model_.total_cycles(instructions)
+            assert total == compiled.cycles()
+            expected = {}
+            for inst in instructions:
+                kind = inst.kind.value
+                expected[kind] = expected.get(kind, 0.0) + model_.instruction_cycles(inst)
+            assert by_kind == expected
+            assert all(type(v) is float for v in by_kind.values())
+            counters = compiled.diagnostics[-1].counters
+            assert counters["cycles"] == total
+            assert {
+                k[len("cycles[") : -1]: v for k, v in counters.items() if k.startswith("cycles[")
+            } == by_kind
+
+    @pytest.mark.parametrize("mode", ["linear", "legacy"])
+    @pytest.mark.parametrize("kernel", INVARIANT_KERNELS)
+    def test_summary_identical_with_caches_off(self, kernel, mode):
+        """Folded dot anchors and the users map change no output."""
+        from repro import cache
+
+        model = KERNELS[kernel]
+        for platform in model.platforms:
+            cached = _compile_fig9(model, model.cases[0], platform, mode)
+            with cache.disabled():
+                uncached = _compile_fig9(model, model.cases[0], platform, mode)
+            assert cached.summary() == uncached.summary()

@@ -223,6 +223,65 @@ class TestServiceSemantics:
         for a, b in zip(first, second):
             assert a is b
 
+    def test_repeat_submit_is_answered_at_submit(self):
+        """A result-cache hit resolves on the caller's thread."""
+        cache.clear()
+        req = SUITE[2]
+        with CompileService(workers=1, name="hit") as service:
+            first = service.submit(req).result()
+            repeat = service.submit(req)
+            assert repeat.done()
+            assert repeat.result() is first
+            report = service.report()
+        miss, hit = report.requests
+        assert not miss.result_cached
+        assert hit.result_cached and hit.ok
+        assert hit.queue_wait_ms == 0
+        assert hit.compile_ms == 0
+        assert report.compiles == 1
+
+    def test_submit_hit_records_a_request_span(self):
+        from repro import obs
+
+        cache.clear()
+        req = SUITE[2]
+        with CompileService(workers=1, name="hit-span") as service:
+            service.submit(req).result()
+            with obs.capture() as rec:
+                assert service.submit(req).done()
+        (sp,) = [s for s in rec.spans() if s.name == "serve:request"]
+        assert sp.attrs["key"] == req.canonical_key()
+        assert sp.attrs["result_cached"] is True
+        assert sp.attrs["queue_wait_ms"] == 0
+        assert not [s for s in rec.spans() if s.name == "serve:singleflight"]
+
+    def test_cached_failed_compile_keeps_its_error(self, monkeypatch):
+        """A cached not-ok result is served with its ok flag and error."""
+        from repro.engine.engine import CompiledKernel
+        from repro.gpusim import Trace
+        from repro.hardware.spec import PLATFORMS
+
+        def unsupported(self):
+            return CompiledKernel(
+                graph=None,
+                trace=Trace(PLATFORMS[self.platform]),
+                mode=self.mode,
+                error="LegacyUnsupportedError: synthetic",
+            )
+
+        monkeypatch.setattr(CompileRequest, "build_and_compile", unsupported)
+        req = CompileRequest("gemm", "t32_i4", mode="legacy")
+        with CompileService(workers=1, name="hit-error") as service:
+            first = service.submit(req).result()
+            repeat = service.submit(req)
+            assert repeat.done() and repeat.result() is first
+            report = service.report()
+        assert [r.result_cached for r in report.requests] == [False, True]
+        for rec in report.requests:
+            assert rec.ok is False
+            assert rec.error == "LegacyUnsupportedError: synthetic"
+        assert report.failures == 2
+
     def test_report_is_json_exportable(self):
         import json
 
