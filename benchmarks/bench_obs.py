@@ -16,8 +16,11 @@ Run standalone::
     PYTHONPATH=src python benchmarks/bench_obs.py [--json] [--check]
 
 ``--check`` exits non-zero when recording slows cold compiles by 3%
-or more, when the disabled hooks are measurably expensive, or when
-the capture misses expected span coverage.  Warm-cache overhead is
+or more, when a disabled span+counter pair costs 25 µs or more, when
+the enabled run captures no spans, or when its Chrome trace holds no
+more events than spans (metadata and counter tracks missing).
+Span coverage is checked by ``python -m repro.obs --check`` on an
+exported trace, not here.  Warm-cache overhead is
 reported but not gated: a cache-hit compile takes microseconds, so a
 handful of span records is a visible fraction of almost nothing.
 """

@@ -13,13 +13,7 @@ import os
 import sys
 
 from conftest import run_once
-from repro.bench.fig9 import run_fig9
-
-KERNELS_WITH_OPS = [
-    "gemm", "bf16xint16_gemm", "int4_gemm", "template_attention",
-    "fp8_gemm", "welford", "gather_gemv", "grouped_gemm", "rope",
-    "embedding",
-]
+from repro.bench.fig9 import TABLE6_KERNELS, run_fig9
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)),
@@ -29,7 +23,7 @@ GOLDEN_PATH = os.path.join(
 
 
 def run_table6():
-    _, tab6, _ = run_fig9(kernels=KERNELS_WITH_OPS, first_case_only=True)
+    _, tab6, _ = run_fig9(kernels=TABLE6_KERNELS, first_case_only=True)
     return tab6
 
 

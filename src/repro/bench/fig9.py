@@ -15,6 +15,13 @@ from repro.engine import compile as compile_graph
 from repro.hardware.spec import PLATFORMS
 from repro.kernels import KERNELS
 
+#: The Table 6 kernel set: the benchmarks with nonzero op counts.
+TABLE6_KERNELS = [
+    "gemm", "bf16xint16_gemm", "int4_gemm", "template_attention",
+    "fp8_gemm", "welford", "gather_gemv", "grouped_gemm", "rope",
+    "embedding",
+]
+
 
 def run_table2() -> Table:
     """The Table 2 platform inventory."""

@@ -25,26 +25,43 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import cache as _cache
 from repro import obs
-from repro.bench.servebench import suite_requests
+from repro.bench.fig9 import TABLE6_KERNELS
 from repro.gpusim import Machine, distributed_data
 from repro.hardware.spec import PLATFORMS
+from repro.kernels import KERNELS
 from repro.serve import CompileRequest, CompileService
 
 __all__ = [
-    "TABLE6_KERNELS",
     "capture_suite",
     "run_noop_latency",
     "run_overhead",
     "suite",
+    "suite_requests",
 ]
 
-#: The Table 6 kernel set (kernels with nonzero op counts) — must
-#: match ``benchmarks/bench_table6_opcounts.py``.
-TABLE6_KERNELS = [
-    "gemm", "bf16xint16_gemm", "int4_gemm", "template_attention",
-    "fp8_gemm", "welford", "gather_gemv", "grouped_gemm", "rope",
-    "embedding",
-]
+
+def suite_requests(
+    modes: Sequence[str] = ("linear",),
+    first_case_only: bool = True,
+    kernels: Optional[Sequence[str]] = None,
+) -> List[CompileRequest]:
+    """The Figure 9 suite as service requests."""
+    requests: List[CompileRequest] = []
+    for name in kernels if kernels is not None else sorted(KERNELS):
+        model = KERNELS[name]
+        cases = model.cases[:1] if first_case_only else model.cases
+        for case in cases:
+            for platform in model.platforms:
+                for mode in modes:
+                    requests.append(
+                        CompileRequest(
+                            kernel=name,
+                            case=case.name,
+                            platform=platform,
+                            mode=mode,
+                        )
+                    )
+    return requests
 
 
 def suite(name: str = "table6") -> List[CompileRequest]:

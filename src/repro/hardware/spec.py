@@ -61,6 +61,12 @@ class GpuSpec:
         """Bytes covered by one conflict-free sweep over all banks."""
         return self.num_banks * self.bank_bytes
 
+    def __hash__(self) -> int:
+        # Specs key the engine and cost-model caches on every lookup;
+        # equal specs share a name, so hashing the name alone keeps the
+        # eq/hash contract without rehashing every field.
+        return hash(self.name)
+
     def __str__(self) -> str:
         return (
             f"{self.name}: warp={self.warp_size}, "

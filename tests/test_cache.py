@@ -6,20 +6,26 @@ an optimization — every compiled kernel and conversion plan must be
 bit-identical with the caches bypassed.
 """
 
+import dataclasses
+import functools
 import random
 
 import pytest
 
 from repro import cache
+from repro.bench.fig7 import shuffle_pair
 from repro.codegen import plan_conversion
 from repro.core import BLOCK, LANE, LinearLayout, REGISTER, WARP
 from repro.engine import LayoutEngine
+from repro.gpusim.opcost import op_cost_model
 from repro.hardware import GH200, RTX4090
 from repro.kernels.models import (
     build_flex_attention,
     build_gemm,
+    build_layer_norm,
     build_softmax,
 )
+from repro.mxfp import F16
 
 from tests.test_random_layout_conversions import random_distributed_layout
 
@@ -265,8 +271,14 @@ def test_plan_conversion_identical_with_and_without_cache(seed):
 
 @pytest.mark.parametrize(
     "build",
-    [build_gemm, build_softmax, build_flex_attention],
-    ids=["gemm", "softmax", "flex_attention"],
+    [
+        build_gemm,
+        build_softmax,
+        build_flex_attention,
+        build_layer_norm,
+        functools.partial(build_gemm, m=128, n=128, k=64, k_iters=8),
+    ],
+    ids=["gemm", "softmax", "flex_attention", "layer_norm", "gemm_128"],
 )
 @pytest.mark.parametrize("mode", ["linear", "legacy"])
 def test_compile_identical_with_and_without_cache(build, mode):
@@ -278,6 +290,49 @@ def test_compile_identical_with_and_without_cache(build, mode):
         cold = cold_engine.compile(build().graph)
     assert warm.cycles() == rewarm.cycles() == cold.cycles()
     assert warm.op_counts() == rewarm.op_counts() == cold.op_counts()
+
+
+def test_replaced_spec_keeps_its_own_cost_entries():
+    """A spec that differs from RTX4090 in one cost field shares its
+    name, and so its hash, but none of its cached prices."""
+    slow = dataclasses.replace(RTX4090, shuffle_cycles=40)
+    a_desc, b_desc = shuffle_pair(64)
+    src, dst = a_desc.to_linear((64, 64)), b_desc.to_linear((64, 64))
+
+    def engine_misses():
+        return cache.stats()["engine"].misses
+
+    for spec in (RTX4090, slow):
+        model = op_cost_model(spec, "linear")
+        for lookup in (
+            lambda: model.priced_conversion(src, dst, F16),
+            lambda: model.global_cycles(src, None, (64, 64), F16),
+        ):
+            before = engine_misses()
+            lookup()
+            assert engine_misses() > before  # its own entry, not RTX4090's
+            before = engine_misses()
+            lookup()
+            assert engine_misses() == before
+
+    def conversion_cycles(spec):
+        return op_cost_model(spec, "linear").conversion_cycles(src, dst, F16)
+
+    with cache.disabled():
+        uncached = conversion_cycles(slow)
+    assert conversion_cycles(slow) == uncached != conversion_cycles(RTX4090)
+
+    def compile_cycles():
+        return [
+            LayoutEngine(spec=spec).compile(build_softmax().graph).cycles()
+            for spec in (RTX4090, slow)
+        ]
+
+    warm = compile_cycles()
+    with cache.disabled():
+        cold = compile_cycles()
+    assert warm == cold
+    assert warm[0] != warm[1]
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -7,10 +7,12 @@ traces.  Every plan kind emits one fixed program shape.
 """
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bench.fig7 import shuffle_pair
 from repro.codegen import plan_conversion
 from repro.codegen.gather import plan_gather
 from repro.codegen.views import DistributedView
@@ -24,6 +26,7 @@ from repro.gpusim import (
 from repro.gpusim.registers import assert_matches_layout
 from repro.hardware import GH200, MI250, RTX4090
 from repro.layouts import BlockedLayout, NvidiaMmaLayout
+from repro.mxfp import F16, F32, F8E5M2
 from repro.program import (
     Opcode,
     R_IN,
@@ -104,6 +107,47 @@ class TestInterpreterEquivalence:
         assert [i.count for i in priced.instructions] == [
             i.count for i in executed.instructions
         ]
+
+
+@pytest.mark.slow
+def test_vector_backend_at_least_3x_scalar_on_fig7():
+    """The vectorized interpreter, the one the engine ships, runs the
+    Figure 7 suite (shuffle and padded shared plans, f8/f16/f32 at
+    32/64/128 on GH200) at least 3x faster than the scalar oracle."""
+    cases = []
+    for dtype in (F8E5M2, F16, F32):
+        for size in (32, 64, 128):
+            a_desc, b_desc = shuffle_pair(size)
+            src = a_desc.to_linear((size, size))
+            dst = b_desc.to_linear((size, size))
+            registers = distributed_data(src, 4, GH200.warp_size)
+            for options in (
+                {"allow_shuffle": True},
+                {
+                    "allow_shuffle": False,
+                    "swizzle_mode": "padded",
+                    "dedupe_broadcast": False,
+                },
+            ):
+                plan = plan_conversion(
+                    src, dst, dtype.bits, spec=GH200, **options
+                )
+                cases.append((plan, registers))
+    assert len(cases) == 18
+
+    def run_all(machine, iters):
+        start = time.perf_counter()
+        for _ in range(iters):
+            for plan, registers in cases:
+                machine.run_conversion(plan, registers)
+        return time.perf_counter() - start
+
+    scalar, vector = both_machines(GH200)
+    # One warm pass each, so cached index plans and layout derivations
+    # bill neither timed run.
+    run_all(scalar, 1)
+    run_all(vector, 1)
+    assert run_all(scalar, 3) / run_all(vector, 3) >= 3.0
 
 
 class TestGatherBackends:

@@ -19,6 +19,8 @@ import pytest
 from repro import cache
 from repro.serve import CompileRequest, CompileService, SingleFlight
 
+from tests.test_pipeline import GOLDEN
+
 # A fast, varied slice of the fig9 suite: GEMM + attention-ish +
 # reductions + pointwise, two platforms, both engine modes.
 SUITE = [
@@ -171,6 +173,31 @@ class TestStress:
         assert compiled_keys == [req.canonical_key()]
         assert report.compiles == 1
         assert a is b
+
+    def test_golden_twice_over_matches_and_compiles_each_key_once(self):
+        """Every pipeline-equivalence golden record, sent twice through
+        one cold service: each result equals the serial golden, and
+        the duplicate half is never recompiled."""
+        requests = [
+            CompileRequest(
+                rec["kernel"], rec["case"], rec["platform"], rec["mode"]
+            )
+            for rec in GOLDEN
+        ]
+        traffic = requests * 2
+        cache.clear()
+        with CompileService(workers=4, name="golden") as service:
+            results = service.compile_batch(traffic)
+            report = service.report()
+        for rec, compiled in zip(GOLDEN * 2, results):
+            label = f"{rec['kernel']}@{rec['platform']}/{rec['mode']}"
+            assert compiled.ok == rec["ok"], label
+            if rec["ok"]:
+                assert compiled.cycles() == rec["cycles"], label
+                assert compiled.op_counts() == rec["op_counts"], label
+        unique = len({r.canonical_key() for r in traffic})
+        assert report.compiles == unique
+        assert 1 - report.compiles / len(traffic) >= 0.5
 
     def test_concurrent_distinct_requests_all_succeed(self):
         """No cross-talk between distinct keys compiled concurrently."""
