@@ -17,13 +17,17 @@ into index arrays.  :meth:`SharedAccesses.to_tuples` gives the nested
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+import threading
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
 #: The nested tuple view: ``tuples[tid]`` is a tuple of
 #: ``(base_offset, regs)`` pairs.
 AccessTuples = Tuple[Tuple[Tuple[int, Tuple[int, ...]], ...], ...]
+
+#: Serializes first reads of deferred values, so one build wins.
+_BUILD_LOCK = threading.Lock()
 
 
 class SharedAccesses:
@@ -41,9 +45,12 @@ class SharedAccesses:
     as the widest access.  So two instances are equal exactly when
     their tuple views are.  The arrays are read-only; the value is
     immutable and hashable.
+
+    A deferred value holds only the rows of its leading threads until
+    ``base``, ``width`` or ``regs`` is first read.
     """
 
-    __slots__ = ("base", "width", "regs", "_hash")
+    __slots__ = ("base", "width", "regs", "_head", "_build", "_hash")
 
     def __init__(self, base, width, regs):
         base = np.array(base, dtype=np.int64)
@@ -59,7 +66,54 @@ class SharedAccesses:
         self.base = base
         self.width = width
         self.regs = regs
-        self._hash = None
+        self._head = self._build = self._hash = None
+
+    @classmethod
+    def deferred(
+        cls, head: "SharedAccesses", build: Callable[[], "SharedAccesses"]
+    ) -> "SharedAccesses":
+        """The value ``build()`` returns, built on the first read of its
+        arrays (by the interpreters, serialization, equality, hashing or
+        the queries below), which then drops ``head``: the value of the
+        leading threads alone, served by :meth:`leading` without a build.
+        """
+        value = cls.__new__(cls)
+        value._head, value._build, value._hash = head, build, None
+        return value
+
+    def __getattr__(self, name: str):
+        # Reached only while a slot is unset: a deferred first read.
+        if name not in ("base", "width", "regs"):
+            raise AttributeError(name)
+        self._materialize()
+        return object.__getattribute__(self, name)
+
+    def _materialize(self) -> None:
+        with _BUILD_LOCK:
+            if self._build is None:
+                return  # another thread built it
+            full = self._build()
+            self.base, self.width, self.regs = full.base, full.width, full.regs
+            # Drop the head last: a reader that finds it gone finds them.
+            self._head = self._build = None
+
+    def leading(self, threads: int) -> "SharedAccesses":
+        """The value of the first ``threads`` threads alone.
+
+        Canonical, as if built for those threads: the slot and vector
+        axes shrink to their longest list and widest access.  A
+        deferred value whose head covers them answers without a build.
+        """
+        head = self._head
+        acc = head if head is not None and threads <= head.num_threads else self
+        if threads >= acc.num_threads:
+            return acc
+        width = acc.width[:threads]
+        k = int((width > 0).sum(axis=1).max(initial=0))
+        v = int(width.max(initial=0))
+        return SharedAccesses(
+            acc.base[:threads, :k], width[:, :k], acc.regs[:threads, :k, :v]
+        )
 
     @classmethod
     def from_tuples(cls, tuples: Sequence) -> "SharedAccesses":

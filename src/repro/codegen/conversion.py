@@ -195,8 +195,8 @@ def _shared_accesses(
 
     ``offsets[p]`` is the shared element offset of flattened logical
     position ``p``.  Positions come from the layout's whole-range F2
-    slot table (:func:`~repro.codegen.views.slot_table`), so nothing
-    here runs per element.  With ``dedupe_broadcast`` (linear mode),
+    slot table (as in :func:`~repro.codegen.views.slot_table`), so
+    nothing here runs per element.  With ``dedupe_broadcast`` (linear mode),
     replicas — hardware indices whose free bits are non-zero — are
     skipped, which is the Table 4 instruction saving.
 
@@ -204,6 +204,9 @@ def _shared_accesses(
     are enumerated so the Vec-subspace register bits run fastest —
     every instruction then covers exactly one vectorized coset, as the
     swizzle analysis assumes.
+
+    Only warp 0's rows, all static pricing reads, are built here; the
+    value is :meth:`~SharedAccesses.deferred`.
     """
     free = layout.free_variable_masks()
     regs = layout.in_dim_size(REGISTER)
@@ -219,54 +222,66 @@ def _shared_accesses(
             # Vec bits run fastest.
             for j, bit in enumerate(positions + others):
                 reg_order |= ((counter >> j) & 1) << bit
-    warp_ids = np.arange(min(num_warps, layout.in_dim_size(WARP)))
+    all_warps = np.arange(min(num_warps, layout.in_dim_size(WARP)))
     lane_ids = np.arange(min(warp_size, lanes))
     if dedupe_broadcast:
-        warp_ids = warp_ids[(warp_ids & free.get(WARP, 0)) == 0]
+        all_warps = all_warps[(all_warps & free.get(WARP, 0)) == 0]
         lane_ids = lane_ids[(lane_ids & free.get(LANE, 0)) == 0]
         reg_order = reg_order[(reg_order & free.get(REGISTER, 0)) == 0]
-    # Threads the layout spans (lanes/warps past it access nothing).
-    tid = (warp_ids[:, None] * warp_size + lane_ids).ravel()
-    slot = (warp_ids[:, None] * lanes + lane_ids).ravel()
-    flats = slot_table(layout).ravel()
-    offs = offsets[flats[slot[:, None] * regs + reg_order]]
-    reg = np.broadcast_to(reg_order, offs.shape)
-    if sort_by_offset:
-        # Legacy staging groups by raw memory contiguity; the
-        # optimal path keeps register (coset) order instead.  Registers
-        # are distinct within a row, so one sort of (offset, reg) keys
-        # packed into an int64 orders both.
-        bits = layout.in_dim_size_log2(REGISTER)
-        keys = np.sort((offs << bits) | reg, axis=1)
-        offs, reg = keys >> bits, keys & (regs - 1)
-    start, width = _group_contiguous(offs, max_vec_elems)
-    n = offs.shape[1]
-    vec = int(width.max(initial=0))
-    if start.shape[1] * vec == n and (width == vec).all():
-        # The uniform grid: access k is pairs [k * vec, (k + 1) * vec).
-        row_base = offs[:, ::vec]
-        row_regs = reg.reshape(start.shape + (vec,))
-    else:
-        elem = np.arange(vec)
-        at = np.minimum(start[:, :, None] + elem, n - 1)
-        row_base = np.where(
-            width > 0, np.take_along_axis(offs, start, axis=1), 0
+
+    def table(warps: int) -> SharedAccesses:
+        """The accesses of the first ``warps`` warps."""
+        warp_ids = all_warps[all_warps < warps]
+        # Threads the layout spans (lanes/warps past it access nothing).
+        tid = (warp_ids[:, None] * warp_size + lane_ids).ravel()
+        slot = (warp_ids[:, None] * lanes + lane_ids).ravel()
+        # The slot table (endpoints are checked distributed by the
+        # planner); warp 0's holds the warp dim at 0.
+        flats = layout.flat_table(
+            (REGISTER, LANE, WARP) if warps > 1 else (REGISTER, LANE)
         )
-        row_regs = np.where(
-            elem < width[:, :, None],
-            np.take_along_axis(
-                reg, at.reshape(len(tid), -1), axis=1
-            ).reshape(at.shape),
-            -1,
-        )
-    threads = num_warps * warp_size
-    base = np.zeros((threads, start.shape[1]), dtype=np.int64)
-    lens = np.zeros_like(base)
-    vec_regs = np.full(base.shape + (vec,), -1, dtype=np.int64)
-    base[tid] = row_base
-    lens[tid] = width
-    vec_regs[tid] = row_regs
-    return SharedAccesses(base, lens, vec_regs)
+        offs = offsets[flats[slot[:, None] * regs + reg_order]]
+        reg = np.broadcast_to(reg_order, offs.shape)
+        if sort_by_offset:
+            # Legacy staging groups by raw memory contiguity; the
+            # optimal path keeps register (coset) order instead.
+            # Registers are distinct within a row, so one sort of
+            # (offset, reg) keys packed into an int64 orders both.
+            bits = layout.in_dim_size_log2(REGISTER)
+            keys = np.sort((offs << bits) | reg, axis=1)
+            offs, reg = keys >> bits, keys & (regs - 1)
+        start, width = _group_contiguous(offs, max_vec_elems)
+        n = offs.shape[1]
+        vec = int(width.max(initial=0))
+        if start.shape[1] * vec == n and (width == vec).all():
+            # The uniform grid: access k is pairs [k * vec, (k + 1) * vec).
+            row_base = offs[:, ::vec]
+            row_regs = reg.reshape(start.shape + (vec,))
+        else:
+            elem = np.arange(vec)
+            at = np.minimum(start[:, :, None] + elem, n - 1)
+            row_base = np.where(
+                width > 0, np.take_along_axis(offs, start, axis=1), 0
+            )
+            row_regs = np.where(
+                elem < width[:, :, None],
+                np.take_along_axis(
+                    reg, at.reshape(len(tid), -1), axis=1
+                ).reshape(at.shape),
+                -1,
+            )
+        base = np.zeros((warps * warp_size, start.shape[1]), dtype=np.int64)
+        lens = np.zeros_like(base)
+        vec_regs = np.full(base.shape + (vec,), -1, dtype=np.int64)
+        base[tid] = row_base
+        lens[tid] = width
+        vec_regs[tid] = row_regs
+        return SharedAccesses(base, lens, vec_regs)
+
+    head = table(1)
+    if num_warps == 1:
+        return head
+    return SharedAccesses.deferred(head, lambda: table(num_warps))
 
 
 def _swizzled_offsets(memory_layout: LinearLayout) -> np.ndarray:

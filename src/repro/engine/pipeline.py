@@ -235,11 +235,6 @@ class PassManager:
                         diag.cache_hits = delta["hits"]
                         diag.cache_misses = delta["misses"]
                         sp.set_attrs(diag.to_dict())
-                        _obs.observe(
-                            "pipeline.pass_ms",
-                            diag.wall_time_ms,
-                            **{"pass": p.name, "mode": ctx.mode},
-                        )
         return ctx
 
     def __repr__(self) -> str:

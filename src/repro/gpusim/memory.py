@@ -127,15 +127,17 @@ def access_wavefronts(
 ) -> np.ndarray:
     """Per-warp wavefronts of every access slot of a shared step.
 
-    ``accesses`` is a :class:`~repro.codegen.access.SharedAccesses`;
-    entry ``[w, k]`` of the ``(num_warps, max_accesses)`` result is
-    the cost of warp ``w``'s lockstep instruction ``k`` (0 when none of
-    its lanes has that access).  Threads are numbered ``warp *
-    spec.warp_size + lane``.
+    ``accesses`` is a :class:`~repro.codegen.access.SharedAccesses`,
+    read through its first ``num_warps`` warps' rows alone; entry
+    ``[w, k]`` of the ``(num_warps, slots)`` result is the cost of warp
+    ``w``'s lockstep instruction ``k`` (0 when none of its lanes has
+    that access), over the slots those rows use.  Threads are numbered
+    ``warp * spec.warp_size + lane``.
     """
-    slots = accesses.max_accesses
     ws = spec.warp_size
-    width = accesses.width[: num_warps * ws]
+    accesses = accesses.leading(num_warps * ws)
+    slots = accesses.max_accesses
+    width = accesses.width
     tid, k = np.nonzero(width)
     return bank_wavefronts(
         spec,

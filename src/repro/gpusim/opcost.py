@@ -116,10 +116,12 @@ def price_program(
     The only code that turns warp-program instructions into
     :class:`Trace` records: static op pricing and the simulator's
     executed runs both come through here.  Register moves are free.
-    An STS/LDS costs, per access slot, its worst warp among the first
-    ``warps`` (their addresses are static); its width is the widest
-    access those warps make.  Static pricing looks at warp 0 alone,
-    which equals the worst warp on every conversion measured.
+    An STS/LDS is priced from the rows of the first ``warps`` warps
+    alone (their addresses are static): it issues one instruction per
+    access slot among them, each costing its worst warp, at the widest
+    access they make.  Static pricing looks at warp 0 alone, which
+    equals the worst warp on every conversion measured, and so never
+    builds a deferred access table.
 
     Gather loads have data-dependent addresses.  Without
     ``gather_wavefronts`` they are priced as the in-kernel pipelined
@@ -138,7 +140,7 @@ def price_program(
             trace.emit(InstructionKind.SHUFFLE, count=instr.insts)
         elif op in _SHARED_KINDS:
             kind, matrix = _SHARED_KINDS[op]
-            acc = instr.accesses
+            acc = instr.accesses.leading(warps * spec.warp_size)
             slots = acc.max_accesses
             if slots == 0:
                 continue
@@ -148,10 +150,9 @@ def price_program(
                 continue
             worst = access_wavefronts(acc, spec, instr.elem_bytes, warps)
             wavefronts = int(worst.max(axis=0, initial=0).sum())
-            widest = int(acc.width[: warps * spec.warp_size].max(initial=0))
             trace.emit(
                 kind,
-                vector_bits=widest * instr.elem_bytes * 8,
+                vector_bits=acc.widest * instr.elem_bytes * 8,
                 count=slots,
                 wavefronts=max(1, wavefronts // slots),
             )

@@ -11,6 +11,10 @@ of the cache off-switch.  The invariants (``docs/SERVING.md``):
 * ``clear()`` cannot be undone by an in-flight factory (generation
   guard).
 * ``set_enabled`` / ``disabled()`` toggle the calling thread only.
+* A deferred :class:`~repro.codegen.access.SharedAccesses` (a cached
+  plan's access table) is built once however many threads make its
+  first read, and its warp-0 head stays readable until the full
+  arrays are set.
 """
 
 from __future__ import annotations
@@ -329,3 +333,94 @@ class TestCountersAreThreadLocal:
 def test_invalid_maxsize_rejected(maxsize):
     with pytest.raises(ValueError):
         cache.BoundedCache("t_bad", maxsize=maxsize, register=False)
+
+
+class TestDeferredAccessFirstRead:
+    """Racing first reads of a plan's deferred access tables."""
+
+    @staticmethod
+    def _shared_plan():
+        """A fresh 4-warp shared-memory plan and its eager twin."""
+        import random
+
+        from repro.codegen import plan_conversion
+        from tests.test_random_layout_conversions import (
+            random_distributed_layout,
+        )
+
+        rng = random.Random(7)
+        src = random_distributed_layout(rng, 10)
+        dst = random_distributed_layout(rng, 10)
+        with cache.disabled():
+            plan = plan_conversion(src, dst, elem_bits=16)
+            eager = plan_conversion(src, dst, elem_bits=16)
+        assert plan.kind == "shared"
+        for instr in eager.program.instrs:
+            if hasattr(instr, "accesses"):
+                instr.accesses.base  # build the eager twin's tables
+        return plan, eager
+
+    def test_racing_first_reads_see_the_eager_value(self):
+        import time
+
+        from repro.gpusim import Machine, distributed_data, price_program
+        from repro.hardware import RTX4090
+
+        spec, warps = RTX4090, 4
+        plan, eager = self._shared_plan()
+        inputs = distributed_data(plan.src, warps, spec.warp_size)
+        expected_files, expected_trace = Machine(spec, warps).run_conversion(
+            eager, inputs
+        )
+        expected_prices = {
+            w: price_program(eager.program, spec, warps=w).instructions
+            for w in range(1, warps + 1)
+        }
+        pairs = [
+            (instr.accesses, eager_instr.accesses)
+            for instr, eager_instr in zip(plan.program.instrs, eager.program.instrs)
+            if hasattr(instr, "accesses")
+        ]
+        builds = []
+        for acc, _ in pairs:
+            assert acc._build is not None
+            real = acc._build
+
+            def slow_build(real=real):
+                builds.append(1)
+                time.sleep(0.02)  # widen the race window
+                return real()
+
+            acc._build = slow_build
+        finished = []  # workers done; appends are atomic
+
+        def work(i):
+            if i == 0:
+                # Read heads while the others build: the head is never
+                # gone before the full arrays are set.
+                while len(finished) < 8:
+                    for acc, want in pairs:
+                        assert acc.leading(spec.warp_size) == want.leading(
+                            spec.warp_size
+                        )
+                return
+            try:
+                if i % 3 == 1:
+                    for acc, want in pairs:
+                        assert acc.base.tolist() == want.base.tolist()
+                        assert acc == want and acc.regs.shape == want.regs.shape
+                elif i % 3 == 2:
+                    w = 1 + i % warps
+                    got = price_program(plan.program, spec, warps=w)
+                    assert got.instructions == expected_prices[w]
+                else:
+                    files, trace = Machine(spec, warps).run_conversion(plan, inputs)
+                    assert files.as_dict() == expected_files.as_dict()
+                    assert trace.instructions == expected_trace.instructions
+            finally:
+                finished.append(i)
+
+        run_threads(9, work)
+        assert len(builds) == len(pairs)
+        for acc, want in pairs:
+            assert acc._head is None and acc == want

@@ -117,22 +117,31 @@ def conversion_cases(draw):
     return spec, src, dst, d, shape
 
 
+def _draw_offsets(data, d, shape):
+    """An identity, padded or pinned-layout offset table."""
+    staging = data.draw(st.sampled_from(["identity", "padded", "pinned"]))
+    if staging == "identity":
+        return np.arange(1 << d, dtype=np.int64)
+    if staging == "padded":
+        row = data.draw(st.sampled_from([8, 16, 32, 64]))
+        pad = data.draw(st.sampled_from([1, 2, 4, 8]))
+        flat = np.arange(1 << d, dtype=np.int64)
+        return flat + (flat // row) * pad
+    return _swizzled_offsets(data.draw(memory_layouts(d, shape)))
+
+
+def _is_deferred(acc):
+    """Whether ``acc`` still holds only its head rows."""
+    return acc._build is not None
+
+
 @settings(max_examples=80)
 @given(case=conversion_cases(), data=st.data())
 def test_builder_matches_reference(case, data):
     """Every option combination, on one table-driven offset map."""
     spec, src, _, d, shape = case
     layout = src
-    staging = data.draw(st.sampled_from(["identity", "padded", "pinned"]))
-    if staging == "identity":
-        offsets = np.arange(1 << d, dtype=np.int64)
-    elif staging == "padded":
-        row = data.draw(st.sampled_from([8, 16, 32, 64]))
-        pad = data.draw(st.sampled_from([1, 2, 4, 8]))
-        flat = np.arange(1 << d, dtype=np.int64)
-        offsets = flat + (flat // row) * pad
-    else:
-        offsets = _swizzled_offsets(data.draw(memory_layouts(d, shape)))
+    offsets = _draw_offsets(data, d, shape)
     reg_images = [x for x in layout.basis_images_flat(REGISTER) if x]
     vec_basis = data.draw(
         st.one_of(
@@ -160,9 +169,17 @@ def test_builder_matches_reference(case, data):
             _shared_accesses(layout, offsets, **kwargs)
         return
     got = _shared_accesses(layout, offsets, **kwargs)
-    expected = reference_accesses(layout, lambda p: int(offsets[p]), **kwargs)
+    warp0 = reference_accesses(
+        layout, offsets.item, **dict(kwargs, num_warps=1)
+    )
+    # Warp 0's rows are the reference's, served without a full build.
+    assert got.leading(spec.warp_size).to_tuples() == warp0
+    assert _is_deferred(got) == (kwargs["num_warps"] > 1)
+    expected = reference_accesses(layout, offsets.item, **kwargs)
     assert got.to_tuples() == expected
+    assert not _is_deferred(got)
     assert got == SharedAccesses.from_tuples(expected)
+    assert got.leading(spec.warp_size).to_tuples() == warp0
 
 
 @settings(max_examples=40)
@@ -449,3 +466,99 @@ class TestSharedAccessesValue:
         ]
         warp, _, _, _ = acc.elements(warp_size=2, num_warps=1)
         assert len(warp) == 3
+
+
+@settings(max_examples=40)
+@given(case=conversion_cases(), data=st.data())
+def test_deferred_value_semantics_match_eager(case, data):
+    """Equality, hashing, pickling and the views of a deferred value
+    are those of its eager value, each reached as its first read."""
+    spec, layout, _, d, shape = case
+    offsets = _draw_offsets(data, d, shape)
+    num_warps = max(2, layout.in_dim_size(WARP))
+    args = (layout, offsets, num_warps, spec.warp_size,
+            data.draw(st.sampled_from([1, 2, 4, 8])), data.draw(st.booleans()))
+
+    def fresh():
+        acc = _shared_accesses(*args)
+        assert _is_deferred(acc)
+        return acc
+
+    eager = SharedAccesses.from_tuples(fresh().to_tuples())
+    assert fresh() == eager and eager == fresh()
+    assert hash(fresh()) == hash(eager)
+    unpickled = pickle.loads(pickle.dumps(fresh()))
+    assert unpickled == eager and not _is_deferred(unpickled)
+    assert fresh().to_tuples() == eager.to_tuples()
+    for got, want in zip(
+        fresh().elements(spec.warp_size, num_warps),
+        eager.elements(spec.warp_size, num_warps),
+    ):
+        assert got.tolist() == want.tolist()
+    for warps in range(1, num_warps + 1):
+        threads = warps * spec.warp_size
+        acc = fresh()
+        assert acc.leading(threads) == eager.leading(threads)
+        assert _is_deferred(acc) == (warps == 1)
+
+
+def _two_warp_accesses(ws):
+    """Warp 0 stores one element per lane; warp 1 one, then two more."""
+    return SharedAccesses.from_tuples(
+        [((lane, (0,)),) for lane in range(ws)]
+        + [((ws + lane, (0,)), (2 * ws + 2 * lane, (1, 2))) for lane in range(ws)]
+    )
+
+
+@pytest.mark.parametrize("matrix", [False, True])
+def test_price_reads_only_the_priced_warps(matrix):
+    """Slots, widest access and matrix element counts come from the
+    first ``warps`` warps: warp 1's extra access is billed only when
+    warp 1 is priced."""
+    from repro.gpusim.opcost import price_program
+    from repro.program.ir import Sts, WarpProgram
+
+    spec = RTX4090
+    full = _two_warp_accesses(spec.warp_size)
+
+    def price(acc, warps):
+        program = WarpProgram((Sts(acc, 8, use_stmatrix=matrix),))
+        (record,) = price_program(program, spec, warps=warps).instructions
+        return record
+
+    one, two = price(full, 1), price(full, 2)
+    # One slot, then two; as matrix rows of 16 bytes, one 8-byte
+    # element per lane, then three.
+    assert (one.count, two.count) == (1, 2)
+    if not matrix:
+        assert (one.vector_bits, two.vector_bits) == (64, 128)
+    # A deferred value prices as its eager value; warp 0 needs no build.
+    deferred = SharedAccesses.deferred(full.leading(spec.warp_size), lambda: full)
+    assert price(deferred, 1) == one and _is_deferred(deferred)
+    assert price(deferred, 2) == two and not _is_deferred(deferred)
+
+
+def test_cold_fig9_pass_builds_no_full_access_table(monkeypatch):
+    """Static pricing reads warp 0 alone, so compiling every fig9 case
+    from empty caches never builds a CTA access table."""
+    from tests.test_pipeline import FIG9_SUITE, _compile_fig9
+
+    counts = {"deferred": 0, "built": 0}
+    real_deferred = SharedAccesses.deferred.__func__
+    real_materialize = SharedAccesses._materialize
+
+    def deferred(cls, head, build):
+        counts["deferred"] += 1
+        return real_deferred(cls, head, build)
+
+    def materialize(self):
+        counts["built"] += self._build is not None
+        real_materialize(self)
+
+    monkeypatch.setattr(SharedAccesses, "deferred", classmethod(deferred))
+    monkeypatch.setattr(SharedAccesses, "_materialize", materialize)
+    cache.clear()
+    for model, case, platform, mode in FIG9_SUITE:
+        _compile_fig9(model, case, platform, mode)
+    assert counts["deferred"] > 0
+    assert counts["built"] == 0
