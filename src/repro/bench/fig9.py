@@ -116,67 +116,6 @@ def run_fig9(
     return fig, tab6, speedups
 
 
-def run_pass_profile(
-    kernels: Optional[List[str]] = None, mode: str = "linear"
-) -> Table:
-    """Where compilation time goes, pass by pass.
-
-    Compiles the first case of each kernel on its first platform and
-    aggregates the per-pass diagnostics the pipeline records — the
-    observability view of :mod:`repro.engine.pipeline` over the real
-    benchmark suite.  Wall times are workload-dependent; the counter
-    columns (conversions inserted/eliminated, cache hits) are
-    deterministic.
-    """
-    table = Table(
-        title=f"Compilation pass profile ({mode} mode, first cases)",
-        headers=[
-            "pass", "wall_ms", "cache_hits", "cache_misses",
-            "conv_inserted", "conv_eliminated",
-        ],
-    )
-    totals: Dict[str, Dict[str, float]] = {}
-    order: List[str] = []
-    names = kernels if kernels is not None else sorted(KERNELS)
-    for name in names:
-        model = KERNELS[name]
-        case = model.cases[0]
-        compiled = compile_case(model, case, model.platforms[0], mode)
-        if not compiled.ok:
-            continue
-        for diag in compiled.diagnostics:
-            if diag.name not in totals:
-                totals[diag.name] = {
-                    "wall_ms": 0.0,
-                    "cache_hits": 0,
-                    "cache_misses": 0,
-                    "conv_inserted": 0,
-                    "conv_eliminated": 0,
-                }
-                order.append(diag.name)
-            agg = totals[diag.name]
-            agg["wall_ms"] += diag.wall_time_ms
-            agg["cache_hits"] += diag.cache_hits
-            agg["cache_misses"] += diag.cache_misses
-            agg["conv_inserted"] += diag.counters.get(
-                "conversions_inserted", 0
-            )
-            agg["conv_eliminated"] += diag.counters.get(
-                "conversions_eliminated", 0
-            )
-    for pass_name in order:
-        agg = totals[pass_name]
-        table.add_row(
-            pass_name,
-            round(agg["wall_ms"], 3),
-            int(agg["cache_hits"]),
-            int(agg["cache_misses"]),
-            int(agg["conv_inserted"]),
-            int(agg["conv_eliminated"]),
-        )
-    return table
-
-
 def summarize_by_platform(fig: Table) -> Table:
     """Min/geomean/max per platform, the Figure 9 per-plot summary."""
     out = Table(

@@ -128,8 +128,8 @@ def capture_suite(
     """One observed suite run; returns ``(recorder, info)``.
 
     The suite is submitted ``dup`` times so the capture also shows
-    the dedup machinery working (single-flight sharing on round one,
-    result-cache hits on later rounds), and the caches are cleared
+    the dedup machinery working (requests sharing a pending flight,
+    result-cache hits on done ones), and the caches are cleared
     first so both misses and hits appear.
     """
     requests = suite(suite_name)

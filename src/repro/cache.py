@@ -20,11 +20,11 @@ Caches
     variable masks.
 ``plans``
     Fully lowered :class:`ConversionPlan` objects keyed on
-    ``(src, dst, hardware spec, planner options)`` — the PlanCache of
-    the serving hot path.
+    ``(src, dst, hardware spec, planner options)`` — the one
+    conversion memo; a plan's price is memoized on its program.
 ``engine``
-    :class:`LayoutEngine` anchors and priced conversions keyed on the
-    engine configuration ``(spec, mode, num_warps)``.
+    :class:`LayoutEngine` anchors and global-access cycles keyed on
+    the engine configuration ``(spec, mode, num_warps)``.
 
 Every cached value is immutable or treated as immutable by all
 callers; plans and layouts are shared across compilations.
@@ -304,7 +304,7 @@ layouts = BoundedCache("layouts", maxsize=8192)
 derivations = BoundedCache("derivations", maxsize=16384)
 #: The PlanCache: (src, dst, spec, options) -> ConversionPlan.
 plans = BoundedCache("plans", maxsize=2048)
-#: LayoutEngine anchors and priced conversions.
+#: LayoutEngine anchors and global-access cycles.
 engine = BoundedCache("engine", maxsize=4096)
 
 

@@ -303,7 +303,6 @@ def plan_conversion(
     spec: GpuSpec = RTX4090,
     allow_shuffle: bool = True,
     swizzle_mode: str = "optimal",
-    pad_elems: Optional[int] = None,
     dedupe_broadcast: bool = True,
     memory_layout: Optional[LinearLayout] = None,
 ) -> ConversionPlan:
@@ -335,7 +334,6 @@ def plan_conversion(
         spec,
         allow_shuffle,
         swizzle_mode,
-        pad_elems,
         dedupe_broadcast,
         None if memory_layout is None else memory_layout.canonical_key(),
     )
@@ -349,7 +347,6 @@ def plan_conversion(
             spec,
             allow_shuffle,
             swizzle_mode,
-            pad_elems,
             dedupe_broadcast,
             memory_layout,
         ),
@@ -363,7 +360,6 @@ def _plan_conversion_uncached(
     spec: GpuSpec,
     allow_shuffle: bool,
     swizzle_mode: str,
-    pad_elems: Optional[int],
     dedupe_broadcast: bool,
     memory_layout: Optional[LinearLayout],
 ) -> ConversionPlan:
@@ -472,11 +468,10 @@ def _plan_conversion_uncached(
         shared_bytes = (1 << d) * elem_bytes
         notes.append("unswizzled staging (ablation)")
     elif swizzle_mode == "padded":
-        if pad_elems is None:
-            # One full vector of padding per bank row: preserves
-            # vector alignment across padded rows — the legacy
-            # "shared memory padding" heuristic.
-            pad_elems = max(1, 128 // elem_bits)
+        # One full vector of padding per bank row: preserves vector
+        # alignment across padded rows — the legacy "shared memory
+        # padding" heuristic.
+        pad_elems = max(1, 128 // elem_bits)
         # Row-major flat storage with one pad per bank row worth of
         # elements (the legacy heuristic applied to the flattened
         # tensor).
@@ -579,10 +574,11 @@ def _plan_from_memory_layout(
 
 
 def _plan_cost(plan: ConversionPlan, spec: GpuSpec) -> float:
-    """Price a candidate plan (deferred import: gpusim uses codegen)."""
-    from repro.gpusim.opcost import price_program
+    """Price a candidate plan through its program's price memo, which
+    the winner keeps (deferred import: gpusim uses codegen)."""
+    from repro.gpusim.opcost import program_price
 
-    return price_program(plan.program, spec).cycles()
+    return program_price(plan.program, spec)[1]
 
 
 def _swizzled_program(

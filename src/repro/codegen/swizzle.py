@@ -55,11 +55,6 @@ class SwizzlePlan:
         """Store/load vector width in elements (2^|V|)."""
         return 1 << len(self.vec_basis)
 
-    @property
-    def vec_bits(self) -> int:
-        """Store/load vector width in bits."""
-        return self.vec_elems * self.elem_bits
-
 
 def offset_bit_budget(
     vec_bytes: int, free_bits: int, bank_row_bytes: int

@@ -13,6 +13,8 @@ Shape ops are register no-ops by construction and emit nothing.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.engine.ir import OpKind
 from repro.engine.pipeline import CompilationContext, Pass, PassDiagnostics
 from repro.gpusim.trace import Trace
@@ -46,11 +48,6 @@ class LowerToPlans(Pass):
                 trace.instructions.extend(instructions)
                 diag.bump("conversions_lowered")
                 diag.bump("program_instructions", len(plan.program))
-                if _obs.is_enabled():
-                    _obs.count(
-                        "engine.conversions", 1,
-                        kind=plan.kind, mode=ctx.mode,
-                    )
             elif kind == OpKind.ELEMENTWISE:
                 cost.price_elementwise(op, trace)
             elif kind == OpKind.LOCAL_STORE:
@@ -67,6 +64,11 @@ class LowerToPlans(Pass):
             diag.bump("ops_lowered")
         ctx.trace = trace
         diag.bump("instructions_emitted", len(trace.instructions))
+        if _obs.is_enabled():
+            # One counter update per plan kind, not per conversion.
+            kinds = Counter(plan.kind for plan in ctx.conversions)
+            for kind, n in kinds.items():
+                _obs.count("engine.conversions", n, kind=kind, mode=ctx.mode)
 
 
 __all__ = ["LowerToPlans"]

@@ -205,7 +205,8 @@ class PassManager:
         :meth:`PassDiagnostics.to_dict` record — one measurement,
         two views — nested under whatever span the caller opened
         (``compile:kernel``, ``serve:request``).  Disabled, the
-        span hook is a no-op and nothing changes.
+        span hook is a no-op and the record is never turned into a
+        dict.
         """
         with _obs.span(
             "pipeline:run",
@@ -234,7 +235,8 @@ class PassManager:
                         delta = _cache.counters_delta(cache_before)
                         diag.cache_hits = delta["hits"]
                         diag.cache_misses = delta["misses"]
-                        sp.set_attrs(diag.to_dict())
+                        if _obs.is_enabled():
+                            sp.set_attrs(diag.to_dict())
         return ctx
 
     def __repr__(self) -> str:

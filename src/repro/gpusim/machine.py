@@ -25,7 +25,7 @@ from typing import Dict, Optional, Tuple
 from repro import cache as _cache
 from repro.codegen.plan import ConversionPlan
 from repro.core.layout import LinearLayout
-from repro.gpusim.opcost import price_program
+from repro.gpusim.opcost import price_program, program_price
 from repro.gpusim.registers import RegisterFile
 from repro.gpusim.trace import Trace
 from repro.hardware.instructions import InstructionKind
@@ -93,21 +93,15 @@ class Machine:
         """Move the data, then price the run.
 
         Without a gather load the price depends only on the program,
-        the platform and the warp count, so its records are memoized
-        in the program's scratch.
+        the platform and the warp count, so it comes from the
+        program's price memo (:func:`program_price`).
         """
         files, gather_wavefronts = self._interp.run(program, inputs)
         if gather_wavefronts:
             return files, price_program(
                 program, self.spec, self.num_warps, gather_wavefronts
             )
-        key = ("price", self.spec, self.num_warps)
-        records = program.scratch.get(key)
-        if records is None:
-            records = tuple(
-                price_program(program, self.spec, self.num_warps).instructions
-            )
-            program.scratch[key] = records
+        records, _ = program_price(program, self.spec, self.num_warps)
         return files, Trace(self.spec, list(records))
 
     _SHARED_KINDS = (

@@ -177,6 +177,26 @@ def price_program(
     return trace
 
 
+def program_price(
+    program: WarpProgram, spec: GpuSpec, warps: int = 1
+) -> Tuple[Tuple[Instruction, ...], float]:
+    """(records, cycles) of ``price_program(program, spec, warps)``.
+
+    Without measured gather wavefronts a program's price depends only
+    on the program, the platform and the warp count, so it is
+    memoized once, on the program, under ``("price", spec, warps)``:
+    the planner's candidate pricing, static op pricing and the
+    machine's executed runs all read the same entry.
+    """
+    key = ("price", spec, warps)
+    priced = program.scratch.get(key)
+    if priced is None:
+        trace = price_program(program, spec, warps)
+        priced = (tuple(trace.instructions), trace.cycles())
+        program.scratch[key] = priced
+    return priced
+
+
 class OpCostModel:
     """Prices whole IR operations on one platform under one policy.
 
@@ -261,30 +281,14 @@ class OpCostModel:
     ) -> Tuple[ConversionPlan, Tuple[Instruction, ...], float]:
         """(plan, priced instructions, cycles) of one conversion.
 
-        The warm-path workhorse: repeated compilations of the same
-        graph hit this cache and skip planning *and* pricing.  The
-        instruction tuple is extended into each compilation's trace;
-        instructions are frozen, so sharing is safe.
+        The plan comes from the ``plans`` cache and its price from
+        the program's memo (:func:`program_price`), so a repeated
+        conversion skips planning *and* pricing.  The instruction
+        tuple is extended into each compilation's trace; instructions
+        are frozen, so sharing is safe.
         """
-
-        def make() -> Tuple[ConversionPlan, Tuple[Instruction, ...], float]:
-            plan = self.plan(src, dst, dtype)
-            priced = price_program(plan.program, self.spec)
-            return plan, tuple(priced.instructions), priced.cycles()
-
-        return _cache.cached(
-            _cache.engine,
-            (
-                "cost",
-                "priced_conversion",
-                src.canonical_key(),
-                dst.canonical_key(),
-                dtype.bits,
-                self.policy.mode,
-                self.spec,
-            ),
-            make,
-        )
+        plan = self.plan(src, dst, dtype)
+        return (plan, *program_price(plan.program, self.spec))
 
     def conversion_cycles(self, src: LinearLayout, dst: LinearLayout, dtype: DType) -> float:
         """Cycles of converting ``src`` to ``dst`` (memoized)."""
@@ -408,4 +412,5 @@ __all__ = [
     "op_cost_model",
     "policy_for_mode",
     "price_program",
+    "program_price",
 ]

@@ -62,10 +62,6 @@ class SwizzledSharedLayout:
         if sorted(self.order) != [0, 1]:
             raise DimensionError(f"order must permute (0, 1): {self.order}")
 
-    def is_swizzled(self) -> bool:
-        """True iff the layout actually permutes columns (max_phase > 1)."""
-        return self.max_phase > 1
-
     def offset_of(self, coords: Sequence[int], shape: Sequence[int]) -> int:
         """Element offset of logical ``coords`` in a ``shape`` tile."""
         if len(coords) != 2 or len(shape) != 2:

@@ -108,11 +108,6 @@ def encode_bf16(values: np.ndarray) -> np.ndarray:
     return rounded.view(np.float32)
 
 
-def decode_bf16(values: np.ndarray) -> np.ndarray:
-    """bf16 is stored as truncated float32 here; decoding is identity."""
-    return np.asarray(values, dtype=np.float32)
-
-
 def encode_fp4_e2m1(values: np.ndarray) -> np.ndarray:
     """Quantize to the 4-bit e2m1 grid (nearest, ties to even index)."""
     x = np.asarray(values, dtype=np.float64)

@@ -123,20 +123,3 @@ def preshuffle_register_table(num_regs: int, kwidth: int) -> tuple:
                 for j in range(kwidth):
                     table.append(base + (c2 * 4 + c4) * kwidth + j)
     return tuple(table)
-
-
-def preshuffle_program(layout, kwidth: int):
-    """The operand pre-shuffle as a warp program (one register move).
-
-    ``layout`` is the distributed layout of the operand fragment whose
-    registers run along K; the program is intra-thread data movement
-    only, so it prices to zero instructions — the gain shows up in the
-    load vectorization, not here.
-    """
-    from repro.core.dims import REGISTER
-    from repro.program.lower import lower_register_permute
-
-    table = preshuffle_register_table(
-        layout.in_dim_size(REGISTER), kwidth
-    )
-    return lower_register_permute(table, layout)

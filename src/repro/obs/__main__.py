@@ -18,8 +18,8 @@ Subcommands
 ``check FILE`` (also spelled ``--check FILE``)
     Validate a Chrome trace against the event schema; for traces our
     own ``capture`` produced (``otherData.suite`` set), additionally
-    require that every pipeline pass, the cache counters, the
-    single-flight resolution, and the simulator execution appear.
+    require that every pipeline pass, the served requests, the cache
+    counters, and the simulator execution appear.
     Exit code 0 iff valid.
 """
 
@@ -41,7 +41,6 @@ from repro.obs.export import (
 #: contain — the acceptance surface of the observability layer.
 REQUIRED_SPANS = [
     "serve:request",
-    "serve:singleflight",
     "compile:kernel",
     "pass:anchor-selection",
     "pass:forward-propagation",

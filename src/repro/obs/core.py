@@ -103,6 +103,7 @@ class Span:
         thread_id: int,
         thread_name: str,
         start_us: float,
+        attrs: Optional[Dict[str, Any]] = None,
     ):
         self.name = name
         self.trace_id = trace_id
@@ -112,7 +113,7 @@ class Span:
         self.thread_name = thread_name
         self.start_us = start_us
         self.end_us: Optional[float] = None
-        self.attrs: Dict[str, Any] = {}
+        self.attrs: Dict[str, Any] = {} if attrs is None else attrs
         self.status = "ok"
 
     @property
@@ -352,19 +353,19 @@ class _SpanHandle:
 
     def __enter__(self) -> Span:
         stack = _STACK.stack
-        parent = stack[-1] if stack else None
+        if stack:
+            parent = stack[-1]
+            trace_id, parent_id = parent.trace_id, parent.span_id
+        else:
+            trace_id, parent_id = next(_IDS), None
         thread = threading.current_thread()
+        # Positional, and the span adopts the attrs dict :func:`span`
+        # built for it: this runs on every recorded span.
         sp = Span(
-            name=self._name,
-            trace_id=parent.trace_id if parent is not None else next(_IDS),
-            span_id=next(_IDS),
-            parent_id=parent.span_id if parent is not None else None,
-            thread_id=thread.ident or 0,
-            thread_name=thread.name,
-            start_us=self._recorder.now_us(),
+            self._name, trace_id, next(_IDS), parent_id,
+            thread.ident or 0, thread.name, self._recorder.now_us(),
+            self._attrs,
         )
-        if self._attrs:
-            sp.attrs.update(self._attrs)
         stack.append(sp)
         self.span = sp
         return sp

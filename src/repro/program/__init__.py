@@ -35,7 +35,6 @@ from repro.program.lower import (
     lower_gather_shared,
     lower_gather_shuffle,
     lower_plan,
-    lower_register_permute,
 )
 from repro.program.serialize import (
     program_from_dict,
@@ -65,7 +64,6 @@ __all__ = [
     "lower_gather_shared",
     "lower_gather_shuffle",
     "lower_plan",
-    "lower_register_permute",
     "make_interpreter",
     "program_from_dict",
     "program_from_json",

@@ -1,23 +1,18 @@
-"""Lowering: gather plans and register permutes -> warp programs.
+"""Lowering: gather plans -> warp programs.
 
 Conversion plans carry their own program (the planners of
 :mod:`repro.codegen` emit instructions directly); this module builds
-the programs of the other producers — the two gather flavors and the
-standalone register permute.
+the programs of the two gather flavors.
 """
 
 from __future__ import annotations
 
-from repro.core.dims import LANE, WARP
 from repro.core.layout import LinearLayout
 from repro.program.ir import (
     Bar,
     GatherLds,
     GatherShfl,
     GatherSts,
-    MovR,
-    R_IN,
-    R_OUT,
     WarpProgram,
 )
 
@@ -66,34 +61,8 @@ def lower_gather_shared(
     )
 
 
-def lower_register_permute(
-    dst_to_src,
-    layout: LinearLayout,
-    src: str = R_IN,
-    dst: str = R_OUT,
-) -> WarpProgram:
-    """A standalone register permute over a layout's lane/warp extent.
-
-    The lowering used by producers whose whole plan is intra-thread
-    data movement (the mxfp operand pre-shuffle).
-    """
-    return WarpProgram(
-        (
-            MovR(
-                dst_to_src=tuple(dst_to_src),
-                lanes=layout.in_dim_size(LANE),
-                warps=layout.in_dim_size(WARP),
-                src=src,
-                dst=dst,
-            ),
-        ),
-        label="register-permute",
-    )
-
-
 __all__ = [
     "lower_gather_shared",
     "lower_gather_shuffle",
     "lower_plan",
-    "lower_register_permute",
 ]

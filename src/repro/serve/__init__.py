@@ -1,13 +1,13 @@
 """Concurrent compilation serving (see ``docs/SERVING.md``).
 
 ``CompileService`` batches and deduplicates compilation requests over
-a thread pool; ``SingleFlight`` is the in-flight dedup primitive;
-``RequestStats``/``ServiceReport`` are the observability layer.
-Results are bit-identical to serial :func:`repro.engine.compile`.
+a thread pool, with one flight per request key: a key's compile runs
+once, concurrent requests share it, and later ones are answered from
+its result.  ``RequestStats``/``ServiceReport`` are the observability
+layer.  Results are bit-identical to serial :func:`repro.engine.compile`.
 """
 
 from repro.serve.service import CompileRequest, CompileService
-from repro.serve.singleflight import SingleFlight
 from repro.serve.stats import RequestStats, ServiceReport
 
 __all__ = [
@@ -15,5 +15,4 @@ __all__ = [
     "CompileService",
     "RequestStats",
     "ServiceReport",
-    "SingleFlight",
 ]

@@ -2,18 +2,18 @@
 
 :class:`CompileService` is the serving layer the ROADMAP's traffic
 story needs: many `(kernel, case, platform, mode)` requests enter, a
-worker pool compiles them, and three levels of deduplication keep the
+worker pool compiles them, and two levels of deduplication keep the
 work proportional to the number of *distinct* kernels rather than the
 number of requests:
 
-1. **Result cache** — a completed compilation is memoized by its
-   canonical request key, so repeat traffic is answered at
-   submission, on the caller's thread, without queueing behind
-   compiles or touching the compiler at all.
-2. **Single-flight** — concurrent requests for the same key share one
-   in-flight compile (:mod:`repro.serve.singleflight`); only the
-   leader runs the pipeline.
-3. **Layout/plan caches** — distinct kernels that share layouts and
+1. **Flights** — one bounded map from canonical request key to the
+   key's *flight*: the executor future of its one compile, plus the
+   result once it is done.  A done flight is the result cache:
+   repeat traffic is answered at submission, on the caller's thread,
+   without queueing behind compiles or touching the compiler.  A
+   pending flight is shared: the request resolves when the flight
+   does.  Only a request whose key has no flight compiles.
+2. **Layout/plan caches** — distinct kernels that share layouts and
    conversions still split the F2 planning work through
    :mod:`repro.cache`, which is safe under the pool.
 
@@ -23,9 +23,10 @@ and serialized warp programs).  Workers are threads sharing the
 process-wide caches, and every result is a live
 :class:`~repro.engine.engine.CompiledKernel`.  On a GIL-bound CPython
 a pure-Python compile does not parallelize, so cold throughput tracks
-serial; what the pool buys is single-flight collapsing of duplicate
-traffic.  There is no process pool: fork and pickling cost more than
-the compiles it would parallelize (measurements in the doc below).
+serial; what the pool buys is collapsing duplicate traffic onto one
+compile per key.  There is no process pool: fork and pickling cost
+more than the compiles it would parallelize (measurements in the doc
+below).
 
 See ``docs/SERVING.md`` for the full contract.
 """
@@ -36,7 +37,7 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro import cache as _cache
 from repro.engine import compile as _engine_compile
@@ -45,13 +46,23 @@ from repro.engine.pipeline import check_num_warps
 from repro.hardware.spec import PLATFORMS
 from repro.kernels import KERNELS
 from repro.obs import core as _obs
-from repro.serve.singleflight import SingleFlight
 from repro.serve.stats import RequestStats, ServiceReport
 
 __all__ = ["CompileRequest", "CompileService"]
 
-#: Completed-result memo capacity of every service.
+#: Flight-map capacity of every service: the keys whose result (or
+#: in-flight compile) it keeps.
 RESULT_CACHE_SIZE = 1024
+
+
+class _Flight:
+    """One key's compile: the executor future, then its result."""
+
+    __slots__ = ("future", "result")
+
+    def __init__(self):
+        self.future: Optional[Future] = None
+        self.result: Optional[CompiledKernel] = None
 
 
 @dataclass(frozen=True)
@@ -145,10 +156,9 @@ class CompileService:
             raise ValueError(f"backend must be thread: {backend!r}")
         self.name = name
         self.workers = workers
-        self._flight = SingleFlight()
-        self._results = _cache.BoundedCache(
-            f"{name}:results", maxsize=RESULT_CACHE_SIZE, register=False
-        )
+        # Canonical key -> flight, least recently used first; bounded
+        # by RESULT_CACHE_SIZE and guarded by ``_lock``.
+        self._flights: Dict[str, _Flight] = {}
         self._lock = threading.Lock()
         self._records: List[RequestStats] = []
         self._first_submit: Optional[float] = None
@@ -166,21 +176,47 @@ class CompileService:
         """Enqueue one request; the future resolves to its
         :class:`CompiledKernel`.  Invalid requests raise here, at
         submission.
+
+        One lookup in the flight map decides the request: no flight
+        leads a compile on the pool, a done flight is answered here,
+        and a pending flight is shared.
         """
         if not isinstance(request, CompileRequest):
             request = CompileRequest(*request)
         request.validate()
+        key = request.canonical_key()
         submitted = time.perf_counter()
         with self._lock:
             if self._first_submit is None:
                 self._first_submit = submitted
-        hit = self._results.get(request.canonical_key(), None)
-        if hit is None:
-            return self._executor.submit(self._serve, request, submitted)
-        # A cached result is answered on the caller's thread: it never
-        # queues behind compiles.
+            flight = self._flights.pop(key, None)
+            if flight is None:
+                # The flight is in the map before its compile can
+                # finish or fail: both take this lock first.
+                flight = _Flight()
+                flight.future = self._executor.submit(
+                    self._lead, request, key, submitted, flight
+                )
+                if len(self._flights) >= RESULT_CACHE_SIZE:
+                    del self._flights[next(iter(self._flights))]
+                self._flights[key] = flight
+                return flight.future
+            self._flights[key] = flight  # most recently used
         future: Future = Future()
-        future.set_result(self._serve(request, submitted, hit))
+        hit = flight.result
+        if hit is not None:
+            # A done flight is answered on the caller's thread: it
+            # never queues behind compiles.
+            future.set_result(
+                self._serve(
+                    request, key, submitted, lambda rec: hit,
+                    result_cached=True,
+                )
+            )
+        else:
+            flight.future.add_done_callback(
+                lambda done: self._follow(request, key, submitted, done, future)
+            )
         return future
 
     def compile_batch(
@@ -193,25 +229,68 @@ class CompileService:
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
+    def _lead(
+        self,
+        request: CompileRequest,
+        key: str,
+        submitted: float,
+        flight: _Flight,
+    ) -> CompiledKernel:
+        """Compile the key on a worker; its record is written before
+        the flight's future resolves.  A compile that raises drops
+        the flight, so the next request for the key compiles again."""
+        queue_wait_ms = (time.perf_counter() - submitted) * 1e3
+
+        def compile_(rec: RequestStats) -> CompiledKernel:
+            try:
+                flight.result = self._compile_timed(request, rec)
+            except BaseException:
+                with self._lock:
+                    if self._flights.get(key) is flight:
+                        del self._flights[key]
+                raise
+            return flight.result
+
+        return self._serve(
+            request, key, submitted, compile_, queue_wait_ms=queue_wait_ms
+        )
+
+    def _follow(
+        self,
+        request: CompileRequest,
+        key: str,
+        submitted: float,
+        flight_future: Future,
+        future: Future,
+    ) -> None:
+        """Resolve a request that shared a flight, once it landed."""
+        try:
+            future.set_result(
+                self._serve(
+                    request, key, submitted,
+                    lambda rec: flight_future.result(), shared=True,
+                )
+            )
+        except BaseException as exc:
+            future.set_exception(exc)
+
     def _serve(
         self,
         request: CompileRequest,
+        key: str,
         submitted: float,
-        hit: Optional[CompiledKernel] = None,
+        produce: Callable[[RequestStats], CompiledKernel],
+        **flags,
     ) -> CompiledKernel:
-        """Serve one request; ``hit`` is its result-cache entry when
-        the caller found one at submission (no queue wait)."""
-        started = submitted if hit is not None else time.perf_counter()
-        key = request.canonical_key()
-        case = request.resolved_case()
+        """Serve one request through ``produce`` and record it: the
+        record is written, and its span closed, before this returns."""
         rec = RequestStats(
             key=key,
             kernel=request.kernel,
-            case=case.name,
+            case=request.resolved_case().name,
             platform=request.platform,
             mode=request.mode,
-            queue_wait_ms=(started - submitted) * 1e3,
-            result_cached=hit is not None,
+            **flags,
         )
         with _obs.span(
             "serve:request",
@@ -221,11 +300,7 @@ class CompileService:
             mode=request.mode,
         ) as sp:
             try:
-                compiled = (
-                    hit
-                    if hit is not None
-                    else self._lookup_or_compile(request, key, rec)
-                )
+                compiled = produce(rec)
                 rec.ok = compiled.ok
                 rec.error = compiled.error
                 return compiled
@@ -237,36 +312,9 @@ class CompileService:
                 rec.total_ms = (time.perf_counter() - submitted) * 1e3
                 # Thin-view contract: the span's attributes are the
                 # request's RequestStats record.
-                sp.set_attrs(rec.to_dict())
+                if _obs.is_enabled():
+                    sp.set_attrs(rec.to_dict())
                 self._record(rec)
-
-    def _lookup_or_compile(
-        self, request: CompileRequest, key: str, rec: RequestStats
-    ) -> CompiledKernel:
-        with _obs.span("serve:singleflight", key=key) as sp:
-            compiled, shared = self._flight.do(
-                key, lambda: self._lead(request, key, rec)
-            )
-            sp.set("shared", shared)
-        rec.shared = shared
-        return compiled
-
-    def _lead(
-        self, request: CompileRequest, key: str, rec: RequestStats
-    ) -> CompiledKernel:
-        """A single-flight leader's work: compile at most once per key.
-
-        The result reaches the result cache inside the flight, before
-        single-flight forgets the key, and a new leader re-checks the
-        cache first.  A request that missed the cache at submission
-        (or while an earlier flight was finishing) then finds that
-        flight's result instead of compiling the key again.
-        """
-        hit = self._results.get(key, None)
-        if hit is not None:
-            rec.result_cached = True
-            return hit
-        return self._results.put(key, self._compile_timed(request, rec))
 
     def _compile_timed(
         self, request: CompileRequest, rec: RequestStats

@@ -5,7 +5,7 @@ processes leaves one :class:`RequestStats` record: where its latency
 went (queue wait vs. compile time), how the caches behaved for it
 (thread-local hit/miss deltas from :func:`repro.cache.counters`), and
 whether it was deduplicated (served by another request's in-flight
-compile or by the service's result cache).  :class:`ServiceReport`
+compile or by a finished one's result).  :class:`ServiceReport`
 aggregates those records into the JSON document operators would
 scrape — throughput, dedup ratios, latency summary, and the global
 cache statistics snapshot.
@@ -38,15 +38,16 @@ class RequestStats:
     case: str
     platform: str
     mode: str
-    #: Seconds spent queued before a worker picked the request up.
+    #: Time spent queued before a worker picked the request up (zero
+    #: unless the request compiled).
     queue_wait_ms: float = 0.0
     #: Wall time of the compile itself (zero when deduplicated).
     compile_ms: float = 0.0
     #: Submit-to-result wall time.
     total_ms: float = 0.0
-    #: Served by another request's in-flight compile (single-flight).
+    #: Served by another request's in-flight compile.
     shared: bool = False
-    #: Served from the service's completed-result cache.
+    #: Served from a finished compile's result, at submission.
     result_cached: bool = False
     #: repro.cache hits/misses attributed to this request's compile.
     cache_hits: int = 0
@@ -169,7 +170,7 @@ class ServiceReport:
         return (
             f"{self.service}[{self.workers} workers]: "
             f"{self.total_requests} requests -> {self.compiles} compiles "
-            f"({self.dedup_shared} single-flight, "
+            f"({self.dedup_shared} shared, "
             f"{self.result_cache_hits} result-cache, "
             f"{self.failures} failed) in {self.wall_ms:.1f}ms "
             f"({self.throughput_rps:.1f} req/s)"

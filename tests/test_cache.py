@@ -292,6 +292,40 @@ def test_compile_identical_with_and_without_cache(build, mode):
     assert warm.op_counts() == rewarm.op_counts() == cold.op_counts()
 
 
+def test_fig9_conversions_are_planned_and_priced_once(monkeypatch):
+    """A conversion's plan lives in ``plans`` and its price on the
+    plan's program: a cold fig9 pass leaves no priced conversion in
+    ``engine``, and a second pass neither misses ``plans`` nor prices
+    a conversion program (gathers build and price fresh programs)."""
+    from repro.gpusim import opcost
+    from tests.test_pipeline import FIG9_SUITE, _compile_fig9
+
+    def fig9_pass():
+        for model, case, platform, mode in FIG9_SUITE:
+            _compile_fig9(model, case, platform, mode)
+
+    fig9_pass()
+    assert not [
+        key for key in cache.engine._data if "priced_conversion" in key
+    ]
+    assert cache.stats()["plans"].hits > 0
+    priced = []
+    real = opcost.price_program
+
+    def counted(program, *args, **kwargs):
+        if not program.label.startswith("gather-"):
+            priced.append(program)
+        return real(program, *args, **kwargs)
+
+    monkeypatch.setattr(opcost, "price_program", counted)
+    before = cache.stats()["plans"]
+    fig9_pass()
+    after = cache.stats()["plans"]
+    assert after.misses == before.misses
+    assert after.hits > before.hits
+    assert priced == []
+
+
 def test_replaced_spec_keeps_its_own_cost_entries():
     """A spec that differs from RTX4090 in one cost field shares its
     name, and so its hash, but none of its cached prices."""
@@ -299,21 +333,21 @@ def test_replaced_spec_keeps_its_own_cost_entries():
     a_desc, b_desc = shuffle_pair(64)
     src, dst = a_desc.to_linear((64, 64)), b_desc.to_linear((64, 64))
 
-    def engine_misses():
-        return cache.stats()["engine"].misses
+    def misses(name):
+        return cache.stats()[name].misses
 
     for spec in (RTX4090, slow):
         model = op_cost_model(spec, "linear")
-        for lookup in (
-            lambda: model.priced_conversion(src, dst, F16),
-            lambda: model.global_cycles(src, None, (64, 64), F16),
+        for name, lookup in (
+            ("plans", lambda: model.priced_conversion(src, dst, F16)),
+            ("engine", lambda: model.global_cycles(src, None, (64, 64), F16)),
         ):
-            before = engine_misses()
+            before = misses(name)
             lookup()
-            assert engine_misses() > before  # its own entry, not RTX4090's
-            before = engine_misses()
+            assert misses(name) > before  # its own entry, not RTX4090's
+            before = misses(name)
             lookup()
-            assert engine_misses() == before
+            assert misses(name) == before
 
     def conversion_cycles(spec):
         return op_cost_model(spec, "linear").conversion_cycles(src, dst, F16)

@@ -383,6 +383,33 @@ class TestInstrumentation:
         assert kernel.attrs["ok"] is True
         assert rec.metrics.counter_value("engine.compiles") >= 1
 
+    def test_pass_records_become_dicts_only_while_recording(
+        self, monkeypatch
+    ):
+        """Recording off, a compile turns no pass record into a dict;
+        recording on, every ``pass:<name>`` span carries its record."""
+        from repro.engine.pipeline import PassDiagnostics
+
+        calls = []
+        real = PassDiagnostics.to_dict
+
+        def counted(self):
+            calls.append(self.name)
+            return real(self)
+
+        monkeypatch.setattr(PassDiagnostics, "to_dict", counted)
+        req = CompileRequest("softmax", "r64c64")
+        compiled = req.build_and_compile()
+        assert compiled.ok and calls == []
+        with obs.capture() as rec:
+            compiled = req.build_and_compile()
+        spans = [s for s in rec.spans() if s.name.startswith("pass:")]
+        assert [s.name for s in spans] == [
+            f"pass:{d.name}" for d in compiled.diagnostics
+        ]
+        for sp, diag in zip(spans, compiled.diagnostics):
+            assert sp.attrs == {"mode": "linear", **real(diag)}
+
     def test_cache_counters_flow_into_metrics(self):
         cache.clear()
         req = CompileRequest("softmax", "r64c64")

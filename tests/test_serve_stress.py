@@ -4,8 +4,8 @@ The contract under test (``docs/SERVING.md``): hammering
 :class:`repro.serve.CompileService` from many submitter threads with
 overlapping kernel suites must produce results **bit-identical** to
 serial :func:`repro.engine.compile` — same simulated cycles, same op
-counts, same serialized warp programs — while single-flight and the
-result cache collapse duplicate work.
+counts, same serialized warp programs — while the service's one flight
+per key collapses duplicate work.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import time
 import pytest
 
 from repro import cache
-from repro.serve import CompileRequest, CompileService, SingleFlight
+from repro.serve import CompileRequest, CompileService
 
 from tests.test_pipeline import GOLDEN
 
@@ -126,53 +126,54 @@ class TestStress:
         first = results[0].summary()
         assert all(r.summary() == first for r in results)
 
-    def test_no_recompile_between_flight_end_and_cache_fill(self):
-        """One compile per key when a request slips past a finishing flight.
+    def test_no_recompile_between_flight_end_and_cache_fill(
+        self, monkeypatch
+    ):
+        """One compile per key when a request arrives as a flight lands.
 
-        Forced interleaving: request B misses the result cache while
-        A's flight is compiling, and reaches single-flight only after
-        A's flight has ended and forgotten the key.  B must find A's
-        result rather than lead a second compile.
+        Forced interleaving: request B submits after A's compile has
+        returned but before A's future resolves — right after A's
+        ``_compile_timed`` (A's result not yet on its flight, so B
+        shares it) or right after A's ``_record`` (result on the
+        flight, so B reads it).  B must never compile the key again.
         """
-        cache.clear()
+        real_compile = CompileRequest.build_and_compile
+        calls: list = []
+
+        def counted(self):
+            calls.append(self.canonical_key())
+            return real_compile(self)
+
+        monkeypatch.setattr(CompileRequest, "build_and_compile", counted)
         req = CompileRequest("vector_add", "n4096")
-        b_waiting = threading.Event()
-        a_finished = threading.Event()
-        order_lock = threading.Lock()
-        arrivals: list = []
-        compiled_keys: list = []
-        with CompileService(workers=2, name="race") as service:
-            real_do = service._flight.do
-            real_compile = service._compile_timed
+        for hook, served_as in (
+            ("_compile_timed", "shared"),
+            ("_record", "result_cached"),
+        ):
+            cache.clear()
+            calls.clear()
+            b_futures: list = []
+            with CompileService(workers=2, name="race") as service:
+                real_hook = getattr(service, hook)
+                armed = [True]
 
-            def do(key, fn):
-                with order_lock:
-                    first = not arrivals
-                    arrivals.append(key)
-                if first:
-                    try:
-                        return real_do(key, fn)
-                    finally:
-                        a_finished.set()
-                b_waiting.set()
-                assert a_finished.wait(10)
-                return real_do(key, fn)
+                def then_submit_b(*args):
+                    out = real_hook(*args)
+                    if armed[0]:
+                        armed[0] = False
+                        b_futures.append(service.submit(req))
+                    return out
 
-            def compile_timed(request, rec):
-                compiled_keys.append(request.canonical_key())
-                # Hold A's flight open until B has missed the cache.
-                b_waiting.wait(10)
-                return real_compile(request, rec)
-
-            service._flight.do = do
-            service._compile_timed = compile_timed
-            futures = [service.submit(req) for _ in range(2)]
-            a, b = [f.result(timeout=30) for f in futures]
-            report = service.report()
-        assert len(arrivals) == 2
-        assert compiled_keys == [req.canonical_key()]
-        assert report.compiles == 1
-        assert a is b
+                setattr(service, hook, then_submit_b)
+                a = service.submit(req).result(timeout=30)
+                b = b_futures[0].result(timeout=30)
+                report = service.report()
+            assert calls == [req.canonical_key()], hook
+            assert report.compiles == 1, hook
+            lead, follow = report.requests
+            assert not (lead.shared or lead.result_cached), hook
+            assert getattr(follow, served_as), hook
+            assert a is b, hook
 
     def test_golden_twice_over_matches_and_compiles_each_key_once(self):
         """Every pipeline-equivalence golden record, sent twice through
@@ -280,7 +281,7 @@ class TestServiceSemantics:
         assert sp.attrs["key"] == req.canonical_key()
         assert sp.attrs["result_cached"] is True
         assert sp.attrs["queue_wait_ms"] == 0
-        assert not [s for s in rec.spans() if s.name == "serve:singleflight"]
+        assert [s.name for s in rec.spans()] == ["serve:request"]
 
     def test_cached_failed_compile_keeps_its_error(self, monkeypatch):
         """A cached not-ok result is served with its ok flag and error."""
@@ -334,86 +335,116 @@ class TestServiceSemantics:
             assert service.compile_batch([SUITE[2]])[0].ok
 
 
-class TestSingleFlight:
-    def test_leader_and_followers_deterministic(self):
-        flight = SingleFlight()
-        release = threading.Event()
-        entered = threading.Event()
-        outcomes: list = []
+def _held_compile(monkeypatch, fail=False):
+    """Patch every compile to wait for ``release`` (and then raise if
+    ``fail``); returns ``(entered, release, calls)``."""
+    real = CompileRequest.build_and_compile
+    entered = threading.Event()
+    release = threading.Event()
+    calls: list = []
 
-        def leader():
-            def work():
-                entered.set()
-                release.wait()
-                return "value"
+    def held(self):
+        calls.append(self.canonical_key())
+        entered.set()
+        assert release.wait(10)
+        if fail:
+            raise RuntimeError("leader failed")
+        return real(self)
 
-            outcomes.append(flight.do("k", work))
+    monkeypatch.setattr(CompileRequest, "build_and_compile", held)
+    return entered, release, calls
 
-        def follower():
-            entered.wait()
-            outcomes.append(flight.do("k", lambda: "other"))
 
-        t_leader = threading.Thread(target=leader)
-        followers = [
-            threading.Thread(target=follower) for _ in range(3)
+class TestFlights:
+    """One flight per key: lead, share, or read the result."""
+
+    def test_leader_and_followers_share_one_compile(self, monkeypatch):
+        cache.clear()
+        entered, release, calls = _held_compile(monkeypatch)
+        req = SUITE[2]
+        with CompileService(workers=4, name="flight") as service:
+            leader = service.submit(req)
+            assert entered.wait(10)
+            followers = [service.submit(req) for _ in range(3)]
+            assert not any(f.done() for f in [leader, *followers])
+            release.set()
+            results = [f.result(timeout=30) for f in [leader, *followers]]
+            report = service.report()
+        assert calls == [req.canonical_key()]
+        assert report.compiles == 1
+        assert sorted(r.shared for r in report.requests) == [
+            False, True, True, True,
         ]
-        t_leader.start()
-        for t in followers:
-            t.start()
-        entered.wait()
-        while flight.in_flight() == 0:  # pragma: no cover
-            time.sleep(0.001)
-        # Give followers time to park on the flight, then release.
-        time.sleep(0.02)
-        release.set()
-        t_leader.join()
-        for t in followers:
-            t.join()
-        values = {v for v, _shared in outcomes}
-        shared_flags = sorted(s for _v, s in outcomes)
-        assert values == {"value"}  # nobody computed "other"
-        assert shared_flags == [False, True, True, True]
-        assert flight.dedup_hits == 3
-        assert flight.in_flight() == 0
+        assert not any(r.result_cached for r in report.requests)
+        assert all(r is results[0] for r in results)
+        assert results[0].summary() == req.build_and_compile().summary()
 
-    def test_exception_propagates_to_followers(self):
-        flight = SingleFlight()
-        release = threading.Event()
-        entered = threading.Event()
-        failures: list = []
-
-        def leader():
-            def boom():
-                entered.set()
-                release.wait()
-                raise RuntimeError("leader failed")
-
-            try:
-                flight.do("k", boom)
-            except RuntimeError as exc:
-                failures.append(str(exc))
-
-        def follower():
-            entered.wait()
-            time.sleep(0.01)
-            try:
-                flight.do("k", lambda: "ok")
-            except RuntimeError as exc:
-                failures.append(str(exc))
-
-        ts = [threading.Thread(target=leader)] + [
-            threading.Thread(target=follower) for _ in range(2)
+    def test_raising_flight_fails_followers_and_is_dropped(
+        self, monkeypatch
+    ):
+        cache.clear()
+        entered, release, calls = _held_compile(monkeypatch, fail=True)
+        req = SUITE[2]
+        with CompileService(workers=2, name="flight-error") as service:
+            futures = [service.submit(req)]
+            assert entered.wait(10)
+            futures += [service.submit(req) for _ in range(2)]
+            release.set()
+            errors = []
+            for future in futures:
+                with pytest.raises(RuntimeError, match="leader failed") as exc:
+                    future.result(timeout=30)
+                errors.append(exc.value)
+            assert all(e is errors[0] for e in errors)
+            # The failed flight is gone: the next request compiles again.
+            monkeypatch.undo()
+            again = service.submit(req).result(timeout=30)
+            report = service.report()
+        assert calls == [req.canonical_key()]
+        assert again.ok
+        assert [r.shared for r in report.requests] == [
+            False, True, True, False,
         ]
-        for t in ts:
-            t.start()
-        entered.wait()
-        time.sleep(0.02)
-        release.set()
-        for t in ts:
-            t.join()
-        # Followers that joined the flight see the leader's error;
-        # stragglers that arrived after completion recompute fine.
-        assert failures.count("leader failed") >= 1
-        # The key is forgotten: a fresh call recomputes.
-        value, shared = flight.do("k", lambda: "fresh")
-        assert (value, shared) == ("fresh", False)
+        assert [r.ok for r in report.requests] == [False] * 3 + [True]
+        assert report.compiles == 2
+        assert report.failures == 3
+
+    def test_every_record_exists_before_its_future_resolves(
+        self, monkeypatch
+    ):
+        """Each request's record is written before its future resolves,
+        so ``report()`` right after a batch holds every request."""
+        real = CompileRequest.build_and_compile
+
+        def slow_compile(self):
+            time.sleep(0.005)  # let duplicates find the pending flight
+            return real(self)
+
+        monkeypatch.setattr(CompileRequest, "build_and_compile", slow_compile)
+        batch = [SUITE[2], SUITE[3]] * 4
+        shared = 0
+        for round_ in range(5):
+            cache.clear()
+            with CompileService(workers=2, name=f"records-{round_}") as service:
+                lock = threading.Lock()
+                resolved = [0]
+                early: list = []
+
+                def check(_future):
+                    # Every resolved future's record must already exist.
+                    with lock:
+                        resolved[0] += 1
+                        if len(service.report().requests) < resolved[0]:
+                            early.append(resolved[0])
+
+                futures = [service.submit(r) for r in batch]
+                for future in futures:
+                    future.add_done_callback(check)
+                for future in futures:
+                    future.result(timeout=30)
+                report = service.report()
+                assert len(report.requests) == len(batch)
+                assert not early
+                shared += report.dedup_shared
+                assert report.compiles == 2
+        assert shared > 0
