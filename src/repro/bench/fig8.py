@@ -12,12 +12,12 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.bench.harness import Table
+from repro.codegen.gather import gather_shared_program, gather_shuffle_program
 from repro.core.layout import LinearLayout
 from repro.gpusim.opcost import price_program
 from repro.hardware.spec import GH200, GpuSpec
 from repro.layouts.blocked import BlockedLayout
 from repro.mxfp.types import F16, F32, DType
-from repro.program.lower import lower_gather_shared, lower_gather_shuffle
 
 
 def gather_layout(rows: int, axis_size: int) -> LinearLayout:
@@ -48,8 +48,8 @@ def gather_cycles(
     conflicts of the random access pattern.
     """
     layout = gather_layout(rows, axis_size)
-    shared = lower_gather_shared(layout, axis=1)
-    shuffle = lower_gather_shuffle(layout, axis=1)
+    shared = gather_shared_program(layout, axis=1)
+    shuffle = gather_shuffle_program(layout, axis=1)
     return (
         price_program(shared, spec, gather_wavefronts=(2,)).cycles(),
         price_program(shuffle, spec).cycles(),

@@ -24,7 +24,7 @@ from repro.codegen.division import (
     match_instruction_tile,
     permute_registers_for_tile,
 )
-from repro.codegen.gather import GatherPlan, plan_gather
+from repro.codegen.gather import plan_gather
 from repro.codegen.plan import ConversionPlan
 from repro.codegen.shuffles import ShufflePlanError, plan_warp_shuffle
 from repro.codegen.swizzle import optimal_swizzled_layout
@@ -38,7 +38,6 @@ __all__ = [
     "ConversionKind",
     "ConversionPlan",
     "DistributedView",
-    "GatherPlan",
     "ShufflePlanError",
     "access_wavefronts",
     "classify_conversion",

@@ -38,13 +38,10 @@ from repro.core.ops import (
     product_pow2,
 )
 from repro.core.properties import (
-    broadcast_input_bits,
-    free_input_bits,
     is_distributed_layout,
     is_memory_layout,
     largest_vectorization,
     num_contiguous_elements,
-    registers_per_thread,
 )
 from repro.core.reshape import (
     broadcast_layout,
@@ -68,7 +65,6 @@ __all__ = [
     "OFFSET",
     "REGISTER",
     "WARP",
-    "broadcast_input_bits",
     "broadcast_layout",
     "canonical_dim_order",
     "divide_left",
@@ -80,7 +76,6 @@ __all__ = [
     "num_identity_low_bits",
     "product_pow2",
     "flatten_outs",
-    "free_input_bits",
     "hardware_dims",
     "is_distributed_layout",
     "is_memory_layout",
@@ -88,7 +83,6 @@ __all__ = [
     "largest_vectorization",
     "num_contiguous_elements",
     "out_dim_names",
-    "registers_per_thread",
     "reshape_layout",
     "split_layout",
     "transpose_layout",

@@ -8,7 +8,7 @@ duplicate detection for broadcasting.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.core.dims import REGISTER
 from repro.core.layout import LinearLayout
@@ -88,21 +88,6 @@ def largest_vectorization(
     # A single element wider than the cap still needs multiple loads;
     # floor at the element width.
     return max(vector_bits, min(element_bits, max_vector_bits))
-
-
-def registers_per_thread(layout: LinearLayout) -> int:
-    """Number of register slots per thread, including broadcast copies."""
-    return layout.in_dim_size(REGISTER)
-
-
-def free_input_bits(layout: LinearLayout) -> Dict[str, int]:
-    """Bitmask of free (duplicate-inducing) bits per input dim."""
-    return layout.free_variable_masks()
-
-
-def broadcast_input_bits(layout: LinearLayout) -> Dict[str, int]:
-    """Bitmask of exactly-zero columns per input dim (pure broadcast)."""
-    return layout.zero_basis_masks()
 
 
 def unique_data_threads(layout: LinearLayout, lane_dim: str = "lane") -> int:

@@ -46,6 +46,7 @@ from repro.engine.pipeline import (
     PassManager,
     check_num_warps,
 )
+from repro.gpusim.opcost import policy_for_mode
 from repro.gpusim.trace import Trace
 from repro.hardware.instructions import InstructionKind
 from repro.hardware.spec import GpuSpec, RTX4090
@@ -62,12 +63,15 @@ class CompiledKernel:
     mode: str
     error: Optional[str] = None
     conversions: List[ConversionPlan] = field(default_factory=list)
-    #: The conversions' lowered warp programs (unified instruction
-    #: IR), parallel to ``conversions``.
-    programs: List[object] = field(default_factory=list)
     #: Per-pass instrumentation, in pipeline order (empty when the
     #: kernel was built by hand rather than compiled).
     diagnostics: List[PassDiagnostics] = field(default_factory=list)
+
+    @property
+    def programs(self) -> List[object]:
+        """The conversions' warp programs (unified instruction IR),
+        parallel to ``conversions``."""
+        return [plan.program for plan in self.conversions]
 
     @property
     def ok(self) -> bool:
@@ -142,8 +146,7 @@ class LayoutEngine:
         mode: str = "linear",
         num_warps: int = 4,
     ):
-        if mode not in ("linear", "legacy"):
-            raise ValueError(f"mode must be linear or legacy: {mode!r}")
+        policy_for_mode(mode)  # rejects an unknown mode
         self.spec = spec
         self.mode = mode
         self.num_warps = check_num_warps(num_warps)
@@ -195,7 +198,6 @@ class LayoutEngine:
                     trace=ctx.trace,
                     mode=self.mode,
                     conversions=ctx.conversions,
-                    programs=ctx.programs,
                     diagnostics=ctx.diagnostics,
                 )
             except LegacyUnsupportedError as exc:

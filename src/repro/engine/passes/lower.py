@@ -44,7 +44,6 @@ class LowerToPlans(Pass):
                     src.layout, op.output.layout, src.dtype
                 )
                 ctx.conversions.append(plan)
-                ctx.programs.append(plan.program)
                 trace.instructions.extend(instructions)
                 diag.bump("conversions_lowered")
                 diag.bump("program_instructions", len(plan.program))

@@ -32,7 +32,7 @@ from repro import cache as _cache
 from repro.codegen.plan import ConversionPlan
 from repro.obs import core as _obs
 from repro.engine.ir import Graph
-from repro.gpusim.opcost import OpCostModel, op_cost_model
+from repro.gpusim.opcost import OpCostModel, op_cost_model, policy_for_mode
 from repro.gpusim.trace import Trace
 from repro.hardware.spec import GpuSpec, RTX4090
 from repro.layouts.legacy import LegacyLayoutSystem
@@ -128,9 +128,6 @@ class CompilationContext:
     trace: Optional[Trace] = None
     #: Lowered conversion plans, populated by the lowering pass.
     conversions: List[ConversionPlan] = field(default_factory=list)
-    #: The plans' warp programs (unified instruction IR), parallel to
-    #: ``conversions``; populated by the lowering pass.
-    programs: List[object] = field(default_factory=list)
     #: Total simulated cycles, populated by the cost-summary pass.
     cycles: Optional[float] = None
     #: One record per executed pass, in execution order.
@@ -145,15 +142,14 @@ class CompilationContext:
         num_warps: int = 4,
     ) -> "CompilationContext":
         """A context wired with the mode's cost model."""
-        if mode not in ("linear", "legacy"):
-            raise ValueError(f"mode must be linear or legacy: {mode!r}")
+        cost = op_cost_model(spec, mode)
         check_num_warps(num_warps)
         return cls(
             graph=graph,
             spec=spec,
             mode=mode,
             num_warps=num_warps,
-            cost=op_cost_model(spec, mode),
+            cost=cost,
         )
 
 
@@ -262,23 +258,15 @@ def standard_passes(mode: str) -> List[Pass]:
     from repro.engine.passes.lower import LowerToPlans
     from repro.engine.passes.remat import BackwardRematerialization
 
-    if mode == "linear":
-        return [
-            AnchorSelection(),
-            ForwardPropagation(LinearPropagationPolicy()),
-            BackwardRematerialization(require_descriptor=False),
-            LowerToPlans(),
-            CostSummary(),
-        ]
-    if mode == "legacy":
-        return [
-            AnchorSelection(),
-            ForwardPropagation(LegacyPropagationPolicy()),
-            BackwardRematerialization(require_descriptor=True),
-            LowerToPlans(),
-            CostSummary(),
-        ]
-    raise ValueError(f"mode must be linear or legacy: {mode!r}")
+    legacy = policy_for_mode(mode).mode == "legacy"
+    propagation = LegacyPropagationPolicy() if legacy else LinearPropagationPolicy()
+    return [
+        AnchorSelection(),
+        ForwardPropagation(propagation),
+        BackwardRematerialization(require_descriptor=legacy),
+        LowerToPlans(),
+        CostSummary(),
+    ]
 
 
 __all__ = [

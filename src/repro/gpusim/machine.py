@@ -22,7 +22,7 @@ from __future__ import annotations
 import os
 from typing import Dict, Optional, Tuple
 
-from repro import cache as _cache
+from repro.codegen.gather import gather_shared_program, gather_shuffle_program
 from repro.codegen.plan import ConversionPlan
 from repro.core.layout import LinearLayout
 from repro.gpusim.opcost import price_program, program_price
@@ -33,10 +33,6 @@ from repro.hardware.spec import GpuSpec, RTX4090
 from repro.obs import core as _obs
 from repro.program.interp import make_interpreter
 from repro.program.ir import R_IDX, R_IN, WarpProgram
-from repro.program.lower import (
-    lower_gather_shared,
-    lower_gather_shuffle,
-)
 
 
 def _default_backend() -> str:
@@ -159,7 +155,7 @@ class Machine:
         from; the data-dependent source lane/register is resolved by
         the interpreter exactly as the emitted shuffle rounds would.
         """
-        program = _gather_shuffle_program(layout, axis)
+        program = gather_shuffle_program(layout, axis)
         files, trace = self.run_program(
             program, {R_IN: src, R_IDX: index}
         )
@@ -174,30 +170,8 @@ class Machine:
     ) -> Tuple[RegisterFile, Trace]:
         """Legacy gather: stage the source tensor through shared memory
         and load each gathered element with a scalar read."""
-        program = _gather_shared_program(layout, axis)
+        program = gather_shared_program(layout, axis)
         files, trace = self.run_program(
             program, {R_IN: src, R_IDX: index}
         )
         return files[program.result], trace
-
-
-def _gather_shuffle_program(
-    layout: LinearLayout, axis: int
-) -> WarpProgram:
-    """Memoized lowering so interpreter scratch persists across runs."""
-    return _cache.cached(
-        _cache.plans,
-        ("program", "gather_shuffle", layout.canonical_key(), axis),
-        lambda: lower_gather_shuffle(layout, axis),
-    )
-
-
-def _gather_shared_program(
-    layout: LinearLayout, axis: int
-) -> WarpProgram:
-    """Memoized lowering so interpreter scratch persists across runs."""
-    return _cache.cached(
-        _cache.plans,
-        ("program", "gather_shared", layout.canonical_key(), axis),
-        lambda: lower_gather_shared(layout, axis),
-    )

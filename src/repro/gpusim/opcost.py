@@ -17,8 +17,8 @@ static op counts and simulated traces come from one source.
 
 Mode differences (legacy vs linear) are declarative: a frozen
 :class:`CostPolicy` captures every knob the two engine modes disagree
-on — conversion planning options, descriptor-based vectorization, the
-shuffle-gather path, broadcast deduplication — instead of ``if mode``
+on — conversion and gather planning options, descriptor-based
+vectorization, broadcast deduplication — instead of ``if mode``
 branches scattered through the pricing code.
 """
 
@@ -29,7 +29,7 @@ from typing import Optional, Sequence, Tuple
 
 from repro import cache as _cache
 from repro.codegen.conversion import plan_conversion
-from repro.codegen.gather import can_gather_with_shuffles
+from repro.codegen.gather import plan_gather
 from repro.codegen.plan import ConversionPlan
 from repro.codegen.vectorize import legacy_vector_width_bits, vector_width_bits
 from repro.core.dims import LANE, REGISTER, WARP
@@ -40,7 +40,6 @@ from repro.hardware.cost import cost_model
 from repro.hardware.instructions import Instruction, InstructionKind
 from repro.hardware.spec import GpuSpec
 from repro.program.ir import Opcode, WarpProgram
-from repro.program.lower import lower_gather_shared, lower_gather_shuffle
 from repro.layouts.blocked import BlockedLayout
 from repro.layouts.mfma import AmdMfmaLayout
 from repro.layouts.wgmma import WgmmaLayout
@@ -57,14 +56,13 @@ class CostPolicy:
     """
 
     mode: str
-    #: Conversion planner options (see :func:`plan_conversion`).
+    #: Conversion planner options (see :func:`plan_conversion`);
+    #: ``allow_shuffle`` also lets gathers use warp shuffles.
     allow_shuffle: bool
     swizzle_mode: str
     dedupe_broadcast: bool
     #: Use the descriptor-based legacy vector width for blocked layouts.
     descriptor_vectorize: bool
-    #: Lower gathers through warp shuffles when the index pattern allows.
-    gather_via_shuffles: bool
 
 
 LINEAR_POLICY = CostPolicy(
@@ -73,7 +71,6 @@ LINEAR_POLICY = CostPolicy(
     swizzle_mode="optimal",
     dedupe_broadcast=True,
     descriptor_vectorize=False,
-    gather_via_shuffles=True,
 )
 
 LEGACY_POLICY = CostPolicy(
@@ -82,7 +79,6 @@ LEGACY_POLICY = CostPolicy(
     swizzle_mode="padded",
     dedupe_broadcast=False,
     descriptor_vectorize=True,
-    gather_via_shuffles=False,
 )
 
 
@@ -381,22 +377,15 @@ class OpCostModel:
             trace.emit(InstructionKind.ALU, count=max(1, regs))
 
     def price_gather(self, op, trace: Trace) -> None:
-        """The cheaper of the shuffle and shared gather programs.
-
-        The shuffle program is a candidate when the policy allows it
-        and the gather axis stays within a warp; past the Figure 8
-        crossover its rounds outgrow the shared round trip.  A tie
-        goes to the shuffles.
-        """
-        layout = op.inputs[0].layout
-        axis = op.attrs["axis"]
-        shared = price_program(lower_gather_shared(layout, axis), self.spec)
-        best = shared
-        if self.policy.gather_via_shuffles and can_gather_with_shuffles(layout, axis):
-            shuffle = price_program(lower_gather_shuffle(layout, axis), self.spec)
-            if shuffle.cycles() <= shared.cycles():
-                best = shuffle
-        trace.instructions.extend(best.instructions)
+        """The gather program :func:`plan_gather` picks under the
+        policy's ``allow_shuffle``, priced through its memo."""
+        program = plan_gather(
+            op.inputs[0].layout,
+            op.attrs["axis"],
+            self.spec,
+            self.policy.allow_shuffle,
+        )
+        trace.instructions.extend(program_price(program, self.spec)[0])
 
 
 def op_cost_model(spec: GpuSpec, mode: str) -> OpCostModel:

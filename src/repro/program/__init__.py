@@ -1,8 +1,8 @@
 """The unified warp-program IR (execution = pricing = tracing).
 
 One instruction stream for everything the backend does with a lowered
-layout operation: the planners produce it (:mod:`repro.codegen`, plus
-the gather and register-permute builders of :mod:`repro.program.lower`),
+layout operation: the planners of :mod:`repro.codegen` produce it
+(conversions, and both gather lowerings of :mod:`repro.codegen.gather`),
 two interpreters execute it (:mod:`repro.program.interp` — a NumPy
 vectorized default and a scalar differential-testing oracle), the cost
 model prices it (:func:`repro.gpusim.opcost.price_program`), and JSON
@@ -31,11 +31,7 @@ from repro.program.interp import (
     VectorInterpreter,
     make_interpreter,
 )
-from repro.program.lower import (
-    lower_gather_shared,
-    lower_gather_shuffle,
-    lower_plan,
-)
+from repro.program.lower import lower_plan
 from repro.program.serialize import (
     program_from_dict,
     program_from_json,
@@ -61,8 +57,6 @@ __all__ = [
     "WarpProgram",
     "instr_class",
     "instr_fields",
-    "lower_gather_shared",
-    "lower_gather_shuffle",
     "lower_plan",
     "make_interpreter",
     "program_from_dict",

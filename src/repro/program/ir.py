@@ -197,8 +197,8 @@ class GatherShfl:
 
     The source lane/register of each output slot depends on the index
     *values*, so the routing is resolved at execution time from the
-    layout; ``shuffle_count`` is the static instruction count
-    (``rounds_per_position * positions_per_thread``).
+    layout; ``shuffle_count`` is the static instruction count:
+    ``2^{|L_Thr^axis|}`` rounds for each register slot.
     """
 
     layout: LinearLayout

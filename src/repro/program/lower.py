@@ -1,20 +1,13 @@
-"""Lowering: gather plans -> warp programs.
+"""Lowering: conversion plans -> fresh warp programs.
 
-Conversion plans carry their own program (the planners of
-:mod:`repro.codegen` emit instructions directly); this module builds
-the programs of the two gather flavors.
+The planners of :mod:`repro.codegen` emit instructions directly, so
+every plan already carries its program; :func:`lower_plan` copies one
+without the interpreter's cached preparations.
 """
 
 from __future__ import annotations
 
-from repro.core.layout import LinearLayout
-from repro.program.ir import (
-    Bar,
-    GatherLds,
-    GatherShfl,
-    GatherSts,
-    WarpProgram,
-)
+from repro.program.ir import WarpProgram
 
 
 def lower_plan(plan) -> WarpProgram:
@@ -30,39 +23,4 @@ def lower_plan(plan) -> WarpProgram:
     )
 
 
-def lower_gather_shuffle(layout: LinearLayout, axis: int) -> WarpProgram:
-    """The warp-shuffle gather as a one-instruction program."""
-    from repro.codegen.gather import plan_gather
-
-    plan = plan_gather(layout, axis)
-    return WarpProgram(
-        (
-            GatherShfl(
-                layout=layout,
-                axis=axis,
-                shuffle_count=plan.total_shuffles,
-            ),
-        ),
-        label="gather-shuffle",
-    )
-
-
-def lower_gather_shared(
-    layout: LinearLayout, axis: int, elem_bytes: int = 4
-) -> WarpProgram:
-    """The legacy shared-memory gather: stage, barrier, gathered loads."""
-    return WarpProgram(
-        (
-            GatherSts(layout=layout, elem_bytes=elem_bytes),
-            Bar(),
-            GatherLds(layout=layout, axis=axis, elem_bytes=elem_bytes),
-        ),
-        label="gather-shared",
-    )
-
-
-__all__ = [
-    "lower_gather_shared",
-    "lower_gather_shuffle",
-    "lower_plan",
-]
+__all__ = ["lower_plan"]

@@ -43,6 +43,7 @@ from repro import cache as _cache
 from repro.engine import compile as _engine_compile
 from repro.engine.engine import CompiledKernel
 from repro.engine.pipeline import check_num_warps
+from repro.gpusim.opcost import policy_for_mode
 from repro.hardware.spec import PLATFORMS
 from repro.kernels import KERNELS
 from repro.obs import core as _obs
@@ -108,10 +109,7 @@ class CompileRequest:
             raise KeyError(f"unknown kernel {self.kernel!r}")
         if self.platform not in PLATFORMS:
             raise KeyError(f"unknown platform {self.platform!r}")
-        if self.mode not in ("linear", "legacy"):
-            raise ValueError(
-                f"mode must be linear or legacy: {self.mode!r}"
-            )
+        policy_for_mode(self.mode)
         check_num_warps(self.num_warps)
         self.resolved_case()  # raises on an unknown case name
         return self

@@ -7,7 +7,8 @@ from repro.bench.fig2 import transpose_conversion_cycles
 from repro.bench.fig8 import gather_layout
 from repro.bench.robustness import CASES, run_robustness
 from repro.bench.table5 import linear_case_passes, shape_sweep
-from repro.codegen.gather import plan_gather
+from repro.codegen.gather import gather_shuffle_program
+from repro.core import REGISTER
 from repro.hardware import GH200
 from repro.mxfp import F16, F64, F8E5M2, I16, I8, dtype_by_name
 
@@ -26,12 +27,17 @@ class TestFig8Internals:
     def test_gather_layout_keeps_axis_in_warp(self):
         for axis in (2, 8, 32, 128):
             layout = gather_layout(512, axis)
-            plan = plan_gather(layout, 1)
-            assert plan.rounds_per_position == min(axis, 32)
+            program = gather_shuffle_program(layout, 1)
+            rounds = program.instrs[0].shuffle_count // layout.in_dim_size(
+                REGISTER
+            )
+            assert rounds == min(axis, 32)
 
     def test_rounds_monotone(self):
         rounds = [
-            plan_gather(gather_layout(512, a), 1).total_shuffles
+            gather_shuffle_program(gather_layout(512, a), 1)
+            .instrs[0]
+            .shuffle_count
             for a in (2, 4, 8, 16, 32)
         ]
         assert rounds == sorted(rounds)

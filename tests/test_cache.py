@@ -293,10 +293,10 @@ def test_compile_identical_with_and_without_cache(build, mode):
 
 
 def test_fig9_conversions_are_planned_and_priced_once(monkeypatch):
-    """A conversion's plan lives in ``plans`` and its price on the
-    plan's program: a cold fig9 pass leaves no priced conversion in
-    ``engine``, and a second pass neither misses ``plans`` nor prices
-    a conversion program (gathers build and price fresh programs)."""
+    """A conversion's or gather's plan lives in ``plans`` and its
+    price on the plan's program: a cold fig9 pass leaves no priced
+    conversion in ``engine``, and a second pass neither misses
+    ``plans`` nor prices any program."""
     from repro.gpusim import opcost
     from tests.test_pipeline import FIG9_SUITE, _compile_fig9
 
@@ -313,8 +313,7 @@ def test_fig9_conversions_are_planned_and_priced_once(monkeypatch):
     real = opcost.price_program
 
     def counted(program, *args, **kwargs):
-        if not program.label.startswith("gather-"):
-            priced.append(program)
+        priced.append(program)
         return real(program, *args, **kwargs)
 
     monkeypatch.setattr(opcost, "price_program", counted)

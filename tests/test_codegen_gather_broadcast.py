@@ -13,11 +13,17 @@ from repro.codegen.gather import (
     GatherPlanError,
     axis_component_bits,
     can_gather_with_shuffles,
-    plan_gather,
+    gather_shuffle_program,
 )
 from repro.core import LANE, LinearLayout, REGISTER, WARP
 from repro.layouts import BlockedLayout, NvidiaMmaLayout
 from repro.layouts.sliced import slice_linear_layout
+
+
+def shuffle_rounds(layout, axis):
+    """Shuffle rounds per register slot of the shuffle gather."""
+    program = gather_shuffle_program(layout, axis)
+    return program.instrs[0].shuffle_count // layout.in_dim_size(REGISTER)
 
 
 class TestGatherPlanning:
@@ -44,22 +50,21 @@ class TestGatherPlanning:
         assert not can_gather_with_shuffles(self.cross_warp_layout(), 1)
 
     def test_plan_shape(self):
-        plan = plan_gather(self.warp_local_layout(), 1)
-        assert plan.rounds_per_position == 8
-        assert plan.positions_per_thread == (
-            self.warp_local_layout().in_dim_size(REGISTER)
-        )
-        assert plan.total_shuffles == (
-            plan.rounds_per_position * plan.positions_per_thread
-        )
+        """2^|L_Thr^axis| rounds for each of the thread's registers."""
+        layout = self.warp_local_layout()
+        program = gather_shuffle_program(layout, 1)
+        assert len(program) == 1
+        assert program.label == "gather-shuffle"
+        assert layout.in_dim_size(REGISTER) == 2
+        assert program.instrs[0].shuffle_count == 8 * 2
 
     def test_cross_warp_raises(self):
         with pytest.raises(GatherPlanError):
-            plan_gather(self.cross_warp_layout(), 1)
+            gather_shuffle_program(self.cross_warp_layout(), 1)
 
     def test_axis_out_of_range(self):
         with pytest.raises(GatherPlanError):
-            plan_gather(self.warp_local_layout(), 5)
+            gather_shuffle_program(self.warp_local_layout(), 5)
 
     def test_rounds_grow_with_axis_lanes(self):
         """The Figure 8 collapse mechanism: more axis lanes => more
@@ -70,10 +75,7 @@ class TestGatherPlanning:
         big = BlockedLayout((1, 1), (2, 16), (4, 1), (1, 0)).to_linear(
             (8, 16)
         )
-        assert (
-            plan_gather(small, 1).rounds_per_position
-            < plan_gather(big, 1).rounds_per_position
-        )
+        assert shuffle_rounds(small, 1) < shuffle_rounds(big, 1)
 
 
 class TestBroadcastAccounting:

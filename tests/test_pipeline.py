@@ -27,6 +27,7 @@ from repro.engine.pipeline import Pass, PassDiagnostics
 from repro.hardware.spec import PLATFORMS, RTX4090
 from repro.kernels import KERNELS
 from repro.mxfp import F16
+from repro.serve import CompileRequest
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__),
@@ -105,6 +106,34 @@ class TestFacadeAndPublicApi:
         assert leg_remat.require_descriptor
         with pytest.raises(ValueError):
             standard_passes("turbo")
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda mode: LayoutEngine(RTX4090, mode),
+        lambda mode: CompilationContext.create(
+            KernelBuilder().graph, RTX4090, mode
+        ),
+        lambda mode: CompileRequest("softmax", mode=mode).validate(),
+        standard_passes,
+    ],
+    ids=[
+        "LayoutEngine",
+        "CompilationContext.create",
+        "CompileRequest.validate",
+        "standard_passes",
+    ],
+)
+def test_unknown_mode_rejected_by_the_policy_lookup(entry):
+    """Every entry point rejects a bad mode through ``policy_for_mode``."""
+    from repro.gpusim.opcost import policy_for_mode
+
+    with pytest.raises(ValueError) as expected:
+        policy_for_mode("turbo")
+    with pytest.raises(ValueError) as raised:
+        entry("turbo")
+    assert str(raised.value) == str(expected.value)
 
 
 def _run_prefix(mode, graph, upto):

@@ -14,7 +14,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bench.fig7 import shuffle_pair
 from repro.codegen import plan_conversion
-from repro.codegen.gather import plan_gather
+from repro.codegen.gather import (
+    axis_component_bits,
+    gather_shared_program,
+    gather_shuffle_program,
+    plan_gather,
+)
 from repro.codegen.views import DistributedView
 from repro.core import LANE, LinearLayout, REGISTER, WARP
 from repro.gpusim import (
@@ -185,10 +190,12 @@ class TestGatherBackends:
 
     def test_gather_program_shuffle_count(self):
         layout, _, _ = self._setup()
-        gplan = plan_gather(layout, 1)
-        program = gplan.to_program(layout)
+        program = gather_shuffle_program(layout, 1)
+        rounds = 1 << axis_component_bits(layout, LANE, 1)
         assert len(program) == 1
-        assert program.instrs[0].shuffle_count == gplan.total_shuffles
+        assert program.instrs[0].shuffle_count == (
+            rounds * layout.in_dim_size(REGISTER)
+        )
 
 
 class TestProgramStructure:
@@ -326,19 +333,19 @@ def test_price_gather_emits_cheaper_program(spec, mode):
 
     from repro.bench.fig8 import gather_layout
     from repro.gpusim import Trace, op_cost_model
-    from repro.program.lower import (
-        lower_gather_shared,
-        lower_gather_shuffle,
-    )
 
     cost = op_cost_model(spec, mode)
     billed = set()
     for axis_size in (2, 4, 8, 16, 32, 64, 128):
         layout = gather_layout(512, axis_size)
-        shared = price_program(lower_gather_shared(layout, 1), spec)
-        shuffle = price_program(lower_gather_shuffle(layout, 1), spec)
+        shared = price_program(gather_shared_program(layout, 1), spec)
+        shuffle = price_program(gather_shuffle_program(layout, 1), spec)
         cheaper = shuffle if shuffle.cycles() <= shared.cycles() else shared
         expected = cheaper if mode == "linear" else shared
+        chosen = plan_gather(layout, 1, spec, mode == "linear")
+        assert chosen.label == (
+            "gather-shuffle" if expected is shuffle else "gather-shared"
+        )
         trace = Trace(spec)
         op = SimpleNamespace(
             inputs=[SimpleNamespace(layout=layout)], attrs={"axis": 1}

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.codegen import plan_conversion
+from repro.codegen.gather import gather_shared_program, gather_shuffle_program
 from repro.core import LinearLayout, REGISTER
 from repro.gpusim import Machine, distributed_data, price_program
 from repro.hardware import GH200, RTX4090
@@ -17,12 +18,7 @@ from repro.layouts import (
     SwizzledSharedLayout,
     WgmmaLayout,
 )
-from repro.program import (
-    lower_gather_shared,
-    lower_gather_shuffle,
-    program_from_json,
-    program_to_json,
-)
+from repro.program import program_from_json, program_to_json
 
 
 ALL_LAYOUTS = [
@@ -82,8 +78,8 @@ def _conversion_programs():
     return [
         shared,
         register,
-        lower_gather_shuffle(gather_layout, 1),
-        lower_gather_shared(gather_layout, 1),
+        gather_shuffle_program(gather_layout, 1),
+        gather_shared_program(gather_layout, 1),
     ]
 
 
