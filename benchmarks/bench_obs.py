@@ -9,7 +9,7 @@ Measures what :mod:`repro.obs` costs when it matters:
   suite (every case, linear and legacy: 458 compiles) with a recorder
   installed vs. without (each request compiled three times each way
   from cleared caches, alternating, best of three per side), plus
-  how many events the capture holds and what they cost to export.
+  how many spans the capture holds and the size of its Chrome trace.
 
 Run standalone::
 

@@ -10,8 +10,9 @@ Three jobs, shared by ``benchmarks/bench_obs.py`` and the
   appear, and return the :class:`~repro.obs.core.Recorder` ready for
   export.  This is what CI exports and schema-checks.
 * :func:`run_overhead` — enabled-vs-disabled compile wall time on the
-  same suite (cold and warm cache), plus events captured and export
-  bytes.  The <3% gate of ``bench_obs.py --check`` reads this.
+  same suite (cold and warm cache), plus the spans captured and the
+  size of their Chrome trace.  The <3% gate of
+  ``bench_obs.py --check`` reads this.
 * :func:`run_noop_latency` — nanoseconds per *disabled* span/metric
   hook, the "unmeasurable when off" line.
 """
@@ -225,7 +226,7 @@ def run_overhead(
     warm_repeats: int = 5,
     cold_repeats: int = 2,
 ) -> Dict[str, object]:
-    """Enabled-vs-disabled compile time, events captured, export bytes.
+    """Enabled-vs-disabled compile time, spans captured, trace size.
 
     Serial compiles (no worker pool) so the measurement is pure
     compiler + instrumentation, not thread scheduling.  Cold numbers
@@ -254,12 +255,9 @@ def run_overhead(
         _compile_serially(requests)
         warm_on = _warm_sweeps(requests, warm_repeats)
         _cache.publish_obs_gauges()
-    events = obs.jsonl_events(recorder)
-    export_bytes = sum(
-        len(json.dumps(event, sort_keys=True).encode()) + 1
-        for event in events
-    )
     chrome = obs.chrome_trace(recorder, suite=suite_name)
+    # The bytes :func:`repro.obs.write_chrome_trace` would write.
+    export_bytes = len(json.dumps(chrome, indent=1).encode()) + 1
     return {
         "suite": suite_name,
         "requests": len(requests),
@@ -271,10 +269,9 @@ def run_overhead(
         "warm_disabled_s": round(warm_off, 4),
         "warm_enabled_s": round(warm_on, 4),
         "warm_overhead": round(warm_on / warm_off - 1, 4),
-        "events_captured": len(events),
         "spans_captured": len(recorder),
-        "export_bytes_jsonl": export_bytes,
         "chrome_trace_events": len(chrome["traceEvents"]),
+        "export_bytes": export_bytes,
     }
 
 

@@ -57,7 +57,7 @@ contract; ``tests/test_cache_concurrency.py`` stresses it):
 
 Observability
 -------------
-When :mod:`repro.obs` is recording (``REPRO_OBS=1``), a capture's
+While a :mod:`repro.obs` capture records, its
 labeled counters ``cache.hits{cache=<name>}`` / ``cache.misses{...}``
 hold the lookups made while it was installed, and evictions bump
 ``cache.evictions{...}``, so a capture attributes cache traffic per

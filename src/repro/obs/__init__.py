@@ -17,16 +17,16 @@ zero-dependency API:
 >>> len(rec.spans())
 1
 
-Disabled (the default — set ``REPRO_OBS=1`` to record, following the
-``REPRO_CACHE``/``REPRO_SIM`` convention), every hook degrades to one
-``None`` check, so production compiles pay nothing and results are
-bit-identical either way (``tests/test_obs.py`` holds both lines).
+A :func:`capture` block is the only way to record.  Outside one (the
+default), every hook degrades to one ``None`` check, so production
+compiles pay nothing and results are bit-identical either way
+(``tests/test_obs.py`` holds both lines).
 
-Export a capture with :func:`write_jsonl` (greppable event stream)
-or :func:`write_chrome_trace` (load in Perfetto /
+A capture has one export format, the Chrome trace-event JSON of
+:func:`write_chrome_trace` (load it in Perfetto /
 ``chrome://tracing``); ``python -m repro.obs`` captures, summarizes,
-converts, and schema-checks those files.  See
-``docs/OBSERVABILITY.md`` for the span taxonomy and metric names.
+and schema-checks those files.  See ``docs/OBSERVABILITY.md`` for
+the span taxonomy and metric names.
 """
 
 from repro.obs.core import (
@@ -36,8 +36,6 @@ from repro.obs.core import (
     capture,
     count,
     current_recorder,
-    disable,
-    enable,
     gauge,
     is_enabled,
     observe,
@@ -45,13 +43,9 @@ from repro.obs.core import (
 )
 from repro.obs.export import (
     chrome_trace,
-    chrome_trace_from_events,
-    jsonl_events,
-    read_jsonl,
-    summarize_events,
+    summarize_trace,
     validate_chrome_trace,
     write_chrome_trace,
-    write_jsonl,
 )
 from repro.obs.metrics import Histogram, MetricsRegistry
 
@@ -63,19 +57,13 @@ __all__ = [
     "Span",
     "capture",
     "chrome_trace",
-    "chrome_trace_from_events",
     "count",
     "current_recorder",
-    "disable",
-    "enable",
     "gauge",
     "is_enabled",
-    "jsonl_events",
     "observe",
-    "read_jsonl",
     "span",
-    "summarize_events",
+    "summarize_trace",
     "validate_chrome_trace",
     "write_chrome_trace",
-    "write_jsonl",
 ]

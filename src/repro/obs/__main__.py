@@ -1,26 +1,24 @@
-"""``python -m repro.obs`` — capture, summarize, convert, check.
+"""``python -m repro.obs`` — capture, summarize, check.
 
 Subcommands
 -----------
 ``capture``
     Compile a kernel suite (Table 6 by default) through
-    :class:`repro.serve.CompileService` with observability recording,
-    execute a sample of the lowered conversions on the simulated
-    machine, and export the capture as a Chrome trace (and optionally
-    JSONL).  This is the CI entry point behind the ``REPRO_OBS=1``
-    acceptance run.
+    :class:`repro.serve.CompileService` inside an ``obs.capture()``
+    block, execute a sample of the lowered conversions on the
+    simulated machine, and export the capture as a Chrome trace.
+    This is CI's capture run.
 ``summary FILE``
-    Digest a capture (JSONL or Chrome trace JSON): span counts and
-    totals per name, counter values, histogram summaries.
-``convert IN.jsonl OUT.json``
-    JSONL capture -> Chrome trace-event JSON (same builder as direct
-    export, so the result is identical).
+    Digest a Chrome trace: span counts and totals per name, the
+    dropped-span count, counter values, histogram summaries.
 ``check FILE`` (also spelled ``--check FILE``)
     Validate a Chrome trace against the event schema; for traces our
     own ``capture`` produced (``otherData.suite`` set), additionally
     require that every pipeline pass, the served requests, the cache
     counters, and the simulator execution appear.
-    Exit code 0 iff valid.
+
+Both ``summary`` and ``check`` exit 1 with a ``FAIL:`` line on a file
+that is not a valid Chrome trace JSON object, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -28,14 +26,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
-from repro.obs.export import (
-    chrome_trace_from_events,
-    read_jsonl,
-    summarize_events,
-    validate_chrome_trace,
-)
+from repro.obs.export import summarize_trace, validate_chrome_trace
 
 #: Span names / metric families a self-produced suite capture must
 #: contain — the acceptance surface of the observability layer.
@@ -57,14 +50,27 @@ REQUIRED_METRICS = [
 ]
 
 
-def _load(path: str) -> Any:
-    """A Chrome trace (one JSON object) or a JSONL event list."""
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError:
-            pass
-    return read_jsonl(path)
+def _load(path: str) -> Optional[Dict[str, Any]]:
+    """The file's JSON object; ``None`` if unreadable or anything else."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    return data if isinstance(data, dict) else None
+
+
+def _problems(path: str, trace: Optional[Dict[str, Any]]) -> List[str]:
+    """Why ``trace``, loaded from ``path``, is no valid Chrome trace."""
+    if trace is None:
+        return [f"{path} is not a Chrome trace JSON object"]
+    return validate_chrome_trace(trace)
+
+
+def _fail(problems: List[str]) -> int:
+    for problem in problems:
+        print(f"FAIL: {problem}")
+    return 1
 
 
 def _coverage_problems(trace: Dict[str, Any]) -> List[str]:
@@ -88,7 +94,7 @@ def _coverage_problems(trace: Dict[str, Any]) -> List[str]:
 
 def cmd_capture(args: argparse.Namespace) -> int:
     from repro.bench.obsbench import capture_suite
-    from repro.obs.export import write_chrome_trace, write_jsonl
+    from repro.obs.export import write_chrome_trace
 
     recorder, info = capture_suite(
         suite_name=args.suite,
@@ -99,58 +105,25 @@ def cmd_capture(args: argparse.Namespace) -> int:
     trace_bytes = write_chrome_trace(recorder, args.output, suite=args.suite)
     print(json.dumps(info, indent=1))
     print(f"wrote {args.output} ({trace_bytes} bytes)")
-    if args.jsonl:
-        jsonl_bytes = write_jsonl(recorder, args.jsonl)
-        print(f"wrote {args.jsonl} ({jsonl_bytes} bytes)")
     return 1 if info["failures"] else 0
 
 
 def cmd_summary(args: argparse.Namespace) -> int:
-    data = _load(args.file)
-    if isinstance(data, dict):  # Chrome trace: rebuild event records
-        events = [
-            {
-                "type": "span",
-                "name": e["name"],
-                "dur_us": e.get("dur", 0.0),
-            }
-            for e in data.get("traceEvents", [])
-            if e.get("ph") == "X"
-        ]
-        events.append(
-            {
-                "type": "metrics",
-                **data.get("otherData", {}).get("metrics", {}),
-            }
-        )
-    else:
-        events = data
-    print(summarize_events(events))
-    return 0
-
-
-def cmd_convert(args: argparse.Namespace) -> int:
-    events = read_jsonl(args.input)
-    trace = chrome_trace_from_events(events, suite=args.suite)
-    with open(args.output, "w") as fh:
-        json.dump(trace, fh, indent=1)
-        fh.write("\n")
-    print(f"wrote {args.output} ({len(trace['traceEvents'])} events)")
+    trace = _load(args.file)
+    problems = _problems(args.file, trace)
+    if problems:
+        return _fail(problems)
+    print(summarize_trace(trace))
     return 0
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     trace = _load(args.file)
-    if not isinstance(trace, dict):
-        print(f"FAIL: {args.file} is not a Chrome trace JSON object")
-        return 1
-    problems = validate_chrome_trace(trace)
+    problems = _problems(args.file, trace)
     if not problems and trace.get("otherData", {}).get("suite"):
         problems = _coverage_problems(trace)
-    for problem in problems:
-        print(f"FAIL: {problem}")
     if problems:
-        return 1
+        return _fail(problems)
     spans = trace.get("otherData", {}).get("spans", "?")
     print(
         f"ok: {args.file} valid "
@@ -166,7 +139,7 @@ def main(argv: List[str]) -> int:
         argv = ["check", *argv[1:]]
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description="Capture, summarize, convert, and check "
+        description="Capture, summarize, and check "
         "observability traces (see docs/OBSERVABILITY.md).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -178,9 +151,6 @@ def main(argv: List[str]) -> int:
         "--suite", default="table6", choices=["table6", "fig9"]
     )
     p_capture.add_argument("-o", "--output", default="obs_trace.json")
-    p_capture.add_argument(
-        "--jsonl", default=None, help="also write the JSONL event stream"
-    )
     p_capture.add_argument("--workers", type=int, default=4)
     p_capture.add_argument(
         "--dup",
@@ -197,18 +167,10 @@ def main(argv: List[str]) -> int:
     p_capture.set_defaults(func=cmd_capture)
 
     p_summary = sub.add_parser(
-        "summary", help="digest a JSONL or Chrome trace capture"
+        "summary", help="digest a Chrome trace capture"
     )
     p_summary.add_argument("file")
     p_summary.set_defaults(func=cmd_summary)
-
-    p_convert = sub.add_parser(
-        "convert", help="JSONL capture -> Chrome trace JSON"
-    )
-    p_convert.add_argument("input")
-    p_convert.add_argument("output")
-    p_convert.add_argument("--suite", default=None)
-    p_convert.set_defaults(func=cmd_convert)
 
     p_check = sub.add_parser(
         "check", help="validate a Chrome trace (schema + coverage)"

@@ -1,8 +1,8 @@
 """Spans and the capture recorder — the heart of :mod:`repro.obs`.
 
-One process-wide :class:`Recorder` (installed by :func:`enable`, the
-``REPRO_OBS`` environment variable, or the :func:`capture` context
-manager) receives every finished :class:`Span` and owns the
+One process-wide :class:`Recorder`, installed for the duration of a
+``with obs.capture() as rec:`` block (the only way to record),
+receives every finished :class:`Span` and owns the
 :class:`~repro.obs.metrics.MetricsRegistry`.  When no recorder is
 installed — the default — :func:`span` returns one shared no-op
 context manager and the metric helpers return immediately, so the
@@ -26,7 +26,6 @@ Chrome trace-event microseconds.
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -40,8 +39,6 @@ __all__ = [
     "capture",
     "count",
     "current_recorder",
-    "disable",
-    "enable",
     "gauge",
     "is_enabled",
     "observe",
@@ -135,22 +132,6 @@ class Span:
     def set_attrs(self, attrs: Dict[str, Any]) -> None:
         """Attach many attributes at once."""
         self.attrs.update(attrs)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """The JSONL event record of this span."""
-        return {
-            "type": "span",
-            "name": self.name,
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "thread_id": self.thread_id,
-            "thread_name": self.thread_name,
-            "ts_us": round(self.start_us, 3),
-            "dur_us": round(self.duration_us, 3),
-            "status": self.status,
-            "attrs": self.attrs,
-        }
 
     def __repr__(self) -> str:
         return (
@@ -267,18 +248,6 @@ def _install(recorder: Optional[Recorder]) -> Optional[Recorder]:
         recorder._source_base = _source_totals()
     _recorder = recorder
     return previous
-
-
-def enable(max_spans: int = 200_000) -> Recorder:
-    """Install (and return) a fresh process-wide recorder."""
-    recorder = Recorder(max_spans=max_spans)
-    _install(recorder)
-    return recorder
-
-
-def disable() -> Optional[Recorder]:
-    """Uninstall the recorder; returns it so callers can export."""
-    return _install(None)
 
 
 class capture:
@@ -415,15 +384,12 @@ def count(name: str, value: float = 1, **labels: Any) -> None:
         rec.metrics.count(name, value, **labels)
 
 
-def count_series(key: Tuple[str, LabelKey], value: float = 1) -> None:
-    """:func:`count` for a prebuilt key (see :func:`series_key`)."""
-    rec = _recorder
-    if rec is not None:
-        rec.metrics.count_series(key, value)
-
-
 def series_key(name: str, **labels: Any) -> Tuple[str, LabelKey]:
-    """The registry key of one labeled series, for :func:`count_series`."""
+    """The registry key of one labeled series.
+
+    For :meth:`~repro.obs.metrics.MetricsRegistry.count_series` and
+    counter sources (see :func:`add_counter_source`).
+    """
     return (name, label_key(labels))
 
 
@@ -440,17 +406,3 @@ def observe(name: str, value: float, **labels: Any) -> None:
     if rec is not None:
         rec.metrics.observe(name, value, **labels)
 
-
-def _env_enabled() -> bool:
-    return os.environ.get("REPRO_OBS", "0").strip().lower() in (
-        "1",
-        "on",
-        "true",
-        "yes",
-    )
-
-
-# ``REPRO_OBS=1`` follows the REPRO_CACHE / REPRO_SIM convention:
-# observability starts recording at import, no code changes needed.
-if _env_enabled():  # pragma: no cover - exercised via subprocess in CI
-    enable()

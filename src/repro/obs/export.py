@@ -1,21 +1,12 @@
-"""Exporters: JSONL event streams and Chrome trace-event JSON.
+"""The one export format: Chrome trace-event JSON.
 
-Two interchangeable on-disk forms of one capture:
-
-``JSONL``
-    One JSON object per line — every finished span (``type: span``)
-    followed by one ``type: metrics`` record holding the registry
-    snapshot and one ``type: meta`` record.  Greppable, streamable,
-    and the input format of ``python -m repro.obs summary/convert``.
-
-``Chrome trace-event JSON``
-    The object form (``{"traceEvents": [...], "otherData": {...}}``)
-    loadable in Perfetto (https://ui.perfetto.dev) or
-    ``chrome://tracing``: spans are complete (``"ph": "X"``) events
-    with microsecond timestamps, threads get ``thread_name`` metadata
-    events, and counter metrics become ``"ph": "C"`` tracks.  The
-    full metrics snapshot rides in ``otherData.metrics`` (ignored by
-    viewers, read by ``python -m repro.obs summary``).
+A capture exports as one object (``{"traceEvents": [...],
+"otherData": {...}}``) loadable in Perfetto (https://ui.perfetto.dev)
+or ``chrome://tracing``: spans are complete (``"ph": "X"``) events
+with microsecond timestamps, threads get ``thread_name`` metadata
+events, and counter metrics become ``"ph": "C"`` tracks.  The full
+metrics snapshot and the dropped-span count ride in ``otherData``
+(ignored by viewers, read by :func:`summarize_trace`).
 
 :func:`validate_chrome_trace` is the schema check behind
 ``python -m repro.obs --check``; it returns a list of human-readable
@@ -31,14 +22,14 @@ from repro.obs.core import Recorder
 
 __all__ = [
     "chrome_trace",
-    "chrome_trace_from_events",
-    "jsonl_events",
-    "read_jsonl",
-    "summarize_events",
+    "summarize_trace",
     "validate_chrome_trace",
     "write_chrome_trace",
-    "write_jsonl",
 ]
+
+#: Every event belongs to one process: the one that recorded it.
+_PID = 1
+
 
 #: Span names are ``category:detail``; the category becomes the
 #: Chrome-trace ``cat`` field so Perfetto can filter by subsystem.
@@ -46,96 +37,43 @@ def _category(name: str) -> str:
     return name.split(":", 1)[0] if ":" in name else "span"
 
 
-# ----------------------------------------------------------------------
-# JSONL
-# ----------------------------------------------------------------------
-def jsonl_events(recorder: Recorder) -> List[Dict[str, Any]]:
-    """Every event record of a capture, spans first, then metrics."""
-    recorder.sync_sources()
-    events: List[Dict[str, Any]] = [
-        span.to_dict() for span in recorder.spans()
-    ]
-    events.append(
-        {"type": "metrics", **recorder.metrics.snapshot()}
-    )
-    events.append(
-        {
-            "type": "meta",
-            "epoch": recorder.epoch,
-            "spans": len(recorder),
-            "dropped_spans": recorder.dropped_spans,
-        }
-    )
-    return events
+def _series_name(row: Dict[str, Any]) -> str:
+    """``name{k=v,...}`` of one metrics-snapshot row."""
+    labels = row.get("labels", {})
+    label_text = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
+    return row["name"] + (f"{{{label_text}}}" if label_text else "")
 
 
-def write_jsonl(recorder: Recorder, path: str) -> int:
-    """Write the capture as JSONL; returns bytes written."""
-    text = "\n".join(
-        json.dumps(event, sort_keys=True)
-        for event in jsonl_events(recorder)
-    )
-    data = text + "\n"
-    with open(path, "w") as fh:
-        fh.write(data)
-    return len(data.encode())
-
-
-def read_jsonl(path: str) -> List[Dict[str, Any]]:
-    """Parse a JSONL capture back into event records."""
-    events = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                events.append(json.loads(line))
-    return events
-
-
-# ----------------------------------------------------------------------
-# Chrome trace-event JSON
-# ----------------------------------------------------------------------
-def chrome_trace_from_events(
-    events: List[Dict[str, Any]],
-    pid: int = 1,
-    suite: Optional[str] = None,
+def chrome_trace(
+    recorder: Recorder, suite: Optional[str] = None
 ) -> Dict[str, Any]:
-    """JSONL event records -> one Chrome trace-event JSON object.
-
-    The shared code path of direct export (:func:`chrome_trace`) and
-    ``python -m repro.obs convert``, so both produce byte-identical
-    traces from the same capture.
-    """
-    spans = [e for e in events if e.get("type") == "span"]
-    metrics = next(
-        (e for e in events if e.get("type") == "metrics"),
-        {"counters": [], "gauges": [], "histograms": []},
-    )
-    meta = next((e for e in events if e.get("type") == "meta"), {})
+    """The capture as a Chrome trace-event JSON object."""
+    recorder.sync_sources()
+    spans = recorder.spans()
+    metrics = recorder.metrics.snapshot()
     trace_events: List[Dict[str, Any]] = []
     named_threads: Dict[int, str] = {}
     end_ts = 0.0
-    for rec in spans:
-        tid = rec.get("thread_id", 0)
-        named_threads.setdefault(tid, rec.get("thread_name", f"thread-{tid}"))
-        ts = float(rec.get("ts_us", 0.0))
-        dur = max(float(rec.get("dur_us", 0.0)), 0.0)
+    for sp in spans:
+        named_threads.setdefault(sp.thread_id, sp.thread_name)
+        ts = round(sp.start_us, 3)
+        dur = max(round(sp.duration_us, 3), 0.0)
         end_ts = max(end_ts, ts + dur)
         trace_events.append(
             {
-                "name": rec["name"],
-                "cat": _category(rec["name"]),
+                "name": sp.name,
+                "cat": _category(sp.name),
                 "ph": "X",
-                "ts": round(ts, 3),
-                "dur": round(dur, 3),
-                "pid": pid,
-                "tid": tid,
+                "ts": ts,
+                "dur": dur,
+                "pid": _PID,
+                "tid": sp.thread_id,
                 "args": {
-                    "trace_id": rec.get("trace_id"),
-                    "span_id": rec.get("span_id"),
-                    "parent_id": rec.get("parent_id"),
-                    "status": rec.get("status", "ok"),
-                    **rec.get("attrs", {}),
+                    "trace_id": sp.trace_id,
+                    "span_id": sp.span_id,
+                    "parent_id": sp.parent_id,
+                    "status": sp.status,
+                    **sp.attrs,
                 },
             }
         )
@@ -144,56 +82,38 @@ def chrome_trace_from_events(
             {
                 "name": "thread_name",
                 "ph": "M",
-                "pid": pid,
+                "pid": _PID,
                 "tid": tid,
                 "ts": 0,
                 "args": {"name": name},
             }
         )
-    for row in metrics.get("counters", []):
-        labels = row.get("labels", {})
-        label_text = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
-        name = row["name"] + (f"{{{label_text}}}" if label_text else "")
+    for row in metrics["counters"]:
         # A start-and-end pair renders a visible counter track.
         for ts, value in ((0.0, 0), (round(end_ts, 3), row["value"])):
             trace_events.append(
                 {
-                    "name": name,
+                    "name": _series_name(row),
                     "cat": "metric",
                     "ph": "C",
                     "ts": ts,
-                    "pid": pid,
+                    "pid": _PID,
                     "tid": 0,
                     "args": {"value": value},
                 }
             )
-    metrics_snapshot = {
-        key: metrics.get(key, [])
-        for key in ("counters", "gauges", "histograms")
-    }
     return {
         "traceEvents": trace_events,
         "displayTimeUnit": "ms",
         "otherData": {
             "generator": "repro.obs",
-            "epoch": meta.get("epoch"),
+            "epoch": recorder.epoch,
             "spans": len(spans),
-            "dropped_spans": meta.get("dropped_spans", 0),
+            "dropped_spans": recorder.dropped_spans,
             "suite": suite,
-            "metrics": metrics_snapshot,
+            "metrics": metrics,
         },
     }
-
-
-def chrome_trace(
-    recorder: Recorder, pid: int = 1, suite: Optional[str] = None
-) -> Dict[str, Any]:
-    """The capture as a Chrome trace-event JSON object."""
-    trace = chrome_trace_from_events(
-        jsonl_events(recorder), pid=pid, suite=suite
-    )
-    trace["otherData"]["epoch"] = recorder.epoch
-    return trace
 
 
 def write_chrome_trace(
@@ -249,24 +169,20 @@ def validate_chrome_trace(obj: Any) -> List[str]:
     return problems
 
 
-# ----------------------------------------------------------------------
-# Summaries
-# ----------------------------------------------------------------------
-def summarize_events(events: List[Dict[str, Any]]) -> str:
-    """A human-readable digest of a JSONL capture's events."""
-    spans = [e for e in events if e.get("type") == "span"]
-    metrics = next(
-        (e for e in events if e.get("type") == "metrics"), None
-    )
-    meta = next((e for e in events if e.get("type") == "meta"), None)
+def summarize_trace(trace: Dict[str, Any]) -> str:
+    """A human-readable digest of a valid Chrome trace.
+
+    Span counts and totals per name come from the ``X`` events; the
+    dropped-span count and the counter and histogram series come from
+    ``otherData``.
+    """
+    other = trace.get("otherData", {})
     by_name: Dict[str, List[float]] = {}
-    for event in spans:
-        by_name.setdefault(event["name"], []).append(
-            event.get("dur_us", 0.0)
-        )
-    lines = [f"spans: {len(spans)}"]
-    if meta:
-        lines[0] += f" (dropped {meta.get('dropped_spans', 0)})"
+    for event in trace["traceEvents"]:
+        if event.get("ph") == "X":
+            by_name.setdefault(event["name"], []).append(event["dur"])
+    spans = sum(len(durs) for durs in by_name.values())
+    lines = [f"spans: {spans} (dropped {other.get('dropped_spans', 0)})"]
     for name in sorted(by_name):
         durs = by_name[name]
         total_ms = sum(durs) / 1e3
@@ -274,16 +190,12 @@ def summarize_events(events: List[Dict[str, Any]]) -> str:
             f"  {name}: n={len(durs)} total={total_ms:.3f}ms "
             f"mean={total_ms / len(durs):.3f}ms"
         )
+    metrics = other.get("metrics")
     if metrics:
         counters = metrics.get("counters", [])
         lines.append(f"counters: {len(counters)}")
         for row in counters:
-            labels = row.get("labels", {})
-            label_text = ",".join(
-                f"{k}={v}" for k, v in sorted(labels.items())
-            )
-            suffix = f"{{{label_text}}}" if label_text else ""
-            lines.append(f"  {row['name']}{suffix} = {row['value']:g}")
+            lines.append(f"  {_series_name(row)} = {row['value']:g}")
         hists = metrics.get("histograms", [])
         if hists:
             lines.append(f"histograms: {len(hists)}")

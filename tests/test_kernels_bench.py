@@ -5,9 +5,62 @@ import pytest
 
 from repro.bench.harness import Table, geomean
 from repro.engine import LayoutEngine
+from repro.engine.ir import OpKind
 from repro.hardware import PLATFORMS, RTX4090
 from repro.interp import execute_graph
 from repro.kernels import KERNELS, kernel_names
+from repro.serve import CompileRequest
+
+
+def _fig9_linear_requests(first_case_only):
+    """Linear-mode fig9 compiles: every kernel, case and platform."""
+    return [
+        CompileRequest(name, case.name, platform)
+        for name, model in sorted(KERNELS.items())
+        for case in (model.cases[:1] if first_case_only else model.cases)
+        for platform in model.platforms
+    ]
+
+
+def _request_id(request):
+    return f"{request.kernel}/{request.case}@{request.platform}"
+
+
+def _graph_inputs(graph, rng):
+    """One array per LOAD, in program order; index loads hold
+    integers below the size of the axis they gather along."""
+    bounds = {
+        op.inputs[1].vid: op.inputs[0].shape[op.attrs["axis"]]
+        for op in graph.ops
+        if op.kind == OpKind.GATHER
+    }
+    return [
+        rng.integers(0, bounds[op.output.vid], size=op.output.shape)
+        if op.output.vid in bounds
+        else rng.standard_normal(op.output.shape)
+        for op in graph.ops
+        if op.kind == OpKind.LOAD
+    ]
+
+
+def _assert_every_conversion_simulated(request):
+    """The compiled graph's stores equal the source graph's, and each
+    CONVERT_LAYOUT ran on the simulated machine: the executor passes a
+    conversion it cannot plan or size through without a word."""
+    model = KERNELS[request.kernel]
+    source = model.build(**request.resolved_case().kwargs()).graph
+    inputs = _graph_inputs(source, np.random.default_rng(0))
+    reference = execute_graph(source, inputs).stores
+    compiled = request.build_and_compile()
+    result = execute_graph(
+        compiled.graph, inputs, spec=PLATFORMS[request.platform]
+    )
+    assert len(result.conversion_traces) == compiled.graph.count(
+        OpKind.CONVERT_LAYOUT
+    )
+    assert len(result.stores) == len(reference)
+    for want, got in zip(reference, result.stores):
+        assert np.allclose(want, got)
 
 
 class TestRegistry:
@@ -88,6 +141,21 @@ class TestNumericEquivalence:
         result = execute_graph(compiled.graph, inputs).stores
         for want, got in zip(reference, result):
             assert np.allclose(want, got), name
+
+
+class TestEveryConversionSimulated:
+    @pytest.mark.parametrize(
+        "request_", _fig9_linear_requests(True), ids=_request_id
+    )
+    def test_first_case_on_every_platform(self, request_):
+        _assert_every_conversion_simulated(request_)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "request_", _fig9_linear_requests(False), ids=_request_id
+    )
+    def test_every_case_on_every_platform(self, request_):
+        _assert_every_conversion_simulated(request_)
 
 
 class TestHarness:

@@ -7,9 +7,9 @@ Four families of guarantees:
   status propagation, and the bounded recorder.
 * **Metrics** — label-set identity, counter family sums, gauge
   last-write-wins, histogram summaries.
-* **Exporters** — JSONL round-trips, Chrome trace validity, and the
-  CLI ``check`` path, including that ``convert`` and direct export
-  produce identical traces.
+* **Exporters** — Chrome trace validity and its summary, and the CLI
+  ``check`` and ``summary`` paths, including a clean failure on files
+  that are not a Chrome trace.
 * **Transparency** — observability off is a true no-op (the same
   singleton span, no counters), and compiles/conversions are
   bit-identical whether recording is on or off.
@@ -42,9 +42,9 @@ from tests.test_random_layout_conversions import random_distributed_layout
 @pytest.fixture(autouse=True)
 def obs_disabled():
     """Every test starts and ends with observability off."""
-    previous = obs_core.disable()
+    assert not obs.is_enabled()
     yield
-    obs_core._recorder = previous
+    assert not obs.is_enabled()
 
 
 # ======================================================================
@@ -101,9 +101,10 @@ class TestSpans:
                 sp.set_attrs({"ok": True})
         (sp,) = rec.spans()
         assert sp.attrs == {"mode": "linear", "cycles": 42, "ok": True}
-        d = sp.to_dict()
-        assert d["type"] == "span" and d["name"] == "op"
-        json.dumps(d)  # every record must be JSON-serializable
+        trace = obs.chrome_trace(rec)
+        (event,) = [e for e in trace["traceEvents"] if e["ph"] == "X"]
+        assert event["name"] == "op"
+        json.dumps(trace)  # every attribute must be JSON-serializable
 
     def test_threads_get_independent_hierarchies(self):
         with obs.capture() as rec:
@@ -134,8 +135,7 @@ class TestSpans:
                     pass
         assert len(rec.spans()) == 3
         assert rec.dropped_spans == 2
-        meta = obs.jsonl_events(rec)[-1]
-        assert meta["dropped_spans"] == 2
+        assert obs.chrome_trace(rec)["otherData"]["dropped_spans"] == 2
 
     def test_capture_restores_previous_state(self):
         assert not obs.is_enabled()
@@ -199,10 +199,10 @@ class TestMetrics:
         key = obs_core.series_key("cache.hits", cache="plans")
         with obs.capture() as rec:
             obs.count("cache.hits", 2, cache="plans")
-            obs_core.count_series(key)
-            obs_core.count_series(key, 3)
+            rec.metrics.count_series(key)
+            rec.metrics.count_series(key, 3)
         assert rec.metrics.counter_value("cache.hits", cache="plans") == 6
-        obs_core.count_series(key)  # disabled: a no-op
+        obs.count("cache.hits", cache="plans")  # disabled: a no-op
         assert rec.metrics.counter_value("cache.hits", cache="plans") == 6
 
     def test_gauge_last_write_wins(self):
@@ -259,12 +259,6 @@ def _small_capture() -> obs.Recorder:
 
 
 class TestExporters:
-    def test_jsonl_round_trip(self, tmp_path):
-        rec = _small_capture()
-        path = str(tmp_path / "cap.jsonl")
-        obs.write_jsonl(rec, path)
-        assert obs.read_jsonl(path) == obs.jsonl_events(rec)
-
     def test_chrome_trace_is_valid_and_loadable_shape(self):
         rec = _small_capture()
         trace = obs.chrome_trace(rec)
@@ -285,16 +279,6 @@ class TestExporters:
         assert kernel["args"]["parent_id"] is None
         json.dumps(trace)
 
-    def test_convert_equals_direct_export(self, tmp_path):
-        """CLI convert and direct export share one builder."""
-        rec = _small_capture()
-        jsonl = str(tmp_path / "cap.jsonl")
-        obs.write_jsonl(rec, jsonl)
-        converted = obs.chrome_trace_from_events(obs.read_jsonl(jsonl))
-        direct = obs.chrome_trace(rec)
-        direct["otherData"]["epoch"] = converted["otherData"]["epoch"]
-        assert converted == direct
-
     def test_validate_rejects_malformed_traces(self):
         assert obs.validate_chrome_trace([]) != []
         assert obs.validate_chrome_trace({"traceEvents": "nope"}) != []
@@ -311,9 +295,10 @@ class TestExporters:
         assert any("bad phase" in p for p in problems)
         assert any("dur" in p for p in problems)
 
-    def test_summarize_events_mentions_spans_and_counters(self):
+    def test_summarize_trace_mentions_spans_and_counters(self):
         rec = _small_capture()
-        text = obs.summarize_events(obs.jsonl_events(rec))
+        text = obs.summarize_trace(obs.chrome_trace(rec))
+        assert text.startswith("spans: 2 (dropped 0)\n")
         assert "compile:kernel" in text
         assert "cache.hits{cache=plans} = 4" in text
 
@@ -333,19 +318,38 @@ class TestExporters:
         assert main(["--check", bad]) == 1
         capsys.readouterr()
 
-    def test_cli_summary_reads_both_formats(self, tmp_path, capsys):
+    def test_cli_summary_reads_the_exported_trace(self, tmp_path, capsys):
         from repro.obs.__main__ import main
 
         rec = _small_capture()
-        jsonl = str(tmp_path / "cap.jsonl")
         trace = str(tmp_path / "trace.json")
-        obs.write_jsonl(rec, jsonl)
         obs.write_chrome_trace(rec, trace)
-        for path in (jsonl, trace):
-            assert main(["summary", path]) == 0
-            out = capsys.readouterr().out
-            assert "compile:kernel" in out
-            assert "cache.hits" in out
+        assert main(["summary", trace]) == 0
+        out = capsys.readouterr().out
+        assert out == obs.summarize_trace(obs.chrome_trace(rec)) + "\n"
+        assert "compile:kernel" in out
+        assert "cache.hits" in out
+
+    @pytest.mark.parametrize("command", ["check", "summary"])
+    @pytest.mark.parametrize(
+        "name, content",
+        [
+            ("notes.txt", "not a trace\n"),
+            ("empty.json", ""),
+            ("list.json", "[]\n"),
+            ("cap.jsonl", '{"type": "span"}\n{"type": "metrics"}\n'),
+        ],
+    )
+    def test_cli_fails_cleanly_on_non_traces(
+        self, tmp_path, capsys, command, name, content
+    ):
+        from repro.obs.__main__ import main
+
+        path = tmp_path / name
+        path.write_text(content)
+        assert main([command, str(path)]) == 1
+        out = capsys.readouterr().out
+        assert out == f"FAIL: {path} is not a Chrome trace JSON object\n"
 
 
 # ======================================================================
@@ -434,7 +438,7 @@ class TestInstrumentation:
                 c.get("c")
             c.get("a")
         c.get("a"), c.get("after")
-        obs.write_jsonl(rec, str(tmp_path / "cap.jsonl"))
+        obs.write_chrome_trace(rec, str(tmp_path / "trace.json"))
 
         def counts(r):
             return tuple(
@@ -446,19 +450,16 @@ class TestInstrumentation:
         assert counts(inner) == (0, 1)
 
     def test_enabled_recorder_exports_pending_cache_counts(self):
-        from repro.obs.export import jsonl_events
-
         c = cache.BoundedCache("t_obs_live", maxsize=8, register=False)
-        rec = obs_core.enable()
-        c.get("x"), c.get("x")
-        (metrics,) = [e for e in jsonl_events(rec) if e["type"] == "metrics"]
-        assert {
-            "name": "cache.misses",
-            "labels": {"cache": "t_obs_live"},
-            "value": 2,
-        } in metrics["counters"]
-        c.get("y")
-        obs_core.disable()
+        with obs.capture() as rec:
+            c.get("x"), c.get("x")
+            metrics = obs.chrome_trace(rec)["otherData"]["metrics"]
+            assert {
+                "name": "cache.misses",
+                "labels": {"cache": "t_obs_live"},
+                "value": 2,
+            } in metrics["counters"]
+            c.get("y")
         c.get("z")
         assert rec.metrics.counter_value("cache.misses", cache="t_obs_live") == 3
 
