@@ -9,7 +9,7 @@ the simulated cost.
 Run:  python examples/layout_engine_tour.py
 """
 
-from repro.engine import KernelBuilder, LayoutEngine
+from repro.engine import KernelBuilder, compile
 from repro.engine.ir import OpKind
 from repro.hardware import GH200, MI250, PLATFORMS, RTX4090
 from repro.kernels.models import build_template_attention
@@ -35,14 +35,14 @@ def main() -> None:
         results = {}
         for mode in ("linear", "legacy"):
             kb = build_template_attention(seq=64, head=64, kv_iters=4)
-            results[mode] = LayoutEngine(spec, mode).compile(kb.graph)
+            results[mode] = compile(kb.graph, spec, mode)
             describe(results[mode], mode)
         speedup = results["legacy"].cycles() / results["linear"].cycles()
         print(f"  -> speedup {speedup:.2f}x\n")
 
     # Peek at the compiled IR of the linear version on one platform.
     kb = build_template_attention(seq=64, head=64, kv_iters=1)
-    compiled = LayoutEngine(RTX4090, "linear").compile(kb.graph)
+    compiled = compile(kb.graph, RTX4090, "linear")
     print("linear-mode IR (1 KV iteration, RTX4090):")
     for op in compiled.graph.ops:
         layout = op.output.layout if op.output is not None else None

@@ -18,7 +18,7 @@ from repro.core import (
     make_identity,
 )
 from repro.codegen import classify_conversion, plan_conversion
-from repro.engine import CompiledKernel, KernelBuilder, LayoutEngine
+from repro.engine import CompiledKernel, KernelBuilder, compile
 from repro.gpusim import Machine, distributed_data
 from repro.hardware import GH200, MI250, PLATFORMS, RTX4090
 from repro.layouts import (
@@ -42,7 +42,6 @@ __all__ = [
     "GH200",
     "KernelBuilder",
     "LANE",
-    "LayoutEngine",
     "LinearLayout",
     "MI250",
     "Machine",
@@ -58,6 +57,7 @@ __all__ = [
     "WgmmaLayout",
     "cache",
     "classify_conversion",
+    "compile",
     "distributed_data",
     "make_identity",
     "plan_conversion",

@@ -14,14 +14,14 @@ from typing import Callable, List, Tuple
 import numpy as np
 
 from repro.bench.harness import Table
-from repro.engine import KernelBuilder, LayoutEngine
+from repro.engine import KernelBuilder, compile
 from repro.hardware.spec import GH200, RTX4090
 from repro.interp import execute_graph
 from repro.mxfp import F32, F8E5M2, I8
 
 
 def _compiles(kb: KernelBuilder, spec, mode: str) -> bool:
-    return LayoutEngine(spec, mode).compile(kb.graph).ok
+    return compile(kb.graph, spec, mode).ok
 
 
 def _case_reduce_over_operand() -> Tuple[str, bool, bool]:
@@ -65,10 +65,11 @@ def _case_reverse_scan() -> Tuple[str, bool, bool]:
         return kb
 
     legacy_ok = _compiles(build(), RTX4090, "legacy")
-    linear = LayoutEngine(RTX4090, "linear").compile(build().graph)
+    linear = compile(build().graph, RTX4090, "linear")
     data = np.ones((64, 64))
-    out = execute_graph(linear.graph, [data]).stores[0]
-    linear_ok = linear.ok and out[0, 0] == 64.0
+    linear_ok = (
+        linear.ok and execute_graph(linear, [data]).stores[0][0, 0] == 64.0
+    )
     return "reverse associative scan (#4362)", legacy_ok, linear_ok
 
 

@@ -14,7 +14,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.bench.harness import Table
-from repro.engine import KernelBuilder, LayoutEngine
+from repro.engine import KernelBuilder, compile
 from repro.hardware.spec import GH200
 from repro.interp import execute_graph
 from repro.layouts.legacy import LegacyLayoutSystem
@@ -56,15 +56,15 @@ def linear_case_passes(
     a = kb.load((m, k), a_dtype)
     b = kb.load((k, n), b_dtype)
     kb.store(kb.dot(a, b))
-    compiled = LayoutEngine(GH200, "linear").compile(kb.graph)
+    compiled = compile(kb.graph, GH200, "linear")
     if not compiled.ok:
         return False
     rng = np.random.default_rng(m * 1000 + n * 10 + k)
     av = rng.integers(-4, 5, size=(m, k)).astype(np.float64)
     bv = rng.uniform(-2, 2, size=(k, n))
-    # compile() takes ownership of the graph; execute its output so
-    # the inserted convert_layout ops (data no-ops) are covered too.
-    result = execute_graph(compiled.graph, [av, bv], spec=GH200)
+    # compile() takes ownership of the graph; execute the compiled
+    # kernel so its convert_layout plans run on the simulator too.
+    result = execute_graph(compiled, [av, bv])
     expected, _ = emulated_matmul(av, bv, a_dtype, b_dtype)
     return bool(
         np.allclose(result.stores[0], expected, rtol=1e-6, atol=1e-6)
@@ -96,7 +96,7 @@ def run_table5(full_numeric_check: bool = False) -> Table:
                 a = kb.load((m, k), a_dtype)
                 b = kb.load((k, n), b_dtype)
                 kb.store(kb.dot(a, b))
-                ok = LayoutEngine(GH200, "linear").compile(kb.graph).ok
+                ok = compile(kb.graph, GH200, "linear").ok
             if ok:
                 linear_pass += 1
         total = len(shapes)

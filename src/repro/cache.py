@@ -23,8 +23,8 @@ Caches
     ``(src, dst, hardware spec, planner options)`` — the one
     conversion memo; a plan's price is memoized on its program.
 ``engine``
-    :class:`LayoutEngine` anchors and global-access cycles keyed on
-    the engine configuration ``(spec, mode, num_warps)``.
+    :func:`repro.engine.compile`'s anchors and global-access cycles
+    keyed on the compile configuration ``(spec, mode, num_warps)``.
 
 Every cached value is immutable or treated as immutable by all
 callers; plans and layouts are shared across compilations.
@@ -49,11 +49,10 @@ contract; ``tests/test_cache_concurrency.py`` stresses it):
   taking any lock, which is what lets the pass manager attribute
   cache traffic to the pass that caused it even while other threads
   compile concurrently.
-* The off-switch is **thread-local**: :func:`set_enabled` and
-  :func:`disabled` affect only the calling thread (a service worker
-  debugging with the cache off must not disable it for the whole
-  process); :func:`set_enabled_default` changes the process-wide
-  default that threads without an override inherit.
+* The :func:`disabled` bypass is **thread-local**: it affects only the
+  calling thread (a service worker debugging with the cache off must
+  not disable it for the whole process); ``REPRO_CACHE=0`` turns
+  caching off for the whole process.
 
 Observability
 -------------
@@ -76,10 +75,10 @@ gauges at capture time.
 
 Off-switch
 ----------
-Set the environment variable ``REPRO_CACHE=0`` (or call
-:func:`set_enabled` / use the :func:`disabled` context manager) to
-bypass every cache for debugging.  Results must be bit-identical
-either way; ``tests/test_cache.py`` holds that line.
+Set the environment variable ``REPRO_CACHE=0`` (or use the
+:func:`disabled` context manager) to bypass every cache for
+debugging.  Results must be bit-identical either way;
+``tests/test_cache.py`` holds that line.
 """
 
 from __future__ import annotations
@@ -104,8 +103,6 @@ __all__ = [
     "enabled",
     "intern_layout",
     "publish_obs_gauges",
-    "set_enabled",
-    "set_enabled_default",
     "stats",
 ]
 
@@ -304,7 +301,7 @@ layouts = BoundedCache("layouts", maxsize=8192)
 derivations = BoundedCache("derivations", maxsize=16384)
 #: The PlanCache: (src, dst, spec, options) -> ConversionPlan.
 plans = BoundedCache("plans", maxsize=2048)
-#: LayoutEngine anchors and global-access cycles.
+#: The engine's anchors and global-access cycles.
 engine = BoundedCache("engine", maxsize=4096)
 
 
@@ -332,62 +329,40 @@ def _env_enabled() -> bool:
     )
 
 
-#: Process-wide default; threads without a local override inherit it.
-_enabled_default = _env_enabled()
+#: ``REPRO_CACHE`` read once at import: the process-wide setting.
+_ENV_ENABLED = _env_enabled()
 
 
-class _ThreadEnabled(threading.local):
-    """Per-thread cache toggle (None = inherit the process default)."""
+class _ThreadBypass(threading.local):
+    """Per-thread :func:`disabled` flag."""
 
     def __init__(self):
-        self.value: Any = None
+        self.active = False
 
 
-_ENABLED_LOCAL = _ThreadEnabled()
+_BYPASS = _ThreadBypass()
 
 
 def enabled() -> bool:
     """Whether caching is currently active *for this thread*."""
-    local = _ENABLED_LOCAL.value
-    return _enabled_default if local is None else local
-
-
-def set_enabled(flag: bool) -> bool:
-    """Turn every cache on or off **for the calling thread only**;
-    returns the previous effective setting.
-
-    Thread-local on purpose: a :class:`repro.serve.CompileService`
-    worker debugging with the cache bypassed must not disable caching
-    for every other in-flight compilation.  Use
-    :func:`set_enabled_default` for the process-wide switch.
-
-    Disabling does not drop existing entries — call :func:`clear` for
-    that — it only bypasses lookups and insertions.
-    """
-    previous = enabled()
-    _ENABLED_LOCAL.value = bool(flag)
-    return previous
-
-
-def set_enabled_default(flag: bool) -> bool:
-    """Set the process-wide default toggle; returns the previous one.
-
-    Threads that called :func:`set_enabled` keep their local override.
-    """
-    global _enabled_default
-    previous = _enabled_default
-    _enabled_default = bool(flag)
-    return previous
+    return _ENV_ENABLED and not _BYPASS.active
 
 
 @contextmanager
 def disabled() -> Iterator[None]:
-    """A context in which every cache is bypassed (this thread only)."""
-    previous = set_enabled(False)
+    """A context in which every cache is bypassed (this thread only).
+
+    Thread-local on purpose: a :class:`repro.serve.CompileService`
+    worker debugging with the cache bypassed must not disable caching
+    for every other in-flight compilation.  Bypassing does not drop
+    existing entries — call :func:`clear` for that.
+    """
+    previous = _BYPASS.active
+    _BYPASS.active = True
     try:
         yield
     finally:
-        set_enabled(previous)
+        _BYPASS.active = previous
 
 
 def cached(

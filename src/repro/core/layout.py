@@ -278,8 +278,8 @@ class LinearLayout:
         """Per-instance memo for derived values, behind the off-switch.
 
         Layouts are immutable, so derivations are cached forever on
-        the instance; :func:`repro.cache.set_enabled` bypasses the
-        memo (it never needs invalidation — only bypassing).
+        the instance; ``REPRO_CACHE=0`` and :func:`repro.cache.disabled`
+        bypass the memo (it never needs invalidation — only bypassing).
         """
         if not _cache.enabled():
             return compute()

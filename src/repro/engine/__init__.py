@@ -10,14 +10,14 @@ linear mode only; legacy cannot compare layouts across kinds),
 backward rematerialization re-anchors cheap producer chains, and
 lowering prices every op under the unified cost model.
 
-:func:`compile` is the one-call entry point; ``LayoutEngine`` is the
-configurable façade; ``PassManager``/``CompilationContext`` expose the
-pipeline for custom pass sequences.  See ``docs/ARCHITECTURE.md``.
+:func:`compile` is the one entry point.  ``PassManager`` and
+``CompilationContext`` expose the pipeline for custom pass sequences,
+which ``compile(..., passes=...)`` runs.  See ``docs/ARCHITECTURE.md``.
 """
 
 from repro.engine.ir import Graph, Op, OpKind, Value
 from repro.engine.builder import KernelBuilder
-from repro.engine.engine import CompiledKernel, LayoutEngine
+from repro.engine.engine import CompiledKernel, compile
 from repro.engine.pipeline import (
     CompilationContext,
     Pass,
@@ -25,33 +25,12 @@ from repro.engine.pipeline import (
     PassManager,
     standard_passes,
 )
-from repro.hardware.spec import GpuSpec, RTX4090
-
-
-def compile(
-    graph: Graph,
-    spec: GpuSpec = RTX4090,
-    mode: str = "linear",
-    num_warps: int = 4,
-    passes: "PassManager | None" = None,
-) -> CompiledKernel:
-    """Compile a kernel graph with the standard pipeline.
-
-    The functional face of :meth:`LayoutEngine.compile` — equivalent
-    to ``LayoutEngine(spec, mode, num_warps).compile(graph)``.  Pass
-    ``passes`` to run a custom pipeline instead of the mode's
-    standard one.
-    """
-    engine = LayoutEngine(spec, mode, num_warps=num_warps)
-    return engine.compile(graph, passes=passes)
-
 
 __all__ = [
     "CompilationContext",
     "CompiledKernel",
     "Graph",
     "KernelBuilder",
-    "LayoutEngine",
     "Op",
     "OpKind",
     "Pass",

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.builder import KernelBuilder
-from repro.engine.engine import CompiledKernel, LayoutEngine
+from repro.engine.engine import CompiledKernel, compile
 from repro.hardware.spec import GpuSpec, RTX4090
 
 
@@ -109,9 +109,7 @@ def autotune(
         config = TuningConfig(num_warps=num_warps, mode=mode)
         try:
             kb = build(**build_kwargs)
-            compiled = LayoutEngine(
-                spec, mode, num_warps=num_warps
-            ).compile(kb.graph)
+            compiled = compile(kb.graph, spec, mode, num_warps=num_warps)
         except Exception:
             trials.append((config, None))
             continue

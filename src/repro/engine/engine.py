@@ -1,7 +1,7 @@
-"""The layout engine façade over the pass pipeline.
+"""The engine's one entry point over the pass pipeline.
 
-``LayoutEngine.compile`` turns a kernel graph into a
-:class:`CompiledKernel` by running the standard pass pipeline of
+:func:`compile` turns a kernel graph into a :class:`CompiledKernel`
+by running the standard pass pipeline of
 :mod:`repro.engine.pipeline`:
 
 1. **Anchor selection** — loads, stores, and dots receive their
@@ -44,13 +44,11 @@ from repro.engine.pipeline import (
     CompilationContext,
     PassDiagnostics,
     PassManager,
-    check_num_warps,
+    standard_passes,
 )
-from repro.gpusim.opcost import policy_for_mode
 from repro.gpusim.trace import Trace
 from repro.hardware.instructions import InstructionKind
 from repro.hardware.spec import GpuSpec, RTX4090
-from repro.layouts.legacy import LegacyLayoutSystem
 from repro.obs import core as _obs
 
 
@@ -123,93 +121,67 @@ class CompiledKernel:
         return "\n".join(diag.describe() for diag in self.diagnostics)
 
 
-class LayoutEngine:
-    """Compiles kernel graphs in ``linear`` or ``legacy`` mode.
+def compile(
+    graph: Graph,
+    spec: GpuSpec = RTX4090,
+    mode: str = "linear",
+    num_warps: int = 4,
+    passes: Optional[PassManager] = None,
+) -> CompiledKernel:
+    """Compile a kernel graph in ``linear`` or ``legacy`` mode.
 
-    A thin façade: configuration lives here, the work happens in the
-    pass pipeline (:mod:`repro.engine.pipeline`).  Construct a
-    :class:`~repro.engine.pipeline.PassManager` directly to run a
-    custom pipeline (fewer passes, extra passes, swapped policies).
+    Takes ownership of ``graph``: ops are rewired in place as
+    conversions are inserted.  Rebuild the graph (or keep the builder
+    function) to compile again in another mode.
 
-    Thread safety: the engine holds no per-compilation state (each
-    ``compile`` builds a fresh :class:`CompilationContext`, and
-    :class:`~repro.layouts.legacy.LegacyLayoutSystem` is stateless),
-    so one engine may compile on many threads concurrently — each
-    call must still own its ``graph`` exclusively.  The shared
+    Anchor layouts, conversion plans, and their priced instruction
+    streams are memoized in :mod:`repro.cache`, so recompiling the
+    same graph shape is dominated by graph traversal rather than F2
+    planning (see ``docs/CACHING.md``); results are identical with
+    caching disabled.
+
+    ``passes`` overrides the mode's standard pipeline (e.g. a
+    pipeline without rematerialization).
+
+    Thread safety: a compile holds no state outside its fresh
+    :class:`CompilationContext`, so many threads may compile
+    concurrently, each owning its ``graph``.  The shared
     :mod:`repro.cache` layer is lock-protected; see
     ``docs/SERVING.md`` for the full contract.
     """
-
-    def __init__(
-        self,
-        spec: GpuSpec = RTX4090,
-        mode: str = "linear",
-        num_warps: int = 4,
-    ):
-        policy_for_mode(mode)  # rejects an unknown mode
-        self.spec = spec
-        self.mode = mode
-        self.num_warps = check_num_warps(num_warps)
-        self.legacy = LegacyLayoutSystem()
-
-    def compile(
-        self, graph: Graph, passes: Optional[PassManager] = None
-    ) -> CompiledKernel:
-        """Compile a kernel graph.
-
-        Takes ownership of ``graph``: ops are rewired in place as
-        conversions are inserted.  Rebuild the graph (or keep the
-        builder function) to compile again in another mode.
-
-        Anchor layouts, conversion plans, and their priced instruction
-        streams are memoized in :mod:`repro.cache`, so recompiling the
-        same graph shape is dominated by graph traversal rather than
-        F2 planning (see ``docs/CACHING.md``); results are identical
-        with caching disabled.
-
-        ``passes`` overrides the standard pipeline of the engine's
-        mode (e.g. a pipeline without rematerialization).
-        """
-        ctx = CompilationContext.create(
-            graph, self.spec, self.mode, self.num_warps
-        )
-        ctx.legacy = self.legacy
-        manager = passes if passes is not None else PassManager.standard(
-            self.mode
-        )
-        with _obs.span(
-            "compile:kernel",
-            mode=self.mode,
-            platform=self.spec.name,
-            num_warps=self.num_warps,
-        ) as sp:
-            try:
-                manager.run(ctx)
-                sp.set_attrs(
-                    {"ok": True, "cycles": ctx.cycles,
-                     "conversions": len(ctx.conversions)}
-                )
-                _obs.count(
-                    "engine.compiles", 1,
-                    mode=self.mode, platform=self.spec.name, ok=True,
-                )
-                return CompiledKernel(
-                    graph=ctx.graph,
-                    trace=ctx.trace,
-                    mode=self.mode,
-                    conversions=ctx.conversions,
-                    diagnostics=ctx.diagnostics,
-                )
-            except LegacyUnsupportedError as exc:
-                sp.set_attrs({"ok": False, "error": str(exc)})
-                _obs.count(
-                    "engine.compiles", 1,
-                    mode=self.mode, platform=self.spec.name, ok=False,
-                )
-                return CompiledKernel(
-                    graph=graph,
-                    trace=Trace(self.spec),
-                    mode=self.mode,
-                    error=str(exc),
-                    diagnostics=ctx.diagnostics,
-                )
+    # Rejects an unknown mode or an invalid warp count.
+    ctx = CompilationContext.create(graph, spec, mode, num_warps)
+    manager = passes if passes is not None else PassManager(
+        standard_passes(mode)
+    )
+    with _obs.span(
+        "compile:kernel", mode=mode, platform=spec.name, num_warps=num_warps
+    ) as sp:
+        try:
+            manager.run(ctx)
+            sp.set_attrs(
+                {"ok": True, "cycles": ctx.cycles,
+                 "conversions": len(ctx.conversions)}
+            )
+            _obs.count(
+                "engine.compiles", 1, mode=mode, platform=spec.name, ok=True
+            )
+            return CompiledKernel(
+                graph=ctx.graph,
+                trace=ctx.trace,
+                mode=mode,
+                conversions=ctx.conversions,
+                diagnostics=ctx.diagnostics,
+            )
+        except LegacyUnsupportedError as exc:
+            sp.set_attrs({"ok": False, "error": str(exc)})
+            _obs.count(
+                "engine.compiles", 1, mode=mode, platform=spec.name, ok=False
+            )
+            return CompiledKernel(
+                graph=graph,
+                trace=Trace(spec),
+                mode=mode,
+                error=str(exc),
+                diagnostics=ctx.diagnostics,
+            )

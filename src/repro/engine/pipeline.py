@@ -17,9 +17,9 @@ are first-class — build a :class:`PassManager` from any pass sequence
 <repro.engine.passes.remat.BackwardRematerialization>` to measure what
 the backward pass buys).
 
-``LayoutEngine.compile`` remains as a thin façade over this module;
-see ``docs/ARCHITECTURE.md`` for the full pipeline contract and how
-to add a pass.
+:func:`repro.engine.compile` runs a mode's standard pipeline (or the
+one it is given); see ``docs/ARCHITECTURE.md`` for the full pipeline
+contract and how to add a pass.
 """
 
 from __future__ import annotations
@@ -159,8 +159,9 @@ class Pass:
     Subclasses set ``name`` and implement :meth:`run`; the manager
     handles timing, diagnostics bookkeeping, and cache attribution.
     A pass that cannot proceed raises (legacy capability gaps raise
-    :class:`~repro.core.errors.LegacyUnsupportedError`, which the
-    engine façade turns into a failed :class:`CompiledKernel`).
+    :class:`~repro.core.errors.LegacyUnsupportedError`, which
+    :func:`repro.engine.compile` turns into a failed
+    :class:`CompiledKernel`).
     """
 
     name: str = "pass"
@@ -177,11 +178,6 @@ class PassManager:
 
     def __init__(self, passes: Sequence[Pass]):
         self.passes: List[Pass] = list(passes)
-
-    @classmethod
-    def standard(cls, mode: str) -> "PassManager":
-        """The stock pipeline of an engine mode."""
-        return cls(standard_passes(mode))
 
     def run(self, ctx: CompilationContext) -> CompilationContext:
         """Execute every pass in order.

@@ -22,9 +22,7 @@ from __future__ import annotations
 import os
 from typing import Dict, Optional, Tuple
 
-from repro.codegen.gather import gather_shared_program, gather_shuffle_program
 from repro.codegen.plan import ConversionPlan
-from repro.core.layout import LinearLayout
 from repro.gpusim.opcost import price_program, program_price
 from repro.gpusim.registers import RegisterFile
 from repro.gpusim.trace import Trace
@@ -32,7 +30,7 @@ from repro.hardware.instructions import InstructionKind
 from repro.hardware.spec import GpuSpec, RTX4090
 from repro.obs import core as _obs
 from repro.program.interp import make_interpreter
-from repro.program.ir import R_IDX, R_IN, WarpProgram
+from repro.program.ir import R_IN, WarpProgram
 
 
 def _default_backend() -> str:
@@ -127,7 +125,7 @@ class Machine:
         )
 
     # ------------------------------------------------------------------
-    # Plan-level conveniences (interpret the plan's program)
+    # Plan-level convenience (interpret the plan's program)
     # ------------------------------------------------------------------
     def run_conversion(
         self, plan: ConversionPlan, src: RegisterFile
@@ -141,37 +139,3 @@ class Machine:
         if result is src:
             result = src.copy()
         return result, trace
-
-    def run_gather_shuffle(
-        self,
-        layout: LinearLayout,
-        axis: int,
-        src: RegisterFile,
-        index: RegisterFile,
-    ) -> Tuple[RegisterFile, Trace]:
-        """Warp-shuffle gather (Section 5.5).
-
-        ``index`` holds, per slot, the position along ``axis`` to read
-        from; the data-dependent source lane/register is resolved by
-        the interpreter exactly as the emitted shuffle rounds would.
-        """
-        program = gather_shuffle_program(layout, axis)
-        files, trace = self.run_program(
-            program, {R_IN: src, R_IDX: index}
-        )
-        return files[program.result], trace
-
-    def run_gather_shared(
-        self,
-        layout: LinearLayout,
-        axis: int,
-        src: RegisterFile,
-        index: RegisterFile,
-    ) -> Tuple[RegisterFile, Trace]:
-        """Legacy gather: stage the source tensor through shared memory
-        and load each gathered element with a scalar read."""
-        program = gather_shared_program(layout, axis)
-        files, trace = self.run_program(
-            program, {R_IN: src, R_IDX: index}
-        )
-        return files[program.result], trace

@@ -49,18 +49,13 @@ class SharedMemory:
     # ------------------------------------------------------------------
     # Cost plane
     # ------------------------------------------------------------------
-    def wavefronts(
-        self,
-        accesses: Sequence[Tuple[int, int]],
-        is_store: bool,
-    ) -> int:
+    def wavefronts(self, accesses: Sequence[Tuple[int, int]]) -> int:
         """Wavefronts for one warp-wide access.
 
         ``accesses`` is a list of ``(element_offset, num_elements)``
         per participating lane; see :func:`bank_wavefronts`.  Loads and
         stores cost the same.
         """
-        del is_store
         if not accesses:
             return 0
         offsets, counts = zip(*accesses)

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping
+from typing import Dict, List
 
 from repro.hardware.cost import CostModel, cost_model
 from repro.hardware.instructions import Instruction, InstructionKind
-from repro.hardware.spec import GpuSpec, get_platform
+from repro.hardware.spec import GpuSpec
 
 
 @dataclass
@@ -74,56 +73,3 @@ class Trace:
             InstructionKind.STMATRIX,
         )
         return sum(self.count(k) for k in kinds)
-
-    def merge(self, other: "Trace") -> "Trace":
-        """A new trace with both instruction streams concatenated."""
-        out = Trace(self.spec, list(self.instructions))
-        out.instructions.extend(other.instructions)
-        return out
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        """A JSON-safe snapshot (platform by name + every record)."""
-        return {
-            "spec": self.spec.name,
-            "instructions": [
-                {
-                    "kind": i.kind.value,
-                    "vector_bits": i.vector_bits,
-                    "count": i.count,
-                    "wavefronts": i.wavefronts,
-                    "note": i.note,
-                    "dependent": i.dependent,
-                }
-                for i in self.instructions
-            ],
-        }
-
-    @staticmethod
-    def from_dict(data: Mapping[str, object]) -> "Trace":
-        """Rebuild a trace from :meth:`to_dict` output."""
-        return Trace(
-            get_platform(data["spec"]),
-            [
-                Instruction(
-                    kind=InstructionKind(rec["kind"]),
-                    vector_bits=rec.get("vector_bits", 32),
-                    count=rec.get("count", 1),
-                    wavefronts=rec.get("wavefronts", 1),
-                    note=rec.get("note", ""),
-                    dependent=rec.get("dependent", False),
-                )
-                for rec in data["instructions"]
-            ],
-        )
-
-    def to_json(self) -> str:
-        """The trace as a JSON string."""
-        return json.dumps(self.to_dict())
-
-    @staticmethod
-    def from_json(text: str) -> "Trace":
-        """Rebuild a trace from :meth:`to_json` output."""
-        return Trace.from_dict(json.loads(text))

@@ -1,24 +1,27 @@
 """Graph execution over NumPy arrays.
 
-Layout-conversion nodes do not just pass through: when both sides
-carry layouts covering the tensor, the conversion executes on the
-simulated machine — the same warp-program interpreter that prices and
-traces it — so graph semantics and cycle traces come from one source.
-Every element is verified to arrive at its destination slot; the
-per-conversion traces are collected on the result.
+A compiled kernel's layout conversions do not just pass through: each
+runs the plan the compiler chose for it on the simulated machine —
+the same warp-program interpreter that prices and traces it — so
+graph semantics and cycle traces come from one source.  Every element
+is verified to arrive at its destination slot; the per-conversion
+traces are collected on the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, Iterator, List, Sequence, Union
 
 import numpy as np
 
-from repro.core.dims import LANE, WARP
-from repro.core.errors import LayoutError
+from repro.core.dims import WARP
+from repro.engine.engine import CompiledKernel
 from repro.engine.ir import Graph, OpKind, Value
-from repro.hardware.spec import GpuSpec, RTX4090
+from repro.gpusim.machine import Machine
+from repro.gpusim.registers import assert_matches_layout, distributed_data
+from repro.gpusim.trace import Trace
+from repro.hardware.spec import GpuSpec
 from repro.mxfp.emulate import emulated_matmul
 from repro.mxfp.quantize import quantize_to
 
@@ -53,94 +56,74 @@ class ExecutionResult:
     conversion_traces: List[object] = field(default_factory=list)
 
 
-def _layout_shape(layout) -> tuple:
-    return tuple(
-        layout.out_dim_size(d) for d in layout.out_dims
-    )
-
-
 def _simulate_conversion(
-    op, arr: np.ndarray, result, machines: Dict, spec: GpuSpec
-):
-    """Run one CONVERT_LAYOUT node on ``spec``'s simulated machine.
+    plan, op, arr: np.ndarray, machines: Dict[int, Machine], spec: GpuSpec
+) -> Trace:
+    """Run one CONVERT_LAYOUT's compiled plan on the simulated machine.
 
-    Plans for ``spec``, distributes the tensor over the source
-    layout's register file, executes the lowered warp program, and
-    checks every element landed at its destination slot.  Returns
-    False (caller passes the value through) when the layouts do not
-    cover the tensor, their lane count is not ``spec``'s warp size, or
-    the pair has no plan — partial-tile graph nodes keep their NumPy
-    semantics.
+    Distributes the tensor over the source layout's register file,
+    executes the plan's warp program on ``spec`` at the larger of the
+    two layouts' warp counts, checks every element landed at its
+    destination slot, and returns the run's trace.
     """
-    from repro.codegen.conversion import plan_conversion
-    from repro.gpusim.machine import Machine
-    from repro.gpusim.registers import (
-        assert_matches_layout,
-        distributed_data,
-    )
-
     src_l = op.inputs[0].layout
     dst_l = op.output.layout
-    if src_l is None or dst_l is None:
-        return False
-    if (
-        _layout_shape(src_l) != tuple(arr.shape)
-        or _layout_shape(dst_l) != tuple(arr.shape)
-    ):
-        return False
-    if (
-        src_l.in_dim_size(LANE) != spec.warp_size
-        or dst_l.in_dim_size(LANE) != spec.warp_size
-    ):
-        # Layouts compiled for another platform: planning them for
-        # ``spec`` would size the machine for the wrong warp.
-        return False
-    try:
-        plan = plan_conversion(
-            src_l, dst_l, elem_bits=op.inputs[0].dtype.bits, spec=spec
-        )
-    except LayoutError:
-        return False
-    num_warps = max(
-        src_l.in_dim_size(WARP), dst_l.in_dim_size(WARP)
-    )
+    num_warps = max(src_l.in_dim_size(WARP), dst_l.in_dim_size(WARP))
     machine = machines.get(num_warps)
     if machine is None:
-        machine = Machine(spec, num_warps=num_warps)
-        machines[num_warps] = machine
+        machine = machines[num_warps] = Machine(spec, num_warps)
     flat = arr.ravel()
     registers = distributed_data(
-        src_l,
-        num_warps,
-        machine.spec.warp_size,
-        value_of=lambda p: flat[p],
+        src_l, num_warps, spec.warp_size, value_of=lambda p: flat[p]
     )
     converted, trace = machine.run_conversion(plan, registers)
     assert_matches_layout(converted, dst_l, value_of=lambda p: flat[p])
-    result.conversion_traces.append(trace)
-    return True
+    return trace
 
 
 def execute_graph(
-    graph: Graph,
+    kernel: Union[Graph, CompiledKernel],
     inputs: Sequence[np.ndarray],
     quantize_inputs: bool = True,
-    simulate_conversions: bool = True,
-    spec: GpuSpec = RTX4090,
 ) -> ExecutionResult:
     """Run a graph; ``inputs`` feed the LOAD ops in program order.
 
+    A bare :class:`Graph` runs with reference NumPy semantics: layout
+    conversions pass values through.  A :class:`CompiledKernel` runs
+    its graph, and each CONVERT_LAYOUT also runs the plan the compiler
+    chose for it (``kernel.conversions``, in graph order) on the
+    simulated machine of the kernel's platform; the run's trace lands
+    in :attr:`ExecutionResult.conversion_traces`.  A conversion that
+    cannot run raises.
+
     With ``quantize_inputs`` each input is rounded through its
     declared dtype first, as loading from a low-precision buffer
-    would.  With ``simulate_conversions`` (the default), layout
-    conversions whose layouts cover the tensor execute on the
-    simulated machine of ``spec`` — the platform the graph was
-    compiled for, whose warp size its layouts assume — and their
-    traces land in :attr:`ExecutionResult.conversion_traces`.
+    would.
     """
+    plans: Iterator = iter(())
+    if isinstance(kernel, CompiledKernel):
+        if not kernel.ok:
+            raise ValueError(
+                f"cannot execute a failed compile: {kernel.error}"
+            )
+        graph = kernel.graph
+        converts = graph.count(OpKind.CONVERT_LAYOUT)
+        if converts != len(kernel.conversions):
+            raise ValueError(
+                f"kernel has {converts} conversions but "
+                f"{len(kernel.conversions)} plans"
+            )
+        plans = iter(kernel.conversions)
+    else:
+        graph = kernel
+    loads = graph.count(OpKind.LOAD)
+    if len(inputs) != loads:
+        raise ValueError(
+            f"graph has {loads} LOAD ops, got {len(inputs)} inputs"
+        )
     result = ExecutionResult()
     env: Dict[int, np.ndarray] = {}
-    machines: Dict[int, object] = {}
+    machines: Dict[int, Machine] = {}
     load_idx = 0
 
     def get(value: Value) -> np.ndarray:
@@ -164,10 +147,15 @@ def execute_graph(
             result.stores.append(get(op.inputs[0]))
         elif kind == OpKind.CONVERT_LAYOUT:
             arr = get(op.inputs[0])
-            if simulate_conversions:
+            plan = next(plans, None)
+            if plan is not None:
                 # Values are preserved by construction; the simulated
                 # run verifies the routing and records the trace.
-                _simulate_conversion(op, arr, result, machines, spec)
+                result.conversion_traces.append(
+                    _simulate_conversion(
+                        plan, op, arr, machines, kernel.trace.spec
+                    )
+                )
             env[op.output.vid] = arr
         elif kind == OpKind.LOCAL_STORE or kind == OpKind.LOCAL_LOAD:
             env[op.output.vid] = get(op.inputs[0])

@@ -16,7 +16,7 @@ from repro import cache
 from repro.bench.fig7 import shuffle_pair
 from repro.codegen import plan_conversion
 from repro.core import BLOCK, LANE, LinearLayout, REGISTER, WARP
-from repro.engine import LayoutEngine
+from repro.engine import compile
 from repro.gpusim.opcost import op_cost_model
 from repro.hardware import GH200, RTX4090
 from repro.kernels.models import (
@@ -32,12 +32,10 @@ from tests.test_random_layout_conversions import random_distributed_layout
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
-    """Each test starts cold and leaves caching enabled."""
+    """Each test starts and ends with cold caches."""
     cache.clear()
-    cache.set_enabled(True)
     yield
     cache.clear()
-    cache.set_enabled(True)
 
 
 def _layout(seed: int = 0, **kwargs) -> LinearLayout:
@@ -203,12 +201,6 @@ def test_rejects_nonpositive_maxsize():
 # ----------------------------------------------------------------------
 # Off-switch
 # ----------------------------------------------------------------------
-def test_set_enabled_returns_previous_value():
-    assert cache.set_enabled(False) is True
-    assert cache.set_enabled(True) is False
-    assert cache.enabled()
-
-
 def test_disabled_context_restores_state():
     assert cache.enabled()
     with cache.disabled():
@@ -282,12 +274,10 @@ def test_plan_conversion_identical_with_and_without_cache(seed):
 )
 @pytest.mark.parametrize("mode", ["linear", "legacy"])
 def test_compile_identical_with_and_without_cache(build, mode):
-    engine = LayoutEngine(spec=RTX4090, mode=mode)
-    cold_engine = LayoutEngine(spec=RTX4090, mode=mode)
-    warm = engine.compile(build().graph)
-    rewarm = engine.compile(build().graph)
+    warm = compile(build().graph, RTX4090, mode)
+    rewarm = compile(build().graph, RTX4090, mode)
     with cache.disabled():
-        cold = cold_engine.compile(build().graph)
+        cold = compile(build().graph, RTX4090, mode)
     assert warm.cycles() == rewarm.cycles() == cold.cycles()
     assert warm.op_counts() == rewarm.op_counts() == cold.op_counts()
 
@@ -357,7 +347,7 @@ def test_replaced_spec_keeps_its_own_cost_entries():
 
     def compile_cycles():
         return [
-            LayoutEngine(spec=spec).compile(build_softmax().graph).cycles()
+            compile(build_softmax().graph, spec=spec).cycles()
             for spec in (RTX4090, slow)
         ]
 
@@ -376,13 +366,9 @@ def test_compile_identical_across_random_engine_configs(seed):
     num_warps = rng.choice([2, 4, 8])
     spec = rng.choice([RTX4090, GH200])
     build = lambda: build_gemm(m=m, n=n, k=64, k_iters=2)
-    warm = LayoutEngine(spec=spec, num_warps=num_warps).compile(
-        build().graph
-    )
+    warm = compile(build().graph, spec=spec, num_warps=num_warps)
     with cache.disabled():
-        cold = LayoutEngine(spec=spec, num_warps=num_warps).compile(
-            build().graph
-        )
+        cold = compile(build().graph, spec=spec, num_warps=num_warps)
     assert warm.cycles() == cold.cycles()
     assert warm.op_counts() == cold.op_counts()
 

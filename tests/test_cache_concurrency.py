@@ -10,7 +10,7 @@ of the cache off-switch.  The invariants (``docs/SERVING.md``):
   key receives the *same object*.
 * ``clear()`` cannot be undone by an in-flight factory (generation
   guard).
-* ``set_enabled`` / ``disabled()`` toggle the calling thread only.
+* ``disabled()`` bypasses the caches on the calling thread only.
 * A deferred :class:`~repro.codegen.access.SharedAccesses` (a cached
   plan's access table) is built once however many threads make its
   first read, and its warp-0 head stays readable until the full
@@ -218,14 +218,8 @@ class TestPropertyStress:
 
 
 class TestThreadLocalToggle:
-    """Regression: a worker toggling the cache must not affect other
-    threads (the satellite fix for ``set_enabled``/``disabled``)."""
-
-    def setup_method(self):
-        cache.set_enabled(True)
-
-    def teardown_method(self):
-        cache.set_enabled(True)
+    """Regression: a worker bypassing the cache must not affect other
+    threads."""
 
     def test_disabled_context_is_thread_local(self):
         seen = {}
@@ -247,41 +241,26 @@ class TestThreadLocalToggle:
         assert seen == {"enabled": True, "value": "cached", "size": 1}
 
     def test_worker_disable_does_not_leak_to_main(self):
-        done = threading.Event()
+        inside = threading.Event()
+        release = threading.Event()
+        seen = {}
 
         def worker():
-            cache.set_enabled(False)
-            assert cache.enabled() is False
-            done.set()
+            with cache.disabled():
+                seen["worker"] = cache.enabled()
+                inside.set()
+                release.wait(10)
 
         t = threading.Thread(target=worker)
         t.start()
-        t.join()
-        assert done.is_set()
-        assert cache.enabled() is True
-
-    def test_set_enabled_returns_previous_effective_value(self):
-        assert cache.set_enabled(False) is True
-        assert cache.set_enabled(True) is False
-        assert cache.enabled() is True
-
-    def test_default_governs_threads_without_override(self):
-        seen = {}
-        previous = cache.set_enabled_default(False)
         try:
-
-            def fresh_thread():
-                seen["enabled"] = cache.enabled()
-
-            t = threading.Thread(target=fresh_thread)
-            t.start()
-            t.join()
-            # A fresh thread inherits the process default...
-            assert seen["enabled"] is False
-            # ...but this thread's explicit override still wins.
+            assert inside.wait(10)
+            # The worker is still inside its bypass.
             assert cache.enabled() is True
         finally:
-            cache.set_enabled_default(previous)
+            release.set()
+            t.join()
+        assert seen == {"worker": False}
 
     def test_intern_layout_respects_thread_local_toggle(self):
         from repro.core.layout import LinearLayout

@@ -43,7 +43,7 @@ def measured_wavefronts(instr, spec, elem_bytes):
         requests = [
             (a[k][0], len(a[k][1])) for a in lanes if k < len(a)
         ]
-        worst = max(worst, memory.wavefronts(requests, False))
+        worst = max(worst, memory.wavefronts(requests))
     return worst
 
 

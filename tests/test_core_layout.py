@@ -3,6 +3,8 @@
 Includes the paper's running example: Layout A of Figure 1 / Table 1.
 """
 
+import contextlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -325,8 +327,7 @@ def test_flat_basis_images_match_per_image_flattening(layout, caching, data):
     """Flat columns == apply_flat of each unit input, on and off cache."""
     order = data.draw(st.permutations(layout.out_dims))
     in_order = data.draw(st.permutations(layout.in_dims))
-    previous = cache.set_enabled(caching)
-    try:
+    with contextlib.nullcontext() if caching else cache.disabled():
         for _ in range(2):  # the second pass reads the memo
             for dim in (*layout.in_dims, "absent"):
                 images = layout.bases.get(dim, [])
@@ -351,5 +352,3 @@ def test_flat_basis_images_match_per_image_flattening(layout, caching, data):
                     inputs[dim] = index & ((1 << bits) - 1)
                     index >>= bits
                 assert value == layout.apply_flat(inputs)
-    finally:
-        cache.set_enabled(previous)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.engine import KernelBuilder, LayoutEngine
+from repro.engine import KernelBuilder, compile
 from repro.engine.ir import OpKind
 from repro.hardware import GH200, MI250, RTX4090
 from repro.interp import execute_graph
@@ -22,7 +22,7 @@ class TestAnchors:
     def test_load_gets_blocked_layout(self):
         kb = KernelBuilder()
         x = kb.load((64, 64), F16)
-        LayoutEngine(RTX4090, "linear").compile(kb.graph)
+        compile(kb.graph, RTX4090, "linear")
         assert x.layout is not None
         assert x.layout.total_out_size() == 64 * 64
 
@@ -38,7 +38,7 @@ class TestAnchors:
         ]
         for spec, expected in expectations:
             kb = gemm_builder()
-            compiled = LayoutEngine(spec, "linear").compile(kb.graph)
+            compiled = compile(kb.graph, spec, "linear")
             dots = [
                 op for op in compiled.graph.ops
                 if op.kind == OpKind.DOT
@@ -50,7 +50,7 @@ class TestConversionInsertion:
     def test_gemm_epilogue_conversion(self):
         """dot result (mma layout) -> store anchor (blocked)."""
         kb = gemm_builder()
-        compiled = LayoutEngine(RTX4090, "linear").compile(kb.graph)
+        compiled = compile(kb.graph, RTX4090, "linear")
         assert compiled.graph.count(OpKind.CONVERT_LAYOUT) >= 1
 
     def test_elementwise_unifies_layouts(self):
@@ -60,7 +60,7 @@ class TestConversionInsertion:
         c = kb.dot(a, b)
         d = kb.load((64, 64), F32)
         kb.store(kb.elementwise(c, d, name="add"))
-        compiled = LayoutEngine(RTX4090, "linear").compile(kb.graph)
+        compiled = compile(kb.graph, RTX4090, "linear")
         for op in compiled.graph.ops:
             if op.kind == OpKind.ELEMENTWISE:
                 layouts = {id(v.layout) for v in op.inputs}
@@ -78,8 +78,8 @@ class TestConversionInsertion:
             kb.store(combined)
             return kb
 
-        linear = LayoutEngine(RTX4090, "linear").compile(build().graph)
-        legacy = LayoutEngine(RTX4090, "legacy").compile(build().graph)
+        linear = compile(build().graph, RTX4090, "linear")
+        legacy = compile(build().graph, RTX4090, "legacy")
         assert linear.graph.count(OpKind.CONVERT_LAYOUT) == 0
         assert legacy.graph.count(OpKind.CONVERT_LAYOUT) == 1
 
@@ -91,7 +91,7 @@ class TestConversionInsertion:
         mx = kb.reduce(x, axis=1, op="max")
         mx2 = kb.broadcast(kb.expand_dims(mx, 1), (64, 64))
         kb.store(kb.elementwise(x, mx2, name="sub"))
-        compiled = LayoutEngine(RTX4090, "linear").compile(kb.graph)
+        compiled = compile(kb.graph, RTX4090, "linear")
         for op in compiled.graph.ops:
             if op.kind == OpKind.CONVERT_LAYOUT:
                 assert op.inputs[0].shape in ((64, 1), (64, 64))
@@ -107,8 +107,8 @@ class TestConversionInsertion:
             kb.store(kb.trans(c))
             return kb
 
-        linear = LayoutEngine(RTX4090, "linear").compile(build().graph)
-        legacy = LayoutEngine(RTX4090, "legacy").compile(build().graph)
+        linear = compile(build().graph, RTX4090, "linear")
+        legacy = compile(build().graph, RTX4090, "legacy")
         assert legacy.graph.count(OpKind.CONVERT_LAYOUT) >= (
             linear.graph.count(OpKind.CONVERT_LAYOUT)
         )
@@ -148,7 +148,7 @@ class TestFailureModes:
         from repro.engine import CompilationContext, KernelBuilder
 
         with pytest.raises(ValueError, match="num_warps"):
-            LayoutEngine(RTX4090, "linear", num_warps=num_warps)
+            compile(KernelBuilder().graph, RTX4090, num_warps=num_warps)
         with pytest.raises(ValueError, match="num_warps"):
             CompilationContext.create(
                 KernelBuilder().graph, RTX4090, num_warps=num_warps
@@ -158,18 +158,12 @@ class TestFailureModes:
 class TestCosts:
     def test_linear_never_slower_on_suite(self):
         for spec in (RTX4090, GH200, MI250):
-            lin = LayoutEngine(spec, "linear").compile(
-                gemm_builder().graph
-            )
-            leg = LayoutEngine(spec, "legacy").compile(
-                gemm_builder().graph
-            )
+            lin = compile(gemm_builder().graph, spec, "linear")
+            leg = compile(gemm_builder().graph, spec, "legacy")
             assert lin.cycles() <= leg.cycles() * 1.1, spec.name
 
     def test_op_counts_structure(self):
-        compiled = LayoutEngine(RTX4090, "linear").compile(
-            gemm_builder().graph
-        )
+        compiled = compile(gemm_builder().graph, RTX4090, "linear")
         counts = compiled.op_counts()
         assert set(counts) == {
             "convert_layout", "local_load", "local_store",
@@ -177,7 +171,7 @@ class TestCosts:
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):
-            LayoutEngine(RTX4090, "turbo")
+            compile(gemm_builder().graph, RTX4090, "turbo")
 
 
 class TestNumericPreservation:
@@ -189,8 +183,8 @@ class TestNumericPreservation:
         reference = execute_graph(
             gemm_builder().graph, [a, b]
         ).stores[0]
-        compiled = LayoutEngine(RTX4090, "linear").compile(kb.graph)
-        result = execute_graph(compiled.graph, [a, b]).stores[0]
+        compiled = compile(kb.graph, RTX4090, "linear")
+        result = execute_graph(compiled, [a, b]).stores[0]
         assert np.allclose(result, reference)
 
     def test_attention_numerics_survive_compilation(self):
@@ -199,12 +193,12 @@ class TestNumericPreservation:
         rng = np.random.default_rng(11)
         inputs = [
             rng.standard_normal(s)
-            for s in [(64, 64)] * 4
+            for s in [(64, 64)] * 3
         ]
         kb = build_template_attention(seq=64, head=64, kv_iters=1)
         reference = execute_graph(
             build_template_attention(64, 64, 1).graph, inputs
         ).stores[0]
-        compiled = LayoutEngine(GH200, "linear").compile(kb.graph)
-        result = execute_graph(compiled.graph, inputs).stores[0]
+        compiled = compile(kb.graph, GH200, "linear")
+        result = execute_graph(compiled, inputs).stores[0]
         assert np.allclose(result, reference)

@@ -5,7 +5,7 @@ broadcast expressed as shape operations."""
 import numpy as np
 import pytest
 
-from repro.engine import KernelBuilder, LayoutEngine
+from repro.engine import KernelBuilder, compile
 from repro.engine.ir import OpKind
 from repro.hardware import GH200, MI250, RTX4090
 from repro.hardware.instructions import InstructionKind
@@ -21,7 +21,7 @@ class TestShapeOpClosure:
     def compile_count(self, build):
         kb = KernelBuilder()
         build(kb)
-        compiled = LayoutEngine(RTX4090, "linear").compile(kb.graph)
+        compiled = compile(kb.graph, RTX4090, "linear")
         return compiled
 
     def test_reshape_free(self):
@@ -86,13 +86,13 @@ class TestGatherLowering:
     def test_linear_uses_shuffles_when_warp_local(self):
         kb = KernelBuilder()
         self.build_gather(kb)
-        compiled = LayoutEngine(RTX4090, "linear").compile(kb.graph)
+        compiled = compile(kb.graph, RTX4090, "linear")
         assert compiled.trace.count(InstructionKind.SHUFFLE) > 0
 
     def test_legacy_uses_shared(self):
         kb = KernelBuilder()
         self.build_gather(kb)
-        compiled = LayoutEngine(RTX4090, "legacy").compile(kb.graph)
+        compiled = compile(kb.graph, RTX4090, "legacy")
         hist = compiled.trace.histogram()
         assert "st.shared" in hist and "ld.shared" in hist
 
@@ -100,8 +100,8 @@ class TestGatherLowering:
         kb1, kb2 = KernelBuilder(), KernelBuilder()
         self.build_gather(kb1)
         self.build_gather(kb2)
-        linear = LayoutEngine(RTX4090, "linear").compile(kb1.graph)
-        legacy = LayoutEngine(RTX4090, "legacy").compile(kb2.graph)
+        linear = compile(kb1.graph, RTX4090, "linear")
+        legacy = compile(kb2.graph, RTX4090, "legacy")
         assert linear.cycles() < legacy.cycles()
 
 
@@ -111,7 +111,7 @@ class TestWgmmaOperandStaging:
         a = kb.load((64, 64), F16)
         b = kb.load((64, 64), F16)
         kb.store(kb.dot(a, b))
-        compiled = LayoutEngine(GH200, "linear").compile(kb.graph)
+        compiled = compile(kb.graph, GH200, "linear")
         stores = [
             op for op in compiled.graph.ops
             if op.kind == OpKind.LOCAL_STORE
@@ -123,7 +123,7 @@ class TestWgmmaOperandStaging:
         a = kb.load((64, 64), F16)
         b = kb.load((64, 64), F16)
         kb.store(kb.dot(a, b))
-        compiled = LayoutEngine(MI250, "linear").compile(kb.graph)
+        compiled = compile(kb.graph, MI250, "linear")
         stores = [
             op for op in compiled.graph.ops
             if op.kind == OpKind.LOCAL_STORE
@@ -150,9 +150,7 @@ class TestScaleBroadcast:
 
     def test_compiles_both_modes(self):
         for mode in ("linear", "legacy"):
-            compiled = LayoutEngine(GH200, mode).compile(
-                self.build(KernelBuilder()).graph
-            )
+            compiled = compile(self.build(KernelBuilder()).graph, GH200, mode)
             assert compiled.ok, mode
 
     def test_numerics(self):
@@ -160,14 +158,14 @@ class TestScaleBroadcast:
         codes = rng.integers(-7, 8, (64, 32)).astype(np.float64)
         scales = rng.choice([0.5, 1.0, 2.0, 4.0], (2, 32))
         kb = self.build(KernelBuilder())
-        compiled = LayoutEngine(GH200, "linear").compile(kb.graph)
-        out = execute_graph(compiled.graph, [codes, scales]).stores[0]
+        compiled = compile(kb.graph, GH200, "linear")
+        out = execute_graph(compiled, [codes, scales]).stores[0]
         expected = codes * np.repeat(scales, 32, axis=0)
         assert np.allclose(out, expected)
 
     def test_conversion_stays_small(self):
         kb = self.build(KernelBuilder())
-        compiled = LayoutEngine(GH200, "linear").compile(kb.graph)
+        compiled = compile(kb.graph, GH200, "linear")
         for op in compiled.graph.ops:
             if op.kind == OpKind.CONVERT_LAYOUT:
                 size = 1

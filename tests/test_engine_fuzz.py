@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.errors import LegacyUnsupportedError
-from repro.engine import KernelBuilder, LayoutEngine
+from repro.engine import KernelBuilder, compile
 from repro.engine.ir import OpKind
 from repro.hardware import GH200, RTX4090
 from repro.interp import execute_graph
@@ -93,9 +93,9 @@ def test_fuzzed_program_numerics(seed):
     inputs = inputs_for(kb_ref.graph, np_rng)
     reference = execute_graph(kb_ref.graph, inputs).stores
 
-    compiled = LayoutEngine(RTX4090, "linear").compile(kb.graph)
+    compiled = compile(kb.graph, RTX4090, "linear")
     assert compiled.ok, compiled.error
-    result = execute_graph(compiled.graph, inputs).stores
+    result = execute_graph(compiled, inputs).stores
     assert len(result) == len(reference)
     for want, got in zip(reference, result):
         assert np.allclose(want, got), seed
@@ -105,7 +105,7 @@ def test_fuzzed_program_numerics(seed):
 def test_fuzzed_program_legacy_never_crashes(seed):
     kb = KernelBuilder()
     random_program(random.Random(seed), kb)
-    compiled = LayoutEngine(GH200, "legacy").compile(kb.graph)
+    compiled = compile(kb.graph, GH200, "legacy")
     # ok or a clean behavioural failure — never an exception.
     assert compiled.ok or "legacy" in compiled.error
 
@@ -114,6 +114,6 @@ def test_fuzzed_program_legacy_never_crashes(seed):
 def test_fuzzed_program_linear_cost_sane(seed):
     kb = KernelBuilder()
     random_program(random.Random(seed), kb)
-    compiled = LayoutEngine(GH200, "linear").compile(kb.graph)
+    compiled = compile(kb.graph, GH200, "linear")
     assert compiled.ok
     assert 0 < compiled.cycles() < 10_000_000

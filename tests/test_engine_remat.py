@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.engine import KernelBuilder, LayoutEngine
+from repro.engine import KernelBuilder, compile
 from repro.engine.ir import OpKind
 from repro.hardware import RTX4090
 from repro.interp import execute_graph
@@ -22,7 +22,7 @@ class TestRematerialization:
         a = kb.load((64, 64), F16)
         b = kb.load((64, 64), F16)
         kb.store(kb.dot(a, b))
-        compiled = LayoutEngine(RTX4090, "linear").compile(kb.graph)
+        compiled = compile(kb.graph, RTX4090, "linear")
         # Without remat: 2 operand conversions + 1 epilogue = 3.
         assert count_converts(compiled) < 3
         loads = [
@@ -43,7 +43,7 @@ class TestRematerialization:
         a = kb.elementwise(a, name="exp")
         b = kb.load((64, 64), F16)
         kb.store(kb.dot(a, b))
-        compiled = LayoutEngine(RTX4090, "linear").compile(kb.graph)
+        compiled = compile(kb.graph, RTX4090, "linear")
         assert count_converts(compiled) < 3
 
     def test_multi_use_load_not_rematerialized(self):
@@ -56,7 +56,7 @@ class TestRematerialization:
         d = kb.elementwise(a, name="exp")  # second use of a
         kb.store(c)
         kb.store(d)
-        compiled = LayoutEngine(RTX4090, "linear").compile(kb.graph)
+        compiled = compile(kb.graph, RTX4090, "linear")
         loads = [
             op for op in compiled.graph.ops if op.kind == OpKind.LOAD
         ]
@@ -76,14 +76,13 @@ class TestRematerialization:
             kb.store(kb.dot(a, b))
             return kb
 
-        engine = LayoutEngine(RTX4090, "linear")
-        with_remat = engine.compile(build().graph)
+        with_remat = compile(build().graph, RTX4090, "linear")
 
         no_remat = PassManager(
             [p for p in standard_passes("linear")
              if p.name != "backward-remat"]
         )
-        without = engine.compile(build().graph, passes=no_remat)
+        without = compile(build().graph, RTX4090, "linear", passes=no_remat)
         assert with_remat.cycles() <= without.cycles()
 
     def test_numerics_preserved_through_remat(self):
@@ -100,8 +99,8 @@ class TestRematerialization:
         rb = reference_kb.load((32, 32), F16)
         reference_kb.store(reference_kb.dot(ra2, rb))
         reference = execute_graph(reference_kb.graph, inputs).stores[0]
-        compiled = LayoutEngine(RTX4090, "linear").compile(kb.graph)
-        result = execute_graph(compiled.graph, inputs).stores[0]
+        compiled = compile(kb.graph, RTX4090, "linear")
+        result = execute_graph(compiled, inputs).stores[0]
         assert np.allclose(result, reference)
 
     def test_legacy_remat_requires_known_descriptor(self):
@@ -111,5 +110,5 @@ class TestRematerialization:
         a = kb.load((64, 64), F16)
         b = kb.load((64, 64), F16)
         kb.store(kb.dot(a, b))
-        compiled = LayoutEngine(RTX4090, "legacy").compile(kb.graph)
+        compiled = compile(kb.graph, RTX4090, "legacy")
         assert compiled.ok

@@ -4,6 +4,7 @@ machine execution, and pricing/machine agreement."""
 import pytest
 
 from repro.codegen import plan_conversion
+from repro.codegen.gather import gather_shared_program, gather_shuffle_program
 from repro.core import LANE, REGISTER, WARP
 from repro.gpusim import (
     Machine,
@@ -17,6 +18,13 @@ from repro.gpusim.registers import assert_matches_layout
 from repro.hardware import GH200, MI250, RTX4090
 from repro.hardware.instructions import InstructionKind
 from repro.layouts import BlockedLayout, NvidiaMmaLayout
+from repro.program import R_IDX, R_IN
+
+
+def run_gather(machine, program, src, index):
+    """(gathered registers, trace) of one gather program's run."""
+    files, trace = machine.run_program(program, {R_IN: src, R_IDX: index})
+    return files[program.result], trace
 
 
 class TestSharedMemoryBanks:
@@ -26,33 +34,33 @@ class TestSharedMemoryBanks:
     def test_conflict_free_row(self):
         """32 lanes hitting 32 consecutive words: one wavefront."""
         requests = [(lane, 1) for lane in range(32)]
-        assert self.mem.wavefronts(requests, is_store=False) == 1
+        assert self.mem.wavefronts(requests) == 1
 
     def test_same_bank_stride(self):
         """Stride-32 words all hit bank 0: 32 wavefronts."""
         requests = [(lane * 32, 1) for lane in range(32)]
-        assert self.mem.wavefronts(requests, is_store=False) == 32
+        assert self.mem.wavefronts(requests) == 32
 
     def test_two_way_conflict(self):
         requests = [(lane * 2, 1) for lane in range(32)]
-        assert self.mem.wavefronts(requests, is_store=False) == 2
+        assert self.mem.wavefronts(requests) == 2
 
     def test_broadcast_is_free(self):
         """All lanes reading the same word: one wavefront."""
         requests = [(0, 1) for _ in range(32)]
-        assert self.mem.wavefronts(requests, is_store=False) == 1
+        assert self.mem.wavefronts(requests) == 1
 
     def test_vectorized_access_covers_banks(self):
         """16-byte vectors: each lane covers 4 banks; 32 lanes span
         128 words -> 4 wavefronts (the 128-byte transaction split)."""
         requests = [(lane * 4, 4) for lane in range(32)]
-        assert self.mem.wavefronts(requests, is_store=False) == 4
+        assert self.mem.wavefronts(requests) == 4
 
     def test_subword_sharing(self):
         """1-byte elements, 4 lanes per word: free sharing."""
         mem = SharedMemory(RTX4090, elem_bytes=1)
         requests = [(lane, 1) for lane in range(32)]
-        assert mem.wavefronts(requests, is_store=False) == 1
+        assert mem.wavefronts(requests) == 1
 
     def test_data_plane(self):
         self.mem.write(5, "x")
@@ -62,7 +70,7 @@ class TestSharedMemoryBanks:
             self.mem.read(6)
 
     def test_empty_access(self):
-        assert self.mem.wavefronts([], is_store=True) == 0
+        assert self.mem.wavefronts([]) == 0
 
 
 class TestRegisterFile:
@@ -113,13 +121,6 @@ class TestTrace:
         trace = Trace(RTX4090)
         trace.emit(InstructionKind.SHUFFLE, count=0)
         assert not trace.instructions
-
-    def test_merge(self):
-        a = Trace(RTX4090)
-        a.emit(InstructionKind.BARRIER)
-        b = Trace(RTX4090)
-        b.emit(InstructionKind.SHUFFLE)
-        assert len(a.merge(b).instructions) == 2
 
     def test_dependent_costs_more(self):
         fast = Trace(RTX4090)
@@ -178,7 +179,9 @@ class TestGatherExecution:
                     p = view.flat_of({REGISTER: r, LANE: l, WARP: w})
                     j = p & 15
                     index.write(w, l, r, (j + 1) % 16)
-        out, trace = machine.run_gather_shuffle(layout, 1, src, index)
+        out, trace = run_gather(
+            machine, gather_shuffle_program(layout, 1), src, index
+        )
         for w in range(4):
             for l in range(32):
                 for r in range(layout.in_dim_size(REGISTER)):
@@ -203,6 +206,10 @@ class TestGatherExecution:
                 for r in range(layout.in_dim_size(REGISTER)):
                     p = view.flat_of({REGISTER: r, LANE: l, WARP: w})
                     index.write(w, l, r, (p * 7 + 3) % 16)
-        out1, _ = machine.run_gather_shuffle(layout, 1, src, index)
-        out2, _ = machine.run_gather_shared(layout, 1, src, index)
+        out1, _ = run_gather(
+            machine, gather_shuffle_program(layout, 1), src, index
+        )
+        out2, _ = run_gather(
+            machine, gather_shared_program(layout, 1), src, index
+        )
         assert out1.as_dict() == out2.as_dict()

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from repro.core.errors import DimensionError
-from repro.engine import KernelBuilder
+from repro.engine import KernelBuilder, compile
+from repro.hardware import RTX4090
 from repro.interp import execute_graph
-from repro.mxfp import F32, I64
+from repro.mxfp import F16, F32, I64
 
 
 class TestBuilderValidation:
@@ -83,6 +86,35 @@ class TestInterpreterErrors:
         kb.store(kb.elementwise(x, name="sigmoid"))
         with pytest.raises(KeyError):
             execute_graph(kb.graph, [np.zeros(4)])
+
+    def test_too_few_inputs(self):
+        kb = KernelBuilder()
+        kb.store(kb.elementwise(kb.load((4,), F32), kb.load((4,), F32)))
+        with pytest.raises(ValueError, match="2 LOAD ops, got 1 inputs"):
+            execute_graph(kb.graph, [np.zeros(4)])
+
+    def test_extra_inputs(self):
+        kb = KernelBuilder()
+        kb.store(kb.elementwise(kb.load((4,), F32), kb.load((4,), F32)))
+        with pytest.raises(ValueError, match="2 LOAD ops, got 3 inputs"):
+            execute_graph(kb.graph, [np.zeros(4)] * 3)
+
+    def test_failed_compile(self):
+        kb = KernelBuilder()
+        kb.store(kb.scan(kb.load((64, 64), F32), axis=1, reverse=True))
+        compiled = compile(kb.graph, RTX4090, "legacy")
+        assert not compiled.ok
+        with pytest.raises(ValueError, match="failed compile"):
+            execute_graph(compiled, [np.zeros((64, 64))])
+
+    def test_conversion_without_a_plan(self):
+        kb = KernelBuilder()
+        kb.store(kb.dot(kb.load((64, 64), F16), kb.load((64, 64), F16)))
+        compiled = compile(kb.graph, RTX4090, "linear")
+        assert compiled.conversions
+        truncated = replace(compiled, conversions=compiled.conversions[1:])
+        with pytest.raises(ValueError, match="plans"):
+            execute_graph(truncated, [np.zeros((64, 64))] * 2)
 
     def test_graph_repr(self):
         kb = KernelBuilder()

@@ -4,18 +4,21 @@ import numpy as np
 import pytest
 
 from repro.bench.harness import Table, geomean
-from repro.engine import LayoutEngine
+from repro.core.dims import WARP
+from repro.engine import compile
 from repro.engine.ir import OpKind
+from repro.gpusim.opcost import program_price
 from repro.hardware import PLATFORMS, RTX4090
 from repro.interp import execute_graph
 from repro.kernels import KERNELS, kernel_names
 from repro.serve import CompileRequest
 
 
-def _fig9_linear_requests(first_case_only):
-    """Linear-mode fig9 compiles: every kernel, case and platform."""
+def _fig9_requests(first_case_only):
+    """Fig9 compiles: every kernel, case and platform in both modes."""
     return [
-        CompileRequest(name, case.name, platform)
+        CompileRequest(name, case.name, platform, mode)
+        for mode in ("linear", "legacy")
         for name, model in sorted(KERNELS.items())
         for case in (model.cases[:1] if first_case_only else model.cases)
         for platform in model.platforms
@@ -23,7 +26,10 @@ def _fig9_linear_requests(first_case_only):
 
 
 def _request_id(request):
-    return f"{request.kernel}/{request.case}@{request.platform}"
+    return (
+        f"{request.kernel}/{request.case}@{request.platform}"
+        f"/{request.mode}"
+    )
 
 
 def _graph_inputs(graph, rng):
@@ -44,20 +50,31 @@ def _graph_inputs(graph, rng):
 
 
 def _assert_every_conversion_simulated(request):
-    """The compiled graph's stores equal the source graph's, and each
-    CONVERT_LAYOUT ran on the simulated machine: the executor passes a
-    conversion it cannot plan or size through without a word."""
+    """The compiled kernel's stores equal the source graph's, and each
+    CONVERT_LAYOUT ran its compiled plan on the simulated machine: the
+    run's trace is the plan's static price at the conversion's warp
+    count."""
     model = KERNELS[request.kernel]
     source = model.build(**request.resolved_case().kwargs()).graph
     inputs = _graph_inputs(source, np.random.default_rng(0))
     reference = execute_graph(source, inputs).stores
     compiled = request.build_and_compile()
-    result = execute_graph(
-        compiled.graph, inputs, spec=PLATFORMS[request.platform]
-    )
-    assert len(result.conversion_traces) == compiled.graph.count(
-        OpKind.CONVERT_LAYOUT
-    )
+    assert compiled.ok, compiled.error
+    result = execute_graph(compiled, inputs)
+    converts = [
+        op for op in compiled.graph.ops if op.kind == OpKind.CONVERT_LAYOUT
+    ]
+    assert len(result.conversion_traces) == len(converts)
+    spec = PLATFORMS[request.platform]
+    for op, plan, trace in zip(
+        converts, compiled.conversions, result.conversion_traces
+    ):
+        warps = max(
+            op.inputs[0].layout.in_dim_size(WARP),
+            op.output.layout.in_dim_size(WARP),
+        )
+        assert trace.spec is spec
+        assert trace.cycles() == program_price(plan.program, spec, warps)[1]
     assert len(result.stores) == len(reference)
     for want, got in zip(reference, result.stores):
         assert np.allclose(want, got)
@@ -90,9 +107,7 @@ class TestCompilation:
         case = model.cases[0]
         spec = PLATFORMS[model.platforms[0]]
         for mode in ("linear", "legacy"):
-            compiled = LayoutEngine(spec, mode).compile(
-                model.build(**case.kwargs()).graph
-            )
+            compiled = compile(model.build(**case.kwargs()).graph, spec, mode)
             assert compiled.ok, (name, mode, compiled.error)
             assert compiled.cycles() > 0
 
@@ -105,12 +120,8 @@ class TestCompilation:
         model = KERNELS[name]
         case = model.cases[min(1, len(model.cases) - 1)]
         spec = PLATFORMS[model.platforms[0]]
-        linear = LayoutEngine(spec, "linear").compile(
-            model.build(**case.kwargs()).graph
-        )
-        legacy = LayoutEngine(spec, "legacy").compile(
-            model.build(**case.kwargs()).graph
-        )
+        linear = compile(model.build(**case.kwargs()).graph, spec, "linear")
+        legacy = compile(model.build(**case.kwargs()).graph, spec, "legacy")
         assert linear.cycles() <= legacy.cycles() * 1.05
 
 
@@ -134,25 +145,25 @@ class TestNumericEquivalence:
         inputs = inputs_for(reference_graph)
         reference = execute_graph(reference_graph, inputs).stores
 
-        compiled = LayoutEngine(RTX4090, "linear").compile(
-            model.build(**case.kwargs()).graph
+        compiled = compile(
+            model.build(**case.kwargs()).graph, RTX4090, "linear"
         )
         rng = np.random.default_rng(42)
-        result = execute_graph(compiled.graph, inputs).stores
+        result = execute_graph(compiled, inputs).stores
         for want, got in zip(reference, result):
             assert np.allclose(want, got), name
 
 
 class TestEveryConversionSimulated:
     @pytest.mark.parametrize(
-        "request_", _fig9_linear_requests(True), ids=_request_id
+        "request_", _fig9_requests(True), ids=_request_id
     )
     def test_first_case_on_every_platform(self, request_):
         _assert_every_conversion_simulated(request_)
 
     @pytest.mark.slow
     @pytest.mark.parametrize(
-        "request_", _fig9_linear_requests(False), ids=_request_id
+        "request_", _fig9_requests(False), ids=_request_id
     )
     def test_every_case_on_every_platform(self, request_):
         _assert_every_conversion_simulated(request_)

@@ -6,6 +6,7 @@ second implementation of the elimination.  Each runs with the
 per-layout memo on and off.
 """
 
+import contextlib
 import itertools
 import json
 
@@ -18,12 +19,9 @@ from tests.test_f2_solve import brute_rank
 
 
 def with_caching(caching, check):
-    previous = cache.set_enabled(caching)
-    try:
+    with contextlib.nullcontext() if caching else cache.disabled():
         for _ in range(2):  # the second pass reads the memo
             check()
-    finally:
-        cache.set_enabled(previous)
 
 
 def inputs_of(layout):

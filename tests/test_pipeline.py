@@ -3,7 +3,7 @@
 The refactor contract (ISSUE 2): the pass-based pipeline must produce
 bit-identical simulated cycles and op counts to the pre-refactor
 monolithic engine — held by a checked-in golden file generated from
-the pre-refactor ``LayoutEngine`` — and the individual passes must
+the pre-refactor engine — and the individual passes must
 satisfy their documented invariants (remat is idempotent and never
 increases priced cycles; diagnostics are recorded for every pass).
 """
@@ -16,7 +16,6 @@ import pytest
 from repro.engine import (
     CompilationContext,
     KernelBuilder,
-    LayoutEngine,
     PassManager,
     compile as compile_graph,
     standard_passes,
@@ -76,16 +75,7 @@ class TestGoldenEquivalence:
         assert modes == {"linear", "legacy"}
 
 
-class TestFacadeAndPublicApi:
-    def test_compile_function_matches_engine_facade(self):
-        model = KERNELS["gemm"]
-        kb1 = model.build(**model.cases[0].kwargs())
-        kb2 = model.build(**model.cases[0].kwargs())
-        via_fn = compile_graph(kb1.graph, spec=RTX4090, mode="linear")
-        via_engine = LayoutEngine(RTX4090, "linear").compile(kb2.graph)
-        assert via_fn.cycles() == via_engine.cycles()
-        assert via_fn.op_counts() == via_engine.op_counts()
-
+class TestPublicApi:
     def test_custom_pipeline_is_accepted(self):
         kb = KernelBuilder()
         a = kb.load((64, 64), F16)
@@ -111,7 +101,7 @@ class TestFacadeAndPublicApi:
 @pytest.mark.parametrize(
     "entry",
     [
-        lambda mode: LayoutEngine(RTX4090, mode),
+        lambda mode: compile_graph(KernelBuilder().graph, RTX4090, mode),
         lambda mode: CompilationContext.create(
             KernelBuilder().graph, RTX4090, mode
         ),
@@ -119,7 +109,7 @@ class TestFacadeAndPublicApi:
         standard_passes,
     ],
     ids=[
-        "LayoutEngine",
+        "compile",
         "CompilationContext.create",
         "CompileRequest.validate",
         "standard_passes",
@@ -182,8 +172,8 @@ class TestRematInvariants:
         )
         kb1 = model.build(**model.cases[0].kwargs())
         kb2 = model.build(**model.cases[0].kwargs())
-        full = LayoutEngine(RTX4090, mode).compile(kb1.graph, with_remat)
-        bare = LayoutEngine(RTX4090, mode).compile(kb2.graph, without_remat)
+        full = compile_graph(kb1.graph, RTX4090, mode, passes=with_remat)
+        bare = compile_graph(kb2.graph, RTX4090, mode, passes=without_remat)
         if not (full.ok and bare.ok):
             pytest.skip(f"{kernel} does not compile in {mode} mode")
         assert full.cycles() <= bare.cycles()
@@ -247,8 +237,8 @@ class TestDiagnostics:
 
         kb = KernelBuilder()
         kb.store(kb.load((32, 32), F16))
-        compiled = LayoutEngine(RTX4090, "linear").compile(
-            kb.graph, PassManager([Boom()])
+        compiled = compile_graph(
+            kb.graph, RTX4090, "linear", passes=PassManager([Boom()])
         )
         assert not compiled.ok
         assert compiled.diagnostics[0].name == "boom"

@@ -41,6 +41,7 @@ from repro.program import (
     program_to_json,
 )
 
+from tests.test_gpusim import run_gather
 from tests.test_random_layout_conversions import (
     random_distributed_layout,
 )
@@ -175,16 +176,18 @@ class TestGatherBackends:
     def test_gather_shuffle_backends_agree(self):
         layout, src, index = self._setup()
         scalar, vector = both_machines()
-        out_s, trace_s = scalar.run_gather_shuffle(layout, 1, src, index)
-        out_v, trace_v = vector.run_gather_shuffle(layout, 1, src, index)
+        program = gather_shuffle_program(layout, 1)
+        out_s, trace_s = run_gather(scalar, program, src, index)
+        out_v, trace_v = run_gather(vector, program, src, index)
         assert out_s.as_dict() == out_v.as_dict()
         assert trace_s.instructions == trace_v.instructions
 
     def test_gather_shared_backends_agree(self):
         layout, src, index = self._setup()
         scalar, vector = both_machines()
-        out_s, trace_s = scalar.run_gather_shared(layout, 1, src, index)
-        out_v, trace_v = vector.run_gather_shared(layout, 1, src, index)
+        program = gather_shared_program(layout, 1)
+        out_s, trace_s = run_gather(scalar, program, src, index)
+        out_v, trace_v = run_gather(vector, program, src, index)
         assert out_s.as_dict() == out_v.as_dict()
         assert trace_s.instructions == trace_v.instructions
 

@@ -9,7 +9,7 @@ triton-lang/triton#3017 (tl.sum + tl.cumsum in one kernel) and #4362
 import numpy as np
 import pytest
 
-from repro.engine import KernelBuilder, LayoutEngine
+from repro.engine import KernelBuilder, compile
 from repro.hardware import RTX4090
 from repro.interp import execute_graph
 from repro.layouts.legacy import LegacyLayoutSystem
@@ -63,31 +63,25 @@ class TestEngineLowering:
     def test_linear_compiles_everything(self):
         for reverse in (False, True):
             for with_reduce in (False, True):
-                compiled = LayoutEngine(RTX4090, "linear").compile(
-                    scan_kernel(reverse, with_reduce).graph
+                compiled = compile(
+                    scan_kernel(reverse, with_reduce).graph, RTX4090, "linear"
                 )
                 assert compiled.ok, (reverse, with_reduce)
 
     def test_legacy_fails_reverse(self):
         """Issue #4362 as a behavioural failure."""
-        compiled = LayoutEngine(RTX4090, "legacy").compile(
-            scan_kernel(reverse=True).graph
-        )
+        compiled = compile(scan_kernel(reverse=True).graph, RTX4090, "legacy")
         assert not compiled.ok
         assert "reverse=True" in compiled.error
 
     def test_legacy_forward_scan_ok(self):
-        compiled = LayoutEngine(RTX4090, "legacy").compile(
-            scan_kernel(reverse=False).graph
-        )
+        compiled = compile(scan_kernel(reverse=False).graph, RTX4090, "legacy")
         assert compiled.ok
 
     def test_scan_emits_shuffles(self):
         from repro.hardware.instructions import InstructionKind
 
-        compiled = LayoutEngine(RTX4090, "linear").compile(
-            scan_kernel().graph
-        )
+        compiled = compile(scan_kernel().graph, RTX4090, "linear")
         assert compiled.trace.count(InstructionKind.SHUFFLE) > 0
 
     def test_numerics_through_compilation(self):
@@ -96,10 +90,8 @@ class TestEngineLowering:
         reference = execute_graph(
             scan_kernel().graph, [data]
         ).stores[0]
-        compiled = LayoutEngine(RTX4090, "linear").compile(
-            scan_kernel().graph
-        )
-        result = execute_graph(compiled.graph, [data]).stores[0]
+        compiled = compile(scan_kernel().graph, RTX4090, "linear")
+        result = execute_graph(compiled, [data]).stores[0]
         assert np.allclose(result, reference)
 
 

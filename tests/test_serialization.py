@@ -1,4 +1,4 @@
-"""Serialization tests: layouts, warp programs, traces (JSON)."""
+"""Serialization tests: layouts and warp programs (JSON)."""
 
 import json
 
@@ -7,8 +7,8 @@ import pytest
 from repro.codegen import plan_conversion
 from repro.codegen.gather import gather_shared_program, gather_shuffle_program
 from repro.core import LinearLayout, REGISTER
-from repro.gpusim import Machine, distributed_data, price_program
-from repro.hardware import GH200, RTX4090
+from repro.gpusim import price_program
+from repro.hardware import RTX4090
 from repro.layouts import (
     AmdMfmaLayout,
     BlockedLayout,
@@ -99,43 +99,3 @@ def test_program_json_round_trip(program):
         price_program(rebuilt, RTX4090).instructions
         == price_program(program, RTX4090).instructions
     )
-
-
-# ----------------------------------------------------------------------
-# Traces
-# ----------------------------------------------------------------------
-from repro.gpusim import Trace  # noqa: E402
-
-
-@pytest.mark.parametrize("spec", [RTX4090, GH200], ids=lambda s: s.name)
-def test_trace_json_round_trip(spec):
-    src = BlockedLayout((1, 4), (8, 4), (2, 2), (1, 0)).to_linear(
-        (32, 64)
-    )
-    dst = NvidiaMmaLayout((2, 2)).to_linear((32, 64))
-    plan = plan_conversion(src, dst, 16, spec=spec)
-    _, trace = Machine(spec, 4).run_conversion(
-        plan, distributed_data(src, 4, spec.warp_size)
-    )
-    rebuilt = Trace.from_json(trace.to_json())
-    assert rebuilt.spec is trace.spec
-    assert rebuilt.instructions == trace.instructions
-    assert rebuilt.cycles() == trace.cycles()
-
-
-def test_trace_round_trip_preserves_flags():
-    from repro.hardware.instructions import InstructionKind
-
-    trace = Trace(RTX4090)
-    trace.emit(
-        InstructionKind.SHARED_LOAD,
-        vector_bits=64,
-        count=3,
-        wavefronts=2,
-        note="gathered",
-        dependent=True,
-    )
-    rebuilt = Trace.from_json(trace.to_json())
-    assert rebuilt.instructions == trace.instructions
-    assert rebuilt.instructions[0].dependent is True
-    assert rebuilt.instructions[0].note == "gathered"

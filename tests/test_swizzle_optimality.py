@@ -58,7 +58,7 @@ def total_wavefronts(plan, spec, elem_bytes):
                 (a[k][0], len(a[k][1])) for a in lanes if k < len(a)
             ]
             if requests:
-                total += memory.wavefronts(requests, False)
+                total += memory.wavefronts(requests)
     return total
 
 
@@ -112,4 +112,4 @@ def test_claimed_conflict_freedom_is_real(seed):
                 (a[k][0], len(a[k][1])) for a in lanes if k < len(a)
             ]
             if requests:
-                assert memory.wavefronts(requests, False) <= n
+                assert memory.wavefronts(requests) <= n
