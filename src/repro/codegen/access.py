@@ -12,7 +12,8 @@ arrays.  It is the one format the planner builds
 the one instruction pricer reads (through :mod:`repro.gpusim.memory`),
 and the vectorized interpreter compiles
 into index arrays.  :meth:`SharedAccesses.to_tuples` gives the nested
-``(base, regs)`` tuple view for the scalar oracle and serialization.
+``(base, regs)`` tuple view for serialization and the per-lane test
+reference.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ class SharedAccesses:
         cls, head: "SharedAccesses", build: Callable[[], "SharedAccesses"]
     ) -> "SharedAccesses":
         """The value ``build()`` returns, built on the first read of its
-        arrays (by the interpreters, serialization, equality, hashing or
+        arrays (by the interpreter, serialization, equality, hashing or
         the queries below), which then drops ``head``: the value of the
         leading threads alone, served by :meth:`leading` without a build.
         """

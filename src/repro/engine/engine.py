@@ -141,7 +141,9 @@ def compile(
     caching disabled.
 
     ``passes`` overrides the mode's standard pipeline (e.g. a
-    pipeline without rematerialization).
+    pipeline without rematerialization).  A pipeline that sets no
+    trace (no :class:`~repro.engine.passes.lower.LowerToPlans`) raises
+    :class:`ValueError`.
 
     Thread safety: a compile holds no state outside its fresh
     :class:`CompilationContext`, so many threads may compile
@@ -159,6 +161,7 @@ def compile(
     ) as sp:
         try:
             manager.run(ctx)
+            trace = ctx.lowered_trace("compile")
             sp.set_attrs(
                 {"ok": True, "cycles": ctx.cycles,
                  "conversions": len(ctx.conversions)}
@@ -168,7 +171,7 @@ def compile(
             )
             return CompiledKernel(
                 graph=ctx.graph,
-                trace=ctx.trace,
+                trace=trace,
                 mode=mode,
                 conversions=ctx.conversions,
                 diagnostics=ctx.diagnostics,

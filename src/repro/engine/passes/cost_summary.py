@@ -19,14 +19,10 @@ class CostSummary(Pass):
     name = "cost-summary"
 
     def run(self, ctx: CompilationContext, diag: PassDiagnostics) -> None:
-        if ctx.trace is None:
-            raise ValueError(
-                "cost-summary requires a lowered trace; run LowerToPlans "
-                "(or a pass that sets ctx.trace) first"
-            )
-        ctx.cycles, by_kind = ctx.cost.instruction_model.bill(ctx.trace.instructions)
+        instructions = ctx.lowered_trace(self.name).instructions
+        ctx.cycles, by_kind = ctx.cost.instruction_model.bill(instructions)
         diag.bump("cycles", ctx.cycles)
-        diag.bump("instructions", len(ctx.trace.instructions))
+        diag.bump("instructions", len(instructions))
         diag.bump("conversions", len(ctx.conversions))
         for kind, cycles in sorted(by_kind.items()):
             diag.bump(f"cycles[{kind}]", cycles)

@@ -34,25 +34,8 @@ from repro.obs import core as _obs
 from repro.engine.ir import Graph
 from repro.gpusim.opcost import OpCostModel, op_cost_model, policy_for_mode
 from repro.gpusim.trace import Trace
-from repro.hardware.spec import GpuSpec, RTX4090
+from repro.hardware.spec import GpuSpec, RTX4090, check_num_warps
 from repro.layouts.legacy import LegacyLayoutSystem
-
-
-def check_num_warps(num_warps: int) -> int:
-    """``num_warps`` if it is a positive power-of-two ``int``.
-
-    Raises :class:`ValueError` otherwise, ``bool`` included.  Any other
-    count fails deep inside compilation (``0`` divides by zero) or
-    silently builds anchors for another warp count.
-    """
-    if (
-        not isinstance(num_warps, int)
-        or isinstance(num_warps, bool)
-        or num_warps < 1
-        or num_warps & (num_warps - 1)
-    ):
-        raise ValueError(f"num_warps must be a positive power of two: {num_warps!r}")
-    return num_warps
 
 
 @dataclass
@@ -132,6 +115,16 @@ class CompilationContext:
     cycles: Optional[float] = None
     #: One record per executed pass, in execution order.
     diagnostics: List[PassDiagnostics] = field(default_factory=list)
+
+    def lowered_trace(self, who: str) -> Trace:
+        """``trace``; raises :class:`ValueError` naming ``who`` when no
+        pass set it."""
+        if self.trace is None:
+            raise ValueError(
+                f"{who} requires a lowered trace; run LowerToPlans "
+                "(or a pass that sets ctx.trace) first"
+            )
+        return self.trace
 
     @classmethod
     def create(
@@ -270,6 +263,5 @@ __all__ = [
     "Pass",
     "PassDiagnostics",
     "PassManager",
-    "check_num_warps",
     "standard_passes",
 ]

@@ -8,7 +8,6 @@ bank-conflict wavefronts, and cycles so the benchmark harness can
 reproduce the paper's speedup shapes.
 """
 
-from repro.gpusim.memory import SharedMemory
 from repro.gpusim.opcost import (
     CostPolicy,
     OpCostModel,
@@ -25,7 +24,6 @@ __all__ = [
     "Machine",
     "OpCostModel",
     "RegisterFile",
-    "SharedMemory",
     "Trace",
     "distributed_data",
     "op_cost_model",

@@ -5,53 +5,38 @@ Every plan executes by lowering to the unified instruction IR
 loop.  Execution is real data movement: values travel through
 register files, shuffle networks and banked shared memory, so a plan
 that routes a single element wrong fails the correctness checks in
-tests.  The interpreters only move data; :meth:`Machine.run_program`
-then prices the run with :func:`repro.gpusim.opcost.price_program`,
-the same pricer static op counts use, at the machine's warp count and
-with the gather-load wavefronts the interpreter measured.
-
-Two interpreter backends implement the loop: a NumPy-vectorized one
-(default — whole-warp gather/scatter per instruction) and a scalar
-per-lane oracle used for differential testing.  Select with the
-``backend`` argument or the ``REPRO_SIM`` environment variable; both
-produce bit-identical register files and traces.
+tests.  The interpreter (:func:`repro.program.interp.run`) only
+moves data; :meth:`Machine.run_program` then prices the run with
+:func:`repro.gpusim.opcost.price_program`, the same pricer static op
+counts use, at the machine's warp count and with the gather-load
+wavefronts the interpreter measured.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.codegen.plan import ConversionPlan
 from repro.gpusim.opcost import price_program, program_price
 from repro.gpusim.registers import RegisterFile
 from repro.gpusim.trace import Trace
 from repro.hardware.instructions import InstructionKind
-from repro.hardware.spec import GpuSpec, RTX4090
+from repro.hardware.spec import GpuSpec, RTX4090, check_num_warps
 from repro.obs import core as _obs
-from repro.program.interp import make_interpreter
-from repro.program.ir import R_IN, WarpProgram
-
-
-def _default_backend() -> str:
-    return os.environ.get("REPRO_SIM", "vector")
+from repro.program import interp
+from repro.program.ir import Opcode, R_IN, WarpProgram
 
 
 class Machine:
-    """Executes warp programs over simulated hardware."""
+    """Executes warp programs over a CTA of ``num_warps`` warps.
 
-    def __init__(
-        self,
-        spec: GpuSpec = RTX4090,
-        num_warps: int = 4,
-        backend: Optional[str] = None,
-    ):
+    ``num_warps`` must be a positive power of two
+    (:func:`~repro.hardware.spec.check_num_warps`).
+    """
+
+    def __init__(self, spec: GpuSpec = RTX4090, num_warps: int = 4):
         self.spec = spec
-        self.num_warps = num_warps
-        self.backend = backend or _default_backend()
-        self._interp = make_interpreter(
-            self.backend, spec, num_warps
-        )
+        self.num_warps = check_num_warps(num_warps)
 
     # ------------------------------------------------------------------
     # The one execution entry point
@@ -66,20 +51,38 @@ class Machine:
         When :mod:`repro.obs` is recording, the execution is wrapped
         in a ``sim:run_program`` span and the resulting trace's
         totals land in the ``sim.*`` metric families (instruction
-        counts, cycles, bank-conflict wavefronts) labeled by platform
-        and backend; the simulation itself is identical either way.
+        counts, cycles, bank-conflict wavefronts) labeled by platform;
+        the simulation itself is identical either way.
+
+        Raises :class:`ValueError` when a shared-memory access spans
+        more threads than the machine's CTA has: those threads would
+        silently move nothing.
         """
+        self._check_threads(program)
         if not _obs.is_enabled():
             return self._execute(program, inputs)
         with _obs.span(
             "sim:run_program",
-            backend=self.backend,
             platform=self.spec.name,
             instructions=len(program.instrs),
         ) as sp:
             files, trace = self._execute(program, inputs)
             self._publish_trace_metrics(trace, sp)
         return files, trace
+
+    def _check_threads(self, program: WarpProgram) -> None:
+        threads = self.num_warps * self.spec.warp_size
+        for instr in program.instrs:
+            if (
+                instr.opcode in (Opcode.STS, Opcode.LDS)
+                and instr.accesses.num_threads > threads
+            ):
+                raise ValueError(
+                    f"{instr.opcode.name} spans "
+                    f"{instr.accesses.num_threads} threads; this "
+                    f"machine has {self.num_warps} warps of "
+                    f"{self.spec.warp_size} ({threads} threads)"
+                )
 
     def _execute(
         self, program: WarpProgram, inputs: Dict[str, RegisterFile]
@@ -90,7 +93,9 @@ class Machine:
         the platform and the warp count, so it comes from the
         program's price memo (:func:`program_price`).
         """
-        files, gather_wavefronts = self._interp.run(program, inputs)
+        files, gather_wavefronts = interp.run(
+            program, inputs, self.spec, self.num_warps
+        )
         if gather_wavefronts:
             return files, price_program(
                 program, self.spec, self.num_warps, gather_wavefronts
@@ -114,11 +119,11 @@ class Machine:
             for i in trace.instructions
             if i.kind in self._SHARED_KINDS and i.wavefronts > 1
         )
-        labels = {"platform": self.spec.name, "backend": self.backend}
-        _obs.count("sim.programs", 1, **labels)
-        _obs.count("sim.instructions", issued, **labels)
-        _obs.count("sim.cycles", cycles, **labels)
-        _obs.count("sim.bank_conflicts", conflicts, **labels)
+        platform = self.spec.name
+        _obs.count("sim.programs", 1, platform=platform)
+        _obs.count("sim.instructions", issued, platform=platform)
+        _obs.count("sim.cycles", cycles, platform=platform)
+        _obs.count("sim.bank_conflicts", conflicts, platform=platform)
         sp.set_attrs(
             {"issued": issued, "cycles": cycles,
              "bank_conflicts": conflicts}

@@ -10,65 +10,9 @@ hardware behaves and what Lemma 9.4 predicts.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
-
 import numpy as np
 
 from repro.hardware.spec import GpuSpec
-
-
-class SharedMemory:
-    """Element-addressed shared memory with byte-level bank modeling."""
-
-    def __init__(self, spec: GpuSpec, elem_bytes: int):
-        if elem_bytes < 1:
-            raise ValueError("elem_bytes must be >= 1")
-        self.spec = spec
-        self.elem_bytes = elem_bytes
-        self._data: Dict[int, object] = {}
-
-    # ------------------------------------------------------------------
-    # Data plane
-    # ------------------------------------------------------------------
-    def write(self, offset: int, value: object) -> None:
-        """Store a value at an element offset."""
-        self._data[offset] = value
-
-    def read(self, offset: int) -> object:
-        """Load the value at an element offset; raises if unwritten."""
-        if offset not in self._data:
-            raise KeyError(f"shared read of unwritten offset {offset}")
-        return self._data[offset]
-
-    def __contains__(self, offset: int) -> bool:
-        return offset in self._data
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    # ------------------------------------------------------------------
-    # Cost plane
-    # ------------------------------------------------------------------
-    def wavefronts(self, accesses: Sequence[Tuple[int, int]]) -> int:
-        """Wavefronts for one warp-wide access.
-
-        ``accesses`` is a list of ``(element_offset, num_elements)``
-        per participating lane; see :func:`bank_wavefronts`.  Loads and
-        stores cost the same.
-        """
-        if not accesses:
-            return 0
-        offsets, counts = zip(*accesses)
-        return int(
-            bank_wavefronts(
-                self.spec,
-                self.elem_bytes,
-                np.zeros(len(offsets), dtype=np.int64),
-                np.asarray(offsets, dtype=np.int64),
-                np.asarray(counts, dtype=np.int64),
-                1,
-            )[0]
-        )
 
 
 def bank_wavefronts(

@@ -131,3 +131,21 @@ def get_platform(name: str) -> GpuSpec:
         raise KeyError(
             f"unknown platform {name!r}; choose from {sorted(PLATFORMS)}"
         ) from None
+
+
+def check_num_warps(num_warps: int) -> int:
+    """``num_warps`` if it is a positive power-of-two ``int``.
+
+    Raises :class:`ValueError` otherwise, ``bool`` included.  Any other
+    count fails deep inside compilation (``0`` divides by zero),
+    silently builds anchors for another warp count, or runs a
+    simulated CTA of the wrong size.
+    """
+    if (
+        not isinstance(num_warps, int)
+        or isinstance(num_warps, bool)
+        or num_warps < 1
+        or num_warps & (num_warps - 1)
+    ):
+        raise ValueError(f"num_warps must be a positive power of two: {num_warps!r}")
+    return num_warps

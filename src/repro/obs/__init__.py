@@ -6,7 +6,7 @@ them observable.  Every layer of the stack — pipeline passes
 (:mod:`repro.engine.pipeline`), the serve request lifecycle
 (:mod:`repro.serve.service`), the bounded caches
 (:mod:`repro.cache`), plan lowering (:mod:`repro.codegen.plan`), and
-both simulator backends (:mod:`repro.gpusim.machine`) — emits
+the simulator (:mod:`repro.gpusim.machine`) — emits
 hierarchical spans and labeled metrics through this one
 zero-dependency API:
 

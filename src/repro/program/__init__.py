@@ -3,10 +3,10 @@
 One instruction stream for everything the backend does with a lowered
 layout operation: the planners of :mod:`repro.codegen` produce it
 (conversions, and both gather lowerings of :mod:`repro.codegen.gather`),
-two interpreters execute it (:mod:`repro.program.interp` — a NumPy
-vectorized default and a scalar differential-testing oracle), the cost
-model prices it (:func:`repro.gpusim.opcost.price_program`), and JSON
-round-trips it (:mod:`repro.program.serialize`).
+the NumPy-vectorized interpreter executes it
+(:func:`repro.program.interp.run`), the cost model prices it
+(:func:`repro.gpusim.opcost.price_program`), and JSON round-trips it
+(:mod:`repro.program.serialize`).
 """
 
 from repro.program.ir import (
@@ -25,11 +25,6 @@ from repro.program.ir import (
     WarpProgram,
     instr_class,
     instr_fields,
-)
-from repro.program.interp import (
-    ScalarInterpreter,
-    VectorInterpreter,
-    make_interpreter,
 )
 from repro.program.lower import lower_plan
 from repro.program.serialize import (
@@ -50,15 +45,12 @@ __all__ = [
     "R_IDX",
     "R_IN",
     "R_OUT",
-    "ScalarInterpreter",
     "Shfl",
     "Sts",
-    "VectorInterpreter",
     "WarpProgram",
     "instr_class",
     "instr_fields",
     "lower_plan",
-    "make_interpreter",
     "program_from_dict",
     "program_from_json",
     "program_to_dict",

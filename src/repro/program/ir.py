@@ -347,7 +347,7 @@ class WarpProgram:
         The maximum register index any instruction reads from or
         writes to the space, plus one (zero when untouched).
         Memoized in :attr:`scratch` — access lists can be large and
-        the interpreters ask on every run.
+        the interpreter asks on every run.
         """
         key = ("nregs", space)
         cached = self.scratch.get(key)

@@ -42,9 +42,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 from repro import cache as _cache
 from repro.engine import compile as _engine_compile
 from repro.engine.engine import CompiledKernel
-from repro.engine.pipeline import check_num_warps
 from repro.gpusim.opcost import policy_for_mode
-from repro.hardware.spec import PLATFORMS
+from repro.hardware.spec import PLATFORMS, check_num_warps
 from repro.kernels import KERNELS
 from repro.obs import core as _obs
 from repro.serve.stats import RequestStats, ServiceReport

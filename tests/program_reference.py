@@ -1,0 +1,284 @@
+"""Per-lane reference interpreter for warp programs.
+
+:func:`repro.program.interp.run` executes a program with whole-warp
+NumPy gathers and scatters.  This module keeps the historical per-lane
+execution loops, one Python step per (warp, lane, register) slot over
+a dict-backed :class:`SharedMemory`, as the differential-testing
+oracle: :func:`run_reference` must give the same register files as
+:class:`~repro.gpusim.Machine`, and pricing its measured gather
+wavefronts must give the same trace.  Only tests import it.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.codegen.views import DistributedView
+from repro.core.dims import LANE, REGISTER, WARP
+from repro.gpusim.memory import bank_wavefronts
+from repro.gpusim.opcost import price_program
+from repro.gpusim.registers import RegisterFile
+from repro.gpusim.trace import Trace
+from repro.hardware.spec import GpuSpec
+from repro.program.interp import _axis_field, gather_lds_wavefronts
+from repro.program.ir import Opcode, R_IN, WarpProgram
+
+
+class SharedMemory:
+    """Element-addressed shared memory with byte-level bank modeling."""
+
+    def __init__(self, spec: GpuSpec, elem_bytes: int):
+        if elem_bytes < 1:
+            raise ValueError("elem_bytes must be >= 1")
+        self.spec = spec
+        self.elem_bytes = elem_bytes
+        self._data: Dict[int, object] = {}
+
+    # ------------------------------------------------------------------
+    # Data plane
+    # ------------------------------------------------------------------
+    def write(self, offset: int, value: object) -> None:
+        """Store a value at an element offset."""
+        self._data[offset] = value
+
+    def read(self, offset: int) -> object:
+        """Load the value at an element offset; raises if unwritten."""
+        if offset not in self._data:
+            raise KeyError(f"shared read of unwritten offset {offset}")
+        return self._data[offset]
+
+    def __contains__(self, offset: int) -> bool:
+        return offset in self._data
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    # ------------------------------------------------------------------
+    # Cost plane
+    # ------------------------------------------------------------------
+    def wavefronts(self, accesses: Sequence[Tuple[int, int]]) -> int:
+        """Wavefronts for one warp-wide access.
+
+        ``accesses`` is a list of ``(element_offset, num_elements)``
+        per participating lane; see :func:`bank_wavefronts`.  Loads and
+        stores cost the same.
+        """
+        if not accesses:
+            return 0
+        offsets, counts = zip(*accesses)
+        return int(
+            bank_wavefronts(
+                self.spec,
+                self.elem_bytes,
+                np.zeros(len(offsets), dtype=np.int64),
+                np.asarray(offsets, dtype=np.int64),
+                np.asarray(counts, dtype=np.int64),
+                1,
+            )[0]
+        )
+
+
+class ScalarInterpreter:
+    """Per-lane reference execution of warp programs.
+
+    Slow and obviously correct: every instruction is a Python loop
+    over (warp, lane, register) slots, preserved verbatim from the
+    original plan executor.
+    """
+
+    def __init__(self, spec: GpuSpec, num_warps: int):
+        self.spec = spec
+        self.num_warps = num_warps
+
+    def run(
+        self, program: WarpProgram, inputs: Dict[str, RegisterFile]
+    ) -> Tuple[Dict[str, RegisterFile], Tuple[int, ...]]:
+        """Execute; returns (register spaces, gather-load wavefronts)."""
+        gather_wavefronts: List[int] = []
+        files: Dict[str, RegisterFile] = dict(inputs)
+        anchor = next(iter(inputs.values()))
+        dims = (anchor.num_warps, anchor.warp_size)
+        memory: Optional[SharedMemory] = None
+        for instr in program.instrs:
+            op = instr.opcode
+            if op == Opcode.MOVR:
+                files[instr.dst] = self._movr(instr, files[instr.src], dims)
+            elif op == Opcode.SHFL:
+                if instr.dst not in files:
+                    files[instr.dst] = RegisterFile(*dims)
+                self._shfl(instr, files[instr.src], files[instr.dst])
+            elif op == Opcode.STS:
+                memory = SharedMemory(self.spec, instr.elem_bytes)
+                self._sts(instr, files[instr.src], memory)
+            elif op == Opcode.LDS:
+                if memory is None:
+                    raise RuntimeError("LDS before any STS")
+                out = RegisterFile(*dims)
+                self._lds(instr, out, memory)
+                files[instr.dst] = out
+            elif op == Opcode.GATHER_SHFL:
+                files[instr.dst] = self._gather_shfl(
+                    instr, files[instr.src], files[instr.index], dims
+                )
+            elif op == Opcode.GATHER_STS:
+                memory = SharedMemory(self.spec, instr.elem_bytes)
+                self._gather_sts(instr, files[instr.src], memory)
+            elif op == Opcode.GATHER_LDS:
+                if memory is None:
+                    raise RuntimeError("GATHER_LDS before any store")
+                out = RegisterFile(*dims)
+                gather_wavefronts.append(
+                    self._gather_lds(instr, out, files[instr.index], memory)
+                )
+                files[instr.dst] = out
+            elif op != Opcode.BAR:  # pragma: no cover
+                raise TypeError(f"unknown instruction {instr!r}")
+        return files, tuple(gather_wavefronts)
+
+    # -- conversion instructions ---------------------------------------
+    def _movr(self, instr, src: RegisterFile, dims) -> RegisterFile:
+        dst = RegisterFile(*dims)
+        for w in range(instr.warps):
+            for lane in range(instr.lanes):
+                for new_reg, old_reg in enumerate(instr.dst_to_src):
+                    dst.write(w, lane, new_reg, src.read(w, lane, old_reg))
+        return dst
+
+    def _shfl(self, instr, src: RegisterFile, dst: RegisterFile) -> None:
+        for w in range(instr.warps):
+            for lane, s_lane in enumerate(instr.src_lane):
+                for s_reg, d_reg in zip(
+                    instr.send_regs[s_lane], instr.recv_regs[lane]
+                ):
+                    dst.write(w, lane, d_reg, src.read(w, s_lane, s_reg))
+
+    def _requests(self, accesses, warp: int, k: int) -> List[Tuple]:
+        ws = self.spec.warp_size
+        out = []
+        for lane in range(ws):
+            tid = warp * ws + lane
+            if tid >= len(accesses):
+                continue
+            lane_accesses = accesses[tid]
+            if k < len(lane_accesses):
+                base, regs = lane_accesses[k]
+                out.append((lane, base, regs))
+        return out
+
+    def _sts(self, instr, src: RegisterFile, memory: SharedMemory) -> None:
+        accesses = instr.accesses.to_tuples()
+        for k in range(instr.accesses.max_accesses):
+            for w in range(self.num_warps):
+                for lane, base, regs in self._requests(accesses, w, k):
+                    for j, reg in enumerate(regs):
+                        memory.write(base + j, src.read(w, lane, reg))
+
+    def _lds(self, instr, dst: RegisterFile, memory: SharedMemory) -> None:
+        accesses = instr.accesses.to_tuples()
+        for k in range(instr.accesses.max_accesses):
+            for w in range(self.num_warps):
+                for lane, base, regs in self._requests(accesses, w, k):
+                    for j, reg in enumerate(regs):
+                        dst.write(w, lane, reg, memory.read(base + j))
+
+    # -- gather instructions -------------------------------------------
+    def _gather_shfl(
+        self, instr, src: RegisterFile, index: RegisterFile, dims
+    ) -> RegisterFile:
+        layout = instr.layout
+        view = DistributedView(layout)
+        out = RegisterFile(*dims)
+        regs = layout.in_dim_size(REGISTER)
+        lanes = layout.in_dim_size(LANE)
+        warps = layout.in_dim_size(WARP)
+        shift, mask = _axis_field(layout, instr.axis)
+        for w in range(warps):
+            for lane in range(lanes):
+                for r in range(regs):
+                    pos = index.read(w, lane, r)
+                    here = view.flat_of(
+                        {REGISTER: r, LANE: lane, WARP: w}
+                    )
+                    src_flat = (here & ~mask) | (int(pos) << shift)
+                    owner = view.owner_of(src_flat)
+                    out.write(
+                        w,
+                        lane,
+                        r,
+                        src.read(
+                            w,
+                            owner.get(LANE, 0),
+                            owner.get(REGISTER, 0),
+                        ),
+                    )
+        return out
+
+    def _gather_sts(
+        self, instr, src: RegisterFile, memory: SharedMemory
+    ) -> None:
+        layout = instr.layout
+        view = DistributedView(layout)
+        for w in range(layout.in_dim_size(WARP)):
+            for lane in range(layout.in_dim_size(LANE)):
+                for r in range(layout.in_dim_size(REGISTER)):
+                    p = view.flat_of({REGISTER: r, LANE: lane, WARP: w})
+                    memory.write(p, src.read(w, lane, r))
+
+    def _gather_lds(
+        self, instr, dst: RegisterFile, index: RegisterFile,
+        memory: SharedMemory,
+    ) -> int:
+        layout = instr.layout
+        view = DistributedView(layout)
+        regs = layout.in_dim_size(REGISTER)
+        lanes = layout.in_dim_size(LANE)
+        warps = layout.in_dim_size(WARP)
+        shift, mask = _axis_field(layout, instr.axis)
+        offsets = [
+            [[0] * regs for _ in range(lanes)] for _ in range(warps)
+        ]
+        for w in range(warps):
+            for lane in range(lanes):
+                for r in range(regs):
+                    pos = index.read(w, lane, r)
+                    here = view.flat_of(
+                        {REGISTER: r, LANE: lane, WARP: w}
+                    )
+                    src_flat = (here & ~mask) | (int(pos) << shift)
+                    offsets[w][lane][r] = src_flat
+                    dst.write(w, lane, r, memory.read(src_flat))
+        return gather_lds_wavefronts(
+            self.spec, instr.elem_bytes, offsets, warps, lanes, regs
+        )
+
+
+def run_reference(
+    spec: GpuSpec,
+    num_warps: int,
+    program: WarpProgram,
+    inputs: Dict[str, RegisterFile],
+) -> Tuple[Dict[str, RegisterFile], Trace]:
+    """(register spaces, trace) of a per-lane run.
+
+    The trace is ``price_program(program, spec, num_warps, measured)``
+    with the gather wavefronts this interpreter measured: the trace
+    :meth:`Machine.run_program <repro.gpusim.Machine.run_program>` must
+    return for the same run.
+    """
+    files, gather_wavefronts = ScalarInterpreter(spec, num_warps).run(
+        program, inputs
+    )
+    return files, price_program(program, spec, num_warps, gather_wavefronts)
+
+
+def reference_conversion(spec: GpuSpec, num_warps: int, plan, src):
+    """(dst registers, trace) of a conversion plan's per-lane run, as
+    :meth:`Machine.run_conversion <repro.gpusim.Machine.run_conversion>`
+    returns them."""
+    program = plan.program
+    if not program.instrs:
+        return src.copy(), Trace(spec)
+    files, trace = run_reference(spec, num_warps, program, {R_IN: src})
+    return files[program.result], trace

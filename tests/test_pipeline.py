@@ -257,6 +257,20 @@ class TestDiagnostics:
             CostSummary().run(ctx, PassDiagnostics(name="cost-summary"))
 
 
+    def test_compile_requires_a_trace(self):
+        """A pipeline that never lowers is an error, not an ``ok``
+        kernel without a trace."""
+        from repro.engine.passes import AnchorSelection
+
+        kb = KernelBuilder()
+        kb.store(kb.load((32, 32), F16))
+        with pytest.raises(ValueError, match="LowerToPlans"):
+            compile_graph(
+                kb.graph, RTX4090, "linear",
+                passes=PassManager([AnchorSelection()]),
+            )
+
+
 class TestAnchorSelection:
     def test_balanced_warps_prefers_longer_dimension(self):
         assert balanced_warps(4, 128, 32, 16, 8) == (4, 1)

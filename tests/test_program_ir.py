@@ -1,9 +1,10 @@
 """The unified warp-program IR: planner output, interpreters, lowering.
 
-The heavyweight property: random src/dst layout pairs executed
-through the vectorized interpreter match the scalar oracle AND direct
-``LinearLayout`` evaluation bit-for-bit — register files *and*
-traces.  Every plan kind emits one fixed program shape.
+The heavyweight property: random src/dst layout pairs executed by
+the machine match the per-lane reference interpreter
+(``tests/program_reference.py``) AND direct ``LinearLayout``
+evaluation bit-for-bit — register files *and* traces.  Every plan
+kind emits one fixed program shape.
 """
 
 import random
@@ -34,6 +35,7 @@ from repro.layouts import BlockedLayout, NvidiaMmaLayout
 from repro.mxfp import F16, F32, F8E5M2
 from repro.program import (
     Opcode,
+    R_IDX,
     R_IN,
     R_OUT,
     lower_plan,
@@ -41,6 +43,7 @@ from repro.program import (
     program_to_json,
 )
 
+from tests.program_reference import reference_conversion, run_reference
 from tests.test_gpusim import run_gather
 from tests.test_random_layout_conversions import (
     random_distributed_layout,
@@ -49,35 +52,34 @@ from tests.test_shared_access_oracle import conversion_cases
 from tests.test_shuffle_oracle import shuffle_pairs
 
 
-def both_machines(spec=RTX4090, num_warps=4):
-    return (
-        Machine(spec, num_warps, backend="scalar"),
-        Machine(spec, num_warps, backend="vector"),
-    )
+def assert_matches_reference(spec, num_warps, plan, registers):
+    """Run a plan on the machine and on the per-lane reference: the
+    register files must match bit for bit and the traces must be
+    equal.  Returns the machine's (registers, trace)."""
+    out_s, trace_s = reference_conversion(spec, num_warps, plan, registers)
+    out_v, trace_v = Machine(spec, num_warps).run_conversion(plan, registers)
+    assert out_s.as_dict() == out_v.as_dict()
+    assert trace_s.instructions == trace_v.instructions
+    return out_v, trace_v
 
 
 class TestInterpreterEquivalence:
-    """Vectorized == scalar oracle == direct layout evaluation."""
+    """Machine == per-lane reference == direct layout evaluation."""
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_random_pairs_all_backends_bit_for_bit(self, seed):
+    def test_random_pairs_match_reference_bit_for_bit(self, seed):
         rng = random.Random(seed)
         shape = {"dim0": 16, "dim1": 32}
         src = random_distributed_layout(rng, 9, shape=shape)
         dst = random_distributed_layout(rng, 9, shape=shape)
         plan = plan_conversion(src, dst, elem_bits=16, spec=RTX4090)
-        scalar, vector = both_machines()
         registers = distributed_data(src, 4, 32)
-        out_s, trace_s = scalar.run_conversion(plan, registers)
-        out_v, trace_v = vector.run_conversion(plan, registers)
-        # Bit-for-bit register files and identical traces.
-        assert out_s.as_dict() == out_v.as_dict()
-        assert trace_s.instructions == trace_v.instructions
+        out, _ = assert_matches_reference(RTX4090, 4, plan, registers)
         # And both agree with what the layouts say directly.
-        assert_matches_layout(out_v, dst)
+        assert_matches_layout(out, dst)
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_broadcast_pairs_all_backends(self, seed):
+    def test_broadcast_pairs_match_reference(self, seed):
         rng = random.Random(300 + seed)
         shape = {"dim0": 16, "dim1": 32}
         src = random_distributed_layout(
@@ -87,13 +89,21 @@ class TestInterpreterEquivalence:
             rng, 9, extra_reg_bits=1, shape=shape
         )
         plan = plan_conversion(src, dst, elem_bits=32, spec=GH200)
-        scalar, vector = both_machines(GH200)
         registers = distributed_data(src, 4, 32)
-        out_s, trace_s = scalar.run_conversion(plan, registers)
-        out_v, trace_v = vector.run_conversion(plan, registers)
-        assert out_s.as_dict() == out_v.as_dict()
-        assert trace_s.instructions == trace_v.instructions
-        assert_matches_layout(out_v, dst)
+        out, _ = assert_matches_reference(GH200, 4, plan, registers)
+        assert_matches_layout(out, dst)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_pairs_at_warp_64_match_reference(self, seed):
+        """64-lane MI250 wavefronts, shuffle and shared plans alike."""
+        rng = random.Random(600 + seed)
+        shape = {"dim0": 16, "dim1": 64}
+        src = random_distributed_layout(rng, 10, lane_bits=6, shape=shape)
+        dst = random_distributed_layout(rng, 10, lane_bits=6, shape=shape)
+        plan = plan_conversion(src, dst, elem_bits=16, spec=MI250)
+        registers = distributed_data(src, 4, 64)
+        out, _ = assert_matches_reference(MI250, 4, plan, registers)
+        assert_matches_layout(out, dst)
 
     def test_pricing_agrees_with_execution_counts(self):
         src = BlockedLayout((1, 4), (8, 4), (2, 2), (1, 0)).to_linear(
@@ -116,10 +126,10 @@ class TestInterpreterEquivalence:
 
 
 @pytest.mark.slow
-def test_vector_backend_at_least_3x_scalar_on_fig7():
-    """The vectorized interpreter, the one the engine ships, runs the
-    Figure 7 suite (shuffle and padded shared plans, f8/f16/f32 at
-    32/64/128 on GH200) at least 3x faster than the scalar oracle."""
+def test_machine_at_least_3x_reference_on_fig7():
+    """The machine runs the Figure 7 suite (shuffle and padded shared
+    plans, f8/f16/f32 at 32/64/128 on GH200) at least 3x faster than
+    the per-lane reference interpreter."""
     cases = []
     for dtype in (F8E5M2, F16, F32):
         for size in (32, 64, 128):
@@ -141,31 +151,39 @@ def test_vector_backend_at_least_3x_scalar_on_fig7():
                 cases.append((plan, registers))
     assert len(cases) == 18
 
-    def run_all(machine, iters):
+    def run_all(run_conversion, iters):
         start = time.perf_counter()
         for _ in range(iters):
             for plan, registers in cases:
-                machine.run_conversion(plan, registers)
+                run_conversion(plan, registers)
         return time.perf_counter() - start
 
-    scalar, vector = both_machines(GH200)
+    machine = Machine(GH200, 4)
+
+    def reference(plan, registers):
+        return reference_conversion(GH200, 4, plan, registers)
+
     # One warm pass each, so cached index plans and layout derivations
     # bill neither timed run.
-    run_all(scalar, 1)
-    run_all(vector, 1)
-    assert run_all(scalar, 3) / run_all(vector, 3) >= 3.0
+    run_all(reference, 1)
+    run_all(machine.run_conversion, 1)
+    assert (
+        run_all(reference, 3) / run_all(machine.run_conversion, 3) >= 3.0
+    )
 
 
-class TestGatherBackends:
-    def _setup(self):
-        layout = BlockedLayout((1, 2), (4, 8), (4, 1), (1, 0)).to_linear(
-            (16, 16)
-        )
+class TestGatherPrograms:
+    def _setup(self, layout=None, spec=RTX4090):
+        if layout is None:
+            layout = BlockedLayout(
+                (1, 2), (4, 8), (4, 1), (1, 0)
+            ).to_linear((16, 16))
+        ws = spec.warp_size
         view = DistributedView(layout)
-        src = distributed_data(layout, 4, 32)
-        index = RegisterFile(4, 32)
+        src = distributed_data(layout, 4, ws)
+        index = RegisterFile(4, ws)
         for w in range(4):
-            for lane in range(32):
+            for lane in range(ws):
                 for r in range(layout.in_dim_size(REGISTER)):
                     p = view.flat_of(
                         {REGISTER: r, LANE: lane, WARP: w}
@@ -173,23 +191,33 @@ class TestGatherBackends:
                     index.write(w, lane, r, (p * 7 + 3) % 16)
         return layout, src, index
 
-    def test_gather_shuffle_backends_agree(self):
-        layout, src, index = self._setup()
-        scalar, vector = both_machines()
-        program = gather_shuffle_program(layout, 1)
-        out_s, trace_s = run_gather(scalar, program, src, index)
-        out_v, trace_v = run_gather(vector, program, src, index)
-        assert out_s.as_dict() == out_v.as_dict()
+    def _assert_matches_reference(self, program, spec=RTX4090, layout=None):
+        """The machine's gather matches the per-lane reference: same
+        registers, and the same trace as pricing the reference's
+        measured gather wavefronts."""
+        _, src, index = self._setup(layout, spec)
+        inputs = {R_IN: src, R_IDX: index}
+        files, trace_s = run_reference(spec, 4, program, inputs)
+        out_v, trace_v = run_gather(Machine(spec, 4), program, src, index)
+        assert files[program.result].as_dict() == out_v.as_dict()
         assert trace_s.instructions == trace_v.instructions
 
-    def test_gather_shared_backends_agree(self):
-        layout, src, index = self._setup()
-        scalar, vector = both_machines()
-        program = gather_shared_program(layout, 1)
-        out_s, trace_s = run_gather(scalar, program, src, index)
-        out_v, trace_v = run_gather(vector, program, src, index)
-        assert out_s.as_dict() == out_v.as_dict()
-        assert trace_s.instructions == trace_v.instructions
+    def test_gather_shuffle_matches_reference(self):
+        layout, _, _ = self._setup()
+        self._assert_matches_reference(gather_shuffle_program(layout, 1))
+
+    def test_gather_shared_matches_reference(self):
+        layout, _, _ = self._setup()
+        self._assert_matches_reference(gather_shared_program(layout, 1))
+
+    @pytest.mark.parametrize(
+        "lower", [gather_shuffle_program, gather_shared_program]
+    )
+    def test_gather_at_warp_64_matches_reference(self, lower):
+        layout = BlockedLayout((1, 2), (8, 8), (4, 1), (1, 0)).to_linear(
+            (32, 16)
+        )
+        self._assert_matches_reference(lower(layout, 1), MI250, layout)
 
     def test_gather_program_shuffle_count(self):
         layout, _, _ = self._setup()
@@ -315,16 +343,20 @@ def test_static_price_matches_executed_trace(case, mode, bits):
 
     ``price_program`` at its default of one warp emits exactly the
     records the machine emits after running the plan with data on
-    every warp, on both backends: no width floor, no worse warp.
+    every warp, and so does pricing the per-lane reference's run: no
+    width floor, no worse warp.  The run itself matches the reference
+    bit for bit on every plan kind; the random pairs above all plan
+    through shared memory, so this is what holds ``MOVR`` and ``SHFL``
+    (32 and 64 lanes) to the reference.
     """
     spec, src, dst = case
     plan = plan_conversion(src, dst, bits, spec=spec, swizzle_mode=mode)
     priced = price_program(plan.program, spec).instructions
     warps = max(src.in_dim_size(WARP), dst.in_dim_size(WARP))
     registers = distributed_data(src, warps, spec.warp_size)
-    for machine in both_machines(spec, warps):
-        _, trace = machine.run_conversion(plan, registers)
-        assert trace.instructions == priced
+    out, trace = assert_matches_reference(spec, warps, plan, registers)
+    assert trace.instructions == priced
+    assert_matches_layout(out, dst)
 
 
 @pytest.mark.parametrize("mode", ["linear", "legacy"])

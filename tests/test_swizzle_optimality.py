@@ -12,10 +12,11 @@ import pytest
 
 from repro.codegen.conversion import plan_conversion
 from repro.core import LANE, LinearLayout, REGISTER, WARP
-from repro.gpusim.memory import SharedMemory
 from repro.gpusim.opcost import price_program
 from repro.hardware import GH200
 from repro.program import Opcode
+
+from tests.program_reference import SharedMemory
 
 SHARED = (Opcode.STS, Opcode.LDS)
 
