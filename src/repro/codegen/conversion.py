@@ -16,7 +16,7 @@ and destination distributed layouts it picks, in order of preference,
 from __future__ import annotations
 
 import enum
-from typing import List, Optional, Sequence, Tuple
+from typing import Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -183,6 +183,7 @@ def _vec_bit_positions(
 
 def _shared_accesses(
     layout: LinearLayout,
+    staging: Hashable,
     offsets: np.ndarray,
     num_warps: int,
     warp_size: int,
@@ -194,11 +195,51 @@ def _shared_accesses(
     """Per-CTA-thread vectorized access lists for a layout.
 
     ``offsets[p]`` is the shared element offset of flattened logical
-    position ``p``.  Positions come from the layout's whole-range F2
-    slot table (as in :func:`~repro.codegen.views.slot_table`), so
-    nothing here runs per element.  With ``dedupe_broadcast`` (linear mode),
-    replicas — hardware indices whose free bits are non-zero — are
-    skipped, which is the Table 4 instruction saving.
+    position ``p``; ``staging`` identifies them (the staging layout's
+    canonical key, or the legacy padding parameters).  The table is
+    memoized in :data:`repro.cache.plans` on the layout, the staging,
+    the warp count and size and the vector options.  No
+    :class:`GpuSpec` is in the key, so a conversion planned on two
+    platforms that agree on all of these builds its tables once.
+    """
+    key = (
+        "shared_accesses",
+        layout.canonical_key(),
+        staging,
+        num_warps,
+        warp_size,
+        max_vec_elems,
+        dedupe_broadcast,
+        None if vec_basis is None else tuple(vec_basis),
+        sort_by_offset,
+    )
+    return _cache.cached(
+        _cache.plans,
+        key,
+        lambda: _build_accesses(
+            layout, offsets, num_warps, warp_size, max_vec_elems,
+            dedupe_broadcast, vec_basis, sort_by_offset,
+        ),
+    )
+
+
+def _build_accesses(
+    layout: LinearLayout,
+    offsets: np.ndarray,
+    num_warps: int,
+    warp_size: int,
+    max_vec_elems: int,
+    dedupe_broadcast: bool,
+    vec_basis: Optional[Sequence[int]] = None,
+    sort_by_offset: bool = False,
+) -> SharedAccesses:
+    """The uncached :func:`_shared_accesses`.
+
+    Positions come from the layout's whole-range F2 slot table (as in
+    :func:`~repro.codegen.views.slot_table`), so nothing here runs per
+    element.  With ``dedupe_broadcast`` (linear mode), replicas —
+    hardware indices whose free bits are non-zero — are skipped, which
+    is the Table 4 instruction saving.
 
     When ``vec_basis`` is given (the optimal-swizzle path), registers
     are enumerated so the Vec-subspace register bits run fastest —
@@ -464,6 +505,7 @@ def _plan_conversion_uncached(
         # padding.  Strided access patterns conflict maximally here —
         # this is what the optimal-swizzling algorithm is up against.
         offsets = np.arange(1 << d, dtype=np.int64)
+        staging = ("none",)
         max_vec = max(1, spec.max_vector_bits // elem_bits)
         shared_bytes = (1 << d) * elem_bytes
         notes.append("unswizzled staging (ablation)")
@@ -478,6 +520,7 @@ def _plan_conversion_uncached(
         row_elems = spec.bank_row_bytes // elem_bytes
         flat = np.arange(1 << d, dtype=np.int64)
         offsets = flat + (flat // row_elems) * pad_elems
+        staging = ("padded", row_elems, pad_elems)
 
         # Each side vectorizes by whatever contiguity survives the
         # padding; the grouping below discovers it per lane.
@@ -489,11 +532,11 @@ def _plan_conversion_uncached(
         raise ValueError(f"unknown swizzle_mode {swizzle_mode!r}")
 
     stores = _shared_accesses(
-        src, offsets, num_warps, spec.warp_size,
+        src, staging, offsets, num_warps, spec.warp_size,
         max_vec, dedupe_broadcast, sort_by_offset=True,
     )
     loads = _shared_accesses(
-        dst, offsets, num_warps, spec.warp_size,
+        dst, staging, offsets, num_warps, spec.warp_size,
         max_vec, dedupe_broadcast=False, sort_by_offset=True,
     )
     return ConversionPlan(
@@ -595,13 +638,14 @@ def _swizzled_program(
     from repro.hardware.instructions import ldmatrix_tile
 
     elem_bytes = max(1, elem_bits // 8)
+    staging = swplan.memory_layout.canonical_key()
     offsets = _swizzled_offsets(swplan.memory_layout)
     stores = _shared_accesses(
-        src, offsets, num_warps, spec.warp_size,
+        src, staging, offsets, num_warps, spec.warp_size,
         swplan.vec_elems, dedupe_broadcast, vec_basis=swplan.vec_basis,
     )
     loads = _shared_accesses(
-        dst, offsets, num_warps, spec.warp_size,
+        dst, staging, offsets, num_warps, spec.warp_size,
         swplan.vec_elems, dedupe_broadcast=False,
         vec_basis=swplan.vec_basis,
     )

@@ -142,7 +142,8 @@ def _plan_warp_shuffle(
     registers are gathered from the layouts' :func:`owner_table`;
     the canonical owner has its broadcast register bits at zero, so
     the registers come out already mapped from the deduplicated
-    quotient back to real indices.
+    quotient back to real indices.  Each round's operands are row views
+    of the read-only ``(rounds x lanes [x vec])`` tables.
     """
     from repro.program.ir import MovR, R_OUT, Shfl
 
@@ -217,18 +218,13 @@ def _plan_warp_shuffle(
     src_lane[rows, d_lane] = s_lane
     send_regs[rows, s_lane] = src_owner[pos, 0]
     recv_regs[rows, d_lane] = dst_owner[pos, 0]
+    # Read-only, so each round's Shfl keeps its row views uncopied.
+    for table in (src_lane, send_regs, recv_regs):
+        table.flags.writeable = False
     warps = src_layout.in_dim_size(WARP)
     instrs: List[object] = [
-        Shfl(
-            src_lane=tuple(lanes),
-            send_regs=tuple(map(tuple, send)),
-            recv_regs=tuple(map(tuple, recv)),
-            warps=warps,
-            insts=insts,
-        )
-        for lanes, send, recv in zip(
-            src_lane.tolist(), send_regs.tolist(), recv_regs.tolist()
-        )
+        Shfl(src_lane[r], send_regs[r], recv_regs[r], warps, insts)
+        for r in range(heads.shape[0])
     ]
     n_dst_bits = dst_layout.in_dim_size_log2(REGISTER)
     free_mask = sum(

@@ -170,6 +170,39 @@ class LinearLayout:
         self._init(flat, outs, require_surjective)
 
     @classmethod
+    def from_flat(
+        cls,
+        columns: Mapping[str, Sequence[int]],
+        out_dims: Mapping[str, int],
+        require_surjective: bool = True,
+    ) -> "LinearLayout":
+        """Build from the matrix's columns, written down directly.
+
+        ``columns[in_dim][bit]`` is the image of that input bit with
+        the output coordinates flattened row-major (the last out dim
+        in the low bits), the form :meth:`basis_images_flat` returns.
+        A construction that proves its result surjective passes
+        ``require_surjective=False`` and skips the rank check.
+        """
+        outs: Dict[str, int] = {}
+        for name, size in out_dims.items():
+            log2_int(size)
+            outs[name] = size
+        bound = 1 << sum(log2_int(size) for size in outs.values())
+        flat: Columns = {}
+        for in_dim, vecs in columns.items():
+            flat[in_dim] = tuple(int(v) for v in vecs)
+            for v in flat[in_dim]:
+                if not 0 <= v < bound:
+                    raise DimensionError(
+                        f"column {v} of {in_dim!r} exceeds the output "
+                        f"space 2**{bound.bit_length() - 1}"
+                    )
+        layout = cls.__new__(cls)
+        layout._init(flat, outs, require_surjective)
+        return layout
+
+    @classmethod
     def _from_flat(cls, flat: Columns, out_dims: Dict[str, int]) -> "LinearLayout":
         """Build from row-major flat columns already known to fit."""
         layout = cls.__new__(cls)
@@ -192,11 +225,9 @@ class LinearLayout:
         self._key = CanonicalKey((tuple(flat.items()), tuple(out_dims.items())))
         self._hash = hash(self._key)
         self._memo: Dict[object, object] = {}
-        self._surjective = (
-            rank([v for columns in flat.values() for v in columns])
-            == self._out_bits
-        )
-        if require_surjective and not self._surjective:
+        # Computed on first use: most layouts never ask.
+        self._surjective: Optional[bool] = None
+        if require_surjective and not self.is_surjective():
             raise LayoutError(
                 "layout is not surjective onto its codomain; pass "
                 "require_surjective=False if this is intentional"
@@ -490,6 +521,11 @@ class LinearLayout:
     # ------------------------------------------------------------------
     def is_surjective(self) -> bool:
         """True iff the image is the whole output space."""
+        if self._surjective is None:
+            self._surjective = (
+                rank([v for vs in self._flat.values() for v in vs])
+                == self._out_bits
+            )
         return self._surjective
 
     def is_injective(self) -> bool:
@@ -499,7 +535,7 @@ class LinearLayout:
 
     def is_invertible(self) -> bool:
         """True iff the map is a bijection."""
-        return self._surjective and self.total_in_bits() == self._out_bits
+        return self.is_surjective() and self.total_in_bits() == self._out_bits
 
     def is_trivially_injective_in(self, in_dim: str) -> bool:
         """True iff the bases of ``in_dim`` alone are independent."""
@@ -612,7 +648,7 @@ class LinearLayout:
         representative that promotes broadcasting (Section 5.4).  Every
         output bit is in the image, so each unit column has a preimage.
         """
-        if not self._surjective:
+        if not self.is_surjective():
             raise NonInvertibleLayoutError(
                 "right inverse requires surjectivity"
             )
@@ -640,7 +676,7 @@ class LinearLayout:
                 f"conversion requires equal codomains: "
                 f"{self._out_dims} vs {other._out_dims}"
             )
-        if not other._surjective:
+        if not other.is_surjective():
             raise NonInvertibleLayoutError(
                 "destination layout must be surjective"
             )

@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.codegen.plan import ConversionPlan
+from repro.core.dims import WARP
 from repro.gpusim.opcost import price_program, program_price
 from repro.gpusim.registers import RegisterFile
 from repro.gpusim.trace import Trace
@@ -54,9 +55,11 @@ class Machine:
         counts, cycles, bank-conflict wavefronts) labeled by platform;
         the simulation itself is identical either way.
 
-        Raises :class:`ValueError` when a shared-memory access spans
-        more threads than the machine's CTA has: those threads would
-        silently move nothing.
+        Raises :class:`ValueError` when an instruction spans more of
+        the CTA than the machine has: a shared-memory access over more
+        threads (they would silently move nothing), or a register
+        move, shuffle or gather over more warps (they would fill warps
+        the run is not priced for).
         """
         self._check_threads(program)
         if not _obs.is_enabled():
@@ -73,15 +76,26 @@ class Machine:
     def _check_threads(self, program: WarpProgram) -> None:
         threads = self.num_warps * self.spec.warp_size
         for instr in program.instrs:
-            if (
-                instr.opcode in (Opcode.STS, Opcode.LDS)
-                and instr.accesses.num_threads > threads
-            ):
+            op = instr.opcode
+            if op in (Opcode.STS, Opcode.LDS):
+                if instr.accesses.num_threads > threads:
+                    raise ValueError(
+                        f"{op.name} spans "
+                        f"{instr.accesses.num_threads} threads; this "
+                        f"machine has {self.num_warps} warps of "
+                        f"{self.spec.warp_size} ({threads} threads)"
+                    )
+                continue
+            if op in (Opcode.MOVR, Opcode.SHFL):
+                warps = instr.warps
+            elif op == Opcode.BAR:
+                continue
+            else:  # the gathers run over their layout's warps
+                warps = instr.layout.in_dim_size(WARP)
+            if warps > self.num_warps:
                 raise ValueError(
-                    f"{instr.opcode.name} spans "
-                    f"{instr.accesses.num_threads} threads; this "
-                    f"machine has {self.num_warps} warps of "
-                    f"{self.spec.warp_size} ({threads} threads)"
+                    f"{op.name} spans {warps} warps; this machine has "
+                    f"{self.num_warps}"
                 )
 
     def _execute(

@@ -97,9 +97,12 @@ def ldmatrix_tile(elem_bits: int) -> LinearLayout:
             f"ldmatrix supports 1..4 byte elements, got {elem_bits} bits"
         )
     k = log2_int(4 // elem_bytes) if elem_bytes < 4 else 0
-    tile = LinearLayout.identity1d(1 << k, REGISTER, OFFSET)
-    tile = tile * LinearLayout.identity1d(4, LANE, OFFSET)
-    return tile
+    # The identity over k register bits, then 2 lane bits.
+    return LinearLayout.from_flat(
+        {REGISTER: [1 << i for i in range(k)], LANE: [1 << k, 2 << k]},
+        {OFFSET: 4 << k},
+        require_surjective=False,
+    )
 
 
 def stmatrix_tile(elem_bits: int) -> LinearLayout:

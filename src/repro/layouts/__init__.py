@@ -9,11 +9,7 @@ a linear layout.
 
 from repro.layouts.blocked import BlockedLayout, default_blocked_layout
 from repro.layouts.cta import CtaLayout, same_block_component
-from repro.layouts.common import (
-    ensure_layout_not_larger_than,
-    ensure_layout_not_smaller_than,
-    tile_to_shape,
-)
+from repro.layouts.common import tile_to_shape
 from repro.layouts.mfma import AmdMfmaLayout
 from repro.layouts.mma import (
     MmaOperandLayout,
@@ -43,8 +39,6 @@ __all__ = [
     "WgmmaLayout",
     "WgmmaOperandLayout",
     "default_blocked_layout",
-    "ensure_layout_not_larger_than",
-    "ensure_layout_not_smaller_than",
     "mma_operand_tile",
     "mma_output_tile",
     "mma_swizzle_offset",

@@ -94,9 +94,11 @@ class BlockedLayout:
     def to_linear(self, shape: Sequence[int]) -> LinearLayout:
         """The linear layout for a tensor of ``shape`` (Prop. 9.1).
 
-        Built as the product id_R^o x id_T^o x id_W^o following the
-        order, then fitted to the tensor shape with the legacy tiling
-        semantics.
+        The product id_R^o x id_T^o x id_W^o following the order,
+        fitted to the tensor shape with the legacy tiling semantics,
+        written down column by column: each dim's output bits are
+        taken low to high by its register, then lane, then warp bits
+        (:func:`~repro.layouts.common.tile_to_shape` on an empty tile).
         """
         if len(shape) != self.rank:
             raise DimensionError(
@@ -106,17 +108,22 @@ class BlockedLayout:
             self.cta.split_shape(shape) if self.cta is not None
             else list(shape)
         )
-        tile = LinearLayout.empty()
-        for counts, in_dim in (
-            (self.size_per_thread, REGISTER),
-            (self.threads_per_warp, LANE),
-            (self.warps_per_cta, WARP),
-        ):
-            for dim in self.order:
-                tile = tile * LinearLayout.identity1d(
-                    counts[dim], in_dim, f"dim{dim}"
-                )
-        per_cta = tile_to_shape(tile, per_cta_shape, self.order)
+        empty = LinearLayout.from_flat(
+            {}, {f"dim{dim}": 1 for dim in range(self.rank)}
+        )
+        stack = {
+            in_dim: [
+                dim
+                for dim in self.order
+                for _ in range(log2_int(counts[dim]))
+            ]
+            for in_dim, counts in (
+                (REGISTER, self.size_per_thread),
+                (LANE, self.threads_per_warp),
+                (WARP, self.warps_per_cta),
+            )
+        }
+        per_cta = tile_to_shape(empty, per_cta_shape, self.order, stack)
         if self.cta is None or self.cta.is_trivial():
             return per_cta
         return self.cta.lift(per_cta, shape)

@@ -1,16 +1,19 @@
 """Shared machinery for layout constructors.
 
-The two ``ensure_*`` functions implement the legacy tiling semantics
-(Section 5.1, Broadcasting): when a layout's initial tile is smaller
-than the tensor it is *replicated* to cover it (extra register bits
-enumerate the tile grid), and when it is larger the tensor is
-replicated to cover the tile (the excess bits become zero columns,
-i.e. broadcast).
+:func:`tile_to_shape` writes a distributed layout's columns directly
+(Appendix 9.1): a tile, hardware bits stacked on it one output bit at
+a time, and the legacy tiling semantics (Section 5.1, Broadcasting).
+When the tile is smaller than the tensor it is *replicated* to cover
+it (extra register columns enumerate the tile grid), and when it is
+larger the tensor is replicated to cover the tile (the excess bits
+become zero columns, i.e. broadcast).  The construction it replaces
+(products of identities, then shrink and grow steps, each a layout)
+is kept as a test oracle.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.core.dims import REGISTER
 from repro.core.errors import DimensionError
@@ -18,121 +21,68 @@ from repro.core.layout import LinearLayout
 from repro.f2.bitvec import log2_int
 
 
-def _canonicalize_out_order(layout: LinearLayout, rank: int) -> LinearLayout:
-    """Reorder the out dims of a freshly built product to dim0..dimN."""
-    want = [f"dim{i}" for i in range(rank)]
-    have = list(layout.out_dims)
-    if sorted(have) != sorted(want):
-        raise DimensionError(f"unexpected out dims {have}, want {want}")
-    if have == want:
-        return layout
-    return layout.transpose_outs(want)
-
-
-def ensure_layout_not_larger_than(
-    layout: LinearLayout, shape: Sequence[int]
-) -> LinearLayout:
-    """Shrink each out dim to ``shape`` by zeroing overflowing bases.
-
-    A basis image bit at position >= log2(shape[d]) indexes outside the
-    tensor; the legacy semantics replicate the tensor under the tile,
-    so that bit's image becomes zero (broadcast, a zero column of the
-    matrix).
-    """
-    names = list(layout.out_dims)
-    if len(names) != len(shape):
-        raise DimensionError(
-            f"rank mismatch: layout {names} vs shape {list(shape)}"
-        )
-    masks = []
-    shrink = False
-    for name, size in zip(names, shape):
-        log2_int(size)
-        if layout.out_dim_size(name) < size:
-            raise DimensionError(
-                f"layout dim {name!r} smaller than target {size}"
-            )
-        if layout.out_dim_size(name) > size:
-            shrink = True
-        masks.append(size - 1)
-    if not shrink:
-        return layout
-    bases = {}
-    for d in layout.in_dims:
-        images = []
-        for img in layout.bases[d]:
-            # Keep in-range bits; bits beyond the shape broadcast to 0.
-            # For distributed layouts images are single-bit so the
-            # image either survives whole or becomes zero.
-            images.append(tuple(c & m for c, m in zip(img, masks)))
-        bases[d] = images
-    outs = dict(zip(names, shape))
-    return LinearLayout(bases, outs, require_surjective=False)
-
-
-def ensure_layout_not_smaller_than(
-    layout: LinearLayout,
-    shape: Sequence[int],
-    order: Sequence[int],
-    in_dim: str = REGISTER,
-) -> LinearLayout:
-    """Grow each out dim to ``shape`` with fresh ``in_dim`` bits.
-
-    The tile is replicated across the tensor; the replication index
-    lives in new high bits of ``in_dim`` (usually registers),
-    enumerating tiles along ``order`` (fastest dim first).
-    """
-    names = list(layout.out_dims)
-    if len(names) != len(shape):
-        raise DimensionError(
-            f"rank mismatch: layout {names} vs shape {list(shape)}"
-        )
-    bases = layout.bases
-    outs = dict(layout.out_dim_sizes())
-    extra: List[tuple] = []
-    for dim_idx in order:
-        name = names[dim_idx]
-        target = shape[dim_idx]
-        log2_int(target)
-        current = outs[name]
-        if current > target:
-            raise DimensionError(
-                f"layout dim {name!r} larger than target {target}; "
-                "call ensure_layout_not_larger_than first"
-            )
-        while current < target:
-            img = [0] * len(names)
-            img[dim_idx] = current
-            extra.append(tuple(img))
-            current <<= 1
-        outs[name] = target
-    if extra:
-        bases[in_dim] = bases.get(in_dim, []) + extra
-    return LinearLayout(bases, outs, require_surjective=False)
-
-
 def tile_to_shape(
     tile: LinearLayout,
     shape: Sequence[int],
     order: Sequence[int],
-    in_dim: str = REGISTER,
+    stack: Mapping[str, Sequence[Optional[int]]],
 ) -> LinearLayout:
-    """Fit a tile layout onto a tensor shape (legacy tiling semantics).
+    """Fit a tile, with hardware bits stacked on it, onto a tensor shape.
 
-    First the tensor is replicated under an oversized tile (zero
-    columns), then an undersized tile is replicated across the tensor
-    (new register bits), enumerating tiles fastest-first per ``order``.
-    The result is canonicalized to out dims ``dim0..dimN`` and is
-    always surjective.
+    ``stack[in_dim]`` lists the new bits of ``in_dim`` in order: each
+    takes the next free output bit of the dim it names, above the tile
+    and the bits stacked before it (the product of the tile with 1-D
+    identities), or is a zero column (broadcast) where it names
+    ``None``.  Then every bit beyond the tensor's extent in its dim
+    becomes a zero column (the tensor is replicated under an oversized
+    tile), and the dims left short get fresh high register columns,
+    enumerating tiles fastest-first per ``order``.  The result has out
+    dims ``dim0..dimN`` and is surjective (checked unless the tile is).
     """
     rank = len(shape)
-    layout = _canonicalize_out_order(tile, rank)
-    clipped = [
-        min(s, layout.out_dim_size(f"dim{i}")) for i, s in enumerate(shape)
-    ]
-    layout = ensure_layout_not_larger_than(layout, clipped)
-    layout = ensure_layout_not_smaller_than(layout, shape, order, in_dim)
-    result = LinearLayout(
-        layout.bases, layout.out_dim_sizes(), require_surjective=True
+    names = [f"dim{i}" for i in range(rank)]
+    sizes = tile.out_dim_sizes()
+    if sorted(sizes) != names:
+        raise DimensionError(
+            f"unexpected out dims {list(sizes)}, want {names}"
+        )
+    logs = [log2_int(s) for s in shape]
+    out_shift = [sum(logs[i + 1:]) for i in range(rank)]
+    # Each dim's tile field moves to its place in the result, keeping
+    # only the bits inside the tensor.
+    filled = [log2_int(sizes[name]) for name in names]
+    moves = []
+    shift = 0
+    for name in reversed(list(sizes)):
+        i = names.index(name)
+        kept = (1 << min(filled[i], logs[i])) - 1
+        moves.append((shift, kept, out_shift[i]))
+        shift += filled[i]
+    columns: Dict[str, List[int]] = {
+        d: [
+            sum(((v >> src) & mask) << dst for src, mask, dst in moves)
+            for v in tile.basis_images_flat(d)
+        ]
+        for d in tile.in_dims
+    }
+
+    def unit(dim: Optional[int]) -> int:
+        """The column of the next output bit of ``dim``, 0 past it."""
+        if dim is None:
+            return 0
+        bit = filled[dim]
+        filled[dim] += 1
+        return 1 << (out_shift[dim] + bit) if bit < logs[dim] else 0
+
+    for in_dim, dims in stack.items():
+        columns[in_dim] = columns.get(in_dim, []) + [unit(d) for d in dims]
+    extra = [unit(i) for i in order for _ in range(filled[i], logs[i])]
+    if extra:
+        columns[REGISTER] = columns.get(REGISTER, []) + extra
+    # Every output bit above the tile has its unit column, and a
+    # surjective tile stays so clipped: only another tile needs a check.
+    return LinearLayout.from_flat(
+        columns,
+        dict(zip(names, shape)),
+        require_surjective=not tile.is_surjective(),
     )
-    return result

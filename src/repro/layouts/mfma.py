@@ -92,14 +92,11 @@ class AmdMfmaLayout:
         """The full accumulator layout for a tensor of ``shape``."""
         if len(shape) != 2:
             raise DimensionError("mfma layouts are two-dimensional")
-        tile = mfma_output_tile()
-        tile = tile * LinearLayout.identity1d(
-            self.warps_per_cta[0], WARP, "dim0"
+        wm, wn = self.warps_per_cta
+        warps = [0] * log2_int(wm) + [1] * log2_int(wn)
+        return tile_to_shape(
+            mfma_output_tile(), shape, order=(1, 0), stack={WARP: warps}
         )
-        tile = tile * LinearLayout.identity1d(
-            self.warps_per_cta[1], WARP, "dim1"
-        )
-        return tile_to_shape(tile, shape, order=(1, 0))
 
     def __str__(self) -> str:
         return f"mfma(warpsPerCTA={list(self.warps_per_cta)})"

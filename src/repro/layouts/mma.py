@@ -10,7 +10,7 @@ group.  Operand fragments follow the PTX ISA: a lane holds ``kwidth =
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.dims import LANE, REGISTER, WARP
 from repro.core.errors import DimensionError
@@ -104,20 +104,21 @@ class NvidiaMmaLayout:
         """Total warps per CTA."""
         return self.warps_per_cta[0] * self.warps_per_cta[1]
 
-    def warp_layout(self) -> LinearLayout:
-        """Warps over (M, N), M fastest (matching Triton's convention)."""
-        return LinearLayout.identity1d(
-            self.warps_per_cta[0], WARP, "dim0"
-        ) * LinearLayout.identity1d(self.warps_per_cta[1], WARP, "dim1")
+    def warp_bits(self) -> List[Optional[int]]:
+        """The dim each warp bit indexes: M first, then N."""
+        wm, wn = self.warps_per_cta
+        return [0] * log2_int(wm) + [1] * log2_int(wn)
 
     def to_linear(self, shape: Sequence[int]) -> LinearLayout:
         """The full accumulator layout for a tensor of ``shape``."""
         if len(shape) != 2:
             raise DimensionError("mma layouts are two-dimensional")
-        tile = mma_output_tile() * self.warp_layout()
         # Register replication covers the rest, N fastest: accumulators
         # for adjacent N tiles live in consecutive registers.
-        return tile_to_shape(tile, shape, order=(1, 0))
+        return tile_to_shape(
+            mma_output_tile(), shape, order=(1, 0),
+            stack={WARP: self.warp_bits()},
+        )
 
     def __str__(self) -> str:
         return f"mma(version=2, warpsPerCTA={list(self.warps_per_cta)})"
@@ -147,36 +148,29 @@ class MmaOperandLayout:
         """Operand layouts are two-dimensional."""
         return 2
 
-    def warp_layout(self) -> LinearLayout:
-        """Warp grid with broadcasting along the contracted dim."""
+    def warp_bits(self) -> List[Optional[int]]:
+        """The parent's warp grid, with the warps along the contracted
+        dim broadcasting (``None``)."""
         wm, wn = self.parent.warps_per_cta
         if self.op_idx == 0:
             # A (M x K): M warps index dim0, N warps broadcast.
-            keep = LinearLayout.identity1d(wm, WARP, "dim0")
-            dead = LinearLayout(
-                {WARP: [(0,)] * log2_int(wn)},
-                {"dim1": 1},
-                require_surjective=False,
-            )
-            return keep * dead
+            return [0] * log2_int(wm) + [None] * log2_int(wn)
         # B (K x N): M warps broadcast, N warps index dim1.
-        dead = LinearLayout(
-            {WARP: [(0,)] * log2_int(wm)},
-            {"dim0": 1},
-            require_surjective=False,
-        )
-        keep = LinearLayout.identity1d(wn, WARP, "dim1")
-        return dead * keep
+        return [None] * log2_int(wm) + [1] * log2_int(wn)
 
     def to_linear(self, shape: Sequence[int]) -> LinearLayout:
         """The full operand layout for a tensor of ``shape``."""
         if len(shape) != 2:
             raise DimensionError("mma operand layouts are two-dimensional")
-        tile = mma_operand_tile(self.op_idx, self.kwidth) * self.warp_layout()
         # K is the fastest replication direction: consecutive registers
         # walk the contraction so the dot loop is register-resident.
         order = (1, 0) if self.op_idx == 0 else (0, 1)
-        return tile_to_shape(tile, shape, order=order)
+        return tile_to_shape(
+            mma_operand_tile(self.op_idx, self.kwidth),
+            shape,
+            order=order,
+            stack={WARP: self.warp_bits()},
+        )
 
     def __str__(self) -> str:
         return (

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from repro.core.dims import REGISTER, WARP
+from repro.core.dims import WARP
 from repro.core.errors import DimensionError
 from repro.core.layout import LinearLayout
 from repro.f2.bitvec import log2_int
@@ -57,25 +57,24 @@ class WgmmaLayout:
 
     def instruction_tile(self) -> LinearLayout:
         """The m64 x instr_n tile owned by one warp group."""
-        # Registers walk N beyond the base 8 columns.
-        tile = mma_output_tile()
-        for bit in range(3, log2_int(self.instr_n)):
-            tile = tile * LinearLayout.identity1d(2, REGISTER, "dim1")
-        # The four warps of the group stack along M (bits 4, 5 of dim0).
-        tile = tile * LinearLayout.identity1d(4, WARP, "dim0")
-        return tile
+        # The four warps of the group stack along M (bits 4, 5 of
+        # dim0); registers walk N beyond the base 8 columns.
+        return tile_to_shape(
+            mma_output_tile(), (64, self.instr_n), order=(1, 0),
+            stack={WARP: [0, 0]},
+        )
 
     def to_linear(self, shape: Sequence[int]) -> LinearLayout:
         """The full accumulator layout for a tensor of ``shape``."""
         if len(shape) != 2:
             raise DimensionError("wgmma layouts are two-dimensional")
-        tile = self.instruction_tile()
-        extra_m = self.warps_per_cta[0] // 4
-        tile = tile * LinearLayout.identity1d(extra_m, WARP, "dim0")
-        tile = tile * LinearLayout.identity1d(
-            self.warps_per_cta[1], WARP, "dim1"
+        # Further warp groups stack along M, then warps tile N.
+        wm, wn = self.warps_per_cta
+        warps = [0] * log2_int(wm // 4) + [1] * log2_int(wn)
+        return tile_to_shape(
+            self.instruction_tile(), shape, order=(1, 0),
+            stack={WARP: warps},
         )
-        return tile_to_shape(tile, shape, order=(1, 0))
 
     def __str__(self) -> str:
         return (
@@ -108,19 +107,13 @@ class WgmmaOperandLayout:
         """The register layout of the A operand for ``shape``."""
         if len(shape) != 2:
             raise DimensionError("wgmma operand layouts are 2D")
-        tile = mma_operand_tile(0, self.kwidth)
-        tile = tile * LinearLayout.identity1d(4, WARP, "dim0")
-        extra_m = self.parent.warps_per_cta[0] // 4
-        tile = tile * LinearLayout.identity1d(extra_m, WARP, "dim0")
-        wn = self.parent.warps_per_cta[1]
-        if wn > 1:
-            dead = LinearLayout(
-                {WARP: [(0,)] * log2_int(wn)},
-                {"dim1": 1},
-                require_surjective=False,
-            )
-            tile = tile * dead
-        return tile_to_shape(tile, shape, order=(1, 0))
+        # Every warp along M indexes dim0; warps along N broadcast.
+        wm, wn = self.parent.warps_per_cta
+        warps = [0] * log2_int(wm) + [None] * log2_int(wn)
+        return tile_to_shape(
+            mma_operand_tile(0, self.kwidth), shape, order=(1, 0),
+            stack={WARP: warps},
+        )
 
     def __str__(self) -> str:
         return f"wgmma_operand(kWidth={self.kwidth}, parent={self.parent})"

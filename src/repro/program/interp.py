@@ -85,20 +85,15 @@ def run(
 
     Register spaces are ``(warps, warp_size, regs)`` object arrays
     while the program runs (``None`` marks an unwritten slot, as in a
-    sparse :class:`RegisterFile`).  ``STS``/``LDS`` move the accesses
-    of the first ``num_warps`` warps.
+    sparse :class:`RegisterFile`), over the input files' warps.
+    ``STS``/``LDS`` move the accesses of the first ``num_warps``
+    warps; :class:`~repro.gpusim.machine.Machine` refuses a program
+    whose instructions span more warps than it has.
     """
     gather_wavefronts: List[int] = []
     anchor = next(iter(inputs.values()))
     ws = anchor.warp_size
-    nw = max(
-        [anchor.num_warps]
-        + [
-            instr.warps
-            for instr in program.instrs
-            if instr.opcode in (Opcode.MOVR, Opcode.SHFL)
-        ]
-    )
+    nw = anchor.num_warps
     arrays: Dict[str, np.ndarray] = {}
     for name, rf in inputs.items():
         regs = max(program.num_regs(name), rf.num_regs)
@@ -235,23 +230,14 @@ def _gather_shfl(program, instr, key, arrays, nw, ws) -> np.ndarray:
 # Compilation helpers (index-array construction, cached per program)
 # ----------------------------------------------------------------------
 def _compile_shfl(instr):
-    dl: List[int] = []
-    dr: List[int] = []
-    sl: List[int] = []
-    sr: List[int] = []
-    for lane, s_lane in enumerate(instr.src_lane):
-        for s_reg, d_reg in zip(
-            instr.send_regs[s_lane], instr.recv_regs[lane]
-        ):
-            dl.append(lane)
-            dr.append(d_reg)
-            sl.append(s_lane)
-            sr.append(s_reg)
+    """Flat (dst lane, dst reg, src lane, src reg) of every moved value."""
+    lanes, vec = instr.recv_regs.shape
+    send = instr.send_regs[instr.src_lane]
     return (
-        np.asarray(dl, dtype=np.intp),
-        np.asarray(dr, dtype=np.intp),
-        np.asarray(sl, dtype=np.intp),
-        np.asarray(sr, dtype=np.intp),
+        np.repeat(np.arange(lanes, dtype=np.intp), vec),
+        instr.recv_regs.ravel().astype(np.intp),
+        np.repeat(instr.src_lane.astype(np.intp), vec),
+        send.ravel().astype(np.intp),
     )
 
 

@@ -28,6 +28,8 @@ import enum
 from dataclasses import dataclass, field, fields
 from typing import Dict, Iterator, Optional, Tuple
 
+import numpy as np
+
 from repro.codegen.access import SharedAccesses
 from repro.core.layout import LinearLayout
 
@@ -50,7 +52,23 @@ class Opcode(enum.Enum):
     GATHER_LDS = "gather_lds"
 
 
-@dataclass(frozen=True)
+def _frozen_int64(value, ndim: int, name: str) -> np.ndarray:
+    """``value`` as a read-only int64 array of ``ndim`` axes.
+
+    An array that is already read-only int64 is kept as it is (the
+    planner hands in row views of its read-only round tables); anything
+    else is copied, so the instruction owns its operands.
+    """
+    arr = np.asarray(value, dtype=np.int64)
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} must have {ndim} axes, got {arr.shape}")
+    if arr.flags.writeable:
+        arr = arr.copy()
+        arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class Shfl:
     """One ``shfl.sync`` round (Section 5.4, Figure 4).
 
@@ -59,17 +77,53 @@ class Shfl:
     lane contributes, ``recv_regs[l]`` where lane ``l`` stores them.
     ``insts`` is the real instruction count of the round (a vectorized
     payload wider than the 32-bit shuffle word issues several).
+
+    The routing operands are read-only int64 arrays: ``src_lane`` of
+    shape ``(lanes,)``, ``send_regs`` and ``recv_regs`` of shape
+    ``(lanes, vec)``.  Nested tuples are accepted and converted.  The
+    value compares and hashes by the arrays' shapes and bytes.
     """
 
-    src_lane: Tuple[int, ...]
-    send_regs: Tuple[Tuple[int, ...], ...]
-    recv_regs: Tuple[Tuple[int, ...], ...]
+    src_lane: np.ndarray
+    send_regs: np.ndarray
+    recv_regs: np.ndarray
     warps: int
     insts: int = 1
     src: str = R_IN
     dst: str = R_OUT
 
     opcode = Opcode.SHFL
+
+    def __post_init__(self):
+        for name, ndim in (
+            ("src_lane", 1), ("send_regs", 2), ("recv_regs", 2)
+        ):
+            arr = _frozen_int64(getattr(self, name), ndim, name)
+            object.__setattr__(self, name, arr)
+
+    def _identity(self) -> Tuple:
+        return (
+            self.send_regs.shape,
+            self.recv_regs.shape,
+            self.src_lane.tobytes(),
+            self.send_regs.tobytes(),
+            self.recv_regs.tobytes(),
+            self.warps,
+            self.insts,
+            self.src,
+            self.dst,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Shfl):
+            return NotImplemented
+        return self._identity() == other._identity()
+
+    def __hash__(self) -> int:
+        return hash(self._identity())
+
+    def __reduce__(self):
+        return (Shfl, tuple(getattr(self, f.name) for f in fields(self)))
 
     def reads(self) -> Tuple[str, ...]:
         return (self.src,)
@@ -78,11 +132,10 @@ class Shfl:
         return self.dst
 
     def describe(self) -> str:
-        crossing = sum(
-            1 for lane, src in enumerate(self.src_lane) if lane != src
-        )
+        lanes = len(self.src_lane)
+        crossing = int(np.count_nonzero(self.src_lane != np.arange(lanes)))
         return (
-            f"shfl {self.src}->{self.dst}: {len(self.src_lane)} lanes "
+            f"shfl {self.src}->{self.dst}: {lanes} lanes "
             f"({crossing} crossing), {self.insts} inst"
         )
 
@@ -358,11 +411,9 @@ class WarpProgram:
             op = instr.opcode
             if op == Opcode.SHFL:
                 if instr.src == space:
-                    for regs in instr.send_regs:
-                        hi = max(hi, max(regs, default=-1))
+                    hi = max(hi, int(instr.send_regs.max(initial=-1)))
                 if instr.dst == space:
-                    for regs in instr.recv_regs:
-                        hi = max(hi, max(regs, default=-1))
+                    hi = max(hi, int(instr.recv_regs.max(initial=-1)))
             elif op == Opcode.MOVR:
                 if instr.src == space:
                     hi = max(hi, max(instr.dst_to_src, default=-1))

@@ -1,19 +1,22 @@
 """JSON round-tripping of warp programs.
 
 Programs carry nothing but plain operands (ints, strings, nested
-tuples) plus the occasional :class:`LinearLayout` or shared access
-table, so serialization is a mechanical field walk: tuples become
-lists, layouts become their ``to_dict`` form tagged with
-``"__layout__"``, access tables their nested ``(base, regs)`` lists
-tagged with ``"__accesses__"``, and the opcode names the instruction
-class on the way back in.  ``scratch`` (backend
-memoization) is deliberately not serialized — it is derived state.
+tuples, int arrays) plus the occasional :class:`LinearLayout` or
+shared access table, so serialization is a mechanical field walk:
+tuples and arrays become (nested) lists, layouts become their
+``to_dict`` form tagged with ``"__layout__"``, access tables their
+nested ``(base, regs)`` lists tagged with ``"__accesses__"``, and the
+opcode names the instruction class on the way back in.  ``scratch``
+(backend memoization) is deliberately not serialized — it is derived
+state.
 """
 
 from __future__ import annotations
 
 import json
 from typing import Dict, List
+
+import numpy as np
 
 from repro.codegen.access import SharedAccesses
 from repro.core.layout import LinearLayout
@@ -32,6 +35,8 @@ def _encode_value(value):
         return {"__accesses__": _encode_value(value.to_tuples())}
     if isinstance(value, tuple):
         return [_encode_value(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
     return value
 
 

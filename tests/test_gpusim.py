@@ -18,6 +18,7 @@ from repro.hardware import GH200, MI250, RTX4090
 from repro.hardware.instructions import InstructionKind
 from repro.layouts import BlockedLayout, NvidiaMmaLayout
 from repro.program import R_IDX, R_IN
+from repro.program.ir import MovR, Shfl, WarpProgram
 
 from tests.program_reference import SharedMemory
 
@@ -242,3 +243,53 @@ class TestMachineWarpCount:
                 plan, registers
             )
             assert_matches_layout(out, dst)
+
+    LAYOUT = BlockedLayout((1, 2), (4, 8), (4, 1), (1, 0)).to_linear(
+        (16, 16)
+    )
+
+    @pytest.mark.parametrize(
+        "program",
+        [
+            WarpProgram((MovR(dst_to_src=(1, 0), lanes=32, warps=4),)),
+            WarpProgram(
+                (
+                    Shfl(
+                        src_lane=tuple(reversed(range(32))),
+                        send_regs=((0, 1),) * 32,
+                        recv_regs=((0, 1),) * 32,
+                        warps=4,
+                    ),
+                )
+            ),
+        ],
+        ids=["movr", "shfl"],
+    )
+    def test_rejects_register_moves_wider_than_the_cta(self, program):
+        """A 4-warp move or shuffle on a 2-warp machine raises; on a
+        4-warp machine it moves every warp."""
+        registers = distributed_data(self.LAYOUT, 4, 32)
+        with pytest.raises(ValueError, match="spans 4 warps"):
+            Machine(RTX4090, 2).run_program(program, {R_IN: registers})
+        files, _ = Machine(RTX4090, 4).run_program(
+            program, {R_IN: registers}
+        )
+        out = files[program.result]
+        assert {w for w, _, _ in out.as_dict()} == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize(
+        "build", [gather_shuffle_program, gather_shared_program]
+    )
+    def test_rejects_gathers_wider_than_the_cta(self, build):
+        """A gather over a 4-warp layout on a 1-warp machine raises
+        instead of filling 4 warps and pricing 1."""
+        program = build(self.LAYOUT, 1)
+        src = distributed_data(self.LAYOUT, 4, 32)
+        index = distributed_data(self.LAYOUT, 4, 32, value_of=lambda p: p & 15)
+        inputs = {R_IN: src, R_IDX: index}
+        for num_warps in (1, 2):
+            with pytest.raises(ValueError, match="spans 4 warps"):
+                Machine(RTX4090, num_warps).run_program(program, inputs)
+        # The identity gather on a 4-warp machine returns the source.
+        out, _ = run_gather(Machine(RTX4090, 4), program, src, index)
+        assert_matches_layout(out, self.LAYOUT)

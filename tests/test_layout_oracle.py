@@ -10,10 +10,16 @@ import contextlib
 import itertools
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import cache
 from repro.core import LinearLayout
+from repro.core.errors import (
+    DimensionError,
+    LayoutError,
+    NonInvertibleLayoutError,
+)
 from tests.test_core_layout import layout_specs, random_layouts
 from tests.test_f2_solve import brute_rank
 
@@ -200,3 +206,82 @@ def test_free_variable_masks_match_definition(layout, caching):
         assert layout.free_variable_masks() == expected
 
     with_caching(caching, check)
+
+
+@contextlib.contextmanager
+def cache_mode(mode):
+    """The memo on, bypassed in this thread, or off as ``REPRO_CACHE=0``
+    sets it (the switch is read once, at import)."""
+    if mode == "on":
+        yield
+    elif mode == "bypass":
+        with cache.disabled():
+            yield
+    else:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cache, "_ENV_ENABLED", False)
+            yield
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    spec=layout_specs(),
+    mode=st.sampled_from(["on", "bypass", "env_off"]),
+    data=st.data(),
+)
+def test_lazy_surjectivity_matches_span_rank(spec, mode, data):
+    """Surjectivity is computed on first use; every path that reads it
+    agrees with the rank of the columns' span, and construction with
+    ``require_surjective=True`` still refuses a layout that is not."""
+    bases, out_dims = spec
+    with cache_mode(mode):
+        layout = LinearLayout(bases, out_dims, require_surjective=False)
+        columns = {d: layout.basis_images_flat(d) for d in layout.in_dims}
+        # Built from flat columns and through a derivation, the flag
+        # starts unknown too.
+        layout = data.draw(
+            st.sampled_from(
+                [
+                    layout,
+                    LinearLayout.from_flat(
+                        columns, out_dims, require_surjective=False
+                    ),
+                    layout.transpose_ins(list(reversed(layout.in_dims))),
+                ]
+            )
+        )
+        flat = [v for _, v in columns_of(layout)]
+        onto = brute_rank(flat) == layout.total_out_bits()
+        square = layout.total_in_bits() == layout.total_out_bits()
+        for _ in range(2):  # the second pass reads the stored flag
+            assert layout.is_surjective() == onto
+            assert layout.is_invertible() == (onto and square)
+            if onto:
+                rinv = layout.right_inverse()
+                for out in outputs_of(layout):
+                    assert layout.apply(rinv.apply(out)) == out
+                assert layout.invert_and_compose(layout).total_in_bits() == (
+                    layout.total_in_bits()
+                )
+            else:
+                with pytest.raises(NonInvertibleLayoutError):
+                    layout.right_inverse()
+                with pytest.raises(NonInvertibleLayoutError):
+                    layout.invert_and_compose(layout)
+        columns = {d: layout.basis_images_flat(d) for d in layout.in_dims}
+        for build in (
+            lambda: LinearLayout(layout.bases, out_dims),
+            lambda: LinearLayout.from_flat(columns, out_dims),
+        ):
+            if onto:
+                assert build() == layout
+            else:
+                with pytest.raises(LayoutError, match="not surjective"):
+                    build()
+
+
+def test_from_flat_rejects_columns_outside_the_output_space():
+    with pytest.raises(DimensionError, match="exceeds the output space"):
+        LinearLayout.from_flat({"lane": [1, 8]}, {"dim0": 2, "dim1": 4})
+    with pytest.raises(DimensionError):
+        LinearLayout.from_flat({"lane": [-1]}, {"dim0": 2})

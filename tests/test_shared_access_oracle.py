@@ -1,6 +1,6 @@
 """Differential tests of the array-native shared-access builder.
 
-:func:`repro.codegen.conversion._shared_accesses` builds every
+:func:`repro.codegen.conversion._build_accesses` builds every
 thread's vectorized shared-memory accesses from whole-range F2 tables.
 Its tuple view must equal the per-element reference
 (:mod:`tests.shared_access_reference`) on random distributed layouts:
@@ -25,8 +25,8 @@ from repro import cache
 from repro.codegen import conversion
 from repro.codegen.access import SharedAccesses
 from repro.codegen.conversion import (
+    _build_accesses,
     _group_contiguous,
-    _shared_accesses,
     _swizzled_offsets,
     plan_conversion,
 )
@@ -166,9 +166,9 @@ def test_builder_matches_reference(case, data):
     if max_vec & (max_vec - 1):
         # Grouping contract: vector widths are powers of two.
         with pytest.raises(ValueError):
-            _shared_accesses(layout, offsets, **kwargs)
+            _build_accesses(layout, offsets, **kwargs)
         return
-    got = _shared_accesses(layout, offsets, **kwargs)
+    got = _build_accesses(layout, offsets, **kwargs)
     warp0 = reference_accesses(
         layout, offsets.item, **dict(kwargs, num_warps=1)
     )
@@ -217,8 +217,8 @@ def test_planner_accesses_match_reference(
     calls = []
     real = conversion._shared_accesses
 
-    def checked(layout, offsets, *args, **kwargs):
-        got = real(layout, offsets, *args, **kwargs)
+    def checked(layout, staging, offsets, *args, **kwargs):
+        got = real(layout, staging, offsets, *args, **kwargs)
         expected = reference_accesses(
             layout, lambda p: int(offsets[p]), *args, **kwargs
         )
@@ -480,7 +480,7 @@ def test_deferred_value_semantics_match_eager(case, data):
             data.draw(st.sampled_from([1, 2, 4, 8])), data.draw(st.booleans()))
 
     def fresh():
-        acc = _shared_accesses(*args)
+        acc = _build_accesses(*args)
         assert _is_deferred(acc)
         return acc
 
@@ -562,3 +562,73 @@ def test_cold_fig9_pass_builds_no_full_access_table(monkeypatch):
         _compile_fig9(model, case, platform, mode)
     assert counts["deferred"] > 0
     assert counts["built"] == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=conversion_cases(), data=st.data())
+def test_access_memo_keys_every_input(case, data):
+    """A memoized table is served only to a call whose every input
+    matches: varying any option on one layout and staging reads a table
+    equal to a fresh build, and repeating a call returns the same one."""
+    spec, layout, _, d, shape = case
+    offsets = _draw_offsets(data, d, shape)
+    warps = max(1, layout.in_dim_size(WARP))
+    reg_images = [x for x in layout.basis_images_flat(REGISTER) if x]
+    base = dict(
+        num_warps=warps, warp_size=spec.warp_size, max_vec_elems=4,
+        dedupe_broadcast=True, vec_basis=None, sort_by_offset=False,
+    )
+    variants = [
+        base,
+        dict(base, num_warps=2 * warps),
+        dict(base, max_vec_elems=1),
+        dict(base, dedupe_broadcast=False),
+        dict(base, sort_by_offset=True),
+        dict(base, vec_basis=tuple(reg_images[:1]) or None),
+    ]
+    cache.clear()
+    for kwargs in variants:
+        got = conversion._shared_accesses(layout, "drawn", offsets, **kwargs)
+        want = _build_accesses(layout, offsets, **kwargs)
+        assert got.to_tuples() == want.to_tuples()
+        again = conversion._shared_accesses(
+            layout, "drawn", offsets, **kwargs
+        )
+        assert again is got
+
+
+def test_twin_platforms_share_access_tables(monkeypatch):
+    """RTX4090 and GH200 agree on warp size, vector width and bank rows,
+    so a conversion planned on both builds its access tables once; with
+    the cache bypassed the second platform builds equal ones afresh."""
+    from repro.layouts import BlockedLayout
+
+    src = BlockedLayout((1, 4), (8, 4), (2, 2), (1, 0)).to_linear((32, 64))
+    dst = BlockedLayout((4, 1), (4, 8), (2, 2), (0, 1)).to_linear((32, 64))
+    builds = []
+    real = conversion._build_accesses
+
+    def counted(*args, **kwargs):
+        builds.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(conversion, "_build_accesses", counted)
+    cache.clear()
+
+    def plan(spec):
+        return plan_conversion(
+            src, dst, 16, spec=spec, allow_shuffle=False,
+            swizzle_mode="padded", dedupe_broadcast=False,
+        )
+
+    first, second = plan(RTX4090), plan(GH200)
+    assert len(builds) == 2
+    for a, b in zip(first.program.instrs, second.program.instrs):
+        if hasattr(a, "accesses"):
+            assert a.accesses is b.accesses
+    with cache.disabled():
+        fresh = plan(GH200)
+    assert len(builds) == 4
+    for a, b in zip(first.program.instrs, fresh.program.instrs):
+        if hasattr(a, "accesses"):
+            assert a.accesses == b.accesses and a.accesses is not b.accesses

@@ -18,9 +18,12 @@ lookups, which makes every coset revisit lanes on both sides.
 
 from __future__ import annotations
 
+import json
+import pickle
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import cache
@@ -28,6 +31,14 @@ from repro.codegen import conversion, shuffles
 from repro.codegen.shuffles import ShufflePlanError, plan_warp_shuffle
 from repro.codegen.views import DistributedView, owner_table
 from repro.core import LANE, LinearLayout, REGISTER, WARP
+from repro.engine.ir import OpKind
+from repro.hardware.spec import PLATFORMS
+from repro.program.ir import Shfl, WarpProgram
+from repro.program.serialize import (
+    instr_from_dict,
+    instr_to_dict,
+    program_to_dict,
+)
 from tests import shuffle_reference as reference
 from tests.test_shared_access_oracle import _coords, conversion_cases
 
@@ -196,3 +207,95 @@ def test_owner_table_is_int64_rows():
     # Position 8 is register bit 2 (the broadcast bit 1 stays 0).
     assert table[8].tolist() == [4, 0, 0]
     assert table[4 | 16].tolist() == [0, 2, 1]
+
+
+def test_fig9_shuffle_programs_match_reference():
+    """Every fig9 shuffle plan's rounds are the reference's, and its
+    serialized program is the one tuple operands serialize to."""
+    from tests.test_pipeline import FIG9_SUITE, _compile_fig9
+
+    checked = set()
+    for model, case, platform, mode in FIG9_SUITE:
+        if mode != "linear":
+            continue
+        compiled = _compile_fig9(model, case, platform, mode)
+        converts = [
+            op for op in compiled.graph.ops
+            if op.kind == OpKind.CONVERT_LAYOUT
+        ]
+        for op, plan in zip(converts, compiled.conversions):
+            if plan.kind != "shuffle" or id(plan) in checked:
+                continue
+            checked.add(id(plan))
+            spec = PLATFORMS[platform]
+            rounds = reference.plan_warp_shuffle(
+                plan.src, plan.dst, op.inputs[0].dtype.bits,
+                spec.shuffle_bytes * 8,
+            )
+            assert list(plan.program.instrs) == rounds
+            assert json.dumps(program_to_dict(plan.program)) == json.dumps(
+                program_to_dict(WarpProgram(tuple(rounds), label="shuffle"))
+            )
+    assert len(checked) >= 15  # 18 distinct plans today
+
+
+def _tuple_round(lanes, vec, seed):
+    rng = np.random.default_rng(seed)
+    return dict(
+        src_lane=tuple(int(x) for x in rng.permutation(lanes)),
+        send_regs=tuple(
+            tuple(int(r) for r in rng.integers(0, 16, vec))
+            for _ in range(lanes)
+        ),
+        recv_regs=tuple(
+            tuple(int(r) for r in rng.integers(0, 16, vec))
+            for _ in range(lanes)
+        ),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lanes=st.sampled_from([4, 32, 64]),
+    vec=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_shfl_value_semantics(lanes, vec, seed):
+    """Tuples and arrays build equal, equally hashed, read-only rounds."""
+    fields = _tuple_round(lanes, vec, seed)
+    arrays = {k: np.array(v, dtype=np.int64) for k, v in fields.items()}
+    from_tuples = Shfl(**fields, warps=4, insts=2)
+    from_arrays = Shfl(**arrays, warps=4, insts=2)
+    assert from_tuples == from_arrays
+    assert hash(from_tuples) == hash(from_arrays)
+    assert pickle.loads(pickle.dumps(from_arrays)) == from_tuples
+    assert instr_from_dict(instr_to_dict(from_arrays)) == from_tuples
+    # The instruction owns its operands: the caller's array is copied.
+    arrays["send_regs"][0, 0] += 1
+    assert from_arrays == from_tuples
+    for name in ("src_lane", "send_regs", "recv_regs"):
+        arr = getattr(from_arrays, name)
+        assert arr.dtype == np.int64 and not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    for changed in (
+        dict(fields, warps=2, insts=2),
+        dict(fields, warps=4, insts=1),
+        dict(fields, warps=4, insts=2, dst="tmp"),
+        dict(
+            fields, warps=4, insts=2,
+            recv_regs=tuple(r[::-1] + (1,) for r in fields["recv_regs"]),
+        ),
+    ):
+        assert Shfl(**changed) != from_tuples
+
+
+def test_shfl_rejects_ragged_operands():
+    one = ((0,),)
+    with pytest.raises(ValueError, match="src_lane"):
+        Shfl(src_lane=((0, 1),), send_regs=one, recv_regs=one, warps=1)
+    with pytest.raises(ValueError):
+        Shfl(
+            src_lane=(0, 1), send_regs=((0,), (0, 1)), recv_regs=one * 2,
+            warps=1,
+        )
