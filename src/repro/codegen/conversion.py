@@ -16,7 +16,8 @@ and destination distributed layouts it picks, in order of preference,
 from __future__ import annotations
 
 import enum
-from typing import Hashable, List, Optional, Sequence, Tuple
+import functools
+from typing import Callable, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -184,7 +185,7 @@ def _vec_bit_positions(
 def _shared_accesses(
     layout: LinearLayout,
     staging: Hashable,
-    offsets: np.ndarray,
+    offsets: Callable[[], np.ndarray],
     num_warps: int,
     warp_size: int,
     max_vec_elems: int,
@@ -194,13 +195,15 @@ def _shared_accesses(
 ) -> SharedAccesses:
     """Per-CTA-thread vectorized access lists for a layout.
 
-    ``offsets[p]`` is the shared element offset of flattened logical
-    position ``p``; ``staging`` identifies them (the staging layout's
-    canonical key, or the legacy padding parameters).  The table is
-    memoized in :data:`repro.cache.plans` on the layout, the staging,
-    the warp count and size and the vector options.  No
-    :class:`GpuSpec` is in the key, so a conversion planned on two
-    platforms that agree on all of these builds its tables once.
+    ``offsets()`` returns the offset table and is called only on a
+    memo miss: ``offsets()[p]`` is the shared element offset of
+    flattened logical position ``p``.  ``staging`` identifies it (the
+    staging layout's canonical key, or the legacy padding parameters).
+    The access table is memoized in :data:`repro.cache.plans` on the
+    layout, the staging, the warp count and size and the vector
+    options.  No :class:`GpuSpec` is in the key, so a conversion
+    planned on two platforms that agree on all of these builds its
+    tables once.
     """
     key = (
         "shared_accesses",
@@ -217,7 +220,7 @@ def _shared_accesses(
         _cache.plans,
         key,
         lambda: _build_accesses(
-            layout, offsets, num_warps, warp_size, max_vec_elems,
+            layout, offsets(), num_warps, warp_size, max_vec_elems,
             dedupe_broadcast, vec_basis, sort_by_offset,
         ),
     )
@@ -532,11 +535,11 @@ def _plan_conversion_uncached(
         raise ValueError(f"unknown swizzle_mode {swizzle_mode!r}")
 
     stores = _shared_accesses(
-        src, staging, offsets, num_warps, spec.warp_size,
+        src, staging, lambda: offsets, num_warps, spec.warp_size,
         max_vec, dedupe_broadcast, sort_by_offset=True,
     )
     loads = _shared_accesses(
-        dst, staging, offsets, num_warps, spec.warp_size,
+        dst, staging, lambda: offsets, num_warps, spec.warp_size,
         max_vec, dedupe_broadcast=False, sort_by_offset=True,
     )
     return ConversionPlan(
@@ -639,7 +642,10 @@ def _swizzled_program(
 
     elem_bytes = max(1, elem_bits // 8)
     staging = swplan.memory_layout.canonical_key()
-    offsets = _swizzled_offsets(swplan.memory_layout)
+    # Built on the first memo miss only; both lookups may hit.
+    offsets = functools.cache(
+        lambda: _swizzled_offsets(swplan.memory_layout)
+    )
     stores = _shared_accesses(
         src, staging, offsets, num_warps, spec.warp_size,
         swplan.vec_elems, dedupe_broadcast, vec_basis=swplan.vec_basis,

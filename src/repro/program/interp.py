@@ -1,10 +1,15 @@
 """The warp-program interpreter: whole-warp NumPy execution.
 
 :func:`run` executes an instruction stream as real data movement
-through register files and banked shared memory.  Each instruction's
-routing tables compile into NumPy index arrays once (cached on the
-program), after which an instruction moves whole warps through a
-handful of fancy-indexed gathers and scatters.
+through register files and banked shared memory.  A register space,
+like a :class:`~repro.gpusim.registers.RegisterFile`, is one typed
+``(warps, lanes, regs)`` array of values plus a boolean mask of the
+written slots; shared memory is the same pair, flat.  The values keep
+the dtype of the data moved (int64 ids, float64 tensor elements,
+``object`` only for a promoted file).  Each instruction's routing
+tables compile into NumPy index arrays once (cached on the program),
+after which an instruction moves whole warps, values and mask alike,
+through a handful of fancy-indexed gathers and scatters.
 
 The interpreter only moves data; pricing is
 :func:`repro.gpusim.opcost.price_program`'s job.  The one cost input
@@ -75,6 +80,14 @@ def gather_lds_wavefronts(
 # ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
+Space = Tuple[np.ndarray, np.ndarray]  # (values, written mask)
+
+
+def _empty(shape, dtype) -> Space:
+    """A space (or shared memory) with no slot written."""
+    return np.zeros(shape, dtype=dtype), np.zeros(shape, dtype=bool)
+
+
 def run(
     program: WarpProgram,
     inputs: Dict[str, RegisterFile],
@@ -83,22 +96,24 @@ def run(
 ) -> Tuple[Dict[str, RegisterFile], Tuple[int, ...]]:
     """Execute; returns (register spaces, gather-load wavefronts).
 
-    Register spaces are ``(warps, warp_size, regs)`` object arrays
-    while the program runs (``None`` marks an unwritten slot, as in a
-    sparse :class:`RegisterFile`), over the input files' warps.
-    ``STS``/``LDS`` move the accesses of the first ``num_warps``
-    warps; :class:`~repro.gpusim.machine.Machine` refuses a program
-    whose instructions span more warps than it has.
+    While the program runs, each register space is a pair of
+    ``(warps, warp_size, regs)`` arrays: the values, in the dtype of
+    the data moved, and a boolean mask of the written slots.  Spaces
+    span the larger of ``num_warps`` and the input files' warps; a
+    slot no input wrote stays unwritten, so the checks name it.
+    Shared memory is the same pair, flat.  ``STS``/``LDS`` move the
+    accesses of the first ``num_warps`` warps;
+    :class:`~repro.gpusim.machine.Machine` refuses a program whose
+    instructions span more warps than it has.
     """
     gather_wavefronts: List[int] = []
-    anchor = next(iter(inputs.values()))
-    ws = anchor.warp_size
-    nw = anchor.num_warps
-    arrays: Dict[str, np.ndarray] = {}
+    ws = next(iter(inputs.values())).warp_size
+    nw = max([num_warps] + [rf.num_warps for rf in inputs.values()])
+    spaces: Dict[str, Space] = {}
     for name, rf in inputs.items():
         regs = max(program.num_regs(name), rf.num_regs)
-        arrays[name] = rf.dense(nw, ws, regs)
-    memory: Optional[np.ndarray] = None
+        spaces[name] = rf.dense(nw, ws, regs)
+    memory: Optional[Space] = None
     mem_bytes = 4
     written = set()
     for i, instr in enumerate(program.instrs):
@@ -107,61 +122,61 @@ def run(
             written.add(instr.writes())
         key = ("vec", spec.name, num_warps, i)
         if op == Opcode.MOVR:
-            src = arrays[instr.src]
+            src_vals, src_mask = spaces[instr.src]
             table = list(instr.dst_to_src)
-            out = np.full((nw, ws, len(table)), None, dtype=object)
+            vals, mask = _empty((nw, ws, len(table)), src_vals.dtype)
             w, l = min(instr.warps, nw), min(instr.lanes, ws)
-            out[:w, :l, :] = src[:w, :l, table]
-            arrays[instr.dst] = out
+            vals[:w, :l, :] = src_vals[:w, :l, table]
+            mask[:w, :l, :] = src_mask[:w, :l, table]
+            spaces[instr.dst] = vals, mask
         elif op == Opcode.SHFL:
             dl, dr, sl, sr = _memo(program, key, _compile_shfl, instr)
-            out = arrays.get(instr.dst)
-            if out is None:
-                out = np.full(
-                    (nw, ws, program.num_regs(instr.dst)),
-                    None,
-                    dtype=object,
-                )
-                arrays[instr.dst] = out
+            src_vals, src_mask = spaces[instr.src]
+            vals, mask = spaces.get(instr.dst) or _empty(
+                (nw, ws, program.num_regs(instr.dst)), src_vals.dtype
+            )
+            if vals.dtype != src_vals.dtype:  # objects hold both exactly
+                vals = vals.astype(object)
             w = min(instr.warps, nw)
-            out[:w, dl, dr] = arrays[instr.src][:w, sl, sr]
+            vals[:w, dl, dr] = src_vals[:w, sl, sr]
+            mask[:w, dl, dr] = src_mask[:w, sl, sr]
+            spaces[instr.dst] = vals, mask
         elif op == Opcode.STS:
             w_idx, l_idx, r_idx, off = _memo(
                 program, key, _compile_shared, instr, ws, num_warps
             )
             mem_bytes = instr.elem_bytes
-            memory = _alloc_memory(program, ws, num_warps)
-            if len(off):
-                memory[off] = arrays[instr.src][w_idx, l_idx, r_idx]
+            src_vals, src_mask = spaces[instr.src]
+            memory = _empty(_memory_size(program, num_warps), src_vals.dtype)
+            memory[0][off] = src_vals[w_idx, l_idx, r_idx]
+            memory[1][off] = src_mask[w_idx, l_idx, r_idx]
         elif op == Opcode.LDS:
             if memory is None:
                 raise RuntimeError("LDS before any STS")
             w_idx, l_idx, r_idx, off = _memo(
                 program, key, _compile_shared, instr, ws, num_warps
             )
-            out = np.full(
-                (nw, ws, program.num_regs(instr.dst)), None, dtype=object
+            vals, mask = _empty(
+                (nw, ws, program.num_regs(instr.dst)), memory[0].dtype
             )
-            if len(off):
-                out[w_idx, l_idx, r_idx] = memory[off]
-            arrays[instr.dst] = out
+            vals[w_idx, l_idx, r_idx] = memory[0][off]
+            mask[w_idx, l_idx, r_idx] = memory[1][off]
+            spaces[instr.dst] = vals, mask
         elif op == Opcode.GATHER_SHFL:
-            arrays[instr.dst] = _gather_shfl(
-                program, instr, key, arrays, nw, ws
+            spaces[instr.dst] = _gather_shfl(
+                program, instr, key, spaces, nw, ws
             )
         elif op == Opcode.GATHER_STS:
             layout = instr.layout
-            here = _memo(program, key, slot_table, layout)
+            here = _memo(program, key, slot_table, layout).ravel()
             warps = layout.in_dim_size(WARP)
             lanes = layout.in_dim_size(LANE)
             regs = layout.in_dim_size(REGISTER)
             mem_bytes = instr.elem_bytes
-            memory = np.full(
-                1 << layout.total_out_bits(), None, dtype=object
-            )
-            memory[here.ravel()] = arrays[instr.src][
-                :warps, :lanes, :regs
-            ].ravel()
+            src_vals, src_mask = spaces[instr.src]
+            memory = _empty(1 << layout.total_out_bits(), src_vals.dtype)
+            memory[0][here] = src_vals[:warps, :lanes, :regs].ravel()
+            memory[1][here] = src_mask[:warps, :lanes, :regs].ravel()
         elif op == Opcode.GATHER_LDS:
             if memory is None:
                 raise RuntimeError("GATHER_LDS before any store")
@@ -169,12 +184,13 @@ def run(
             warps = layout.in_dim_size(WARP)
             lanes = layout.in_dim_size(LANE)
             regs = layout.in_dim_size(REGISTER)
-            src_flat = _gather_offsets(
-                program, instr, key, arrays, warps, lanes, regs
+            src_flat, idx_mask = _gather_offsets(
+                program, instr, key, spaces, warps, lanes, regs
             )
-            out = np.full((nw, ws, regs), None, dtype=object)
-            out[:warps, :lanes, :regs] = memory[src_flat]
-            arrays[instr.dst] = out
+            vals, mask = _empty((nw, ws, regs), memory[0].dtype)
+            vals[:warps, :lanes] = memory[0][src_flat]
+            mask[:warps, :lanes] = memory[1][src_flat] & idx_mask
+            spaces[instr.dst] = vals, mask
             gather_wavefronts.append(
                 gather_lds_wavefronts(
                     spec, mem_bytes, src_flat, warps, lanes, regs
@@ -183,9 +199,9 @@ def run(
         elif op != Opcode.BAR:  # pragma: no cover
             raise TypeError(f"unknown instruction {instr!r}")
     files = {}
-    for name, arr in arrays.items():
+    for name, (vals, mask) in spaces.items():
         if name in written or name not in inputs:
-            files[name] = RegisterFile.from_dense(arr, anchor.num_warps, ws)
+            files[name] = RegisterFile.from_dense(vals, mask, nw, ws)
         else:
             # Untouched inputs pass through without an array round-trip.
             files[name] = inputs[name]
@@ -196,34 +212,37 @@ def run(
 # Gather helpers
 # ----------------------------------------------------------------------
 def _gather_offsets(
-    program, instr, key, arrays, warps, lanes, regs
-) -> np.ndarray:
-    """Flat source position of every (warp, lane, register) slot."""
+    program, instr, key, spaces, warps, lanes, regs
+) -> Space:
+    """Flat source position of every (warp, lane, register) slot, and
+    which slots have a written index."""
     here = _memo(program, (*key, "flats"), slot_table, instr.layout)
     shift, mask = _axis_field(instr.layout, instr.axis)
-    pos = arrays[instr.index][:warps, :lanes, :regs].astype(np.int64)
-    return (here & ~mask) | (pos << shift)
+    idx_vals, idx_mask = spaces[instr.index]
+    pos = idx_vals[:warps, :lanes, :regs].astype(np.int64)
+    return (here & ~mask) | (pos << shift), idx_mask[:warps, :lanes, :regs]
 
 
-def _gather_shfl(program, instr, key, arrays, nw, ws) -> np.ndarray:
+def _gather_shfl(program, instr, key, spaces, nw, ws) -> Space:
     """Each slot reads its source position's canonical owner in-warp."""
     layout = instr.layout
     warps = layout.in_dim_size(WARP)
     lanes = layout.in_dim_size(LANE)
     regs = layout.in_dim_size(REGISTER)
-    src_flat = _gather_offsets(
-        program, instr, key, arrays, warps, lanes, regs
+    src_flat, idx_mask = _gather_offsets(
+        program, instr, key, spaces, warps, lanes, regs
     )
     owners = _memo(program, (*key, "owners"), owner_table, layout)
     owner = owners[src_flat]
     w_mesh = np.broadcast_to(
         np.arange(warps).reshape(-1, 1, 1), src_flat.shape
     )
-    out = np.full((nw, ws, regs), None, dtype=object)
-    out[:warps, :lanes, :regs] = arrays[instr.src][
-        w_mesh, owner[..., 1], owner[..., 0]
-    ]
-    return out
+    src_vals, src_mask = spaces[instr.src]
+    at = (w_mesh, owner[..., 1], owner[..., 0])
+    vals, mask = _empty((nw, ws, regs), src_vals.dtype)
+    vals[:warps, :lanes] = src_vals[at]
+    mask[:warps, :lanes] = src_mask[at] & idx_mask
+    return vals, mask
 
 
 # ----------------------------------------------------------------------
@@ -249,10 +268,8 @@ def _compile_shared(instr, warp_size: int, num_warps: int):
     )
 
 
-def _alloc_memory(
-    program: WarpProgram, warp_size: int, num_warps: int
-) -> np.ndarray:
-    """A fresh shared-memory array big enough for the whole program."""
+def _memory_size(program: WarpProgram, num_warps: int) -> int:
+    """Shared-memory elements the whole program addresses."""
     key = ("memsize", num_warps)
     size = program.scratch.get(key)
     if size is None:
@@ -266,7 +283,7 @@ def _alloc_memory(
             ):
                 size = max(size, 1 << instr.layout.total_out_bits())
         program.scratch[key] = size
-    return np.full(size, None, dtype=object)
+    return size
 
 
 def _memo(program: WarpProgram, key, build, *args):

@@ -293,3 +293,28 @@ class TestMachineWarpCount:
         # The identity gather on a 4-warp machine returns the source.
         out, _ = run_gather(Machine(RTX4090, 4), program, src, index)
         assert_matches_layout(out, self.LAYOUT)
+
+    @pytest.mark.parametrize(
+        "build", [gather_shuffle_program, gather_shared_program]
+    )
+    def test_narrow_inputs_leave_missing_warps_unwritten(self, build):
+        """1-warp input files on a 4-warp machine: the register spaces
+        span the machine's 4 warps, the gather fills warp 0 from the
+        slots the inputs wrote, and the check names the first slot no
+        input wrote."""
+        program = build(self.LAYOUT, 1)
+        regs = self.LAYOUT.in_dim_size(REGISTER)
+
+        def narrow(rf):
+            return RegisterFile.from_dense(*rf.dense(1, 32, regs), 1, 32)
+
+        src = narrow(distributed_data(self.LAYOUT, 4, 32))
+        index = narrow(
+            distributed_data(self.LAYOUT, 4, 32, value_of=lambda p: p & 15)
+        )
+        out, _ = run_gather(Machine(RTX4090, 4), program, src, index)
+        assert out.num_warps == 4
+        assert {w for w, _, _ in out.as_dict()} == {0}
+        assert len(out) == 32 * regs
+        with pytest.raises(KeyError, match=r"\(w=1, l=0, r=0\)"):
+            assert_matches_layout(out, self.LAYOUT)

@@ -114,3 +114,35 @@ class TestOps:
         vb = rng.standard_normal((16, 4))
         res = execute_graph(kb.graph, [va, vb])
         assert np.allclose(res.stores[0], va @ vb, atol=0.5)
+
+
+class TestSimulatedConversions:
+    def test_nan_and_inf_pass_a_conversion(self):
+        """A compiled kernel's conversions move NaN, ±inf and -0.0 like
+        any other value: the slot check passes a slot holding the NaN
+        it should hold, and the store equals the source graph's."""
+        from repro.engine import compile
+        from repro.hardware import RTX4090
+        from repro.engine.ir import OpKind
+
+        def build():
+            kb = KernelBuilder()
+            kb.store(kb.dot(kb.load((64, 64), F16), kb.load((64, 64), F16)))
+            return kb.graph
+
+        a = np.ones((64, 64))
+        a[3, 5], a[7, 1], a[0, 0] = np.nan, np.inf, -0.0
+        b = np.ones((64, 64))
+        b[2, 2] = -np.inf
+        compiled = compile(build(), RTX4090, "linear")
+        converts = [
+            op for op in compiled.graph.ops
+            if op.kind == OpKind.CONVERT_LAYOUT
+        ]
+        assert converts
+        with np.errstate(invalid="ignore"):
+            want = execute_graph(build(), [a, b]).stores[0]
+            got = execute_graph(compiled, [a, b])
+        assert len(got.conversion_traces) == len(converts)
+        assert np.isnan(want).any() and np.isinf(want).any()
+        assert np.array_equal(got.stores[0], want, equal_nan=True)

@@ -10,6 +10,7 @@ kind emits one fixed program shape.
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,7 +22,7 @@ from repro.codegen.gather import (
     gather_shuffle_program,
     plan_gather,
 )
-from repro.codegen.views import DistributedView
+from repro.codegen.views import DistributedView, slot_table
 from repro.core import LANE, LinearLayout, REGISTER, WARP
 from repro.gpusim import (
     Machine,
@@ -357,6 +358,131 @@ def test_static_price_matches_executed_trace(case, mode, bits):
     out, trace = assert_matches_reference(spec, warps, plan, registers)
     assert trace.instructions == priced
     assert_matches_layout(out, dst)
+
+
+# ----------------------------------------------------------------------
+# Typed register files against the per-lane reference
+# ----------------------------------------------------------------------
+def typed_values(kind, size, draw_index=None):
+    """``value_of`` for one of the machine's value kinds.
+
+    ``"int64"`` is the positions times an odd constant; ``"float64"``
+    is float data with NaN, ±inf and -0.0 in it (``draw_index`` picks
+    where, else fixed spots); ``"object"`` is the int data with
+    position 0 replaced by a string, which promotes the file.
+    """
+    if kind == "int64":
+        return lambda p: p * 5 + 3
+    if kind == "float64":
+        flat = np.arange(size, dtype=np.float64) / 4 - 1
+        pick = draw_index or (lambda i: (i * 7 + 1) % size)
+        for i, special in enumerate([np.nan, -0.0, np.inf, -np.inf]):
+            flat[pick(i)] = special
+        return lambda p: flat[p]
+    flat = np.arange(size, dtype=np.int64).astype(object)
+    flat[0] = "bad"
+    return lambda p: flat[p]
+
+
+def typed_registers(kind, layout, num_warps, warp_size, value_of):
+    """A register file of ``layout`` holding ``value_of``; the object
+    kind is an int64 file promoted by writing the string into every
+    slot of position 0, one slot at a time."""
+    if kind != "object":
+        return distributed_data(layout, num_warps, warp_size, value_of)
+    rf = distributed_data(layout, num_warps, warp_size)
+    for w, l, r in np.argwhere(slot_table(layout) == 0).tolist():
+        rf.write(w, l, r, "bad")
+    assert rf.dtype == object
+    return rf
+
+
+def file_contents(rf):
+    """The written slots, the dtype, and the values bit for bit
+    (``-0.0`` differs from ``0.0``; NaN matches NaN)."""
+    cells = rf.as_dict()
+    slots = sorted(cells)
+    values = [cells[s] for s in slots]
+    if rf.dtype == object:
+        return slots, rf.dtype, [(type(v), v) for v in values]
+    return slots, rf.dtype, np.array(values, dtype=rf.dtype).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=plan_cases(),
+    kind=st.sampled_from(["int64", "float64", "object"]),
+    mode=st.sampled_from(["optimal", "padded", "none"]),
+    data=st.data(),
+)
+def test_typed_machine_matches_reference(case, kind, mode, data):
+    """Every plan kind moves int64, float64 (NaN, ±inf, -0.0) and
+    promoted object files exactly as the per-lane reference does: same
+    dtype, same written slots, same bits, same trace; the typed check
+    passes the result."""
+    spec, src, dst = case
+    plan = plan_conversion(src, dst, 16, spec=spec, swizzle_mode=mode)
+    size = 1 << src.total_out_bits()
+    value_of = typed_values(
+        kind, size, lambda i: data.draw(st.integers(0, size - 1))
+    )
+    warps = max(src.in_dim_size(WARP), dst.in_dim_size(WARP))
+    registers = typed_registers(
+        kind, src, warps, spec.warp_size, value_of
+    )
+    out_s, trace_s = reference_conversion(spec, warps, plan, registers)
+    out_v, trace_v = Machine(spec, warps).run_conversion(plan, registers)
+    assert out_v.dtype == registers.dtype
+    assert file_contents(out_v) == file_contents(out_s)
+    assert trace_v.instructions == trace_s.instructions
+    assert_matches_layout(out_v, dst, value_of)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=plan_cases(), mode=st.sampled_from(["optimal", "padded", "none"]))
+def test_unwritten_slots_stay_unwritten(case, mode):
+    """A position no source slot holds reaches no destination slot,
+    through registers, shuffles and shared memory alike: the mask
+    moves with the values, and the check names the first such slot."""
+    spec, src, dst = case
+    plan = plan_conversion(src, dst, 16, spec=spec, swizzle_mode=mode)
+    warps = max(src.in_dim_size(WARP), dst.in_dim_size(WARP))
+    registers = distributed_data(src, warps, spec.warp_size)
+    for w, l, r in np.argwhere(slot_table(src) == 0).tolist():
+        registers.write(w, l, r, None)
+    out, _ = Machine(spec, warps).run_conversion(plan, registers)
+    table = slot_table(dst)
+    _, written = out.dense(*table.shape)
+    assert (written == (table != 0)).all()
+    with pytest.raises(KeyError, match=r"\(w=0, l=0, r=0\)"):
+        assert_matches_layout(out, dst)
+
+
+@pytest.mark.parametrize("kind", ["int64", "float64", "object"])
+@pytest.mark.parametrize(
+    "lower", [gather_shuffle_program, gather_shared_program]
+)
+@pytest.mark.parametrize("spec", [RTX4090, MI250], ids=lambda s: s.name)
+def test_typed_gathers_match_reference(spec, lower, kind):
+    """Gathers move typed sources by an int64 index file as the
+    per-lane reference does, at warp 32 and warp 64."""
+    shape = (16, 16) if spec.warp_size == 32 else (32, 16)
+    threads = (4, 8) if spec.warp_size == 32 else (8, 8)
+    layout = BlockedLayout((1, 2), threads, (4, 1), (1, 0)).to_linear(shape)
+    size = 1 << layout.total_out_bits()
+    value_of = typed_values(kind, size)
+    src = typed_registers(kind, layout, 4, spec.warp_size, value_of)
+    index = distributed_data(
+        layout, 4, spec.warp_size, value_of=lambda p: (p * 7 + 3) % 16
+    )
+    program = lower(layout, 1)
+    files, trace_s = run_reference(
+        spec, 4, program, {R_IN: src, R_IDX: index}
+    )
+    out_v, trace_v = run_gather(Machine(spec, 4), program, src, index)
+    assert out_v.dtype == src.dtype
+    assert file_contents(out_v) == file_contents(files[program.result])
+    assert trace_v.instructions == trace_s.instructions
 
 
 @pytest.mark.parametrize("mode", ["linear", "legacy"])

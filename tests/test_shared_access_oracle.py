@@ -217,8 +217,9 @@ def test_planner_accesses_match_reference(
     calls = []
     real = conversion._shared_accesses
 
-    def checked(layout, staging, offsets, *args, **kwargs):
-        got = real(layout, staging, offsets, *args, **kwargs)
+    def checked(layout, staging, offsets_of, *args, **kwargs):
+        got = real(layout, staging, offsets_of, *args, **kwargs)
+        offsets = offsets_of()
         expected = reference_accesses(
             layout, lambda p: int(offsets[p]), *args, **kwargs
         )
@@ -588,11 +589,13 @@ def test_access_memo_keys_every_input(case, data):
     ]
     cache.clear()
     for kwargs in variants:
-        got = conversion._shared_accesses(layout, "drawn", offsets, **kwargs)
+        got = conversion._shared_accesses(
+            layout, "drawn", lambda: offsets, **kwargs
+        )
         want = _build_accesses(layout, offsets, **kwargs)
         assert got.to_tuples() == want.to_tuples()
         again = conversion._shared_accesses(
-            layout, "drawn", offsets, **kwargs
+            layout, "drawn", lambda: offsets, **kwargs
         )
         assert again is got
 
@@ -632,3 +635,45 @@ def test_twin_platforms_share_access_tables(monkeypatch):
     for a, b in zip(first.program.instrs, fresh.program.instrs):
         if hasattr(a, "accesses"):
             assert a.accesses == b.accesses and a.accesses is not b.accesses
+
+
+def test_offset_tables_built_only_on_access_misses(monkeypatch):
+    """A swizzled candidate builds its staging offset table only when
+    one of its two access lookups misses: the twin platform, whose
+    lookups all hit, builds none and plans the same program."""
+    from repro.layouts import BlockedLayout
+
+    src = BlockedLayout((1, 4), (8, 4), (2, 2), (1, 0)).to_linear((32, 64))
+    dst = BlockedLayout((4, 1), (4, 8), (2, 2), (0, 1)).to_linear((32, 64))
+    tables, builds = [], []
+    real_offsets = conversion._swizzled_offsets
+    real_build = conversion._build_accesses
+
+    def counted_offsets(memory_layout):
+        tables.append(memory_layout)
+        return real_offsets(memory_layout)
+
+    def counted_build(*args, **kwargs):
+        builds.append(args[0])
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(conversion, "_swizzled_offsets", counted_offsets)
+    monkeypatch.setattr(conversion, "_build_accesses", counted_build)
+    cache.clear()
+
+    def plan(spec):
+        return plan_conversion(
+            src, dst, 16, spec=spec, allow_shuffle=False,
+            swizzle_mode="optimal",
+        )
+
+    first = plan(RTX4090)
+    assert first.kind == "shared"
+    assert builds and 1 <= len(tables) <= len(builds)
+    counts = len(tables), len(builds)
+    second = plan(GH200)
+    assert (len(tables), len(builds)) == counts
+    assert second.program == first.program
+    with cache.disabled():
+        assert plan(GH200).program == first.program
+    assert len(tables) > counts[0]
