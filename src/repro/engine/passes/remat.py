@@ -8,7 +8,8 @@ are single-use loads, optionally followed by single-use single-input
 elementwise ops; the rewrite is taken only when the priced
 alternative is no worse — priced by the same
 :class:`~repro.gpusim.opcost.OpCostModel` the lowering pass charges
-with, so the decision and the bill can never disagree.
+with, so the decision and the bill can never disagree.  A conversion
+is planned only when its price can decide (see :meth:`run`).
 
 The pass is idempotent: it runs to a fixed point, so a second run
 finds no eliminable conversions (``tests/test_pipeline.py`` holds
@@ -55,15 +56,11 @@ class BackwardRematerialization(Pass):
                 dst_desc = convert.output.descriptor
                 if self.require_descriptor and dst_desc is None:
                     continue  # legacy can only anchor layouts it names
-                old_cost = cost.global_cycles(
+                load_cost = cost.global_cycles(
                     load.output.layout,
                     load.output.descriptor,
                     load.output.shape,
                     load.output.dtype,
-                ) + cost.conversion_cycles(
-                    convert.inputs[0].layout,
-                    dst_layout,
-                    convert.inputs[0].dtype,
                 )
                 new_cost = cost.global_cycles(
                     dst_layout,
@@ -71,7 +68,14 @@ class BackwardRematerialization(Pass):
                     load.output.shape,
                     load.output.dtype,
                 )
-                if new_cost > old_cost:
+                # Cycles are never negative, so only a dearer re-anchored
+                # load leaves the decision to the conversion's price: a
+                # conversion is planned then and only then, and one the
+                # planner would refuse can go when the load costs no more.
+                source, replaced = convert.inputs[0], convert.output
+                if new_cost > load_cost and new_cost > load_cost + (
+                    cost.conversion_cycles(source.layout, dst_layout, source.dtype)
+                ):
                     diag.bump("chains_rejected_by_cost")
                     continue
                 # Re-anchor the chain and delete the conversion.
@@ -82,7 +86,6 @@ class BackwardRematerialization(Pass):
                     mid.output.descriptor = dst_desc
                 # The conversion was its source's only user (checked
                 # by the chain walk): the source takes over its users.
-                source, replaced = convert.inputs[0], convert.output
                 consumers = users.pop(id(replaced), [])
                 for op in consumers:
                     op.inputs = [source if v is replaced else v for v in op.inputs]

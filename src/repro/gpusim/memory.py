@@ -1,11 +1,14 @@
 """Banked shared memory with wavefront accounting.
 
 Models the geometry every platform in Table 2 shares: 32 banks of 4
-bytes, 128-byte transactions.  A warp access is split into 128-byte
-transactions (wide vectors span several), and within each transaction
-the cost is the worst-case number of distinct words any bank must
-serve — same-word broadcast is free on loads, which is how real
-hardware behaves and what Lemma 9.4 predicts.
+bytes, 128-byte transactions.  A warp instruction costs the largest
+number of distinct 4-byte words any one bank must serve: a vector
+wider than a 128-byte transaction sweeps distinct words, and same-word
+broadcast is free on loads, which is how real hardware behaves and
+what Lemma 9.4 predicts.
+
+One dense counter, :func:`instruction_wavefronts`, prices every shared
+access: a row per lockstep warp instruction, a column per lane.
 """
 
 from __future__ import annotations
@@ -15,50 +18,49 @@ import numpy as np
 from repro.hardware.spec import GpuSpec
 
 
-def bank_wavefronts(
-    spec: GpuSpec,
-    elem_bytes: int,
-    group: np.ndarray,
-    offset: np.ndarray,
-    count: np.ndarray,
-    num_groups: int,
+def instruction_wavefronts(
+    spec: GpuSpec, elem_bytes: int, offset: np.ndarray, count
 ) -> np.ndarray:
-    """Wavefronts of many warp-wide accesses at once.
+    """Wavefronts of each of many lockstep warp instructions.
 
-    Request ``i`` moves ``count[i]`` elements from element offset
-    ``offset[i]`` and belongs to warp access ``group[i]``.  Each
-    access costs the largest number of distinct 4-byte words any one
-    bank must serve: a vector wider than a 128-byte transaction sweeps
-    distinct words, and same-word broadcast is free, which is how real
-    hardware behaves and what Lemma 9.4 predicts.  Returns one count
-    per group, 0 for a group without requests.
+    Row ``i`` of the ``(rows, lanes)`` array ``offset`` is one warp
+    instruction (a (warp, slot) of an STS/LDS, a (register, warp) of a
+    gather load): lane ``l`` moves ``count[i, l]`` elements from element
+    offset ``offset[i, l]``, none when the count is 0 (``count``
+    broadcasts against ``offset``).  Returns one count per row.
 
-    Every request expands to the words it sweeps, keyed by ``(group,
-    word)``; sorting the keys and keeping each first occurrence leaves
-    the distinct words, which one ``bincount`` tallies per bank.
+    Each lane expands to the words it sweeps, ``-1`` past its end; each
+    row is sorted on its own, so a word unlike its left neighbour is a
+    distinct word, and one ``bincount`` tallies those per (row, bank).
+    The power-of-two bank geometry is applied with shifts and masks.
     """
+    rows = offset.shape[0]
     banks = spec.num_banks
-    out = np.zeros(num_groups, dtype=np.int64)
-    if not len(offset):
-        return out
+    word_shift = spec.bank_bytes.bit_length() - 1
     start = offset * elem_bytes
-    word0 = start // spec.bank_bytes
-    word1 = (
-        start + count * elem_bytes + spec.bank_bytes - 1
-    ) // spec.bank_bytes
-    spans = word1 - word0
-    req = np.repeat(np.arange(len(spans)), spans)
-    first = np.cumsum(spans) - spans
-    words = word0[req] + np.arange(len(req)) - first[req]
-    stride = int(words.max()) + 1
-    keys = np.sort(group[req] * stride + words)
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    owner = keys // stride
-    bank = (keys - owner * stride) % banks
-    per_bank = np.bincount(
-        owner * banks + bank, minlength=num_groups * banks
+    first = start >> word_shift
+    spans = np.where(
+        count > 0,
+        ((start + count * elem_bytes - 1) >> word_shift) - first + 1,
+        0,
     )
-    return per_bank.reshape(num_groups, banks).max(axis=1)
+    sweep = int(spans.max(initial=0))
+    if sweep == 0:
+        return np.zeros(rows, dtype=np.int64)
+    step = np.arange(sweep)
+    words = np.where(
+        step < spans[..., None], first[..., None] + step, -1
+    ).reshape(rows, -1)
+    words.sort(axis=1)
+    fresh = np.empty(words.shape, dtype=bool)
+    fresh[:, 0] = words[:, 0] >= 0
+    np.not_equal(words[:, 1:], words[:, :-1], out=fresh[:, 1:])
+    row_bank = (words & (banks - 1)) + (np.arange(rows) * banks)[:, None]
+    per_bank = np.bincount(
+        np.where(fresh, row_bank, rows * banks).ravel(),
+        minlength=rows * banks + 1,
+    )
+    return per_bank[:-1].reshape(rows, banks).max(axis=1)
 
 
 def access_wavefronts(
@@ -74,17 +76,20 @@ def access_wavefronts(
     ``warp * spec.warp_size + lane``.
     """
     ws = spec.warp_size
-    accesses = accesses.leading(num_warps * ws)
+    threads = num_warps * ws
+    accesses = accesses.leading(threads)
     slots = accesses.max_accesses
-    width = accesses.width
-    tid, k = np.nonzero(width)
-    return bank_wavefronts(
-        spec,
-        elem_bytes,
-        (tid // ws) * slots + k,
-        accesses.base[tid, k],
-        width[tid, k],
-        num_warps * slots,
+    base, width = accesses.base, accesses.width
+    if accesses.num_threads < threads:  # absent threads move nothing
+        pad = ((0, threads - accesses.num_threads), (0, 0))
+        base, width = np.pad(base, pad), np.pad(width, pad)
+
+    def rows(table: np.ndarray) -> np.ndarray:  # -> (warp, slot) x lane
+        table = table.reshape(num_warps, ws, slots).transpose(0, 2, 1)
+        return table.reshape(num_warps * slots, ws)
+
+    return instruction_wavefronts(
+        spec, elem_bytes, rows(base), rows(width)
     ).reshape(num_warps, slots)
 
 

@@ -236,7 +236,8 @@ class OpCostModel:
         )
 
     def global_cycles(self, layout, desc, shape, dtype) -> float:
-        """Cycles of a global access without emitting it (memoized)."""
+        """Cycles of a global access without emitting it (memoized on
+        the frozen descriptor itself, equal only within its class)."""
 
         def compute() -> float:
             inst = self.global_access(layout, desc, shape, dtype, InstructionKind.GLOBAL_LOAD)
@@ -249,7 +250,7 @@ class OpCostModel:
                 "global_cycles",
                 self.policy.mode,
                 layout.canonical_key(),
-                None if desc is None else repr(desc),
+                desc,
                 tuple(shape),
                 dtype.bits,
                 self.spec,

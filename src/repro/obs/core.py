@@ -74,8 +74,12 @@ class Span:
 
     ``attrs`` carries typed key/value details (pass counters, request
     stats, simulator totals); values must be JSON-serializable.
-    Instances are created by :func:`span` — not directly — and become
-    immutable-by-convention once recorded.
+    Instances are created by :func:`span` — not directly — and are
+    their own context manager: entering opens the span on the calling
+    thread's stack (its ids, thread and start time), exiting times it
+    and hands it to the recorder that was installed when :func:`span`
+    made it, never to a later capture it does not belong to.  A
+    recorded span is immutable by convention.
     """
 
     __slots__ = (
@@ -89,29 +93,50 @@ class Span:
         "end_us",
         "attrs",
         "status",
+        "_recorder",
     )
 
     def __init__(
-        self,
-        name: str,
-        trace_id: int,
-        span_id: int,
-        parent_id: Optional[int],
-        thread_id: int,
-        thread_name: str,
-        start_us: float,
-        attrs: Optional[Dict[str, Any]] = None,
+        self, recorder: "Recorder", name: str, attrs: Dict[str, Any]
     ):
+        self._recorder = recorder
         self.name = name
-        self.trace_id = trace_id
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.thread_id = thread_id
-        self.thread_name = thread_name
-        self.start_us = start_us
+        # The span adopts the attrs dict :func:`span` built for it.
+        self.attrs = attrs
         self.end_us: Optional[float] = None
-        self.attrs: Dict[str, Any] = {} if attrs is None else attrs
         self.status = "ok"
+
+    def __enter__(self) -> "Span":
+        local = _STACK
+        stack = local.stack
+        if stack:
+            parent = stack[-1]
+            self.trace_id, self.parent_id = parent.trace_id, parent.span_id
+        else:
+            self.trace_id, self.parent_id = next(_IDS), None
+        self.span_id = next(_IDS)
+        self.thread_id = local.ident
+        self.thread_name = local.name
+        stack.append(self)
+        self.start_us = self._recorder.now_us()
+        return self
+
+    def __exit__(self, exc_type, exc, _tb) -> bool:
+        self.end_us = self._recorder.now_us()
+        stack = _STACK.stack
+        # Pop exactly this span; tolerate a corrupted stack rather
+        # than masking the caller's exception.
+        if stack and stack[-1] is self:
+            stack.pop()
+        elif self in stack:  # pragma: no cover - defensive
+            stack.remove(self)
+        if exc_type is not None:
+            self.status = "error"
+            self.attrs.setdefault("error", f"{exc_type.__name__}: {exc}")
+        # Dropping the recorder leaves no recorder <-> span cycle.
+        recorder, self._recorder = self._recorder, None
+        recorder.record(self)
+        return False
 
     @property
     def duration_us(self) -> float:
@@ -135,17 +160,25 @@ class Span:
 
     def __repr__(self) -> str:
         return (
-            f"<Span {self.name!r} trace={self.trace_id} "
-            f"id={self.span_id} parent={self.parent_id} "
+            f"<Span {self.name!r} trace={getattr(self, 'trace_id', None)} "
+            f"id={getattr(self, 'span_id', None)} "
+            f"parent={getattr(self, 'parent_id', None)} "
             f"{self.duration_ms:.3f}ms>"
         )
 
 
 class _SpanStack(threading.local):
-    """Per-thread stack of open spans (hierarchy without plumbing)."""
+    """Per-thread stack of open spans (hierarchy without plumbing).
+
+    Also holds the thread's ident and name, looked up once, on the
+    thread's first span, instead of once per span.
+    """
 
     def __init__(self):
         self.stack: List[Span] = []
+        thread = threading.current_thread()
+        self.ident = thread.ident or 0
+        self.name = thread.name
 
 
 _STACK = _SpanStack()
@@ -179,12 +212,17 @@ class Recorder:
         return (time.perf_counter() - self.origin) * 1e6
 
     def record(self, span: Span) -> None:
-        """Store one finished span (or count it as dropped)."""
-        with self._lock:
-            if len(self._spans) >= self.max_spans:
-                self.dropped_spans += 1
-                return
-            self._spans.append(span)
+        """Store one finished span (or count it as dropped).
+
+        Lock-free: ``list.append`` is atomic under the GIL, and the
+        length check bounds the list (threads racing past it at the
+        bound can add at most one span each).
+        """
+        spans = self._spans
+        if len(spans) >= self.max_spans:
+            self.dropped_spans += 1
+            return
+        spans.append(span)
 
     def sync_sources(self) -> None:
         """Add what the counter sources counted since the last sync.
@@ -304,58 +342,6 @@ class _NoopSpan:
 NOOP_SPAN = _NoopSpan()
 
 
-class _SpanHandle:
-    """Context manager that opens a :class:`Span` on the thread stack.
-
-    Binds the recorder at construction: a span that outlives a
-    :func:`capture` block still lands in the recorder that was active
-    when it started, never in a later capture it doesn't belong to.
-    """
-
-    __slots__ = ("_recorder", "_name", "_attrs", "span")
-
-    def __init__(self, recorder: Recorder, name: str, attrs: Dict[str, Any]):
-        self._recorder = recorder
-        self._name = name
-        self._attrs = attrs
-        self.span: Optional[Span] = None
-
-    def __enter__(self) -> Span:
-        stack = _STACK.stack
-        if stack:
-            parent = stack[-1]
-            trace_id, parent_id = parent.trace_id, parent.span_id
-        else:
-            trace_id, parent_id = next(_IDS), None
-        thread = threading.current_thread()
-        # Positional, and the span adopts the attrs dict :func:`span`
-        # built for it: this runs on every recorded span.
-        sp = Span(
-            self._name, trace_id, next(_IDS), parent_id,
-            thread.ident or 0, thread.name, self._recorder.now_us(),
-            self._attrs,
-        )
-        stack.append(sp)
-        self.span = sp
-        return sp
-
-    def __exit__(self, exc_type, exc, _tb) -> bool:
-        sp = self.span
-        stack = _STACK.stack
-        # Pop exactly this span; tolerate a corrupted stack rather
-        # than masking the caller's exception.
-        if stack and stack[-1] is sp:
-            stack.pop()
-        elif sp in stack:  # pragma: no cover - defensive
-            stack.remove(sp)
-        sp.end_us = self._recorder.now_us()
-        if exc_type is not None:
-            sp.status = "error"
-            sp.attrs.setdefault("error", f"{exc_type.__name__}: {exc}")
-        self._recorder.record(sp)
-        return False
-
-
 def span(name: str, **attrs: Any):
     """A context manager recording one hierarchical span.
 
@@ -371,7 +357,7 @@ def span(name: str, **attrs: Any):
     rec = _recorder
     if rec is None:
         return NOOP_SPAN
-    return _SpanHandle(rec, name, attrs)
+    return Span(rec, name, attrs)
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.dims import LANE, REGISTER, WARP
 from repro.codegen.views import owner_table, slot_table
-from repro.gpusim.memory import bank_wavefronts
+from repro.gpusim.memory import instruction_wavefronts
 from repro.gpusim.registers import RegisterFile
 from repro.hardware.spec import GpuSpec
 from repro.program.ir import Opcode, WarpProgram
@@ -50,28 +50,20 @@ def _axis_field(layout, axis: int) -> Tuple[int, int]:
 
 
 def gather_lds_wavefronts(
-    spec: GpuSpec,
-    elem_bytes: int,
-    offsets,
-    warps: int,
-    lanes: int,
-    regs: int,
+    spec: GpuSpec, elem_bytes: int, offsets: np.ndarray
 ) -> int:
     """Measured wavefronts of the data-dependent gathered loads.
 
-    ``offsets[w][l][r]`` (any indexable) holds the flat source
-    offsets; the metric is the historical one — per register slot the
-    worst warp, averaged over slots.
+    ``offsets[w, l, r]`` holds the flat source offsets; each (register,
+    warp) is one lockstep load.  The metric is the historical one — per
+    register slot the worst warp, averaged over slots.
     """
-    table = np.asarray(offsets, dtype=np.int64)[:warps, :lanes, :regs]
-    group = np.arange(regs) * warps + np.arange(warps)[:, None, None]
-    per_slot = bank_wavefronts(
+    warps, lanes, regs = offsets.shape
+    per_slot = instruction_wavefronts(
         spec,
         elem_bytes,
-        np.broadcast_to(group, table.shape).ravel(),
-        table.ravel(),
-        np.ones(table.size, dtype=np.int64),
-        regs * warps,
+        offsets.transpose(2, 0, 1).reshape(regs * warps, lanes),
+        1,
     ).reshape(regs, warps)
     worst = np.maximum(per_slot.max(axis=1, initial=0), 1)
     return max(1, int(worst.sum()) // max(1, regs))
@@ -192,9 +184,7 @@ def run(
             mask[:warps, :lanes] = memory[1][src_flat] & idx_mask
             spaces[instr.dst] = vals, mask
             gather_wavefronts.append(
-                gather_lds_wavefronts(
-                    spec, mem_bytes, src_flat, warps, lanes, regs
-                )
+                gather_lds_wavefronts(spec, mem_bytes, src_flat)
             )
         elif op != Opcode.BAR:  # pragma: no cover
             raise TypeError(f"unknown instruction {instr!r}")
@@ -215,12 +205,22 @@ def _gather_offsets(
     program, instr, key, spaces, warps, lanes, regs
 ) -> Space:
     """Flat source position of every (warp, lane, register) slot, and
-    which slots have a written index."""
+    which slots have a written index; ``IndexError`` for a written
+    index outside ``[0, axis size)``, as ``np.take_along_axis`` raises."""
     here = _memo(program, (*key, "flats"), slot_table, instr.layout)
     shift, mask = _axis_field(instr.layout, instr.axis)
     idx_vals, idx_mask = spaces[instr.index]
     pos = idx_vals[:warps, :lanes, :regs].astype(np.int64)
-    return (here & ~mask) | (pos << shift), idx_mask[:warps, :lanes, :regs]
+    written = idx_mask[:warps, :lanes, :regs]
+    size = (mask >> shift) + 1
+    bad = written & ((pos < 0) | (pos >= size))
+    if bad.any():
+        slot = np.unravel_index(np.argmax(bad), bad.shape)
+        raise IndexError(
+            f"gather index {pos[slot]} is out of bounds for axis {instr.axis}"
+            f" with size {size} at (w={slot[0]}, l={slot[1]}, r={slot[2]})"
+        )
+    return (here & ~mask) | (pos << shift), written
 
 
 def _gather_shfl(program, instr, key, spaces, nw, ws) -> Space:

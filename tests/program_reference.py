@@ -13,17 +13,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.codegen.views import DistributedView
 from repro.core.dims import LANE, REGISTER, WARP
-from repro.gpusim.memory import bank_wavefronts
 from repro.gpusim.opcost import price_program
 from repro.gpusim.registers import RegisterFile
 from repro.gpusim.trace import Trace
 from repro.hardware.spec import GpuSpec
-from repro.program.interp import _axis_field, gather_lds_wavefronts
+from repro.program.interp import _axis_field
 from repro.program.ir import Opcode, R_IN, WarpProgram
+from tests import bank_reference
 
 
 class SharedMemory:
@@ -62,22 +60,11 @@ class SharedMemory:
         """Wavefronts for one warp-wide access.
 
         ``accesses`` is a list of ``(element_offset, num_elements)``
-        per participating lane; see :func:`bank_wavefronts`.  Loads and
-        stores cost the same.
+        per participating lane, counted by the scalar per-bank
+        reference (:func:`tests.bank_reference.wavefronts`), not by the
+        pricer's counter.  Loads and stores cost the same.
         """
-        if not accesses:
-            return 0
-        offsets, counts = zip(*accesses)
-        return int(
-            bank_wavefronts(
-                self.spec,
-                self.elem_bytes,
-                np.zeros(len(offsets), dtype=np.int64),
-                np.asarray(offsets, dtype=np.int64),
-                np.asarray(counts, dtype=np.int64),
-                1,
-            )[0]
-        )
+        return bank_reference.wavefronts(self.spec, self.elem_bytes, accesses)
 
 
 class ScalarInterpreter:
@@ -193,15 +180,10 @@ class ScalarInterpreter:
         regs = layout.in_dim_size(REGISTER)
         lanes = layout.in_dim_size(LANE)
         warps = layout.in_dim_size(WARP)
-        shift, mask = _axis_field(layout, instr.axis)
         for w in range(warps):
             for lane in range(lanes):
                 for r in range(regs):
-                    pos = index.read(w, lane, r)
-                    here = view.flat_of(
-                        {REGISTER: r, LANE: lane, WARP: w}
-                    )
-                    src_flat = (here & ~mask) | (int(pos) << shift)
+                    src_flat = _source_flat(instr, view, index, w, lane, r)
                     owner = view.owner_of(src_flat)
                     out.write(
                         w,
@@ -235,23 +217,33 @@ class ScalarInterpreter:
         regs = layout.in_dim_size(REGISTER)
         lanes = layout.in_dim_size(LANE)
         warps = layout.in_dim_size(WARP)
-        shift, mask = _axis_field(layout, instr.axis)
         offsets = [
             [[0] * regs for _ in range(lanes)] for _ in range(warps)
         ]
         for w in range(warps):
             for lane in range(lanes):
                 for r in range(regs):
-                    pos = index.read(w, lane, r)
-                    here = view.flat_of(
-                        {REGISTER: r, LANE: lane, WARP: w}
-                    )
-                    src_flat = (here & ~mask) | (int(pos) << shift)
+                    src_flat = _source_flat(instr, view, index, w, lane, r)
                     offsets[w][lane][r] = src_flat
                     dst.write(w, lane, r, memory.read(src_flat))
-        return gather_lds_wavefronts(
-            self.spec, instr.elem_bytes, offsets, warps, lanes, regs
+        return bank_reference.gather_wavefronts(
+            self.spec, instr.elem_bytes, offsets
         )
+
+
+def _source_flat(instr, view, index: RegisterFile, w, lane, r) -> int:
+    """The flat source position slot (w, lane, r) of a gather reads;
+    ``IndexError`` for an index outside the gathered axis."""
+    shift, mask = _axis_field(instr.layout, instr.axis)
+    size = (mask >> shift) + 1
+    pos = int(index.read(w, lane, r))
+    if not 0 <= pos < size:
+        raise IndexError(
+            f"gather index {pos} is out of bounds for axis {instr.axis} "
+            f"with size {size} at (w={w}, l={lane}, r={r})"
+        )
+    here = view.flat_of({REGISTER: r, LANE: lane, WARP: w})
+    return (here & ~mask) | (pos << shift)
 
 
 def run_reference(

@@ -114,20 +114,3 @@ def padded_offset_of_flat(row_elems: int, pad_elems: int):
         return p + (p // row_elems) * pad_elems
 
     return offset_of_flat
-
-
-def wavefronts(spec, elem_bytes: int, accesses) -> int:
-    """Distinct 4-byte words the busiest bank serves, one request at a time.
-
-    ``accesses`` lists ``(element_offset, num_elements)`` per lane of
-    one warp-wide access.
-    """
-    words_by_bank = {}
-    for offset, count in accesses:
-        start = offset * elem_bytes
-        end = start + count * elem_bytes
-        word0 = start // spec.bank_bytes
-        word1 = (end + spec.bank_bytes - 1) // spec.bank_bytes
-        for word in range(word0, word1):
-            words_by_bank.setdefault(word % spec.num_banks, set()).add(word)
-    return max((len(w) for w in words_by_bank.values()), default=0)

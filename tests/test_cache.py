@@ -19,6 +19,7 @@ from repro.core import BLOCK, LANE, LinearLayout, REGISTER, WARP
 from repro.engine import compile
 from repro.gpusim.opcost import op_cost_model
 from repro.hardware import GH200, RTX4090
+from repro.layouts import BlockedLayout
 from repro.kernels.models import (
     build_flex_attention,
     build_gemm,
@@ -313,6 +314,39 @@ def test_fig9_conversions_are_planned_and_priced_once(monkeypatch):
     assert after.misses == before.misses
     assert after.hits > before.hits
     assert priced == []
+
+
+def test_global_cycles_keys_on_the_descriptor():
+    """``global_cycles`` keys its ``engine`` entry on the frozen
+    descriptor itself: equal descriptors built separately share one
+    entry, and equal-field descriptors of different classes do not."""
+
+    @dataclasses.dataclass(frozen=True)
+    class First:
+        tag: int
+
+    @dataclasses.dataclass(frozen=True)
+    class Second:
+        tag: int
+
+    shape = (64, 64)
+    desc = BlockedLayout((1, 8), (8, 4), (4, 1), (1, 0))
+    layout = desc.to_linear(shape)
+    model = op_cost_model(RTX4090, "legacy")
+
+    def entries():
+        return [k for k in cache.engine._data if "global_cycles" in k]
+
+    twin = BlockedLayout((1, 8), (8, 4), (4, 1), (1, 0))
+    assert twin is not desc
+    cycles = model.global_cycles(layout, desc, shape, F16)
+    assert model.global_cycles(layout, twin, shape, F16) == cycles
+    assert len(entries()) == 1
+    first, second = First(1), Second(1)
+    assert hash(first) == hash(second) and first != second
+    model.global_cycles(layout, first, shape, F16)
+    model.global_cycles(layout, second, shape, F16)
+    assert len(entries()) == 3
 
 
 def test_replaced_spec_keeps_its_own_cost_entries():

@@ -3,10 +3,17 @@
 import numpy as np
 import pytest
 
+from repro import cache
+from repro.codegen import conversion, plan_conversion
+from repro.core.errors import LayoutError
 from repro.engine import KernelBuilder, compile
-from repro.engine.ir import OpKind
+from repro.engine.ir import Graph, Op, OpKind
+from repro.engine.passes.remat import BackwardRematerialization
+from repro.engine.pipeline import CompilationContext, PassDiagnostics
+from repro.gpusim import opcost
 from repro.hardware import RTX4090
 from repro.interp import execute_graph
+from repro.layouts import BlockedLayout, CtaLayout
 from repro.mxfp import F16, F32
 
 
@@ -112,3 +119,106 @@ class TestRematerialization:
         kb.store(kb.dot(a, b))
         compiled = compile(kb.graph, RTX4090, "legacy")
         assert compiled.ok
+
+
+# ----------------------------------------------------------------------
+# A conversion is planned only when its price can decide
+# ----------------------------------------------------------------------
+def _load_convert_store(src_desc, dst_desc, shape=(32, 32)):
+    """load -> convert_layout -> store, with the given descriptors."""
+    graph = Graph()
+    loaded = graph.new_value(shape, F16)
+    load = graph.add(Op(OpKind.LOAD, [], loaded))
+    converted = graph.new_value(shape, F16)
+    graph.add(Op(OpKind.CONVERT_LAYOUT, [loaded], converted))
+    graph.add(Op(OpKind.STORE, [converted], None))
+    for value, desc in ((loaded, src_desc), (converted, dst_desc)):
+        value.layout, value.descriptor = desc.to_linear(shape), desc
+    return graph, load
+
+
+def _run_remat(graph):
+    ctx = CompilationContext.create(graph, RTX4090, "linear")
+    diag = PassDiagnostics("backward-remat")
+    BackwardRematerialization().run(ctx, diag)
+    return diag
+
+
+@pytest.fixture
+def planned(monkeypatch):
+    """The (src, dst) of every conversion the cost model plans."""
+    calls = []
+    real = opcost.plan_conversion
+
+    def recording(src, dst, *args, **kwargs):
+        calls.append((src, dst))
+        return real(src, dst, *args, **kwargs)
+
+    monkeypatch.setattr(opcost, "plan_conversion", recording)
+    return calls
+
+
+def test_no_dearer_load_eliminates_without_planning(planned):
+    """Re-anchoring at the same vector width costs the load no more,
+    so the conversion goes without being planned or priced."""
+    src = BlockedLayout((1, 8), (8, 4), (4, 1), (1, 0))
+    dst = BlockedLayout((1, 8), (16, 2), (2, 2), (1, 0))
+    graph, load = _load_convert_store(src, dst)
+    diag = _run_remat(graph)
+    assert planned == []
+    assert diag.counters["conversions_eliminated"] == 1
+    assert graph.count(OpKind.CONVERT_LAYOUT) == 0
+    assert load.output.descriptor == dst
+    assert load.output.layout == dst.to_linear((32, 32))
+
+
+def test_dearer_load_plans_the_conversion(planned):
+    """A narrower re-anchored load leaves the decision to the
+    conversion's price, which is then planned once."""
+    src = BlockedLayout((1, 8), (8, 4), (4, 1), (1, 0))
+    dst = BlockedLayout((1, 1), (4, 8), (2, 2), (1, 0))
+    graph, load = _load_convert_store(src, dst)
+    _run_remat(graph)
+    shape = (32, 32)
+    assert planned == [(src.to_linear(shape), dst.to_linear(shape))]
+
+
+def test_refused_conversion_is_eliminated_unplanned(planned):
+    """A cross-CTA conversion the planner refuses with ``LayoutError``
+    is still eliminated when re-anchoring costs the load no more: its
+    price never decides, so it is never planned."""
+    a = BlockedLayout(
+        (1, 2), (4, 8), (2, 2), (1, 0), cta=CtaLayout((2, 1), (2, 1), (1, 0))
+    )
+    b = BlockedLayout(
+        (1, 2), (8, 4), (2, 2), (1, 0), cta=CtaLayout((1, 2), (1, 2), (1, 0))
+    )
+    shape = (32, 32)
+    with pytest.raises(LayoutError):
+        plan_conversion(a.to_linear(shape), b.to_linear(shape), 16)
+    planned.clear()
+    graph, load = _load_convert_store(a, b, shape)
+    diag = _run_remat(graph)
+    assert planned == []
+    assert diag.counters["conversions_eliminated"] == 1
+    assert load.output.descriptor == b
+
+
+def test_cold_fig9_pass_plans_325_conversions(monkeypatch):
+    """A cold fig9 pass runs the planner 325 times: remat plans no
+    conversion whose price cannot decide (pricing every one would
+    plan 361)."""
+    from tests.test_pipeline import FIG9_SUITE, _compile_fig9
+
+    runs = []
+    real = conversion._plan_conversion_uncached
+
+    def counting(*args):
+        runs.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(conversion, "_plan_conversion_uncached", counting)
+    cache.clear()
+    for model, case, platform, mode in FIG9_SUITE:
+        _compile_fig9(model, case, platform, mode)
+    assert len(runs) == 325

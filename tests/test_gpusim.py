@@ -1,6 +1,7 @@
 """Tests for the simulated GPU: banked memory, register files, traces,
 machine execution, and pricing/machine agreement."""
 
+import numpy as np
 import pytest
 
 from repro.codegen import plan_conversion
@@ -12,6 +13,7 @@ from repro.gpusim import (
     Trace,
     distributed_data,
 )
+from repro.gpusim.memory import instruction_wavefronts
 from repro.gpusim.opcost import price_program
 from repro.gpusim.registers import assert_matches_layout
 from repro.hardware import GH200, MI250, RTX4090
@@ -29,6 +31,17 @@ def run_gather(machine, program, src, index):
     return files[program.result], trace
 
 
+def wavefronts(requests, elem_bytes=4, spec=RTX4090):
+    """One warp access's wavefronts: the reference's scalar count,
+    which the pricer's dense counter must equal."""
+    expected = SharedMemory(spec, elem_bytes).wavefronts(requests)
+    offset = np.array([[o for o, _ in requests]], dtype=np.int64)
+    count = np.array([[n for _, n in requests]], dtype=np.int64)
+    got = instruction_wavefronts(spec, elem_bytes, offset, count)
+    assert got.tolist() == [expected]
+    return expected
+
+
 class TestSharedMemoryBanks:
     def setup_method(self):
         self.mem = SharedMemory(RTX4090, elem_bytes=4)
@@ -36,33 +49,32 @@ class TestSharedMemoryBanks:
     def test_conflict_free_row(self):
         """32 lanes hitting 32 consecutive words: one wavefront."""
         requests = [(lane, 1) for lane in range(32)]
-        assert self.mem.wavefronts(requests) == 1
+        assert wavefronts(requests) == 1
 
     def test_same_bank_stride(self):
         """Stride-32 words all hit bank 0: 32 wavefronts."""
         requests = [(lane * 32, 1) for lane in range(32)]
-        assert self.mem.wavefronts(requests) == 32
+        assert wavefronts(requests) == 32
 
     def test_two_way_conflict(self):
         requests = [(lane * 2, 1) for lane in range(32)]
-        assert self.mem.wavefronts(requests) == 2
+        assert wavefronts(requests) == 2
 
     def test_broadcast_is_free(self):
         """All lanes reading the same word: one wavefront."""
         requests = [(0, 1) for _ in range(32)]
-        assert self.mem.wavefronts(requests) == 1
+        assert wavefronts(requests) == 1
 
     def test_vectorized_access_covers_banks(self):
         """16-byte vectors: each lane covers 4 banks; 32 lanes span
         128 words -> 4 wavefronts (the 128-byte transaction split)."""
         requests = [(lane * 4, 4) for lane in range(32)]
-        assert self.mem.wavefronts(requests) == 4
+        assert wavefronts(requests) == 4
 
     def test_subword_sharing(self):
         """1-byte elements, 4 lanes per word: free sharing."""
-        mem = SharedMemory(RTX4090, elem_bytes=1)
         requests = [(lane, 1) for lane in range(32)]
-        assert mem.wavefronts(requests) == 1
+        assert wavefronts(requests, elem_bytes=1) == 1
 
     def test_data_plane(self):
         self.mem.write(5, "x")
@@ -72,7 +84,7 @@ class TestSharedMemoryBanks:
             self.mem.read(6)
 
     def test_empty_access(self):
-        assert self.mem.wavefronts([]) == 0
+        assert wavefronts([]) == 0
 
 
 class TestRegisterFile:

@@ -485,6 +485,78 @@ def test_typed_gathers_match_reference(spec, lower, kind):
     assert trace_v.instructions == trace_s.instructions
 
 
+def _gather_layout(spec):
+    """The 16x16 blocked gather layout at warp 32; 32x16 at warp 64."""
+    if spec.warp_size == 32:
+        return BlockedLayout((1, 2), (4, 8), (4, 1), (1, 0)).to_linear(
+            (16, 16)
+        )
+    return BlockedLayout((1, 2), (8, 8), (4, 1), (1, 0)).to_linear((32, 16))
+
+
+@pytest.mark.parametrize("bad", [16, 17, -1])
+@pytest.mark.parametrize(
+    "lower", [gather_shuffle_program, gather_shared_program]
+)
+@pytest.mark.parametrize("spec", [RTX4090, MI250], ids=lambda s: s.name)
+def test_gather_index_outside_axis_raises(spec, lower, bad):
+    """An index outside ``[0, 16)`` raises ``IndexError`` on the
+    machine and on the per-lane reference, as ``np.take_along_axis``
+    does past the axis end (a negative index raises too, where NumPy
+    would wrap it), instead of reading another row: an index of 17
+    would read row 1, column 1."""
+    layout = _gather_layout(spec)
+    ws = spec.warp_size
+    src = distributed_data(layout, 4, ws)
+    index = distributed_data(
+        layout, 4, ws, value_of=lambda p: np.full_like(p, bad)
+    )
+    program = lower(layout, 1)
+    if bad >= 16:
+        with pytest.raises(IndexError):
+            np.take_along_axis(np.zeros((16, 16)), np.full((16, 16), bad), 1)
+    match = rf"gather index {bad} is out of bounds for axis 1 with size 16"
+    with pytest.raises(IndexError, match=match + r" at \(w=0, l=0, r=0\)"):
+        run_gather(Machine(spec, 4), program, src, index)
+    with pytest.raises(IndexError, match=match + r" at \(w=0, l=0, r=0\)"):
+        run_reference(spec, 4, program, {R_IN: src, R_IDX: index})
+
+
+@pytest.mark.parametrize(
+    "lower", [gather_shuffle_program, gather_shared_program]
+)
+@pytest.mark.parametrize("spec", [RTX4090, MI250], ids=lambda s: s.name)
+def test_gather_names_the_first_bad_index(spec, lower):
+    """One bad index among good ones: both interpreters name the same
+    slot; an unwritten index slot is not checked."""
+    layout = _gather_layout(spec)
+    ws = spec.warp_size
+    here = slot_table(layout)
+    bad_flat = int(here[2, 3, 1])
+    src = distributed_data(layout, 4, ws)
+    index = distributed_data(
+        layout, 4, ws, value_of=lambda p: np.where(p == bad_flat, 17, p & 15)
+    )
+    program = lower(layout, 1)
+    with pytest.raises(IndexError) as machine_error:
+        run_gather(Machine(spec, 4), program, src, index)
+    with pytest.raises(IndexError) as reference_error:
+        run_reference(spec, 4, program, {R_IN: src, R_IDX: index})
+    assert "(w=2, l=3, r=1)" in str(machine_error.value)
+    assert str(machine_error.value) == str(reference_error.value)
+    # The machine skips unwritten index slots: the bad slot unwritten,
+    # the gather runs.
+    vals, written = index.dense(4, ws, layout.in_dim_size(REGISTER))
+    written[2, 3, 1] = False
+    out, _ = run_gather(
+        Machine(spec, 4),
+        program,
+        src,
+        RegisterFile.from_dense(vals, written, 4, ws),
+    )
+    assert (2, 3, 1) not in out.as_dict()
+
+
 @pytest.mark.parametrize("mode", ["linear", "legacy"])
 @pytest.mark.parametrize("spec", [RTX4090, GH200], ids=lambda s: s.name)
 def test_price_gather_emits_cheaper_program(spec, mode):

@@ -9,8 +9,8 @@ every hardware dim, broadcast dedupe on and off, with and without the
 Vec-bits-fastest register order, and under every staging mode — the
 optimal swizzle, a pinned memory layout, legacy padding and raw rows.
 The closed-form vector grouping is also checked directly, on arbitrary
-offset rows, and the array wavefront count against the per-request
-reference.
+offset rows, and the dense wavefront counter against the scalar
+per-bank reference (:mod:`tests.bank_reference`).
 """
 
 from __future__ import annotations
@@ -37,13 +37,13 @@ from repro.codegen.swizzle import (
 )
 from repro.core import LANE, LinearLayout, REGISTER, WARP
 from repro.hardware import GH200, MI250, RTX4090
-from repro.gpusim.memory import bank_wavefronts
+from repro.gpusim.memory import access_wavefronts, instruction_wavefronts
+from tests.bank_reference import wavefronts as reference_wavefronts
 from tests.shared_access_reference import (
     group_contiguous as reference_group_contiguous,
     padded_offset_of_flat,
     shared_accesses as reference_accesses,
     swizzled_offset_of_flat,
-    wavefronts as reference_wavefronts,
 )
 
 
@@ -370,7 +370,7 @@ def test_group_contiguous_rejects_non_power_of_two(max_vec):
 @settings(max_examples=60)
 @given(
     spec=st.sampled_from([RTX4090, MI250]),
-    elem_bytes=st.sampled_from([1, 2, 4, 8]),
+    elem_bytes=st.sampled_from([1, 2, 4, 8, 16]),
     groups=st.lists(
         st.lists(
             st.tuples(st.integers(0, 4096), st.integers(1, 16)), max_size=64
@@ -378,22 +378,75 @@ def test_group_contiguous_rejects_non_power_of_two(max_vec):
         min_size=1,
         max_size=6,
     ),
+    idle=st.integers(0, 4096),
 )
-def test_bank_wavefronts_match_reference(spec, elem_bytes, groups):
-    """Many warp accesses priced at once == one at a time."""
-    group = [g for g, reqs in enumerate(groups) for _ in reqs]
-    requests = [r for reqs in groups for r in reqs]
-    got = bank_wavefronts(
-        spec,
-        elem_bytes,
-        np.array(group, dtype=np.int64),
-        np.array([o for o, _ in requests], dtype=np.int64),
-        np.array([n for _, n in requests], dtype=np.int64),
-        len(groups),
-    )
+def test_bank_wavefronts_match_reference(spec, elem_bytes, groups, idle):
+    """Many warp instructions priced at once == one at a time.  Rows
+    are ragged: a lane past a row's requests moves nothing, wherever
+    its offset points."""
+    lanes = max(len(reqs) for reqs in groups)
+    offset = np.full((len(groups), lanes), idle, dtype=np.int64)
+    count = np.zeros((len(groups), lanes), dtype=np.int64)
+    for row, reqs in enumerate(groups):
+        for lane, (o, n) in enumerate(reqs):
+            offset[row, lane], count[row, lane] = o, n
+    got = instruction_wavefronts(spec, elem_bytes, offset, count)
     assert got.tolist() == [
         reference_wavefronts(spec, elem_bytes, reqs) for reqs in groups
     ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    spec=st.sampled_from([RTX4090, MI250]),
+    num_warps=st.integers(1, 8),
+    elem_bytes=st.sampled_from([1, 2, 4, 8, 16]),
+    fill=st.floats(0.0, 1.25),
+    max_slots=st.integers(1, 4),
+    max_width=st.sampled_from([1, 2, 4, 8, 16]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_access_wavefronts_match_reference(
+    spec, num_warps, elem_bytes, fill, max_slots, max_width, seed
+):
+    """Every (warp, slot) of a random access table costs what the
+    scalar reference counts for its lanes.  Tables may hold fewer or
+    more threads than ``num_warps`` warps, threads hold ragged lists of
+    ragged widths, and at 16 elements of 16 bytes a lane's vector spans
+    two 128-byte transactions."""
+    rng = np.random.default_rng(seed)
+    ws = spec.warp_size
+    threads = int(fill * num_warps * ws)
+    tuples = []
+    for _ in range(threads):
+        k = int(rng.integers(0, max_slots + 1))
+        tuples.append(
+            tuple(
+                (int(rng.integers(0, 4096)), tuple(range(int(w))))
+                for w in rng.integers(1, max_width + 1, size=k)
+            )
+        )
+    acc = SharedAccesses.from_tuples(tuples)
+    got = access_wavefronts(acc, spec, elem_bytes, num_warps)
+    lanes = tuples[: num_warps * ws]
+    slots = max((len(a) for a in lanes), default=0)
+    expected = [
+        [
+            reference_wavefronts(
+                spec,
+                elem_bytes,
+                [
+                    (a[k][0], len(a[k][1]))
+                    for a in lanes[w * ws : (w + 1) * ws]
+                    if k < len(a)
+                ],
+            )
+            for k in range(slots)
+        ]
+        for w in range(num_warps)
+    ]
+    assert got.shape == (num_warps, slots)
+    assert got.tolist() == expected
 
 
 @settings(max_examples=60)
