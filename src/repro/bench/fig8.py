@@ -51,7 +51,7 @@ def gather_cycles(
     shared = gather_shared_program(layout, axis=1)
     shuffle = gather_shuffle_program(layout, axis=1)
     return (
-        price_program(shared, spec, gather_wavefronts=(2,)).cycles(),
+        price_program(shared, spec, measured=(2,)).cycles(),
         price_program(shuffle, spec).cycles(),
     )
 

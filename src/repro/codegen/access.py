@@ -182,23 +182,41 @@ class SharedAccesses:
 
     def elements(
         self, warp_size: int, num_warps: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(warp, lane, reg, offset)`` of every moved element.
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(thread, reg, offset)`` of every moved element.
 
-        Threads past ``num_warps`` warps are dropped.  Elements come in
-        machine issue order: access slot ``k``, then thread, then
-        element within the vector.
+        Threads are numbered ``warp * warp_size + lane``; those past
+        ``num_warps`` warps are dropped.  Elements come in machine issue
+        order: access slot ``k``, then thread, then element within the
+        vector.  When every kept access is full width the elements are
+        the whole (slot, thread, element) grid, read off without a
+        search.
         """
         threads = min(self.num_threads, warp_size * num_warps)
-        lanes = np.arange(self.widest)
-        live = lanes < self.width[:threads, :, None]
-        k, tid, j = np.nonzero(live.transpose(1, 0, 2))
-        return (
-            tid // warp_size,
-            tid % warp_size,
-            self.regs[tid, k, j],
-            self.base[tid, k] + j,
-        )
+        slots, vec = self.max_accesses, self.widest
+        width = self.width[:threads].T  # (slot, thread)
+        if (width == vec).all():
+            grid = (slots, threads, vec)
+            tid = np.broadcast_to(np.arange(threads)[:, None], grid).ravel()
+            reg = self.regs[:threads].transpose(1, 0, 2).ravel()
+            off = self.base[:threads].T[:, :, None] + np.arange(vec)
+            return tid, reg, off.ravel()
+        k, tid, j = np.nonzero(np.arange(vec) < width[:, :, None])
+        at = tid * slots + k  # flat (thread, slot)
+        reg = self.regs.reshape(-1)[at * vec + j]
+        return tid, reg, self.base.reshape(-1)[at] + j
+
+    def moved(self, warp_size: int, num_warps: int) -> np.ndarray:
+        """``[k, w]``: elements warp ``w`` moves in access slot ``k``,
+        over the threads :meth:`elements` keeps (one lockstep warp
+        instruction per entry, in issue order)."""
+        threads = min(self.num_threads, warp_size * num_warps)
+        warps = -(-threads // warp_size)
+        width = self.width[:threads]
+        if threads < warps * warp_size:  # a partial last warp
+            width = np.pad(width, ((0, warps * warp_size - threads), (0, 0)))
+        slots = width.shape[1]
+        return width.reshape(warps, warp_size, slots).sum(axis=1).T
 
     # ------------------------------------------------------------------
     # Value semantics

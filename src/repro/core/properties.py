@@ -30,8 +30,13 @@ def is_distributed_layout(layout: LinearLayout) -> bool:
     bit, and no two non-zero columns repeat.
 
     In other words, a permutation matrix possibly interleaved with zero
-    columns.
+    columns.  A pure predicate of an immutable layout, so memoized on
+    it.
     """
+    return layout._memoized("distributed", lambda: _is_distributed(layout))
+
+
+def _is_distributed(layout: LinearLayout) -> bool:
     if not layout.is_surjective():
         return False
     seen = set()

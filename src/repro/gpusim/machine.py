@@ -5,11 +5,13 @@ Every plan executes by lowering to the unified instruction IR
 loop.  Execution is real data movement: values travel through
 register files, shuffle networks and banked shared memory, so a plan
 that routes a single element wrong fails the correctness checks in
-tests.  The interpreter (:func:`repro.program.interp.run`) only
-moves data; :meth:`Machine.run_program` then prices the run with
-:func:`repro.gpusim.opcost.price_program`, the same pricer static op
-counts use, at the machine's warp count and with the gather-load
-wavefronts the interpreter measured.
+tests.  The interpreter (:func:`repro.program.interp.run`) moves the
+data and measures the bank wavefronts of every shared load and store
+on the addresses it ran; :meth:`Machine.run_program` then prices the
+run with :func:`repro.gpusim.opcost.price_program`, the same pricer
+static op counts use, at the machine's warp count and with those
+measured wavefronts.  The machine never reads a static price: that
+the two agree is a test, not a construction.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Dict, Tuple
 
 from repro.codegen.plan import ConversionPlan
 from repro.core.dims import WARP
-from repro.gpusim.opcost import price_program, program_price
+from repro.gpusim.opcost import price_program
 from repro.gpusim.registers import RegisterFile
 from repro.gpusim.trace import Trace
 from repro.hardware.instructions import InstructionKind
@@ -101,21 +103,14 @@ class Machine:
     def _execute(
         self, program: WarpProgram, inputs: Dict[str, RegisterFile]
     ) -> Tuple[Dict[str, RegisterFile], Trace]:
-        """Move the data, then price the run.
-
-        Without a gather load the price depends only on the program,
-        the platform and the warp count, so it comes from the
-        program's price memo (:func:`program_price`).
-        """
-        files, gather_wavefronts = interp.run(
+        """Move the data, then price the run with the wavefronts the
+        interpreter measured on it."""
+        files, measured = interp.run(
             program, inputs, self.spec, self.num_warps
         )
-        if gather_wavefronts:
-            return files, price_program(
-                program, self.spec, self.num_warps, gather_wavefronts
-            )
-        records, _ = program_price(program, self.spec, self.num_warps)
-        return files, Trace(self.spec, list(records))
+        return files, price_program(
+            program, self.spec, self.num_warps, measured
+        )
 
     _SHARED_KINDS = (
         InstructionKind.SHARED_LOAD,

@@ -7,8 +7,13 @@ wider than a 128-byte transaction sweeps distinct words, and same-word
 broadcast is free on loads, which is how real hardware behaves and
 what Lemma 9.4 predicts.
 
-One dense counter, :func:`instruction_wavefronts`, prices every shared
-access: a row per lockstep warp instruction, a column per lane.
+Two counters share that rule.  The dense one,
+:func:`instruction_wavefronts`, takes a row per lockstep warp
+instruction and a column per lane: the static pricer feeds it access
+tables (:func:`access_wavefronts`) and the interpreter the addresses of
+gather loads.  The interpreter measures each STS/LDS it ran with
+:func:`executed_wavefronts`, on the element offsets it moved.  The two
+are tested against each other and against a scalar per-bank count.
 """
 
 from __future__ import annotations
@@ -29,8 +34,9 @@ def instruction_wavefronts(
     offset ``offset[i, l]``, none when the count is 0 (``count``
     broadcasts against ``offset``).  Returns one count per row.
 
-    Each lane expands to the words it sweeps, ``-1`` past its end; each
-    row is sorted on its own, so a word unlike its left neighbour is a
+    Each lane expands to the words it sweeps, ``-1`` past its end (no
+    padding when every lane moves and sweeps as many words); each row
+    is sorted on its own, so a word unlike its left neighbour is a
     distinct word, and one ``bincount`` tallies those per (row, bank).
     The power-of-two bank geometry is applied with shifts and masks.
     """
@@ -39,28 +45,75 @@ def instruction_wavefronts(
     word_shift = spec.bank_bytes.bit_length() - 1
     start = offset * elem_bytes
     first = start >> word_shift
-    spans = np.where(
-        count > 0,
-        ((start + count * elem_bytes - 1) >> word_shift) - first + 1,
-        0,
-    )
+    spans = ((start + count * elem_bytes - 1) >> word_shift) - first + 1
+    live = count > 0
+    if not np.all(live):
+        spans = np.where(live, spans, 0)
     sweep = int(spans.max(initial=0))
     if sweep == 0:
         return np.zeros(rows, dtype=np.int64)
     step = np.arange(sweep)
-    words = np.where(
-        step < spans[..., None], first[..., None] + step, -1
-    ).reshape(rows, -1)
+    if int(spans.min()) == sweep:  # every lane live, sweeping alike
+        words = first[..., None] + step
+    else:
+        words = np.where(step < spans[..., None], first[..., None] + step, -1)
+    words = words.reshape(rows, -1)
     words.sort(axis=1)
     fresh = np.empty(words.shape, dtype=bool)
     fresh[:, 0] = words[:, 0] >= 0
     np.not_equal(words[:, 1:], words[:, :-1], out=fresh[:, 1:])
-    row_bank = (words & (banks - 1)) + (np.arange(rows) * banks)[:, None]
+    words &= banks - 1  # now each word's (row, bank)
+    words += (np.arange(rows) * banks)[:, None]
+    per_bank = np.bincount(words[fresh], minlength=rows * banks)
+    return per_bank.reshape(rows, banks).max(axis=1)
+
+
+def executed_wavefronts(
+    spec: GpuSpec, elem_bytes: int, offset: np.ndarray, moved: np.ndarray
+) -> int:
+    """Billed wavefronts of an executed STS/LDS, from what it moved.
+
+    ``offset`` holds the element offset of every element moved, in
+    issue order: access slot, then warp, then lane and element;
+    ``moved[k, w]`` counts warp ``w``'s elements in slot ``k``.  Each
+    (slot, warp) is one lockstep warp instruction, a row.  The bill is
+    the one :func:`~repro.gpusim.opcost.price_program` computes from an
+    access table: the sum of each slot's worst warp over the slots any
+    warp uses, divided by their number, at least 1; 0 when no slot is
+    used.
+
+    Every word an element touches is keyed by its row, and one sort of
+    the keys puts each row's distinct words side by side; one
+    ``bincount`` then tallies them per (row, bank).  A large table is
+    a few long sorts this way, not one short sort per row.
+    """
+    slots = int(np.count_nonzero(moved.any(axis=1)))
+    if slots == 0:
+        return 0
+    banks = spec.num_banks
+    word_shift = spec.bank_bytes.bit_length() - 1
+    per_row = moved.ravel()
+    rows = per_row.size
+    start = offset * elem_bytes
+    words = start >> word_shift
+    row = np.repeat(np.arange(rows), per_row)
+    if spec.bank_bytes % elem_bytes:  # an element may span words
+        last = (start + elem_bytes - 1) >> word_shift
+        sweep = np.arange(int((last - words).max()) + 1)
+        words = np.minimum(words[:, None] + sweep, last[:, None]).ravel()
+        row = np.repeat(row, sweep.size)
+    bits = max(int(words.max()).bit_length(), banks.bit_length())
+    key = (row << bits) | words
+    key.sort()
+    fresh = np.empty(key.size, dtype=bool)
+    fresh[0] = True
+    np.not_equal(key[1:], key[:-1], out=fresh[1:])
+    key = key[fresh]
     per_bank = np.bincount(
-        np.where(fresh, row_bank, rows * banks).ravel(),
-        minlength=rows * banks + 1,
+        (key >> bits) * banks + (key & (banks - 1)), minlength=rows * banks
     )
-    return per_bank[:-1].reshape(rows, banks).max(axis=1)
+    worst = per_bank.reshape(*moved.shape, banks).max(axis=2).max(axis=1)
+    return max(1, int(worst.sum()) // slots)
 
 
 def access_wavefronts(

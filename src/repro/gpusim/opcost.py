@@ -12,8 +12,10 @@ one place where op pricing lives.
 that turns warp-program instructions into :class:`Trace` records.
 Conversions and gathers are priced through their warp programs, and
 the simulated machine prices its executed runs with the same function
-(passing its warp count and the gather wavefronts it measured), so
-static op counts and simulated traces come from one source.
+(passing its warp count and the shared-memory wavefronts the
+interpreter measured), so static op counts and simulated traces share
+one instruction mapping while their bank conflicts are counted
+independently.
 
 Mode differences (legacy vs linear) are declarative: a frozen
 :class:`CostPolicy` captures every knob the two engine modes disagree
@@ -105,7 +107,7 @@ def price_program(
     program: WarpProgram,
     spec: GpuSpec,
     warps: int = 1,
-    gather_wavefronts: Optional[Sequence[int]] = None,
+    measured: Optional[Sequence[int]] = None,
 ) -> Trace:
     """The priced instruction trace of a warp program.
 
@@ -113,21 +115,24 @@ def price_program(
     :class:`Trace` records: static op pricing and the simulator's
     executed runs both come through here.  Register moves are free.
     An STS/LDS is priced from the rows of the first ``warps`` warps
-    alone (their addresses are static): it issues one instruction per
-    access slot among them, each costing its worst warp, at the widest
-    access they make.  Static pricing looks at warp 0 alone, which
-    equals the worst warp on every conversion measured, and so never
-    builds a deferred access table.
+    alone: it issues one instruction per access slot among them at the
+    widest access they make, ld/stmatrix as
+    :func:`~repro.gpusim.memory.matrix_instructions` counts them.
 
-    Gather loads have data-dependent addresses.  Without
-    ``gather_wavefronts`` they are priced as the in-kernel pipelined
+    ``measured`` holds an executed run's wavefronts, one per STS, LDS
+    and GATHER_LDS in program order (:func:`repro.program.interp.run`
+    returns them).  Without it, a plain STS/LDS slot costs its worst
+    warp over the access table (static pricing looks at warp 0 alone,
+    which equals the worst warp on every conversion measured, and so
+    never builds a deferred access table), and a gather load, whose
+    addresses depend on data, is priced as the in-kernel pipelined
     load: the indices are loaded well before the gather, so only the
-    ~2-way random bank conflicts remain.  With the interpreter's
-    measured wavefronts (one per ``GATHER_LDS``, in program order)
-    they are priced as the standalone load, address-dependent.
+    ~2-way random bank conflicts remain.  With it, each costs what the
+    run measured, and a gather load is priced as the standalone load,
+    address-dependent.
     """
     trace = Trace(spec)
-    measured = iter(gather_wavefronts or ())
+    runs = None if measured is None else iter(measured)
     for instr in program.instrs:
         op = instr.opcode
         if op == Opcode.MOVR:
@@ -136,6 +141,7 @@ def price_program(
             trace.emit(InstructionKind.SHUFFLE, count=instr.insts)
         elif op in _SHARED_KINDS:
             kind, matrix = _SHARED_KINDS[op]
+            ran = None if runs is None else next(runs)
             acc = instr.accesses.leading(warps * spec.warp_size)
             slots = acc.max_accesses
             if slots == 0:
@@ -144,13 +150,14 @@ def price_program(
                 insts = matrix_instructions(acc, instr.elem_bytes)
                 trace.emit(matrix, vector_bits=128, count=insts)
                 continue
-            worst = access_wavefronts(acc, spec, instr.elem_bytes, warps)
-            wavefronts = int(worst.max(axis=0, initial=0).sum())
+            if ran is None:
+                worst = access_wavefronts(acc, spec, instr.elem_bytes, warps)
+                ran = max(1, int(worst.max(axis=0, initial=0).sum()) // slots)
             trace.emit(
                 kind,
                 vector_bits=acc.widest * instr.elem_bytes * 8,
                 count=slots,
-                wavefronts=max(1, wavefronts // slots),
+                wavefronts=ran,
             )
         elif op == Opcode.BAR:
             trace.emit(InstructionKind.BARRIER)
@@ -162,11 +169,12 @@ def price_program(
                 count=instr.layout.in_dim_size(REGISTER),
             )
         elif op == Opcode.GATHER_LDS:
+            ran = None if runs is None else next(runs)
             trace.emit(
                 InstructionKind.SHARED_LOAD,
                 count=instr.layout.in_dim_size(REGISTER),
-                wavefronts=2 if gather_wavefronts is None else next(measured),
-                dependent=gather_wavefronts is not None,
+                wavefronts=2 if ran is None else ran,
+                dependent=ran is not None,
             )
         else:  # pragma: no cover
             raise TypeError(f"unknown instruction {instr!r}")
@@ -174,20 +182,19 @@ def price_program(
 
 
 def program_price(
-    program: WarpProgram, spec: GpuSpec, warps: int = 1
+    program: WarpProgram, spec: GpuSpec
 ) -> Tuple[Tuple[Instruction, ...], float]:
-    """(records, cycles) of ``price_program(program, spec, warps)``.
+    """(records, cycles) of the static ``price_program(program, spec)``.
 
-    Without measured gather wavefronts a program's price depends only
-    on the program, the platform and the warp count, so it is
-    memoized once, on the program, under ``("price", spec, warps)``:
-    the planner's candidate pricing, static op pricing and the
-    machine's executed runs all read the same entry.
+    A static price depends only on the program and the platform, so it
+    is memoized once, on the program, under ``("price", spec)``: the
+    planner's candidate pricing, static op pricing and gather planning
+    all read the same entry.
     """
-    key = ("price", spec, warps)
+    key = ("price", spec)
     priced = program.scratch.get(key)
     if priced is None:
-        trace = price_program(program, spec, warps)
+        trace = price_program(program, spec)
         priced = (tuple(trace.instructions), trace.cycles())
         program.scratch[key] = priced
     return priced

@@ -11,12 +11,13 @@ tables compile into NumPy index arrays once (cached on the program),
 after which an instruction moves whole warps, values and mask alike,
 through a handful of fancy-indexed gathers and scatters.
 
-The interpreter only moves data; pricing is
-:func:`repro.gpusim.opcost.price_program`'s job.  The one cost input
-the interpreter alone can supply is the bank behaviour of gather
-loads, whose addresses depend on the index values: :func:`run`
-returns the measured wavefronts of each ``GATHER_LDS`` (through
-:func:`gather_lds_wavefronts`) next to the register spaces.
+Pricing is :func:`repro.gpusim.opcost.price_program`'s job, but the
+bank behaviour it bills is measured here, on the addresses the
+interpreter ran: :func:`run` returns, next to the register spaces, the
+wavefronts of every ``STS``/``LDS`` (from the element offsets its index
+arrays hold, :func:`~repro.gpusim.memory.executed_wavefronts`,
+compiled and cached with them) and of every ``GATHER_LDS`` (from the
+gathered addresses, :func:`gather_lds_wavefronts`).
 
 The per-lane reference interpreter that the tests hold this one to
 lives in ``tests/program_reference.py``.
@@ -30,7 +31,7 @@ import numpy as np
 
 from repro.core.dims import LANE, REGISTER, WARP
 from repro.codegen.views import owner_table, slot_table
-from repro.gpusim.memory import instruction_wavefronts
+from repro.gpusim.memory import executed_wavefronts, instruction_wavefronts
 from repro.gpusim.registers import RegisterFile
 from repro.hardware.spec import GpuSpec
 from repro.program.ir import Opcode, WarpProgram
@@ -86,7 +87,7 @@ def run(
     spec: GpuSpec,
     num_warps: int,
 ) -> Tuple[Dict[str, RegisterFile], Tuple[int, ...]]:
-    """Execute; returns (register spaces, gather-load wavefronts).
+    """Execute; returns (register spaces, measured wavefronts).
 
     While the program runs, each register space is a pair of
     ``(warps, warp_size, regs)`` arrays: the values, in the dtype of
@@ -97,8 +98,14 @@ def run(
     accesses of the first ``num_warps`` warps;
     :class:`~repro.gpusim.machine.Machine` refuses a program whose
     instructions span more warps than it has.
+
+    The measured wavefronts hold one count per ``STS``, ``LDS`` and
+    ``GATHER_LDS``, in program order: what
+    :func:`~repro.gpusim.opcost.price_program` takes as ``measured``.
+    An ``STS``/``LDS`` count is paid once per program, with its index
+    arrays; a gather load's depends on the index values.
     """
-    gather_wavefronts: List[int] = []
+    measured: List[int] = []
     ws = next(iter(inputs.values())).warp_size
     nw = max([num_warps] + [rf.num_warps for rf in inputs.values()])
     spaces: Dict[str, Space] = {}
@@ -134,25 +141,28 @@ def run(
             mask[:w, dl, dr] = src_mask[:w, sl, sr]
             spaces[instr.dst] = vals, mask
         elif op == Opcode.STS:
-            w_idx, l_idx, r_idx, off = _memo(
-                program, key, _compile_shared, instr, ws, num_warps
+            thread, reg, off, wavefronts = _memo(
+                program, key, _compile_shared, instr, spec, ws, num_warps
             )
+            measured.append(wavefronts)
             mem_bytes = instr.elem_bytes
             src_vals, src_mask = spaces[instr.src]
+            at = thread * src_vals.shape[2] + reg  # flat (warp, lane, reg)
             memory = _empty(_memory_size(program, num_warps), src_vals.dtype)
-            memory[0][off] = src_vals[w_idx, l_idx, r_idx]
-            memory[1][off] = src_mask[w_idx, l_idx, r_idx]
+            memory[0][off] = src_vals.reshape(-1)[at]
+            memory[1][off] = src_mask.reshape(-1)[at]
         elif op == Opcode.LDS:
             if memory is None:
                 raise RuntimeError("LDS before any STS")
-            w_idx, l_idx, r_idx, off = _memo(
-                program, key, _compile_shared, instr, ws, num_warps
+            thread, reg, off, wavefronts = _memo(
+                program, key, _compile_shared, instr, spec, ws, num_warps
             )
-            vals, mask = _empty(
-                (nw, ws, program.num_regs(instr.dst)), memory[0].dtype
-            )
-            vals[w_idx, l_idx, r_idx] = memory[0][off]
-            mask[w_idx, l_idx, r_idx] = memory[1][off]
+            measured.append(wavefronts)
+            regs = program.num_regs(instr.dst)
+            vals, mask = _empty((nw, ws, regs), memory[0].dtype)
+            at = thread * regs + reg
+            vals.reshape(-1)[at] = memory[0][off]
+            mask.reshape(-1)[at] = memory[1][off]
             spaces[instr.dst] = vals, mask
         elif op == Opcode.GATHER_SHFL:
             spaces[instr.dst] = _gather_shfl(
@@ -183,9 +193,7 @@ def run(
             vals[:warps, :lanes] = memory[0][src_flat]
             mask[:warps, :lanes] = memory[1][src_flat] & idx_mask
             spaces[instr.dst] = vals, mask
-            gather_wavefronts.append(
-                gather_lds_wavefronts(spec, mem_bytes, src_flat)
-            )
+            measured.append(gather_lds_wavefronts(spec, mem_bytes, src_flat))
         elif op != Opcode.BAR:  # pragma: no cover
             raise TypeError(f"unknown instruction {instr!r}")
     files = {}
@@ -195,7 +203,7 @@ def run(
         else:
             # Untouched inputs pass through without an array round-trip.
             files[name] = inputs[name]
-    return files, tuple(gather_wavefronts)
+    return files, tuple(measured)
 
 
 # ----------------------------------------------------------------------
@@ -260,12 +268,15 @@ def _compile_shfl(instr):
     )
 
 
-def _compile_shared(instr, warp_size: int, num_warps: int):
-    """Flat (warp, lane, reg, offset) indices in machine write order."""
-    return tuple(
-        a.astype(np.intp)
-        for a in instr.accesses.elements(warp_size, num_warps)
+def _compile_shared(instr, spec: GpuSpec, warp_size: int, num_warps: int):
+    """Flat (thread, reg, offset) indices in machine write order, then
+    the wavefronts those offsets cost (:func:`executed_wavefronts`)."""
+    accesses = instr.accesses
+    thread, reg, off = accesses.elements(warp_size, num_warps)
+    wavefronts = executed_wavefronts(
+        spec, instr.elem_bytes, off, accesses.moved(warp_size, num_warps)
     )
+    return thread, reg, off, wavefronts
 
 
 def _memory_size(program: WarpProgram, num_warps: int) -> int:

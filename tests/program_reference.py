@@ -5,8 +5,10 @@ NumPy gathers and scatters.  This module keeps the historical per-lane
 execution loops, one Python step per (warp, lane, register) slot over
 a dict-backed :class:`SharedMemory`, as the differential-testing
 oracle: :func:`run_reference` must give the same register files as
-:class:`~repro.gpusim.Machine`, and pricing its measured gather
-wavefronts must give the same trace.  Only tests import it.
+:class:`~repro.gpusim.Machine`, and pricing the wavefronts it measures
+(every STS, LDS and gather load, counted per request by
+``tests/bank_reference.py``) must give the same trace.  Only tests
+import it.
 """
 
 from __future__ import annotations
@@ -82,8 +84,9 @@ class ScalarInterpreter:
     def run(
         self, program: WarpProgram, inputs: Dict[str, RegisterFile]
     ) -> Tuple[Dict[str, RegisterFile], Tuple[int, ...]]:
-        """Execute; returns (register spaces, gather-load wavefronts)."""
-        gather_wavefronts: List[int] = []
+        """Execute; returns (register spaces, measured wavefronts), one
+        count per STS, LDS and GATHER_LDS in program order."""
+        measured: List[int] = []
         files: Dict[str, RegisterFile] = dict(inputs)
         anchor = next(iter(inputs.values()))
         dims = (anchor.num_warps, anchor.warp_size)
@@ -98,12 +101,12 @@ class ScalarInterpreter:
                 self._shfl(instr, files[instr.src], files[instr.dst])
             elif op == Opcode.STS:
                 memory = SharedMemory(self.spec, instr.elem_bytes)
-                self._sts(instr, files[instr.src], memory)
+                measured.append(self._sts(instr, files[instr.src], memory))
             elif op == Opcode.LDS:
                 if memory is None:
                     raise RuntimeError("LDS before any STS")
                 out = RegisterFile(*dims)
-                self._lds(instr, out, memory)
+                measured.append(self._lds(instr, out, memory))
                 files[instr.dst] = out
             elif op == Opcode.GATHER_SHFL:
                 files[instr.dst] = self._gather_shfl(
@@ -116,13 +119,13 @@ class ScalarInterpreter:
                 if memory is None:
                     raise RuntimeError("GATHER_LDS before any store")
                 out = RegisterFile(*dims)
-                gather_wavefronts.append(
+                measured.append(
                     self._gather_lds(instr, out, files[instr.index], memory)
                 )
                 files[instr.dst] = out
             elif op != Opcode.BAR:  # pragma: no cover
                 raise TypeError(f"unknown instruction {instr!r}")
-        return files, tuple(gather_wavefronts)
+        return files, tuple(measured)
 
     # -- conversion instructions ---------------------------------------
     def _movr(self, instr, src: RegisterFile, dims) -> RegisterFile:
@@ -141,34 +144,30 @@ class ScalarInterpreter:
                 ):
                     dst.write(w, lane, d_reg, src.read(w, s_lane, s_reg))
 
-    def _requests(self, accesses, warp: int, k: int) -> List[Tuple]:
-        ws = self.spec.warp_size
-        out = []
-        for lane in range(ws):
-            tid = warp * ws + lane
-            if tid >= len(accesses):
-                continue
-            lane_accesses = accesses[tid]
-            if k < len(lane_accesses):
-                base, regs = lane_accesses[k]
-                out.append((lane, base, regs))
-        return out
-
-    def _sts(self, instr, src: RegisterFile, memory: SharedMemory) -> None:
+    def _shared(self, instr, move) -> int:
+        """Run ``move(w, lane, reg, offset)`` over every element of an
+        STS/LDS in issue order; returns its measured wavefronts."""
         accesses = instr.accesses.to_tuples()
         for k in range(instr.accesses.max_accesses):
             for w in range(self.num_warps):
-                for lane, base, regs in self._requests(accesses, w, k):
+                for lane, base, regs in _requests(self.spec, accesses, w, k):
                     for j, reg in enumerate(regs):
-                        memory.write(base + j, src.read(w, lane, reg))
+                        move(w, lane, reg, base + j)
+        return shared_wavefronts(
+            self.spec, self.num_warps, instr.accesses, instr.elem_bytes
+        )
 
-    def _lds(self, instr, dst: RegisterFile, memory: SharedMemory) -> None:
-        accesses = instr.accesses.to_tuples()
-        for k in range(instr.accesses.max_accesses):
-            for w in range(self.num_warps):
-                for lane, base, regs in self._requests(accesses, w, k):
-                    for j, reg in enumerate(regs):
-                        dst.write(w, lane, reg, memory.read(base + j))
+    def _sts(self, instr, src: RegisterFile, memory: SharedMemory) -> int:
+        def move(w, lane, reg, offset):
+            memory.write(offset, src.read(w, lane, reg))
+
+        return self._shared(instr, move)
+
+    def _lds(self, instr, dst: RegisterFile, memory: SharedMemory) -> int:
+        def move(w, lane, reg, offset):
+            dst.write(w, lane, reg, memory.read(offset))
+
+        return self._shared(instr, move)
 
     # -- gather instructions -------------------------------------------
     def _gather_shfl(
@@ -231,6 +230,48 @@ class ScalarInterpreter:
         )
 
 
+def _requests(spec, accesses, warp: int, k: int) -> List[Tuple]:
+    """``(lane, base, regs)`` of warp ``warp``'s lanes with an access
+    ``k`` in the tuple view ``accesses``."""
+    ws = spec.warp_size
+    out = []
+    for lane in range(ws):
+        tid = warp * ws + lane
+        if tid >= len(accesses):
+            continue
+        lane_accesses = accesses[tid]
+        if k < len(lane_accesses):
+            base, regs = lane_accesses[k]
+            out.append((lane, base, regs))
+    return out
+
+
+def shared_wavefronts(spec, num_warps: int, accesses, elem_bytes: int) -> int:
+    """An STS/LDS's wavefronts over ``num_warps`` warps, counted one
+    request at a time.
+
+    Each (slot, warp) is one warp-wide access, counted by the scalar
+    per-bank reference; the bill is each slot's worst warp, summed over
+    the slots any warp uses and divided by their number (at least 1),
+    or 0 when no slot is used.
+    """
+    tuples = accesses.to_tuples()
+    worst = []
+    for k in range(accesses.max_accesses):
+        per_warp = [
+            [(base, len(regs)) for _, base, regs in _requests(spec, tuples, w, k)]
+            for w in range(num_warps)
+        ]
+        if any(per_warp):
+            worst.append(
+                max(
+                    bank_reference.wavefronts(spec, elem_bytes, requests)
+                    for requests in per_warp
+                )
+            )
+    return max(1, sum(worst) // len(worst)) if worst else 0
+
+
 def _source_flat(instr, view, index: RegisterFile, w, lane, r) -> int:
     """The flat source position slot (w, lane, r) of a gather reads;
     ``IndexError`` for an index outside the gathered axis."""
@@ -255,14 +296,13 @@ def run_reference(
     """(register spaces, trace) of a per-lane run.
 
     The trace is ``price_program(program, spec, num_warps, measured)``
-    with the gather wavefronts this interpreter measured: the trace
+    with the STS, LDS and gather-load wavefronts this interpreter
+    counted one request at a time: the trace
     :meth:`Machine.run_program <repro.gpusim.Machine.run_program>` must
-    return for the same run.
+    return for the same run, though the machine counts its own.
     """
-    files, gather_wavefronts = ScalarInterpreter(spec, num_warps).run(
-        program, inputs
-    )
-    return files, price_program(program, spec, num_warps, gather_wavefronts)
+    files, measured = ScalarInterpreter(spec, num_warps).run(program, inputs)
+    return files, price_program(program, spec, num_warps, measured)
 
 
 def reference_conversion(spec: GpuSpec, num_warps: int, plan, src):

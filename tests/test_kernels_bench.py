@@ -7,7 +7,7 @@ from repro.bench.harness import Table, geomean
 from repro.core.dims import WARP
 from repro.engine import compile
 from repro.engine.ir import OpKind
-from repro.gpusim.opcost import program_price
+from repro.gpusim.opcost import price_program
 from repro.hardware import PLATFORMS, RTX4090
 from repro.interp import execute_graph
 from repro.kernels import KERNELS, kernel_names
@@ -74,7 +74,7 @@ def _assert_every_conversion_simulated(request):
             op.output.layout.in_dim_size(WARP),
         )
         assert trace.spec is spec
-        assert trace.cycles() == program_price(plan.program, spec, warps)[1]
+        assert trace.cycles() == price_program(plan.program, spec, warps).cycles()
     assert len(result.stores) == len(reference)
     for want, got in zip(reference, result.stores):
         assert np.allclose(want, got)

@@ -7,6 +7,7 @@ evaluation bit-for-bit — register files *and* traces.  Every plan
 kind emits one fixed program shape.
 """
 
+import functools
 import random
 import time
 
@@ -31,7 +32,7 @@ from repro.gpusim import (
     price_program,
 )
 from repro.gpusim.registers import assert_matches_layout
-from repro.hardware import GH200, MI250, RTX4090
+from repro.hardware import GH200, MI250, PLATFORMS, RTX4090
 from repro.layouts import BlockedLayout, NvidiaMmaLayout
 from repro.mxfp import F16, F32, F8E5M2
 from repro.program import (
@@ -44,7 +45,11 @@ from repro.program import (
     program_to_json,
 )
 
-from tests.program_reference import reference_conversion, run_reference
+from tests.program_reference import (
+    reference_conversion,
+    run_reference,
+    shared_wavefronts,
+)
 from tests.test_gpusim import run_gather
 from tests.test_random_layout_conversions import (
     random_distributed_layout,
@@ -342,11 +347,13 @@ def test_program_shape_per_plan_kind(case, mode, bits):
 def test_static_price_matches_executed_trace(case, mode, bits):
     """Warp 0's static price is the worst-warp price of a real run.
 
-    ``price_program`` at its default of one warp emits exactly the
-    records the machine emits after running the plan with data on
-    every warp, and so does pricing the per-lane reference's run: no
-    width floor, no worse warp.  The run itself matches the reference
-    bit for bit on every plan kind; the random pairs above all plan
+    Three independent counts agree: ``price_program`` at its default
+    of one warp (the dense counter over warp 0's access table), the
+    machine's trace (the keyed counter over the element offsets its
+    interpreter moved, on every warp) and the per-lane reference's
+    trace (the scalar per-bank count, one request at a time): no width
+    floor, no worse warp.  The run itself matches the reference bit
+    for bit on every plan kind; the random pairs above all plan
     through shared memory, so this is what holds ``MOVR`` and ``SHFL``
     (32 and 64 lanes) to the reference.
     """
@@ -358,6 +365,58 @@ def test_static_price_matches_executed_trace(case, mode, bits):
     out, trace = assert_matches_reference(spec, warps, plan, registers)
     assert trace.instructions == priced
     assert_matches_layout(out, dst)
+
+
+@functools.lru_cache(maxsize=1)
+def fig9_plans():
+    """Every distinct fig9 conversion plan, in suite order, with its
+    platform and the warp count the simulator runs it at."""
+    from tests.test_pipeline import FIG9_SUITE, _compile_fig9
+
+    plans, seen = [], set()
+    for model, case, platform, mode in FIG9_SUITE:
+        for plan in _compile_fig9(model, case, platform, mode).conversions:
+            if id(plan) not in seen:
+                seen.add(id(plan))
+                warps = max(
+                    plan.src.in_dim_size(WARP), plan.dst.in_dim_size(WARP)
+                )
+                plans.append((PLATFORMS[platform], plan, warps))
+    return tuple(plans)
+
+
+def assert_fig9_traces_agree(plans):
+    """On each plan the machine's trace equals the static price over
+    all its warps and the price of the reference's per-request counts,
+    and the destination registers hold the destination layout."""
+    for spec, plan, warps in plans:
+        registers = distributed_data(plan.src, warps, spec.warp_size)
+        out, trace = Machine(spec, warps).run_conversion(plan, registers)
+        assert_matches_layout(out, plan.dst)
+        static = price_program(plan.program, spec, warps)
+        counted = [
+            shared_wavefronts(spec, warps, i.accesses, i.elem_bytes)
+            for i in plan.program.instrs
+            if i.opcode in (Opcode.STS, Opcode.LDS)
+        ]
+        scalar = price_program(plan.program, spec, warps, counted)
+        assert trace.instructions == static.instructions, plan
+        assert trace.instructions == scalar.instructions, plan
+
+
+def test_fig9_traces_match_static_price():
+    """The first fig9 plans: measured == static all-warp == reference."""
+    plans = fig9_plans()
+    assert len(plans) == 297
+    assert_fig9_traces_agree(plans[:24])
+
+
+@pytest.mark.slow
+def test_fig9_traces_match_static_price_everywhere():
+    """Every distinct fig9 plan (RTX4090, GH200 and MI250, both modes)."""
+    plans = fig9_plans()
+    assert {spec.name for spec, _, _ in plans} == {"RTX4090", "GH200", "MI250"}
+    assert_fig9_traces_agree(plans)
 
 
 # ----------------------------------------------------------------------

@@ -37,8 +37,13 @@ from repro.codegen.swizzle import (
 )
 from repro.core import LANE, LinearLayout, REGISTER, WARP
 from repro.hardware import GH200, MI250, RTX4090
-from repro.gpusim.memory import access_wavefronts, instruction_wavefronts
+from repro.gpusim.memory import (
+    access_wavefronts,
+    executed_wavefronts,
+    instruction_wavefronts,
+)
 from tests.bank_reference import wavefronts as reference_wavefronts
+from tests.program_reference import shared_wavefronts
 from tests.shared_access_reference import (
     group_contiguous as reference_group_contiguous,
     padded_offset_of_flat,
@@ -396,6 +401,27 @@ def test_bank_wavefronts_match_reference(spec, elem_bytes, groups, idle):
     ]
 
 
+def _random_tuples(rng, threads, max_slots, max_width, full):
+    """A random access table's tuple view: per thread up to
+    ``max_slots`` accesses of 1 to ``max_width`` elements at random
+    offsets, or, when ``full``, every thread ``max_slots`` accesses of
+    ``max_width`` elements (the full-width case)."""
+    tuples = []
+    for _ in range(threads):
+        if full:
+            widths = [max_width] * max_slots
+        else:
+            k = int(rng.integers(0, max_slots + 1))
+            widths = rng.integers(1, max_width + 1, size=k).tolist()
+        tuples.append(
+            tuple(
+                (int(rng.integers(0, 4096)), tuple(range(int(w))))
+                for w in widths
+            )
+        )
+    return tuples
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     spec=st.sampled_from([RTX4090, MI250]),
@@ -414,18 +440,14 @@ def test_access_wavefronts_match_reference(
     more threads than ``num_warps`` warps, threads hold ragged lists of
     ragged widths, and at 16 elements of 16 bytes a lane's vector spans
     two 128-byte transactions."""
-    rng = np.random.default_rng(seed)
     ws = spec.warp_size
-    threads = int(fill * num_warps * ws)
-    tuples = []
-    for _ in range(threads):
-        k = int(rng.integers(0, max_slots + 1))
-        tuples.append(
-            tuple(
-                (int(rng.integers(0, 4096)), tuple(range(int(w))))
-                for w in rng.integers(1, max_width + 1, size=k)
-            )
-        )
+    tuples = _random_tuples(
+        np.random.default_rng(seed),
+        int(fill * num_warps * ws),
+        max_slots,
+        max_width,
+        full=False,
+    )
     acc = SharedAccesses.from_tuples(tuples)
     got = access_wavefronts(acc, spec, elem_bytes, num_warps)
     lanes = tuples[: num_warps * ws]
@@ -447,6 +469,53 @@ def test_access_wavefronts_match_reference(
     ]
     assert got.shape == (num_warps, slots)
     assert got.tolist() == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=st.sampled_from([RTX4090, MI250]),
+    num_warps=st.integers(1, 8),
+    elem_bytes=st.sampled_from([1, 2, 3, 4, 6, 8, 12, 16]),
+    fill=st.floats(0.0, 1.25),
+    max_slots=st.integers(1, 4),
+    max_width=st.sampled_from([1, 2, 4, 8, 16]),
+    full=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_executed_wavefronts_match_reference(
+    spec, num_warps, elem_bytes, fill, max_slots, max_width, full, seed
+):
+    """What the interpreter measures on an STS/LDS it ran is the bill
+    of the per-request scalar count and of the static pricer over the
+    same warps.  The interpreter's elements are the tuple view's, in
+    issue order; full-width tables (every thread every slot at the
+    widest access) take the grid path, ragged ones the search.  Element
+    sizes that do not divide a bank word make elements span two."""
+    ws = spec.warp_size
+    threads = int(fill * num_warps * ws)
+    tuples = _random_tuples(
+        np.random.default_rng(seed), threads, max_slots, max_width, full
+    )
+    acc = SharedAccesses.from_tuples(tuples)
+    thread, reg, off = acc.elements(ws, num_warps)
+    kept = tuples[: num_warps * ws]
+    assert list(zip(thread.tolist(), reg.tolist(), off.tolist())) == [
+        (t, r, accesses[k][0] + j)
+        for k in range(acc.max_accesses)
+        for t, accesses in enumerate(kept)
+        if k < len(accesses)
+        for j, r in enumerate(accesses[k][1])
+    ]
+    moved = acc.moved(ws, num_warps)
+    assert moved.sum() == off.size
+    got = executed_wavefronts(spec, elem_bytes, off, moved)
+    assert got == shared_wavefronts(spec, num_warps, acc, elem_bytes)
+    slots = acc.leading(num_warps * ws).max_accesses
+    if slots:
+        static = access_wavefronts(acc, spec, elem_bytes, num_warps)
+        assert got == max(1, int(static.max(axis=0).sum()) // slots)
+    else:
+        assert got == 0
 
 
 @settings(max_examples=60)
@@ -514,12 +583,12 @@ class TestSharedAccessesValue:
 
     def test_elements_in_issue_order(self):
         acc = SharedAccesses.from_tuples(self.TUPLES)
-        warp, lane, reg, off = acc.elements(warp_size=2, num_warps=2)
-        assert list(zip(warp, lane, reg, off)) == [
-            (0, 0, 0, 0), (0, 0, 1, 1), (1, 0, 3, 4), (0, 0, 2, 8),
+        thread, reg, off = acc.elements(warp_size=2, num_warps=2)
+        assert list(zip(thread, reg, off)) == [
+            (0, 0, 0), (0, 1, 1), (2, 3, 4), (0, 2, 8),
         ]
-        warp, _, _, _ = acc.elements(warp_size=2, num_warps=1)
-        assert len(warp) == 3
+        thread, _, _ = acc.elements(warp_size=2, num_warps=1)
+        assert len(thread) == 3
 
 
 @settings(max_examples=40)
@@ -590,6 +659,29 @@ def test_price_reads_only_the_priced_warps(matrix):
     deferred = SharedAccesses.deferred(full.leading(spec.warp_size), lambda: full)
     assert price(deferred, 1) == one and _is_deferred(deferred)
     assert price(deferred, 2) == two and not _is_deferred(deferred)
+
+
+@pytest.mark.parametrize("matrix", [False, True])
+def test_machine_measures_the_priced_warps(matrix):
+    """The machine's STS record over two warps is the static price
+    over two warps: warp 1's extra slot and wider access are measured
+    on the offsets it ran, with 8-byte elements spanning two bank
+    words; an stmatrix stays priced by its element count."""
+    from repro.gpusim import Machine, RegisterFile
+    from repro.gpusim.opcost import price_program
+    from repro.program.ir import R_IN, Sts, WarpProgram
+
+    spec = RTX4090
+    ws = spec.warp_size
+    program = WarpProgram(
+        (Sts(_two_warp_accesses(ws), 8, use_stmatrix=matrix),)
+    )
+    values = np.arange(2 * ws * 3, dtype=np.int64).reshape(2, ws, 3)
+    registers = RegisterFile.from_dense(
+        values, np.ones(values.shape, dtype=bool), 2, ws
+    )
+    _, trace = Machine(spec, 2).run_program(program, {R_IN: registers})
+    assert trace.instructions == price_program(program, spec, 2).instructions
 
 
 def test_cold_fig9_pass_builds_no_full_access_table(monkeypatch):
