@@ -171,11 +171,6 @@ class SharedAccesses:
         """Elements the busiest thread moves."""
         return int(self.width.sum(axis=1).max(initial=0))
 
-    def extent(self) -> int:
-        """One past the highest element offset touched (0 if none)."""
-        ends = np.where(self.width > 0, self.base + self.width, 0)
-        return int(ends.max(initial=0))
-
     def max_reg(self) -> int:
         """The highest register id moved (-1 if none)."""
         return int(self.regs.max(initial=-1))
@@ -188,19 +183,27 @@ class SharedAccesses:
         Threads are numbered ``warp * warp_size + lane``; those past
         ``num_warps`` warps are dropped.  Elements come in machine issue
         order: access slot ``k``, then thread, then element within the
-        vector.  When every kept access is full width the elements are
-        the whole (slot, thread, element) grid, read off without a
-        search.
+        vector.
+
+        A full-width table (every kept thread moves the widest vector
+        in every slot) comes back as its ``(slot, thread, element)``
+        grid, whose C order is issue order.  ``offset`` is
+        ``base.T[:, :, None] + arange(vec)``, the one new array;
+        ``reg`` is the transposed register view and ``thread`` the
+        column ``arange(threads)[:, None]``, which broadcasts against
+        the other two.  A ragged table comes back as flat arrays,
+        enumerated with one search.
         """
         threads = min(self.num_threads, warp_size * num_warps)
         slots, vec = self.max_accesses, self.widest
         width = self.width[:threads].T  # (slot, thread)
         if (width == vec).all():
-            grid = (slots, threads, vec)
-            tid = np.broadcast_to(np.arange(threads)[:, None], grid).ravel()
-            reg = self.regs[:threads].transpose(1, 0, 2).ravel()
-            off = self.base[:threads].T[:, :, None] + np.arange(vec)
-            return tid, reg, off.ravel()
+            tid = np.arange(threads)[:, None]
+            reg = self.regs[:threads].transpose(1, 0, 2)
+            off = np.add(
+                self.base[:threads].T[:, :, None], np.arange(vec), order="C"
+            )
+            return tid, reg, off
         k, tid, j = np.nonzero(np.arange(vec) < width[:, :, None])
         at = tid * slots + k  # flat (thread, slot)
         reg = self.regs.reshape(-1)[at * vec + j]

@@ -40,6 +40,12 @@ def slot_table(layout: LinearLayout) -> np.ndarray:
     of that hardware index, as int64 of shape ``(warps, lanes, regs)``:
     :meth:`LinearLayout.flat_table` with registers fastest.  Raises
     :class:`LayoutError` for a non-distributed layout, as the view does.
+
+    Not memoized: holding one table per layout for the life of the
+    process costs more memory than the rebuilds cost time.  Simulating
+    the 297 fig9 conversion plans with a per-layout memo (2-CPU VM,
+    NumPy 2.4) measured peak RSS ~107 -> ~122 MB (+14 %) for ~6 % more
+    plans per second.
     """
     _require_distributed(layout)
     return layout.flat_table((REGISTER, LANE, WARP)).reshape(

@@ -12,8 +12,11 @@ Two counters share that rule.  The dense one,
 instruction and a column per lane: the static pricer feeds it access
 tables (:func:`access_wavefronts`) and the interpreter the addresses of
 gather loads.  The interpreter measures each STS/LDS it ran with
-:func:`executed_wavefronts`, on the element offsets it moved.  The two
-are tested against each other and against a scalar per-bank count.
+:func:`executed_wavefronts`, on the element offsets it moved: a
+full-width table's ``(slot, thread, element)`` grid, one sort per
+(slot, warp) row, or a ragged table's flat offsets, one keyed sort.
+The two are tested against each other and against a scalar per-bank
+count.
 """
 
 from __future__ import annotations
@@ -69,50 +72,79 @@ def instruction_wavefronts(
 
 
 def executed_wavefronts(
-    spec: GpuSpec, elem_bytes: int, offset: np.ndarray, moved: np.ndarray
+    spec: GpuSpec, elem_bytes: int, offset: np.ndarray, moved=None
 ) -> int:
     """Billed wavefronts of an executed STS/LDS, from what it moved.
 
     ``offset`` holds the element offset of every element moved, in
-    issue order: access slot, then warp, then lane and element;
-    ``moved[k, w]`` counts warp ``w``'s elements in slot ``k``.  Each
-    (slot, warp) is one lockstep warp instruction, a row.  The bill is
-    the one :func:`~repro.gpusim.opcost.price_program` computes from an
-    access table: the sum of each slot's worst warp over the slots any
-    warp uses, divided by their number, at least 1; 0 when no slot is
-    used.
+    either form :meth:`~repro.codegen.access.SharedAccesses.elements`
+    returns:
 
-    Every word an element touches is keyed by its row, and one sort of
-    the keys puts each row's distinct words side by side; one
-    ``bincount`` then tallies them per (row, bank).  A large table is
-    a few long sorts this way, not one short sort per row.
+    - the ``(slot, thread, element)`` grid of a full-width table,
+      whose warps are ``spec.warp_size`` threads each (``moved`` is
+      not read);
+    - flat, in issue order (access slot, then warp, then lane and
+      element), with ``moved[k, w]`` counting warp ``w``'s elements in
+      slot ``k``.
+
+    Each (slot, warp) is one lockstep warp instruction, a row.  The
+    bill is the one :func:`~repro.gpusim.opcost.price_program` computes
+    from an access table: the sum of each slot's worst warp over the
+    slots any warp uses, divided by their number, at least 1; 0 when
+    no slot is used.
+
+    A grid row is ``warp_size x vec`` element words (more when an
+    element spans words), sorted on its own; a flat table keys every
+    word by its row, so one sort of the keys puts each row's distinct
+    words side by side.  Either way one ``bincount`` then tallies them
+    per (row, bank).
     """
-    slots = int(np.count_nonzero(moved.any(axis=1)))
-    if slots == 0:
+    if offset.size == 0:
         return 0
     banks = spec.num_banks
     word_shift = spec.bank_bytes.bit_length() - 1
-    per_row = moved.ravel()
-    rows = per_row.size
     start = offset * elem_bytes
     words = start >> word_shift
-    row = np.repeat(np.arange(rows), per_row)
     if spec.bank_bytes % elem_bytes:  # an element may span words
         last = (start + elem_bytes - 1) >> word_shift
         sweep = np.arange(int((last - words).max()) + 1)
-        words = np.minimum(words[:, None] + sweep, last[:, None]).ravel()
-        row = np.repeat(row, sweep.size)
-    bits = max(int(words.max()).bit_length(), banks.bit_length())
-    key = (row << bits) | words
-    key.sort()
-    fresh = np.empty(key.size, dtype=bool)
-    fresh[0] = True
-    np.not_equal(key[1:], key[:-1], out=fresh[1:])
-    key = key[fresh]
-    per_bank = np.bincount(
-        (key >> bits) * banks + (key & (banks - 1)), minlength=rows * banks
-    )
-    worst = per_bank.reshape(*moved.shape, banks).max(axis=2).max(axis=1)
+        # A shorter span repeats its last word, which counts once.
+        words = np.minimum(words[..., None] + sweep, last[..., None])
+    if offset.ndim == 3:
+        slots, threads = offset.shape[:2]
+        ws = spec.warp_size
+        warps = -(-threads // ws)
+        words = words.reshape(slots, threads, -1)
+        if threads < warps * ws:  # a partial last warp repeats a lane
+            pad = ((0, 0), (0, warps * ws - threads), (0, 0))
+            words = np.pad(words, pad, mode="edge")
+        rows = slots * warps
+        words = words.reshape(rows, -1)
+        words.sort(axis=1)
+        fresh = np.empty(words.shape, dtype=bool)
+        fresh[:, 0] = True
+        np.not_equal(words[:, 1:], words[:, :-1], out=fresh[:, 1:])
+        words &= banks - 1  # now each word's (row, bank)
+        words += (np.arange(rows) * banks)[:, None]
+        tally = words[fresh]
+        shape = (slots, warps)
+    else:
+        slots = int(np.count_nonzero(moved.any(axis=1)))
+        row = np.repeat(np.arange(moved.size), moved.ravel())
+        if words.ndim == 2:
+            row = np.repeat(row, words.shape[1])
+            words = words.ravel()
+        bits = max(int(words.max()).bit_length(), banks.bit_length())
+        key = (row << bits) | words
+        key.sort()
+        fresh = np.empty(key.size, dtype=bool)
+        fresh[0] = True
+        np.not_equal(key[1:], key[:-1], out=fresh[1:])
+        key = key[fresh]
+        tally = (key >> bits) * banks + (key & (banks - 1))
+        shape = moved.shape
+    per_bank = np.bincount(tally, minlength=shape[0] * shape[1] * banks)
+    worst = per_bank.reshape(*shape, banks).max(axis=2).max(axis=1)
     return max(1, int(worst.sum()) // slots)
 
 

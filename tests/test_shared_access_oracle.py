@@ -37,13 +37,10 @@ from repro.codegen.swizzle import (
 )
 from repro.core import LANE, LinearLayout, REGISTER, WARP
 from repro.hardware import GH200, MI250, RTX4090
-from repro.gpusim.memory import (
-    access_wavefronts,
-    executed_wavefronts,
-    instruction_wavefronts,
-)
+from repro.gpusim.memory import access_wavefronts, instruction_wavefronts
+from repro.program.interp import _compile_shared
+from repro.program.ir import Sts
 from tests.bank_reference import wavefronts as reference_wavefronts
-from tests.program_reference import shared_wavefronts
 from tests.shared_access_reference import (
     group_contiguous as reference_group_contiguous,
     padded_offset_of_flat,
@@ -471,53 +468,6 @@ def test_access_wavefronts_match_reference(
     assert got.tolist() == expected
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    spec=st.sampled_from([RTX4090, MI250]),
-    num_warps=st.integers(1, 8),
-    elem_bytes=st.sampled_from([1, 2, 3, 4, 6, 8, 12, 16]),
-    fill=st.floats(0.0, 1.25),
-    max_slots=st.integers(1, 4),
-    max_width=st.sampled_from([1, 2, 4, 8, 16]),
-    full=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_executed_wavefronts_match_reference(
-    spec, num_warps, elem_bytes, fill, max_slots, max_width, full, seed
-):
-    """What the interpreter measures on an STS/LDS it ran is the bill
-    of the per-request scalar count and of the static pricer over the
-    same warps.  The interpreter's elements are the tuple view's, in
-    issue order; full-width tables (every thread every slot at the
-    widest access) take the grid path, ragged ones the search.  Element
-    sizes that do not divide a bank word make elements span two."""
-    ws = spec.warp_size
-    threads = int(fill * num_warps * ws)
-    tuples = _random_tuples(
-        np.random.default_rng(seed), threads, max_slots, max_width, full
-    )
-    acc = SharedAccesses.from_tuples(tuples)
-    thread, reg, off = acc.elements(ws, num_warps)
-    kept = tuples[: num_warps * ws]
-    assert list(zip(thread.tolist(), reg.tolist(), off.tolist())) == [
-        (t, r, accesses[k][0] + j)
-        for k in range(acc.max_accesses)
-        for t, accesses in enumerate(kept)
-        if k < len(accesses)
-        for j, r in enumerate(accesses[k][1])
-    ]
-    moved = acc.moved(ws, num_warps)
-    assert moved.sum() == off.size
-    got = executed_wavefronts(spec, elem_bytes, off, moved)
-    assert got == shared_wavefronts(spec, num_warps, acc, elem_bytes)
-    slots = acc.leading(num_warps * ws).max_accesses
-    if slots:
-        static = access_wavefronts(acc, spec, elem_bytes, num_warps)
-        assert got == max(1, int(static.max(axis=0).sum()) // slots)
-    else:
-        assert got == 0
-
-
 @settings(max_examples=60)
 @given(
     bases=st.dictionaries(
@@ -568,8 +518,19 @@ class TestSharedAccessesValue:
         assert acc.to_tuples() == self.TUPLES
         assert (acc.num_threads, acc.max_accesses, acc.widest) == (3, 2, 2)
         assert acc.max_elements() == 3
-        assert acc.extent() == 9
         assert acc.max_reg() == 3
+
+    def test_compiled_bound_is_one_past_the_highest_kept_offset(self):
+        """What sizes the interpreter's shared memory: the offsets the
+        compiled STS/LDS moves, over the threads it keeps."""
+        def bound(tuples, warp_size, num_warps):
+            sts = Sts(SharedAccesses.from_tuples(tuples), elem_bytes=4)
+            return _compile_shared(sts, RTX4090, warp_size, num_warps)[4]
+
+        assert bound(self.TUPLES, 2, 2) == 9
+        assert bound(self.TUPLES[::-1], 2, 1) == 5  # thread 2 dropped
+        assert bound(self.TUPLES[::-1], 2, 2) == 9
+        assert bound(((),), 32, 1) == 0
 
     def test_value_semantics(self):
         a = SharedAccesses.from_tuples(self.TUPLES)
