@@ -22,7 +22,7 @@ from repro.core.dims import LANE, REGISTER, WARP
 from repro.core.layout import LinearLayout
 from repro.core.properties import largest_vectorization
 from repro.core.reshape import reshape_layout
-from repro.hardware.instructions import Instruction, InstructionKind
+from repro.hardware.instructions import Instruction, InstructionKind, instruction
 from repro.hardware.spec import GpuSpec, RTX4090
 from repro.layouts.blocked import BlockedLayout
 from repro.f2.bitvec import log2_int
@@ -197,7 +197,7 @@ def global_access_plan(
     regs = layout.in_dim_size(REGISTER)
     total_bits = regs * elem_bits
     count = max(1, total_bits // vector_bits)
-    return Instruction(kind=kind, vector_bits=vector_bits, count=count), count
+    return instruction(kind, vector_bits=vector_bits, count=count), count
 
 
 def ptx_vector_name(vector_bits: int) -> str:

@@ -121,6 +121,19 @@ class CompiledKernel:
         return "\n".join(diag.describe() for diag in self.diagnostics)
 
 
+#: One standard pipeline per mode.  Passes and their policies are
+#: stateless configuration (everything a compile changes lives on its
+#: context), so every compile of a mode, on any thread, runs the same one.
+_PIPELINES: Dict[str, PassManager] = {}
+
+
+def _standard_pipeline(mode: str) -> PassManager:
+    manager = _PIPELINES.get(mode)
+    if manager is None:
+        manager = _PIPELINES.setdefault(mode, PassManager(standard_passes(mode)))
+    return manager
+
+
 def compile(
     graph: Graph,
     spec: GpuSpec = RTX4090,
@@ -141,21 +154,21 @@ def compile(
     caching disabled.
 
     ``passes`` overrides the mode's standard pipeline (e.g. a
-    pipeline without rematerialization).  A pipeline that sets no
-    trace (no :class:`~repro.engine.passes.lower.LowerToPlans`) raises
+    pipeline without rematerialization) and runs as given; without
+    it, every compile of a mode runs one shared standard pipeline.
+    A pipeline that sets no trace (no
+    :class:`~repro.engine.passes.lower.LowerToPlans`) raises
     :class:`ValueError`.
 
     Thread safety: a compile holds no state outside its fresh
-    :class:`CompilationContext`, so many threads may compile
-    concurrently, each owning its ``graph``.  The shared
-    :mod:`repro.cache` layer is lock-protected; see
-    ``docs/SERVING.md`` for the full contract.
+    :class:`CompilationContext` (the shared pipeline's passes keep
+    none), so many threads may compile concurrently, each owning its
+    ``graph``.  The shared :mod:`repro.cache` layer is lock-protected;
+    see ``docs/SERVING.md`` for the full contract.
     """
     # Rejects an unknown mode or an invalid warp count.
     ctx = CompilationContext.create(graph, spec, mode, num_warps)
-    manager = passes if passes is not None else PassManager(
-        standard_passes(mode)
-    )
+    manager = passes if passes is not None else _standard_pipeline(mode)
     with _obs.span(
         "compile:kernel", mode=mode, platform=spec.name, num_warps=num_warps
     ) as sp:

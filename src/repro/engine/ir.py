@@ -41,12 +41,17 @@ class OpKind(enum.Enum):
 
 @dataclass
 class Value:
-    """An SSA tensor value."""
+    """An SSA tensor value.
+
+    A value does not know the op that produces it: ops point at their
+    values and never back, so a dropped graph frees by reference
+    counting.  A pass that walks definitions builds
+    :meth:`Graph.producers_map` once per sweep.
+    """
 
     vid: int
     shape: Tuple[int, ...]
     dtype: DType
-    producer: Optional["Op"] = None
     layout: Optional[LinearLayout] = None
     #: Descriptor (BlockedLayout / NvidiaMmaLayout / ...) when known —
     #: the legacy system reasons about these, not about linear maps.
@@ -78,23 +83,15 @@ class Graph:
     ops: List[Op] = field(default_factory=list)
     values: List[Value] = field(default_factory=list)
 
-    def new_value(
-        self,
-        shape: Tuple[int, ...],
-        dtype: DType,
-        producer: Optional[Op] = None,
-    ) -> Value:
+    def new_value(self, shape: Tuple[int, ...], dtype: DType) -> Value:
         """Allocate a fresh SSA value of the given shape/dtype."""
-        v = Value(vid=len(self.values), shape=tuple(shape), dtype=dtype,
-                  producer=producer)
+        v = Value(vid=len(self.values), shape=tuple(shape), dtype=dtype)
         self.values.append(v)
         return v
 
     def add(self, op: Op) -> Op:
-        """Append an op and wire its output's producer."""
+        """Append an op in program order."""
         self.ops.append(op)
-        if op.output is not None:
-            op.output.producer = op
         return op
 
     def count(self, kind: OpKind) -> int:
@@ -126,6 +123,16 @@ class Graph:
                 if not ops or ops[-1] is not op:
                     ops.append(op)
         return users
+
+    def producers_map(self) -> Dict[int, Op]:
+        """The op defining each value, keyed by ``id(value)``.
+
+        Built in one sweep over the ops, like :meth:`users_map`;
+        values no op defines (kernel arguments) are absent.
+        """
+        return {
+            id(op.output): op for op in self.ops if op.output is not None
+        }
 
     def __repr__(self) -> str:
         return "\n".join(repr(op) for op in self.ops)

@@ -43,12 +43,13 @@ class BackwardRematerialization(Pass):
             changed = False
             diag.bump("rounds")
             users = graph.users_map()
+            producers = graph.producers_map()
             for convert in list(graph.ops):
                 if convert.kind != OpKind.CONVERT_LAYOUT:
                     continue
                 if convert.output is None or convert.output.layout is None:
                     continue
-                chain = self._remat_chain(users, convert)
+                chain = self._remat_chain(users, producers, convert)
                 if chain is None:
                     continue
                 load, middles = chain
@@ -95,16 +96,22 @@ class BackwardRematerialization(Pass):
                 changed = True
 
     @staticmethod
-    def _remat_chain(users: Dict[int, List[Op]], convert: Op) -> Optional[Tuple[Op, List[Op]]]:
+    def _remat_chain(
+        users: Dict[int, List[Op]], producers: Dict[int, Op], convert: Op
+    ) -> Optional[Tuple[Op, List[Op]]]:
         """(load, intermediate elementwise ops) feeding a conversion,
-        or None when the chain is not rematerializable.  ``users`` is
-        the graph's :meth:`~repro.engine.ir.Graph.users_map`."""
+        or None when the chain is not rematerializable.  ``users`` and
+        ``producers`` are the graph's
+        :meth:`~repro.engine.ir.Graph.users_map` and
+        :meth:`~repro.engine.ir.Graph.producers_map`; a rewrite leaves
+        every chain's producers as they were, so one map serves a
+        round."""
         middles: List[Op] = []
         current = convert.inputs[0]
         while True:
             if len(users.get(id(current), ())) != 1:
                 return None
-            producer = current.producer
+            producer = producers.get(id(current))
             if producer is None:
                 return None
             if producer.kind == OpKind.LOAD:

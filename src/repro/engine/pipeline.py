@@ -186,12 +186,13 @@ class PassManager:
         caches concurrently.
 
         When :mod:`repro.obs` is recording, every pass additionally
-        emits a ``pass:<name>`` span whose attributes *are* the
-        :meth:`PassDiagnostics.to_dict` record — one measurement,
-        two views — nested under whatever span the caller opened
-        (``compile:kernel``, ``serve:request``).  Disabled, the
-        span hook is a no-op and the record is never turned into a
-        dict.
+        emits a ``pass:<name>`` span that adopts the pass's
+        :class:`PassDiagnostics` — one measurement, two views —
+        nested under whatever span the caller opened
+        (``compile:kernel``, ``serve:request``).  The span turns the
+        record into its attributes once, when they are read (at
+        export); disabled, the span hook is a no-op and the record is
+        never turned into a dict.
         """
         with _obs.span(
             "pipeline:run",
@@ -220,8 +221,7 @@ class PassManager:
                         delta = _cache.counters_delta(cache_before)
                         diag.cache_hits = delta["hits"]
                         diag.cache_misses = delta["misses"]
-                        if _obs.is_enabled():
-                            sp.set_attrs(diag.to_dict())
+                        sp.adopt(diag)
         return ctx
 
     def __repr__(self) -> str:

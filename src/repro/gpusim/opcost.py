@@ -39,7 +39,7 @@ from repro.core.layout import LinearLayout
 from repro.gpusim.memory import access_wavefronts, matrix_instructions
 from repro.gpusim.trace import Trace
 from repro.hardware.cost import cost_model
-from repro.hardware.instructions import Instruction, InstructionKind
+from repro.hardware.instructions import Instruction, InstructionKind, instruction
 from repro.hardware.spec import GpuSpec
 from repro.program.ir import Opcode, WarpProgram
 from repro.layouts.blocked import BlockedLayout
@@ -234,7 +234,7 @@ class OpCostModel:
         """The instruction record of a global load/store of ``layout``."""
         vec = self.vector_bits(layout, desc, shape, dtype.bits)
         count = max(1, layout.in_dim_size(REGISTER) * dtype.bits // vec)
-        return Instruction(kind, vector_bits=vec, count=count)
+        return instruction(kind, vector_bits=vec, count=count)
 
     def price_global(self, value, trace: Trace, kind: InstructionKind) -> None:
         """Emit the global load/store instructions of one value."""

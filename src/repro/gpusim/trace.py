@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.hardware.cost import CostModel, cost_model
-from repro.hardware.instructions import Instruction, InstructionKind
+from repro.hardware.instructions import Instruction, InstructionKind, instruction
 from repro.hardware.spec import GpuSpec
 
 
@@ -26,18 +26,12 @@ class Trace:
         note: str = "",
         dependent: bool = False,
     ) -> None:
-        """Append one instruction record (no-op for count <= 0)."""
+        """Append the shared record of these fields (no-op for
+        count <= 0)."""
         if count <= 0:
             return
         self.instructions.append(
-            Instruction(
-                kind=kind,
-                vector_bits=vector_bits,
-                count=count,
-                wavefronts=wavefronts,
-                note=note,
-                dependent=dependent,
-            )
+            instruction(kind, vector_bits, count, wavefronts, note, dependent)
         )
 
     def cost_model(self) -> CostModel:

@@ -18,6 +18,7 @@ from repro.hardware.spec import (
 from repro.hardware.instructions import (
     Instruction,
     InstructionKind,
+    instruction,
     ldmatrix_tile,
     stmatrix_tile,
     vector_shared_tile,
@@ -34,6 +35,7 @@ __all__ = [
     "PLATFORMS",
     "RTX4090",
     "get_platform",
+    "instruction",
     "ldmatrix_tile",
     "stmatrix_tile",
     "vector_shared_tile",

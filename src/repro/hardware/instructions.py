@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Dict, Tuple
 
+from repro import cache as _cache
 from repro.core.dims import LANE, OFFSET, REGISTER
 from repro.core.layout import LinearLayout
 from repro.f2.bitvec import log2_int
@@ -42,6 +44,9 @@ class Instruction:
     Table 3 "bitwidth" column); ``wavefronts`` is filled in by the
     shared-memory simulator when bank behaviour is known; ``count``
     batches identical instructions.
+
+    Records are values: build them with :func:`instruction`, which
+    hands every caller the one shared record of a field tuple.
     """
 
     kind: InstructionKind
@@ -66,6 +71,44 @@ class Instruction:
                 return f"{self.kind.value}.v{self.vector_bits // 32}.b32"
             return f"{self.kind.value}.v1.b{self.vector_bits}"
         return self.kind.value
+
+
+#: Distinct records the table holds before it starts over.
+RECORD_TABLE_BOUND = 4096
+
+_RECORDS: Dict[Tuple[object, ...], Instruction] = {}
+
+
+def instruction(
+    kind: InstructionKind,
+    vector_bits: int = 32,
+    count: int = 1,
+    wavefronts: int = 1,
+    note: str = "",
+    dependent: bool = False,
+) -> Instruction:
+    """The shared :class:`Instruction` record with these fields.
+
+    Every pricer emits through here, so a compile whose records were
+    all seen before allocates none, and kept traces share them.  The
+    table is a plain dict, not a :mod:`repro.cache` cache: a lookup
+    takes no lock and reorders nothing (``docs/CACHING.md``).  It
+    empties itself when a new record would pass
+    :data:`RECORD_TABLE_BOUND`; a record it dropped stays a valid
+    value.  With caching off (``REPRO_CACHE=0`` or
+    :func:`repro.cache.disabled`) every call builds a fresh record.
+    """
+    if not _cache.enabled():
+        return Instruction(kind, vector_bits, count, wavefronts, note, dependent)
+    key = (kind, vector_bits, count, wavefronts, note, dependent)
+    record = _RECORDS.get(key)
+    if record is None:
+        if len(_RECORDS) >= RECORD_TABLE_BOUND:
+            _RECORDS.clear()
+        record = _RECORDS.setdefault(
+            key, Instruction(kind, vector_bits, count, wavefronts, note, dependent)
+        )
+    return record
 
 
 def vector_shared_tile(vector_bits: int, elem_bits: int) -> LinearLayout:

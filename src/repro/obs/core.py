@@ -73,7 +73,11 @@ class Span:
     """One finished (or open) operation: name, ids, timing, attributes.
 
     ``attrs`` carries typed key/value details (pass counters, request
-    stats, simulator totals); values must be JSON-serializable.
+    stats, simulator totals); values must be JSON-serializable.  A
+    span may instead :meth:`adopt` a record that already holds them (a
+    pass's :class:`~repro.engine.pipeline.PassDiagnostics`, a request's
+    :class:`~repro.serve.stats.RequestStats`): its ``to_dict()`` joins
+    ``attrs`` once, when they are first read.
     Instances are created by :func:`span` — not directly — and are
     their own context manager: entering opens the span on the calling
     thread's stack (its ids, thread and start time), exiting times it
@@ -91,7 +95,8 @@ class Span:
         "thread_name",
         "start_us",
         "end_us",
-        "attrs",
+        "_attrs",
+        "_record",
         "status",
         "_recorder",
     )
@@ -102,7 +107,8 @@ class Span:
         self._recorder = recorder
         self.name = name
         # The span adopts the attrs dict :func:`span` built for it.
-        self.attrs = attrs
+        self._attrs = attrs
+        self._record: Any = None
         self.end_us: Optional[float] = None
         self.status = "ok"
 
@@ -132,7 +138,7 @@ class Span:
             stack.remove(self)
         if exc_type is not None:
             self.status = "error"
-            self.attrs.setdefault("error", f"{exc_type.__name__}: {exc}")
+            self._attrs.setdefault("error", f"{exc_type.__name__}: {exc}")
         # Dropping the recorder leaves no recorder <-> span cycle.
         recorder, self._recorder = self._recorder, None
         recorder.record(self)
@@ -150,13 +156,28 @@ class Span:
         """Span duration in milliseconds (0 while still open)."""
         return self.duration_us / 1e3
 
+    @property
+    def attrs(self) -> Dict[str, Any]:
+        """The span's attributes, an adopted record's included."""
+        record = self._record
+        if record is not None:
+            self._record = None
+            self._attrs.update(record.to_dict())
+        return self._attrs
+
     def set(self, key: str, value: Any) -> None:
         """Attach one attribute."""
-        self.attrs[key] = value
+        self._attrs[key] = value
 
     def set_attrs(self, attrs: Dict[str, Any]) -> None:
         """Attach many attributes at once."""
-        self.attrs.update(attrs)
+        self._attrs.update(attrs)
+
+    def adopt(self, record: Any) -> None:
+        """Take ``record.to_dict()`` as attributes, without copying it
+        now: the record is read when :attr:`attrs` first is (at export),
+        so it must not change after its span ends."""
+        self._record = record
 
     def __repr__(self) -> str:
         return (
@@ -329,6 +350,9 @@ class _NoopSpan:
         pass
 
     def set_attrs(self, attrs: Dict[str, Any]) -> None:
+        pass
+
+    def adopt(self, record: Any) -> None:
         pass
 
     @property

@@ -148,13 +148,15 @@ def run(
             mask[:w, dl, dr] = src_mask[:w, sl, sr]
             spaces[instr.dst] = vals, mask
         elif op == Opcode.STS:
-            thread, reg, off, wavefronts, _ = _shared(
+            thread, reg, off, wavefronts, _, last = _shared(
                 program, i, spec, ws, num_warps
             )
             measured.append(wavefronts)
             mem_bytes = instr.elem_bytes
             src_vals, src_mask = spaces[instr.src]
             at = _flat_index(thread, reg, src_vals.shape[2])
+            if last is not None:  # only each offset's last write lands
+                at, off = at.reshape(-1)[last], off.reshape(-1)[last]
             size = _memory_size(program, spec, ws, num_warps)
             memory = _empty(size, src_vals.dtype)
             memory[0][off] = src_vals.reshape(-1)[at]
@@ -162,7 +164,7 @@ def run(
         elif op == Opcode.LDS:
             if memory is None:
                 raise RuntimeError("LDS before any STS")
-            thread, reg, off, wavefronts, _ = _shared(
+            thread, reg, off, wavefronts, _, _ = _shared(
                 program, i, spec, ws, num_warps
             )
             measured.append(wavefronts)
@@ -279,13 +281,34 @@ def _compile_shfl(instr):
 def _compile_shared(instr, spec: GpuSpec, warp_size: int, num_warps: int):
     """(thread, reg, offset) of every moved element, in either form of
     :meth:`~repro.codegen.access.SharedAccesses.elements`; then the
-    wavefronts those offsets cost (:func:`executed_wavefronts`) and
-    one past the highest offset (0 when nothing moves)."""
+    wavefronts those offsets cost (:func:`executed_wavefronts`), one
+    past the highest offset (0 when nothing moves) and, for an STS,
+    :func:`_last_writes` of its offsets."""
     accesses = instr.accesses
     thread, reg, off = accesses.elements(warp_size, num_warps)
     moved = None if off.ndim == 3 else accesses.moved(warp_size, num_warps)
     wavefronts = executed_wavefronts(spec, instr.elem_bytes, off, moved)
-    return thread, reg, off, wavefronts, int(off.max(initial=-1)) + 1
+    bound = int(off.max(initial=-1)) + 1
+    last = _last_writes(off, bound) if instr.opcode == Opcode.STS else None
+    return thread, reg, off, wavefronts, bound, last
+
+
+def _last_writes(off: np.ndarray, bound: int) -> Optional[np.ndarray]:
+    """Where each offset is written last, as positions in the raveled
+    issue order of ``off`` (values in ``[0, bound)``); None when no
+    offset repeats.
+
+    A store through these positions writes every offset once, with its
+    last issue's value, as the per-lane reference does: NumPy leaves
+    the order of repeated fancy-index writes unspecified, and
+    ``np.maximum.at`` is defined on repeated indices.  One
+    ``bincount`` detects repeats in O(elements + bound)."""
+    flat = off.reshape(-1)
+    if flat.size <= bound and np.bincount(flat, minlength=bound).max(initial=0) <= 1:
+        return None
+    last = np.full(bound, -1, dtype=np.intp)
+    np.maximum.at(last, flat, np.arange(flat.size))
+    return last[last >= 0]
 
 
 def _shared(
@@ -302,9 +325,10 @@ def _shared(
 
 def _flat_index(thread, reg, regs: int) -> np.ndarray:
     """Flat (warp, lane, reg) position of every element of an STS/LDS,
-    in either form, laid out in C order as the offsets are.  NumPy may
-    write repeated indices in the arrays' memory order; C order is
-    issue order, so the last write in issue order wins."""
+    in either form, laid out in C order as the offsets are.  An LDS
+    that loads one register in two slots still rests on NumPy writing
+    repeated indices in this (issue) order; an STS writes each offset
+    once (:func:`_last_writes`)."""
     return np.add(thread * regs, reg, order="C")
 
 

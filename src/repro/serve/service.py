@@ -324,8 +324,7 @@ class CompileService:
                 rec.total_ms = (time.perf_counter() - submitted) * 1e3
                 # Thin-view contract: the span's attributes are the
                 # request's RequestStats record.
-                if _obs.is_enabled():
-                    sp.set_attrs(rec.to_dict())
+                sp.adopt(rec)
                 self._record(rec)
 
     def _compile_timed(

@@ -413,7 +413,7 @@ def test_compiled_shared_steps_match_tuples_and_reference(
     program = WarpProgram(
         (Sts(acc, elem_bytes), Bar(), Lds(acc, elem_bytes))
     )
-    thread, reg, off, wavefronts, bound = interp._compile_shared(
+    thread, reg, off, wavefronts, bound, last = interp._compile_shared(
         program.instrs[0], spec, ws, num_warps
     )
     if full and threads:
@@ -429,6 +429,12 @@ def test_compiled_shared_steps_match_tuples_and_reference(
     grid = np.broadcast_arrays(thread, reg, off)
     assert list(zip(*(a.ravel().tolist() for a in grid))) == issued
     assert bound == max((o + 1 for _, _, o in issued), default=0)
+    final = {o: n for n, (_, _, o) in enumerate(issued)}
+    if len(final) == len(issued):
+        assert last is None
+    else:
+        assert sorted(last.tolist()) == sorted(final.values())
+    assert interp._compile_shared(program.instrs[2], spec, ws, num_warps)[5] is None
     moved = acc.moved(ws, num_warps)
     per_row = np.zeros((max_slots, -(-len(kept) // ws)), dtype=np.int64)
     for t, accesses in enumerate(kept):
@@ -469,12 +475,45 @@ def test_compiled_grid_bills_a_partial_last_warp_on_its_own_lanes():
     offset of its own."""
     tuples = [((lane, (0,)),) for lane in range(33)]
     sts = Sts(SharedAccesses.from_tuples(tuples), elem_bytes=4)
-    thread, reg, off, wavefronts, bound = interp._compile_shared(
+    thread, reg, off, wavefronts, bound, last = interp._compile_shared(
         sts, RTX4090, 32, 2
     )
     assert off.shape == (1, 33, 1)
     assert wavefronts == 1 == shared_wavefronts(RTX4090, 2, sts.accesses, 4)
     assert bound == 33
+    assert last is None
+
+
+def test_sts_with_repeated_offsets_keeps_each_offsets_last_write():
+    """RTX4090, 1 warp, every thread 3 slots of width 1 at random
+    offsets (seed 1): threads store to colliding offsets, and the load
+    reads what the last store in issue order (slot, then thread) wrote,
+    as the per-lane reference does.  The STS writes each offset once,
+    from its last issue, so the result does not rest on the order in
+    which NumPy writes repeated fancy indices; its wavefronts still
+    count every issued element."""
+    spec, ws = RTX4090, RTX4090.warp_size
+    tuples = _random_tuples(np.random.default_rng(1), ws, 3, 1, True)
+    offsets = [base for accesses in tuples for base, _ in accesses]
+    assert len(set(offsets)) < len(offsets)
+    acc = SharedAccesses.from_tuples(tuples)
+    program = WarpProgram((Sts(acc, 4), Bar(), Lds(acc, 4)))
+    *_, wavefronts, _, last = interp._compile_shared(
+        program.instrs[0], spec, ws, 1
+    )
+    assert len(last) == len(set(offsets))
+    assert wavefronts == shared_wavefronts(spec, 1, acc, 4)
+    shape = (1, ws, 1)
+    values = np.arange(ws).reshape(shape) * 7 + 3
+
+    def inputs():
+        mask = np.ones(shape, dtype=bool)
+        return {R_IN: RegisterFile.from_dense(values.copy(), mask, 1, ws)}
+
+    files, measured = interp.run(program, inputs(), spec, 1)
+    ref_files, ref_measured = ScalarInterpreter(spec, 1).run(program, inputs())
+    assert measured == ref_measured
+    assert files[R_OUT].as_dict() == ref_files[R_OUT].as_dict()
 
 
 @functools.lru_cache(maxsize=1)
