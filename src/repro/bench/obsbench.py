@@ -121,7 +121,6 @@ def _simulate_conversions(
 
 def capture_suite(
     suite_name: str = "table6",
-    workers: int = 4,
     dup: int = 2,
     simulate: int = 12,
     max_spans: int = 500_000,
@@ -137,9 +136,7 @@ def capture_suite(
     _cache.clear()
     with obs.capture(max_spans=max_spans) as recorder:
         start = time.perf_counter()
-        with CompileService(
-            workers=workers, name=f"obs-{suite_name}"
-        ) as service:
+        with CompileService(name=f"obs-{suite_name}") as service:
             results = service.compile_batch(requests * max(1, dup))
             report = service.report()
         simulated = _simulate_conversions(

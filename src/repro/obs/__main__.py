@@ -98,7 +98,6 @@ def cmd_capture(args: argparse.Namespace) -> int:
 
     recorder, info = capture_suite(
         suite_name=args.suite,
-        workers=args.workers,
         dup=args.dup,
         simulate=args.simulate,
     )
@@ -151,7 +150,6 @@ def main(argv: List[str]) -> int:
         "--suite", default="table6", choices=["table6", "fig9"]
     )
     p_capture.add_argument("-o", "--output", default="obs_trace.json")
-    p_capture.add_argument("--workers", type=int, default=4)
     p_capture.add_argument(
         "--dup",
         type=int,

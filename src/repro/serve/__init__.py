@@ -1,7 +1,7 @@
 """Concurrent compilation serving (see ``docs/SERVING.md``).
 
-``CompileService`` batches and deduplicates compilation requests over
-a thread pool, with one flight per request key: a key's compile runs
+``CompileService`` batches and deduplicates compilation requests on
+one compile thread, with one flight per request key: a key's compile runs
 once, concurrent requests share it, and later ones are answered from
 its result.  ``RequestStats``/``ServiceReport`` are the observability
 layer.  Results are bit-identical to serial :func:`repro.engine.compile`.

@@ -84,7 +84,6 @@ class ServiceReport:
     """The service-level rollup of one service's lifetime (so far)."""
 
     service: str
-    workers: int
     requests: List[RequestStats] = field(default_factory=list)
     #: Wall time covered by the report (first submit to last result).
     wall_ms: float = 0.0
@@ -136,7 +135,6 @@ class ServiceReport:
         ]
         return {
             "service": self.service,
-            "workers": self.workers,
             "wall_ms": round(self.wall_ms, 3),
             "requests": self.total_requests,
             "compiles": self.compiles,
@@ -168,7 +166,7 @@ class ServiceReport:
     def describe(self) -> str:
         """A one-line operator summary."""
         return (
-            f"{self.service}[{self.workers} workers]: "
+            f"{self.service}: "
             f"{self.total_requests} requests -> {self.compiles} compiles "
             f"({self.dedup_shared} shared, "
             f"{self.result_cache_hits} result-cache, "

@@ -11,6 +11,7 @@ per key collapses duplicate work.
 from __future__ import annotations
 
 import random
+import sys
 import threading
 import time
 
@@ -101,16 +102,65 @@ class TestStress:
         )
         assert report.failures == 0
 
+    def test_eight_raw_threads_compile_bit_identically(
+        self, serial_reference
+    ):
+        """The compile path itself is thread-safe, without the service's
+        one compile thread: 8 threads call ``build_and_compile`` on
+        overlapping shuffled suites from cleared caches, switching the
+        interpreter lock often."""
+        cache.clear()
+        n_threads = 8
+        results: dict = {}
+        errors: list = []
+        barrier = threading.Barrier(n_threads)
+
+        def compile_all(seed: int) -> None:
+            rng = random.Random(seed)
+            suite = list(SUITE)
+            rng.shuffle(suite)
+            barrier.wait()
+            try:
+                results[seed] = [
+                    (r.canonical_key(), r.build_and_compile().summary())
+                    for r in suite
+                ]
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=compile_all, args=(seed,))
+            for seed in range(n_threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert len(results) == n_threads
+        for seed, out in results.items():
+            assert len(out) == len(SUITE)
+            for key, summary in out:
+                assert summary == serial_reference[key], (
+                    f"thread {seed} diverged from serial on {key}"
+                )
+
     def test_single_flight_shares_one_compile(self, monkeypatch):
         """Duplicate in-flight requests share the leader's compile."""
         cache.clear()
         real = CompileRequest.build_and_compile
         started = threading.Event()
 
-        def slow_compile(self):
+        def slow_compile(self, case=None):
             started.set()
             time.sleep(0.05)  # hold the flight open for the followers
-            return real(self)
+            return real(self, case)
 
         monkeypatch.setattr(
             CompileRequest, "build_and_compile", slow_compile
@@ -120,8 +170,8 @@ class TestStress:
             futures = [service.submit(req) for _ in range(8)]
             results = [f.result() for f in futures]
             report = service.report()
-        # The three followers that dequeued during the leader's
-        # compile shared its flight; every result is equal bit-wise.
+        # The duplicates submitted while the leader compiled shared
+        # its flight; every result is equal bit-wise.
         assert report.dedup_shared >= 3
         first = results[0].summary()
         assert all(r.summary() == first for r in results)
@@ -140,9 +190,9 @@ class TestStress:
         real_compile = CompileRequest.build_and_compile
         calls: list = []
 
-        def counted(self):
+        def counted(self, case=None):
             calls.append(self.canonical_key())
-            return real_compile(self)
+            return real_compile(self, case)
 
         monkeypatch.setattr(CompileRequest, "build_and_compile", counted)
         req = CompileRequest("vector_add", "n4096")
@@ -201,7 +251,7 @@ class TestStress:
         assert 1 - report.compiles / len(traffic) >= 0.5
 
     def test_concurrent_distinct_requests_all_succeed(self):
-        """No cross-talk between distinct keys compiled concurrently."""
+        """No cross-talk between distinct keys submitted together."""
         cache.clear()
         with CompileService(workers=8, name="distinct") as service:
             results = service.compile_batch(SUITE)
@@ -228,6 +278,8 @@ class TestServiceSemantics:
             with pytest.raises(KeyError):
                 service.submit(CompileRequest("gemm", "no_such_case"))
             with pytest.raises(KeyError):
+                service.submit(CompileRequest("gemm", ["t32_i4"]))
+            with pytest.raises(KeyError):
                 service.submit(CompileRequest("gemm", platform="TPU"))
             with pytest.raises(ValueError):
                 service.submit(CompileRequest("gemm", mode="quantum"))
@@ -237,6 +289,53 @@ class TestServiceSemantics:
         with CompileService(workers=1) as service:
             with pytest.raises(ValueError, match="num_warps"):
                 service.submit(CompileRequest("gemm", num_warps=num_warps))
+
+    @pytest.mark.parametrize("num_warps", [4.0, True])
+    def test_request_memo_is_type_exact(self, num_warps):
+        """A served request's memo entry never admits an equal request
+        of another type: ``4.0`` and ``True`` compare and hash equal to
+        the valid counts 4 and 1, yet still raise at submit."""
+        served = [CompileRequest("gemm"), CompileRequest("gemm", num_warps=1)]
+        bad = CompileRequest("gemm", num_warps=num_warps)
+        assert bad in served and hash(bad) in {hash(r) for r in served}
+        with CompileService(workers=1, name="memo") as service:
+            for request in served:
+                service.submit(request).result()
+            with pytest.raises(ValueError, match="num_warps"):
+                service.submit(bad)
+            report = service.report()
+        assert report.total_requests == len(served)
+
+    def test_one_compile_thread_whatever_workers_says(self, monkeypatch):
+        """A batch of distinct keys through ``workers=4`` compiles one
+        key at a time, all on one thread that is not the caller's."""
+        real = CompileRequest.build_and_compile
+        lock = threading.Lock()
+        active = [0]
+        peak = [0]
+        idents: set = set()
+
+        def tracked(self, case=None):
+            with lock:
+                active[0] += 1
+                peak[0] = max(peak[0], active[0])
+                idents.add(threading.get_ident())
+            try:
+                time.sleep(0.002)  # widen the window for an overlap
+                return real(self, case)
+            finally:
+                with lock:
+                    active[0] -= 1
+
+        monkeypatch.setattr(CompileRequest, "build_and_compile", tracked)
+        cache.clear()
+        with CompileService(workers=4, name="one-thread") as service:
+            service.compile_batch(SUITE)
+            report = service.report()
+        assert report.compiles == len(SUITE)
+        assert peak[0] == 1
+        assert len(idents) == 1
+        assert threading.get_ident() not in idents
 
     def test_result_cache_serves_repeat_batches(self):
         cache.clear()
@@ -306,7 +405,7 @@ class TestServiceSemantics:
         from repro.gpusim import Trace
         from repro.hardware.spec import PLATFORMS
 
-        def unsupported(self):
+        def unsupported(self, case=None):
             return CompiledKernel(
                 graph=None,
                 trace=Trace(PLATFORMS[self.platform]),
@@ -335,7 +434,7 @@ class TestServiceSemantics:
             report = service.report()
         doc = json.loads(report.to_json())
         assert doc["service"] == "json"
-        assert doc["workers"] == 2
+        assert "workers" not in doc
         assert doc["requests"] == 3
         assert len(doc["per_request"]) == 3
         for rec in doc["per_request"]:
@@ -360,13 +459,13 @@ def _held_compile(monkeypatch, fail=False):
     release = threading.Event()
     calls: list = []
 
-    def held(self):
+    def held(self, case=None):
         calls.append(self.canonical_key())
         entered.set()
         assert release.wait(10)
         if fail:
             raise RuntimeError("leader failed")
-        return real(self)
+        return real(self, case)
 
     monkeypatch.setattr(CompileRequest, "build_and_compile", held)
     return entered, release, calls
@@ -474,6 +573,33 @@ class TestFlights:
         assert report.compiles == 2
         assert report.failures == 3
 
+    def test_a_full_flight_map_never_evicts_a_pending_flight(
+        self, monkeypatch
+    ):
+        """More keys pending than the map holds: the first key's flight
+        is not evicted, so its repeat shares the one compile instead of
+        leading a second."""
+        from repro.serve import service as service_module
+
+        monkeypatch.setattr(service_module, "RESULT_CACHE_SIZE", 2)
+        cache.clear()
+        entered, release, calls = _held_compile(monkeypatch)
+        first, others = SUITE[2], [SUITE[3], SUITE[0]]
+        with CompileService(workers=1, name="full-map") as service:
+            futures = [service.submit(first)]
+            assert entered.wait(10)
+            futures += [service.submit(r) for r in others]
+            futures.append(service.submit(first))
+            release.set()
+            results = [f.result(timeout=30) for f in futures]
+            report = service.report()
+        assert calls.count(first.canonical_key()) == 1
+        assert report.compiles == 3
+        assert [r.key for r in report.requests if r.shared] == [
+            first.canonical_key()
+        ]
+        assert results[-1] is results[0]
+
     def test_every_record_exists_before_its_future_resolves(
         self, monkeypatch
     ):
@@ -481,9 +607,9 @@ class TestFlights:
         so ``report()`` right after a batch holds every request."""
         real = CompileRequest.build_and_compile
 
-        def slow_compile(self):
+        def slow_compile(self, case=None):
             time.sleep(0.005)  # let duplicates find the pending flight
-            return real(self)
+            return real(self, case)
 
         monkeypatch.setattr(CompileRequest, "build_and_compile", slow_compile)
         batch = [SUITE[2], SUITE[3]] * 4
