@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.bench.fig9 import compile_case
 from repro.codegen.access import SharedAccesses
+from repro.core.errors import LegacyUnsupportedError
 from repro.core.layout import LinearLayout
 from repro.kernels import KERNELS
 from repro.program.ir import instr_fields
@@ -90,7 +91,7 @@ def _sha(items) -> str:
 
 def compile_entry(
     kernel: str, case: str, platform: str, mode: str,
-    programs: Optional[Dict[int, Tuple[object, str]]] = None,
+    programs: Dict[int, Tuple[object, str]],
 ) -> Dict[str, object]:
     """The digest entry of one fig9 compile.
 
@@ -100,24 +101,18 @@ def compile_entry(
     """
     model = KERNELS[kernel]
     kcase = next(c for c in model.cases if c.name == case)
-    entry: Dict[str, object] = {
-        "kernel": kernel, "case": case, "platform": platform, "mode": mode,
-    }
-    try:
-        compiled = compile_case(model, kcase, platform, mode)
-    except Exception as exc:  # recorded, so a new raise fails --check
-        entry.update(ok=False, error=type(exc).__name__)
-        return entry
-    memo = {} if programs is None else programs
+    compiled = compile_case(model, kcase, platform, mode)
     digests: List[str] = []
     for program in compiled.programs:
-        hit = memo.get(id(program))
+        hit = programs.get(id(program))
         if hit is None:
-            hit = memo[id(program)] = (program, program_digest(program))
+            hit = programs[id(program)] = (program, program_digest(program))
         digests.append(hit[1])
-    entry.update(
+    return dict(
+        kernel=kernel, case=case, platform=platform, mode=mode,
         ok=compiled.ok,
-        error=None if compiled.ok else "LegacyUnsupportedError",
+        # The engine turns only this error into a not-ok kernel.
+        error=None if compiled.ok else LegacyUnsupportedError.__name__,
         cycles=compiled.cycles() if compiled.ok else None,
         op_counts=compiled.op_counts() if compiled.ok else None,
         trace=_sha(
@@ -131,7 +126,6 @@ def compile_entry(
             for v in compiled.graph.values
         ),
     )
-    return entry
 
 
 def digest_suite(limit: Optional[int] = None) -> List[Dict[str, object]]:
@@ -141,7 +135,7 @@ def digest_suite(limit: Optional[int] = None) -> List[Dict[str, object]]:
     for i, key in enumerate(fig9_cases()):
         if limit is not None and i >= limit:
             break
-        entries.append(compile_entry(*key, programs=programs))
+        entries.append(compile_entry(*key, programs))
     return entries
 
 

@@ -7,10 +7,6 @@ executable :class:`~repro.codegen.plan.ConversionPlan` whose warp
 program the simulator executes and the cost model prices.
 """
 
-from repro.codegen.bank_conflicts import (
-    access_wavefronts,
-    conversion_wavefronts,
-)
 from repro.codegen.broadcast import (
     duplicate_groups,
     reduction_store_count,
@@ -28,10 +24,7 @@ from repro.codegen.gather import plan_gather
 from repro.codegen.plan import ConversionPlan
 from repro.codegen.shuffles import ShufflePlanError, plan_warp_shuffle
 from repro.codegen.swizzle import optimal_swizzled_layout
-from repro.codegen.vectorize import (
-    global_access_plan,
-    vector_width_bits,
-)
+from repro.codegen.vectorize import vector_width_bits
 from repro.codegen.views import DistributedView
 
 __all__ = [
@@ -39,11 +32,8 @@ __all__ = [
     "ConversionPlan",
     "DistributedView",
     "ShufflePlanError",
-    "access_wavefronts",
     "classify_conversion",
-    "conversion_wavefronts",
     "duplicate_groups",
-    "global_access_plan",
     "match_instruction_tile",
     "optimal_swizzled_layout",
     "permute_registers_for_tile",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.core.dims import LANE, REGISTER, WARP
+from repro.core.dims import REGISTER, WARP
 from repro.core.layout import LinearLayout
 from repro.f2.bitvec import popcount
 
@@ -24,19 +24,6 @@ def duplicate_groups(layout: LinearLayout) -> Dict[str, int]:
     """
     masks = layout.free_variable_masks()
     return {d: 1 << popcount(m) for d, m in masks.items()}
-
-
-def unique_owner_count(layout: LinearLayout) -> int:
-    """Hardware slots holding distinct roles after deduplication."""
-    total = (
-        layout.in_dim_size(REGISTER)
-        * layout.in_dim_size(LANE)
-        * layout.in_dim_size(WARP)
-    )
-    dup = 1
-    for factor in duplicate_groups(layout).values():
-        dup *= factor
-    return total // dup
 
 
 def _unique_registers(layout: LinearLayout) -> int:

@@ -43,14 +43,6 @@ class ConversionPlan:
 
         return sum(1 for i in self.program if i.opcode == Opcode.SHFL)
 
-    def uses_shared_memory(self) -> bool:
-        """True iff the plan stages data through shared memory."""
-        from repro.program.ir import Opcode
-
-        return any(
-            i.opcode in (Opcode.STS, Opcode.LDS) for i in self.program
-        )
-
     def describe(self) -> str:
         """A multi-line, human-readable rendering of the plan.
 

@@ -16,14 +16,12 @@ linear engine can pick because it can convert out of it cheaply.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
 from repro.core.dims import LANE, REGISTER, WARP
 from repro.core.layout import LinearLayout
 from repro.core.properties import largest_vectorization
 from repro.core.reshape import reshape_layout
-from repro.hardware.instructions import Instruction, InstructionKind, instruction
-from repro.hardware.spec import GpuSpec, RTX4090
 from repro.layouts.blocked import BlockedLayout
 from repro.f2.bitvec import log2_int
 
@@ -180,24 +178,6 @@ def best_coalesced_layout(
     # reshape_layout flattens row-major; the flat dim0 here *is* the
     # row-major flattened index, so reshape recovers the true shape.
     return reshape_layout(flat, list(shape))
-
-
-def global_access_plan(
-    layout: LinearLayout,
-    elem_bits: int,
-    spec: GpuSpec = RTX4090,
-    kind: InstructionKind = InstructionKind.GLOBAL_LOAD,
-    vector_bits: int = None,
-) -> Tuple[Instruction, int]:
-    """The instruction record and per-thread count for a global access."""
-    if vector_bits is None:
-        vector_bits = vector_width_bits(
-            layout, elem_bits, spec.max_vector_bits
-        )
-    regs = layout.in_dim_size(REGISTER)
-    total_bits = regs * elem_bits
-    count = max(1, total_bits // vector_bits)
-    return instruction(kind, vector_bits=vector_bits, count=count), count
 
 
 def ptx_vector_name(vector_bits: int) -> str:

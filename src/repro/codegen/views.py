@@ -145,32 +145,3 @@ class DistributedView:
         """True iff any (or the given) input dim has a zero column."""
         dims = [dim] if dim else self.dims
         return any(0 in self.columns.get(d, []) for d in dims)
-
-    def replicas_of(self, indices: Dict[str, int]) -> List[Dict[str, int]]:
-        """All hardware indices holding the same element.
-
-        Enumerates the free (zero-column) bits; used when a conversion
-        must fan a value out to every broadcast copy.
-        """
-        free_bits: List[Tuple[str, int]] = []
-        for d in self.dims:
-            for i, col in enumerate(self.columns[d]):
-                if col == 0:
-                    free_bits.append((d, i))
-        base = {
-            d: indices.get(d, 0)
-            & ~sum(
-                (1 << i)
-                for dd, i in free_bits
-                if dd == d
-            )
-            for d in self.dims
-        }
-        out = []
-        for mask in range(1 << len(free_bits)):
-            idx = dict(base)
-            for k, (d, i) in enumerate(free_bits):
-                if (mask >> k) & 1:
-                    idx[d] |= 1 << i
-            out.append(idx)
-        return out

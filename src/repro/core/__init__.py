@@ -18,8 +18,6 @@ from repro.core.dims import (
     OFFSET,
     REGISTER,
     WARP,
-    canonical_dim_order,
-    hardware_dims,
     out_dim_names,
 )
 from repro.core.errors import (
@@ -33,7 +31,6 @@ from repro.core.ops import (
     divide_left,
     divide_left_or_raise,
     is_divisible_by,
-    layouts_equal_on,
     num_identity_low_bits,
     product_pow2,
 )
@@ -66,17 +63,14 @@ __all__ = [
     "REGISTER",
     "WARP",
     "broadcast_layout",
-    "canonical_dim_order",
     "divide_left",
     "divide_left_or_raise",
     "expand_dims_layout",
     "is_divisible_by",
-    "layouts_equal_on",
     "make_identity",
     "num_identity_low_bits",
     "product_pow2",
     "flatten_outs",
-    "hardware_dims",
     "is_distributed_layout",
     "is_memory_layout",
     "join_layout",

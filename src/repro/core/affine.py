@@ -12,7 +12,6 @@ from typing import Dict, Mapping
 
 from repro.core.errors import DimensionError
 from repro.core.layout import LinearLayout
-from repro.f2.bitvec import log2_int
 
 
 class AffineLayout:
@@ -105,20 +104,3 @@ class AffineLayout:
 
     def __repr__(self) -> str:
         return f"AffineLayout({self._linear!r}, offset={self._offset})"
-
-
-def slice_offset_layout(
-    linear: LinearLayout, dim: str, start: int, length: int
-) -> AffineLayout:
-    """An affine layout selecting ``[start, start+length)`` of ``dim``.
-
-    Requires ``start`` to be a multiple of ``length`` (aligned slicing)
-    — the case expressible with XOR, per the conclusion's discussion.
-    """
-    log_len = log2_int(length)
-    if start % length != 0:
-        raise DimensionError(
-            f"slice start {start} must be aligned to length {length}"
-        )
-    del log_len
-    return AffineLayout(linear, {}).translate(dim, start)

@@ -9,33 +9,13 @@ dimensions of the logical tensor are named ``dim0``, ``dim1``, ...
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 REGISTER = "register"
 LANE = "lane"
 WARP = "warp"
 BLOCK = "block"
 OFFSET = "offset"
-
-#: Canonical ordering of hardware input dims, innermost (fastest) first.
-_HARDWARE_ORDER = (REGISTER, LANE, WARP, BLOCK)
-
-
-def hardware_dims() -> List[str]:
-    """The hardware input dims of a distributed layout, innermost first."""
-    return list(_HARDWARE_ORDER)
-
-
-def canonical_dim_order(names: Sequence[str]) -> List[str]:
-    """Sort dim names into canonical order.
-
-    Hardware dims come in register < lane < warp < block order; any
-    other names (e.g. ``offset``) keep their relative order after them.
-    """
-    ranked = {name: i for i, name in enumerate(_HARDWARE_ORDER)}
-    known = [n for n in _HARDWARE_ORDER if n in names]
-    unknown = [n for n in names if n not in ranked]
-    return known + unknown
 
 
 def out_dim_names(rank: int) -> List[str]:

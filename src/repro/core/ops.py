@@ -141,18 +141,6 @@ def num_identity_low_bits(
     return count
 
 
-def layouts_equal_on(
-    a: LinearLayout, b: LinearLayout, in_dim: str
-) -> bool:
-    """True iff two layouts agree on one input dim (flattened images).
-
-    This is the ``A_i == B_i`` test of Section 5.4, item 1: equal
-    components mean the conversion is the identity on that resource and
-    no data movement at that level is needed.
-    """
-    return a.basis_images_flat(in_dim) == b.basis_images_flat(in_dim)
-
-
 def product_pow2(layout: LinearLayout, in_dim: str, times_log2: int) -> LinearLayout:
     """Replicate a layout ``2**times_log2`` ways along an input dim.
 

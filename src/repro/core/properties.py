@@ -93,14 +93,3 @@ def largest_vectorization(
     # A single element wider than the cap still needs multiple loads;
     # floor at the element width.
     return max(vector_bits, min(element_bits, max_vector_bits))
-
-
-def unique_data_threads(layout: LinearLayout, lane_dim: str = "lane") -> int:
-    """How many lanes hold non-duplicated data.
-
-    Lanes whose free-bit mask covers a bit each halve the set of
-    distinct data owners; used to skip redundant shared-memory stores
-    during reductions (Table 4's instruction-count reduction).
-    """
-    free = layout.free_variable_masks().get(lane_dim, 0)
-    return layout.in_dim_size(lane_dim) >> popcount(free)

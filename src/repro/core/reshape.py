@@ -125,14 +125,6 @@ def expand_dims_layout(layout: LinearLayout, axis: int) -> LinearLayout:
     return reshape_layout(layout, new_shape)
 
 
-def squeeze_layout(layout: LinearLayout, axis: int) -> LinearLayout:
-    """Remove a size-1 dim (the inverse of expand_dims)."""
-    shape = _shape_of(layout)
-    if shape[axis] != 1:
-        raise DimensionError(f"dim {axis} has size {shape[axis]}, not 1")
-    return reshape_layout(layout, shape[:axis] + shape[axis + 1:])
-
-
 def broadcast_layout(
     layout: LinearLayout, axis: int, new_size: int
 ) -> LinearLayout:

@@ -57,13 +57,3 @@ class Trace:
         return sum(
             i.count for i in self.instructions if i.kind == kind
         )
-
-    def shared_instruction_count(self) -> int:
-        """Loads + stores + ld/stmatrix — the Table 4 / 6 metric."""
-        kinds = (
-            InstructionKind.SHARED_LOAD,
-            InstructionKind.SHARED_STORE,
-            InstructionKind.LDMATRIX,
-            InstructionKind.STMATRIX,
-        )
-        return sum(self.count(k) for k in kinds)

@@ -13,14 +13,12 @@ from repro.hardware.spec import (
     MI250,
     PLATFORMS,
     RTX4090,
-    get_platform,
 )
 from repro.hardware.instructions import (
     Instruction,
     InstructionKind,
     instruction,
     ldmatrix_tile,
-    stmatrix_tile,
     vector_shared_tile,
 )
 from repro.hardware.cost import CostModel
@@ -34,9 +32,7 @@ __all__ = [
     "MI250",
     "PLATFORMS",
     "RTX4090",
-    "get_platform",
     "instruction",
     "ldmatrix_tile",
-    "stmatrix_tile",
     "vector_shared_tile",
 ]

@@ -59,19 +59,6 @@ class Instruction:
     #: pipeline and pay only issue + bank service.
     dependent: bool = False
 
-    def ptx_name(self) -> str:
-        """A PTX-like mnemonic, e.g. ``v4.b32`` for a 128-bit vector."""
-        if self.kind in (
-            InstructionKind.GLOBAL_LOAD,
-            InstructionKind.GLOBAL_STORE,
-            InstructionKind.SHARED_LOAD,
-            InstructionKind.SHARED_STORE,
-        ):
-            if self.vector_bits >= 32:
-                return f"{self.kind.value}.v{self.vector_bits // 32}.b32"
-            return f"{self.kind.value}.v1.b{self.vector_bits}"
-        return self.kind.value
-
 
 #: Distinct records the table holds before it starts over.
 RECORD_TABLE_BOUND = 4096
@@ -146,8 +133,3 @@ def ldmatrix_tile(elem_bits: int) -> LinearLayout:
         {OFFSET: 4 << k},
         require_surjective=False,
     )
-
-
-def stmatrix_tile(elem_bits: int) -> LinearLayout:
-    """The ``stmatrix`` tile — same geometry as ``ldmatrix``."""
-    return ldmatrix_tile(elem_bits)

@@ -123,16 +123,6 @@ PLATFORMS: Dict[str, GpuSpec] = {
 }
 
 
-def get_platform(name: str) -> GpuSpec:
-    """Look up a platform by its Table 2 name."""
-    try:
-        return PLATFORMS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown platform {name!r}; choose from {sorted(PLATFORMS)}"
-        ) from None
-
-
 def check_num_warps(num_warps: int) -> int:
     """``num_warps`` if it is a positive power-of-two ``int``.
 

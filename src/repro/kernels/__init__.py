@@ -8,6 +8,6 @@ layout-conversion/shared-memory cost differences behind Figure 9 and
 the op mix of Table 6.
 """
 
-from repro.kernels.models import KERNELS, KernelCase, KernelModel, kernel_names
+from repro.kernels.models import KERNELS, KernelCase, KernelModel
 
-__all__ = ["KERNELS", "KernelCase", "KernelModel", "kernel_names"]
+__all__ = ["KERNELS", "KernelCase", "KernelModel"]

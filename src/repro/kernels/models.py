@@ -597,8 +597,3 @@ _register(KernelModel("dropout", build_dropout, [
     _case("n4096", n=4096),
     _case("n16384", n=16384),
 ]))
-
-
-def kernel_names() -> List[str]:
-    """The registered benchmark names, sorted."""
-    return sorted(KERNELS)

@@ -7,7 +7,7 @@ constructive proof of Propositions 4.6-4.13 that every such layout is
 a linear layout.
 """
 
-from repro.layouts.blocked import BlockedLayout, default_blocked_layout
+from repro.layouts.blocked import BlockedLayout
 from repro.layouts.cta import CtaLayout, same_block_component
 from repro.layouts.common import tile_to_shape
 from repro.layouts.mfma import AmdMfmaLayout
@@ -18,7 +18,6 @@ from repro.layouts.mma import (
     mma_operand_tile,
 )
 from repro.layouts.shared import (
-    PaddedSharedLayout,
     SwizzledSharedLayout,
     mma_swizzle_offset,
     shared_layout_for_mma,
@@ -33,12 +32,10 @@ __all__ = [
     "MmaOperandLayout",
     "same_block_component",
     "NvidiaMmaLayout",
-    "PaddedSharedLayout",
     "SlicedLayout",
     "SwizzledSharedLayout",
     "WgmmaLayout",
     "WgmmaOperandLayout",
-    "default_blocked_layout",
     "mma_operand_tile",
     "mma_output_tile",
     "mma_swizzle_offset",

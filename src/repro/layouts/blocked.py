@@ -135,54 +135,3 @@ class BlockedLayout:
             f"warpsPerCTA={list(self.warps_per_cta)}, "
             f"order={list(self.order)})"
         )
-
-
-def default_blocked_layout(
-    shape: Sequence[int],
-    num_warps: int = 4,
-    warp_size: int = 32,
-    order: Sequence[int] = None,
-) -> BlockedLayout:
-    """The blocked layout Triton assigns to anchor ops by default.
-
-    Mirrors the compiler's heuristic: fill the fastest dimension with
-    threads first (for coalescing), then spread across the remaining
-    dims; a single element per thread unless the fast dim is larger
-    than the available threads.
-    """
-    rank = len(shape)
-    if order is None:
-        order = list(range(rank - 1, -1, -1))  # row-major: last fastest
-    order = tuple(order)
-    log_sizes = [log2_int(s) for s in shape]
-
-    size_per_thread = [1] * rank
-    threads = [1] * rank
-    warps = [1] * rank
-
-    remaining_threads = warp_size
-    remaining = list(log_sizes)
-    for dim in order:
-        take = min(log2_int(remaining_threads), remaining[dim])
-        threads[dim] = 1 << take
-        remaining_threads >>= take
-        remaining[dim] -= take
-        if remaining_threads == 1:
-            break
-    remaining_warps = num_warps
-    for dim in order:
-        take = min(log2_int(remaining_warps), remaining[dim])
-        warps[dim] = 1 << take
-        remaining_warps >>= take
-        remaining[dim] -= take
-        if remaining_warps == 1:
-            break
-    # Leftover warps must go somewhere: stack them on the slowest dim.
-    if remaining_warps > 1:
-        warps[order[-1]] *= remaining_warps
-    return BlockedLayout(
-        size_per_thread=tuple(size_per_thread),
-        threads_per_warp=tuple(threads),
-        warps_per_cta=tuple(warps),
-        order=order,
-    )

@@ -169,21 +169,3 @@ class LegacyLayoutSystem:
         if shape_m < 16 or shape_n < 8:
             return False
         return True
-
-    def check_mma_shape(
-        self,
-        a_dtype: DType,
-        b_dtype: DType,
-        shape_m: int,
-        shape_n: int,
-        shape_k: int,
-    ) -> None:
-        """Raise LegacyUnsupportedError when the MMA gate fails."""
-        if not self.supports_mma_shape(
-            a_dtype, b_dtype, shape_m, shape_n, shape_k
-        ):
-            raise LegacyUnsupportedError(
-                f"legacy Triton mma cannot handle "
-                f"{a_dtype} x {b_dtype} at M={shape_m} N={shape_n} "
-                f"K={shape_k}"
-            )

@@ -31,34 +31,6 @@ def mfma_output_tile() -> LinearLayout:
     )
 
 
-def mfma_operand_tile(op_idx: int) -> LinearLayout:
-    """Operand fragments of ``mfma_f32_32x32x8`` (fp16).
-
-    A is 32x8 (M x K): lanes 0..31 pick the row, the high lane bit
-    picks the upper half of K, and each lane holds 4 consecutive K
-    elements.  B is the K x N transpose.
-    """
-    if op_idx not in (0, 1):
-        raise DimensionError(f"op_idx must be 0 or 1, got {op_idx}")
-    if op_idx == 0:
-        return LinearLayout(
-            {
-                REGISTER: [(0, 1), (0, 2)],
-                LANE: [(1, 0), (2, 0), (4, 0), (8, 0), (16, 0), (0, 4)],
-            },
-            {"dim0": 32, "dim1": 8},
-            require_surjective=True,
-        )
-    return LinearLayout(
-        {
-            REGISTER: [(1, 0), (2, 0)],
-            LANE: [(0, 1), (0, 2), (0, 4), (0, 8), (0, 16), (4, 0)],
-        },
-        {"dim0": 8, "dim1": 32},
-        require_surjective=True,
-    )
-
-
 @dataclass(frozen=True)
 class AmdMfmaLayout:
     """Distributed layout of an ``mfma`` accumulator on CDNA GPUs."""

@@ -1,14 +1,11 @@
-"""Shared-memory layouts: unswizzled, mma-swizzled, and padded.
+"""Shared-memory layouts: unswizzled and mma-swizzled.
 
 The swizzled family implements Definition 4.11; Proposition 4.12 shows
 these maps are linear and invertible, so the *memory layout* — the map
 from offsets to logical coordinates the paper uses (Section 4.3) — is
-the inverse of the store map built here.
-
-The padded layout is *not* linear (its stride is not a power of two).
-It exists to reproduce the legacy Triton baseline: padding avoids bank
-conflicts at the price of a larger footprint and no vectorization
-guarantee, which is exactly the heuristic Figure 2 beats.
+the inverse of the store map built here.  The legacy padded staging
+that Figure 2 beats is not linear; the conversion planner models it
+(``swizzle_mode="padded"`` in :mod:`repro.codegen.conversion`).
 """
 
 from __future__ import annotations
@@ -135,43 +132,3 @@ def shared_layout_for_mma(
     return SwizzledSharedLayout(
         vec=vec, per_phase=per_phase, max_phase=max_phase, order=order
     )
-
-
-@dataclass(frozen=True)
-class PaddedSharedLayout:
-    """The legacy padding heuristic: pad each row by ``pad_elems``.
-
-    Not a linear layout (the row stride ``N + pad`` is not a power of
-    two); kept as the baseline that legacy Triton uses for layout
-    conversions through shared memory.
-    """
-
-    pad_elems: int
-    order: Tuple[int, int] = (1, 0)
-
-    def __post_init__(self):
-        if self.pad_elems < 0:
-            raise DimensionError("pad_elems must be non-negative")
-        if sorted(self.order) != [0, 1]:
-            raise DimensionError(f"order must permute (0, 1): {self.order}")
-
-    def offset_of(self, coords: Sequence[int], shape: Sequence[int]) -> int:
-        """Element offset with one row of padding per ``shape`` row."""
-        fast, slow = self.order[0], self.order[1]
-        stride = shape[fast] + self.pad_elems
-        return coords[slow] * stride + coords[fast]
-
-    def footprint_elements(self, shape: Sequence[int]) -> int:
-        """Shared elements including the per-row padding."""
-        fast, slow = self.order[0], self.order[1]
-        return shape[slow] * (shape[fast] + self.pad_elems)
-
-    def __str__(self) -> str:
-        return (
-            f"padded_shared(pad={self.pad_elems}, order={list(self.order)})"
-        )
-
-
-def default_padding(elem_bits: int) -> int:
-    """Legacy padding amount: one bank (4 bytes) worth of elements."""
-    return max(1, 32 // elem_bits)

@@ -31,9 +31,7 @@ from repro.mxfp.quantize import (
     encode_fp4_e2m1,
     encode_fp8,
     encode_mxfp4,
-    pack_nibbles,
     quantize_to,
-    unpack_nibbles,
 )
 from repro.mxfp.emulate import upcast_for_mma
 from repro.mxfp.shuffle_opt import (
@@ -66,10 +64,8 @@ __all__ = [
     "encode_fp8",
     "encode_mxfp4",
     "mma_kwidth",
-    "pack_nibbles",
     "operand_vector_bits",
     "preshuffle_operand",
     "quantize_to",
-    "unpack_nibbles",
     "upcast_for_mma",
 ]

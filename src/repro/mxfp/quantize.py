@@ -177,31 +177,6 @@ def decode_mxfp4(tensor: MxfpTensor) -> np.ndarray:
     return values.reshape(codes.shape)
 
 
-def pack_nibbles(codes: np.ndarray) -> np.ndarray:
-    """Pack 4-bit codes two-per-byte along the last axis.
-
-    Element ``2i`` occupies the low nibble — the layout int4/mxfp4
-    weights use in HBM, where a packed byte holds two adjacent K
-    elements (which is why the pre-shuffle of Section 5.2 operates on
-    the *other* operand: the packed bytes must stay adjacent).
-    """
-    c = np.asarray(codes, dtype=np.uint8)
-    if c.shape[-1] % 2 != 0:
-        raise ValueError("last axis must be even to pack nibbles")
-    lo = c[..., 0::2] & 0xF
-    hi = c[..., 1::2] & 0xF
-    return (lo | (hi << 4)).astype(np.uint8)
-
-
-def unpack_nibbles(packed: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`pack_nibbles`."""
-    p = np.asarray(packed, dtype=np.uint8)
-    out = np.empty(p.shape[:-1] + (p.shape[-1] * 2,), dtype=np.uint8)
-    out[..., 0::2] = p & 0xF
-    out[..., 1::2] = p >> 4
-    return out
-
-
 def quantize_to(values: np.ndarray, dtype: DType) -> np.ndarray:
     """Round-trip values through a dtype (the emulation the engine
     applies before a software-emulated mma consumes an operand)."""

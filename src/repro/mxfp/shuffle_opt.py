@@ -99,27 +99,3 @@ def analyze_pair(low: DType, preshuffled: bool = True) -> PreShuffleResult:
         vector_bits_before=operand_vector_bits(low, False),
         vector_bits_after=operand_vector_bits(low, preshuffled),
     )
-
-
-def preshuffle_register_table(num_regs: int, kwidth: int) -> tuple:
-    """The pre-shuffle as a register permutation table.
-
-    When a thread holds ``8 * kwidth`` consecutive K elements per
-    group in its registers, :func:`preshuffle_operand`'s reshape /
-    transpose / reshape is exactly this ``dst_to_src`` table: output
-    register ``((c4 * 2 + c2) * kwidth + j)`` takes the value of input
-    register ``((c2 * 4 + c4) * kwidth + j)``, tiled over groups.
-    """
-    group = 8 * kwidth
-    if num_regs % group != 0:
-        raise ValueError(
-            f"{num_regs} registers is not a multiple of group {group}"
-        )
-    table = []
-    for g in range(num_regs // group):
-        base = g * group
-        for c4 in range(4):
-            for c2 in range(2):
-                for j in range(kwidth):
-                    table.append(base + (c2 * 4 + c4) * kwidth + j)
-    return tuple(table)

@@ -35,7 +35,6 @@ from repro.obs.core import (
     Span,
     capture,
     count,
-    current_recorder,
     gauge,
     is_enabled,
     observe,
@@ -58,7 +57,6 @@ __all__ = [
     "capture",
     "chrome_trace",
     "count",
-    "current_recorder",
     "gauge",
     "is_enabled",
     "observe",

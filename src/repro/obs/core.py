@@ -38,7 +38,6 @@ __all__ = [
     "add_counter_source",
     "capture",
     "count",
-    "current_recorder",
     "gauge",
     "is_enabled",
     "observe",
@@ -288,11 +287,6 @@ def is_enabled() -> bool:
     return _recorder is not None
 
 
-def current_recorder() -> Optional[Recorder]:
-    """The installed recorder, if any."""
-    return _recorder
-
-
 def _install(recorder: Optional[Recorder]) -> Optional[Recorder]:
     """Make ``recorder`` the installed one; returns the previous.
 
@@ -415,4 +409,3 @@ def observe(name: str, value: float, **labels: Any) -> None:
     rec = _recorder
     if rec is not None:
         rec.metrics.observe(name, value, **labels)
-

@@ -23,15 +23,11 @@ from repro.program.ir import (
     Shfl,
     Sts,
     WarpProgram,
-    instr_class,
     instr_fields,
 )
 from repro.program.lower import lower_plan
 from repro.program.serialize import (
-    program_from_dict,
-    program_from_json,
     program_to_dict,
-    program_to_json,
 )
 
 __all__ = [
@@ -48,11 +44,7 @@ __all__ = [
     "Shfl",
     "Sts",
     "WarpProgram",
-    "instr_class",
     "instr_fields",
     "lower_plan",
-    "program_from_dict",
-    "program_from_json",
     "program_to_dict",
-    "program_to_json",
 ]

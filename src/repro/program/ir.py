@@ -331,22 +331,6 @@ class GatherLds:
 #: dispatch on ``opcode`` instead).
 Instr = object
 
-_OPCODE_TO_CLASS = {
-    Opcode.SHFL: Shfl,
-    Opcode.MOVR: MovR,
-    Opcode.STS: Sts,
-    Opcode.LDS: Lds,
-    Opcode.BAR: Bar,
-    Opcode.GATHER_SHFL: GatherShfl,
-    Opcode.GATHER_STS: GatherSts,
-    Opcode.GATHER_LDS: GatherLds,
-}
-
-
-def instr_class(opcode: Opcode):
-    """The dataclass implementing one opcode."""
-    return _OPCODE_TO_CLASS[opcode]
-
 
 def instr_fields(instr) -> Dict[str, object]:
     """The operand fields of an instruction, by name."""
@@ -469,6 +453,5 @@ __all__ = [
     "Shfl",
     "Sts",
     "WarpProgram",
-    "instr_class",
     "instr_fields",
 ]

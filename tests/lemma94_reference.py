@@ -1,27 +1,23 @@
-"""Analytic bank-conflict accounting (Lemma 9.4).
+"""Lemma 9.4's closed-form wavefront count, the oracle of the pricer.
 
 Given a shared layout structured as ``Vec x Bank x Seg`` and a
 distributed layout accessing it, the number of wavefronts per warp
 access is ``n * c`` where ``c = |span(S_Vec u S_Seg) n span(L_Thr)|``
 and ``n`` is the number of banks each vectorized element covers.  The
-simulator (:mod:`repro.gpusim.memory`) measures the same quantity
-empirically; tests assert they agree.
+pricer (:mod:`repro.gpusim.memory`) counts the same quantity on the
+plan's actual addresses; ``tests/test_codegen_swizzle.py`` holds the
+two to agreement.  Only tests import it.
 """
 
 from __future__ import annotations
 
-
+from repro.codegen.swizzle import SwizzlePlan
 from repro.core.dims import LANE
 from repro.core.layout import LinearLayout
-from repro.codegen.swizzle import SwizzlePlan
 from repro.f2.subspace import Subspace
 
 
-def access_wavefronts(
-    plan: SwizzlePlan,
-    dist_layout: LinearLayout,
-    warp_size: int = 32,
-) -> int:
+def access_wavefronts(plan: SwizzlePlan, dist_layout: LinearLayout) -> int:
     """Wavefronts per warp-wide vectorized access (Lemma 9.4).
 
     ``c`` counts the coset collisions between the segment structure
@@ -44,14 +40,11 @@ def access_wavefronts(
 
 
 def conversion_wavefronts(
-    plan: SwizzlePlan,
-    src_layout: LinearLayout,
-    dst_layout: LinearLayout,
-    warp_size: int = 32,
+    plan: SwizzlePlan, src_layout: LinearLayout, dst_layout: LinearLayout
 ) -> dict:
-    """Read and write wavefront counts for a conversion through shared
+    """Write and read wavefront counts of a conversion through shared
     memory staged with ``plan``."""
     return {
-        "write": access_wavefronts(plan, src_layout, warp_size),
-        "read": access_wavefronts(plan, dst_layout, warp_size),
+        "write": access_wavefronts(plan, src_layout),
+        "read": access_wavefronts(plan, dst_layout),
     }

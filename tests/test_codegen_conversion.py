@@ -116,7 +116,6 @@ class TestExecutedPlans:
         )
         plan, trace = run_and_verify(a, b)
         assert plan.kind == "shuffle"
-        assert not plan.uses_shared_memory()
 
     def test_shared_plan_blocked_to_mma(self):
         a = BlockedLayout((1, 4), (8, 4), (2, 2), (1, 0)).to_linear(

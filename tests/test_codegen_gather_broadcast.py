@@ -7,7 +7,6 @@ from repro.codegen.broadcast import (
     duplicate_groups,
     reduction_load_count,
     reduction_store_count,
-    unique_owner_count,
 )
 from repro.codegen.gather import (
     GatherPlanError,
@@ -88,15 +87,6 @@ class TestBroadcastAccounting:
         assert groups[REGISTER] == 2
         assert groups[LANE] == 1
         assert groups[WARP] == 2
-
-    def test_unique_owner_count(self):
-        layout = LinearLayout(
-            {REGISTER: [(1,), (0,)], LANE: [(2,)], WARP: [(0,)]},
-            {"dim0": 4},
-        )
-        # 4 regs x 2 lanes x 2 warps = 16 slots; one free register bit
-        # and one free warp bit divide by 4.
-        assert unique_owner_count(layout) == 4
 
     def test_reduction_counts_dedupe(self):
         parent = BlockedLayout((1, 2), (4, 8), (2, 2), (1, 0)).to_linear(

@@ -9,10 +9,6 @@ padding heuristic on large tiles.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.codegen.bank_conflicts import (
-    access_wavefronts,
-    conversion_wavefronts,
-)
 from repro.codegen.conversion import (
     _plan_from_memory_layout,
     plan_conversion,
@@ -31,6 +27,7 @@ from repro.core.reshape import transpose_layout
 from repro.f2.subspace import reduce_to_basis
 from repro.program import Opcode
 
+from tests.lemma94_reference import access_wavefronts, conversion_wavefronts
 from tests.program_reference import SharedMemory
 
 

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.codegen.vectorize import (
     best_coalesced_layout,
-    global_access_plan,
     legacy_default_blocked,
     legacy_vector_width_bits,
     ptx_vector_name,
@@ -13,8 +12,6 @@ from repro.codegen.vectorize import (
 )
 from repro.core import LANE, REGISTER, WARP
 from repro.core.properties import is_distributed_layout
-from repro.hardware import RTX4090
-from repro.hardware.instructions import InstructionKind
 from repro.mxfp.types import F16, F32, F8E5M2
 
 
@@ -82,16 +79,6 @@ class TestLinearAnalysis:
 
 
 class TestAccessPlans:
-    def test_instruction_count(self):
-        layout = best_coalesced_layout((512, 2), 8)
-        inst, count = global_access_plan(layout, 8, RTX4090)
-        assert inst.kind == InstructionKind.GLOBAL_LOAD
-        assert inst.vector_bits == 128
-        # 8 elements per thread at 8 bits = 64 bits... registers hold
-        # 1024/128 = 8 elements: 64 bits => 1 access of 128? No:
-        # count = regs * bits / vec = 8 * 8 / 128 -> floors to 1.
-        assert count >= 1
-
     def test_ptx_names(self):
         assert ptx_vector_name(128) == "v4.b32"
         assert ptx_vector_name(64) == "v2.b32"

@@ -56,13 +56,6 @@ class TestBroadcastHandling:
         owner = view.owner_of(flat)
         assert owner[REGISTER] == 1  # free bit (bit 1) stays 0
 
-    def test_replicas(self):
-        view = DistributedView(self.layout_with_broadcast())
-        replicas = view.replicas_of({REGISTER: 1, LANE: 0, WARP: 0})
-        assert len(replicas) == 2
-        regs = sorted(r[REGISTER] for r in replicas)
-        assert regs == [1, 3]
-
     def test_images_filter(self):
         view = DistributedView(self.layout_with_broadcast())
         assert view.images(REGISTER) == [1, 0]

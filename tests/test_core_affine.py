@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import AffineLayout, DimensionError, LinearLayout, REGISTER
-from repro.core.affine import slice_offset_layout
 
 
 def base_layout():
@@ -54,11 +53,3 @@ class TestAffine:
         for r in range(8):
             step = outer.apply(inner.apply({REGISTER: r}))
             assert composed.apply({REGISTER: r}) == step
-
-    def test_aligned_slice(self):
-        sliced = slice_offset_layout(base_layout(), "dim0", 4, 4)
-        assert sliced.apply({REGISTER: 0})["dim0"] == 4
-
-    def test_unaligned_slice_rejected(self):
-        with pytest.raises(DimensionError):
-            slice_offset_layout(base_layout(), "dim0", 2, 4)

@@ -12,7 +12,6 @@ from repro.core import (
     divide_left,
     divide_left_or_raise,
     is_divisible_by,
-    layouts_equal_on,
     make_identity,
     num_identity_low_bits,
     product_pow2,
@@ -120,18 +119,6 @@ class TestIdentityPrefix:
     def test_missing_dim(self):
         layout = make_identity([(8, LANE, "dim0")])
         assert num_identity_low_bits(layout, REGISTER) == 0
-
-
-class TestComponentComparison:
-    def test_equal_lanes(self):
-        a = make_identity([(4, REGISTER, "dim0"), (8, LANE, "dim0")])
-        b = make_identity([(4, REGISTER, "dim0"), (8, LANE, "dim0")])
-        assert layouts_equal_on(a, b, LANE)
-
-    def test_order_matters(self):
-        a = LinearLayout({LANE: [(1,), (2,)]}, {"dim0": 4})
-        b = LinearLayout({LANE: [(2,), (1,)]}, {"dim0": 4})
-        assert not layouts_equal_on(a, b, LANE)
 
 
 class TestProductPow2:

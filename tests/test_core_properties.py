@@ -13,7 +13,6 @@ from repro.core import (
     make_identity,
     num_contiguous_elements,
 )
-from repro.core.properties import unique_data_threads
 from repro.layouts import (
     BlockedLayout,
     NvidiaMmaLayout,
@@ -116,17 +115,3 @@ class TestContiguity:
             {REGISTER: [(2,)], LANE: [(1,)]}, {"dim0": 4}
         )
         assert largest_vectorization(layout, 16) == 16
-
-
-class TestUniqueThreads:
-    def test_no_duplicates(self):
-        layout = BlockedLayout((1, 1), (4, 8), (1, 1), (1, 0)).to_linear(
-            (4, 8)
-        )
-        assert unique_data_threads(layout) == 32
-
-    def test_halved_by_free_lane_bit(self):
-        layout = LinearLayout(
-            {LANE: [(1,), (0,)], REGISTER: [(2,)]}, {"dim0": 4}
-        )
-        assert unique_data_threads(layout) == 2

@@ -21,7 +21,6 @@ from repro.core import (
     split_layout,
     transpose_layout,
 )
-from repro.core.reshape import squeeze_layout
 from repro.layouts import BlockedLayout
 
 
@@ -109,16 +108,6 @@ class TestExpandSqueeze:
         assert expanded.out_dim_sizes() == {
             "dim0": 16, "dim1": 1, "dim2": 32,
         }
-
-    def test_expand_squeeze_round_trip(self):
-        layout = sample_layout()
-        assert squeeze_layout(expand_dims_layout(layout, 0), 0) == (
-            reshape_layout(layout, [16, 32])
-        )
-
-    def test_squeeze_non_unit_rejected(self):
-        with pytest.raises(DimensionError):
-            squeeze_layout(sample_layout(), 0)
 
     def test_expand_out_of_range(self):
         with pytest.raises(DimensionError):

@@ -13,7 +13,6 @@ import pytest
 
 from repro.bench.fig9 import compile_case
 from repro.bench.fig9_digest import (
-    compile_entry,
     digest_suite,
     fig9_cases,
     load_golden,
@@ -77,14 +76,3 @@ def test_program_digest_sees_instruction_and_index_order():
     assert program_digest(
         WarpProgram((dataclasses.replace(sts, accesses=swapped),))
     ) != program_digest(WarpProgram((sts,)))
-
-
-def test_a_compile_that_raises_records_its_error_class(monkeypatch):
-    import repro.bench.fig9_digest as digest
-
-    def boom(*args):
-        raise KeyError("no such case")
-
-    monkeypatch.setattr(digest, "compile_case", boom)
-    entry = compile_entry(*next(fig9_cases()))
-    assert entry["ok"] is False and entry["error"] == "KeyError"

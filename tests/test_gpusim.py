@@ -129,7 +129,6 @@ class TestTrace:
         trace.emit(InstructionKind.SHARED_LOAD, count=1)
         assert trace.histogram() == {"ld.shared": 4, "shfl.sync": 2}
         assert trace.count(InstructionKind.SHARED_LOAD) == 4
-        assert trace.shared_instruction_count() == 4
 
     def test_zero_count_skipped(self):
         trace = Trace(RTX4090)

@@ -11,9 +11,7 @@ from repro.hardware import (
     MI250,
     PLATFORMS,
     RTX4090,
-    get_platform,
     ldmatrix_tile,
-    stmatrix_tile,
     vector_shared_tile,
 )
 
@@ -35,11 +33,6 @@ class TestSpecs:
     def test_bank_row(self):
         for spec in PLATFORMS.values():
             assert spec.bank_row_bytes == 128
-
-    def test_lookup(self):
-        assert get_platform("GH200") is GH200
-        with pytest.raises(KeyError):
-            get_platform("H100")
 
     def test_str(self):
         assert "mfma" in str(MI250)
@@ -68,10 +61,6 @@ class TestTiles:
     def test_ldmatrix_element_range(self):
         with pytest.raises(ValueError):
             ldmatrix_tile(64)
-
-    def test_stmatrix_matches_ldmatrix(self):
-        assert stmatrix_tile(16) == ldmatrix_tile(16)
-
 
 class TestCostModel:
     def setup_method(self):
@@ -124,12 +113,3 @@ class TestCostModel:
         ]
         hist = self.model.histogram(insts)
         assert hist == {"shfl.sync": 5, "bar.sync": 1}
-
-    def test_ptx_names(self):
-        inst = Instruction(InstructionKind.SHARED_LOAD, vector_bits=128)
-        assert inst.ptx_name() == "ld.shared.v4.b32"
-        assert Instruction(InstructionKind.SHUFFLE).ptx_name() == (
-            "shfl.sync"
-        )
-        sub = Instruction(InstructionKind.GLOBAL_LOAD, vector_bits=16)
-        assert sub.ptx_name() == "ld.global.v1.b16"

@@ -15,7 +15,7 @@ from repro.layouts import (
     mma_operand_tile,
     mma_output_tile,
 )
-from repro.layouts.mfma import mfma_operand_tile, mfma_output_tile
+from repro.layouts.mfma import mfma_output_tile
 
 
 class TestMmaOutputTile:
@@ -153,17 +153,6 @@ class TestMfma:
         assert is_distributed_layout(layout)
         assert layout.in_dim_size(LANE) == 64
         assert layout.in_dim_size(REGISTER) == 16
-
-    def test_operand_tiles(self):
-        a = mfma_operand_tile(0)
-        b = mfma_operand_tile(1)
-        assert a.out_dim_sizes() == {"dim0": 32, "dim1": 8}
-        assert b.out_dim_sizes() == {"dim0": 8, "dim1": 32}
-        assert a.is_invertible() and b.is_invertible()
-
-    def test_bad_operand(self):
-        with pytest.raises(DimensionError):
-            mfma_operand_tile(3)
 
     def test_instr_shape_guard(self):
         with pytest.raises(DimensionError):

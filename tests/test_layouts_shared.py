@@ -8,12 +8,10 @@ from repro.core import OFFSET
 from repro.core.errors import DimensionError
 from repro.core.properties import is_memory_layout
 from repro.layouts import (
-    PaddedSharedLayout,
     SwizzledSharedLayout,
     mma_swizzle_offset,
     shared_layout_for_mma,
 )
-from repro.layouts.shared import default_padding
 
 
 class TestSwizzleFormula:
@@ -119,33 +117,3 @@ class TestHeuristicParameters:
             for inner in (16, 32, 64, 128):
                 sw = shared_layout_for_mma(bits, (64, inner))
                 assert sw.to_linear((64, inner)).is_invertible()
-
-
-class TestPaddedLayout:
-    def test_offsets_skip_padding(self):
-        padded = PaddedSharedLayout(pad_elems=4)
-        assert padded.offset_of((0, 0), (8, 16)) == 0
-        assert padded.offset_of((0, 15), (8, 16)) == 15
-        assert padded.offset_of((1, 0), (8, 16)) == 20
-
-    def test_footprint_includes_padding(self):
-        padded = PaddedSharedLayout(pad_elems=4)
-        assert padded.footprint_elements((8, 16)) == 8 * 20
-
-    def test_injective(self):
-        padded = PaddedSharedLayout(pad_elems=4)
-        seen = set()
-        for i in range(8):
-            for j in range(16):
-                off = padded.offset_of((i, j), (8, 16))
-                assert off not in seen
-                seen.add(off)
-
-    def test_default_padding(self):
-        assert default_padding(8) == 4
-        assert default_padding(16) == 2
-        assert default_padding(32) == 1
-
-    def test_negative_pad_rejected(self):
-        with pytest.raises(DimensionError):
-            PaddedSharedLayout(pad_elems=-1)

@@ -11,8 +11,6 @@ from repro.core import (
     LinearLayout,
     REGISTER,
     WARP,
-    canonical_dim_order,
-    hardware_dims,
     make_identity,
     out_dim_names,
 )
@@ -21,17 +19,6 @@ from repro.program import MovR
 
 
 class TestDimUtilities:
-    def test_hardware_dims_order(self):
-        assert hardware_dims() == ["register", "lane", "warp", "block"]
-
-    def test_canonical_order(self):
-        assert canonical_dim_order(["warp", "register"]) == [
-            "register", "warp",
-        ]
-        assert canonical_dim_order(["offset", "lane"]) == [
-            "lane", "offset",
-        ]
-
     def test_out_dim_names(self):
         assert out_dim_names(3) == ["dim0", "dim1", "dim2"]
         assert out_dim_names(0) == []

@@ -140,13 +140,13 @@ class TestSpans:
     def test_capture_restores_previous_state(self):
         assert not obs.is_enabled()
         with obs.capture() as outer_rec:
-            assert obs_core.current_recorder() is outer_rec
             with obs.capture() as inner_rec:
-                assert obs_core.current_recorder() is inner_rec
                 obs.count("x")
-            assert obs_core.current_recorder() is outer_rec
+            obs.count("y")
             assert inner_rec.metrics.counter_value("x") == 1
+            assert inner_rec.metrics.counter_value("y") == 0
             assert outer_rec.metrics.counter_value("x") == 0
+            assert outer_rec.metrics.counter_value("y") == 1
         assert not obs.is_enabled()
 
 
@@ -169,7 +169,7 @@ class TestDisabledPath:
         obs.gauge("g", 1.0)
         obs.observe("h", 2.0)
         # Nothing was installed, nothing recorded.
-        assert obs_core.current_recorder() is None
+        assert not obs.is_enabled()
 
 
 # ======================================================================

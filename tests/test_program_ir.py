@@ -47,11 +47,10 @@ from repro.program import (
     Sts,
     WarpProgram,
     lower_plan,
-    program_from_json,
-    program_to_json,
 )
 from repro.program import interp
 
+from tests.program_decoder import round_trip
 from tests.program_reference import (
     ScalarInterpreter,
     reference_conversion,
@@ -270,7 +269,7 @@ class TestProgramStructure:
         dst = random_distributed_layout(rng, 9, shape=shape)
         plan = plan_conversion(src, dst, elem_bits=16)
         program = plan.program
-        rebuilt = program_from_json(program_to_json(program))
+        rebuilt = round_trip(program)
         assert rebuilt.instrs == program.instrs
         assert rebuilt.result == program.result
         machine = Machine(RTX4090, 4)
@@ -813,20 +812,3 @@ class TestLowerPlan:
         assert program is not plan.program
         assert program == plan.program
         assert program.scratch == {}
-
-
-class TestPreshuffleProgram:
-    def test_table_matches_numpy_preshuffle(self):
-        import numpy as np
-
-        from repro.mxfp.shuffle_opt import (
-            preshuffle_operand,
-            preshuffle_register_table,
-        )
-
-        kwidth = 2
-        k = 16
-        table = preshuffle_register_table(k, kwidth)
-        w = np.arange(k, dtype=np.float64).reshape(k, 1)
-        shuffled = preshuffle_operand(w, kwidth)
-        assert [int(v) for v in shuffled[:, 0]] == list(table)

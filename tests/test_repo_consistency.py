@@ -4,9 +4,11 @@ Documentation and structure rot silently; these tests pin the claims
 the docs make to the code that backs them.
 """
 
+import ast
 import importlib
 import pathlib
 import re
+from collections import Counter
 
 import pytest
 
@@ -62,6 +64,45 @@ class TestTheoryMapResolves:
                 break
             else:
                 pytest.fail(f"cannot import {dotted}")
+
+
+class TestNoTestOnlyCode:
+    def test_every_src_definition_has_a_caller_outside_tests(self):
+        """A top-level def or class of ``src/repro`` is referenced from
+        ``src/``, ``examples/``, ``benchmarks/`` or ``perfbench/``
+        beyond its own definition and package re-exports, or named in
+        ``docs/THEORY.md`` as public API.  Test-only code and oracles
+        live in ``tests/``."""
+        package = REPO / "src" / "repro"
+        texts = {
+            path: path.read_text()
+            for top in ("src", "examples", "benchmarks", "perfbench")
+            for path in (REPO / top).rglob("*.py")
+        }
+        words = {
+            path: Counter(re.findall(r"\w+", text))
+            for path, text in texts.items()
+            if not (path.name == "__init__.py" and path.is_relative_to(package))
+        }
+        theory = Counter(re.findall(r"\w+", (REPO / "docs" / "THEORY.md").read_text()))
+        unused = []
+        for path, text in texts.items():
+            if path not in words or not path.is_relative_to(package):
+                continue
+            lines, tree = text.splitlines(), ast.parse(text)
+            exports = [n for n in tree.body if isinstance(n, ast.Assign)
+                       and "__all__" in [getattr(t, "id", None) for t in n.targets]]
+            for node in tree.body:
+                if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    continue
+                name, own = node.name, words[path][node.name]
+                for span in [node, *exports]:  # its definition, its re-export
+                    own -= re.findall(r"\w+", "\n".join(
+                        lines[span.lineno - 1 : span.end_lineno])).count(name)
+                elsewhere = sum(c[name] for p, c in words.items() if p != path)
+                if not (theory[name] or own > 0 or elsewhere):
+                    unused.append(f"{path.relative_to(REPO)}::{name}")
+        assert not unused, "no caller outside tests: " + ", ".join(unused)
 
 
 class TestExamplesListed:

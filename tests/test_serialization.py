@@ -18,7 +18,8 @@ from repro.layouts import (
     SwizzledSharedLayout,
     WgmmaLayout,
 )
-from repro.program import program_from_json, program_to_json
+
+from tests.program_decoder import round_trip
 
 
 ALL_LAYOUTS = [
@@ -89,8 +90,7 @@ def _conversion_programs():
     ids=lambda p: p.label or "anonymous",
 )
 def test_program_json_round_trip(program):
-    text = program_to_json(program)
-    rebuilt = program_from_json(json.loads(json.dumps(text)))
+    rebuilt = round_trip(program)
     assert rebuilt.instrs == program.instrs
     assert rebuilt.result == program.result
     assert rebuilt.label == program.label

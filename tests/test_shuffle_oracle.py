@@ -34,12 +34,9 @@ from repro.core import LANE, LinearLayout, REGISTER, WARP
 from repro.engine.ir import OpKind
 from repro.hardware.spec import PLATFORMS
 from repro.program.ir import Shfl, WarpProgram
-from repro.program.serialize import (
-    instr_from_dict,
-    instr_to_dict,
-    program_to_dict,
-)
+from repro.program.serialize import instr_to_dict, program_to_dict
 from tests import shuffle_reference as reference
+from tests.program_decoder import instr_from_dict
 from tests.test_shared_access_oracle import _coords, conversion_cases
 
 
