@@ -157,6 +157,33 @@ class TestExecutedPlans:
         )
         assert any("padded" in n for n in plan.notes)
 
+    @pytest.mark.parametrize("elem_bits", [8, 16, 32])
+    def test_padded_pad_is_one_vector(self, elem_bits):
+        """Legacy padding inserts one 128-bit vector per bank row."""
+        a = BlockedLayout((1, 4), (8, 4), (2, 2), (1, 0)).to_linear(
+            (32, 64)
+        )
+        b = NvidiaMmaLayout((2, 2)).to_linear((32, 64))
+        plan, _ = run_and_verify(
+            a, b, elem_bits=elem_bits, swizzle_mode="padded",
+            allow_shuffle=False,
+        )
+        assert f"padded staging: pad={128 // elem_bits} elems" in plan.notes
+
+    def test_padded_footprint_includes_padding(self):
+        a = BlockedLayout((1, 4), (8, 4), (2, 2), (1, 0)).to_linear(
+            (32, 64)
+        )
+        b = NvidiaMmaLayout((2, 2)).to_linear((32, 64))
+        padded = plan_conversion(
+            a, b, 16, swizzle_mode="padded", allow_shuffle=False
+        )
+        raw = plan_conversion(a, b, 16, swizzle_mode="none", allow_shuffle=False)
+        assert raw.shared_bytes == 32 * 64 * 2
+        pad_bytes = 8 * 2  # one 128-bit vector per padded bank row
+        extra = padded.shared_bytes - raw.shared_bytes
+        assert extra > 0 and extra % pad_bytes == 0
+
     def test_shuffle_disabled_falls_back_to_shared(self):
         a = BlockedLayout((1, 2), (8, 4), (2, 2), (1, 0)).to_linear(
             (32, 64)

@@ -88,6 +88,21 @@ class TestBroadcastAccounting:
         assert groups[LANE] == 1
         assert groups[WARP] == 2
 
+    def test_unique_owner_count(self):
+        layout = LinearLayout(
+            {REGISTER: [(1,), (0,)], LANE: [(2,)], WARP: [(0,)]},
+            {"dim0": 4},
+        )
+        # 4 regs x 2 lanes x 2 warps = 16 slots; one free register bit
+        # and one free warp bit divide by 4.
+        slots = 1
+        for dim in (REGISTER, LANE, WARP):
+            slots *= layout.in_dim_size(dim)
+        dup = 1
+        for factor in duplicate_groups(layout).values():
+            dup *= factor
+        assert slots // dup == 4 == layout.total_out_size()
+
     def test_reduction_counts_dedupe(self):
         parent = BlockedLayout((1, 2), (4, 8), (2, 2), (1, 0)).to_linear(
             (16, 32)

@@ -12,6 +12,8 @@ from repro.codegen.vectorize import (
 )
 from repro.core import LANE, REGISTER, WARP
 from repro.core.properties import is_distributed_layout
+from repro.hardware import RTX4090
+from repro.hardware.instructions import InstructionKind, instruction
 from repro.mxfp.types import F16, F32, F8E5M2
 
 
@@ -79,6 +81,16 @@ class TestLinearAnalysis:
 
 
 class TestAccessPlans:
+    def test_instruction_count(self):
+        layout = best_coalesced_layout((512, 2), 8)
+        bits = vector_width_bits(layout, 8, RTX4090.max_vector_bits)
+        inst = instruction(InstructionKind.GLOBAL_LOAD, vector_bits=bits)
+        assert inst.kind == InstructionKind.GLOBAL_LOAD
+        assert inst.vector_bits == 128
+        # Each thread's 8-bit elements fill whole 128-bit accesses.
+        regs = layout.in_dim_size(REGISTER)
+        assert regs * 8 % bits == 0
+
     def test_ptx_names(self):
         assert ptx_vector_name(128) == "v4.b32"
         assert ptx_vector_name(64) == "v2.b32"

@@ -56,6 +56,17 @@ class TestBroadcastHandling:
         owner = view.owner_of(flat)
         assert owner[REGISTER] == 1  # free bit (bit 1) stays 0
 
+    def test_replicas(self):
+        """The hardware indices holding one element differ only in the
+        free (zero-column) bits."""
+        view = DistributedView(self.layout_with_broadcast())
+        flat = view.flat_of({REGISTER: 1, LANE: 0, WARP: 0})
+        regs = [
+            r for r in range(view.layout.in_dim_size(REGISTER))
+            if view.flat_of({REGISTER: r, LANE: 0, WARP: 0}) == flat
+        ]
+        assert regs == [1, 3]
+
     def test_images_filter(self):
         view = DistributedView(self.layout_with_broadcast())
         assert view.images(REGISTER) == [1, 0]

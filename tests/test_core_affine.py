@@ -53,3 +53,23 @@ class TestAffine:
         for r in range(8):
             step = outer.apply(inner.apply({REGISTER: r}))
             assert composed.apply({REGISTER: r}) == step
+
+    def test_aligned_slice(self):
+        """XOR by an aligned start selects ``[start, start + length)``."""
+        block = LinearLayout(
+            {REGISTER: [(1,), (2,)]}, {"dim0": 8}, require_surjective=False
+        )
+        sliced = AffineLayout.from_linear(block).translate("dim0", 4)
+        values = [sliced.apply({REGISTER: r})["dim0"] for r in range(4)]
+        assert values == [4, 5, 6, 7]
+
+    def test_unaligned_translate_is_not_a_slice(self):
+        """An unaligned start wraps inside the block under XOR, which
+        is why affine slicing must be aligned."""
+        block = LinearLayout(
+            {REGISTER: [(1,), (2,)]}, {"dim0": 8}, require_surjective=False
+        )
+        moved = AffineLayout.from_linear(block).translate("dim0", 2)
+        values = [moved.apply({REGISTER: r})["dim0"] for r in range(4)]
+        assert values == [2, 3, 0, 1]
+        assert sorted(values) != list(range(2, 6))

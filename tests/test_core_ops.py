@@ -3,6 +3,7 @@ component comparison (repro.core.ops)."""
 
 import pytest
 
+from repro.codegen.conversion import ConversionKind, classify_conversion
 from repro.core import (
     LANE,
     LinearLayout,
@@ -119,6 +120,26 @@ class TestIdentityPrefix:
     def test_missing_dim(self):
         layout = make_identity([(8, LANE, "dim0")])
         assert num_identity_low_bits(layout, REGISTER) == 0
+
+
+class TestComponentComparison:
+    """Section 5.4, item 1: layouts agreeing on the lane and warp
+    images convert within registers."""
+
+    def test_equal_lanes(self):
+        a = make_identity([(4, REGISTER, "dim0"), (8, LANE, "dim0")])
+        b = LinearLayout(
+            {REGISTER: [(2,), (1,)], LANE: [(4,), (8,), (16,)]},
+            {"dim0": 32},
+        )
+        assert a.basis_images_flat(LANE) == b.basis_images_flat(LANE)
+        assert classify_conversion(a, b) == ConversionKind.REGISTER
+
+    def test_order_matters(self):
+        a = LinearLayout({LANE: [(1,), (2,)]}, {"dim0": 4})
+        b = LinearLayout({LANE: [(2,), (1,)]}, {"dim0": 4})
+        assert a.basis_images_flat(LANE) != b.basis_images_flat(LANE)
+        assert classify_conversion(a, b) == ConversionKind.SHUFFLE
 
 
 class TestProductPow2:

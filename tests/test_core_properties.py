@@ -115,3 +115,25 @@ class TestContiguity:
             {REGISTER: [(2,)], LANE: [(1,)]}, {"dim0": 4}
         )
         assert largest_vectorization(layout, 16) == 16
+
+
+class TestUniqueThreads:
+    """Each free lane bit halves the lanes holding distinct data."""
+
+    @staticmethod
+    def unique_lanes(layout):
+        free = layout.free_variable_masks().get(LANE, 0)
+        return layout.in_dim_size(LANE) >> bin(free).count("1")
+
+    def test_no_duplicates(self):
+        layout = BlockedLayout((1, 1), (4, 8), (1, 1), (1, 0)).to_linear(
+            (4, 8)
+        )
+        assert self.unique_lanes(layout) == 32
+
+    def test_halved_by_free_lane_bit(self):
+        layout = LinearLayout(
+            {LANE: [(1,), (0,)], REGISTER: [(2,)]}, {"dim0": 4}
+        )
+        assert layout.free_variable_masks()[LANE] == 0b10
+        assert self.unique_lanes(layout) == 2

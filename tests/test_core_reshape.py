@@ -109,6 +109,18 @@ class TestExpandSqueeze:
             "dim0": 16, "dim1": 1, "dim2": 32,
         }
 
+    def test_expand_squeeze_round_trip(self):
+        """Squeezing is a reshape that drops the unit dim again."""
+        layout = sample_layout()
+        assert reshape_layout(expand_dims_layout(layout, 0), [16, 32]) == (
+            reshape_layout(layout, [16, 32])
+        )
+
+    def test_squeeze_non_unit_rejected(self):
+        expanded = expand_dims_layout(sample_layout(), 0)
+        with pytest.raises(DimensionError):
+            reshape_layout(expanded, [1, 32])
+
     def test_expand_out_of_range(self):
         with pytest.raises(DimensionError):
             expand_dims_layout(sample_layout(), 5)

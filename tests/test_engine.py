@@ -6,6 +6,7 @@ import pytest
 from repro.engine import KernelBuilder, compile
 from repro.engine.ir import OpKind
 from repro.hardware import GH200, MI250, RTX4090
+from repro.hardware.instructions import InstructionKind
 from repro.interp import execute_graph
 from repro.mxfp import BF16, F16, F32, F8E5M2, I16, I8
 
@@ -168,6 +169,19 @@ class TestCosts:
         assert set(counts) == {
             "convert_layout", "local_load", "local_store",
         }
+
+    @pytest.mark.parametrize("spec", [RTX4090, MI250])
+    def test_local_counts_include_matrix_instructions(self, spec):
+        """Table 6 counts ldmatrix/stmatrix as local loads/stores."""
+        compiled = compile(gemm_builder().graph, spec, "linear")
+        counts, trace = compiled.op_counts(), compiled.trace
+        assert counts["local_load"] == trace.count(
+            InstructionKind.SHARED_LOAD
+        ) + trace.count(InstructionKind.LDMATRIX)
+        assert counts["local_store"] == trace.count(
+            InstructionKind.SHARED_STORE
+        ) + trace.count(InstructionKind.STMATRIX)
+        assert counts["local_load"] > 0
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):

@@ -7,13 +7,17 @@ first slice runs in the fast tier, all 458 compiles in the slow one.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from repro.bench.fig9 import compile_case
+from repro.bench import fig9_digest
 from repro.bench.fig9_digest import (
+    compile_entry,
     digest_suite,
+    dumps,
     fig9_cases,
     load_golden,
     mismatches,
@@ -44,6 +48,48 @@ def test_every_compile_matches_golden():
     entries = digest_suite()
     assert len(entries) == len(GOLDEN)
     assert mismatches(entries, GOLDEN) == []
+
+
+def test_trace_digest_sees_record_order(monkeypatch):
+    """Swapping two differing trace records changes only ``trace``:
+    cycles and op counts are sums, blind to the order."""
+    key = ("flex_attention", "s128_i4", "GH200", "linear")
+    want = compile_entry(*key, {})
+
+    def swapped(*args):
+        compiled = compile_case(*args)
+        records = list(compiled.trace.instructions)
+        i = next(
+            i for i in range(len(records) - 1) if records[i] != records[i + 1]
+        )
+        records[i], records[i + 1] = records[i + 1], records[i]
+        trace = dataclasses.replace(compiled.trace, instructions=records)
+        return dataclasses.replace(compiled, trace=trace)
+
+    monkeypatch.setattr(fig9_digest, "compile_case", swapped)
+    got = compile_entry(*key, {})
+    assert [f for f in want if got[f] != want[f]] == ["trace"]
+
+
+def test_mismatches_name_the_compile_and_its_fields():
+    want = GOLDEN[:2]
+    got = [dict(want[0]), dict(want[1], cycles=-1, trace="0" * 64)]
+    first = want[1]
+    assert mismatches(got, want) == [
+        f"{first['kernel']}/{first['case']}/{first['platform']}/"
+        f"{first['mode']}: cycles, trace"
+    ]
+
+
+def test_mismatches_empty_on_equal_entries():
+    assert mismatches([dict(e) for e in GOLDEN[:5]], GOLDEN[:5]) == []
+
+
+def test_dumps_writes_one_compile_per_line():
+    text = dumps(GOLDEN[:3])
+    lines = text.splitlines()
+    assert lines[0] == "[" and lines[-1] == "]" and len(lines) == 5
+    assert json.loads(text) == GOLDEN[:3]
 
 
 def _instr(compiled, opcode):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.codegen.vectorize import ptx_vector_name
 from repro.core import LANE, OFFSET, REGISTER
 from repro.hardware import (
     CostModel,
@@ -33,6 +34,11 @@ class TestSpecs:
     def test_bank_row(self):
         for spec in PLATFORMS.values():
             assert spec.bank_row_bytes == 128
+
+    def test_lookup(self):
+        assert PLATFORMS["GH200"] is GH200
+        with pytest.raises(KeyError):
+            PLATFORMS["H100"]
 
     def test_str(self):
         assert "mfma" in str(MI250)
@@ -113,3 +119,13 @@ class TestCostModel:
         ]
         hist = self.model.histogram(insts)
         assert hist == {"shfl.sync": 5, "bar.sync": 1}
+
+    def test_ptx_names(self):
+        """Kinds carry their PTX mnemonic; vector suffixes come from
+        the access width."""
+        inst = Instruction(InstructionKind.SHARED_LOAD, vector_bits=128)
+        name = f"{inst.kind.value}.{ptx_vector_name(inst.vector_bits)}"
+        assert name == "ld.shared.v4.b32"
+        assert InstructionKind.SHUFFLE.value == "shfl.sync"
+        sub = Instruction(InstructionKind.GLOBAL_LOAD, vector_bits=16)
+        assert f"{sub.kind.value}.{ptx_vector_name(16)}" == "ld.global.v1.b16"

@@ -1,7 +1,9 @@
 """Tests for blocked layouts (Proposition 4.6)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.codegen.vectorize import legacy_default_blocked
 from repro.core import LANE, REGISTER, WARP
 from repro.core.errors import DimensionError
 from repro.core.properties import is_distributed_layout
@@ -80,3 +82,35 @@ class TestTiling:
         desc = BlockedLayout((1, 1), (4, 8), (2, 2), (1, 0))
         with pytest.raises(DimensionError):
             desc.to_linear((8, 8, 8))
+
+
+class TestDefaultLayout:
+    """The blocked layout legacy Triton assigns to a load or store."""
+
+    def test_covers_shape(self):
+        desc = legacy_default_blocked((128, 64), 16, num_warps=4)
+        layout = desc.to_linear((128, 64))
+        assert is_distributed_layout(layout)
+        assert layout.total_out_size() == 128 * 64
+
+    def test_threads_fill_fast_dim(self):
+        desc = legacy_default_blocked((64, 64), 16)
+        assert desc.threads_per_warp[1] >= desc.threads_per_warp[0]
+
+    def test_1d(self):
+        desc = legacy_default_blocked((4096,), 16, num_warps=4)
+        layout = desc.to_linear((4096,))
+        assert is_distributed_layout(layout)
+
+    @given(
+        st.sampled_from([16, 32, 64, 128, 256]),
+        st.sampled_from([1, 2, 16, 64]),
+        st.sampled_from([1, 2, 4, 8]),
+        st.sampled_from([8, 16, 32]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_always_distributed(self, rows, cols, warps, bits):
+        desc = legacy_default_blocked((rows, cols), bits, num_warps=warps)
+        layout = desc.to_linear((rows, cols))
+        assert is_distributed_layout(layout)
+        assert layout.total_out_size() == rows * cols

@@ -1,5 +1,6 @@
-"""Tests for shared-memory layouts: Definition 4.11 swizzling, its
-inverse characterization (Proposition 4.12), and the padded baseline."""
+"""Tests for shared-memory layouts: Definition 4.11 swizzling and its
+inverse characterization (Proposition 4.12).  The legacy padded
+staging is tested with the conversion planner that builds it."""
 
 import pytest
 from hypothesis import given, settings, strategies as st

@@ -15,10 +15,20 @@ from repro.core import (
     out_dim_names,
 )
 from repro.core.errors import DimensionError
+from repro.layouts import AmdMfmaLayout, BlockedLayout, NvidiaMmaLayout
 from repro.program import MovR
 
 
 class TestDimUtilities:
+    def test_hardware_dims_order(self):
+        """Distributed layouts list their hardware dims innermost first."""
+        for desc in (
+            BlockedLayout((1, 4), (8, 4), (2, 2), (1, 0)),
+            NvidiaMmaLayout((2, 2)),
+            AmdMfmaLayout((2, 2)),
+        ):
+            assert desc.to_linear((64, 64)).in_dims == [REGISTER, LANE, WARP]
+
     def test_out_dim_names(self):
         assert out_dim_names(3) == ["dim0", "dim1", "dim2"]
         assert out_dim_names(0) == []

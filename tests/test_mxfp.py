@@ -137,6 +137,14 @@ class TestFp4Mxfp4:
         assert np.allclose(decoded[0, :32], 100.0, rtol=0.2)
         assert np.allclose(decoded[0, 32:], 0.01, rtol=0.2)
 
+    def test_mxfp4_codes_fit_a_nibble(self):
+        """Each element's fp4 code sits in the low nibble of its byte."""
+        rng = np.random.default_rng(6)
+        tensor = encode_mxfp4(rng.standard_normal((4, 64)))
+        assert tensor.codes.dtype == np.uint8
+        assert tensor.codes.shape == (4, 64)
+        assert int(tensor.codes.max()) < 16
+
     def test_group_size_enforced(self):
         with pytest.raises(ValueError):
             encode_mxfp4(np.zeros((4, 40)))

@@ -812,3 +812,23 @@ class TestLowerPlan:
         assert program is not plan.program
         assert program == plan.program
         assert program.scratch == {}
+
+
+class TestPreshuffleProgram:
+    def test_table_matches_numpy_preshuffle(self):
+        """The pre-shuffle is a register permutation: output register
+        ``(c4 * 2 + c2) * kwidth + j`` of a group takes input register
+        ``(c2 * 4 + c4) * kwidth + j``."""
+        import numpy as np
+
+        from repro.mxfp.shuffle_opt import preshuffle_operand
+
+        kwidth = 2
+        k = 16
+        table = [
+            (c2 * 4 + c4) * kwidth + j
+            for c4 in range(4) for c2 in range(2) for j in range(kwidth)
+        ]
+        w = np.arange(k, dtype=np.float64).reshape(k, 1)
+        shuffled = preshuffle_operand(w, kwidth)
+        assert [int(v) for v in shuffled[:, 0]] == table
