@@ -137,11 +137,6 @@ class CacheStats:
     maxsize: int = 0
 
     @property
-    def lookups(self) -> int:
-        """Total lookups (the ``hits + misses`` invariant)."""
-        return self.hits + self.misses
-
-    @property
     def hit_rate(self) -> float:
         """Hits over lookups (0.0 when the cache was never consulted)."""
         total = self.hits + self.misses
@@ -212,52 +207,40 @@ class BoundedCache:
                 _LOCAL.hits += 1
         return default if value is _MISSING else value
 
-    def put(self, key: Hashable, value: Any) -> Any:
-        """Insert a value; an earlier racing insertion wins."""
-        return self._put(key, value, generation=None)
-
-    def _put(self, key: Hashable, value: Any, generation: int | None) -> Any:
-        """Insert under the lock, evicting LRU entries past capacity.
-
-        ``generation`` is the cache generation observed when the
-        caller's lookup missed; if a :meth:`clear` ran in between, the
-        stale value is returned to the caller but *not* inserted.
-        """
-        evicted = 0
-        try:
-            with self._lock:
-                if generation is not None and generation != self._generation:
-                    return value
-                existing = self._data.get(key, _MISSING)
-                if existing is not _MISSING:
-                    return existing
-                self._data[key] = value
-                # The eviction loop shares the insertion's critical
-                # section: capacity can never be observed exceeded, and a
-                # concurrent clear() cannot empty the dict mid-iteration
-                # (maxsize >= 1 keeps next(iter(...)) well-defined here).
-                while len(self._data) > self.maxsize:
-                    self._data.pop(next(iter(self._data)))
-                    self._evictions += 1
-                    evicted += 1
-                return value
-        finally:
-            if evicted and _obs.is_enabled():
-                _obs.count("cache.evictions", evicted, cache=self.name)
-
     def get_or_create(self, key: Hashable, factory: Callable[[], Any]) -> Any:
         """The cached value, computing and inserting it on a miss.
 
         Atomic in the sense that matters: every thread asking for the
         same key receives the same object once any insertion has
-        landed, and the factory never runs while holding the cache
-        lock.
+        landed (an earlier racing insertion wins), and the factory
+        never runs while holding the cache lock.  If a :meth:`clear`
+        ran between the lookup and the insertion, the computed value is
+        returned but *not* inserted.
         """
         generation = self._generation
         value = self.get(key, _MISSING)
         if value is not _MISSING:
             return value
-        return self._put(key, factory(), generation=generation)
+        value = factory()
+        evicted = 0
+        with self._lock:
+            if generation != self._generation:
+                return value
+            existing = self._data.get(key, _MISSING)
+            if existing is not _MISSING:
+                return existing
+            self._data[key] = value
+            # The eviction loop shares the insertion's critical
+            # section: capacity can never be observed exceeded, and a
+            # concurrent clear() cannot empty the dict mid-iteration
+            # (maxsize >= 1 keeps next(iter(...)) well-defined here).
+            while len(self._data) > self.maxsize:
+                self._data.pop(next(iter(self._data)))
+                self._evictions += 1
+                evicted += 1
+        if evicted and _obs.is_enabled():
+            _obs.count("cache.evictions", evicted, cache=self.name)
+        return value
 
     def clear(self) -> None:
         """Drop every entry (statistics are reset too)."""

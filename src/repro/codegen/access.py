@@ -19,7 +19,7 @@ reference.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -115,24 +115,6 @@ class SharedAccesses:
         return SharedAccesses(
             acc.base[:threads, :k], width[:, :k], acc.regs[:threads, :k, :v]
         )
-
-    @classmethod
-    def from_tuples(cls, tuples: Sequence) -> "SharedAccesses":
-        """Build from the nested ``(base, regs)`` tuple view."""
-        threads = len(tuples)
-        k_max = max((len(a) for a in tuples), default=0)
-        v_max = max(
-            (len(regs) for a in tuples for _, regs in a), default=0
-        )
-        base = np.zeros((threads, k_max), dtype=np.int64)
-        width = np.zeros((threads, k_max), dtype=np.int64)
-        regs = np.full((threads, k_max, v_max), -1, dtype=np.int64)
-        for t, lane_accesses in enumerate(tuples):
-            for k, (b, rs) in enumerate(lane_accesses):
-                base[t, k] = b
-                width[t, k] = len(rs)
-                regs[t, k, : len(rs)] = rs
-        return cls(base, width, regs)
 
     def to_tuples(self) -> AccessTuples:
         """The nested view: per thread, ``(base, regs)`` per access."""

@@ -332,8 +332,8 @@ def _swizzled_offsets(memory_layout: LinearLayout) -> np.ndarray:
     """Element offset of every flat position under a staging layout.
 
     The table of ``memory_layout.invert()`` (Section 5.4), whose
-    inputs are the logical dims flattened row-major — the order of
-    ``memory_layout.unflatten_out``.
+    inputs are the logical dims flattened row-major (the last out dim
+    fastest).
     """
     return memory_layout.invert().flat_table(
         list(reversed(memory_layout.out_dims))

@@ -17,7 +17,7 @@ when two threads touch the same bank in different segments — i.e. when
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro import cache as _cache
 from repro.core.dims import LANE, OFFSET, REGISTER
@@ -109,8 +109,6 @@ def optimal_swizzled_layout(
     elem_bits: int,
     bank_row_bytes: int = 128,
     max_vector_bits: int = 128,
-    vec_override: Optional[Sequence[int]] = None,
-    bank_prefix: Optional[Sequence[int]] = None,
 ) -> SwizzlePlan:
     """Compute the conflict-minimizing shared layout for src -> dst.
 
@@ -128,12 +126,6 @@ def optimal_swizzled_layout(
        unavoidable and the remainder comes from ``A_Bank``.
     6. ``Bank`` completes the basis.
 
-    ``vec_override``/``bank_prefix`` pin the low offset bits to given
-    flat basis vectors — used to shape the staging layout around an
-    ``ldmatrix``/``stmatrix`` tile (Section 5.3) so the tile division
-    of Theorem 5.1 succeeds; the rest of the algorithm still minimizes
-    conflicts around the pinned bits.
-
     The returned :class:`SwizzlePlan` is frozen and memoized on the
     canonical layout keys plus every parameter.
     """
@@ -144,8 +136,6 @@ def optimal_swizzled_layout(
         elem_bits,
         bank_row_bytes,
         max_vector_bits,
-        None if vec_override is None else tuple(vec_override),
-        None if bank_prefix is None else tuple(bank_prefix),
     )
     return _cache.cached(
         _cache.derivations,
@@ -156,8 +146,6 @@ def optimal_swizzled_layout(
             elem_bits,
             bank_row_bytes,
             max_vector_bits,
-            vec_override,
-            bank_prefix,
         ),
     )
 
@@ -168,8 +156,6 @@ def _optimal_swizzled_layout(
     elem_bits: int,
     bank_row_bytes: int,
     max_vector_bits: int,
-    vec_override: Optional[Sequence[int]],
-    bank_prefix: Optional[Sequence[int]],
 ) -> SwizzlePlan:
     src = DistributedView(src_layout)
     dst = DistributedView(dst_layout)
@@ -185,14 +171,11 @@ def _optimal_swizzled_layout(
     b_thr = dst.images(LANE, include_zeros=False)
 
     # 1. Vectorization subspace V.
-    if vec_override is not None:
-        vec = list(vec_override)
-    else:
-        shared_regs = sorted(set(a_reg) & set(b_reg))
-        v_max = 0
-        while (1 << (v_max + 1)) * elem_bits <= max_vector_bits:
-            v_max += 1
-        vec = list(shared_regs[:v_max])
+    shared_regs = sorted(set(a_reg) & set(b_reg))
+    v_max = 0
+    while (1 << (v_max + 1)) * elem_bits <= max_vector_bits:
+        v_max += 1
+    vec = list(shared_regs[:v_max])
     v = len(vec)
 
     # Sub-word bits: filling them with H-pairs (below) lets threads
@@ -234,24 +217,14 @@ def _optimal_swizzled_layout(
 
     # 5. Segment bits from H u C (conflict-free), padding from A_Bank.
     low = vec + subword
-    pinned = list(bank_prefix) if bank_prefix else []
-    if pinned:
-        if len(pinned) > b_bits:
-            raise LayoutError(
-                f"bank prefix of {len(pinned)} exceeds {b_bits} bank bits"
-            )
-        if len(reduce_to_basis(low + pinned)) != len(low) + len(pinned):
-            raise LayoutError("bank prefix overlaps the Vec subspace")
-    seg_pool = reduce_to_basis(low + pinned + h_set + c_set)[
-        len(low) + len(pinned):
-    ]
+    seg_pool = reduce_to_basis(low + h_set + c_set)[len(low):]
     conflict_free = len(seg_pool) >= s_bits
     seg: List[int] = list(seg_pool[:s_bits])
     if len(seg) < s_bits:
         filler = reduce_to_basis(
-            low + pinned + seg + a_bank + b_bank + c_set
+            low + seg + a_bank + b_bank + c_set
             + [1 << i for i in range(d)]
-        )[len(low) + len(pinned) + len(seg):]
+        )[len(low) + len(seg):]
         seg.extend(filler[: s_bits - len(seg)])
     if len(seg) < s_bits:  # pragma: no cover - basis always completes
         raise LayoutError("failed to fill segment bits")
@@ -261,10 +234,10 @@ def _optimal_swizzled_layout(
     # ldmatrix tile when one exists (Section 5.3): offset bank bits
     # then coincide with the loading lanes' low bits.
     bank_pool = reduce_to_basis(
-        low + pinned + seg + b_bank + a_bank + c_set
+        low + seg + b_bank + a_bank + c_set
         + [1 << i for i in range(d)]
-    )[len(low) + len(pinned) + len(seg):]
-    bank = pinned + list(bank_pool[: b_bits - len(pinned)])
+    )[len(low) + len(seg):]
+    bank = list(bank_pool[:b_bits])
     if len(bank) < b_bits:  # pragma: no cover
         raise LayoutError("failed to complete bank bits")
 

@@ -3,18 +3,18 @@
 Definition 4.10 guarantees that a distributed layout's matrix is a
 permutation matrix interleaved with zero columns, so mapping between
 hardware indices and flattened logical positions is pure bit routing.
-:class:`DistributedView` precomputes that routing in both directions
-for one index at a time.  :func:`slot_table` is the forward direction
-over every hardware index at once, the one table the planner, the
-program interpreter and the register fill/check read;
-:func:`owner_table` is its dual, the ``A^{-1}(p)_Reg`` /
-``A^{-1}(p)_Thr`` lookups of the Section 5.4 shuffle planner over
-every logical position at once.
+:class:`DistributedView` holds each hardware dim's columns, the
+``L_Reg`` / ``L_Thr`` / ``L_Wrp`` sets the planners read.
+:func:`slot_table` is the forward routing over every hardware index
+at once, the one table the planner, the program interpreter and the
+register fill/check read; :func:`owner_table` is its dual, the
+``A^{-1}(p)_Reg`` / ``A^{-1}(p)_Thr`` lookups of the Section 5.4
+shuffle planner over every logical position at once.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -36,8 +36,8 @@ def _require_distributed(layout: LinearLayout) -> None:
 def slot_table(layout: LinearLayout) -> np.ndarray:
     """Flat logical position of every (warp, lane, reg) slot.
 
-    ``table[w, l, r]`` equals ``DistributedView(layout).flat_of(...)``
-    of that hardware index, as int64 of shape ``(warps, lanes, regs)``:
+    ``table[w, l, r]`` is the row-major flattened ``layout.apply`` of
+    that hardware index, as int64 of shape ``(warps, lanes, regs)``:
     :meth:`LinearLayout.flat_table` with registers fastest.  Raises
     :class:`LayoutError` for a non-distributed layout, as the view does.
 
@@ -58,13 +58,14 @@ def slot_table(layout: LinearLayout) -> np.ndarray:
 def owner_table(layout: LinearLayout) -> np.ndarray:
     """Canonical (reg, lane, warp) owner of every flat logical position.
 
-    ``table[p]`` equals ``DistributedView(layout).owner_of(p)`` as the
-    int64 row ``(reg, lane, warp)``, for every ``p`` below
-    ``2 ** total_out_bits``; the table has shape ``(positions, 3)``.
-    It is the dual of :func:`slot_table`: Definition 4.10 routes each
-    flat bit to one hardware bit, so the owner map is linear over F_2
-    and is the :func:`~repro.f2.bitvec.span_table` of those unit
-    images, with broadcast (zero-column) bits left at 0.  Raises
+    ``table[p]`` is the int64 row ``(reg, lane, warp)`` of the hardware
+    index that holds ``p`` with its free (broadcast) bits zero, for
+    every ``p`` below ``2 ** total_out_bits``; the table has shape
+    ``(positions, 3)``.  It is the dual of :func:`slot_table`:
+    Definition 4.10 routes each flat bit to one hardware bit, so the
+    owner map is linear over F_2 and is the
+    :func:`~repro.f2.bitvec.span_table` of those unit images, with
+    broadcast (zero-column) bits left at 0.  Raises
     :class:`LayoutError` for a non-distributed layout, as the view
     does.
     """
@@ -78,12 +79,7 @@ def owner_table(layout: LinearLayout) -> np.ndarray:
 
 
 class DistributedView:
-    """Bit-level routing for a distributed layout.
-
-    ``flat_of(reg, lane, warp)`` gives the flattened (row-major)
-    logical position; ``owner_of(p)`` gives the canonical owner — the
-    hardware index whose *free* (broadcast) bits are zero.
-    """
+    """The per-hardware-dim columns of a distributed layout."""
 
     def __init__(self, layout: LinearLayout):
         _require_distributed(layout)
@@ -93,46 +89,11 @@ class DistributedView:
         self.columns: Dict[str, List[int]] = {
             d: layout.basis_images_flat(d) for d in self.dims
         }
-        # Reverse routing: flat bit position -> (dim, bit index).
-        self.bit_owner: Dict[int, Tuple[str, int]] = {}
-        for d in self.dims:
-            for i, col in enumerate(self.columns[d]):
-                if col:
-                    self.bit_owner[col.bit_length() - 1] = (d, i)
 
     @property
     def total_bits(self) -> int:
         """Bits of the flattened logical tensor."""
         return self.layout.total_out_bits()
-
-    def flat_of(self, indices: Dict[str, int]) -> int:
-        """Flattened logical position of a hardware index."""
-        out = 0
-        for d in self.dims:
-            v = indices.get(d, 0)
-            cols = self.columns[d]
-            bit = 0
-            while v:
-                if v & 1:
-                    out ^= cols[bit]
-                v >>= 1
-                bit += 1
-        return out
-
-    def owner_of(self, flat: int) -> Dict[str, int]:
-        """Canonical hardware owner of a flattened position."""
-        indices = {d: 0 for d in self.dims}
-        while flat:
-            low = flat & -flat
-            pos = low.bit_length() - 1
-            if pos not in self.bit_owner:
-                raise LayoutError(
-                    f"flat position bit {pos} is outside the layout image"
-                )
-            d, i = self.bit_owner[pos]
-            indices[d] |= 1 << i
-            flat ^= low
-        return indices
 
     def images(self, dim: str, include_zeros: bool = True) -> List[int]:
         """The paper's ``L_Reg`` / ``L_Thr`` / ``L_Wrp`` column sets."""

@@ -37,11 +37,6 @@ class AffineLayout:
             raise DimensionError(f"unknown offset dims {sorted(extraneous)}")
         self._offset = clean
 
-    @staticmethod
-    def from_linear(linear: LinearLayout) -> "AffineLayout":
-        """A linear layout viewed as affine with zero offset."""
-        return AffineLayout(linear, {})
-
     @property
     def linear(self) -> LinearLayout:
         """The linear part ``A``."""
@@ -51,10 +46,6 @@ class AffineLayout:
     def offset(self) -> Dict[str, int]:
         """The constant offset ``b`` per output dim."""
         return dict(self._offset)
-
-    def is_linear(self) -> bool:
-        """True iff the offset is zero (the map fixes the origin)."""
-        return all(v == 0 for v in self._offset.values())
 
     def apply(self, inputs: Mapping[str, int]) -> Dict[str, int]:
         """Evaluate ``A x XOR b`` on per-dim inputs."""

@@ -252,34 +252,6 @@ class LinearLayout:
             {in_dim: [(1 << i,) for i in range(bits)]}, {out_dim: size}
         )
 
-    @staticmethod
-    def zeros1d(size: int, in_dim: str, out_dim: str, out_size: int = 1) -> "LinearLayout":
-        """Map every input of ``in_dim`` to zero (pure broadcasting).
-
-        A zero column in the layout matrix marks replicated data
-        (Section 5.1, Broadcasting).
-        """
-        bits = log2_int(size)
-        return LinearLayout(
-            {in_dim: [(0,)] * bits},
-            {out_dim: out_size},
-            require_surjective=(out_size == 1),
-        )
-
-    @staticmethod
-    def strided1d(
-        size: int, stride: int, in_dim: str, out_dim: str
-    ) -> "LinearLayout":
-        """Map input i to ``i * stride`` for a power-of-two stride."""
-        bits = log2_int(size)
-        log_stride = log2_int(stride)
-        out_size = 1 << (bits + log_stride)
-        return LinearLayout(
-            {in_dim: [(1 << (i + log_stride),) for i in range(bits)]},
-            {out_dim: out_size},
-            require_surjective=False,
-        )
-
     # ------------------------------------------------------------------
     # Interning and memoization
     # ------------------------------------------------------------------
@@ -376,10 +348,6 @@ class LinearLayout:
         """All output dims and sizes, in order."""
         return dict(self._out_dims)
 
-    def in_dim_sizes(self) -> Dict[str, int]:
-        """All input dims and sizes, in order."""
-        return dict(self._in_dims)
-
     def total_in_bits(self) -> int:
         """Total input bits across all dims."""
         return sum(len(v) for v in self._flat.values())
@@ -387,10 +355,6 @@ class LinearLayout:
     def total_out_bits(self) -> int:
         """Total output bits across all dims."""
         return self._out_bits
-
-    def total_in_size(self) -> int:
-        """Number of distinct inputs (2^total_in_bits)."""
-        return 1 << self.total_in_bits()
 
     def total_out_size(self) -> int:
         """Number of logical elements (2^total_out_bits)."""
@@ -464,17 +428,8 @@ class LinearLayout:
         """
         return dict(zip(self._out_dims, self._coords(self._apply_flat(inputs))))
 
-    def apply_flat(
-        self,
-        inputs: Mapping[str, int],
-        order: Optional[Sequence[str]] = None,
-    ) -> int:
-        """Apply and flatten the output (row-major by default)."""
-        flat = self._apply_flat(inputs)
-        return flat if order is None else _move(flat, self._reorder(order))
-
     def flat_table(self, in_order: Sequence[str]) -> np.ndarray:
-        """:meth:`apply_flat` of every input at once, as int64.
+        """The flat output of every input at once, as int64.
 
         Entry ``i`` is the row-major flattened output of the input
         whose flattened index is ``i``, with ``in_order`` listing the
@@ -505,17 +460,6 @@ class LinearLayout:
             _row_major_shifts({name: self._out_dims[name] for name in slowest_first}),
         )
 
-    def unflatten_out(
-        self, flat: int, order: Optional[Sequence[str]] = None
-    ) -> Dict[str, int]:
-        """Split a flattened output coordinate back into per-dim coords."""
-        coords = {}
-        for name in self._flat_order(order):
-            log = log2_int(self._out_dims[name])
-            coords[name] = flat & ((1 << log) - 1)
-            flat >>= log
-        return {name: coords[name] for name in self._out_dims}
-
     # ------------------------------------------------------------------
     # Predicates
     # ------------------------------------------------------------------
@@ -536,11 +480,6 @@ class LinearLayout:
     def is_invertible(self) -> bool:
         """True iff the map is a bijection."""
         return self.is_surjective() and self.total_in_bits() == self._out_bits
-
-    def is_trivially_injective_in(self, in_dim: str) -> bool:
-        """True iff the bases of ``in_dim`` alone are independent."""
-        basis = XorBasis()
-        return all(basis.add(v) for v in self._flat.get(in_dim, ()))
 
     # ------------------------------------------------------------------
     # Operator algebra (Definitions 4.2-4.5)
@@ -727,13 +666,6 @@ class LinearLayout:
         flat = {d: tuple(_move(v, moves) for v in self._flat[d]) for d in in_dims}
         return LinearLayout._from_flat(flat, new_outs)
 
-    def rename_in_dim(self, old: str, new: str) -> "LinearLayout":
-        """Rename one input dim (pure relabeling)."""
-        if old not in self._flat:
-            raise DimensionError(f"no input dim {old!r}")
-        flat = {(new if d == old else d): v for d, v in self._flat.items()}
-        return LinearLayout._from_flat(flat, dict(self._out_dims))
-
     def rename_out_dim(self, old: str, new: str) -> "LinearLayout":
         """Rename one output dim (pure relabeling)."""
         if old not in self._out_dims:
@@ -742,13 +674,6 @@ class LinearLayout:
             (new if d == old else d): s for d, s in self._out_dims.items()
         }
         return LinearLayout._from_flat(dict(self._flat), outs)
-
-    def transpose_ins(self, order: Sequence[str]) -> "LinearLayout":
-        """Reorder the input dims (a relabeling, not a new map)."""
-        if sorted(order) != sorted(self._in_dims):
-            raise DimensionError(f"bad in-dim order {order}")
-        flat = {d: self._flat[d] for d in order}
-        return LinearLayout._from_flat(flat, dict(self._out_dims))
 
     def transpose_outs(self, order: Sequence[str]) -> "LinearLayout":
         """Reorder the output dims.
@@ -774,16 +699,6 @@ class LinearLayout:
         flat[dim] = (images + (0,) * bits)[:bits]
         return LinearLayout._from_flat(flat, dict(self._out_dims))
 
-    def concat_ins(self, other: "LinearLayout") -> "LinearLayout":
-        """Concatenate input dims of two layouts with equal codomains."""
-        if dict(self._out_dims) != dict(other._out_dims):
-            raise DimensionError("concat_ins requires equal codomains")
-        if set(self._in_dims) & set(other._in_dims):
-            raise DimensionError("concat_ins requires disjoint input dims")
-        flat = dict(self._flat)
-        flat.update(other._flat)
-        return LinearLayout._from_flat(flat, dict(self._out_dims))
-
     # ------------------------------------------------------------------
     # Free variables / broadcasting
     # ------------------------------------------------------------------
@@ -807,13 +722,6 @@ class LinearLayout:
                 1 << bit for bit, v in enumerate(columns) if not basis.add(v)
             )
             for in_dim, columns in self._flat.items()
-        }
-
-    def zero_basis_masks(self) -> Dict[str, int]:
-        """Per input dim, a bitmask of bits whose image is exactly zero."""
-        return {
-            d: sum(1 << i for i, v in enumerate(columns) if v == 0)
-            for d, columns in self._flat.items()
         }
 
     # ------------------------------------------------------------------
@@ -874,18 +782,6 @@ class LinearLayout:
             "out_dims": dict(self._out_dims),
         }
 
-    @staticmethod
-    def from_dict(data: Mapping[str, object]) -> "LinearLayout":
-        """Rebuild a layout saved by :meth:`to_dict`."""
-        return LinearLayout(
-            {
-                d: [tuple(img) for img in images]
-                for d, images in data["bases"].items()
-            },
-            dict(data["out_dims"]),
-            require_surjective=False,
-        )
-
     def __repr__(self) -> str:
         parts = []
         for d, images in self.bases.items():
@@ -893,29 +789,6 @@ class LinearLayout:
             parts.append(f"{d}=[{imgs}]")
         outs = ", ".join(f"{d}:{s}" for d, s in self._out_dims.items())
         return f"LinearLayout({'; '.join(parts)} -> {outs})"
-
-    def pretty(self) -> str:
-        """A human-readable table of every input -> output mapping.
-
-        Only usable for small layouts (<= 2^12 inputs).
-        """
-        if self.total_in_bits() > 12:
-            return repr(self)
-        lines = [repr(self)]
-        in_names = list(self._in_dims)
-        sizes = [self._in_dims[d] for d in in_names]
-
-        def rec(idx: int, coords: Dict[str, int]) -> None:
-            if idx == len(in_names):
-                outs = self.apply(coords)
-                lines.append(f"  {coords} -> {outs}")
-                return
-            for v in range(sizes[idx]):
-                coords[in_names[idx]] = v
-                rec(idx + 1, coords)
-
-        rec(0, {})
-        return "\n".join(lines)
 
 
 def make_identity(

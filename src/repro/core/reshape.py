@@ -14,7 +14,7 @@ last dim is fastest, matching "j is the fastest moving dimension".
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.core.dims import REGISTER, out_dim_names
 from repro.core.errors import DimensionError
@@ -50,26 +50,20 @@ def transpose_layout(
     return result
 
 
-def flatten_outs(
-    layout: LinearLayout,
-    order: Optional[Sequence[str]] = None,
-    out_dim: str = "dim0",
-) -> LinearLayout:
-    """Collapse all output dims into one, row-major by default.
-
-    ``order`` lists out dims fastest-first (default: reversed declared
-    order).  This is the flattening
+def flatten_outs(layout: LinearLayout) -> LinearLayout:
+    """Collapse all output dims into ``dim0``, row-major (the last
+    declared dim fastest).  This is the flattening
     :math:`\\mathbb{F}_2^{d_1} \\times \\dots \\cong \\mathbb{F}_2^d`
     used throughout Section 5.4.
     """
     total = layout.total_out_size()
     bases = {
-        d: [(layout.basis_image_flat(d, i, order),) for i in range(
+        d: [(layout.basis_image_flat(d, i),) for i in range(
             layout.in_dim_size_log2(d))]
         for d in layout.in_dims
     }
     return LinearLayout(
-        bases, {out_dim: total}, require_surjective=False
+        bases, {"dim0": total}, require_surjective=False
     )
 
 

@@ -25,17 +25,10 @@ class KernelBuilder:
     # ------------------------------------------------------------------
     # Memory
     # ------------------------------------------------------------------
-    def load(
-        self,
-        shape: Sequence[int],
-        dtype: DType,
-        order: Optional[Sequence[int]] = None,
-    ) -> Value:
+    def load(self, shape: Sequence[int], dtype: DType) -> Value:
         """A global load of a tile (an anchor op)."""
         out = self.graph.new_value(tuple(shape), dtype)
-        self.graph.add(
-            Op(OpKind.LOAD, [], out, {"order": tuple(order) if order else None})
-        )
+        self.graph.add(Op(OpKind.LOAD, [], out, {}))
         return out
 
     def store(self, value: Value) -> None:
@@ -58,31 +51,15 @@ class KernelBuilder:
                           {"name": name}))
         return out
 
-    def dot(
-        self,
-        a: Value,
-        b: Value,
-        acc_dtype: DType = F32,
-        b_from_shared: bool = False,
-    ) -> Value:
-        """``tt.dot``: (M, K) x (K, N) -> (M, N) — an anchor op.
-
-        ``b_from_shared`` marks the wgmma pattern where the right
-        operand never lives in registers.
-        """
+    def dot(self, a: Value, b: Value) -> Value:
+        """``tt.dot``: (M, K) x (K, N) -> (M, N) with an F32
+        accumulator — an anchor op."""
         if len(a.shape) != 2 or len(b.shape) != 2 or a.shape[1] != b.shape[0]:
             raise DimensionError(
                 f"dot shape mismatch: {a.shape} x {b.shape}"
             )
-        out = self.graph.new_value((a.shape[0], b.shape[1]), acc_dtype)
-        self.graph.add(
-            Op(
-                OpKind.DOT,
-                [a, b],
-                out,
-                {"b_from_shared": b_from_shared},
-            )
-        )
+        out = self.graph.new_value((a.shape[0], b.shape[1]), F32)
+        self.graph.add(Op(OpKind.DOT, [a, b], out, {}))
         return out
 
     def reduce(self, value: Value, axis: int, op: str = "sum") -> Value:

@@ -90,10 +90,6 @@ class CompiledKernel:
             + self.trace.count(InstructionKind.STMATRIX),
         }
 
-    def pass_diagnostics(self) -> List[Dict[str, object]]:
-        """JSON-friendly per-pass records (timing, counters, cache)."""
-        return [diag.to_dict() for diag in self.diagnostics]
-
     def summary(self) -> Dict[str, object]:
         """A bit-comparable digest of the compilation.
 
@@ -113,12 +109,6 @@ class CompiledKernel:
             "num_conversions": len(self.conversions),
             "programs": [program_to_dict(p) for p in self.programs],
         }
-
-    def describe_passes(self) -> str:
-        """A one-line-per-pass compilation profile."""
-        if not self.diagnostics:
-            return "(no pass diagnostics recorded)"
-        return "\n".join(diag.describe() for diag in self.diagnostics)
 
 
 #: One standard pipeline per mode.  Passes and their policies are

@@ -98,23 +98,12 @@ class Graph:
         """Number of ops of one kind in the graph."""
         return sum(1 for op in self.ops if op.kind == kind)
 
-    def users_of(self, value: Value) -> List[Op]:
-        """Ops consuming ``value`` as an input.
-
-        Compared by identity: values are SSA objects, and the
-        dataclass ``__eq__`` would compare them field by field.  One
-        scan of every op: passes that ask about many values use
-        :meth:`users_map`, and this stays as its oracle.
-        """
-        key = id(value)
-        return [op for op in self.ops if key in map(id, op.inputs)]
-
     def users_map(self) -> Dict[int, List[Op]]:
-        """``users_of`` of every value at once, keyed by ``id(value)``.
+        """The ops consuming each value, keyed by ``id(value)``.
 
-        Built in one sweep over the ops; values without users are
-        absent.  An op using a value twice appears once, as in
-        :meth:`users_of`.
+        Built in one sweep over the ops, in op order; values without
+        users are absent.  Values are SSA objects, so they are keyed by
+        identity.  An op using a value twice appears once.
         """
         users: Dict[int, List[Op]] = {}
         for op in self.ops:

@@ -161,9 +161,6 @@ def forward_descriptor(op: Op, desc: object) -> Optional[object]:
         axis = op.attrs["axis"]
         size = op.inputs[0].shape[axis]
         return SlicedLayout(parent=desc, dim=axis, parent_dim_size=size)
-    if kind in (OpKind.RESHAPE, OpKind.EXPAND_DIMS, OpKind.BROADCAST,
-                OpKind.JOIN, OpKind.SPLIT):
-        if isinstance(desc, BlockedLayout):
-            return None  # legacy re-derives a fresh blocked layout
-        return None
+    # Shape ops (reshape, expand_dims, broadcast, join, split): legacy
+    # re-derives a fresh blocked layout or cannot express the result.
     return None

@@ -5,16 +5,9 @@ NumPy array of values plus a boolean array of the same shape that
 marks the written slots, so the program interpreter
 (:mod:`repro.program.interp`) moves values and mask with the same
 index arrays and never loops per slot.  The values' dtype is that of
-the data moved: int64 position ids, float64 tensor elements.
-
-One dtype rule: a file holds every written value exactly.  A file
-with nothing written takes the dtype of its first value; a later
-write that the dtype cannot hold exactly (a string, a float into an
-int file, an int past int64) promotes the file to ``object``.
-Numeric values keep a numeric dtype; anything else is stored as an
-object.  The dict-style API (``read``/``write``/``has``/``as_dict``)
-is that of a sparse map: ``read`` of an unwritten slot raises
-``KeyError``, and writing ``None`` clears a slot.
+the data moved: int64 position ids, float64 tensor elements; anything
+non-numeric is stored as an object.  ``read`` of an unwritten slot
+raises ``KeyError``.
 
 :func:`distributed_data` and :func:`assert_matches_layout` fill and
 check a whole file from the layout's slot table
@@ -26,83 +19,41 @@ values of the same length (an elementwise expression such as
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from repro.core.layout import LinearLayout
 from repro.codegen.views import slot_table
 
-Slot = Tuple[int, int, int]  # (warp, lane, reg)
-
 _OBJECT = np.dtype(object)
 
 
 def _storage_dtype(values: np.ndarray) -> np.dtype:
-    """The dtype a register file or shared memory stores values in:
-    their own if numeric, else ``object`` (a fixed-width string dtype
+    """The dtype a register file stores values in: their own if
+    numeric, else ``object`` (a fixed-width string dtype
     would truncate a later, longer value)."""
     dtype = values.dtype
     return dtype if dtype.kind in "biufc" else _OBJECT
 
 
-def _value_dtype(value: object) -> np.dtype:
-    """The dtype one written value is stored in: a numeric scalar's
-    own, else ``object`` (ints past int64 included)."""
-    arr = np.asarray(value)
-    return _storage_dtype(arr) if arr.ndim == 0 else _OBJECT
-
-
-def _holds(dtype: np.dtype, value_dtype: np.dtype) -> bool:
-    """True iff ``dtype`` stores every value of ``value_dtype`` exactly."""
-    if dtype == _OBJECT or value_dtype == dtype:
-        return True
-    # NumPy calls int64 -> float64 "safe"; it is not exact.
-    return np.can_cast(value_dtype, dtype, "safe") and not (
-        value_dtype.kind in "iu" and dtype.kind in "fc"
-    )
-
-
 class RegisterFile:
     """Values held by every (warp, lane, register) slot of a CTA."""
 
-    def __init__(self, num_warps: int, warp_size: int):
+    def __init__(
+        self, arr: np.ndarray, mask: np.ndarray, num_warps: int, warp_size: int
+    ):
+        """Wrap (values, written mask) arrays (ownership transfers; no
+        copy).  Non-numeric values are stored as objects."""
         self.num_warps = num_warps
         self.warp_size = warp_size
-        self._arr = np.zeros((num_warps, warp_size, 0), dtype=np.int64)
-        self._mask = np.zeros(self._arr.shape, dtype=bool)
+        self._arr = arr.astype(_storage_dtype(arr), copy=False)
+        self._mask = mask
 
     @property
     def dtype(self) -> np.dtype:
         """The dtype of the stored values."""
         return self._arr.dtype
-
-    def _grow(self, warp: int, lane: int, reg: int) -> None:
-        nw, ws, nr = self._arr.shape
-        shape = (max(nw, warp + 1), max(ws, lane + 1), max(nr * 2, reg + 1))
-        arr = np.zeros(shape, dtype=self._arr.dtype)
-        mask = np.zeros(shape, dtype=bool)
-        arr[:nw, :ws, :nr] = self._arr
-        mask[:nw, :ws, :nr] = self._mask
-        self._arr, self._mask = arr, mask
-
-    def write(self, warp: int, lane: int, reg: int, value: object) -> None:
-        """Set one register slot; ``None`` clears it."""
-        nw, ws, nr = self._arr.shape
-        if value is None:
-            if warp < nw and lane < ws and reg < nr:
-                self._mask[warp, lane, reg] = False
-            return
-        if warp >= nw or lane >= ws or reg >= nr:
-            self._grow(warp, lane, reg)
-        value_dtype = _value_dtype(value)
-        if not _holds(self._arr.dtype, value_dtype):
-            if self._mask.any():
-                self._arr = self._arr.astype(object)
-            else:  # nothing written yet: take the value's dtype
-                self._arr = np.zeros(self._arr.shape, dtype=value_dtype)
-        self._arr[warp, lane, reg] = value
-        self._mask[warp, lane, reg] = True
 
     def read(self, warp: int, lane: int, reg: int) -> object:
         """Read one register slot; raises KeyError if never written."""
@@ -124,15 +75,10 @@ class RegisterFile:
 
     def copy(self) -> "RegisterFile":
         """An independent copy of all slots."""
-        return RegisterFile.from_dense(
+        return RegisterFile(
             self._arr.copy(), self._mask.copy(),
             self.num_warps, self.warp_size,
         )
-
-    def as_dict(self) -> Dict[Slot, object]:
-        """All written slots as a plain dict (values as :meth:`read`)."""
-        slots = map(tuple, np.argwhere(self._mask).tolist())
-        return dict(zip(slots, self._arr[self._mask]))
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self._mask))
@@ -158,19 +104,6 @@ class RegisterFile:
         arr[:w, :l, :r] = self._arr[:w, :l, :r]
         mask[:w, :l, :r] = self._mask[:w, :l, :r]
         return arr, mask
-
-    @staticmethod
-    def from_dense(
-        arr: np.ndarray, mask: np.ndarray, num_warps: int, warp_size: int
-    ) -> "RegisterFile":
-        """Wrap (values, written mask) arrays (ownership transfers; no
-        copy).  Non-numeric values are stored as objects."""
-        rf = RegisterFile.__new__(RegisterFile)
-        rf.num_warps = num_warps
-        rf.warp_size = warp_size
-        rf._arr = arr.astype(_storage_dtype(arr), copy=False)
-        rf._mask = mask
-        return rf
 
 
 def _slot_values(
@@ -219,7 +152,7 @@ def distributed_data(
     mask = np.zeros(shape, dtype=bool)
     arr[:warps, :lanes] = values
     mask[:warps, :lanes] = True
-    return RegisterFile.from_dense(arr, mask, num_warps, warp_size)
+    return RegisterFile(arr, mask, num_warps, warp_size)
 
 
 def assert_matches_layout(

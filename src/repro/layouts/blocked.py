@@ -9,7 +9,7 @@ memory access (Figure 1, Layout A).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.core.dims import LANE, REGISTER, WARP
 from repro.core.errors import DimensionError
@@ -66,29 +66,11 @@ class BlockedLayout:
         """Tensor rank the layout applies to."""
         return len(self.size_per_thread)
 
-    def tile_shape(self) -> List[int]:
-        """The shape of the initial (unreplicated) tile."""
-        return [
-            r * t * w
-            for r, t, w in zip(
-                self.size_per_thread,
-                self.threads_per_warp,
-                self.warps_per_cta,
-            )
-        ]
-
     def num_warps(self) -> int:
         """Total warps per CTA."""
         n = 1
         for w in self.warps_per_cta:
             n *= w
-        return n
-
-    def threads_per_warp_total(self) -> int:
-        """Total threads per warp (32 on NVIDIA, 64 on AMD)."""
-        n = 1
-        for t in self.threads_per_warp:
-            n *= t
         return n
 
     def to_linear(self, shape: Sequence[int]) -> LinearLayout:

@@ -55,26 +55,10 @@ class CtaLayout:
                     f"cta_split_num {split} exceeds ctas_per_cga {cga}"
                 )
 
-    @staticmethod
-    def single(rank: int) -> "CtaLayout":
-        """The default: one CTA, no cluster structure."""
-        return CtaLayout(
-            tuple([1] * rank),
-            tuple([1] * rank),
-            tuple(range(rank - 1, -1, -1)),
-        )
-
     @property
     def rank(self) -> int:
         """Tensor rank of the CTA grid."""
         return len(self.ctas_per_cga)
-
-    def num_ctas(self) -> int:
-        """Total CTAs in the cluster."""
-        n = 1
-        for c in self.ctas_per_cga:
-            n *= c
-        return n
 
     def is_trivial(self) -> bool:
         """True iff the cluster has a single CTA."""

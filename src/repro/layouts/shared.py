@@ -99,10 +99,6 @@ class SwizzledSharedLayout:
         """The memory layout: offset -> logical coords (Definition 4.14)."""
         return self.store_map(shape).invert()
 
-    def footprint_elements(self, shape: Sequence[int]) -> int:
-        """Shared elements the staged tile occupies (no padding)."""
-        return shape[0] * shape[1]
-
     def __str__(self) -> str:
         return (
             f"swizzled_shared(vec={self.vec}, perPhase={self.per_phase}, "

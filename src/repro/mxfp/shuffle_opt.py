@@ -61,15 +61,14 @@ def unshuffle_operand(w: np.ndarray, kwidth: int) -> np.ndarray:
     return restored.reshape(k, n)
 
 
-def fragment_positions(kwidth: int, lane_group: int = 0) -> list:
-    """K positions one lane touches in one instruction K-tile.
+def fragment_positions(kwidth: int) -> list:
+    """K positions lane group 0 touches in one instruction K-tile.
 
     Two runs of ``kwidth``: the structure that limits vectorization
     before the shuffle.
     """
-    base = lane_group * kwidth
-    first = [base + j for j in range(kwidth)]
-    second = [base + 4 * kwidth + j for j in range(kwidth)]
+    first = list(range(kwidth))
+    second = [4 * kwidth + j for j in range(kwidth)]
     return first + second
 
 

@@ -119,25 +119,6 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    def counter_value(self, name: str, **labels: Any) -> float:
-        """One counter series' current value (0 when never bumped).
-
-        With no labels given and no exactly-unlabeled series, sums
-        every series of the family — ``counter_value("cache.hits")``
-        is total hits across caches.
-        """
-        key = (name, label_key(labels))
-        with self._lock:
-            if key in self._counters:
-                return self._counters[key]
-            if not labels:
-                return sum(
-                    v
-                    for (n, _), v in self._counters.items()
-                    if n == name
-                )
-            return 0.0
-
     def snapshot(self) -> Dict[str, List[Dict[str, Any]]]:
         """A JSON-friendly dump of every series."""
         with self._lock:

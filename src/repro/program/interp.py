@@ -209,7 +209,7 @@ def run(
     files = {}
     for name, (vals, mask) in spaces.items():
         if name in written or name not in inputs:
-            files[name] = RegisterFile.from_dense(vals, mask, nw, ws)
+            files[name] = RegisterFile(vals, mask, nw, ws)
         else:
             # Untouched inputs pass through without an array round-trip.
             files[name] = inputs[name]

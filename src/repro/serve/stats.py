@@ -20,7 +20,6 @@ two surfaces (see ``docs/OBSERVABILITY.md``).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -158,10 +157,6 @@ class ServiceReport:
             },
             "per_request": [r.to_dict() for r in self.requests],
         }
-
-    def to_json(self, indent: int = 1) -> str:
-        """The report as a JSON document."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     def describe(self) -> str:
         """A one-line operator summary."""

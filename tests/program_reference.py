@@ -24,6 +24,8 @@ from repro.hardware.spec import GpuSpec
 from repro.program.interp import _axis_field
 from repro.program.ir import Opcode, R_IN, WarpProgram
 from tests import bank_reference
+from tests.layout_reference import flat_of, owner_of
+from tests.register_reference import empty_file, write
 
 
 class SharedMemory:
@@ -97,7 +99,7 @@ class ScalarInterpreter:
                 files[instr.dst] = self._movr(instr, files[instr.src], dims)
             elif op == Opcode.SHFL:
                 if instr.dst not in files:
-                    files[instr.dst] = RegisterFile(*dims)
+                    files[instr.dst] = empty_file(*dims)
                 self._shfl(instr, files[instr.src], files[instr.dst])
             elif op == Opcode.STS:
                 memory = SharedMemory(self.spec, instr.elem_bytes)
@@ -105,7 +107,7 @@ class ScalarInterpreter:
             elif op == Opcode.LDS:
                 if memory is None:
                     raise RuntimeError("LDS before any STS")
-                out = RegisterFile(*dims)
+                out = empty_file(*dims)
                 measured.append(self._lds(instr, out, memory))
                 files[instr.dst] = out
             elif op == Opcode.GATHER_SHFL:
@@ -118,7 +120,7 @@ class ScalarInterpreter:
             elif op == Opcode.GATHER_LDS:
                 if memory is None:
                     raise RuntimeError("GATHER_LDS before any store")
-                out = RegisterFile(*dims)
+                out = empty_file(*dims)
                 measured.append(
                     self._gather_lds(instr, out, files[instr.index], memory)
                 )
@@ -129,11 +131,11 @@ class ScalarInterpreter:
 
     # -- conversion instructions ---------------------------------------
     def _movr(self, instr, src: RegisterFile, dims) -> RegisterFile:
-        dst = RegisterFile(*dims)
+        dst = empty_file(*dims)
         for w in range(instr.warps):
             for lane in range(instr.lanes):
                 for new_reg, old_reg in enumerate(instr.dst_to_src):
-                    dst.write(w, lane, new_reg, src.read(w, lane, old_reg))
+                    write(dst, w, lane, new_reg, src.read(w, lane, old_reg))
         return dst
 
     def _shfl(self, instr, src: RegisterFile, dst: RegisterFile) -> None:
@@ -142,7 +144,7 @@ class ScalarInterpreter:
                 for s_reg, d_reg in zip(
                     instr.send_regs[s_lane], instr.recv_regs[lane]
                 ):
-                    dst.write(w, lane, d_reg, src.read(w, s_lane, s_reg))
+                    write(dst, w, lane, d_reg, src.read(w, s_lane, s_reg))
 
     def _shared(self, instr, move) -> int:
         """Run ``move(w, lane, reg, offset)`` over every element of an
@@ -165,7 +167,7 @@ class ScalarInterpreter:
 
     def _lds(self, instr, dst: RegisterFile, memory: SharedMemory) -> int:
         def move(w, lane, reg, offset):
-            dst.write(w, lane, reg, memory.read(offset))
+            write(dst, w, lane, reg, memory.read(offset))
 
         return self._shared(instr, move)
 
@@ -175,7 +177,7 @@ class ScalarInterpreter:
     ) -> RegisterFile:
         layout = instr.layout
         view = DistributedView(layout)
-        out = RegisterFile(*dims)
+        out = empty_file(*dims)
         regs = layout.in_dim_size(REGISTER)
         lanes = layout.in_dim_size(LANE)
         warps = layout.in_dim_size(WARP)
@@ -183,8 +185,8 @@ class ScalarInterpreter:
             for lane in range(lanes):
                 for r in range(regs):
                     src_flat = _source_flat(instr, view, index, w, lane, r)
-                    owner = view.owner_of(src_flat)
-                    out.write(
+                    owner = owner_of(view, src_flat)
+                    write(out,
                         w,
                         lane,
                         r,
@@ -204,7 +206,7 @@ class ScalarInterpreter:
         for w in range(layout.in_dim_size(WARP)):
             for lane in range(layout.in_dim_size(LANE)):
                 for r in range(layout.in_dim_size(REGISTER)):
-                    p = view.flat_of({REGISTER: r, LANE: lane, WARP: w})
+                    p = flat_of(view, {REGISTER: r, LANE: lane, WARP: w})
                     memory.write(p, src.read(w, lane, r))
 
     def _gather_lds(
@@ -224,7 +226,7 @@ class ScalarInterpreter:
                 for r in range(regs):
                     src_flat = _source_flat(instr, view, index, w, lane, r)
                     offsets[w][lane][r] = src_flat
-                    dst.write(w, lane, r, memory.read(src_flat))
+                    write(dst, w, lane, r, memory.read(src_flat))
         return bank_reference.gather_wavefronts(
             self.spec, instr.elem_bytes, offsets
         )
@@ -283,7 +285,7 @@ def _source_flat(instr, view, index: RegisterFile, w, lane, r) -> int:
             f"gather index {pos} is out of bounds for axis {instr.axis} "
             f"with size {size} at (w={w}, l={lane}, r={r})"
         )
-    here = view.flat_of({REGISTER: r, LANE: lane, WARP: w})
+    here = flat_of(view, {REGISTER: r, LANE: lane, WARP: w})
     return (here & ~mask) | (pos << shift)
 
 

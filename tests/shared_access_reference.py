@@ -15,6 +15,7 @@ from repro.codegen.conversion import _vec_bit_positions
 from repro.codegen.views import DistributedView
 from repro.core.dims import LANE, REGISTER, WARP
 from repro.core.layout import LinearLayout
+from tests.layout_reference import flat_of, unflatten_out
 
 
 def group_contiguous(
@@ -88,7 +89,7 @@ def shared_accesses(
             for r in reg_order:
                 if dedupe_broadcast and (r & free_reg):
                     continue
-                p = view.flat_of({REGISTER: r, LANE: lane, WARP: w})
+                p = flat_of(view, {REGISTER: r, LANE: lane, WARP: w})
                 pairs.append((offset_of_flat(p), r))
             if sort_by_offset:
                 pairs.sort()
@@ -101,7 +102,7 @@ def swizzled_offset_of_flat(memory_layout: LinearLayout):
     store_map = memory_layout.invert()
 
     def offset_of_flat(p: int) -> int:
-        coords = memory_layout.unflatten_out(p)
+        coords = unflatten_out(memory_layout, p)
         return store_map.apply(coords)["offset"]
 
     return offset_of_flat

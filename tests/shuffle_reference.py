@@ -23,6 +23,7 @@ from repro.core.dims import LANE, REGISTER, WARP
 from repro.core.layout import LinearLayout
 from repro.f2.bitvec import iter_set_bits
 from repro.program.ir import MovR, R_OUT, Shfl
+from tests.layout_reference import flat_of, owner_of
 
 
 def _span_elements(basis: List[int]) -> List[int]:
@@ -54,12 +55,12 @@ def _dedupe_registers(layout: LinearLayout) -> Tuple[
 
 def _reg_of(view: DistributedView, flat: int) -> int:
     """Canonical register index owning a flattened position."""
-    return view.owner_of(flat).get(REGISTER, 0)
+    return owner_of(view, flat).get(REGISTER, 0)
 
 
 def _lane_of(view: DistributedView, flat: int) -> int:
     """Canonical lane index owning a flattened position."""
-    return view.owner_of(flat).get(LANE, 0)
+    return owner_of(view, flat).get(LANE, 0)
 
 
 def _real_reg(keep: List[int], quotient: int) -> int:
@@ -183,7 +184,7 @@ def register_permutation(src: LinearLayout, dst: LinearLayout) -> MovR:
     sv, dv = DistributedView(src), DistributedView(dst)
     table = []
     for r in range(dst.in_dim_size(REGISTER)):
-        p = dv.flat_of({REGISTER: r})
+        p = flat_of(dv, {REGISTER: r})
         table.append(_reg_of(sv, p))
     return MovR(
         dst_to_src=tuple(table),

@@ -139,30 +139,37 @@ def test_interned_layout_still_equal_to_original():
 def test_bounded_cache_hits_misses_and_stats():
     c = cache.BoundedCache("t_stats", maxsize=4)
     assert c.get("a") is None
-    c.put("a", 1)
+    assert c.get_or_create("a", lambda: 1) == 1
+    s = c.stats()
+    assert (s.hits, s.misses) == (0, 2)
     assert c.get("a") == 1
     s = c.stats()
-    assert (s.hits, s.misses, s.size, s.maxsize) == (1, 1, 1, 4)
-    assert 0.0 < s.hit_rate < 1.0
+    assert (s.hits, s.misses, s.size, s.maxsize) == (1, 2, 1, 4)
+    assert s.hit_rate == 1 / 3
     d = s.to_dict()
-    assert d["name"] == "t_stats" and d["hit_rate"] == 0.5
+    assert d["name"] == "t_stats" and d["hit_rate"] == 0.3333
 
 
 def test_bounded_cache_evicts_lru_first():
     c = cache.BoundedCache("t_lru", maxsize=2)
-    c.put("a", 1)
-    c.put("b", 2)
+    c.get_or_create("a", lambda: 1)
+    c.get_or_create("b", lambda: 2)
     c.get("a")  # refresh "a": now "b" is least recently used
-    c.put("c", 3)
+    c.get_or_create("c", lambda: 3)
     assert c.get("a") == 1
     assert c.get("b") is None  # evicted
     assert c.stats().evictions == 1
 
 
 def test_bounded_cache_first_insert_wins():
+    """An insertion that lands while a factory runs wins over it."""
     c = cache.BoundedCache("t_race", maxsize=4)
-    assert c.put("k", "first") == "first"
-    assert c.put("k", "second") == "first"
+
+    def racing():
+        assert c.get_or_create("k", lambda: "first") == "first"
+        return "second"
+
+    assert c.get_or_create("k", racing) == "first"
     assert c.get("k") == "first"
 
 
@@ -176,7 +183,7 @@ def test_get_or_create_runs_factory_once():
 
 def test_clear_resets_entries_and_statistics():
     c = cache.BoundedCache("t_clear", maxsize=4)
-    c.put("a", 1)
+    c.get_or_create("a", lambda: 1)
     c.get("a")
     c.get("zzz")
     c.clear()

@@ -6,22 +6,22 @@ reports their growth since the last ``clear()``.
 """
 
 from repro import cache, obs
+from tests.test_obs import counter_value
 
 
 def test_capture_spanning_clear_counts_every_lookup():
     c = cache.BoundedCache("t_count_clear", maxsize=4, register=False)
+    c.get_or_create("a", lambda: 1)
     with obs.capture() as rec:
-        c.put("a", 1)
         c.get("a"), c.get("b")
         c.clear()
         s = c.stats()
         assert (s.hits, s.misses, s.size) == (0, 0, 0)
-        c.get("a"), c.get("c")
-        c.put("c", 3)
+        c.get("a"), c.get_or_create("c", lambda: 3)
         c.get("c")
     s = c.stats()
     assert (s.hits, s.misses, s.size) == (1, 2, 1)
-    assert rec.metrics.counter_value("cache.hits", cache="t_count_clear") == 2
+    assert counter_value(rec.metrics, "cache.hits", cache="t_count_clear") == 2
     assert (
-        rec.metrics.counter_value("cache.misses", cache="t_count_clear") == 3
+        counter_value(rec.metrics, "cache.misses", cache="t_count_clear") == 3
     )

@@ -10,6 +10,7 @@ from repro.codegen.shuffles import (
 from repro.codegen.views import DistributedView
 from repro.core import LANE, LinearLayout, REGISTER, WARP
 from repro.layouts import BlockedLayout
+from tests.layout_reference import flat_of
 
 
 def figure4_layouts():
@@ -43,8 +44,8 @@ class TestFigure4:
         sview = DistributedView(src)
         for lane in range(4):
             for reg in range(2):
-                values[(lane, reg)] = sview.flat_of(
-                    {REGISTER: reg, LANE: lane}
+                values[(lane, reg)] = flat_of(
+                    sview, {REGISTER: reg, LANE: lane}
                 )
         received = {}
         for rnd in rounds:
@@ -56,7 +57,7 @@ class TestFigure4:
         dview = DistributedView(dst)
         for lane in range(4):
             for reg in range(2):
-                expected = dview.flat_of({REGISTER: reg, LANE: lane})
+                expected = flat_of(dview, {REGISTER: reg, LANE: lane})
                 assert received[(lane, reg)] == expected
 
 

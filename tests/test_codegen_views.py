@@ -1,11 +1,14 @@
-"""Tests for DistributedView (bit routing for distributed layouts)."""
+"""Tests for DistributedView and the slot/owner tables (bit routing
+for distributed layouts)."""
 
+import numpy as np
 import pytest
 
 from repro.core import LANE, LinearLayout, REGISTER, WARP
 from repro.core.errors import LayoutError
-from repro.codegen.views import DistributedView
+from repro.codegen.views import DistributedView, owner_table, slot_table
 from repro.layouts import BlockedLayout, NvidiaMmaLayout
+from tests.layout_reference import apply_flat, flat_of, owner_of
 
 
 def blocked_view():
@@ -15,26 +18,29 @@ def blocked_view():
 
 class TestRoundTrip:
     def test_flat_owner_inverse(self):
+        """Without broadcasting, the owner table inverts the slot table."""
+        layout = blocked_view().layout
+        owners = owner_table(layout)
         view = blocked_view()
-        layout = view.layout
-        for w in range(layout.in_dim_size(WARP)):
-            for l in range(layout.in_dim_size(LANE)):
-                for r in range(layout.in_dim_size(REGISTER)):
-                    idx = {REGISTER: r, LANE: l, WARP: w}
-                    assert view.owner_of(view.flat_of(idx)) == idx
+        for (w, l, r), p in np.ndenumerate(slot_table(layout)):
+            assert owners[p].tolist() == [r, l, w]
+            idx = {REGISTER: r, LANE: l, WARP: w}
+            assert owner_of(view, int(p)) == idx
 
     def test_matches_layout_apply(self):
         view = blocked_view()
         layout = view.layout
+        slots = slot_table(layout)
         for r in range(layout.in_dim_size(REGISTER)):
             for l in (0, 7, 31):
-                flat = view.flat_of({REGISTER: r, LANE: l})
-                assert flat == layout.apply_flat({REGISTER: r, LANE: l})
+                flat = flat_of(view, {REGISTER: r, LANE: l})
+                assert flat == apply_flat(layout, {REGISTER: r, LANE: l})
+                assert flat == slots[0, l, r]
 
     def test_mma_view(self):
-        view = DistributedView(NvidiaMmaLayout((2, 2)).to_linear((32, 32)))
-        idx = {REGISTER: 3, LANE: 17, WARP: 2}
-        assert view.owner_of(view.flat_of(idx)) == idx
+        layout = NvidiaMmaLayout((2, 2)).to_linear((32, 32))
+        p = slot_table(layout)[2, 17, 3]
+        assert owner_table(layout)[p].tolist() == [3, 17, 2]
 
 
 class TestBroadcastHandling:
@@ -51,21 +57,17 @@ class TestBroadcastHandling:
         assert view.has_broadcasting()
 
     def test_canonical_owner_zeroes_free_bits(self):
-        view = DistributedView(self.layout_with_broadcast())
-        flat = view.flat_of({REGISTER: 1, LANE: 2, WARP: 1})
-        owner = view.owner_of(flat)
+        layout = self.layout_with_broadcast()
+        flat = int(slot_table(layout)[1, 2, 3])
+        assert owner_table(layout)[flat].tolist() == [1, 2, 1]
+        owner = owner_of(DistributedView(layout), flat)
         assert owner[REGISTER] == 1  # free bit (bit 1) stays 0
 
     def test_replicas(self):
         """The hardware indices holding one element differ only in the
         free (zero-column) bits."""
-        view = DistributedView(self.layout_with_broadcast())
-        flat = view.flat_of({REGISTER: 1, LANE: 0, WARP: 0})
-        regs = [
-            r for r in range(view.layout.in_dim_size(REGISTER))
-            if view.flat_of({REGISTER: r, LANE: 0, WARP: 0}) == flat
-        ]
-        assert regs == [1, 3]
+        row = slot_table(self.layout_with_broadcast())[0, 0]
+        assert np.flatnonzero(row == row[1]).tolist() == [1, 3]
 
     def test_images_filter(self):
         view = DistributedView(self.layout_with_broadcast())
@@ -83,6 +85,7 @@ class TestValidation:
             DistributedView(layout)
 
     def test_rejects_position_outside_image(self):
-        view = blocked_view()
+        layout = blocked_view().layout
+        assert len(owner_table(layout)) == 1 << layout.total_out_bits()
         with pytest.raises(LayoutError):
-            view.owner_of(1 << 20)
+            owner_of(blocked_view(), 1 << 20)

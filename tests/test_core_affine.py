@@ -11,21 +11,22 @@ def base_layout():
 
 class TestAffine:
     def test_zero_offset_is_linear(self):
-        affine = AffineLayout.from_linear(base_layout())
-        assert affine.is_linear()
-        assert affine.apply({REGISTER: 5}) == {"dim0": 5}
+        """An offset left out is zero: the map is its linear part."""
+        affine = AffineLayout(base_layout(), {})
+        assert affine.offset == {"dim0": 0}
+        assert affine.apply({REGISTER: 5}) == base_layout().apply({REGISTER: 5})
 
     def test_flip_reverses(self):
-        flipped = AffineLayout.from_linear(base_layout()).flip("dim0")
+        flipped = AffineLayout(base_layout(), {}).flip("dim0")
         values = [flipped.apply({REGISTER: r})["dim0"] for r in range(8)]
         assert values == [7, 6, 5, 4, 3, 2, 1, 0]
 
     def test_flip_involution(self):
-        affine = AffineLayout.from_linear(base_layout())
+        affine = AffineLayout(base_layout(), {})
         assert affine.flip("dim0").flip("dim0") == affine
 
     def test_translate(self):
-        shifted = AffineLayout.from_linear(base_layout()).translate(
+        shifted = AffineLayout(base_layout(), {}).translate(
             "dim0", 4
         )
         assert shifted.apply({REGISTER: 0})["dim0"] == 4
@@ -33,7 +34,7 @@ class TestAffine:
 
     def test_translate_range_check(self):
         with pytest.raises(DimensionError):
-            AffineLayout.from_linear(base_layout()).translate("dim0", 8)
+            AffineLayout(base_layout(), {}).translate("dim0", 8)
 
     def test_offset_validation(self):
         with pytest.raises(DimensionError):
@@ -59,7 +60,7 @@ class TestAffine:
         block = LinearLayout(
             {REGISTER: [(1,), (2,)]}, {"dim0": 8}, require_surjective=False
         )
-        sliced = AffineLayout.from_linear(block).translate("dim0", 4)
+        sliced = AffineLayout(block, {}).translate("dim0", 4)
         values = [sliced.apply({REGISTER: r})["dim0"] for r in range(4)]
         assert values == [4, 5, 6, 7]
 
@@ -69,7 +70,7 @@ class TestAffine:
         block = LinearLayout(
             {REGISTER: [(1,), (2,)]}, {"dim0": 8}, require_surjective=False
         )
-        moved = AffineLayout.from_linear(block).translate("dim0", 2)
+        moved = AffineLayout(block, {}).translate("dim0", 2)
         values = [moved.apply({REGISTER: r})["dim0"] for r in range(4)]
         assert values == [2, 3, 0, 1]
         assert sorted(values) != list(range(2, 6))

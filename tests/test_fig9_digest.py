@@ -12,6 +12,7 @@ import json
 import numpy as np
 import pytest
 
+import repro.cache
 from repro.bench.fig9 import compile_case
 from repro.bench import fig9_digest
 from repro.bench.fig9_digest import (
@@ -31,6 +32,30 @@ GOLDEN = load_golden()
 
 #: The fast tier's slice: the first kernels' compiles on every platform.
 FIRST_SLICE = 40
+
+
+def _flex_attention_gh200():
+    model = KERNELS["flex_attention"]
+    case = next(c for c in model.cases if c.name == "s128_i4")
+    return compile_case(model, case, "GH200", "linear")
+
+
+def _instr(compiled, opcode):
+    return next(
+        i for p in compiled.programs for i in p.instrs
+        if i.opcode.value == opcode
+    )
+
+
+@pytest.fixture(scope="module", autouse=True)
+def fresh_caches_after_digest():
+    """Hashing a program reads its STS/LDS tables, which builds the
+    deferred tables held in the shared ``plans`` cache.  Empty the
+    caches after this module, so later tests see a compile's tables
+    as a compile leaves them: still deferred."""
+    yield
+    repro.cache.clear()
+    assert _instr(_flex_attention_gh200(), "sts").accesses._build is not None
 
 
 def test_golden_lists_every_fig9_compile_in_order():
@@ -92,19 +117,10 @@ def test_dumps_writes_one_compile_per_line():
     assert json.loads(text) == GOLDEN[:3]
 
 
-def _instr(compiled, opcode):
-    return next(
-        i for p in compiled.programs for i in p.instrs
-        if i.opcode.value == opcode
-    )
-
-
 def test_program_digest_sees_instruction_and_index_order():
     """Reordering a program's instructions, or the entries of one index
     array, changes its digest though the values stay the same."""
-    model = KERNELS["flex_attention"]
-    case = next(c for c in model.cases if c.name == "s128_i4")
-    compiled = compile_case(model, case, "GH200", "linear")
+    compiled = _flex_attention_gh200()
     program = next(p for p in compiled.programs if len(p.instrs) > 1)
     flipped = WarpProgram(program.instrs[::-1], program.result, program.label)
     assert program_digest(flipped) != program_digest(program)

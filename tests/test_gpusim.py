@@ -22,7 +22,9 @@ from repro.layouts import BlockedLayout, NvidiaMmaLayout
 from repro.program import R_IDX, R_IN
 from repro.program.ir import MovR, Shfl, WarpProgram
 
+from tests.layout_reference import flat_of
 from tests.program_reference import SharedMemory
+from tests.register_reference import as_dict, empty_file, write
 
 
 def run_gather(machine, program, src, index):
@@ -89,8 +91,8 @@ class TestSharedMemoryBanks:
 
 class TestRegisterFile:
     def test_read_write(self):
-        rf = RegisterFile(2, 32)
-        rf.write(1, 5, 3, 42)
+        rf = empty_file(2, 32)
+        write(rf, 1, 5, 3, 42)
         assert rf.read(1, 5, 3) == 42
         assert rf.has(1, 5, 3)
         assert not rf.has(0, 0, 0)
@@ -98,10 +100,10 @@ class TestRegisterFile:
             rf.read(0, 0, 0)
 
     def test_copy_is_independent(self):
-        rf = RegisterFile(1, 32)
-        rf.write(0, 0, 0, 1)
+        rf = empty_file(1, 32)
+        write(rf, 0, 0, 0, 1)
         clone = rf.copy()
-        clone.write(0, 0, 0, 2)
+        write(clone, 0, 0, 0, 2)
         assert rf.read(0, 0, 0) == 1
 
     def test_distributed_data_matches_layout(self):
@@ -116,7 +118,7 @@ class TestRegisterFile:
             (16, 32)
         )
         rf = distributed_data(layout, 4, 32)
-        rf.write(0, 0, 0, -1)
+        write(rf, 0, 0, 0, -1)
         with pytest.raises(AssertionError):
             assert_matches_layout(rf, layout)
 
@@ -185,20 +187,20 @@ class TestGatherExecution:
         from repro.codegen.views import DistributedView
 
         view = DistributedView(layout)
-        index = RegisterFile(4, 32)
+        index = empty_file(4, 32)
         for w in range(4):
             for l in range(32):
                 for r in range(layout.in_dim_size(REGISTER)):
-                    p = view.flat_of({REGISTER: r, LANE: l, WARP: w})
+                    p = flat_of(view, {REGISTER: r, LANE: l, WARP: w})
                     j = p & 15
-                    index.write(w, l, r, (j + 1) % 16)
+                    write(index, w, l, r, (j + 1) % 16)
         out, trace = run_gather(
             machine, gather_shuffle_program(layout, 1), src, index
         )
         for w in range(4):
             for l in range(32):
                 for r in range(layout.in_dim_size(REGISTER)):
-                    p = view.flat_of({REGISTER: r, LANE: l, WARP: w})
+                    p = flat_of(view, {REGISTER: r, LANE: l, WARP: w})
                     i, j = p >> 4, p & 15
                     expected = (i << 4) | ((j + 1) % 16)
                     assert out.read(w, l, r) == expected
@@ -213,19 +215,19 @@ class TestGatherExecution:
         from repro.codegen.views import DistributedView
 
         view = DistributedView(layout)
-        index = RegisterFile(4, 32)
+        index = empty_file(4, 32)
         for w in range(4):
             for l in range(32):
                 for r in range(layout.in_dim_size(REGISTER)):
-                    p = view.flat_of({REGISTER: r, LANE: l, WARP: w})
-                    index.write(w, l, r, (p * 7 + 3) % 16)
+                    p = flat_of(view, {REGISTER: r, LANE: l, WARP: w})
+                    write(index, w, l, r, (p * 7 + 3) % 16)
         out1, _ = run_gather(
             machine, gather_shuffle_program(layout, 1), src, index
         )
         out2, _ = run_gather(
             machine, gather_shared_program(layout, 1), src, index
         )
-        assert out1.as_dict() == out2.as_dict()
+        assert as_dict(out1) == as_dict(out2)
 
 
 class TestMachineWarpCount:
@@ -286,7 +288,7 @@ class TestMachineWarpCount:
             program, {R_IN: registers}
         )
         out = files[program.result]
-        assert {w for w, _, _ in out.as_dict()} == {0, 1, 2, 3}
+        assert {w for w, _, _ in as_dict(out)} == {0, 1, 2, 3}
 
     @pytest.mark.parametrize(
         "build", [gather_shuffle_program, gather_shared_program]
@@ -317,7 +319,7 @@ class TestMachineWarpCount:
         regs = self.LAYOUT.in_dim_size(REGISTER)
 
         def narrow(rf):
-            return RegisterFile.from_dense(*rf.dense(1, 32, regs), 1, 32)
+            return RegisterFile(*rf.dense(1, 32, regs), 1, 32)
 
         src = narrow(distributed_data(self.LAYOUT, 4, 32))
         index = narrow(
@@ -325,7 +327,7 @@ class TestMachineWarpCount:
         )
         out, _ = run_gather(Machine(RTX4090, 4), program, src, index)
         assert out.num_warps == 4
-        assert {w for w, _, _ in out.as_dict()} == {0}
+        assert {w for w, _, _ in as_dict(out)} == {0}
         assert len(out) == 32 * regs
         with pytest.raises(KeyError, match=r"\(w=1, l=0, r=0\)"):
             assert_matches_layout(out, self.LAYOUT)

@@ -30,11 +30,9 @@ class TestConstruction:
         with pytest.raises(ValueError):
             BlockedLayout((3, 1), (4, 8), (2, 2), (1, 0))
 
-    def test_tile_shape(self):
+    def test_num_warps(self):
         desc = BlockedLayout((2, 2), (4, 8), (2, 1), (1, 0))
-        assert desc.tile_shape() == [16, 16]
         assert desc.num_warps() == 2
-        assert desc.threads_per_warp_total() == 32
 
 
 class TestTiling:

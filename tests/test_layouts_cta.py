@@ -27,9 +27,8 @@ class TestCtaLayout:
             CtaLayout((2, 2), (2, 2), (0, 0))
 
     def test_single(self):
-        cta = CtaLayout.single(2)
-        assert cta.is_trivial()
-        assert cta.num_ctas() == 1
+        assert CtaLayout((1, 1), (1, 1), (1, 0)).is_trivial()
+        assert not CtaLayout((2, 2), (2, 1), (1, 0)).is_trivial()
 
     def test_split_shape(self):
         cta = CtaLayout((2, 2), (2, 1), (1, 0))
@@ -62,7 +61,7 @@ class TestLiftedLayouts:
     def test_trivial_cta_is_plain_blocked(self):
         plain = BlockedLayout((1, 2), (4, 8), (2, 2), (1, 0))
         with_cta = BlockedLayout(
-            (1, 2), (4, 8), (2, 2), (1, 0), cta=CtaLayout.single(2)
+            (1, 2), (4, 8), (2, 2), (1, 0), cta=CtaLayout((1, 1), (1, 1), (1, 0))
         )
         assert plain.to_linear((16, 32)) == with_cta.to_linear((16, 32))
 

@@ -37,36 +37,6 @@ class TestDimUtilities:
 
 
 class TestLayoutPlumbing:
-    def test_pretty_small(self):
-        layout = make_identity([(4, REGISTER, "dim0")])
-        text = layout.pretty()
-        assert "{'register': 3}" in text
-
-    def test_pretty_large_falls_back(self):
-        layout = make_identity([(1 << 13, REGISTER, "dim0")])
-        assert layout.pretty() == repr(layout)
-
-    def test_transpose_ins(self):
-        layout = make_identity(
-            [(4, REGISTER, "dim0"), (2, LANE, "dim0")]
-        )
-        flipped = layout.transpose_ins([LANE, REGISTER])
-        assert flipped.in_dims == [LANE, REGISTER]
-        assert flipped.equivalent(layout)
-
-    def test_transpose_ins_bad_order(self):
-        layout = make_identity([(4, REGISTER, "dim0")])
-        with pytest.raises(DimensionError):
-            layout.transpose_ins([LANE])
-
-    def test_trivially_injective(self):
-        good = make_identity([(4, REGISTER, "dim0")])
-        assert good.is_trivially_injective_in(REGISTER)
-        bad = LinearLayout(
-            {REGISTER: [(1,), (1,)], LANE: [(2,)]}, {"dim0": 4}
-        )
-        assert not bad.is_trivially_injective_in(REGISTER)
-
     def test_in_dim_size_of_missing_dim_is_one(self):
         layout = make_identity([(4, REGISTER, "dim0")])
         assert layout.in_dim_size(WARP) == 1
@@ -75,11 +45,6 @@ class TestLayoutPlumbing:
         layout = make_identity([(4, REGISTER, "dim0")])
         with pytest.raises(DimensionError):
             layout.out_dim_size("dim5")
-
-    def test_concat_ins_conflicts(self):
-        a = make_identity([(4, REGISTER, "dim0")])
-        with pytest.raises(DimensionError):
-            a.concat_ins(a)  # same input dim
 
     def test_sublayout_missing_dims(self):
         layout = make_identity([(4, REGISTER, "dim0")])

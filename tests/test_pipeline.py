@@ -215,16 +215,15 @@ class TestDiagnostics:
 
     def test_pass_diagnostics_are_json_serializable(self):
         compiled = self._compiled_gemm()
-        payload = json.dumps(compiled.pass_diagnostics())
+        payload = json.dumps([diag.to_dict() for diag in compiled.diagnostics])
         records = json.loads(payload)
         assert len(records) == len(compiled.diagnostics)
         assert all("wall_time_ms" in rec for rec in records)
 
     def test_describe_passes_mentions_every_pass(self):
         compiled = self._compiled_gemm()
-        text = compiled.describe_passes()
         for diag in compiled.diagnostics:
-            assert diag.name in text
+            assert diag.describe().startswith(diag.name)
 
     def test_failed_compilation_keeps_partial_diagnostics(self):
         class Boom(Pass):
@@ -313,11 +312,18 @@ def _compile_fig9(model, case, platform, mode):
     return compile_graph(kb.graph, spec=PLATFORMS[platform], mode=mode)
 
 
+def users_of(graph, value):
+    """Ops consuming ``value`` as an input, by one scan of every op: the
+    slow oracle of ``Graph.users_map``.  Compared by identity, since
+    the dataclass ``__eq__`` of values compares them field by field."""
+    return [op for op in graph.ops if id(value) in map(id, op.inputs)]
+
+
 def _assert_users_map_exact(graph, users):
-    """``users`` is ``graph.users_of`` of every value, in op order."""
+    """``users`` is ``users_of`` of every value, in op order."""
     for value in graph.values:
         assert [id(op) for op in users.get(id(value), ())] == [
-            id(op) for op in graph.users_of(value)
+            id(op) for op in users_of(graph, value)
         ], f"users of {value!r}"
 
 
@@ -326,7 +332,7 @@ class TestWarmPathOracles:
 
     def test_users_map_matches_users_of_before_and_after_remat(self, monkeypatch):
         """Every users map a pass builds — and every remat round's map
-        after its in-place rewrites — equals ``Graph.users_of``."""
+        after its in-place rewrites — equals ``users_of``."""
         from repro.engine.ir import Graph
 
         real = Graph.users_map

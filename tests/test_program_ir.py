@@ -35,7 +35,6 @@ from repro.gpusim.registers import assert_matches_layout
 from repro.hardware import GH200, MI250, PLATFORMS, RTX4090
 from repro.layouts import BlockedLayout, NvidiaMmaLayout
 from repro.mxfp import F16, F32, F8E5M2
-from repro.codegen.access import SharedAccesses
 from repro.gpusim.memory import access_wavefronts
 from repro.program import (
     Bar,
@@ -50,13 +49,15 @@ from repro.program import (
 )
 from repro.program import interp
 
-from tests.program_decoder import round_trip
+from tests.layout_reference import flat_of
+from tests.program_decoder import accesses_from_tuples, round_trip
 from tests.program_reference import (
     ScalarInterpreter,
     reference_conversion,
     run_reference,
     shared_wavefronts,
 )
+from tests.register_reference import as_dict, empty_file, write
 from tests.test_gpusim import run_gather
 from tests.test_random_layout_conversions import (
     random_distributed_layout,
@@ -71,7 +72,7 @@ def assert_matches_reference(spec, num_warps, plan, registers):
     equal.  Returns the machine's (registers, trace)."""
     out_s, trace_s = reference_conversion(spec, num_warps, plan, registers)
     out_v, trace_v = Machine(spec, num_warps).run_conversion(plan, registers)
-    assert out_s.as_dict() == out_v.as_dict()
+    assert as_dict(out_s) == as_dict(out_v)
     assert trace_s.instructions == trace_v.instructions
     return out_v, trace_v
 
@@ -194,14 +195,14 @@ class TestGatherPrograms:
         ws = spec.warp_size
         view = DistributedView(layout)
         src = distributed_data(layout, 4, ws)
-        index = RegisterFile(4, ws)
+        index = empty_file(4, ws)
         for w in range(4):
             for lane in range(ws):
                 for r in range(layout.in_dim_size(REGISTER)):
-                    p = view.flat_of(
+                    p = flat_of(view,
                         {REGISTER: r, LANE: lane, WARP: w}
                     )
-                    index.write(w, lane, r, (p * 7 + 3) % 16)
+                    write(index, w, lane, r, (p * 7 + 3) % 16)
         return layout, src, index
 
     def _assert_matches_reference(self, program, spec=RTX4090, layout=None):
@@ -212,7 +213,7 @@ class TestGatherPrograms:
         inputs = {R_IN: src, R_IDX: index}
         files, trace_s = run_reference(spec, 4, program, inputs)
         out_v, trace_v = run_gather(Machine(spec, 4), program, src, index)
-        assert files[program.result].as_dict() == out_v.as_dict()
+        assert as_dict(files[program.result]) == as_dict(out_v)
         assert trace_s.instructions == trace_v.instructions
 
     def test_gather_shuffle_matches_reference(self):
@@ -408,7 +409,7 @@ def test_compiled_shared_steps_match_tuples_and_reference(
     tuples = _random_tuples(
         np.random.default_rng(seed), threads, max_slots, max_width, full
     )
-    acc = SharedAccesses.from_tuples(tuples)
+    acc = accesses_from_tuples(tuples)
     program = WarpProgram(
         (Sts(acc, elem_bytes), Bar(), Lds(acc, elem_bytes))
     )
@@ -457,14 +458,14 @@ def test_compiled_shared_steps_match_tuples_and_reference(
 
     def inputs():
         mask = np.ones(shape, dtype=bool)
-        return {R_IN: RegisterFile.from_dense(values.copy(), mask, *shape[:2])}
+        return {R_IN: RegisterFile(values.copy(), mask, *shape[:2])}
 
     files, measured = interp.run(program, inputs(), spec, num_warps)
     ref_files, ref_measured = ScalarInterpreter(spec, num_warps).run(
         program, inputs()
     )
     assert measured == ref_measured == (reference, reference)
-    assert files[R_OUT].as_dict() == ref_files[R_OUT].as_dict()
+    assert as_dict(files[R_OUT]) == as_dict(ref_files[R_OUT])
 
 
 def test_compiled_grid_bills_a_partial_last_warp_on_its_own_lanes():
@@ -473,7 +474,7 @@ def test_compiled_grid_bills_a_partial_last_warp_on_its_own_lanes():
     grid pads the last warp with a lane it already has, not with an
     offset of its own."""
     tuples = [((lane, (0,)),) for lane in range(33)]
-    sts = Sts(SharedAccesses.from_tuples(tuples), elem_bytes=4)
+    sts = Sts(accesses_from_tuples(tuples), elem_bytes=4)
     thread, reg, off, wavefronts, bound, last = interp._compile_shared(
         sts, RTX4090, 32, 2
     )
@@ -495,7 +496,7 @@ def test_sts_with_repeated_offsets_keeps_each_offsets_last_write():
     tuples = _random_tuples(np.random.default_rng(1), ws, 3, 1, True)
     offsets = [base for accesses in tuples for base, _ in accesses]
     assert len(set(offsets)) < len(offsets)
-    acc = SharedAccesses.from_tuples(tuples)
+    acc = accesses_from_tuples(tuples)
     program = WarpProgram((Sts(acc, 4), Bar(), Lds(acc, 4)))
     *_, wavefronts, _, last = interp._compile_shared(
         program.instrs[0], spec, ws, 1
@@ -507,12 +508,12 @@ def test_sts_with_repeated_offsets_keeps_each_offsets_last_write():
 
     def inputs():
         mask = np.ones(shape, dtype=bool)
-        return {R_IN: RegisterFile.from_dense(values.copy(), mask, 1, ws)}
+        return {R_IN: RegisterFile(values.copy(), mask, 1, ws)}
 
     files, measured = interp.run(program, inputs(), spec, 1)
     ref_files, ref_measured = ScalarInterpreter(spec, 1).run(program, inputs())
     assert measured == ref_measured
-    assert files[R_OUT].as_dict() == ref_files[R_OUT].as_dict()
+    assert as_dict(files[R_OUT]) == as_dict(ref_files[R_OUT])
 
 
 @functools.lru_cache(maxsize=1)
@@ -599,7 +600,7 @@ def typed_registers(kind, layout, num_warps, warp_size, value_of):
         return distributed_data(layout, num_warps, warp_size, value_of)
     rf = distributed_data(layout, num_warps, warp_size)
     for w, l, r in np.argwhere(slot_table(layout) == 0).tolist():
-        rf.write(w, l, r, "bad")
+        write(rf, w, l, r, "bad")
     assert rf.dtype == object
     return rf
 
@@ -607,7 +608,7 @@ def typed_registers(kind, layout, num_warps, warp_size, value_of):
 def file_contents(rf):
     """The written slots, the dtype, and the values bit for bit
     (``-0.0`` differs from ``0.0``; NaN matches NaN)."""
-    cells = rf.as_dict()
+    cells = as_dict(rf)
     slots = sorted(cells)
     values = [cells[s] for s in slots]
     if rf.dtype == object:
@@ -656,7 +657,7 @@ def test_unwritten_slots_stay_unwritten(case, mode):
     warps = max(src.in_dim_size(WARP), dst.in_dim_size(WARP))
     registers = distributed_data(src, warps, spec.warp_size)
     for w, l, r in np.argwhere(slot_table(src) == 0).tolist():
-        registers.write(w, l, r, None)
+        write(registers, w, l, r, None)
     out, _ = Machine(spec, warps).run_conversion(plan, registers)
     table = slot_table(dst)
     _, written = out.dense(*table.shape)
@@ -759,9 +760,9 @@ def test_gather_names_the_first_bad_index(spec, lower):
         Machine(spec, 4),
         program,
         src,
-        RegisterFile.from_dense(vals, written, 4, ws),
+        RegisterFile(vals, written, 4, ws),
     )
-    assert (2, 3, 1) not in out.as_dict()
+    assert (2, 3, 1) not in as_dict(out)
 
 
 @pytest.mark.parametrize("mode", ["linear", "legacy"])

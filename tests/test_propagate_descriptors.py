@@ -56,11 +56,20 @@ class TestForwardDescriptor:
         assert out.dim == 1
         assert out.parent_dim_size == 32
 
-    def test_reshape_loses_descriptor(self):
-        desc = BlockedLayout((1, 2), (4, 8), (2, 2), (1, 0))
-        assert forward_descriptor(
-            op(OpKind.RESHAPE, {"shape": (512,)}), desc
-        ) is None
+    @pytest.mark.parametrize(
+        "kind",
+        [OpKind.RESHAPE, OpKind.EXPAND_DIMS, OpKind.BROADCAST,
+         OpKind.JOIN, OpKind.SPLIT],
+    )
+    @pytest.mark.parametrize(
+        "desc",
+        [BlockedLayout((1, 2), (4, 8), (2, 2), (1, 0)),
+         NvidiaMmaLayout((2, 2))],
+        ids=["blocked", "mma"],
+    )
+    def test_shape_ops_lose_descriptor(self, kind, desc):
+        """Legacy expresses no shape op's result, blocked or not."""
+        assert forward_descriptor(op(kind, {}), desc) is None
 
 
 class TestCollapseDims:

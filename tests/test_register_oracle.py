@@ -30,6 +30,8 @@ from repro.gpusim.registers import (
     distributed_data,
 )
 from tests import register_reference as reference
+from tests.layout_reference import flat_of
+from tests.register_reference import as_dict, empty_file, write
 from tests.test_shared_access_oracle import distributed_layouts, geometries
 
 _MASK = (1 << 32) - 1
@@ -157,7 +159,7 @@ def test_check_errors_match_reference(layout, data):
         bad = data.draw(
             st.sampled_from([None, "bad", -1, 1.5, 1 << 40, 1 << 70])
         )
-        rf.write(w, l, r, bad)
+        write(rf, w, l, r, bad)
     expected = _error(reference.assert_matches_layout, rf, layout, value_of)
     assert expected[0] in (KeyError, AssertionError)
     assert _error(assert_matches_layout, rf, layout, value_of) == expected
@@ -174,7 +176,7 @@ def test_too_small_file_matches_reference(layout, data):
     shape = [warps, lanes, regs]
     axis = data.draw(st.sampled_from([i for i in range(3) if shape[i] > 1]))
     shape[axis] = data.draw(st.integers(0, shape[axis] - 1))
-    small = RegisterFile.from_dense(*rf.dense(*shape), warps, lanes)
+    small = RegisterFile(*rf.dense(*shape), warps, lanes)
     expected = _error(reference.assert_matches_layout, small, layout)
     assert expected[0] is KeyError
     assert _error(assert_matches_layout, small, layout) == expected
@@ -187,7 +189,7 @@ def test_non_distributed_layout_matches_reference():
     )
     expected = _error(reference.distributed_data, layout, 1, 1)
     assert _error(distributed_data, layout, 1, 1) == expected
-    rf = RegisterFile(1, 1)
+    rf = empty_file(1, 1)
     expected = _error(reference.assert_matches_layout, rf, layout)
     assert expected[0].__name__ == "LayoutError"
     assert _error(assert_matches_layout, rf, layout) == expected
@@ -206,7 +208,7 @@ def test_slot_table_is_flat_of(layout):
         layout.in_dim_size(REGISTER),
     )
     for (w, l, r), p in np.ndenumerate(table):
-        assert p == view.flat_of({REGISTER: r, LANE: l, WARP: w})
+        assert p == flat_of(view, {REGISTER: r, LANE: l, WARP: w})
 
 
 @settings(max_examples=30)
@@ -228,7 +230,7 @@ def test_value_of_runs_once_on_all_positions(layout):
     for positions in calls:
         assert positions.dtype == np.int64
         assert positions.tolist() == list(range(size))
-    rf.write(0, 0, 0, -1)
+    write(rf, 0, 0, 0, -1)
     with pytest.raises(AssertionError, match="expected element 0 "):
         assert_matches_layout(rf, layout, value_of)
     assert len(calls) == 4 and calls[3] == 0 and type(calls[3]) is int
@@ -249,8 +251,8 @@ class TestDtypeRule:
         for value, dtype in [(3, np.int64), (2.5, np.float64),
                              (np.float32(1), np.float32), ("x", object),
                              (1 << 70, object)]:
-            rf = RegisterFile(1, 4)
-            rf.write(0, 1, 2, value)
+            rf = empty_file(1, 4)
+            write(rf, 0, 1, 2, value)
             assert rf.dtype == dtype
             assert rf.read(0, 1, 2) == value
             assert len(rf) == 1 and not rf.has(0, 0, 0)
@@ -263,27 +265,27 @@ class TestDtypeRule:
             1, 1,
         )
         assert rf.dtype == np.int64
-        rf.write(0, 0, 1, value)
+        write(rf, 0, 0, 1, value)
         assert rf.dtype == object
         assert rf.read(0, 0, 1) == value
         assert [rf.read(0, 0, r) for r in (0, 2, 3)] == [0, 2, 3]
 
     def test_exact_writes_keep_the_dtype(self):
-        rf = RegisterFile(1, 1)
-        rf.write(0, 0, 0, 1.5)
+        rf = empty_file(1, 1)
+        write(rf, 0, 0, 0, 1.5)
         for value in (np.float32(0.25), True, np.nan, -0.0):
-            rf.write(0, 0, 1, value)
+            write(rf, 0, 0, 1, value)
             assert rf.dtype == np.float64
         assert np.signbit(rf.read(0, 0, 1))
-        rf.write(0, 0, 1, 3)  # int -> float64 is not exact in general
+        write(rf, 0, 0, 1, 3)  # int -> float64 is not exact in general
         assert rf.dtype == object
 
     def test_none_clears_a_slot(self):
-        rf = RegisterFile(1, 1)
-        rf.write(0, 0, 0, 5)
-        rf.write(0, 0, 0, None)
-        rf.write(3, 3, 3, None)  # past the extent: nothing to clear
+        rf = empty_file(1, 1)
+        write(rf, 0, 0, 0, 5)
+        write(rf, 0, 0, 0, None)
+        write(rf, 3, 3, 3, None)  # past the extent: nothing to clear
         assert len(rf) == 0 and not rf.has(0, 0, 0)
-        assert rf.as_dict() == {}
+        assert as_dict(rf) == {}
         with pytest.raises(KeyError, match=r"\(w=0, l=0, r=0\)"):
             rf.read(0, 0, 0)

@@ -65,6 +65,33 @@ class TestTheoryMapResolves:
             else:
                 pytest.fail(f"cannot import {dotted}")
 
+    def test_cited_methods_exist(self):
+        """Every bare ``Class.method`` THEORY.md cites (not under a
+        ``repro.*`` path) names a ``src/repro`` class that has the
+        attribute.  The dead-code guard exempts any word THEORY.md
+        mentions, so a stale cite would hide dead code."""
+        theory = (REPO / "docs" / "THEORY.md").read_text()
+        cites = {
+            match
+            for span in re.findall(r"`([^`]+)`", theory)
+            if not re.search(r"\.(md|py|json)$", span)
+            for match in re.findall(r"(?<![\w.])([A-Z]\w*)\.(\w+)", span)
+        }
+        assert cites
+        package = REPO / "src" / "repro"
+        modules = {}
+        for path in package.rglob("*.py"):
+            for node in ast.parse(path.read_text()).body:
+                if isinstance(node, ast.ClassDef):
+                    parts = path.relative_to(REPO / "src").with_suffix("").parts
+                    if parts[-1] == "__init__":
+                        parts = parts[:-1]
+                    modules.setdefault(node.name, ".".join(parts))
+        for cls_name, attr in sorted(cites):
+            assert cls_name in modules, f"no src class {cls_name}"
+            cls = getattr(importlib.import_module(modules[cls_name]), cls_name)
+            assert hasattr(cls, attr), f"{cls_name}.{attr}"
+
 
 class TestNoTestOnlyCode:
     def test_every_src_definition_has_a_caller_outside_tests(self):
@@ -103,6 +130,57 @@ class TestNoTestOnlyCode:
                 if not (theory[name] or own > 0 or elsewhere):
                     unused.append(f"{path.relative_to(REPO)}::{name}")
         assert not unused, "no caller outside tests: " + ", ".join(unused)
+
+    def test_every_src_method_has_a_caller_outside_tests(self):
+        """A method or property of a ``src/repro`` class is referenced
+        from ``src/``, ``examples/``, ``benchmarks/`` or ``perfbench/``
+        outside its own body, or named in ``docs/THEORY.md``.  A
+        reference is an AST identifier (a ``Name`` or ``Attribute``) or
+        a bare-word string constant, so ``getattr`` and ``__all__``
+        count but a docstring mention does not.  Matching is by name,
+        so an override counts as used when any same-named method is;
+        dunder methods are exempt."""
+        package = REPO / "src" / "repro"
+        trees = {
+            path: ast.parse(path.read_text())
+            for top in ("src", "examples", "benchmarks", "perfbench")
+            for path in (REPO / top).rglob("*.py")
+        }
+        refs = Counter()
+        for tree in trees.values():
+            refs.update(_identifiers(tree))
+        theory = set(re.findall(r"\w+", (REPO / "docs" / "THEORY.md").read_text()))
+        unused = []
+        for path, tree in trees.items():
+            if not path.is_relative_to(package):
+                continue
+            for cls in ast.walk(tree):
+                if not isinstance(cls, ast.ClassDef):
+                    continue
+                for node in cls.body:
+                    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        continue
+                    name = node.name
+                    if name.startswith("__") and name.endswith("__") or name in theory:
+                        continue
+                    if refs[name] - _identifiers(node)[name] <= 0:
+                        unused.append(f"{path.relative_to(REPO)}::{cls.name}.{name}")
+        assert not unused, "no caller outside tests: " + ", ".join(unused)
+
+
+def _identifiers(tree):
+    """Count the names ``tree`` references: ``Name`` ids, ``Attribute``
+    attrs, and string constants that are a single identifier."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            found[node.value] += 1
+    return found
 
 
 class TestExamplesListed:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.codegen import plan_conversion
 from repro.codegen.gather import gather_shared_program, gather_shuffle_program
-from repro.core import LinearLayout, REGISTER
+from repro.core import REGISTER
 from repro.gpusim import price_program
 from repro.hardware import RTX4090
 from repro.layouts import (
@@ -19,7 +19,7 @@ from repro.layouts import (
     WgmmaLayout,
 )
 
-from tests.program_decoder import round_trip
+from tests.program_decoder import layout_from_dict, round_trip
 
 
 ALL_LAYOUTS = [
@@ -37,14 +37,14 @@ ALL_LAYOUTS = [
 
 @pytest.mark.parametrize("layout", ALL_LAYOUTS, ids=lambda l: repr(l)[:40])
 def test_round_trip(layout):
-    rebuilt = LinearLayout.from_dict(layout.to_dict())
+    rebuilt = layout_from_dict(layout.to_dict())
     assert rebuilt == layout
 
 
 @pytest.mark.parametrize("layout", ALL_LAYOUTS[:4], ids=lambda l: repr(l)[:40])
 def test_json_round_trip(layout):
     text = json.dumps(layout.to_dict())
-    rebuilt = LinearLayout.from_dict(json.loads(text))
+    rebuilt = layout_from_dict(json.loads(text))
     assert rebuilt == layout
     # Behaviour, not just structure, survives.
     assert rebuilt.apply({REGISTER: 1}) == layout.apply({REGISTER: 1})

@@ -432,7 +432,7 @@ class TestServiceSemantics:
         with CompileService(workers=2, name="json") as service:
             service.compile_batch(SUITE[:3])
             report = service.report()
-        doc = json.loads(report.to_json())
+        doc = json.loads(json.dumps(report.to_dict()))
         assert doc["service"] == "json"
         assert "workers" not in doc
         assert doc["requests"] == 3

@@ -47,6 +47,8 @@ from tests.shared_access_reference import (
     shared_accesses as reference_accesses,
     swizzled_offset_of_flat,
 )
+from tests.layout_reference import apply_flat
+from tests.program_decoder import accesses_from_tuples
 
 
 def _coords(flat, shape):
@@ -180,7 +182,7 @@ def test_builder_matches_reference(case, data):
     expected = reference_accesses(layout, offsets.item, **kwargs)
     assert got.to_tuples() == expected
     assert not _is_deferred(got)
-    assert got == SharedAccesses.from_tuples(expected)
+    assert got == accesses_from_tuples(expected)
     assert got.leading(spec.warp_size).to_tuples() == warp0
 
 
@@ -445,7 +447,7 @@ def test_access_wavefronts_match_reference(
         max_width,
         full=False,
     )
-    acc = SharedAccesses.from_tuples(tuples)
+    acc = accesses_from_tuples(tuples)
     got = access_wavefronts(acc, spec, elem_bytes, num_warps)
     lanes = tuples[: num_warps * ws]
     slots = max((len(a) for a in lanes), default=0)
@@ -483,14 +485,14 @@ def test_flat_table_equals_apply_flat(bases, data):
     order = data.draw(st.permutations(dims))
     table = layout.flat_table(order)
     assert table.dtype == np.int64
-    assert len(table) == layout.total_in_size()
+    assert len(table) == 1 << layout.total_in_bits()
     for index, value in enumerate(table.tolist()):
         inputs = {}
         for dim in order:
             bits = layout.in_dim_size_log2(dim)
             inputs[dim] = index & ((1 << bits) - 1)
             index >>= bits
-        assert value == layout.apply_flat(inputs)
+        assert value == apply_flat(layout, inputs)
 
 
 def test_flat_table_holds_unlisted_dims_at_zero():
@@ -500,7 +502,7 @@ def test_flat_table_holds_unlisted_dims_at_zero():
     )
     table = layout.flat_table((REGISTER, LANE, WARP))
     assert table.tolist() == [
-        layout.apply_flat({REGISTER: r, LANE: lane})
+        apply_flat(layout, {REGISTER: r, LANE: lane})
         for lane in range(2)
         for r in range(2)
     ]
@@ -514,7 +516,7 @@ class TestSharedAccessesValue:
     )
 
     def test_round_trip_and_shape(self):
-        acc = SharedAccesses.from_tuples(self.TUPLES)
+        acc = accesses_from_tuples(self.TUPLES)
         assert acc.to_tuples() == self.TUPLES
         assert (acc.num_threads, acc.max_accesses, acc.widest) == (3, 2, 2)
         assert acc.max_elements() == 3
@@ -524,7 +526,7 @@ class TestSharedAccessesValue:
         """What sizes the interpreter's shared memory: the offsets the
         compiled STS/LDS moves, over the threads it keeps."""
         def bound(tuples, warp_size, num_warps):
-            sts = Sts(SharedAccesses.from_tuples(tuples), elem_bytes=4)
+            sts = Sts(accesses_from_tuples(tuples), elem_bytes=4)
             return _compile_shared(sts, RTX4090, warp_size, num_warps)[4]
 
         assert bound(self.TUPLES, 2, 2) == 9
@@ -533,9 +535,9 @@ class TestSharedAccessesValue:
         assert bound(((),), 32, 1) == 0
 
     def test_value_semantics(self):
-        a = SharedAccesses.from_tuples(self.TUPLES)
-        b = SharedAccesses.from_tuples(self.TUPLES)
-        c = SharedAccesses.from_tuples(self.TUPLES[:2])
+        a = accesses_from_tuples(self.TUPLES)
+        b = accesses_from_tuples(self.TUPLES)
+        c = accesses_from_tuples(self.TUPLES[:2])
         assert a == b and hash(a) == hash(b)
         assert a != c
         assert pickle.loads(pickle.dumps(a)) == a
@@ -543,7 +545,7 @@ class TestSharedAccessesValue:
             a.base[0, 0] = 1
 
     def test_elements_in_issue_order(self):
-        acc = SharedAccesses.from_tuples(self.TUPLES)
+        acc = accesses_from_tuples(self.TUPLES)
         thread, reg, off = acc.elements(warp_size=2, num_warps=2)
         assert list(zip(thread, reg, off)) == [
             (0, 0, 0), (0, 1, 1), (2, 3, 4), (0, 2, 8),
@@ -568,7 +570,7 @@ def test_deferred_value_semantics_match_eager(case, data):
         assert _is_deferred(acc)
         return acc
 
-    eager = SharedAccesses.from_tuples(fresh().to_tuples())
+    eager = accesses_from_tuples(fresh().to_tuples())
     assert fresh() == eager and eager == fresh()
     assert hash(fresh()) == hash(eager)
     unpickled = pickle.loads(pickle.dumps(fresh()))
@@ -588,7 +590,7 @@ def test_deferred_value_semantics_match_eager(case, data):
 
 def _two_warp_accesses(ws):
     """Warp 0 stores one element per lane; warp 1 one, then two more."""
-    return SharedAccesses.from_tuples(
+    return accesses_from_tuples(
         [((lane, (0,)),) for lane in range(ws)]
         + [((ws + lane, (0,)), (2 * ws + 2 * lane, (1, 2))) for lane in range(ws)]
     )
@@ -638,7 +640,7 @@ def test_machine_measures_the_priced_warps(matrix):
         (Sts(_two_warp_accesses(ws), 8, use_stmatrix=matrix),)
     )
     values = np.arange(2 * ws * 3, dtype=np.int64).reshape(2, ws, 3)
-    registers = RegisterFile.from_dense(
+    registers = RegisterFile(
         values, np.ones(values.shape, dtype=bool), 2, ws
     )
     _, trace = Machine(spec, 2).run_program(program, {R_IN: registers})

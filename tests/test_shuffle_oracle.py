@@ -36,6 +36,7 @@ from repro.hardware.spec import PLATFORMS
 from repro.program.ir import Shfl, WarpProgram
 from repro.program.serialize import instr_to_dict, program_to_dict
 from tests import shuffle_reference as reference
+from tests.layout_reference import owner_of
 from tests.program_decoder import instr_from_dict
 from tests.test_shared_access_oracle import _coords, conversion_cases
 
@@ -174,7 +175,7 @@ def test_owner_table_matches_owner_of(case):
     table = owner_table(layout)
     assert table.shape == (1 << layout.total_out_bits(), 3)
     want = [
-        [view.owner_of(p).get(dim, 0) for dim in (REGISTER, LANE, WARP)]
+        [owner_of(view, p).get(dim, 0) for dim in (REGISTER, LANE, WARP)]
         for p in range(len(table))
     ]
     assert table.tolist() == want
