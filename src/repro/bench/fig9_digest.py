@@ -57,8 +57,10 @@ def _feed(h, value) -> None:
         h.update(np.ascontiguousarray(value).tobytes())
     elif isinstance(value, SharedAccesses):
         h.update(b"s")
+        # As int64 values, whatever the storage: the digest compares
+        # values, not their dtype or a stored row's strides.
         for arr in (value.base, value.width, value.regs):
-            _feed(h, arr)
+            _feed(h, arr.astype(np.int64))
     elif isinstance(value, LinearLayout):
         h.update(f"l{value.canonical_key()!r}".encode())
     elif isinstance(value, tuple):

@@ -30,6 +30,8 @@ AccessTuples = Tuple[Tuple[Tuple[int, Tuple[int, ...]], ...], ...]
 #: Serializes first reads of deferred values, so one build wins.
 _BUILD_LOCK = threading.Lock()
 
+_INT32 = np.iinfo(np.int32)
+
 
 class SharedAccesses:
     """Per-thread vectorized shared-memory accesses of one CTA step.
@@ -44,8 +46,18 @@ class SharedAccesses:
     canonical: absent entries read ``base 0``, ``width 0`` and ``regs
     -1``, the second axis is as long as the longest list and the third
     as the widest access.  So two instances are equal exactly when
-    their tuple views are.  The arrays are read-only; the value is
-    immutable and hashable.
+    their tuple views are.  The arrays are read-only int32 (a value
+    outside int32 raises ``ValueError``); the value is immutable and
+    hashable.
+
+    When every thread's ``width`` row is the same, and so is every
+    thread's ``regs`` row, each is stored once, as a stride-0
+    broadcast view of one copied row.  A distributed layout (Def.
+    4.10) routes every thread's registers through the same linear
+    map, so when every thread moves data their register order and
+    vector grouping are the same and only ``base`` differs.  The
+    shape, the values, equality, hashing and :meth:`to_tuples` do not
+    depend on the storage.
 
     A deferred value holds only the rows of its leading threads until
     ``base``, ``width`` or ``regs`` is first read.
@@ -54,19 +66,17 @@ class SharedAccesses:
     __slots__ = ("base", "width", "regs", "_head", "_build", "_hash")
 
     def __init__(self, base, width, regs):
-        base = np.array(base, dtype=np.int64)
-        width = np.array(width, dtype=np.int64)
-        regs = np.array(regs, dtype=np.int64)
+        base, width, regs = np.asarray(base), np.asarray(width), np.asarray(regs)
         if width.shape != base.shape or regs.shape[:2] != base.shape:
             raise ValueError(
                 f"access arrays disagree: base {base.shape}, "
                 f"width {width.shape}, regs {regs.shape}"
             )
-        for arr in (base, width, regs):
-            arr.flags.writeable = False
-        self.base = base
-        self.width = width
-        self.regs = regs
+        self.base = _int32(base)
+        if _one_row(width) and _one_row(regs):
+            self.width, self.regs = _stored_row(width), _stored_row(regs)
+        else:
+            self.width, self.regs = _int32(width), _int32(regs)
         self._head = self._build = self._hash = None
 
     @classmethod
@@ -182,13 +192,15 @@ class SharedAccesses:
         if (width == vec).all():
             tid = np.arange(threads)[:, None]
             reg = self.regs[:threads].transpose(1, 0, 2)
-            off = np.add(
-                self.base[:threads].T[:, :, None], np.arange(vec), order="C"
-            )
-            return tid, reg, off
-        k, tid, j = np.nonzero(np.arange(vec) < width[:, :, None])
+            base = self.base[:threads].T.astype(np.int64)
+            return tid, reg, np.add(base[:, :, None], np.arange(vec), order="C")
+        elem = np.arange(vec, dtype=width.dtype)
+        k, tid, j = np.nonzero(elem < width[:, :, None])
         at = tid * slots + k  # flat (thread, slot)
-        reg = self.regs.reshape(-1)[at * vec + j]
+        # A stored row is indexed by slot alone (flattening its
+        # stride-0 view would copy it whole).
+        regs, row = (self.regs[0], k) if self.regs.strides[0] == 0 else (self.regs, at)
+        reg = regs.reshape(-1)[row * vec + j]
         return tid, reg, self.base.reshape(-1)[at] + j
 
     def moved(self, warp_size: int, num_warps: int) -> np.ndarray:
@@ -236,6 +248,37 @@ class SharedAccesses:
             f"SharedAccesses({self.num_threads} threads x "
             f"{self.max_accesses} accesses, widest {self.widest})"
         )
+
+
+def _int32(values: np.ndarray) -> np.ndarray:
+    """A read-only int32 copy of ``values``; ``ValueError`` for a value
+    outside int32, which a cast would wrap."""
+    if values.dtype != np.int32 and values.size:
+        low, high = values.min(), values.max()
+        if low < _INT32.min or high > _INT32.max:
+            raise ValueError(
+                f"access value out of int32 range: [{low}, {high}]"
+            )
+    out = values.astype(np.int32)
+    out.flags.writeable = False
+    return out
+
+
+def _stored_row(arr: np.ndarray) -> np.ndarray:
+    """``arr``, whose rows are all alike, as a read-only stride-0 view
+    of a copy of its first row: what ``np.broadcast_to`` returns, built
+    directly, which costs a sixth as much.  (A view of ``arr[0]`` itself
+    would keep all of ``arr`` alive.)"""
+    row = _int32(arr[0])
+    return np.ndarray(arr.shape, row.dtype, row, strides=(0,) + row.strides)
+
+
+def _one_row(arr: np.ndarray) -> bool:
+    """Whether the rows (first axis) of ``arr``, more than one, are all
+    the same; a stride-0 view is so by construction."""
+    return len(arr) > 1 and (
+        arr.strides[0] == 0 or bool((arr[1:] == arr[0]).all())
+    )
 
 
 __all__ = ["AccessTuples", "SharedAccesses"]

@@ -368,17 +368,10 @@ class LinearLayout:
         """The image of basis bit ``bit`` of ``in_dim``."""
         return self._coords(self._flat[in_dim][bit])
 
-    def basis_image_flat(
-        self, in_dim: str, bit: int, order: Optional[Sequence[str]] = None
-    ) -> int:
-        """Same, flattened over the output dims.
-
-        ``order`` lists out dims fastest-first; the default is the
-        reverse of the declared out-dim order, i.e. row-major ("j is
-        the fastest moving dimension", Section 4.1).
-        """
-        v = self._flat[in_dim][bit]
-        return v if order is None else _move(v, self._reorder(order))
+    def basis_image_flat(self, in_dim: str, bit: int) -> int:
+        """Same, flattened row-major over the output dims ("j is the
+        fastest moving dimension", Section 4.1)."""
+        return self._flat[in_dim][bit]
 
     def basis_images_flat(
         self, in_dim: str, order: Optional[Sequence[str]] = None

@@ -46,7 +46,9 @@ def instruction_wavefronts(
     rows = offset.shape[0]
     banks = spec.num_banks
     word_shift = spec.bank_bytes.bit_length() - 1
-    start = offset * elem_bytes
+    # int64 bytes, whatever the offsets' dtype (an access table's are
+    # int32, and int32 times a Python int stays int32).
+    start = np.multiply(offset, elem_bytes, dtype=np.int64)
     first = start >> word_shift
     spans = ((start + count * elem_bytes - 1) >> word_shift) - first + 1
     live = count > 0

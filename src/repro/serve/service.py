@@ -38,11 +38,13 @@ See ``docs/SERVING.md`` for the full contract.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import cache as _cache
 from repro.engine import compile as _engine_compile
@@ -52,7 +54,7 @@ from repro.hardware.spec import PLATFORMS, check_num_warps
 from repro.kernels import KERNELS
 from repro.kernels.models import KernelCase
 from repro.obs import core as _obs
-from repro.serve.stats import RequestStats, ServiceReport
+from repro.serve.stats import RequestStats, ServiceReport, ServiceTotals
 
 __all__ = ["CompileRequest", "CompileService"]
 
@@ -60,6 +62,13 @@ __all__ = ["CompileRequest", "CompileService"]
 #: keeps (pending flights are never evicted).  The request memo has
 #: the same bound.
 RESULT_CACHE_SIZE = 1024
+
+#: Records a service keeps for :meth:`CompileService.report`: the
+#: newest, so memory stays bounded however long the service lives.  A
+#: record that leaves is folded into running totals, so the report's
+#: counts and latency aggregates still cover every request.  At least
+#: one perfbench warm_stream pass (4,096 requests into a fresh service).
+REQUEST_HISTORY = 4096
 
 
 class _Flight:
@@ -176,7 +185,10 @@ class CompileService:
         # written under ``_lock``.
         self._admitted: Dict[tuple, Tuple[KernelCase, tuple]] = {}
         self._lock = threading.Lock()
-        self._records: List[RequestStats] = []
+        # The newest REQUEST_HISTORY records, and the totals of those
+        # that left; both guarded by ``_lock``.
+        self._records: Deque[RequestStats] = deque(maxlen=REQUEST_HISTORY)
+        self._dropped = ServiceTotals()
         self._first_submit: Optional[float] = None
         self._last_done: Optional[float] = None
         self._executor = ThreadPoolExecutor(
@@ -398,6 +410,8 @@ class CompileService:
     # ------------------------------------------------------------------
     def _record(self, rec: RequestStats) -> None:
         with self._lock:
+            if len(self._records) == self._records.maxlen:
+                self._dropped.add(self._records[0])
             self._records.append(rec)
             self._last_done = time.perf_counter()
         if _obs.is_enabled():
@@ -415,18 +429,23 @@ class CompileService:
                 _obs.observe("serve.compile_ms", rec.compile_ms)
 
     def report(self) -> ServiceReport:
-        """The service's statistics so far (see :mod:`repro.serve.stats`)."""
+        """The service's statistics so far (see :mod:`repro.serve.stats`):
+        totals over every request, and the newest
+        :data:`REQUEST_HISTORY` records."""
         with self._lock:
             records = list(self._records)
+            totals = dataclasses.replace(self._dropped)
             first = self._first_submit
             last = self._last_done
+        for rec in records:
+            totals.add(rec)
         wall_ms = (
             (last - first) * 1e3
             if first is not None and last is not None
             else 0.0
         )
         return ServiceReport(
-            service=self.name, requests=records, wall_ms=wall_ms
+            service=self.name, totals=totals, requests=records, wall_ms=wall_ms
         )
 
     def close(self) -> None:

@@ -5,8 +5,9 @@ processes leaves one :class:`RequestStats` record: where its latency
 went (queue wait vs. compile time), how the caches behaved for it
 (thread-local hit/miss deltas from :func:`repro.cache.counters`), and
 whether it was deduplicated (served by another request's in-flight
-compile or by a finished one's result).  :class:`ServiceReport`
-aggregates those records into the JSON document operators would
+compile or by a finished one's result).  :class:`ServiceTotals` sums
+records up; :class:`ServiceReport` rolls the totals over every request
+and the newest records up into the JSON document operators would
 scrape — throughput, dedup ratios, latency summary, and the global
 cache statistics snapshot.
 
@@ -25,7 +26,7 @@ from typing import Any, Dict, List, Optional
 
 from repro import cache as _cache
 
-__all__ = ["RequestStats", "ServiceReport"]
+__all__ = ["RequestStats", "ServiceReport", "ServiceTotals"]
 
 
 @dataclass
@@ -74,15 +75,58 @@ class RequestStats:
         }
 
 
-def _mean(values: List[float]) -> float:
-    return sum(values) / len(values) if values else 0.0
+def _mean(total: float, count: int) -> float:
+    return total / count if count else 0.0
+
+
+@dataclass
+class ServiceTotals:
+    """Counts, sums and maxima over request records: what a report
+    counts, averages and maximizes.  A service folds each record that
+    leaves its history in here, so a report covers every request
+    however few records it still holds."""
+
+    requests: int = 0
+    #: Requests that actually ran the compiler.
+    compiles: int = 0
+    #: Requests served by a concurrent request's compile.
+    shared: int = 0
+    #: Requests served from the completed-result cache.
+    result_cache_hits: int = 0
+    failures: int = 0
+    queue_wait_ms_sum: float = 0.0
+    queue_wait_ms_max: float = 0.0
+    compile_ms_sum: float = 0.0
+    compile_ms_max: float = 0.0
+
+    def add(self, rec: RequestStats) -> None:
+        """Count one record in."""
+        self.requests += 1
+        if rec.shared:
+            self.shared += 1
+        elif rec.result_cached:
+            self.result_cache_hits += 1
+        else:
+            self.compiles += 1
+            self.compile_ms_sum += rec.compile_ms
+            self.compile_ms_max = max(self.compile_ms_max, rec.compile_ms)
+        if not rec.ok:
+            self.failures += 1
+        self.queue_wait_ms_sum += rec.queue_wait_ms
+        self.queue_wait_ms_max = max(self.queue_wait_ms_max, rec.queue_wait_ms)
 
 
 @dataclass
 class ServiceReport:
-    """The service-level rollup of one service's lifetime (so far)."""
+    """The service-level rollup of one service's lifetime (so far).
+
+    The counts and latency aggregates cover every request
+    (``totals``); ``requests`` holds only the newest records, up to the
+    service's ``REQUEST_HISTORY``.
+    """
 
     service: str
+    totals: ServiceTotals = field(default_factory=ServiceTotals)
     requests: List[RequestStats] = field(default_factory=list)
     #: Wall time covered by the report (first submit to last result).
     wall_ms: float = 0.0
@@ -92,30 +136,26 @@ class ServiceReport:
     # ------------------------------------------------------------------
     @property
     def total_requests(self) -> int:
-        return len(self.requests)
+        return self.totals.requests
 
     @property
     def compiles(self) -> int:
         """Requests that actually ran the compiler."""
-        return sum(
-            1
-            for r in self.requests
-            if not r.shared and not r.result_cached
-        )
+        return self.totals.compiles
 
     @property
     def dedup_shared(self) -> int:
         """Requests served by a concurrent request's compile."""
-        return sum(1 for r in self.requests if r.shared)
+        return self.totals.shared
 
     @property
     def result_cache_hits(self) -> int:
         """Requests served from the completed-result cache."""
-        return sum(1 for r in self.requests if r.result_cached)
+        return self.totals.result_cache_hits
 
     @property
     def failures(self) -> int:
-        return sum(1 for r in self.requests if not r.ok)
+        return self.totals.failures
 
     @property
     def throughput_rps(self) -> float:
@@ -125,13 +165,9 @@ class ServiceReport:
         return self.total_requests / (self.wall_ms / 1e3)
 
     def to_dict(self) -> Dict[str, Any]:
-        """The JSON-exportable service report."""
-        queue = [r.queue_wait_ms for r in self.requests]
-        compile_times = [
-            r.compile_ms
-            for r in self.requests
-            if not r.shared and not r.result_cached
-        ]
+        """The JSON-exportable service report; ``per_request`` lists
+        the newest records only."""
+        t = self.totals
         return {
             "service": self.service,
             "wall_ms": round(self.wall_ms, 3),
@@ -142,14 +178,12 @@ class ServiceReport:
             "failures": self.failures,
             "throughput_rps": round(self.throughput_rps, 3),
             "queue_wait_ms": {
-                "mean": round(_mean(queue), 4),
-                "max": round(max(queue), 4) if queue else 0.0,
+                "mean": round(_mean(t.queue_wait_ms_sum, t.requests), 4),
+                "max": round(t.queue_wait_ms_max, 4),
             },
             "compile_ms": {
-                "mean": round(_mean(compile_times), 4),
-                "max": round(max(compile_times), 4)
-                if compile_times
-                else 0.0,
+                "mean": round(_mean(t.compile_ms_sum, t.compiles), 4),
+                "max": round(t.compile_ms_max, 4),
             },
             "cache": {
                 name: snap.to_dict()

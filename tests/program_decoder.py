@@ -4,7 +4,8 @@ The compiler only encodes programs (``CompiledKernel.summary``); the
 round-trip tests rebuild them with these functions to check that the
 encoding keeps every operand.  ``layout_from_dict`` and
 ``accesses_from_tuples`` invert ``LinearLayout.to_dict`` and
-``SharedAccesses.to_tuples``.  Only tests import it.
+``SharedAccesses.to_tuples``; ``dense_twin`` stores a table's value
+dense.  Only tests import it.
 """
 
 from __future__ import annotations
@@ -62,6 +63,19 @@ def accesses_from_tuples(tuples: Sequence) -> SharedAccesses:
             width[t, k] = len(rs)
             regs[t, k, : len(rs)] = rs
     return SharedAccesses(base, width, regs)
+
+
+def dense_twin(acc: SharedAccesses, dtype=np.int32) -> SharedAccesses:
+    """``acc`` with each array stored dense, as ``dtype``: the
+    constructor's storage (int32, one stored row) bypassed, so tests
+    can compare the two storages of one value."""
+    twin = SharedAccesses.__new__(SharedAccesses)
+    twin._head = twin._build = twin._hash = None
+    for name in ("base", "width", "regs"):
+        arr = np.array(getattr(acc, name), dtype=dtype)
+        arr.flags.writeable = False
+        setattr(twin, name, arr)
+    return twin
 
 
 def _decode_value(value):

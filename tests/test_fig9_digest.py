@@ -27,6 +27,7 @@ from repro.bench.fig9_digest import (
 from repro.codegen.access import SharedAccesses
 from repro.kernels import KERNELS
 from repro.program.ir import WarpProgram
+from tests.program_decoder import dense_twin
 
 GOLDEN = load_golden()
 
@@ -138,3 +139,37 @@ def test_program_digest_sees_instruction_and_index_order():
     assert program_digest(
         WarpProgram((dataclasses.replace(sts, accesses=swapped),))
     ) != program_digest(WarpProgram((sts,)))
+
+
+def test_program_digest_hashes_values_not_storage():
+    """A program whose STS/LDS tables are stored dense at int64 (the
+    storage before int32 and the one stored row) digests the same, and
+    rolling a table's thread axis still changes the digest."""
+    compiled = _flex_attention_gh200()
+    shared = [
+        (program, i)
+        for program in compiled.programs
+        for i, instr in enumerate(program.instrs)
+        if instr.opcode.value in ("sts", "lds")
+    ]
+    assert any(
+        p.instrs[i].accesses.regs.strides[0] == 0 for p, i in shared
+    )
+    for program, i in shared:
+        instr = program.instrs[i]
+        wide = dense_twin(instr.accesses, np.int64)
+        assert wide.base.dtype == np.int64
+        instrs = list(program.instrs)
+        instrs[i] = dataclasses.replace(instr, accesses=wide)
+        rebuilt = WarpProgram(tuple(instrs), program.result, program.label)
+        assert program_digest(rebuilt) == program_digest(program)
+
+    program, i = shared[0]
+    acc = program.instrs[i].accesses
+    order = np.roll(np.arange(acc.num_threads), 1)
+    rolled = dense_twin(acc, np.int64)
+    for name in ("base", "width", "regs"):
+        setattr(rolled, name, getattr(rolled, name)[order])
+    assert program_digest(
+        WarpProgram((dataclasses.replace(program.instrs[i], accesses=rolled),))
+    ) != program_digest(WarpProgram((program.instrs[i],)))

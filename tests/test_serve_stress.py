@@ -384,6 +384,34 @@ class TestServiceSemantics:
         ]
         assert report.compiles == 1
 
+    def test_report_keeps_totals_and_the_newest_records(
+        self, monkeypatch
+    ):
+        """Totals count every request; the report holds only the newest
+        ``REQUEST_HISTORY`` records."""
+        from repro.serve import service as service_module
+
+        monkeypatch.setattr(service_module, "REQUEST_HISTORY", 4)
+        cache.clear()
+        lead, other = SUITE[2], SUITE[3]
+        with CompileService(workers=1, name="history") as service:
+            for req in [lead] * 5 + [other] * 5:
+                service.submit(req).result()
+            report = service.report()
+        assert report.total_requests == 10
+        assert report.compiles == 2
+        assert report.result_cache_hits == 8
+        assert report.dedup_shared == report.failures == 0
+        assert [r.key for r in report.requests] == [
+            other.canonical_key()
+        ] * 4
+        assert [r.result_cached for r in report.requests] == [True] * 4
+        doc = report.to_dict()
+        assert doc["requests"] == 10 and len(doc["per_request"]) == 4
+        # The compiles' times still count, though their records are gone.
+        assert all(r.compile_ms == 0 for r in report.requests)
+        assert doc["compile_ms"]["max"] >= doc["compile_ms"]["mean"] > 0
+
     def test_submit_hit_records_a_request_span(self):
         from repro import obs
 

@@ -37,7 +37,12 @@ from repro.codegen.swizzle import (
 )
 from repro.core import LANE, LinearLayout, REGISTER, WARP
 from repro.hardware import GH200, MI250, RTX4090
-from repro.gpusim.memory import access_wavefronts, instruction_wavefronts
+from repro.layouts import BlockedLayout
+from repro.gpusim.memory import (
+    access_wavefronts,
+    executed_wavefronts,
+    instruction_wavefronts,
+)
 from repro.program.interp import _compile_shared
 from repro.program.ir import Sts
 from tests.bank_reference import wavefronts as reference_wavefronts
@@ -48,7 +53,7 @@ from tests.shared_access_reference import (
     swizzled_offset_of_flat,
 )
 from tests.layout_reference import apply_flat
-from tests.program_decoder import accesses_from_tuples
+from tests.program_decoder import accesses_from_tuples, dense_twin
 
 
 def _coords(flat, shape):
@@ -552,6 +557,144 @@ class TestSharedAccessesValue:
         ]
         thread, _, _ = acc.elements(warp_size=2, num_warps=1)
         assert len(thread) == 3
+
+
+def _one_stored_row(acc) -> bool:
+    return acc.width.strides[0] == 0 and acc.regs.strides[0] == 0
+
+
+def _owner(arr: np.ndarray) -> np.ndarray:
+    """The array whose memory ``arr`` views."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
+
+def _assert_stored_compactly(acc) -> None:
+    """Read-only int32 arrays; a stored row keeps only itself alive."""
+    for arr in (acc.base, acc.width, acc.regs):
+        assert arr.dtype == np.int32
+        assert not arr.flags.writeable
+    if _one_stored_row(acc):
+        assert _owner(acc.width).size == acc.width[0].size
+        assert _owner(acc.regs).size == acc.regs[0].size
+
+
+class TestStorage:
+    """int32 storage, its range check, and the one stored row."""
+
+    #: Two threads with the same widths and registers, bases apart.
+    ALIKE = (
+        ((0, (0, 1)), (8, (2,))),
+        ((16, (0, 1)), (40, (2,))),
+    )
+
+    def test_read_only_int32_after_every_path(self):
+        acc = accesses_from_tuples(self.ALIKE)
+        assert _one_stored_row(acc)
+        _assert_stored_compactly(acc)
+        _assert_stored_compactly(pickle.loads(pickle.dumps(acc)))
+        _assert_stored_compactly(acc.leading(1))
+        ragged = accesses_from_tuples(TestSharedAccessesValue.TUPLES)
+        assert not _one_stored_row(ragged)
+        for value in (ragged, pickle.loads(pickle.dumps(ragged))):
+            _assert_stored_compactly(value)
+        _assert_stored_compactly(ragged.leading(1))
+
+    def test_read_only_int32_after_deferred_materialization(self):
+        layout = BlockedLayout((4,), (32,), (2,), (0,)).to_linear((256,))
+        offsets = np.arange(256, dtype=np.int64)
+        acc = _build_accesses(layout, offsets, 2, 32, 4, True)
+        assert _is_deferred(acc)
+        _assert_stored_compactly(acc.leading(32))
+        _assert_stored_compactly(acc)  # the first read builds it
+        assert not _is_deferred(acc) and acc.num_threads == 64
+        assert _one_stored_row(acc)
+        _assert_stored_compactly(acc.leading(32))
+
+    @pytest.mark.parametrize(
+        "field, value", [("base", 2**31), ("width", -2**31 - 1),
+                         ("regs", 2**40)],
+    )
+    def test_out_of_range_value_raises(self, field, value):
+        arrays = {"base": [[0, 4]], "width": [[1, 1]], "regs": [[[0], [1]]]}
+        SharedAccesses(**arrays)
+        bad = np.array(arrays[field], dtype=np.int64)
+        bad.flat[-1] = value
+        for given in (bad, bad.tolist()):
+            with pytest.raises(ValueError, match="int32"):
+                SharedAccesses(**dict(arrays, **{field: given}))
+
+    def test_int32_bounds_are_kept(self):
+        top = np.iinfo(np.int32)
+        acc = SharedAccesses([[top.max, top.min]], [[1, 1]], [[[0], [1]]])
+        assert acc.base.tolist() == [[top.max, top.min]]
+
+    def test_storages_of_one_value_are_equal(self):
+        stored = accesses_from_tuples(self.ALIKE)
+        lists = SharedAccesses(
+            stored.base.tolist(), stored.width.tolist(), stored.regs.tolist()
+        )
+        int32 = SharedAccesses(
+            *(np.array(a, dtype=np.int32)
+              for a in (stored.base, stored.width, stored.regs))
+        )
+        dense = dense_twin(stored)
+        assert not _one_stored_row(dense)
+        values = (stored, lists, int32, dense)
+        for value in values:
+            assert value == stored and stored == value
+            assert hash(value) == hash(stored)
+            assert value.to_tuples() == self.ALIKE
+        assert len({*values}) == 1
+
+
+@st.composite
+def one_row_tables(draw):
+    """(spec, table) of a table whose threads share their width and
+    register rows: one random row, random bases per thread."""
+    spec = draw(st.sampled_from([RTX4090, MI250]))
+    threads = draw(st.integers(2, 3 * spec.warp_size))
+    widths = draw(st.lists(st.sampled_from([1, 2, 4, 8]), min_size=1,
+                           max_size=4))
+    row = [
+        tuple(draw(st.lists(st.integers(0, 63), min_size=w, max_size=w)))
+        for w in widths
+    ]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    acc = accesses_from_tuples([
+        tuple((int(rng.integers(0, 4096)), regs) for regs in row)
+        for _ in range(threads)
+    ])
+    return spec, acc
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    table=one_row_tables(),
+    num_warps=st.integers(1, 4),
+    elem_bytes=st.sampled_from([1, 2, 4, 8]),
+)
+def test_one_stored_row_matches_its_dense_twin(table, num_warps, elem_bytes):
+    """``elements``, ``moved``, ``access_wavefronts`` and
+    ``executed_wavefronts`` read a table with one stored row as they
+    read the same value stored dense."""
+    spec, acc = table
+    ws = spec.warp_size
+    twin = dense_twin(acc)
+    assert _one_stored_row(acc) and not _one_stored_row(twin)
+    got, want = acc.elements(ws, num_warps), twin.elements(ws, num_warps)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tolist() == w.tolist()
+    moved = acc.moved(ws, num_warps)
+    assert moved.tolist() == twin.moved(ws, num_warps).tolist()
+    assert access_wavefronts(acc, spec, elem_bytes, num_warps).tolist() == (
+        access_wavefronts(twin, spec, elem_bytes, num_warps).tolist()
+    )
+    flat = None if got[2].ndim == 3 else moved
+    assert executed_wavefronts(spec, elem_bytes, got[2], flat) == (
+        executed_wavefronts(spec, elem_bytes, want[2], flat)
+    )
 
 
 @settings(max_examples=40)
